@@ -224,15 +224,19 @@ func SubstituteViews(p Plan, subs map[ViewID]Plan) Plan {
 		}
 		return &Join{Left: l, Right: r, Conds: n.Conds}
 	case *Union:
-		changed := false
-		bs := make([]Plan, len(n.Branches))
+		// The branch list is copied from the first branch that changes on;
+		// a union nothing is substituted in costs no allocation.
+		var bs []Plan
 		for i, b := range n.Branches {
-			bs[i] = SubstituteViews(b, subs)
-			if bs[i] != n.Branches[i] {
-				changed = true
+			nb := SubstituteViews(b, subs)
+			if nb != b && bs == nil {
+				bs = append(make([]Plan, 0, len(n.Branches)), n.Branches[:i]...)
+			}
+			if bs != nil {
+				bs = append(bs, nb)
 			}
 		}
-		if !changed {
+		if bs == nil {
 			return n
 		}
 		return &Union{Branches: bs}

@@ -121,3 +121,37 @@ type bogusPlan struct{}
 func (bogusPlan) Columns() []cq.Term        { return nil }
 func (bogusPlan) Views(d []ViewID) []ViewID { return d }
 func (bogusPlan) String() string            { return "bogus" }
+
+// TestSubstituteViewsLeavesUntouchedPlansAlone: a plan that scans none of the
+// substituted views comes back as the same tree without allocating — the
+// search substitutes into every rewriting of a union-heavy state on every
+// transition.
+func TestSubstituteViewsLeavesUntouchedPlansAlone(t *testing.T) {
+	x, y := cq.Var(1), cq.Var(2)
+	var branches []Plan
+	for id := ViewID(1); id <= 40; id++ {
+		branches = append(branches, NewProject(NewSelect(NewScan(id, []cq.Term{x, y}), Cond{Left: y, Right: cq.Const(7)}), []cq.Term{x}))
+	}
+	u := NewUnion(branches...)
+	subs := map[ViewID]Plan{99: NewScan(100, []cq.Term{x, y})}
+	if got := SubstituteViews(u, subs); got != Plan(u) {
+		t.Fatal("untouched union was rebuilt")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { SubstituteViews(u, subs) }); allocs != 0 {
+		t.Errorf("untouched union: %.0f allocations, want 0", allocs)
+	}
+
+	subs = map[ViewID]Plan{17: NewScan(100, []cq.Term{x, y})}
+	got, ok := SubstituteViews(u, subs).(*Union)
+	if !ok || len(got.Branches) != len(u.Branches) {
+		t.Fatalf("substituted union: %v", got)
+	}
+	for i, b := range got.Branches {
+		if changed := b != u.Branches[i]; changed != (i == 16) {
+			t.Errorf("branch %d: changed = %v", i, changed)
+		}
+	}
+	if ids := SortedViewIDs(got); len(ids) != 40 || ids[len(ids)-1] != 100 {
+		t.Errorf("views after substitution: %v", ids)
+	}
+}

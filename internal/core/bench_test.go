@@ -2,7 +2,6 @@ package core
 
 import (
 	"testing"
-	"time"
 
 	"rdfviews/internal/cq"
 )
@@ -56,38 +55,22 @@ func BenchmarkAVFClose(b *testing.B) {
 	}
 }
 
-func BenchmarkStateCode(b *testing.B) {
-	s0, _, _ := benchState(b)
+// BenchmarkDFSSearch runs the default strategy to a fixed exploration budget
+// (MaxStates, never a timeout) over a generated 6-query workload and reports
+// the states created per second.
+func BenchmarkDFSSearch(b *testing.B) {
+	f := newSearchFixture(b, 6, 4, 3)
+	const budget = 2000
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Codes cache per state; rebuild the state view to measure the
-		// canonicalization path.
-		s := &State{Views: s0.Views, Plans: s0.Plans, Stage: s0.Stage}
-		_ = s.Code()
-	}
-}
-
-func BenchmarkDFSSearch300ms(b *testing.B) {
-	_, p, est := paintersFixture(b)
-	var queries []*cq.Query
-	for i := 0; i < 3; i++ {
-		queries = append(queries, p.MustParseQuery(
-			"q(X) :- t(X, hasPainted, starryNight), t(X, isParentOf, Y), t(Y, rdf:type, painter)"))
-		p.ResetNames()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s0, ctx, err := InitialState(queries)
+		s0, ctx, est := f.start(b, "none")
+		res, err := Search(s0, ctx, Options{Strategy: DFS, AVF: true, STV: true, MaxStates: budget, Estimator: est})
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := Search(s0, ctx, Options{
-			Strategy: DFS, AVF: true, STV: true,
-			Timeout: 300 * time.Millisecond, Estimator: est,
-		})
-		if err != nil {
-			b.Fatal(err)
+		if res.Counters.Created != budget {
+			b.Fatalf("created %d states, want the budget of %d", res.Counters.Created, budget)
 		}
-		b.ReportMetric(float64(res.Counters.Created), "states")
 	}
+	b.ReportMetric(float64(budget)*float64(b.N)/b.Elapsed().Seconds(), "states/s")
 }

@@ -86,7 +86,7 @@ func TestSCOnPropertyPosition(t *testing.T) {
 	if ns == nil {
 		t.Fatal("SC on property position not applicable")
 	}
-	for _, v := range ns.Views {
+	for _, v := range ns.SortedViews() {
 		if !v.Q.Atoms[0][1].IsVar() {
 			t.Error("property constant not relaxed")
 		}
@@ -123,7 +123,7 @@ func TestSCTwiceSameConstant(t *testing.T) {
 	}
 	checkStateAnswers(t, st, s1, queries)
 	var vid1 algebra.ViewID
-	for id := range s1.Views {
+	for _, id := range viewIDs(s1) {
 		vid1 = id
 	}
 	s2 := ctx.ApplySC(s1, vid1, 1, 2) // starryNight in the second atom
@@ -153,7 +153,7 @@ func TestVBOverlappingCoverKeepsSharedAtomVars(t *testing.T) {
 	if ns == nil {
 		t.Fatal("VB failed")
 	}
-	for _, v := range ns.Views {
+	for _, v := range ns.SortedViews() {
 		hasParentAtom := false
 		for _, a := range v.Q.Atoms {
 			if a[1].IsConst() {

@@ -32,18 +32,14 @@ func InitialState(queries []*cq.Query) (*State, *Ctx, error) {
 		}
 	}
 	ctx := NewCtx(maxVar)
-	s := &State{
-		Views: make(map[algebra.ViewID]*View, len(queries)),
-		Plans: make([]algebra.Plan, len(queries)),
-		Stage: StageVB,
-	}
+	views := make([]*View, len(queries))
+	plans := make([]algebra.Plan, len(queries))
 	for i, q := range queries {
 		m := q.Minimize()
-		v := NewView(ctx.FreshViewID(), m)
-		s.Views[v.ID] = v
-		s.Plans[i] = algebra.NewScan(v.ID, m.Head)
+		views[i] = NewView(ctx.FreshViewID(), m)
+		plans[i] = algebra.NewScan(views[i].ID, m.Head)
 	}
-	return s, ctx, nil
+	return newState(views, plans, StageVB).publish(), ctx, nil
 }
 
 // InitialStateUCQ builds the pre-reformulation initial state of Section 4.3:
@@ -74,11 +70,8 @@ func InitialStateUCQ(queries []*cq.Query, reformulations []*cq.UCQ) (*State, *Ct
 		}
 	}
 	ctx := NewCtx(maxVar)
-	s := &State{
-		Views: make(map[algebra.ViewID]*View),
-		Plans: make([]algebra.Plan, len(queries)),
-		Stage: StageVB,
-	}
+	var views []*View
+	plans := make([]algebra.Plan, len(queries))
 	for i, u := range reformulations {
 		arity := len(queries[i].Head)
 		branches := make([]algebra.Plan, 0, u.Len())
@@ -92,14 +85,14 @@ func InitialStateUCQ(queries []*cq.Query, reformulations []*cq.UCQ) (*State, *Ct
 				m = term // keep product-free form; see finishView
 			}
 			v := NewView(ctx.FreshViewID(), m)
-			s.Views[v.ID] = v
+			views = append(views, v)
 			branches = append(branches, algebra.NewScan(v.ID, m.Head))
 		}
 		if len(branches) == 1 {
-			s.Plans[i] = branches[0]
+			plans[i] = branches[0]
 		} else {
-			s.Plans[i] = algebra.NewUnion(branches...)
+			plans[i] = algebra.NewUnion(branches...)
 		}
 	}
-	return s, ctx, nil
+	return newState(views, plans, StageVB).publish(), ctx, nil
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"rdfviews/internal/algebra"
+	"rdfviews/internal/cost"
 	"rdfviews/internal/cq"
 )
 
@@ -128,18 +129,19 @@ func SearchParallel(queries []*cq.Query, opts Options, workers int) (ParallelRes
 				runs[gi] = groupRun{idx: gi, err: err}
 				return
 			}
-			res, err := Search(s0, ctx, opts)
+			// The estimator's memo is unsynchronized: every group fills its own,
+			// over the shared statistics.
+			gopts := opts
+			gopts.Estimator = cost.NewEstimator(opts.Estimator.Stats, opts.Estimator.W)
+			res, err := Search(s0, ctx, gopts)
 			runs[gi] = groupRun{idx: gi, res: res, err: err, best: res.Best}
 		}(gi, group)
 	}
 	wg.Wait()
 
 	out := ParallelResult{Groups: groups}
-	combined := &State{
-		Views: make(map[algebra.ViewID]*View),
-		Plans: make([]algebra.Plan, len(queries)),
-		Stage: StageVF,
-	}
+	var views []*View
+	plans := make([]algebra.Plan, len(queries))
 	// Per-group view IDs all start at 1; remap into disjoint ranges.
 	nextID := algebra.ViewID(1)
 	for gi, run := range runs {
@@ -150,11 +152,11 @@ func SearchParallel(queries []*cq.Query, opts Options, workers int) (ParallelRes
 		for _, v := range run.best.SortedViews() {
 			nv := NewView(nextID, v.Q)
 			nextID++
-			combined.Views[nv.ID] = nv
+			views = append(views, nv)
 			remap[v.ID] = algebra.NewScan(nv.ID, nv.Q.Head)
 		}
 		for k, qi := range groups[gi] {
-			combined.Plans[qi] = algebra.SubstituteViews(run.best.Plans[k], remap)
+			plans[qi] = algebra.SubstituteViews(run.best.Plans[k], remap)
 		}
 		out.Counters.Created += run.res.Counters.Created
 		out.Counters.Duplicates += run.res.Counters.Duplicates
@@ -170,6 +172,7 @@ func SearchParallel(queries []*cq.Query, opts Options, workers int) (ParallelRes
 			out.TimedOut = true
 		}
 	}
+	combined := newState(views, plans, StageVF).publish()
 	out.Best = combined
 	out.BestCost = combined.Cost(opts.Estimator)
 	out.Duration = time.Since(start)

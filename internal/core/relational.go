@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sort"
 	"time"
 
 	"rdfviews/internal/algebra"
@@ -140,11 +141,11 @@ func (sr *searcher) relational(initial *State) error {
 
 // singleQueryState projects the initial state onto query i.
 func (sr *searcher) singleQueryState(initial *State, i int, p algebra.Plan) *State {
-	views := make(map[algebra.ViewID]*View)
+	var views []*View
 	for _, id := range algebra.SortedViewIDs(p) {
-		views[id] = initial.Views[id]
+		views = append(views, initial.View(id))
 	}
-	return &State{Views: views, Plans: []algebra.Plan{p}, Stage: StageVB}
+	return newState(views, []algebra.Plan{p}, StageVB)
 }
 
 // perQueryClosure enumerates all states reachable for a single-query
@@ -226,7 +227,7 @@ func (sr *searcher) heuristicFilter(perQuery [][]*State) [][]*State {
 			if i == j || m == nil {
 				continue
 			}
-			for _, v := range m.Views {
+			for _, v := range m.views {
 				otherBodies[v.BodyCode()] = struct{}{}
 			}
 		}
@@ -236,7 +237,7 @@ func (sr *searcher) heuristicFilter(perQuery [][]*State) [][]*State {
 				continue
 			}
 			fusable := false
-			for _, v := range s.Views {
+			for _, v := range s.views {
 				if _, ok := otherBodies[v.BodyCode()]; ok {
 					fusable = true
 					break
@@ -253,17 +254,13 @@ func (sr *searcher) heuristicFilter(perQuery [][]*State) [][]*State {
 
 // combine merges two partial states covering disjoint query subsets.
 func (sr *searcher) combine(a, b *State) *State {
-	views := make(map[algebra.ViewID]*View, len(a.Views)+len(b.Views))
-	for id, v := range a.Views {
-		views[id] = v
-	}
-	for id, v := range b.Views {
-		views[id] = v
-	}
+	views := make([]*View, 0, len(a.views)+len(b.views))
+	views = append(append(views, a.views...), b.views...)
+	sort.Slice(views, func(i, j int) bool { return views[i].ID < views[j].ID })
 	plans := make([]algebra.Plan, 0, len(a.Plans)+len(b.Plans))
 	plans = append(plans, a.Plans...)
 	plans = append(plans, b.Plans...)
-	return &State{Views: views, Plans: plans, Stage: StageVF}
+	return newState(views, plans, StageVF)
 }
 
 // bestOf returns the lowest-cost state of the slice (nil for empty input).

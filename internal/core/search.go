@@ -136,6 +136,10 @@ type searcher struct {
 	hasDeadline   bool
 
 	res Result
+
+	// check, when set (by tests), sees every created state after its AVF
+	// closure and before the duplicate test.
+	check func(*State)
 }
 
 // Search runs the configured strategy from the initial state. ctx must be
@@ -144,7 +148,14 @@ func Search(initial *State, ctx *Ctx, opts Options) (Result, error) {
 	if opts.Estimator == nil {
 		return Result{}, fmt.Errorf("core: Options.Estimator is required")
 	}
-	sr := &searcher{
+	return newSearcher(initial, ctx, opts).run(initial)
+}
+
+func newSearcher(initial *State, ctx *Ctx, opts Options) *searcher {
+	// Every state of the run is costed as a delta over its predecessor, so
+	// the root must carry this run's estimator, whoever costed it before.
+	initial.est = nil
+	return &searcher{
 		ctx:           ctx,
 		opts:          opts,
 		seen:          map[string]struct{}{initial.Code(): {}},
@@ -153,6 +164,10 @@ func Search(initial *State, ctx *Ctx, opts Options) (Result, error) {
 		initialAllVar: initial.HasAllVariableView(),
 		start:         time.Now(),
 	}
+}
+
+func (sr *searcher) run(initial *State) (Result, error) {
+	opts := sr.opts
 	if opts.Timeout > 0 {
 		sr.deadline = sr.start.Add(opts.Timeout)
 		sr.hasDeadline = true
@@ -190,7 +205,10 @@ func Search(initial *State, ctx *Ctx, opts Options) (Result, error) {
 		return Result{}, fmt.Errorf("core: unknown strategy %v", opts.Strategy)
 	}
 
-	sr.res.Best = sr.best
+	// The best state leaves with its view map filled and without the run's
+	// estimator, whose memo covers every view the search ever costed.
+	sr.best.est, sr.best.recs, sr.best.from = nil, nil, nil
+	sr.res.Best = sr.best.publish()
 	sr.res.BestCost = sr.bestC
 	sr.res.Duration = time.Since(sr.start)
 	sr.res.StatesSeen = len(sr.seen)
@@ -232,6 +250,9 @@ func (sr *searcher) admit(ns *State) *State {
 			sr.res.Transitions++
 			sr.res.Counters.Discarded++
 		})
+	}
+	if sr.check != nil {
+		sr.check(ns)
 	}
 	code := ns.Code()
 	if _, dup := sr.seen[code]; dup {

@@ -18,23 +18,31 @@ import (
 )
 
 // View is one candidate materialized view: a conjunctive query with a state-
-// unique ID and cached canonical codes.
+// unique ID and everything the search derives from its definition once, when
+// the view is built: canonical codes and the stop-condition properties. A
+// view is immutable and shared by every state that contains it.
 type View struct {
 	ID algebra.ViewID
 	Q  *cq.Query
 
 	code     string // canonical code incl. head (state equality, Def. §3.1)
 	bodyCode string // canonical code of the body only (View Fusion prefilter)
-
-	vbOnce  bool
-	vbPairs [][2]uint32 // cached View Break cover pairs (see enumVB)
+	// allVar: no constants at all (stopvar); tripleTable: a single atom of
+	// three distinct variables (stoptt).
+	allVar, tripleTable bool
+	vbOnce              bool
+	vbPairs             [][2]uint32 // cached View Break cover pairs (see enumVB)
 }
 
 // NewView builds a view, computing its canonical codes.
 func NewView(id algebra.ViewID, q *cq.Query) *View {
-	v := &View{ID: id, Q: q}
+	v := &View{ID: id, Q: q, allVar: q.ConstCount() == 0}
 	v.code = q.CanonicalCode()
 	v.bodyCode = (&cq.Query{Atoms: q.Atoms}).CanonicalCode()
+	if len(q.Atoms) == 1 && v.allVar {
+		a := q.Atoms[0]
+		v.tripleTable = a[0] != a[1] && a[1] != a[2] && a[0] != a[2]
+	}
 	return v
 }
 
@@ -112,18 +120,63 @@ func (st Stage) String() string {
 
 // State is a candidate view set ⟨V, R⟩ (Definition 2.3): a multiset of views
 // plus exactly one rewriting plan per workload query. States are immutable;
-// transitions derive new states sharing unchanged views and plan subtrees.
+// transitions derive new states sharing unchanged views and plan subtrees,
+// and carry over what the predecessor already knows — stop-condition counts
+// and cost — adjusted for the one or two views they touch.
 type State struct {
+	// Views is the view set keyed by ID, on the states this package hands
+	// out: the initial state and Result.Best. The successor states a search
+	// (or a Ctx.Apply* call) builds leave it nil and are read through
+	// SortedViews, View and ViewQueries.
 	Views map[algebra.ViewID]*View
 	// Plans holds one rewriting per workload query, in workload order.
 	Plans []algebra.Plan
 	// Stage is the stratification tag of the path that reached this state.
 	Stage Stage
 
-	code     string
-	codeOnce bool
-	cb       cost.Breakdown
-	cbOnce   bool
+	views               []*View // in ID order
+	code                string
+	codeOnce            bool
+	allVar, tripleTable int // views with the stop-condition property
+
+	// Costing, see Cost: the estimator that produced sums and recs (nil until
+	// the state is costed), the REC term of every plan beside Plans, and —
+	// until then — the nearest costed predecessor to take the cost from.
+	est  *cost.Estimator
+	sums cost.Sums
+	recs []float64
+	from *State
+}
+
+// newState builds a state over views, which must be in ID order.
+func newState(views []*View, plans []algebra.Plan, stage Stage) *State {
+	s := &State{Plans: plans, Stage: stage, views: views}
+	for _, v := range views {
+		s.count(v, 1)
+	}
+	return s
+}
+
+// count adds (n=1) or removes (n=-1) a view's share of the stop-condition
+// counts.
+func (s *State) count(v *View, n int) {
+	if v.allVar {
+		s.allVar += n
+	}
+	if v.tripleTable {
+		s.tripleTable += n
+	}
+}
+
+// publish fills Views before the state leaves the package.
+func (s *State) publish() *State {
+	if s.Views == nil {
+		s.Views = make(map[algebra.ViewID]*View, len(s.views))
+		for _, v := range s.views {
+			s.Views[v.ID] = v
+		}
+	}
+	return s
 }
 
 // Code returns the canonical code of the state: the sorted multiset of its
@@ -133,9 +186,9 @@ func (s *State) Code() string {
 	if s.codeOnce {
 		return s.code
 	}
-	codes := make([]string, 0, len(s.Views))
-	for _, v := range s.Views {
-		codes = append(codes, v.Code())
+	codes := make([]string, len(s.views))
+	for i, v := range s.views {
+		codes[i] = v.code
 	}
 	sort.Strings(codes)
 	s.code = strings.Join(codes, "\n")
@@ -143,110 +196,173 @@ func (s *State) Code() string {
 	return s.code
 }
 
+// View returns the view with the given ID, or nil.
+func (s *State) View(id algebra.ViewID) *View {
+	i := sort.Search(len(s.views), func(i int) bool { return s.views[i].ID >= id })
+	if i < len(s.views) && s.views[i].ID == id {
+		return s.views[i]
+	}
+	return nil
+}
+
+func (s *State) viewQuery(id algebra.ViewID) *cq.Query {
+	if v := s.View(id); v != nil {
+		return v.Q
+	}
+	return nil
+}
+
 // ViewQueries exposes the view definitions keyed by ID, the shape the cost
-// estimator consumes.
+// estimator's from-scratch entry points consume.
 func (s *State) ViewQueries() map[algebra.ViewID]*cq.Query {
-	out := make(map[algebra.ViewID]*cq.Query, len(s.Views))
-	for id, v := range s.Views {
-		out[id] = v.Q
+	out := make(map[algebra.ViewID]*cq.Query, len(s.views))
+	for _, v := range s.views {
+		out[v.ID] = v.Q
 	}
 	return out
 }
 
-// Cost returns (cached) the cost breakdown of the state under the estimator.
+// Cost returns the cost breakdown of the state under the estimator. The
+// first estimator to cost a state is remembered with the result; asking with
+// another one computes its answer afresh and leaves the state as it was.
+//
+// A state derived from a costed predecessor is costed as a delta over it:
+// the predecessor's sums, minus the terms of the views only it has, plus the
+// terms of the views only this state has, with the plans whose pointer
+// changed re-walked. A state without one (the initial state, a combination
+// of partial states) is the same computation from nothing, which is also
+// what Estimator.CostState does.
 func (s *State) Cost(e *cost.Estimator) cost.Breakdown {
-	if s.cbOnce {
-		return s.cb
+	if s.est == e {
+		return e.Breakdown(s.sums)
 	}
-	s.cb = e.CostState(s.ViewQueries(), s.Plans)
-	s.cbOnce = true
-	return s.cb
+	sums, recs := s.sum(e)
+	if s.est == nil {
+		s.est, s.sums, s.recs, s.from = e, sums, recs, nil
+	}
+	return e.Breakdown(sums)
+}
+
+func (s *State) sum(e *cost.Estimator) (cost.Sums, []float64) {
+	base := s.from
+	if base != nil && (base.est != e || len(base.Plans) != len(s.Plans)) {
+		base = nil
+	}
+	var sums cost.Sums
+	var old []*View
+	if base != nil {
+		sums, old = base.sums, base.views
+	}
+	// Both view lists are in ID order, and a view keeps its ID for life.
+	for i, j := 0, 0; i < len(old) || j < len(s.views); {
+		switch {
+		case j == len(s.views) || (i < len(old) && old[i].ID < s.views[j].ID):
+			sums.RemoveView(e.ViewTermsCoded(old[i].Q, old[i].code))
+			i++
+		case i == len(old) || old[i].ID > s.views[j].ID:
+			sums.AddView(e.ViewTermsCoded(s.views[j].Q, s.views[j].code))
+			j++
+		default:
+			i, j = i+1, j+1
+		}
+	}
+	recs := make([]float64, len(s.Plans))
+	view := s.viewQuery
+	for k, p := range s.Plans {
+		if base != nil {
+			if p == base.Plans[k] {
+				recs[k] = base.recs[k]
+				continue
+			}
+			sums.RemovePlan(base.recs[k])
+		}
+		recs[k] = e.PlanREC(e.PlanCostBy(p, view))
+		sums.AddPlan(recs[k])
+	}
+	return sums, recs
 }
 
 // NumViews returns the number of views.
-func (s *State) NumViews() int { return len(s.Views) }
+func (s *State) NumViews() int { return len(s.views) }
 
 // AvgAtomsPerView returns the average number of atoms per view, the measure
 // reported at the end of Section 6.4 (DFS ≈ 3.2, GSTR ≈ 6.5).
 func (s *State) AvgAtomsPerView() float64 {
-	if len(s.Views) == 0 {
+	if len(s.views) == 0 {
 		return 0
 	}
 	total := 0
-	for _, v := range s.Views {
+	for _, v := range s.views {
 		total += v.Q.Len()
 	}
-	return float64(total) / float64(len(s.Views))
+	return float64(total) / float64(len(s.views))
 }
 
-// SortedViews returns the views sorted by ID, for deterministic enumeration.
-func (s *State) SortedViews() []*View {
-	out := make([]*View, 0, len(s.Views))
-	for _, v := range s.Views {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+// SortedViews returns the views in ID order, the order every enumeration
+// uses. The slice is the state's own: callers must not modify it.
+func (s *State) SortedViews() []*View { return s.views }
 
 // HasAllVariableView reports whether some view has no constants at all —
 // the stopvar stop condition (Section 5.2).
-func (s *State) HasAllVariableView() bool {
-	for _, v := range s.Views {
-		if v.Q.ConstCount() == 0 {
-			return true
-		}
-	}
-	return false
-}
+func (s *State) HasAllVariableView() bool { return s.allVar > 0 }
 
 // HasTripleTableView reports whether some view is the full triple table t —
 // a single all-variable atom with all three variables distinct — the stoptt
 // stop condition (Section 5.2).
-func (s *State) HasTripleTableView() bool {
-	for _, v := range s.Views {
-		q := v.Q
-		if len(q.Atoms) != 1 {
-			continue
+func (s *State) HasTripleTableView() bool { return s.tripleTable > 0 }
+
+// derive builds a successor state: views in removed are dropped, views in
+// added inserted, the plans rewritten through subs (one replacement per
+// removed view, over the added views), and the stage raised to at least
+// minStage.
+func (s *State) derive(removed []algebra.ViewID, added []*View, subs map[algebra.ViewID]algebra.Plan, minStage Stage) *State {
+	ns := &State{
+		Stage:       max(s.Stage, minStage),
+		views:       make([]*View, 0, len(s.views)+len(added)),
+		allVar:      s.allVar,
+		tripleTable: s.tripleTable,
+		from:        s.from,
+	}
+	if s.est != nil {
+		ns.from = s
+	}
+	for _, v := range s.views {
+		if containsID(removed, v.ID) {
+			ns.count(v, -1)
+		} else {
+			ns.views = append(ns.views, v)
 		}
-		a := q.Atoms[0]
-		if a[0].IsVar() && a[1].IsVar() && a[2].IsVar() &&
-			a[0] != a[1] && a[1] != a[2] && a[0] != a[2] {
+	}
+	for _, v := range added {
+		ns.count(v, 1)
+		ns.views = append(ns.views, v)
+		// Fresh IDs are the largest so far; keep the order whatever the caller's.
+		for i := len(ns.views) - 1; i > 0 && ns.views[i-1].ID > ns.views[i].ID; i-- {
+			ns.views[i-1], ns.views[i] = ns.views[i], ns.views[i-1]
+		}
+	}
+	ns.Plans = make([]algebra.Plan, len(s.Plans))
+	for i, p := range s.Plans {
+		// An untouched plan comes back as the same pointer, which is how Cost
+		// knows its REC term still holds.
+		ns.Plans[i] = algebra.SubstituteViews(p, subs)
+	}
+	return ns
+}
+
+func containsID(ids []algebra.ViewID, id algebra.ViewID) bool {
+	for _, x := range ids {
+		if x == id {
 			return true
 		}
 	}
 	return false
-}
-
-// derive builds a successor state: views in removed are dropped, views in
-// added inserted, every plan rewritten through subs, and the stage raised to
-// at least minStage.
-func (s *State) derive(removed []algebra.ViewID, added []*View, subs map[algebra.ViewID]algebra.Plan, minStage Stage) *State {
-	nv := make(map[algebra.ViewID]*View, len(s.Views)+len(added)-len(removed))
-	for id, v := range s.Views {
-		nv[id] = v
-	}
-	for _, id := range removed {
-		delete(nv, id)
-	}
-	for _, v := range added {
-		nv[v.ID] = v
-	}
-	np := make([]algebra.Plan, len(s.Plans))
-	for i, p := range s.Plans {
-		np[i] = algebra.SubstituteViews(p, subs)
-	}
-	stage := s.Stage
-	if minStage > stage {
-		stage = minStage
-	}
-	return &State{Views: nv, Plans: np, Stage: stage}
 }
 
 // Format renders the state for debugging: each view and each rewriting.
 func (s *State) Format() string {
 	var sb strings.Builder
-	for _, v := range s.SortedViews() {
+	for _, v := range s.views {
 		fmt.Fprintf(&sb, "v%d: %s\n", int(v.ID), v.Q)
 	}
 	for i, p := range s.Plans {

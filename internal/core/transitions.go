@@ -69,8 +69,8 @@ func headVarsOnly(head []cq.Term) []cq.Term {
 // X, and every occurrence of vid in the rewritings becomes
 // π_head(v)(σ_{X=c}(v′)). Returns nil when the edge does not exist.
 func (c *Ctx) ApplySC(s *State, vid algebra.ViewID, atom, pos int) *State {
-	v, ok := s.Views[vid]
-	if !ok || atom >= len(v.Q.Atoms) {
+	v := s.View(vid)
+	if v == nil || atom >= len(v.Q.Atoms) {
 		return nil
 	}
 	con := v.Q.Atoms[atom][pos]
@@ -101,8 +101,8 @@ func (c *Ctx) ApplySC(s *State, vid algebra.ViewID, atom, pos int) *State {
 // in two components, the view is replaced by v′1 and v′2 joined on x = x′.
 // Returns nil when the cut is not applicable.
 func (c *Ctx) ApplyJC(s *State, vid algebra.ViewID, x cq.Term, atom, pos int) *State {
-	v, ok := s.Views[vid]
-	if !ok || !x.IsVar() || atom >= len(v.Q.Atoms) {
+	v := s.View(vid)
+	if v == nil || !x.IsVar() || atom >= len(v.Q.Atoms) {
 		return nil
 	}
 	if v.Q.Atoms[atom][pos] != x {
@@ -198,8 +198,8 @@ func (c *Ctx) ApplyJC(s *State, vid algebra.ViewID, x cq.Term, atom, pos int) *S
 // and any cross-part join variables, required for the rewriting to be
 // equivalent).
 func (c *Ctx) ApplyVB(s *State, vid algebra.ViewID, mask1, mask2 uint32) *State {
-	v, ok := s.Views[vid]
-	if !ok {
+	v := s.View(vid)
+	if v == nil {
 		return nil
 	}
 	n := len(v.Q.Atoms)
@@ -256,9 +256,8 @@ func (c *Ctx) ApplyVF(s *State, id1, id2 algebra.ViewID) *State {
 	if id1 == id2 {
 		return nil
 	}
-	v1, ok1 := s.Views[id1]
-	v2, ok2 := s.Views[id2]
-	if !ok1 || !ok2 {
+	v1, v2 := s.View(id1), s.View(id2)
+	if v1 == nil || v2 == nil {
 		return nil
 	}
 	if v1.BodyCode() != v2.BodyCode() {

@@ -40,8 +40,9 @@ u6 rdf:type painter .
 // of Definition 2.2, which every transition must preserve.
 func checkStateAnswers(t *testing.T, st *store.Store, s *State, queries []*cq.Query) {
 	t.Helper()
-	mats := make(map[algebra.ViewID]*engine.Relation, len(s.Views))
-	for id, v := range s.Views {
+	mats := make(map[algebra.ViewID]*engine.Relation, s.NumViews())
+	for _, v := range s.SortedViews() {
+		id := v.ID
 		r, err := engine.Materialize(st, v.Q)
 		if err != nil {
 			t.Fatalf("materialize v%d: %v", int(id), err)
@@ -106,7 +107,7 @@ func TestPaperFigure1Walkthrough(t *testing.T) {
 
 	// SC on the starryNight selection edge of the 2-atom view containing it.
 	var v2 *View
-	for _, v := range s1.Views {
+	for _, v := range s1.SortedViews() {
 		for _, e := range selectionEdges(v.Q) {
 			c := v.Q.Atoms[e.atom][e.pos]
 			if tm, err := st.Dict().Decode(c.ConstID()); err == nil && tm.Value == "starryNight" {
@@ -136,7 +137,7 @@ func TestPaperFigure1Walkthrough(t *testing.T) {
 	// JC on the s=s join edge of the relaxed view v4 — the view graph
 	// disconnects, producing v5 and v6 (4 views total).
 	var v4 *View
-	for _, v := range s2.Views {
+	for _, v := range s2.SortedViews() {
 		// the relaxed view t(X, hasPainted, W), t(X, isParentOf, Y) is the
 		// one whose two atoms share their subject variable.
 		if v.Q.Len() == 2 && v.Q.Atoms[0][0] == v.Q.Atoms[1][0] {
@@ -162,7 +163,7 @@ func TestPaperFigure1Walkthrough(t *testing.T) {
 
 	// Second JC on the o=s edge of v3 (isParentOf ⋈ hasPainted): S3.
 	var v3 *View
-	for _, v := range s3a.Views {
+	for _, v := range s3a.SortedViews() {
 		if v.Q.Len() == 2 {
 			v3 = v
 		}
@@ -244,7 +245,7 @@ func TestApplyJCConnectedCase(t *testing.T) {
 	if ns.NumViews() != 1 {
 		t.Fatalf("connected JC should keep one view, got %d", ns.NumViews())
 	}
-	for _, nv := range ns.Views {
+	for _, nv := range ns.SortedViews() {
 		if len(nv.Q.Head) != len(v.Q.Head)+2 {
 			t.Errorf("connected JC head should gain X and X': %v", nv.Q.Head)
 		}
@@ -279,7 +280,7 @@ func TestApplyVBRequiresValidCover(t *testing.T) {
 	q2 := p.MustParseQuery("q(X) :- t(X, hasPainted, Y), t(X, isParentOf, Z)")
 	s2, ctx2, _ := InitialState([]*cq.Query{q2})
 	var vid2 algebra.ViewID
-	for id := range s2.Views {
+	for _, id := range viewIDs(s2) {
 		vid2 = id
 	}
 	if ctx2.ApplyVB(s2, vid2, 0b01, 0b10) != nil {
@@ -306,7 +307,7 @@ func TestApplyVFPaperSemantics(t *testing.T) {
 	if ns.NumViews() != 1 {
 		t.Fatalf("VF should leave one view, got %d", ns.NumViews())
 	}
-	for _, v := range ns.Views {
+	for _, v := range ns.SortedViews() {
 		if len(v.Q.Head) != 2 {
 			t.Errorf("fused head should have 2 vars: %v", v.Q.Head)
 		}

@@ -10,7 +10,7 @@ package cost
 
 import (
 	"math"
-	"sync"
+	"slices"
 
 	"rdfviews/internal/algebra"
 	"rdfviews/internal/cq"
@@ -60,36 +60,73 @@ type Breakdown struct {
 	Total float64
 }
 
+// ViewTerms are the terms one view contributes to the cost function; they
+// depend on the view's definition and the statistics only.
+type ViewTerms struct {
+	Card  float64 // |v|ε, the estimated cardinality
+	Width float64 // estimated bytes per stored tuple
+	Space float64 // Card × Width: the view's share of VSO
+	Maint float64 // f^len(v): the view's share of VMC
+}
+
 // Estimator evaluates the cost function against a statistics provider.
-// View cardinalities are cached by canonical view code, since the search
-// re-encounters the same views across many states.
+//
+// Per-view terms are memoized by *cq.Query identity, with the canonical code
+// as the miss path: the search re-encounters the same view definition under
+// many pointers (one per transition that builds it) and the same pointer in
+// many states. Queries handed to an estimator must therefore not be edited
+// afterwards (transitions Clone before editing), and Stats and W.F must stay
+// fixed once the first view is costed; the other weights scale sums of terms
+// and may be recalibrated at any time (see CalibrateCM).
+//
+// Filling the memo is not synchronized: concurrent searches each take their
+// own estimator over the shared Stats (SearchParallel does). Reads of
+// memoized views are safe from any number of goroutines.
 type Estimator struct {
 	Stats Stats
 	W     Weights
 
-	// mu guards the caches; SearchParallel costs states from several
-	// goroutines against one estimator.
-	mu         sync.Mutex
-	cardCache  map[string]float64
-	widthCache map[string]float64
-	// planCache memoizes full plan costings by node identity. Plans are
-	// immutable and shared between a state and its successors (transitions
-	// substitute only the affected rewritings), so the cost of a new state
-	// re-walks only its changed plans. Sound because a plan tree references
-	// views by definition through the estimator's own view-code caches, and
-	// every scan's view definition is immutable once created.
-	planCache map[algebra.Plan]PlanCosting
+	byQuery map[*cq.Query]ViewTerms
+	byCode  map[string]ViewTerms
 }
 
 // NewEstimator returns an estimator with the given statistics and weights.
 func NewEstimator(stats Stats, w Weights) *Estimator {
 	return &Estimator{
-		Stats:      stats,
-		W:          w,
-		cardCache:  make(map[string]float64),
-		widthCache: make(map[string]float64),
-		planCache:  make(map[algebra.Plan]PlanCosting),
+		Stats:   stats,
+		W:       w,
+		byQuery: make(map[*cq.Query]ViewTerms),
+		byCode:  make(map[string]ViewTerms),
 	}
+}
+
+// Memoized returns the number of view definitions (pointers) the estimator
+// holds terms for — what it keeps alive.
+func (e *Estimator) Memoized() int { return len(e.byQuery) }
+
+// ViewTerms returns the cost terms of a view.
+func (e *Estimator) ViewTerms(v *cq.Query) ViewTerms {
+	if t, ok := e.byQuery[v]; ok {
+		return t
+	}
+	return e.ViewTermsCoded(v, v.CanonicalCode())
+}
+
+// ViewTermsCoded is ViewTerms for callers that already hold v's canonical
+// code (the search computes it once per view, in core.NewView).
+func (e *Estimator) ViewTermsCoded(v *cq.Query, code string) ViewTerms {
+	if t, ok := e.byQuery[v]; ok {
+		return t
+	}
+	t, ok := e.byCode[code]
+	if !ok {
+		card := e.viewCardinality(v)
+		width := e.viewRowWidth(v)
+		t = ViewTerms{Card: card, Width: width, Space: card * width, Maint: math.Pow(e.W.F, float64(v.Len()))}
+		e.byCode[code] = t
+	}
+	e.byQuery[v] = t
+	return t
 }
 
 // atomPatternCount applies the provider count plus the selectivity of
@@ -125,70 +162,61 @@ func (e *Estimator) colDistinct(col int, size float64) float64 {
 // exact per-atom counts, reduced by one equi-join selectivity factor
 // 1/max(V(l), V(r)) per join edge in a spanning chain of each variable's
 // occurrences — the textbook formula of [18] under independence/uniformity.
-func (e *Estimator) ViewCardinality(v *cq.Query) float64 {
-	code := v.CanonicalCode()
-	e.mu.Lock()
-	c, ok := e.cardCache[code]
-	e.mu.Unlock()
-	if ok {
-		return c
-	}
+func (e *Estimator) ViewCardinality(v *cq.Query) float64 { return e.ViewTerms(v).Card }
+
+func (e *Estimator) viewCardinality(v *cq.Query) float64 {
 	card := 1.0
 	atomCard := make([]float64, len(v.Atoms))
 	for i, a := range v.Atoms {
 		atomCard[i] = e.atomPatternCount(a)
 		card *= atomCard[i]
 	}
-	// Occurrences per variable across atoms.
-	type occ struct {
-		atom, col int
-	}
-	occs := make(map[cq.Term][]occ)
+	// One factor per link of each variable's chain of occurrences (its first
+	// column in every atom that mentions it), taken in atom order so that the
+	// estimate is the same float on every call.
 	for i, a := range v.Atoms {
-		seen := map[cq.Term]bool{}
 		for c := 0; c < 3; c++ {
-			if a[c].IsVar() && !seen[a[c]] {
-				seen[a[c]] = true
-				occs[a[c]] = append(occs[a[c]], occ{i, c})
+			x := a[c]
+			if !x.IsVar() || firstColumn(a, x) != c {
+				continue
 			}
-		}
-	}
-	for _, os := range occs {
-		for k := 1; k < len(os); k++ {
-			l, r := os[k-1], os[k]
-			vl := e.colDistinct(l.col, atomCard[l.atom])
-			vr := e.colDistinct(r.col, atomCard[r.atom])
-			card /= math.Max(vl, vr)
+			for j := i - 1; j >= 0; j-- {
+				if pc := firstColumn(v.Atoms[j], x); pc >= 0 {
+					vl := e.colDistinct(pc, atomCard[j])
+					vr := e.colDistinct(c, atomCard[i])
+					card /= math.Max(vl, vr)
+					break
+				}
+			}
 		}
 	}
 	if card < 0 {
 		card = 0
 	}
-	e.mu.Lock()
-	e.cardCache[code] = card
-	e.mu.Unlock()
 	return card
+}
+
+// firstColumn returns the first position of t in the atom, or -1.
+func firstColumn(a cq.Atom, t cq.Term) int {
+	for c := 0; c < 3; c++ {
+		if a[c] == t {
+			return c
+		}
+	}
+	return -1
 }
 
 // ViewRowWidth estimates the stored width in bytes of one view tuple: the sum
 // over head terms of the average width of the triple-table column the term
 // first occurs in (Section 3.3's "average size of a subject, property,
 // respectively object").
-func (e *Estimator) ViewRowWidth(v *cq.Query) float64 {
-	code := v.CanonicalCode()
-	e.mu.Lock()
-	w, ok := e.widthCache[code]
-	e.mu.Unlock()
-	if ok {
-		return w
-	}
+func (e *Estimator) ViewRowWidth(v *cq.Query) float64 { return e.ViewTerms(v).Width }
+
+func (e *Estimator) viewRowWidth(v *cq.Query) float64 {
 	width := 0.0
 	for _, h := range v.Head {
 		width += e.Stats.AvgWidth(firstBodyColumn(v, h))
 	}
-	e.mu.Lock()
-	e.widthCache[code] = width
-	e.mu.Unlock()
 	return width
 }
 
@@ -196,69 +224,86 @@ func (e *Estimator) ViewRowWidth(v *cq.Query) float64 {
 // occurrence of term h, defaulting to the object column.
 func firstBodyColumn(v *cq.Query, h cq.Term) int {
 	for _, a := range v.Atoms {
-		for c := 0; c < 3; c++ {
-			if a[c] == h {
-				return c
-			}
+		if c := firstColumn(a, h); c >= 0 {
+			return c
 		}
 	}
 	return 2
 }
 
 // ViewSpace estimates the space occupancy of one view: |v|ε × row width.
-func (e *Estimator) ViewSpace(v *cq.Query) float64 {
-	return e.ViewCardinality(v) * e.ViewRowWidth(v)
+func (e *Estimator) ViewSpace(v *cq.Query) float64 { return e.ViewTerms(v).Space }
+
+// Sums holds a state's cost as three running sums of terms: view space
+// (VSO), view maintenance (VMC) and rewriting evaluation (REC). A successor
+// state's sums are its predecessor's minus the terms of what a transition
+// removed plus the terms of what it added. Each sum carries its rounding
+// error exactly (a double-double accumulator), so a state's cost does not
+// depend on the path that reached it even when a removed term dwarfs what
+// remains, and agrees with the from-scratch fold of CostState.
+type Sums struct {
+	space, maint, rec acc
 }
 
-// VSO sums view space over the view set.
-func (e *Estimator) VSO(views map[algebra.ViewID]*cq.Query) float64 {
-	total := 0.0
-	for _, v := range views {
-		total += e.ViewSpace(v)
+// AddView adds a view's terms.
+func (s *Sums) AddView(t ViewTerms) { s.space.add(t.Space); s.maint.add(t.Maint) }
+
+// RemoveView takes a view's terms back out.
+func (s *Sums) RemoveView(t ViewTerms) { s.space.add(-t.Space); s.maint.add(-t.Maint) }
+
+// AddPlan adds a rewriting's evaluation cost (Estimator.PlanREC).
+func (s *Sums) AddPlan(rec float64) { s.rec.add(rec) }
+
+// RemovePlan takes a rewriting's evaluation cost back out.
+func (s *Sums) RemovePlan(rec float64) { s.rec.add(-rec) }
+
+// acc is a sum kept as an unevaluated hi+lo pair: lo collects the rounding
+// error of every addition to hi (Knuth's TwoSum), which is exact.
+type acc struct{ hi, lo float64 }
+
+func (a *acc) add(x float64) {
+	s := a.hi + x
+	b := s - a.hi
+	a.lo += (a.hi - (s - b)) + (x - b)
+	a.hi = s
+}
+
+func (a acc) value() float64 { return a.hi + a.lo }
+
+// PlanREC is the rewriting evaluation cost of one costed plan,
+// c1·io(r) + c2·cpu(r).
+func (e *Estimator) PlanREC(pc PlanCosting) float64 { return e.W.C1*pc.IO + e.W.C2*pc.CPU }
+
+// Breakdown weighs the sums into the cost function.
+func (e *Estimator) Breakdown(s Sums) Breakdown {
+	b := Breakdown{VSO: s.space.value(), REC: s.rec.value(), VMC: s.maint.value()}
+	b.Total = e.W.CS*b.VSO + e.W.CR*b.REC + e.W.CM*b.VMC
+	return b
+}
+
+// sumState folds the terms of every view (in view-ID order) and every
+// rewriting (in workload order) from nothing.
+func (e *Estimator) sumState(views map[algebra.ViewID]*cq.Query, plans []algebra.Plan) Sums {
+	ids := make([]algebra.ViewID, 0, len(views))
+	for id := range views {
+		ids = append(ids, id)
 	}
-	return total
-}
-
-// VMC is the view maintenance cost Σ_v f^len(v) (Section 3.3).
-func (e *Estimator) VMC(views map[algebra.ViewID]*cq.Query) float64 {
-	total := 0.0
-	for _, v := range views {
-		total += math.Pow(e.W.F, float64(v.Len()))
+	slices.Sort(ids)
+	var s Sums
+	for _, id := range ids {
+		s.AddView(e.ViewTerms(views[id]))
 	}
-	return total
-}
-
-// REC is the rewriting evaluation cost Σ_r c1·io(r) + c2·cpu(r). Costings
-// are memoized by plan identity (see planCache); an Estimator must therefore
-// not be shared across searches that could reuse plan pointers with
-// different view definitions — the library creates one estimator per search.
-func (e *Estimator) REC(plans []algebra.Plan, views map[algebra.ViewID]*cq.Query) float64 {
-	total := 0.0
 	for _, p := range plans {
-		e.mu.Lock()
-		pc, ok := e.planCache[p]
-		e.mu.Unlock()
-		if !ok {
-			pc = e.PlanCost(p, views)
-			e.mu.Lock()
-			e.planCache[p] = pc
-			e.mu.Unlock()
-		}
-		total += e.W.C1*pc.IO + e.W.C2*pc.CPU
+		s.AddPlan(e.PlanREC(e.PlanCost(p, views)))
 	}
-	return total
+	return s
 }
 
 // CostState evaluates the full cost function over a state's views and
-// rewriting plans.
+// rewriting plans: the from-scratch definition the search's per-transition
+// deltas (core.State.Cost) are tested against.
 func (e *Estimator) CostState(views map[algebra.ViewID]*cq.Query, plans []algebra.Plan) Breakdown {
-	b := Breakdown{
-		VSO: e.VSO(views),
-		REC: e.REC(plans, views),
-		VMC: e.VMC(views),
-	}
-	b.Total = e.W.CS*b.VSO + e.W.CR*b.REC + e.W.CM*b.VMC
-	return b
+	return e.Breakdown(e.sumState(views, plans))
 }
 
 // CalibrateCM returns a maintenance weight cm such that cm·VMC(S0) lands two
@@ -268,12 +313,12 @@ func (e *Estimator) CostState(views map[algebra.ViewID]*cq.Query, plans []algebr
 // query, so that for the initial state S0, cm·VMC is within at most two
 // orders of magnitude from the other two cost components").
 func (e *Estimator) CalibrateCM(views map[algebra.ViewID]*cq.Query, plans []algebra.Plan) float64 {
-	vmc := e.VMC(views)
-	if vmc <= 0 {
+	b := e.CostState(views, plans)
+	if b.VMC <= 0 {
 		return e.W.CM
 	}
-	other := e.W.CS*e.VSO(views) + e.W.CR*e.REC(plans, views)
-	cm := other / (100 * vmc)
+	other := e.W.CS*b.VSO + e.W.CR*b.REC
+	cm := other / (100 * b.VMC)
 	if cm <= 0 || math.IsNaN(cm) || math.IsInf(cm, 0) {
 		return e.W.CM
 	}

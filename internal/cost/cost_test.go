@@ -98,7 +98,7 @@ func TestVMC(t *testing.T) {
 		1: {Head: []cq.Term{x}, Atoms: []cq.Atom{{x, cq.Const(5), y}}},                      // f^1 = 2
 		2: {Head: []cq.Term{x}, Atoms: []cq.Atom{{x, cq.Const(5), y}, {y, cq.Const(6), z}}}, // f^2 = 4
 	}
-	if got := e.VMC(views); got != 6 {
+	if got := e.CostState(views, nil).VMC; got != 6 {
 		t.Errorf("VMC = %v, want 6", got)
 	}
 }

@@ -70,39 +70,91 @@ type PlanCosting struct {
 	// paper's invariant that View Fusion never increases query cost.
 	CPU float64
 
-	cols map[cq.Term]colInfo
+	// cols describes the output columns, in first-appearance order. A slice,
+	// not a map: plans have a handful of columns, and the join selectivities
+	// below divide in column order, which must not vary from call to call.
+	cols []colInfo
 }
 
 // colInfo tracks, per output column, the triple-table column it derives from
 // and its estimated number of distinct values.
 type colInfo struct {
+	label    cq.Term
 	pos      int
 	distinct float64
+}
+
+func findCol(cols []colInfo, label cq.Term) (colInfo, bool) {
+	for _, c := range cols {
+		if c.label == label {
+			return c, true
+		}
+	}
+	return colInfo{}, false
+}
+
+// setCol replaces the column labeled like c, or appends c.
+func setCol(cols []colInfo, c colInfo) []colInfo {
+	for i := range cols {
+		if cols[i].label == c.label {
+			cols[i] = c
+			return cols
+		}
+	}
+	return append(cols, c)
+}
+
+// capDistinct bounds every column's distinct count by the cardinality.
+func capDistinct(cols []colInfo, card float64) {
+	for i := range cols {
+		if cols[i].distinct > card {
+			cols[i].distinct = math.Max(card, 1)
+		}
+	}
 }
 
 // PlanCost estimates the execution cost of a rewriting plan against the view
 // definitions it scans, using hash-join accounting: build + probe + output.
 func (e *Estimator) PlanCost(p algebra.Plan, views map[algebra.ViewID]*cq.Query) PlanCosting {
+	return e.PlanCostBy(p, func(id algebra.ViewID) *cq.Query { return views[id] })
+}
+
+// PlanCostBy is PlanCost with the view definitions behind a lookup (nil for
+// an unknown view), for callers that do not hold them in a map.
+func (e *Estimator) PlanCostBy(p algebra.Plan, view func(algebra.ViewID) *cq.Query) PlanCosting {
+	return e.planCost(p, view, false)
+}
+
+// planCost describes the output columns only where wantCols says something
+// above will read them: selections and joins read their inputs', a union its
+// first branch's, nothing reads the root's. Every column list is built fresh
+// by a scan, so a parent edits its input's in place.
+func (e *Estimator) planCost(p algebra.Plan, view func(algebra.ViewID) *cq.Query, wantCols bool) PlanCosting {
 	switch n := p.(type) {
 	case *algebra.Scan:
-		return e.scanCost(n, views)
+		return e.scanCost(n, view(n.View), wantCols)
 	case *algebra.Select:
-		return e.selectCost(n, views)
+		return e.selectCost(n, e.planCost(n.Input, view, true))
 	case *algebra.Project:
-		in := e.PlanCost(n.Input, views)
-		cols := make(map[cq.Term]colInfo, len(n.Cols))
-		for _, c := range n.Cols {
-			if ci, ok := in.cols[c]; ok {
-				cols[c] = ci
+		in := e.planCost(n.Input, view, wantCols)
+		kept := 0
+		for _, label := range n.Cols {
+			for i := kept; i < len(in.cols); i++ {
+				if in.cols[i].label == label {
+					in.cols[kept], in.cols[i] = in.cols[i], in.cols[kept]
+					kept++
+					break
+				}
 			}
 		}
-		return PlanCosting{Card: in.Card, IO: in.IO, CPU: in.CPU, cols: cols}
+		in.cols = in.cols[:kept]
+		return in
 	case *algebra.Join:
-		return e.joinCost(n, views)
+		return e.joinCost(n, e.planCost(n.Left, view, true), e.planCost(n.Right, view, true))
 	case *algebra.Union:
-		out := PlanCosting{cols: map[cq.Term]colInfo{}}
+		var out PlanCosting
 		for i, b := range n.Branches {
-			bc := e.PlanCost(b, views)
+			bc := e.planCost(b, view, wantCols && i == 0)
 			out.Card += bc.Card
 			out.IO += bc.IO
 			out.CPU += bc.CPU
@@ -114,83 +166,76 @@ func (e *Estimator) PlanCost(p algebra.Plan, views map[algebra.ViewID]*cq.Query)
 		out.CPU += out.Card
 		return out
 	default:
-		return PlanCosting{cols: map[cq.Term]colInfo{}}
+		return PlanCosting{}
 	}
 }
 
-func (e *Estimator) scanCost(n *algebra.Scan, views map[algebra.ViewID]*cq.Query) PlanCosting {
-	v, ok := views[n.View]
-	if !ok {
+func (e *Estimator) scanCost(n *algebra.Scan, v *cq.Query, wantCols bool) PlanCosting {
+	if v == nil {
 		// Unknown view: treat as empty. Search invariants prevent this.
-		return PlanCosting{cols: map[cq.Term]colInfo{}}
+		return PlanCosting{}
 	}
-	card := e.ViewCardinality(v)
-	cols := make(map[cq.Term]colInfo, len(n.Cols))
+	card := e.ViewTerms(v).Card
+	pc := PlanCosting{Card: card, IO: card}
+	if !wantCols {
+		return pc
+	}
+	pc.cols = make([]colInfo, 0, len(n.Cols))
 	for i, label := range n.Cols {
 		if i >= len(v.Head) {
 			break
 		}
 		pos := firstBodyColumn(v, v.Head[i])
-		cols[label] = colInfo{pos: pos, distinct: e.colDistinct(pos, card)}
+		pc.cols = setCol(pc.cols, colInfo{label: label, pos: pos, distinct: e.colDistinct(pos, card)})
 	}
-	return PlanCosting{Card: card, IO: card, cols: cols}
+	return pc
 }
 
-func (e *Estimator) selectCost(n *algebra.Select, views map[algebra.ViewID]*cq.Query) PlanCosting {
-	in := e.PlanCost(n.Input, views)
+func (e *Estimator) selectCost(n *algebra.Select, in PlanCosting) PlanCosting {
 	// Inspect every input tuple.
 	cpu := in.CPU + in.Card
 	card := in.Card
-	cols := make(map[cq.Term]colInfo, len(in.cols))
-	for k, v := range in.cols {
-		cols[k] = v
-	}
+	cols := in.cols
 	for _, c := range n.Conds {
-		li, ok := cols[c.Left]
+		li, ok := findCol(cols, c.Left)
 		if !ok {
-			li = colInfo{pos: 2, distinct: math.Max(card, 1)}
+			li = colInfo{label: c.Left, pos: 2, distinct: math.Max(card, 1)}
 		}
 		if c.Right.IsConst() {
 			sel := 1 / math.Max(li.distinct, 1)
 			card *= sel
-			cols[c.Left] = colInfo{pos: li.pos, distinct: 1}
+			li.distinct = 1
+			cols = setCol(cols, li)
 			continue
 		}
-		ri, ok := cols[c.Right]
+		ri, ok := findCol(cols, c.Right)
 		if !ok {
-			ri = colInfo{pos: 2, distinct: math.Max(card, 1)}
+			ri = colInfo{label: c.Right, pos: 2, distinct: math.Max(card, 1)}
 		}
 		card /= math.Max(math.Max(li.distinct, ri.distinct), 1)
 		d := math.Min(li.distinct, ri.distinct)
-		cols[c.Left] = colInfo{pos: li.pos, distinct: d}
-		cols[c.Right] = colInfo{pos: ri.pos, distinct: d}
+		li.distinct, ri.distinct = d, d
+		cols = setCol(setCol(cols, li), ri)
 	}
-	// Cap distinct counts by the reduced cardinality.
-	for k, v := range cols {
-		if v.distinct > card {
-			cols[k] = colInfo{pos: v.pos, distinct: math.Max(card, 1)}
-		}
-	}
+	capDistinct(cols, card)
 	return PlanCosting{Card: card, IO: in.IO, CPU: cpu, cols: cols}
 }
 
-func (e *Estimator) joinCost(n *algebra.Join, views map[algebra.ViewID]*cq.Query) PlanCosting {
-	l := e.PlanCost(n.Left, views)
-	r := e.PlanCost(n.Right, views)
+func (e *Estimator) joinCost(n *algebra.Join, l, r PlanCosting) PlanCosting {
 	card := l.Card * r.Card
 	// Natural-join keys: labels present on both sides.
-	for label, li := range l.cols {
-		if !label.IsVar() {
+	for _, li := range l.cols {
+		if !li.label.IsVar() {
 			continue
 		}
-		if ri, ok := r.cols[label]; ok {
+		if ri, ok := findCol(r.cols, li.label); ok {
 			card /= math.Max(math.Max(li.distinct, ri.distinct), 1)
 		}
 	}
 	// Explicit cross conditions (Join Cut's ⊳⊲e).
 	for _, c := range n.Conds {
-		li, lok := l.cols[c.Left]
-		ri, rok := r.cols[c.Right]
+		li, lok := findCol(l.cols, c.Left)
+		ri, rok := findCol(r.cols, c.Right)
 		dl, dr := math.Max(l.Card, 1), math.Max(r.Card, 1)
 		if lok {
 			dl = li.distinct
@@ -202,19 +247,12 @@ func (e *Estimator) joinCost(n *algebra.Join, views map[algebra.ViewID]*cq.Query
 	}
 	// Hash join: build the smaller side, probe the larger, emit the output.
 	cpu := l.CPU + r.CPU + math.Min(l.Card, r.Card) + math.Max(l.Card, r.Card) + card
-	cols := make(map[cq.Term]colInfo, len(l.cols)+len(r.cols))
-	for k, v := range l.cols {
-		cols[k] = v
-	}
-	for k, v := range r.cols {
-		if _, ok := cols[k]; !ok {
-			cols[k] = v
+	cols := l.cols
+	for _, ri := range r.cols {
+		if _, ok := findCol(l.cols, ri.label); !ok {
+			cols = append(cols, ri)
 		}
 	}
-	for k, v := range cols {
-		if v.distinct > card {
-			cols[k] = colInfo{pos: v.pos, distinct: math.Max(card, 1)}
-		}
-	}
+	capDistinct(cols, card)
 	return PlanCosting{Card: card, IO: l.IO + r.IO, CPU: cpu, cols: cols}
 }

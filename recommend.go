@@ -176,7 +176,7 @@ func (r *Recommendation) Rewritings() []string {
 }
 
 // Cost returns the estimated cost breakdown of the recommended state.
-func (r *Recommendation) Cost() cost.Breakdown { return r.state.Cost(r.estimator) }
+func (r *Recommendation) Cost() cost.Breakdown { return r.result.BestCost }
 
 // InitialCost returns the estimated cost of the initial state S0.
 func (r *Recommendation) InitialCost() cost.Breakdown { return r.result.InitialCost }
@@ -333,6 +333,12 @@ func (db *Database) Recommend(w *Workload, opts Options) (*Recommendation, error
 	if err != nil {
 		return nil, err
 	}
+	// The search's estimator holds terms for every view of every state it
+	// costed; the recommendation keeps one that knows the recommended views
+	// only. Costing the best state with it fills it, so that Explain and the
+	// statistics accessors only ever read it, from any number of goroutines.
+	keep := cost.NewEstimator(provider, est.W)
+	res.Best.Cost(keep)
 	return &Recommendation{
 		db:            db,
 		workload:      w,
@@ -340,7 +346,7 @@ func (db *Database) Recommend(w *Workload, opts Options) (*Recommendation, error
 		schema:        schema,
 		state:         res.Best,
 		result:        res,
-		estimator:     est,
+		estimator:     keep,
 		matStore:      matStore,
 		maxUnionTerms: opts.MaxUnionTerms,
 	}, nil
