@@ -12,14 +12,12 @@ import (
 	"rdfviews/internal/store"
 )
 
-func benchData(b *testing.B) (*store.Store, *cq.Parser) {
-	b.Helper()
-	st, _ := datagen.Generate(datagen.Config{Triples: 20000, Seed: 1})
-	st.Count(store.Pattern{})
-	return st, cq.NewParser(st.Dict())
+func benchData(b testing.TB) (*store.Store, *cq.Parser) {
+	return benchShardedData(b, 1)
 }
 
-// benchQueries are the join-heavy shapes of the old-vs-new comparison:
+// benchQueries are the join-heavy shapes of the engine benchmarks and
+// differential tests:
 // chains (merge-join friendly), stars (all joins on one variable), a mixed
 // star+chain multi-join, and a value join with no shared sort order.
 var benchQueries = map[string]string{
@@ -34,45 +32,25 @@ var benchQueries = map[string]string{
 	"ValueJoin": "q(X, Z) :- t(X, " + datagen.PropName(0) + ", Y), t(Z, " + datagen.PropName(1) + ", Y)",
 }
 
-// benchBoth runs the same query through the legacy index-nested-loop
-// evaluator and the planned streaming pipeline, so `go test -bench` yields a
-// direct old-vs-new comparison per shape.
-func benchBoth(b *testing.B, src string) {
+// benchEval times the planned pipeline on one shape of the standard dataset;
+// its answers are checked against the INL oracle in TestBatchEvalMatchesINL.
+func benchEval(b *testing.B, src string) {
 	st, p := benchData(b)
 	q := p.MustParseQuery(src)
-	want, err := evalQueryINL(st, q)
-	if err != nil {
-		b.Fatal(err)
-	}
-	got, err := EvalQuery(st, q)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !got.EqualAsSet(want) {
-		b.Fatalf("pipeline disagrees with INL: %d vs %d rows", got.Len(), want.Len())
-	}
-	b.Run("inl", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := evalQueryINL(st, q); err != nil {
-				b.Fatal(err)
-			}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := EvalQuery(st, q); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("pipeline", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := EvalQuery(st, q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
-func BenchmarkEvalChain3(b *testing.B)     { benchBoth(b, benchQueries["Chain3"]) }
-func BenchmarkEvalChain4(b *testing.B)     { benchBoth(b, benchQueries["Chain4"]) }
-func BenchmarkEvalStar3(b *testing.B)      { benchBoth(b, benchQueries["Star3"]) }
-func BenchmarkEvalStar4(b *testing.B)      { benchBoth(b, benchQueries["Star4"]) }
-func BenchmarkEvalMultiJoin5(b *testing.B) { benchBoth(b, benchQueries["MultiJoin5"]) }
-func BenchmarkEvalValueJoin(b *testing.B)  { benchBoth(b, benchQueries["ValueJoin"]) }
+func BenchmarkEvalChain3(b *testing.B)     { benchEval(b, benchQueries["Chain3"]) }
+func BenchmarkEvalChain4(b *testing.B)     { benchEval(b, benchQueries["Chain4"]) }
+func BenchmarkEvalStar3(b *testing.B)      { benchEval(b, benchQueries["Star3"]) }
+func BenchmarkEvalStar4(b *testing.B)      { benchEval(b, benchQueries["Star4"]) }
+func BenchmarkEvalMultiJoin5(b *testing.B) { benchEval(b, benchQueries["MultiJoin5"]) }
+func BenchmarkEvalValueJoin(b *testing.B)  { benchEval(b, benchQueries["ValueJoin"]) }
 
 func BenchmarkExecuteHashJoin(b *testing.B) {
 	st, p := benchData(b)
@@ -115,7 +93,7 @@ func BenchmarkMaterializeView(b *testing.B) {
 
 // benchShardedData loads the standard 20k-triple benchmark dataset into a
 // k-shard store over the same dictionary as benchData.
-func benchShardedData(b *testing.B, k int) (*store.Store, *cq.Parser) {
+func benchShardedData(b testing.TB, k int) (*store.Store, *cq.Parser) {
 	b.Helper()
 	st, _ := datagen.Generate(datagen.Config{Triples: 20000, Seed: 1})
 	if k == 1 {
@@ -163,7 +141,7 @@ func benchShardQuery(b *testing.B, src string) {
 // (20000 edges each, out-degree ~1), the shape where the sort-break plan —
 // sort the small pipeline, merge against the big already-sorted predicate
 // index — beats cascading hash joins that build a 20000-entry table per hop.
-func benchPlannerChain(b *testing.B) (*store.Store, *cq.Query) {
+func benchPlannerChain(b testing.TB) (*store.Store, *cq.Query) {
 	b.Helper()
 	st := store.New()
 	d := st.Dict()
@@ -183,39 +161,16 @@ func benchPlannerChain(b *testing.B) (*store.Store, *cq.Query) {
 	return st, q
 }
 
-// BenchmarkPlannerChain4 measures the merge-past-sort-break win on a chain of
-// four atoms: "hash-only" is the pre-Sort planner (cascading hash joins),
-// "sort-merge" the current one (scan → merge → sort → merge → sort → merge).
-// Results are recorded in BENCH_planner.json.
+// BenchmarkPlannerChain4 times the sort-break plan on a chain of four atoms
+// (scan → merge → sort → merge → sort → merge); its answers are checked
+// against the INL oracle in TestBatchEvalMatchesINL.
 func BenchmarkPlannerChain4(b *testing.B) {
 	st, q := benchPlannerChain(b)
-	defer func(old bool) { enablePlannerDepth = old }(enablePlannerDepth)
-	enablePlannerDepth = false
-	baseline, err := EvalQuery(st, q)
-	if err != nil {
-		b.Fatal(err)
-	}
-	enablePlannerDepth = true
-	got, err := EvalQuery(st, q)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !got.EqualAsSet(baseline) {
-		b.Fatalf("sort-merge plan disagrees with hash-only baseline: %d vs %d rows",
-			got.Len(), baseline.Len())
-	}
-	for _, mode := range []struct {
-		name  string
-		depth bool
-	}{{"hash-only", false}, {"sort-merge", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			enablePlannerDepth = mode.depth
-			for i := 0; i < b.N; i++ {
-				if _, err := EvalQuery(st, q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := EvalQuery(st, q); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -16,8 +17,9 @@ import (
 // worker goroutines) share the execution's interrupt. Each case drives one
 // pipeline shape — chosen, and where possible asserted via Explain, to place
 // a specific operator type on the cancellation path — pulls at least one
-// row/batch/slab, cancels, drains to termination, and checks that the
-// execution surfaced context.Canceled and advanced CancelStops by exactly 1.
+// batch/slab, cancels, drains to termination, and checks that the execution
+// surfaced context.Canceled, advanced CancelStops by exactly 1 and left no
+// goroutine behind.
 //
 // Not parallel: cancelStops is process-wide.
 func TestCancelStopsAccounting(t *testing.T) {
@@ -125,28 +127,8 @@ func TestCancelStopsAccounting(t *testing.T) {
 		name string
 		run  func(t *testing.T) error
 	}{
-		// Row-protocol operators (the differential oracle), driven through
-		// buildOps so the cancel lands while the named operator is live.
-		{"rows/scan", func(t *testing.T) error {
-			return drainRowsMidCancel(t, plan(t, false, fullScan, "IndexScan"))
-		}},
-		{"rows/merge-join", func(t *testing.T) error {
-			return drainRowsMidCancel(t, plan(t, false, chain3, "MergeJoin"))
-		}},
-		{"rows/exchange", func(t *testing.T) error {
-			return drainRowsMidCancel(t, plan(t, true, fullScan, "ParallelScan"))
-		}},
-		{"rows/gather-merge", func(t *testing.T) error {
-			return drainRowsMidCancel(t, plan(t, true, chain3, "ParallelScan", "merge=["))
-		}},
-		{"rows/hash-join-build-left", func(t *testing.T) error {
-			return drainRowsMidCancel(t, hashLeftPlan(t))
-		}},
-		{"rows/hash-join-build-right-cross", func(t *testing.T) error {
-			return drainRowsMidCancel(t, hashRightPlan(t))
-		}},
-
-		// The same shapes under the vectorized batch protocol.
+		// Store-side operators, driven through buildVecOps so the cancel lands
+		// while the named operator is live.
 		{"vec/scan", func(t *testing.T) error {
 			return drainVecMidCancel(t, plan(t, false, fullScan, "IndexScan"))
 		}},
@@ -188,6 +170,13 @@ func TestCancelStopsAccounting(t *testing.T) {
 			defer cancel()
 			return drainStreamMidCancel(t, execStream(t, algebra.NewUnion(s1(), s3()), 1, ctx), cancel)
 		}},
+		// The merged exchange under a parallel union: its consumer-side
+		// checkpoint must not deliver the batches the workers left buffered.
+		{"rewrite/parallel-union", func(t *testing.T) error {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			return drainStreamMidCancel(t, execStream(t, algebra.NewUnion(s1(), s3(), s1(), s3()), 4, ctx), cancel)
+		}},
 
 		// Serving-tier stream combinators: the cancel is observed by the one
 		// member execution being drained (the second member never starts
@@ -223,12 +212,6 @@ func TestCancelStopsAccounting(t *testing.T) {
 			_, err := plan(t, false, fullScan).EvalWithOptions(ExecOptions{Ctx: ctx})
 			return err
 		}},
-		{"entry/eval-rows", func(t *testing.T) error {
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			_, err := plan(t, false, fullScan).EvalWithOptions(ExecOptions{Ctx: ctx, Vectorized: VecOff})
-			return err
-		}},
 		{"entry/execute", func(t *testing.T) error {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
@@ -239,6 +222,7 @@ func TestCancelStopsAccounting(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
 			before := CancelStops()
 			err := tc.run(t)
 			if err != context.Canceled {
@@ -247,6 +231,7 @@ func TestCancelStopsAccounting(t *testing.T) {
 			if d := CancelStops() - before; d != 1 {
 				t.Fatalf("CancelStops advanced by %d for one cancelled execution, want exactly 1", d)
 			}
+			waitGoroutines(t, base)
 		})
 	}
 }
@@ -264,28 +249,9 @@ func requireExplain(t *testing.T, plan *QueryPlan, marks ...string) {
 	}
 }
 
-// drainRowsMidCancel runs the row-protocol pipeline with a live interrupt,
-// pulls one row, cancels, and drains to termination, returning the context's
-// terminal error (what evalRows would surface).
-func drainRowsMidCancel(t *testing.T, plan *QueryPlan) error {
-	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	root := plan.buildOps(newInterrupt(ctx))
-	defer closeOp(root)
-	if _, ok := root.next(); !ok {
-		t.Fatal("pipeline yielded no rows before cancellation")
-	}
-	cancel()
-	for {
-		if _, ok := root.next(); !ok {
-			break
-		}
-	}
-	return ctx.Err()
-}
-
-// drainVecMidCancel is drainRowsMidCancel for the batch protocol.
+// drainVecMidCancel runs the store-side pipeline with a live interrupt, pulls
+// one batch, cancels, and drains to termination, returning the context's
+// terminal error (what EvalWithOptions would surface).
 func drainVecMidCancel(t *testing.T, plan *QueryPlan) error {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())

@@ -9,7 +9,7 @@ import (
 
 // EvalQuery evaluates a conjunctive query over the triple store by compiling
 // it to a physical plan (planner.go) and streaming the operator pipeline
-// (operators.go). Results are distinct head tuples — the same observable
+// (vec.go). Results are distinct head tuples — the same observable
 // contract as the recursive index-nested-loop evaluator this replaced (kept
 // in inl.go as a baseline).
 func EvalQuery(st store.Reader, q *cq.Query) (*Relation, error) {

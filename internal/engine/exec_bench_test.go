@@ -15,7 +15,7 @@ import (
 // the extents plus the two benchmark plans: a 4-branch union of hash joins
 // (one branch per predicate view, all joining the shared second-hop view on
 // Y) and the branch join reused by the build-side benchmark.
-func rewriteBenchFixture(b *testing.B) (map[algebra.ViewID]*Relation, *algebra.Union) {
+func rewriteBenchFixture(b testing.TB) (map[algebra.ViewID]*Relation, *algebra.Union) {
 	b.Helper()
 	st, p := benchShardedData(b, 4)
 	views := make(map[algebra.ViewID]*Relation)
@@ -94,57 +94,30 @@ func BenchmarkRewriteExecParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkRewriteExecBuildSide measures the cost-chosen build side on a
-// join whose left input is a small slice of an extent and whose right input
-// is a full extent ~20× larger: the historical executor always built the
-// large right side, the cost-chosen executor builds the small left side and
-// streams the large extent through as the probe.
-func BenchmarkRewriteExecBuildSide(b *testing.B) {
-	views, _ := rewriteBenchFixture(b)
+// buildSideFixture is a join whose left input is a small slice of an extent
+// and whose right input is a full extent ~20× larger: the cost-chosen
+// executor builds the small left side and streams the large extent through
+// as the probe.
+func buildSideFixture(views map[algebra.ViewID]*Relation) (map[algebra.ViewID]*Relation, *algebra.Join) {
 	x, y := cq.Var(1), cq.Var(2)
-	big := views[9]
-	small := &Relation{Cols: []cq.Term{x, y}, Rows: views[1].Rows[:minInt(100, views[1].Len())]}
-	sviews := map[algebra.ViewID]*Relation{1: small, 2: big}
-	resolve := MapResolver(sviews)
-	plan := algebra.NewJoin(
+	small := &Relation{Cols: []cq.Term{x, y}, Rows: views[1].Rows[:min(100, views[1].Len())]}
+	return map[algebra.ViewID]*Relation{1: small, 2: views[9]}, algebra.NewJoin(
 		algebra.NewScan(1, []cq.Term{x, y}),
 		algebra.NewScan(2, []cq.Term{y, cq.Var(3)}),
 	)
-	baselineGate := func(on bool) { enableRewriteBuildSide = on }
-	chosen, err := Execute(plan, resolve)
-	if err != nil {
-		b.Fatal(err)
-	}
-	baselineGate(false)
-	baseline, err := Execute(plan, resolve)
-	baselineGate(true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !chosen.EqualAsSet(baseline) || chosen.Len() != baseline.Len() {
-		b.Fatalf("build sides disagree: %d vs %d rows", chosen.Len(), baseline.Len())
-	}
-	b.Run("build-right-forced", func(b *testing.B) {
-		baselineGate(false)
-		defer baselineGate(true)
-		for i := 0; i < b.N; i++ {
-			if _, err := Execute(plan, resolve); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("cost-chosen", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := Execute(plan, resolve); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
+// BenchmarkRewriteExecBuildSide times the cost-chosen build side on
+// buildSideFixture; its answers are checked against the reference
+// interpreter in TestBatchExecuteMatchesRef.
+func BenchmarkRewriteExecBuildSide(b *testing.B) {
+	views, _ := rewriteBenchFixture(b)
+	sviews, plan := buildSideFixture(views)
+	resolve := MapResolver(sviews)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Execute(plan, resolve); err != nil {
+			b.Fatal(err)
+		}
 	}
-	return b
 }

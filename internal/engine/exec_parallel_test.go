@@ -2,8 +2,10 @@ package engine
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"rdfviews/internal/algebra"
 	"rdfviews/internal/cq"
@@ -105,18 +107,18 @@ func TestParallelExecuteMatchesSerial(t *testing.T) {
 // side or spawn probe workers.
 func TestParallelJoinEmptyProbeSkipsBuild(t *testing.T) {
 	x1, x2, x3 := cq.Var(1), cq.Var(2), cq.Var(3)
-	empty := &relScanOp{labels: []cq.Term{x1, x2}}
-	counted := &countingRel{in: &relScanOp{rows: bigExtent([]cq.Term{x2, x3}, 2000).Rows, labels: []cq.Term{x2, x3}}}
+	empty := &vecRelScanOp{labels: []cq.Term{x1, x2}}
+	counted := &countingRel{in: &vecRelScanOp{rows: bigExtent([]cq.Term{x2, x3}, 2000).Rows, labels: []cq.Term{x2, x3}}}
 	shape, err := joinShape(empty.cols(), counted.cols(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := newParallelHashJoin(empty, counted, shape, []int{1}, []int{0}, false, 4)
-	if _, ok := j.next(); ok {
+	j := newVecParallelHashJoin(empty, counted, shape, []int{1}, []int{0}, false, 4, nil)
+	if _, ok := j.nextBatch(); ok {
 		t.Fatal("parallel join over empty probe returned a row")
 	}
 	if counted.calls != 0 {
-		t.Fatalf("empty probe still drained the build side (%d next calls)", counted.calls)
+		t.Fatalf("empty probe still drained the build side (%d nextBatch calls)", counted.calls)
 	}
 	j.close()
 }
@@ -143,11 +145,26 @@ func TestParallelUnionSharedDedup(t *testing.T) {
 	}
 }
 
+// waitGoroutines fails the test unless the goroutine count returns to base:
+// close() on a parallel operator returns only after its workers have exited,
+// so at most the channel-closing helpers are still winding down.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still running, %d before the execution", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestParallelExecuteAbandonedPipeline exercises close(): compiling and
 // partially draining a parallel plan, then closing it, must release every
-// worker (the race detector and goroutine scheduler catch leaks/panics).
+// worker.
 func TestParallelExecuteAbandonedPipeline(t *testing.T) {
 	forceParallelRewrite(t)
+	base := runtime.NumGoroutine()
 	rng := rand.New(rand.NewSource(11))
 	x1, x2, x3 := cq.Var(1), cq.Var(2), cq.Var(3)
 	views := map[algebra.ViewID]*Relation{
@@ -158,23 +175,24 @@ func TestParallelExecuteAbandonedPipeline(t *testing.T) {
 		algebra.NewJoin(algebra.NewScan(1, []cq.Term{x1, x2}), algebra.NewScan(2, []cq.Term{x2, x3})),
 		algebra.NewJoin(algebra.NewScan(1, []cq.Term{x1, x2}), algebra.NewScan(2, []cq.Term{x2, x3})),
 	)
-	root, _, err := compileRel(plan, MapResolver(views), ExecOptions{DOP: 4})
+	root, _, err := compileVecRel(plan, MapResolver(views), ExecOptions{DOP: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ { // pull a few rows, then walk away
-		if _, ok := root.next(); !ok {
+	for i := 0; i < 2; i++ { // pull a couple of batches, then walk away
+		if _, ok := root.nextBatch(); !ok {
 			break
 		}
 	}
-	closeRel(root)
+	closeVop(root)
 	// Closing twice is safe, as is closing a never-started pipeline.
-	closeRel(root)
-	fresh, _, err := compileRel(plan, MapResolver(views), ExecOptions{DOP: 4})
+	closeVop(root)
+	fresh, _, err := compileVecRel(plan, MapResolver(views), ExecOptions{DOP: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	closeRel(fresh)
+	closeVop(fresh)
+	waitGoroutines(t, base)
 }
 
 // TestDescribeParallelAnnotations pins the explain surface of the parallel

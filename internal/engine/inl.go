@@ -11,10 +11,10 @@ import (
 // already-placed variables) and each atom is resolved through the store's
 // permutation indexes under the current partial binding held in a map.
 //
-// It is superseded by the planned streaming pipeline (planner.go,
-// operators.go) but kept as a correctness oracle for property tests and as
-// the baseline of the old-vs-new benchmarks in bench_test.go. Like the
-// planned paths it reads through store.Reader, so the oracle can replay
+// It is superseded by the planned streaming pipeline (planner.go, vec.go)
+// but kept as the correctness oracle of the store-side differential tests: it
+// shares the atom ordering with the planner and nothing with the operators.
+// Like the planned paths it reads through store.Reader, so the oracle can replay
 // against a pinned snapshot as well as a quiesced live store.
 func evalQueryINL(st store.Reader, q *cq.Query) (*Relation, error) {
 	if err := q.Validate(); err != nil {

@@ -22,8 +22,8 @@ import (
 // tuned for the one that triggered compilation. Shard routing is NOT frozen:
 // substitution changes which shard a bound position hashes to, so the
 // concrete route is re-resolved from the instantiated patterns at
-// pipeline-build time (buildOps/buildVecOps for exchanges, the store's
-// routed NewCursor for serial scans). Only the route's *shape* — how many
+// pipeline-build time (buildVecOps for exchanges, the store's routed
+// NewCursor for serial scans). Only the route's *shape* — how many
 // shards it spans, decided by which positions are bound — is stable across
 // bindings, which is what keeps the compile-time parallelism decision valid.
 //

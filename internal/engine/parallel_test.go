@@ -122,22 +122,6 @@ func TestParallelPlanShapeAndExplain(t *testing.T) {
 	if !strings.Contains(out, "merge=[") {
 		t.Fatalf("merge-join pipeline should use an ordered gather:\n%s", out)
 	}
-
-	// With sort-merge planning disabled the same query hash-joins, and a
-	// hash-join pipeline must not pay for an ordered gather.
-	enablePlannerDepth = false
-	defer func() { enablePlannerDepth = true }()
-	plan, err = PlanQuery(st4, vj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out = plan.Explain()
-	if !strings.Contains(out, "HashJoin") {
-		t.Fatalf("sort-merge disabled: value join should hash-join:\n%s", out)
-	}
-	if strings.Contains(out, "merge=[") {
-		t.Fatalf("hash-join pipeline should not pay for an ordered gather:\n%s", out)
-	}
 }
 
 // TestGatherMergeSkewedShards drives the ordered gather over a wide fan-out

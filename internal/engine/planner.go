@@ -142,14 +142,6 @@ var parallelScanMinRows = 1024.0
 // the estimate.
 const buildLeftMargin = 16.0
 
-// enablePlannerDepth gates the planner-depth features as one unit: Sort +
-// MergeJoin at sort breaks, multi-shared-variable merge joins with residual
-// equalities, and cost-based hash-join build sides. Disabled, the planner
-// reproduces its historical shape — merge only on a single shared variable
-// matching the pipeline's sort slot, hash joins always building on the atom —
-// which the benchmarks keep as the cascading-hash-join baseline.
-var enablePlannerDepth = true
-
 // QueryPlan is a compiled physical plan for one conjunctive query: a
 // left-deep pipeline of index scans, joins and sorts over the store's six
 // sorted permutations, followed by projection onto the head and — when the
@@ -267,8 +259,7 @@ func PlanQueryWithStats(st store.Reader, q *cq.Query, cards Cards) (*QueryPlan, 
 			step.outEst = pipe
 			p.steps = append(p.steps, step)
 
-		case len(shared) > 0 && containsInt(shared, sorted) &&
-			(enablePlannerDepth || len(shared) == 1):
+		case len(shared) > 0 && containsInt(shared, sorted):
 			// The pipeline's sort order covers one shared variable: merge on
 			// it, check the remaining shared variables as residual equalities.
 			step := planStep{kind: stepMergeJoin, spec: spec, est: est, joinSlot: sorted}
@@ -304,7 +295,7 @@ func PlanQueryWithStats(st store.Reader, q *cq.Query, cards Cards) (*QueryPlan, 
 			// mistake. A minimax against estimation error, not an oversight.
 			outEst := joinOutEst(pipe, est, len(shared))
 			hashCost := cost.HashJoinCost(math.Min(pipe, est), math.Max(pipe, est))
-			if enablePlannerDepth && cost.SortMergeJoinCost(pipe, est) <= hashCost {
+			if cost.SortMergeJoinCost(pipe, est) <= hashCost {
 				sorted = shared[0]
 				p.steps = append(p.steps, planStep{kind: stepSort, joinSlot: sorted, est: pipe, outEst: pipe})
 				step := planStep{kind: stepMergeJoin, spec: spec, est: est,
@@ -317,7 +308,7 @@ func PlanQueryWithStats(st store.Reader, q *cq.Query, cards Cards) (*QueryPlan, 
 			} else {
 				step := planStep{kind: stepHashJoin, spec: spec, est: est,
 					keySlots: shared, keyPos: sharedPos,
-					buildLeft: enablePlannerDepth && pipe*buildLeftMargin < est}
+					buildLeft: pipe*buildLeftMargin < est}
 				if step.buildLeft {
 					// Probe-side output follows the cursor's permutation:
 					// sort it on a new variable a later atom joins on, so the
@@ -362,7 +353,7 @@ func PlanQueryWithStats(st store.Reader, q *cq.Query, cards Cards) (*QueryPlan, 
 	// (build=left hash join) it; otherwise batches surface in arrival order.
 	// With one shard (the default) plans are exactly the historical serial
 	// ones. The concrete shard subset is re-resolved from the instantiated
-	// pattern at pipeline-build time (buildOps/buildVecOps): constant
+	// pattern at pipeline-build time (buildVecOps): constant
 	// substitution in cached plan templates never changes which positions
 	// are bound — so this par decision stays valid — but it does change
 	// which single shard a bound position hashes to.
@@ -449,7 +440,7 @@ func chooseSortPosition(q *cq.Query, order []int, slotOf map[cq.Term]int) int {
 				sharedVars = append(sharedVars, t)
 			}
 		}
-		if len(sharedVars) == 1 || (enablePlannerDepth && len(sharedVars) > 1) {
+		if len(sharedVars) > 0 {
 			for pos := 0; pos < 3; pos++ {
 				if a0[pos] == sharedVars[0] {
 					return pos
@@ -591,45 +582,6 @@ func (p *QueryPlan) scanRoute(s *planStep) (store.Route, int) {
 	return route, route.Len()
 }
 
-// buildOps instantiates the operator pipeline. Operators are single-use:
-// each Eval call builds a fresh pipeline. The execution's interrupt is
-// threaded to every operator that loops over a cursor without returning
-// control, so a canceled context stops the scan and build drains, not just
-// the result drain above.
-func (p *QueryPlan) buildOps(intr *interrupt) op {
-	var cur op
-	for i := range p.steps {
-		s := &p.steps[i]
-		switch s.kind {
-		case stepScan:
-			route, par := p.scanRoute(s)
-			switch {
-			case par > 1 && s.parSlot >= 0:
-				cur = &gatherMergeOp{st: p.st, spec: s.spec, width: p.width, route: route, dop: par, slot: s.parSlot, intr: intr}
-			case par > 1:
-				cur = &exchangeOp{st: p.st, spec: s.spec, width: p.width, route: route, dop: par, intr: intr}
-			default:
-				cur = &scanOp{st: p.st, spec: s.spec, width: p.width, intr: intr}
-			}
-		case stepSort:
-			cur = &sortOp{in: cur, slot: s.joinSlot, width: p.width}
-		case stepMergeJoin:
-			cur = &mergeJoinOp{left: cur, st: p.st, spec: s.spec, slot: s.joinSlot, rpos: s.rpos,
-				extraSlots: s.extraSlots, extraPos: s.extraPos, width: p.width, intr: intr}
-		case stepHashJoin:
-			if s.buildLeft {
-				cur = &hashJoinBuildLeftOp{left: cur, st: p.st, spec: s.spec,
-					keySlots: s.keySlots, keyPos: s.keyPos, width: p.width, intr: intr}
-				break
-			}
-			cur = &hashJoinOp{left: cur, st: p.st, spec: s.spec, keySlots: s.keySlots, keyPos: s.keyPos, width: p.width, intr: intr}
-		default: // stepCross (a hash join with no key columns)
-			cur = &hashJoinOp{left: cur, st: p.st, spec: s.spec, keySlots: s.keySlots, keyPos: s.keyPos, width: p.width, intr: intr}
-		}
-	}
-	return cur
-}
-
 // distinctHintCap bounds the distinct set's pre-size: estimates at or above
 // it clamp to the cap (one bounded allocation) instead of being discarded —
 // the old behavior fell back to a 64-slot table and rehash-stormed on huge
@@ -656,87 +608,17 @@ func distinctSizeHint(est float64) int {
 	return int(est)
 }
 
-// Eval runs the pipeline and returns the distinct head tuples — the same
-// observable contract as the evaluator this engine replaced. Execution is
-// vectorized (vec.go) by default; EvalWithOptions selects the row-at-a-time
-// oracle.
+// Eval runs the pipeline (vec.go) and returns the distinct head tuples — the
+// same observable contract as the evaluator this engine replaced (inl.go).
 func (p *QueryPlan) Eval() (*Relation, error) {
 	return p.EvalWithOptions(ExecOptions{})
 }
 
-// EvalWithOptions is Eval under explicit execution options: the zero value
-// (and any options with Vectorized != VecOff) runs the batch-at-a-time
-// pipeline, VecOff the historical row-at-a-time operators. Both produce
-// identical relations; the row path is retained as the differential oracle.
-// A canceled opts.Ctx aborts either path with ctx.Err().
-func (p *QueryPlan) EvalWithOptions(opts ExecOptions) (*Relation, error) {
-	opts.intr = newInterrupt(opts.Ctx)
-	if opts.Vectorized != VecOff {
-		return p.evalVec(opts)
-	}
-	return p.evalRows(opts)
-}
-
-// evalRows drains the row-protocol pipeline — the differential oracle for the
-// vectorized default.
-func (p *QueryPlan) evalRows(opts ExecOptions) (*Relation, error) {
-	root := p.buildOps(opts.intr)
-	defer closeOp(root) // release parallel-scan workers on every exit path
-	out := NewRelation(p.head)
-	scratch := make(Row, len(p.head))
-	var arena rowArena
-	var seen *rowSet
-	if p.distinct {
-		hint := 64
-		if len(p.steps) > 0 {
-			hint = distinctSizeHint(p.steps[0].est)
-		}
-		seen = newRowSet(hint)
-	}
-	for {
-		if opts.intr.stop() {
-			return nil, opts.ctxErr()
-		}
-		row, ok := root.next()
-		if !ok {
-			break
-		}
-		for i, s := range p.headSlots {
-			if s < 0 {
-				scratch[i] = p.headConsts[i]
-			} else {
-				scratch[i] = row[s]
-			}
-		}
-		if seen == nil {
-			out.Rows = append(out.Rows, arena.copyRow(scratch))
-		} else if kept, added := seen.addCopy(scratch); added {
-			out.Rows = append(out.Rows, kept)
-		}
-	}
-	if err := opts.ctxErr(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Describe returns the physical plan tree for explain surfaces, annotated
-// for the default execution mode (vectorized: scan leaves and exchanges
-// carry their batch size).
+// Describe returns the physical plan tree for explain surfaces. Operators
+// that own a batching knob — the scan leaves that decode column batches and
+// the Gather exchange that hands them between goroutines — self-describe
+// their batch size (like dop= for parallelism).
 func (p *QueryPlan) Describe() *algebra.PhysNode {
-	return p.DescribeWithOptions(ExecOptions{})
-}
-
-// DescribeWithOptions is Describe under explicit execution options: with the
-// vectorized default, operators that own a batching knob — the scan leaves
-// that decode column batches and the Gather exchange that hands them between
-// goroutines — self-describe their batch size (like dop= for parallelism);
-// VecOff renders the historical row-protocol plan unchanged.
-func (p *QueryPlan) DescribeWithOptions(opts ExecOptions) *algebra.PhysNode {
-	batch := 0
-	if opts.Vectorized != VecOff {
-		batch = BatchSize
-	}
 	var node *algebra.PhysNode
 	for _, s := range p.steps {
 		if s.kind == stepSort {
@@ -759,12 +641,12 @@ func (p *QueryPlan) DescribeWithOptions(opts ExecOptions) *algebra.PhysNode {
 				scan.Detail += fmt.Sprintf(" shards=%d/%d", r.Len(), r.K)
 			}
 		}
-		// Scan leaves that decode column batches under vectorized execution
-		// self-describe the batch size. A merge join's inner cursor is the
-		// exception: its group buffering consumes the cursor row-at-a-time,
-		// so its scan stays unannotated.
+		// Scan leaves that decode column batches self-describe the batch
+		// size. A merge join's inner cursor is the exception: its group
+		// buffering consumes the cursor row-at-a-time, so its scan stays
+		// unannotated.
 		if s.kind != stepMergeJoin {
-			scan.Batch = batch
+			scan.Batch = BatchSize
 		}
 		switch s.kind {
 		case stepScan:
@@ -777,7 +659,7 @@ func (p *QueryPlan) DescribeWithOptions(opts ExecOptions) *algebra.PhysNode {
 				}
 				gather := algebra.NewPhysNode("Gather", detail, s.est, scan)
 				gather.DOP = s.par
-				gather.Batch = batch
+				gather.Batch = BatchSize
 				node = gather
 			}
 		case stepMergeJoin:

@@ -94,11 +94,9 @@ func TestPlanChainOfFourSortBreak(t *testing.T) {
 // TestPlanDepthAgainstINLShapes is the INL-oracle differential matrix of the
 // planner-depth features: chain, star, cycle and repeated-variable shapes,
 // each evaluated over a flat, a 4-subject-shard and a 4×4 dual-partitioned
-// store, with planner depth on and off — all combinations must agree with
-// the recursive oracle.
+// store — all combinations must agree with the recursive oracle.
 func TestPlanDepthAgainstINLShapes(t *testing.T) {
 	forceParallel(t)
-	defer func() { enablePlannerDepth = true }()
 	shapes := []string{
 		chain4Src,
 		"q(X) :- t(X, p1, Y), t(X, p2, Z), t(X, p3, W)",    // star
@@ -109,29 +107,25 @@ func TestPlanDepthAgainstINLShapes(t *testing.T) {
 		"q(X, Z) :- t(X, p1, Y), t(Y, p2, Z), t(X, p3, Z)", // diamond closure
 	}
 	layouts := []struct{ subjectK, objectK int }{{1, 0}, {4, 0}, {4, 4}}
-	for _, depth := range []bool{true, false} {
-		enablePlannerDepth = depth
-		for _, lay := range layouts {
-			st, p := chainStoreDual(t, lay.subjectK, lay.objectK)
-			for _, src := range shapes {
-				q := p.MustParseQuery(src)
-				p.ResetNames()
-				got, err := EvalQuery(st, q)
-				if err != nil {
-					t.Fatalf("depth=%v layout=%d/%d %s: %v", depth, lay.subjectK, lay.objectK, src, err)
-				}
-				want, err := evalQueryINL(st, q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !got.EqualAsSet(want) {
-					t.Fatalf("depth=%v layout=%d/%d %s: pipeline %d rows, INL %d rows",
-						depth, lay.subjectK, lay.objectK, src, got.Len(), want.Len())
-				}
+	for _, lay := range layouts {
+		st, p := chainStoreDual(t, lay.subjectK, lay.objectK)
+		for _, src := range shapes {
+			q := p.MustParseQuery(src)
+			p.ResetNames()
+			got, err := EvalQuery(st, q)
+			if err != nil {
+				t.Fatalf("layout=%d/%d %s: %v", lay.subjectK, lay.objectK, src, err)
+			}
+			want, err := evalQueryINL(st, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.EqualAsSet(want) {
+				t.Fatalf("layout=%d/%d %s: pipeline %d rows, INL %d rows",
+					lay.subjectK, lay.objectK, src, got.Len(), want.Len())
 			}
 		}
 	}
-	enablePlannerDepth = true
 }
 
 // TestPlanBuildSideChoice pins the cost-based hash-join build side: when the

@@ -155,31 +155,6 @@ func TestPlanTriangleSortBreakUsesSortMerge(t *testing.T) {
 		t.Fatalf("wrong triangle: %v", r.Rows[0])
 	}
 	assertSameAnswers(t, st, q)
-
-	// The hash-join path remains reachable (and correct) when sort-merge
-	// planning is disabled — the benchmark baseline depends on it.
-	enablePlannerDepth = false
-	defer func() { enablePlannerDepth = true }()
-	plan, err = PlanQuery(st, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hasHash := false
-	for _, op := range plan.Describe().Operators() {
-		if op == "HashJoin" {
-			hasHash = true
-		}
-	}
-	if !hasHash {
-		t.Fatalf("with sort-merge disabled the triangle should hash-join:\n%s", plan.Explain())
-	}
-	r, err = plan.Eval()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Len() != 1 {
-		t.Fatalf("hash-join triangle matches = %d, want 1", r.Len())
-	}
 }
 
 func TestPlanMergeJoinChosenForChain(t *testing.T) {

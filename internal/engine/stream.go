@@ -87,10 +87,9 @@ func (sb *slabBuf) next() Row {
 }
 
 // EvalStream runs the store-side pipeline and streams its head tuples instead
-// of materializing them. Execution is always vectorized (the serving path);
-// distinct plans keep their dedup set across slabs — the set holds each kept
-// row once, which is inherent to distinct — while non-distinct plans hold
-// only the current slab. The stream's rows are valid until the next Next.
+// of materializing them; distinct plans keep their dedup set across slabs —
+// the set holds each kept row once, which is inherent to distinct — while
+// non-distinct plans hold only the current slab. The stream's rows are valid until the next Next.
 func (p *QueryPlan) EvalStream(opts ExecOptions) *RowStream {
 	opts.intr = newInterrupt(opts.Ctx)
 	root := p.buildVecOps(opts.intr)

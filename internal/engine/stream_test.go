@@ -181,9 +181,6 @@ func TestExecCancelContext(t *testing.T) {
 	if _, err := plan.EvalWithOptions(ExecOptions{Ctx: ctx}); err != context.Canceled {
 		t.Fatalf("eval under canceled ctx: got %v, want context.Canceled", err)
 	}
-	if _, err := plan.EvalWithOptions(ExecOptions{Ctx: ctx, Vectorized: VecOff}); err != context.Canceled {
-		t.Fatalf("row-mode eval under canceled ctx: got %v, want context.Canceled", err)
-	}
 	if CancelStops() <= before {
 		t.Fatal("cancellation checkpoints did not register the stop")
 	}

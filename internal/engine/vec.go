@@ -4,23 +4,45 @@ import (
 	"sort"
 	"sync"
 
+	"rdfviews/internal/cq"
 	"rdfviews/internal/dict"
 	"rdfviews/internal/store"
 )
 
-// Vectorized counterparts of the row operators in operators.go and sort.go:
-// the same physical algebra — index scans, multi-key merge joins, hash joins
-// with either build side, explicit sorts — pulling column batches (batch.go)
-// instead of single rows. Scans amortize cursor decode over Cursor.NextBatch,
+// The store-side executor: pull-based physical operators over the triple
+// store's permutation indexes, exchanging column batches (batch.go). Tuples
+// flow through slice-based variable registers — one column per slot of the
+// planner's compact variable numbering — so the hot path touches no maps and
+// hashes no strings. Scans amortize cursor decode over Cursor.NextBatch,
 // repeated-variable checks compact a selection vector branch-free, and hash
 // joins hash whole key columns and probe the idTable with one batched call.
-// QueryPlan.Eval runs this pipeline by default; the row operators stay live
-// behind ExecOptions.Vectorized as the differential oracle.
 //
-// Ownership mirrors the row protocol one level up: a returned batch is valid
-// only until the next nextBatch call. Serial operators therefore reuse one
-// owned output batch; only the exchange operators (vec_parallel.go) lease
-// pool batches across goroutines.
+// Operator set (chosen by the planner in planner.go):
+//
+//   - vecScanOp: an index scan of one permutation range, binding triple
+//     positions into register columns;
+//   - vecMergeJoinOp: joins a pipeline sorted on one register slot with an
+//     atom cursor sorted on the matching triple position, buffering one
+//     equal-key run of the right side at a time; further shared variables are
+//     residual equality checks against each group triple;
+//   - vecSortOp: materializes the pipeline and re-emits it ordered by one
+//     register slot — the sort-break operator that makes merge joins available
+//     again further down a chain;
+//   - vecHashJoinOp: builds a hash table over the atom's matching triples
+//     (bucketed by a 64-bit key hash, verified by value) and probes it with
+//     the streaming left pipeline; with no key columns it degrades to the
+//     Cartesian product a disconnected query requires;
+//   - vecHashJoinBuildLeftOp: the flipped build side — the pipeline is drained
+//     into the table and the atom's cursor streams through as the probe,
+//     chosen when the pipeline is estimated much smaller than the atom.
+//
+// Projection and duplicate elimination happen at the drain site
+// (EvalWithOptions, EvalStream) against a rowSet, so no operator materializes
+// its output.
+//
+// Ownership: a returned batch is valid only until the next nextBatch call.
+// Serial operators therefore reuse one owned output batch; only the exchange
+// operators (vec_parallel.go) lease pool batches across goroutines.
 
 // vop is a pull-based operator yielding column batches. Returned batches
 // always have at least one live row; EOF is the false return.
@@ -108,6 +130,33 @@ func (c *triCursor) seekGE(col int, key dict.ID) {
 	c.cur.SeekGE(col, key)
 }
 
+// bindPos maps a triple position to the register slot it binds.
+type bindPos struct {
+	pos  int // 0..2: position in the scanned triple
+	slot int // register slot of the variable at that position
+}
+
+// atomSpec is the compiled access path of one body atom: the pattern of its
+// constants, the permutation to scan, and how matching triples bind into
+// registers.
+type atomSpec struct {
+	atom   cq.Atom // retained for explain only; see planner.go
+	pat    store.Pattern
+	perm   store.Perm
+	binds  []bindPos // first occurrence of each variable
+	checks [][2]int  // positions that must be equal (repeated variables)
+}
+
+// hashIDs hashes the triple values at the given positions, consistently with
+// hashValues so build and probe sides agree.
+func hashIDs(t store.Triple, pos []int) uint64 {
+	h := hashSeed
+	for _, p := range pos {
+		h = hashMix(h, uint64(t[p]))
+	}
+	return h
+}
+
 // bindBatch writes len(tris) decoded triples into the batch's bound columns
 // and applies the spec's repeated-variable checks by compacting a selection
 // vector (branch-free: the index is stored unconditionally, the cursor
@@ -192,12 +241,16 @@ func (s *vecScanOp) nextBatch() (*batch, bool) {
 	}
 }
 
-// vecMergeJoinOp is mergeJoinOp over batches: the left pipeline arrives
-// sorted on register slot slot, the atom's cursor is sorted on triple
-// position rpos, and one equal-key run of right triples is buffered per key.
-// Repeated-variable checks are applied once while buffering the group (the
-// row operator re-checks per emission); residual shared variables
-// (extraSlots/extraPos) are checked per output row against the left batch.
+// vecMergeJoinOp merge-joins a left pipeline sorted on register slot slot
+// with the atom's cursor sorted on triple position rpos (the planner picks a
+// permutation that lists the atom's constants, then rpos). One equal-key run
+// of right triples is buffered per key, so duplicate keys on either side
+// produce the full cross-combination. Repeated-variable checks are applied
+// once while buffering the group; when the atom shares more than one variable
+// with the pipeline, the remaining shared variables (extraSlots/extraPos) are
+// residual equality checks per output row against the left batch — the
+// multi-key generalization that keeps merge joins available for star and
+// cycle shapes.
 // Emission carries resume state (gi) so a left-row × group cross product can
 // span output batches.
 type vecMergeJoinOp struct {
@@ -371,12 +424,14 @@ func (m *vecMergeJoinOp) emitGroup(out *batch) {
 	m.emitting = false
 }
 
-// vecHashJoinOp is hashJoinOp over batches: the atom's matching triples are
-// built into an idTable (decoded batch-at-a-time), then each left batch is
-// probed columnar — key hashes computed column by column over the live rows,
-// chain heads fetched with one getBatch call — and matches emit with resume
-// state so a probe row's chain can span output batches. With no key columns
-// it degrades to the Cartesian product, exactly like the row operator.
+// vecHashJoinOp builds the atom's matching triples into an idTable (decoded
+// batch-at-a-time; a 64-bit key hash maps to a chain of triple indexes
+// verified by value, so building allocates no per-bucket slices), then probes
+// each left batch columnar — key hashes computed column by column over the
+// live rows, chain heads fetched with one getBatch call — and matches emit
+// with resume state so a probe row's chain can span output batches. With no
+// key columns (a disconnected query) every triple lands in one chain and the
+// operator computes the Cartesian product.
 type vecHashJoinOp struct {
 	left      vop
 	st        store.Reader
@@ -560,11 +615,15 @@ func (j *vecHashJoinOp) emitChain(out *batch) {
 	j.emitting = j.chain != 0
 }
 
-// vecHashJoinBuildLeftOp is hashJoinBuildLeftOp over batches: the left
-// pipeline drains into the hash table (only the bound slots of each live row
-// are gathered into arena rows) and the atom's cursor streams through as the
-// probe — decoded batch-at-a-time, checks compacted into a probe selection,
-// key hashes and chain heads computed for the whole probe batch up front.
+// vecHashJoinBuildLeftOp is the hash join with the build side flipped: the
+// planner chooses it when the pipeline-so-far is estimated much smaller than
+// the atom's extent. The left pipeline drains into the hash table (only the
+// bound slots of each live row are gathered into arena rows) and the atom's
+// cursor streams through as the probe — decoded batch-at-a-time, checks
+// compacted into a probe selection, key hashes and chain heads computed for
+// the whole probe batch up front. Output order follows the probe cursor's
+// permutation, so the planner can pick the permutation's post-prefix column
+// to establish a new sort order for downstream merges.
 type vecHashJoinBuildLeftOp struct {
 	left      vop
 	st        store.Reader
@@ -747,10 +806,17 @@ func (j *vecHashJoinBuildLeftOp) emitChain(out *batch) {
 	j.emitting = false
 }
 
-// vecSortOp is sortOp over batches: the input's live rows are gathered into
-// per-slot materialized columns (only the slots bound so far), a permutation
-// of row indexes is sorted on the key slot, and output batches gather through
-// the permutation — columnar both ways, with no per-row Row allocation.
+// vecSortOp is the explicit Sort physical operator. The planner inserts it at
+// a "sort break" — the point in a left-deep pipeline where the next atom
+// shares variables with the rows produced so far but none of them is the slot
+// the pipeline is currently sorted on — so that a merge join against the
+// atom's already-sorted permutation cursor becomes available again; long
+// chains then plan as scan → merge → sort → merge instead of cascading hash
+// joins. The input's live rows are gathered into per-slot materialized
+// columns (only the slots bound so far), a permutation of row indexes is
+// sorted on the key slot, and output batches gather through the permutation
+// — columnar both ways, with no per-row Row allocation. Downstream operators
+// depend solely on the slot being non-decreasing.
 type vecSortOp struct {
 	in    vop
 	slot  int   // register slot the output is ordered by
@@ -821,10 +887,10 @@ func (s *vecSortOp) nextBatch() (*batch, bool) {
 	return out, true
 }
 
-// buildVecOps instantiates the vectorized operator pipeline — the same
-// physical choices as buildOps, batch protocol instead of rows. bound tracks
-// the register slots the pipeline has bound so far: joins and sorts copy (or
-// materialize) exactly those slots, leaving the rest of each batch stale.
+// buildVecOps instantiates the operator pipeline. Operators are single-use:
+// each evaluation builds a fresh pipeline. bound tracks the register slots
+// the pipeline has bound so far: joins and sorts copy (or materialize)
+// exactly those slots, leaving the rest of each batch stale.
 // intr (nil for uncancellable executions) reaches the operators that loop
 // without returning control: scans, exchanges and hash-join atom drains.
 func (p *QueryPlan) buildVecOps(intr *interrupt) vop {
@@ -840,7 +906,7 @@ func (p *QueryPlan) buildVecOps(intr *interrupt) vop {
 			case par > 1 && s.parSlot >= 0:
 				cur = &vecGatherMergeOp{st: p.st, spec: s.spec, width: p.width, route: route, dop: par, slot: s.parSlot, intr: intr}
 			case par > 1:
-				cur = &vecExchangeOp{st: p.st, spec: s.spec, width: p.width, route: route, dop: par, intr: intr}
+				cur = newShardExchange(p.st, route, s.spec, p.width, par, intr)
 			default:
 				cur = &vecScanOp{st: p.st, spec: s.spec, width: p.width, intr: intr}
 			}
@@ -872,11 +938,13 @@ func (p *QueryPlan) buildVecOps(intr *interrupt) vop {
 	return cur
 }
 
-// evalVec drains the vectorized pipeline: head projection reads the live rows
-// of each batch straight out of the columns, with the same arena-copied
-// output and distinct semantics as the row drain. A canceled opts.Ctx stops
-// the pipeline at its next checkpoint and surfaces ctx.Err().
-func (p *QueryPlan) evalVec(opts ExecOptions) (*Relation, error) {
+// EvalWithOptions is Eval under explicit execution options. It drains the
+// pipeline: head projection reads the live rows of each batch straight out of
+// the columns, with arena-copied output rows and a rowSet for distinct heads.
+// A canceled opts.Ctx stops the pipeline at its next checkpoint and surfaces
+// ctx.Err().
+func (p *QueryPlan) EvalWithOptions(opts ExecOptions) (*Relation, error) {
+	opts.intr = newInterrupt(opts.Ctx)
 	root := p.buildVecOps(opts.intr)
 	defer closeVop(root) // release parallel-scan workers on every exit path
 	out := NewRelation(p.head)

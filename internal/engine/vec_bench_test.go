@@ -4,129 +4,11 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-
-	"rdfviews/internal/cq"
-	"rdfviews/internal/dict"
-	"rdfviews/internal/store"
 )
 
-// Row-vs-batch benchmarks: the same plan executed through the row-at-a-time
-// oracle (Vectorized: VecOff) and the default batch protocol. Results are
-// recorded in BENCH_engine.json / BENCH_shards.json / BENCH_rewrite.json.
-
-// benchRowVsBatch verifies both modes agree, then times each.
-func benchRowVsBatch(b *testing.B, st *store.Store, q *cq.Query) {
-	b.Helper()
-	plan, err := PlanQuery(st, q)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rows, err := plan.EvalWithOptions(ExecOptions{Vectorized: VecOff})
-	if err != nil {
-		b.Fatal(err)
-	}
-	batchR, err := plan.EvalWithOptions(ExecOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if rows.Len() != batchR.Len() || !rows.EqualAsSet(batchR) {
-		b.Fatalf("row/batch disagree: %d vs %d rows", rows.Len(), batchR.Len())
-	}
-	for _, mode := range []struct {
-		name string
-		opts ExecOptions
-	}{{"rows", ExecOptions{Vectorized: VecOff}}, {"batch", ExecOptions{}}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := plan.EvalWithOptions(mode.opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkVecFullScan: the serial full scan — pure cursor decode + bind,
-// where batched decode amortizes the most per-row overhead.
-func BenchmarkVecFullScan(b *testing.B) {
-	st, p := benchData(b)
-	benchRowVsBatch(b, st, p.MustParseQuery("q(X, P, Y) :- t(X, P, Y)"))
-}
-
-// BenchmarkVecChain4: the planner-benchmark chain of four atoms (sort-merge
-// plan: scan → merge → sort → merge → sort → merge), batch protocol across
-// every operator kind.
-func BenchmarkVecChain4(b *testing.B) {
-	st, q := benchPlannerChain(b)
-	benchRowVsBatch(b, st, q)
-}
-
-// BenchmarkVecSkewedHashJoin: a value join over hub-skewed data (500 edges
-// per side over 20 shared hubs, ~12k output rows). The extra p2 atom keeps
-// the pipeline sorted on X, so the planner hash-joins the final skewed atom:
-// long collision chains make the batched probe and chain emission the
-// dominant cost.
-func BenchmarkVecSkewedHashJoin(b *testing.B) {
-	st := store.New()
-	d := st.Dict()
-	p0, p1, p2 := d.EncodeIRI("p0"), d.EncodeIRI("p1"), d.EncodeIRI("p2")
-	hub := func(i int) dict.ID { return d.EncodeIRI(fmt.Sprintf("hub%d", i)) }
-	for i := 0; i < 500; i++ {
-		a := d.EncodeIRI(fmt.Sprintf("a%d", i))
-		st.Add(store.Triple{a, p0, hub(i % 20)})
-		st.Add(store.Triple{d.EncodeIRI(fmt.Sprintf("b%d", i)), p1, hub(i % 20)})
-		st.Add(store.Triple{a, p2, d.EncodeIRI(fmt.Sprintf("c%d", i))})
-	}
-	st.Count(store.Pattern{})
-	q := cq.NewParser(d).MustParseQuery("q(X, Z, D) :- t(X, p0, Y), t(X, p2, D), t(Z, p1, Y)")
-	benchRowVsBatch(b, st, q)
-}
-
-// BenchmarkVecShardFullScan: the 4-shard full scan whose row-mode exchange
-// overhead BENCH_shards.json recorded at 26%; row mode now forwards recycled
-// row slabs, batch mode forwards column batches.
-func BenchmarkVecShardFullScan(b *testing.B) {
-	oldMin := parallelScanMinRows
-	parallelScanMinRows = 0
-	defer func() { parallelScanMinRows = oldMin }()
-	st, p := benchShardedData(b, 4)
-	benchRowVsBatch(b, st, p.MustParseQuery("q(X, P, Y) :- t(X, P, Y)"))
-}
-
-// BenchmarkVecRewriteUnion: the rewriting executor's 4-branch union of hash
-// joins over view extents, row oracle vs batch protocol, serial.
-func BenchmarkVecRewriteUnion(b *testing.B) {
-	views, union := rewriteBenchFixture(b)
-	resolve := MapResolver(views)
-	rows, err := ExecuteWithOptions(union, resolve, ExecOptions{Vectorized: VecOff})
-	if err != nil {
-		b.Fatal(err)
-	}
-	batchR, err := ExecuteWithOptions(union, resolve, ExecOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if rows.Len() != batchR.Len() || !rows.EqualAsSet(batchR) {
-		b.Fatalf("row/batch disagree: %d vs %d rows", rows.Len(), batchR.Len())
-	}
-	for _, mode := range []struct {
-		name string
-		opts ExecOptions
-	}{{"rows", ExecOptions{Vectorized: VecOff}}, {"batch", ExecOptions{}}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := ExecuteWithOptions(union, resolve, mode.opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkMulticoreScaling is the env-gated multicore target: it re-records
-// the DOP/shard scaling numbers that single-core containers cannot measure
-// (BENCH_shards.json and BENCH_rewrite.json both carry 1-core caveats). It
-// skips unless GOMAXPROCS > 1 — run it on a multicore host with e.g.
+// BenchmarkMulticoreScaling is the env-gated multicore target: it measures
+// the DOP/shard scaling that single-core containers cannot. It skips unless
+// GOMAXPROCS > 1 — run it on a multicore host with e.g.
 // GOMAXPROCS=4 go test ./internal/engine/ -bench MulticoreScaling.
 func BenchmarkMulticoreScaling(b *testing.B) {
 	if runtime.GOMAXPROCS(0) < 2 {

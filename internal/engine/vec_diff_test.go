@@ -8,13 +8,14 @@ import (
 	"rdfviews/internal/algebra"
 	"rdfviews/internal/cq"
 	"rdfviews/internal/datagen"
+	"rdfviews/internal/dict"
 	"rdfviews/internal/store"
 )
 
-// Row-vs-batch differentials: the vectorized executors must reproduce the
-// row-at-a-time oracle's exact row multiset on every shape, store layout and
-// DOP. The oracle is selected with ExecOptions{Vectorized: VecOff}; the
-// default is the batch protocol.
+// Executor-vs-reference differentials: the batch operators must reproduce
+// their reference's exact row multiset on every shape, store layout and DOP.
+// Store-side plans are checked against evalQueryINL (inl.go), rewriting plans
+// against refExecute (ref_test.go); neither shares code with the operators.
 
 // diffStores builds the flat, 4-shard and 4×4 dual-partitioned variants of
 // the standard 20k-triple dataset, with a few self-loop edges added so the
@@ -38,13 +39,35 @@ func diffStores(t *testing.T) (flat, sharded, dual *store.Store) {
 	return flat, sharded, dual
 }
 
-// TestVectorizedEvalMatchesRows is the store-side matrix: nine query shapes
-// (scans, chains, stars, a five-atom mix, a value join, a self-loop) over the
-// flat, 4-shard and 4×4 dual-partitioned stores, vectorized vs row oracle,
-// multiset-exact. The parallel-scan threshold is dropped so the sharded runs
-// exercise the exchange and ordered-gather operators in both protocols, over
-// both partition sides on the dual layout.
-func TestVectorizedEvalMatchesRows(t *testing.T) {
+// skewedHashJoinFixture is a value join over hub-skewed data (500 edges per
+// side over 20 shared hubs, ~12k output rows). The extra p2 atom keeps the
+// pipeline sorted on X, so the planner hash-joins the final skewed atom: long
+// collision chains exercise the batched probe and chain emission across
+// output batches.
+func skewedHashJoinFixture() (*store.Store, *cq.Query) {
+	st := store.New()
+	d := st.Dict()
+	p0, p1, p2 := d.EncodeIRI("p0"), d.EncodeIRI("p1"), d.EncodeIRI("p2")
+	hub := func(i int) dict.ID { return d.EncodeIRI(fmt.Sprintf("hub%d", i)) }
+	for i := 0; i < 500; i++ {
+		a := d.EncodeIRI(fmt.Sprintf("a%d", i))
+		st.Add(store.Triple{a, p0, hub(i % 20)})
+		st.Add(store.Triple{d.EncodeIRI(fmt.Sprintf("b%d", i)), p1, hub(i % 20)})
+		st.Add(store.Triple{a, p2, d.EncodeIRI(fmt.Sprintf("c%d", i))})
+	}
+	st.Count(store.Pattern{})
+	return st, cq.NewParser(d).MustParseQuery("q(X, Z, D) :- t(X, p0, Y), t(X, p2, D), t(Z, p1, Y)")
+}
+
+// TestBatchEvalMatchesINL is the store-side matrix: nine query shapes (scans,
+// chains, stars, a five-atom mix, a value join, a self-loop) over the flat,
+// 4-shard and 4×4 dual-partitioned stores plus the flat and 4-shard benchmark
+// datasets, pipeline vs INL oracle, multiset-exact. The parallel-scan
+// threshold is dropped so the sharded runs exercise the exchange and
+// ordered-gather operators, over both partition sides on the dual layout. The
+// planner-chain and skewed-hash-join fixtures add the sort-break and
+// long-collision-chain shapes.
+func TestBatchEvalMatchesINL(t *testing.T) {
 	oldMin := parallelScanMinRows
 	parallelScanMinRows = 0
 	defer func() { parallelScanMinRows = oldMin }()
@@ -60,36 +83,45 @@ func TestVectorizedEvalMatchesRows(t *testing.T) {
 		"valuejoin":  benchQueries["ValueJoin"],
 		"self-loop":  "q(X) :- t(X, " + datagen.PropName(0) + ", X)",
 	}
+	check := func(label string, st *store.Store, q *cq.Query) *Relation {
+		t.Helper()
+		want, err := evalQueryINL(st, q)
+		if err != nil {
+			t.Fatalf("%s: INL oracle: %v", label, err)
+		}
+		got, err := EvalQuery(st, q)
+		if err != nil {
+			t.Fatalf("%s: pipeline: %v", label, err)
+		}
+		sameRows(t, label, want, got)
+		return got
+	}
 	flat, sharded, dual := diffStores(t)
-	for layout, st := range map[string]*store.Store{"flat": flat, "4-shard": sharded, "4x4-dual": dual} {
+	benchFlat, _ := benchShardedData(t, 1)
+	bench4, _ := benchShardedData(t, 4)
+	for layout, st := range map[string]*store.Store{"flat": flat, "4-shard": sharded, "4x4-dual": dual,
+		"bench-flat": benchFlat, "bench-4-shard": bench4} {
 		p := cq.NewParser(st.Dict())
 		for name, src := range shapes {
 			q := p.MustParseQuery(src)
 			p.ResetNames()
-			plan, err := PlanQuery(st, q)
-			if err != nil {
-				t.Fatalf("%s/%s: plan: %v", layout, name, err)
-			}
-			rows, err := plan.EvalWithOptions(ExecOptions{Vectorized: VecOff})
-			if err != nil {
-				t.Fatalf("%s/%s: row oracle: %v", layout, name, err)
-			}
-			vec, err := plan.EvalWithOptions(ExecOptions{})
-			if err != nil {
-				t.Fatalf("%s/%s: vectorized: %v", layout, name, err)
-			}
-			if name == "self-loop" && rows.Len() == 0 {
+			got := check(layout+"/"+name, st, q)
+			if name == "self-loop" && st == flat && got.Len() == 0 {
 				t.Fatalf("%s/self-loop: fixture lost its self edges", layout)
 			}
-			sameRows(t, layout+"/"+name, rows, vec)
 		}
 	}
+	st, q := benchPlannerChain(t)
+	check("planner-chain4", st, q)
+	st, q = skewedHashJoinFixture()
+	check("skewed-hash-join", st, q)
 }
 
-// TestVectorizedExecuteMatchesRows is the rewriting-executor matrix: the same
-// nine plan shapes as the serial-vs-parallel differential, run row-vs-batch
-// at DOP 1, 2 and 4, multiset-exact.
-func TestVectorizedExecuteMatchesRows(t *testing.T) {
+// TestBatchExecuteMatchesRef is the rewriting-executor matrix: the same nine
+// plan shapes as the serial-vs-parallel differential plus the benchmark
+// fixtures' union of joins and skewed build-side join, run against the
+// reference interpreter at DOP 1, 2 and 4, multiset-exact.
+func TestBatchExecuteMatchesRef(t *testing.T) {
 	forceParallelRewrite(t)
 	rng := rand.New(rand.NewSource(19))
 	x1, x2, x3, x4 := cq.Var(1), cq.Var(2), cq.Var(3), cq.Var(4)
@@ -116,26 +148,30 @@ func TestVectorizedExecuteMatchesRows(t *testing.T) {
 		"union-of-join": algebra.NewUnion(algebra.NewJoin(s1(), s2()), algebra.NewJoin(s3(), s2()), algebra.NewJoin(s1(), s2())),
 		"project-union": algebra.NewProject(algebra.NewUnion(algebra.NewJoin(s1(), s2()), algebra.NewJoin(s3(), s2())), []cq.Term{x1, x3}),
 	}
-	for name, plan := range plans {
+	check := func(name string, plan algebra.Plan, views map[algebra.ViewID]*Relation) {
+		t.Helper()
+		want := refExecute(t, plan, views)
 		for _, dop := range []int{1, 2, 4} {
-			label := fmt.Sprintf("%s dop=%d", name, dop)
-			rows, err := ExecuteWithOptions(plan, MapResolver(views), ExecOptions{DOP: dop, Vectorized: VecOff})
+			got, err := ExecuteWithOptions(plan, MapResolver(views), ExecOptions{DOP: dop})
 			if err != nil {
-				t.Fatalf("%s: row oracle: %v", label, err)
+				t.Fatalf("%s dop=%d: %v", name, dop, err)
 			}
-			vec, err := ExecuteWithOptions(plan, MapResolver(views), ExecOptions{DOP: dop})
-			if err != nil {
-				t.Fatalf("%s: vectorized: %v", label, err)
-			}
-			sameRows(t, label, rows, vec)
+			sameRows(t, fmt.Sprintf("%s dop=%d", name, dop), want, got)
 		}
 	}
+	for name, plan := range plans {
+		check(name, plan, views)
+	}
+	benchViews, union := rewriteBenchFixture(t)
+	check("bench-union", union, benchViews)
+	sviews, join := buildSideFixture(benchViews)
+	check("bench-build-side", join, sviews)
 }
 
-// TestVectorizedAbandonedPipeline closes partially drained vectorized
-// pipelines — serial and parallel, both executors — and checks every worker
-// is released (the race detector and goroutine scheduler catch leaks).
-func TestVectorizedAbandonedPipeline(t *testing.T) {
+// TestBatchAbandonedPipeline closes partially drained pipelines — serial and
+// parallel, both executors — and checks every worker is released (the race
+// detector and goroutine scheduler catch leaks).
+func TestBatchAbandonedPipeline(t *testing.T) {
 	forceParallelRewrite(t)
 	rng := rand.New(rand.NewSource(23))
 	x1, x2, x3 := cq.Var(1), cq.Var(2), cq.Var(3)
@@ -157,7 +193,7 @@ func TestVectorizedAbandonedPipeline(t *testing.T) {
 	closeVop(root)
 	closeVop(root) // closing twice is safe
 
-	// Store-side: abandon a sharded vectorized scan mid-stream.
+	// Store-side: abandon a sharded scan mid-stream.
 	oldMin := parallelScanMinRows
 	parallelScanMinRows = 0
 	defer func() { parallelScanMinRows = oldMin }()

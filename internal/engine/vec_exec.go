@@ -9,16 +9,14 @@ import (
 	"rdfviews/internal/dict"
 )
 
-// Vectorized rewriting executor: the batch-protocol counterparts of the rel
-// operators in exec.go, sharing the batch/selection-vector machinery of
-// batch.go with the store-side engine. Columns are indexed by position in the
-// operator's cols() labeling (not by register slot), so a batch's width is
-// the operator's arity. View-extent scans transpose row-major extents into
-// column batches; filters narrow selection vectors in place without moving
-// data; hash joins hash whole key columns and fetch chain heads with one
-// getBatch call per probe batch. ExecuteWithOptions runs this pipeline by
-// default and keeps the row operators behind ExecOptions.Vectorized = VecOff
-// as the differential oracle.
+// The rewriting executor: relational batch operators over materialized view
+// extents, sharing the batch/selection-vector machinery of batch.go with the
+// store-side engine. Columns are indexed by position in the operator's cols()
+// labeling (not by register slot), so a batch's width is the operator's
+// arity. View-extent scans transpose row-major extents into column batches;
+// filters narrow selection vectors in place without moving data; hash joins
+// hash whole key columns and fetch chain heads with one getBatch call per
+// probe batch. ExecuteWithOptions and ExecuteStream (stream.go) drain it.
 
 // vrop is a pull-based relational operator yielding column batches. Returned
 // batches always have at least one live row and are valid until the next
@@ -48,46 +46,12 @@ type vecSink interface {
 	drainInto(out *Relation)
 }
 
-// executeVec compiles and drains the vectorized rewriting pipeline; output
-// rows are arena-gathered from the root's batches, or appended directly when
-// the root operator offers the sink fast path.
-func executeVec(p algebra.Plan, resolve ViewResolver, opts ExecOptions) (*Relation, error) {
-	root, _, err := compileVecRel(p, resolve, opts)
-	if err != nil {
-		return nil, err
-	}
-	defer closeVop(root) // release parallel workers on every exit path
-	out := NewRelation(root.cols())
-	if s, ok := root.(vecSink); ok {
-		s.drainInto(out)
-		if err := opts.ctxErr(); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	w := len(root.cols())
-	var arena rowArena
-	for {
-		b, ok := root.nextBatch()
-		if !ok {
-			break
-		}
-		for _, i := range b.liveSel() {
-			row := arena.alloc(w)
-			for c := 0; c < w; c++ {
-				row[c] = b.cols[c][i]
-			}
-			out.Rows = append(out.Rows, row)
-		}
-	}
-	if err := opts.ctxErr(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// compileVecRel mirrors compileRel: same estimates, same build-side and
-// parallelism choices, vectorized operators.
+// compileVecRel compiles a plan node to its batch operator and the node's
+// estimated output cardinality. Leaf estimates are exact (the resolved
+// extents' row counts); inner estimates use the same containment-style
+// arithmetic the store planner uses. The estimates drive the hash joins'
+// cost-chosen build sides, the dedup size hints and the parallel-operator
+// thresholds.
 func compileVecRel(p algebra.Plan, resolve ViewResolver, opts ExecOptions) (vrop, float64, error) {
 	switch n := p.(type) {
 	case *algebra.Scan:
@@ -117,12 +81,13 @@ func compileVecRel(p algebra.Plan, resolve ViewResolver, opts ExecOptions) (vrop
 		if err != nil {
 			return nil, 0, err
 		}
-		// Mirror compileRel: a large filter over a splittable extent feeds the
-		// deduplicating projection through an exchange.
+		// A filter over a large splittable extent feeds the deduplicating
+		// projection through an exchange: the predicate work fans out over
+		// DOP workers while the dedup stays at the (serial) consumer.
 		if opts.DOP > 1 && est >= parallelRewriteMinRows {
 			if f, ok := in.(*vecFilterOp); ok {
 				if parts := splitVecRel(f, opts.DOP); parts != nil {
-					in = newVecRelExchange(f.cols(), parts, opts.DOP)
+					in = newVecRelExchange(f.cols(), parts, opts.DOP, opts.intr)
 				}
 			}
 		}
@@ -149,7 +114,7 @@ func compileVecRel(p algebra.Plan, resolve ViewResolver, opts ExecOptions) (vrop
 		for i, k := range shape.keys {
 			lIdx[i], rIdx[i] = k.li, k.ri
 		}
-		buildLeft := enableRewriteBuildSide && cost.HashJoinBuildLeft(lest, rest)
+		buildLeft := cost.HashJoinBuildLeft(lest, rest)
 		est := joinOutEst(lest, rest, len(shape.keys))
 		if opts.DOP > 1 && lest+rest >= parallelRewriteMinRows {
 			return newVecParallelHashJoin(left, right, shape, lIdx, rIdx, buildLeft, opts.DOP, opts.intr), est, nil
@@ -176,7 +141,7 @@ func compileVecRel(p algebra.Plan, resolve ViewResolver, opts ExecOptions) (vrop
 		}
 		hint := distinctSizeHint(sum)
 		if opts.DOP > 1 && len(branches) > 1 && sum >= parallelRewriteMinRows {
-			return newVecParallelUnion(branches, hint, opts.DOP), sum, nil
+			return newVecParallelUnion(branches, hint, opts.DOP, opts.intr), sum, nil
 		}
 		return &vecUnionOp{branches: branches, seen: newRowSet(hint)}, sum, nil
 	default:

@@ -6,12 +6,28 @@ import (
 	"rdfviews/internal/cq"
 )
 
-// Parallel vectorized rewriting execution: the batch-protocol counterparts of
-// exec_parallel.go's operators. Workers exchange pooled column batches — one
-// channel send per up-to-BatchSize rows instead of per 256-row slab of
-// arena-copied rows — and the consumer recycles each batch into the pool as
-// it advances, so steady-state parallel rewriting allocates nothing per
-// batch.
+// Parallel rewriting execution over view extents: the answering-tier
+// counterpart of the store-side exchange operators in vec_parallel.go. Three
+// shapes exist, all selected by ExecOptions.DOP at compile time and all
+// producing exactly the serial operators' row sets:
+//
+//   - newVecRelExchange fans a set of independent substreams (range-split
+//     view-extent scans, filters over them, or whole union branches) out over
+//     worker goroutines that drain them into dense pooled batches on one
+//     shared channel (the vecExchangeOp the sharded scans use);
+//   - vecParallelUnionOp evaluates union branches concurrently through such an
+//     exchange and deduplicates at the consumer against one shared rowSet
+//     sized from the branches' resolved cardinalities;
+//   - vecParallelHashJoinRelOp partitions its build extent by key hash into
+//     DOP partitions whose hash tables are built concurrently, then fans the
+//     probe stream out over worker goroutines (independent range substreams
+//     when the probe side splits, a single drainer otherwise) that probe the
+//     read-only partitions and emit joined rows as pooled batches.
+//
+// The consumer recycles each batch into the pool as it advances, so
+// steady-state parallel rewriting allocates nothing per batch. Workers run to
+// completion when the plan is drained; close() (deferred by the drains)
+// releases them early if the pipeline is abandoned.
 
 // drainVecRelTo streams one operator's live rows into out as dense pooled
 // batches, stopping early when done closes; it reports whether the source was
@@ -63,102 +79,36 @@ func drainVecRelTo(src vrop, w int, pool *batchPool, out chan<- *batch, done <-c
 	return true
 }
 
-// vecRelExchangeOp drains independent source streams on up to workers worker
-// goroutines, all feeding one channel of pooled batches; batches surface in
-// whatever order workers produce them and return to the pool as the consumer
-// advances.
-type vecRelExchangeOp struct {
-	labels  []cq.Term
-	sources []vrop
-	workers int
-
-	started bool
-	closed  bool
-	done    chan struct{}
-	ch      chan *batch
-	pool    *batchPool
-	cur     *batch // the batch currently on loan to the consumer
-}
-
-func newVecRelExchange(cols []cq.Term, sources []vrop, workers int) *vecRelExchangeOp {
+// newVecRelExchange drains independent source streams on up to workers
+// goroutines, each taking the next undrained source until none is left.
+func newVecRelExchange(cols []cq.Term, sources []vrop, workers int, intr *interrupt) *vecExchangeOp {
 	if workers > len(sources) {
 		workers = len(sources)
 	}
 	if workers < 1 {
 		workers = 1
 	}
-	return &vecRelExchangeOp{labels: cols, sources: sources, workers: workers}
-}
-
-func (e *vecRelExchangeOp) cols() []cq.Term { return e.labels }
-
-func (e *vecRelExchangeOp) start() {
-	e.done = make(chan struct{})
-	e.ch = make(chan *batch, e.workers)
-	e.pool = newBatchPool(len(e.labels))
-	idx := make(chan int, len(e.sources))
-	for i := range e.sources {
+	e := &vecExchangeOp{labels: cols, width: len(cols), workers: workers, sources: sources, intr: intr}
+	idx := make(chan int, len(sources))
+	for i := range sources {
 		idx <- i
 	}
 	close(idx)
-	var wg sync.WaitGroup
-	for w := 0; w < e.workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if !drainVecRelTo(e.sources[i], len(e.labels), e.pool, e.ch, e.done) {
-					return
-				}
+	e.produce = func(int) {
+		for i := range idx {
+			if !drainVecRelTo(sources[i], e.width, e.pool, e.ch, e.done) {
+				return
 			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(e.ch)
-	}()
-	e.started = true
-}
-
-func (e *vecRelExchangeOp) nextBatch() (*batch, bool) {
-	if !e.started {
-		e.start()
-	}
-	if e.cur != nil {
-		e.pool.put(e.cur)
-		e.cur = nil
-	}
-	b, ok := <-e.ch
-	if !ok {
-		return nil, false
-	}
-	e.cur = b
-	return b, true
-}
-
-func (e *vecRelExchangeOp) close() {
-	if e.started && !e.closed {
-		close(e.done)
-		for b := range e.ch { // unblock any worker parked on send
-			b.release()
 		}
-		if e.cur != nil {
-			e.cur.release()
-			e.cur = nil
-		}
-		e.pool.releaseAll()
 	}
-	e.closed = true
-	for _, s := range e.sources {
-		closeVop(s)
-	}
+	return e
 }
 
 // vecParallelUnionOp evaluates union branches concurrently (up to DOP at a
 // time) through a vectorized exchange and deduplicates at the consumer into
 // dense owned output batches.
 type vecParallelUnionOp struct {
-	ex      *vecRelExchangeOp
+	ex      *vecExchangeOp
 	seen    *rowSet
 	scratch Row
 
@@ -168,9 +118,9 @@ type vecParallelUnionOp struct {
 	out *batch
 }
 
-func newVecParallelUnion(branches []vrop, sizeHint, dop int) *vecParallelUnionOp {
+func newVecParallelUnion(branches []vrop, sizeHint, dop int, intr *interrupt) *vecParallelUnionOp {
 	return &vecParallelUnionOp{
-		ex:   newVecRelExchange(branches[0].cols(), branches, dop),
+		ex:   newVecRelExchange(branches[0].cols(), branches, dop, intr),
 		seen: newRowSet(sizeHint),
 	}
 }
@@ -251,6 +201,16 @@ func (u *vecParallelUnionOp) nextBatch() (*batch, bool) {
 			}
 		}
 	}
+}
+
+// joinPartition is one key-hash partition of a parallel hash join's build
+// side: the same idTable + chain scheme vecHashJoinRelOp uses, immutable once
+// built, so probe workers read it without locks.
+type joinPartition struct {
+	table  *idTable
+	rows   []Row
+	hashes []uint64
+	chains []int32
 }
 
 // vecParallelHashJoinRelOp is the partitioned parallel hash join over batch

@@ -3,17 +3,32 @@ package engine
 import (
 	"sync"
 
+	"rdfviews/internal/cq"
 	"rdfviews/internal/dict"
 	"rdfviews/internal/store"
 )
 
-// Vectorized exchange operators: the batch-protocol counterparts of
-// exchangeOp and gatherMergeOp in parallel.go. Shard workers decode and bind
-// whole column batches and hand each one over the channel in a single send —
-// one handoff per BatchSize rows instead of per 256-row slab — and the
-// batches themselves are leased from a shared batchPool, recycled by the
+// Exchange operators: when the store is sharded, the planner replaces the
+// driving index scan of a pipeline with a fan-out that opens one shard-local
+// cursor per partition on its own goroutine. Shard workers decode and bind
+// whole column batches and hand each one over a channel in a single send, and
+// the batches themselves are leased from a shared batchPool, recycled by the
 // consumer as it advances, so steady-state parallel scans allocate nothing
 // per batch.
+//
+// Two gather shapes exist, mirroring classic exchange operators:
+//
+//   - vecExchangeOp collects batches from all workers over one channel in
+//     arrival order — used when nothing downstream depends on the scan's
+//     sort order (hash joins, plain projection). The rewriting executor fans
+//     out through the same operator (newVecRelExchange, vec_exec_parallel.go);
+//   - vecGatherMergeOp keeps one channel per worker and merges their streams
+//     on the pipeline's sort slot. Each shard cursor emits in permutation
+//     order, so the merge restores the global order a downstream merge join
+//     requires.
+//
+// Workers run to completion when the pipeline is drained; close() (called by
+// the drains on exit) releases them early if the pipeline is abandoned.
 
 // vecScanShard streams one routed shard's matching triples as pooled column
 // batches: worker k of a fan-out opens the route's k-th shard. It returns
@@ -49,17 +64,22 @@ func vecScanShard(st store.Reader, route store.Route, k int, spec *atomSpec, poo
 	}
 }
 
-// vecExchangeOp is the unordered parallel scan over batches: dop workers, one
-// per shard, all feeding a single channel; batches surface in whatever order
-// shards produce them and are returned to the pool when the consumer
-// advances.
+// vecExchangeOp is the unordered fan-in of both executors: workers goroutines
+// each run produce, all feeding a single channel of pooled batches; batches
+// surface in whatever order the workers produce them (output order is
+// immaterial under set semantics) and return to the pool when the consumer
+// advances. Store-side the producers are shard scans (newShardExchange); in a
+// rewriting pipeline they drain independent source operators
+// (newVecRelExchange) and the exchange is itself a vrop labeled like them.
 type vecExchangeOp struct {
-	st    store.Reader
-	spec  *atomSpec
-	width int
-	route store.Route // placement route the workers fan out over
-	dop   int
-	intr  *interrupt
+	labels  []cq.Term // rewriting pipelines only: the sources' column labels
+	width   int
+	workers int
+	// produce is the body of worker k: it sends non-empty pool batches on ch
+	// until its share of the input is drained, done closes or intr fires.
+	produce func(k int)
+	sources []vrop // rewriting pipelines only: closed with the exchange
+	intr    *interrupt
 
 	started bool
 	closed  bool
@@ -69,17 +89,27 @@ type vecExchangeOp struct {
 	cur     *batch // the batch currently on loan to the consumer
 }
 
+// newShardExchange is the unordered parallel scan: one worker per shard of
+// the placement route.
+func newShardExchange(st store.Reader, route store.Route, spec *atomSpec, width, dop int, intr *interrupt) *vecExchangeOp {
+	e := &vecExchangeOp{width: width, workers: dop, intr: intr}
+	e.produce = func(k int) { vecScanShard(st, route, k, spec, e.pool, e.ch, e.done, intr) }
+	return e
+}
+
+func (e *vecExchangeOp) cols() []cq.Term { return e.labels }
+
 func (e *vecExchangeOp) start() {
 	e.done = make(chan struct{})
-	e.ch = make(chan *batch, e.dop)
+	e.ch = make(chan *batch, e.workers)
 	e.pool = newBatchPool(e.width)
 	var wg sync.WaitGroup
-	for s := 0; s < e.dop; s++ {
+	for k := 0; k < e.workers; k++ {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			vecScanShard(e.st, e.route, k, e.spec, e.pool, e.ch, e.done, e.intr)
-		}(s)
+			e.produce(k)
+		}(k)
 	}
 	go func() {
 		wg.Wait()
@@ -110,19 +140,21 @@ func (e *vecExchangeOp) nextBatch() (*batch, bool) {
 }
 
 func (e *vecExchangeOp) close() {
-	if !e.started || e.closed {
-		return
+	if e.started && !e.closed {
+		close(e.done)
+		for b := range e.ch { // unblock any worker parked on send
+			b.release()
+		}
+		if e.cur != nil {
+			e.cur.release()
+			e.cur = nil
+		}
+		e.pool.releaseAll()
 	}
 	e.closed = true
-	close(e.done)
-	for b := range e.ch { // unblock any worker parked on send
-		b.release()
+	for _, s := range e.sources {
+		closeVop(s)
 	}
-	if e.cur != nil {
-		e.cur.release()
-		e.cur = nil
-	}
-	e.pool.releaseAll()
 }
 
 // vecShardStream is one worker's batch stream with its merge position.

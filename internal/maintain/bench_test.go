@@ -7,7 +7,7 @@ package maintain
 // queue occupancy the writer pays microseconds, and at saturation
 // (backpressure) it converges to the refresher's amortized per-delta batch
 // cost. The "drained" variants include a final Flush, measuring steady-state
-// end-to-end throughput. Numbers are recorded in BENCH_maintain.json.
+// end-to-end throughput.
 
 import (
 	"fmt"

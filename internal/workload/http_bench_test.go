@@ -1,10 +1,9 @@
 package workload_test
 
-// HTTP serving-tier benchmarks, recorded in BENCH_http.json: the per-request
-// cost of the network path (HTTP parse + admission + stream encode) over the
-// warm plan cache, and the load generator's latency quantiles under closed-
-// and open-loop traffic. The library-surface costs these stack on are in
-// serve_bench_test.go / BENCH_serve.json.
+// HTTP serving-tier benchmarks: the per-request cost of the network path (HTTP
+// parse + admission + stream encode) over the warm plan cache, and the load
+// generator's latency quantiles under closed- and open-loop traffic. The
+// library-surface costs these stack on are in serve_bench_test.go.
 
 import (
 	"context"

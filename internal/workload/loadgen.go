@@ -3,7 +3,7 @@ package workload
 // Concurrent network load generator for the HTTP serving tier
 // (internal/server): drives a SPARQL endpoint with open- or closed-loop
 // client traffic and reports shed rates and latency quantiles. The harness
-// behind BENCH_http.json and the admission-control acceptance test — a
+// behind the HTTP benchmarks and the admission-control acceptance test — a
 // closed loop at 2x capacity must keep admitted latencies near the
 // uncontended baseline because excess demand sheds at the door instead of
 // queueing behind execution.

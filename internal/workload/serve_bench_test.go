@@ -1,7 +1,7 @@
 package workload_test
 
-// Serving-path benchmarks for the plan cache (rdfviews/serve.go), recorded
-// in BENCH_serve.json. The deployment is reformulation-heavy on purpose — a
+// Serving-path benchmarks for the plan cache (rdfviews/serve.go). The
+// deployment is reformulation-heavy on purpose — a
 // subclass chain makes every type query expand to dozens of union members —
 // so the numbers isolate what the cache amortizes: reformulate + plan
 // compile per call (cold / cache-off) versus bind + execute (warm).
