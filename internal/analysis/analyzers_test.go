@@ -16,7 +16,7 @@ func TestCtxflowClean(t *testing.T) { runFixture(t, Ctxflow, "ctx/clean") }
 
 // TestRepoClean is the in-repo form of the CI lint gate: the whole module
 // must hold every invariant the suite encodes. Seeding a violation (for
-// example deleting a checkpoint call in internal/engine/vec.go) makes this
+// example deleting a checkpoint call in internal/engine/pipeline.go) makes this
 // test — and the vettool run in CI — fail.
 func TestRepoClean(t *testing.T) {
 	if testing.Short() {

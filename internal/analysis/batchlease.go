@@ -337,7 +337,7 @@ func checkLocalLeases(pass *Pass, body *ast.BlockStmt) {
 
 // isOperatorField reports whether the field type (possibly slice of) is a
 // named interface whose method set includes nextBatch — the engine's
-// operator interfaces (vop, vrop).
+// operator interface.
 func isOperatorField(pass *Pass, typ ast.Expr) bool {
 	t := pass.TypesInfo.Types[typ].Type
 	if t == nil {

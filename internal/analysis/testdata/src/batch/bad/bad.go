@@ -33,7 +33,7 @@ func (p *batchPool) put(b *batch) {
 	p.free = append(p.free, b)
 }
 
-type vop interface {
+type operator interface {
 	nextBatch() (*batch, bool)
 	close()
 }
@@ -68,11 +68,11 @@ func leak(p *batchPool) int {
 // orphanParent closes its own batch but never closes its child, so the
 // child's batches leak.
 type orphanParent struct {
-	in  vop // want `orphanParent\.close does not propagate to operator field in`
+	in  operator // want `orphanParent\.close does not propagate to operator field in`
 	out *batch
 }
 
-func newOrphan(in vop) *orphanParent {
+func newOrphan(in operator) *orphanParent {
 	return &orphanParent{in: in, out: newBatch(1)}
 }
 

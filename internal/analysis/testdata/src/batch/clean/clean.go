@@ -32,7 +32,7 @@ func (p *batchPool) put(b *batch) {
 	p.free = append(p.free, b)
 }
 
-type vop interface {
+type operator interface {
 	nextBatch() (*batch, bool)
 	close()
 }
@@ -52,12 +52,12 @@ func (s *scanOp) close() { s.out.release() }
 // close to the child. The borrowed cur is the child's to release; projOp's
 // close correctly leaves it alone.
 type projOp struct {
-	in  vop
+	in  operator
 	cur *batch
 	out *batch
 }
 
-func newProj(in vop) *projOp { return &projOp{in: in, out: newBatch(2)} }
+func newProj(in operator) *projOp { return &projOp{in: in, out: newBatch(2)} }
 
 func (p *projOp) nextBatch() (*batch, bool) {
 	b, ok := p.in.nextBatch()

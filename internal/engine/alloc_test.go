@@ -46,8 +46,8 @@ func TestVecScanSteadyStateZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := plan.buildVecOps(nil)
-	defer closeVop(root)
+	root := plan.buildPipeline(nil)
+	defer closeOp(root)
 	if _, ok := root.nextBatch(); !ok { // warm: allocates the owned batch
 		t.Fatal("empty scan")
 	}
@@ -76,8 +76,8 @@ func TestVecHashJoinSteadyStateZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := plan.buildVecOps(nil)
-	defer closeVop(root)
+	root := plan.buildPipeline(nil)
+	defer closeOp(root)
 	if _, ok := root.nextBatch(); !ok { // warm: builds the hash table
 		t.Fatal("empty join")
 	}
@@ -97,11 +97,11 @@ func TestVecRelScanSteadyStateZeroAlloc(t *testing.T) {
 		rel.Rows = append(rel.Rows, Row{dict.ID(i + 1), dict.ID(i%97 + 1)})
 	}
 	resolve := MapResolver(map[algebra.ViewID]*Relation{1: rel})
-	root, _, err := compileVecRel(algebra.NewScan(1, head), resolve, ExecOptions{})
+	root, _, err := compileRel(algebra.NewScan(1, head), resolve.extent, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer closeVop(root)
+	defer closeOp(root)
 	if _, ok := root.nextBatch(); !ok {
 		t.Fatal("empty extent")
 	}

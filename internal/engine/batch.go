@@ -6,18 +6,18 @@ import (
 	"rdfviews/internal/dict"
 )
 
-// Batch-at-a-time execution protocol. Instead of pulling one register row per
-// operator call, the operators (vec*.go) exchange fixed-capacity column
-// batches: up to BatchSize rows stored as one flat []dict.ID per
-// register slot, plus an optional selection vector of live row indexes.
-// Filters narrow the selection vector without moving data; producers
-// (scans, joins, sorts) emit dense batches with a nil selection.
+// Batch-at-a-time execution protocol. Instead of pulling one row per operator
+// call, the operators (pipeline.go, operators.go) exchange fixed-capacity
+// column batches: up to BatchSize rows stored as one flat []dict.ID per
+// column, plus an optional selection vector of live row indexes. Filters
+// narrow the selection vector without moving data; producers (scans, joins,
+// sorts) emit dense batches with a nil selection.
 //
 // Ownership: the batch an operator returns is valid only until its next
 // nextBatch call, so every serial operator reuses one owned output batch
-// (zero allocations per batch in steady state). Batches that cross goroutines — the exchange operators —
-// are leased from a shared batchPool instead and recycled by the consumer
-// once it advances past them.
+// (zero allocations per batch in steady state). Batches that cross goroutines
+// — the exchange operators — are leased from a shared batchPool instead and
+// recycled by the consumer once it advances past them.
 
 // BatchSize is the number of rows an operator processes per call.
 // 1024 rows keeps a full-width batch of a typical 4-variable pipeline at

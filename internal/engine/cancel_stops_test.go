@@ -127,25 +127,25 @@ func TestCancelStopsAccounting(t *testing.T) {
 		name string
 		run  func(t *testing.T) error
 	}{
-		// Store-side operators, driven through buildVecOps so the cancel lands
+		// Store-side operators, driven through buildPipeline so the cancel lands
 		// while the named operator is live.
 		{"vec/scan", func(t *testing.T) error {
-			return drainVecMidCancel(t, plan(t, false, fullScan, "IndexScan"))
+			return drainPipelineMidCancel(t, plan(t, false, fullScan, "IndexScan"))
 		}},
 		{"vec/merge-join", func(t *testing.T) error {
-			return drainVecMidCancel(t, plan(t, false, chain3, "MergeJoin"))
+			return drainPipelineMidCancel(t, plan(t, false, chain3, "MergeJoin"))
 		}},
 		{"vec/exchange", func(t *testing.T) error {
-			return drainVecMidCancel(t, plan(t, true, fullScan, "ParallelScan"))
+			return drainPipelineMidCancel(t, plan(t, true, fullScan, "ParallelScan"))
 		}},
 		{"vec/gather-merge", func(t *testing.T) error {
-			return drainVecMidCancel(t, plan(t, true, chain3, "ParallelScan", "merge=["))
+			return drainPipelineMidCancel(t, plan(t, true, chain3, "ParallelScan", "merge=["))
 		}},
 		{"vec/hash-join-build-left", func(t *testing.T) error {
-			return drainVecMidCancel(t, hashLeftPlan(t))
+			return drainPipelineMidCancel(t, hashLeftPlan(t))
 		}},
 		{"vec/hash-join-build-right-cross", func(t *testing.T) error {
-			return drainVecMidCancel(t, hashRightPlan(t))
+			return drainPipelineMidCancel(t, hashRightPlan(t))
 		}},
 
 		// Rewriting-tier stream operators over materialized views.
@@ -249,15 +249,15 @@ func requireExplain(t *testing.T, plan *QueryPlan, marks ...string) {
 	}
 }
 
-// drainVecMidCancel runs the store-side pipeline with a live interrupt, pulls
+// drainPipelineMidCancel runs the store-side pipeline with a live interrupt, pulls
 // one batch, cancels, and drains to termination, returning the context's
 // terminal error (what EvalWithOptions would surface).
-func drainVecMidCancel(t *testing.T, plan *QueryPlan) error {
+func drainPipelineMidCancel(t *testing.T, plan *QueryPlan) error {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	root := plan.buildVecOps(newInterrupt(ctx))
-	defer closeVop(root)
+	root := plan.buildPipeline(newInterrupt(ctx))
+	defer closeOp(root)
 	if _, ok := root.nextBatch(); !ok {
 		t.Fatal("pipeline yielded no batch before cancellation")
 	}

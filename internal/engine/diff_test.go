@@ -117,13 +117,13 @@ func TestBatchEvalMatchesINL(t *testing.T) {
 	check("skewed-hash-join", st, q)
 }
 
-// TestBatchExecuteMatchesRef is the rewriting-executor matrix: the same nine
-// plan shapes as the serial-vs-parallel differential plus the benchmark
-// fixtures' union of joins and skewed build-side join, run against the
-// reference interpreter at DOP 1, 2 and 4, multiset-exact.
-func TestBatchExecuteMatchesRef(t *testing.T) {
-	forceParallelRewrite(t)
-	rng := rand.New(rand.NewSource(19))
+// rewriteMatrix is the rewriting-executor fixture matrix: four random extents
+// (drawn from seed) and the nine plan shapes the executor distinguishes — joins
+// in both orientations, with an explicit condition, nested and over a filter;
+// a deduplicating projection over a filtered scan; unions of scans and of
+// joins, bare and projected.
+func rewriteMatrix(seed int64) (map[algebra.ViewID]*Relation, map[string]algebra.Plan) {
+	rng := rand.New(rand.NewSource(seed))
 	x1, x2, x3, x4 := cq.Var(1), cq.Var(2), cq.Var(3), cq.Var(4)
 	views := map[algebra.ViewID]*Relation{
 		1: randomExtent(rng, []cq.Term{x1, x2}, 900, 140),
@@ -135,9 +135,8 @@ func TestBatchExecuteMatchesRef(t *testing.T) {
 	s2 := func() *algebra.Scan { return algebra.NewScan(2, []cq.Term{x2, x3}) }
 	s3 := func() *algebra.Scan { return algebra.NewScan(3, []cq.Term{x1, x2}) }
 	s4 := func() *algebra.Scan { return algebra.NewScan(4, []cq.Term{x3, x4}) }
-	c := views[1].Rows[0][0]
-
-	plans := map[string]algebra.Plan{
+	c := views[1].Rows[0][0] // a constant that actually occurs
+	return views, map[string]algebra.Plan{
 		"join":          algebra.NewJoin(s1(), s2()),
 		"join-flipped":  algebra.NewJoin(s2(), s1()),
 		"join-cond":     algebra.NewJoin(s1(), algebra.NewScan(4, []cq.Term{x3, x4}), algebra.Cond{Left: x2, Right: x3}),
@@ -148,6 +147,15 @@ func TestBatchExecuteMatchesRef(t *testing.T) {
 		"union-of-join": algebra.NewUnion(algebra.NewJoin(s1(), s2()), algebra.NewJoin(s3(), s2()), algebra.NewJoin(s1(), s2())),
 		"project-union": algebra.NewProject(algebra.NewUnion(algebra.NewJoin(s1(), s2()), algebra.NewJoin(s3(), s2())), []cq.Term{x1, x3}),
 	}
+}
+
+// TestBatchExecuteMatchesRef is the rewriting-executor matrix: the same nine
+// plan shapes as the serial-vs-parallel differential plus the benchmark
+// fixtures' union of joins and skewed build-side join, run against the
+// reference interpreter at DOP 1, 2 and 4, multiset-exact.
+func TestBatchExecuteMatchesRef(t *testing.T) {
+	forceParallelRewrite(t)
+	views, plans := rewriteMatrix(19)
 	check := func(name string, plan algebra.Plan, views map[algebra.ViewID]*Relation) {
 		t.Helper()
 		want := refExecute(t, plan, views)
@@ -183,15 +191,15 @@ func TestBatchAbandonedPipeline(t *testing.T) {
 		algebra.NewJoin(algebra.NewScan(1, []cq.Term{x1, x2}), algebra.NewScan(2, []cq.Term{x2, x3})),
 		algebra.NewJoin(algebra.NewScan(1, []cq.Term{x1, x2}), algebra.NewScan(2, []cq.Term{x2, x3})),
 	)
-	root, _, err := compileVecRel(plan, MapResolver(views), ExecOptions{DOP: 4})
+	root, _, err := compileRel(plan, MapResolver(views).extent, ExecOptions{DOP: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := root.nextBatch(); !ok {
 		t.Fatal("no first batch")
 	}
-	closeVop(root)
-	closeVop(root) // closing twice is safe
+	closeOp(root)
+	closeOp(root) // closing twice is safe
 
 	// Store-side: abandon a sharded scan mid-stream.
 	oldMin := parallelScanMinRows
@@ -203,10 +211,10 @@ func TestBatchAbandonedPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vroot := qp.buildVecOps(nil)
+	vroot := qp.buildPipeline(nil)
 	if _, ok := vroot.nextBatch(); !ok {
 		t.Fatal("no first batch from sharded scan")
 	}
-	closeVop(vroot)
-	closeVop(vroot)
+	closeOp(vroot)
+	closeOp(vroot)
 }

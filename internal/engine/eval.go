@@ -8,10 +8,8 @@ import (
 )
 
 // EvalQuery evaluates a conjunctive query over the triple store by compiling
-// it to a physical plan (planner.go) and streaming the operator pipeline
-// (vec.go). Results are distinct head tuples — the same observable
-// contract as the recursive index-nested-loop evaluator this replaced (kept
-// in inl.go as a baseline).
+// it to a physical plan (planner.go) and draining the operator pipeline
+// (pipeline.go). Results are distinct head tuples.
 func EvalQuery(st store.Reader, q *cq.Query) (*Relation, error) {
 	p, err := PlanQuery(st, q)
 	if err != nil {
@@ -20,30 +18,33 @@ func EvalQuery(st store.Reader, q *cq.Query) (*Relation, error) {
 	return p.Eval()
 }
 
-// EvalUCQ evaluates a union of conjunctive queries with set semantics: the
+// streamUCQ streams a union of conjunctive queries with set semantics: the
 // distinct union of the members' answers, aligned positionally on the head.
-func EvalUCQ(st store.Reader, u *cq.UCQ) (*Relation, error) {
+func streamUCQ(st store.Reader, u *cq.UCQ) (*RowStream, error) {
 	if u.Len() == 0 {
 		return nil, fmt.Errorf("engine: empty union")
 	}
-	arity := len(u.Queries[0].Head)
-	out := NewRelation(u.Queries[0].Head)
-	seen := newRowSet(64)
-	for _, q := range u.Queries {
-		if len(q.Head) != arity {
-			return nil, fmt.Errorf("engine: union arity mismatch: %d vs %d", len(q.Head), arity)
-		}
-		r, err := EvalQuery(st, q)
+	streams := make([]*RowStream, len(u.Queries))
+	for i, q := range u.Queries {
+		p, err := PlanQuery(st, q)
 		if err != nil {
 			return nil, err
 		}
-		for _, row := range r.Rows {
-			if seen.add(row) {
-				out.Rows = append(out.Rows, row)
-			}
-		}
+		streams[i] = p.EvalStream(ExecOptions{})
 	}
-	return out, nil
+	if len(streams) == 1 {
+		return streams[0], nil // one member: already distinct
+	}
+	return UnionStreams(streams, 64)
+}
+
+// EvalUCQ evaluates a union of conjunctive queries with set semantics.
+func EvalUCQ(st store.Reader, u *cq.UCQ) (*Relation, error) {
+	rs, err := streamUCQ(st, u)
+	if err != nil {
+		return nil, err
+	}
+	return rs.Collect()
 }
 
 // CountQuery returns the number of distinct answers of q on the store.
@@ -57,11 +58,19 @@ func CountQuery(st store.Reader, q *cq.Query) (int, error) {
 
 // CountUCQ returns the number of distinct answers of the union on the store.
 func CountUCQ(st store.Reader, u *cq.UCQ) (int, error) {
-	r, err := EvalUCQ(st, u)
+	rs, err := streamUCQ(st, u)
 	if err != nil {
 		return 0, err
 	}
-	return r.Len(), nil
+	defer rs.Close()
+	n := 0
+	for {
+		rows, err := rs.Next()
+		if err != nil || rows == nil {
+			return n, err
+		}
+		n += len(rows)
+	}
 }
 
 // Materialize evaluates the view (a conjunctive query) and returns its

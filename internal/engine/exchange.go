@@ -18,11 +18,11 @@ import (
 //
 // Two gather shapes exist, mirroring classic exchange operators:
 //
-//   - vecExchangeOp collects batches from all workers over one channel in
+//   - exchangeOp collects batches from all workers over one channel in
 //     arrival order — used when nothing downstream depends on the scan's
 //     sort order (hash joins, plain projection). The rewriting executor fans
-//     out through the same operator (newVecRelExchange, vec_exec_parallel.go);
-//   - vecGatherMergeOp keeps one channel per worker and merges their streams
+//     out through the same operator (newRelExchange, exec_parallel.go);
+//   - gatherMergeOp keeps one channel per worker and merges their streams
 //     on the pipeline's sort slot. Each shard cursor emits in permutation
 //     order, so the merge restores the global order a downstream merge join
 //     requires.
@@ -30,14 +30,14 @@ import (
 // Workers run to completion when the pipeline is drained; close() (called by
 // the drains on exit) releases them early if the pipeline is abandoned.
 
-// vecScanShard streams one routed shard's matching triples as pooled column
+// scanShard streams one routed shard's matching triples as pooled column
 // batches: worker k of a fan-out opens the route's k-th shard. It returns
 // early when done closes or intr fires (the cancellation checkpoint also
 // covers batches a send would never flush: fully-filtered ones). Batches
 // with no surviving rows (all dropped by repeated-variable checks) are
-// recycled, never sent, preserving the vop contract that delivered batches are
-// non-empty.
-func vecScanShard(st store.Reader, route store.Route, k int, spec *atomSpec, pool *batchPool, out chan<- *batch, done <-chan struct{}, intr *interrupt) {
+// recycled, never sent, preserving the operator contract that delivered
+// batches are non-empty.
+func scanShard(st store.Reader, route store.Route, k int, spec *atomSpec, pool *batchPool, out chan<- *batch, done <-chan struct{}, intr *interrupt) {
 	cur := st.RouteShardCursor(route, k, spec.perm, spec.pat)
 	tris := getTris()
 	defer putTris(tris)
@@ -64,21 +64,23 @@ func vecScanShard(st store.Reader, route store.Route, k int, spec *atomSpec, poo
 	}
 }
 
-// vecExchangeOp is the unordered fan-in of both executors: workers goroutines
-// each run produce, all feeding a single channel of pooled batches; batches
-// surface in whatever order the workers produce them (output order is
-// immaterial under set semantics) and return to the pool when the consumer
-// advances. Store-side the producers are shard scans (newShardExchange); in a
-// rewriting pipeline they drain independent source operators
-// (newVecRelExchange) and the exchange is itself a vrop labeled like them.
-type vecExchangeOp struct {
-	labels  []cq.Term // rewriting pipelines only: the sources' column labels
-	width   int
+// exchangeOp is the unordered fan-in: workers goroutines each run produce,
+// all feeding a single channel of pooled batches; batches surface in whatever
+// order the workers produce them (output order is immaterial under set
+// semantics) and return to the pool when the consumer advances. Over a driving
+// index scan the producers are shard scans (newShardExchange); over any other
+// operator they drain the independent streams it splits into
+// (newRelExchange).
+type exchangeOp struct {
+	labels  []cq.Term
 	workers int
 	// produce is the body of worker k: it sends non-empty pool batches on ch
 	// until its share of the input is drained, done closes or intr fires.
 	produce func(k int)
-	sources []vrop // rewriting pipelines only: closed with the exchange
+	// over (newRelExchange only) is the operator the exchange parallelizes,
+	// split into sources when the first batch is pulled; both close with it.
+	over    operator
+	sources []operator
 	intr    *interrupt
 
 	started bool
@@ -91,18 +93,21 @@ type vecExchangeOp struct {
 
 // newShardExchange is the unordered parallel scan: one worker per shard of
 // the placement route.
-func newShardExchange(st store.Reader, route store.Route, spec *atomSpec, width, dop int, intr *interrupt) *vecExchangeOp {
-	e := &vecExchangeOp{width: width, workers: dop, intr: intr}
-	e.produce = func(k int) { vecScanShard(st, route, k, spec, e.pool, e.ch, e.done, intr) }
+func newShardExchange(st store.Reader, route store.Route, spec *atomSpec, dop int, intr *interrupt) *exchangeOp {
+	e := &exchangeOp{labels: spec.vars, workers: dop, intr: intr}
+	e.produce = func(k int) { scanShard(st, route, k, spec, e.pool, e.ch, e.done, intr) }
 	return e
 }
 
-func (e *vecExchangeOp) cols() []cq.Term { return e.labels }
+func (e *exchangeOp) cols() []cq.Term { return e.labels }
 
-func (e *vecExchangeOp) start() {
+func (e *exchangeOp) start() {
+	if e.over != nil {
+		e.splitSources()
+	}
 	e.done = make(chan struct{})
 	e.ch = make(chan *batch, e.workers)
-	e.pool = newBatchPool(e.width)
+	e.pool = newBatchPool(len(e.labels))
 	var wg sync.WaitGroup
 	for k := 0; k < e.workers; k++ {
 		wg.Add(1)
@@ -118,7 +123,7 @@ func (e *vecExchangeOp) start() {
 	e.started = true
 }
 
-func (e *vecExchangeOp) nextBatch() (*batch, bool) {
+func (e *exchangeOp) nextBatch() (*batch, bool) {
 	if !e.started {
 		e.start()
 	}
@@ -139,7 +144,7 @@ func (e *vecExchangeOp) nextBatch() (*batch, bool) {
 	return b, true
 }
 
-func (e *vecExchangeOp) close() {
+func (e *exchangeOp) close() {
 	if e.started && !e.closed {
 		close(e.done)
 		for b := range e.ch { // unblock any worker parked on send
@@ -153,12 +158,13 @@ func (e *vecExchangeOp) close() {
 	}
 	e.closed = true
 	for _, s := range e.sources {
-		closeVop(s)
+		closeOp(s)
 	}
+	closeOp(e.over)
 }
 
-// vecShardStream is one worker's batch stream with its merge position.
-type vecShardStream struct {
+// shardStream is one worker's batch stream with its merge position.
+type shardStream struct {
 	ch  chan *batch
 	b   *batch
 	sel []int32
@@ -168,7 +174,7 @@ type vecShardStream struct {
 
 // refill ensures the stream's current batch has an unconsumed row, returning
 // the previous batch to the pool as it advances; false means exhausted.
-func (s *vecShardStream) refill(pool *batchPool) bool {
+func (s *shardStream) refill(pool *batchPool) bool {
 	for !s.eof && (s.b == nil || s.i >= len(s.sel)) {
 		if s.b != nil {
 			pool.put(s.b)
@@ -184,52 +190,49 @@ func (s *vecShardStream) refill(pool *batchPool) bool {
 	return !s.eof
 }
 
-// vecGatherMergeOp is the ordered parallel scan over batches: one channel per
-// shard worker, merged row-by-row on the register slot the pipeline is sorted
-// on into a dense output batch the operator owns. The merge itself stays
+// gatherMergeOp is the ordered parallel scan over batches: one channel per
+// shard worker, merged row-by-row on the column the pipeline is sorted on into
+// a dense output batch the operator owns. The merge itself stays
 // per-row (it must interleave streams), but decode, binding and channel
 // handoff are all batch-amortized.
-type vecGatherMergeOp struct {
+type gatherMergeOp struct {
 	st    store.Reader
 	spec  *atomSpec
-	width int
 	route store.Route // placement route the workers fan out over
 	dop   int
-	slot  int // register slot the streams are merged on
+	slot  int // column the streams are merged on
 	intr  *interrupt
 
-	started   bool
-	closed    bool
-	done      chan struct{}
-	pool      *batchPool
-	streams   []vecShardStream
-	live      []int // indexes of streams not yet exhausted
-	scanSlots []int // register slots the scan binds (the only live columns)
-	out       *batch
+	started bool
+	closed  bool
+	done    chan struct{}
+	pool    *batchPool
+	streams []shardStream
+	live    []int // indexes of streams not yet exhausted
+	out     *batch
 }
 
-func (g *vecGatherMergeOp) start() {
+func (g *gatherMergeOp) cols() []cq.Term { return g.spec.vars }
+
+func (g *gatherMergeOp) start() {
 	g.done = make(chan struct{})
-	g.pool = newBatchPool(g.width)
-	g.streams = make([]vecShardStream, g.dop)
+	g.pool = newBatchPool(len(g.spec.binds))
+	g.streams = make([]shardStream, g.dop)
 	g.live = make([]int, g.dop)
-	for _, bd := range g.spec.binds {
-		g.scanSlots = append(g.scanSlots, bd.slot)
-	}
 	for s := 0; s < g.dop; s++ {
 		g.live[s] = s
 		ch := make(chan *batch, 2)
 		g.streams[s].ch = ch
 		go func(k int, out chan *batch) {
 			defer close(out)
-			vecScanShard(g.st, g.route, k, g.spec, g.pool, out, g.done, g.intr)
+			scanShard(g.st, g.route, k, g.spec, g.pool, out, g.done, g.intr)
 		}(s, ch)
 	}
-	g.out = newBatch(g.width)
+	g.out = newBatch(len(g.spec.binds))
 	g.started = true
 }
 
-func (g *vecGatherMergeOp) nextBatch() (*batch, bool) {
+func (g *gatherMergeOp) nextBatch() (*batch, bool) {
 	if !g.started {
 		g.start()
 	}
@@ -243,7 +246,7 @@ func (g *vecGatherMergeOp) nextBatch() (*batch, bool) {
 	out.reset()
 	for out.n < BatchSize {
 		// Only live streams are consulted: a stream that reports EOF is
-		// swap-removed from the live set (same scheme as gatherMergeOp).
+		// swap-removed from the live set.
 		best := -1
 		var bestKey dict.ID
 		for k := 0; k < len(g.live); {
@@ -267,8 +270,8 @@ func (g *vecGatherMergeOp) nextBatch() (*batch, bool) {
 		row := int(s.sel[s.i])
 		s.i++
 		k := out.n
-		for _, sl := range g.scanSlots {
-			out.cols[sl][k] = s.b.cols[sl][row]
+		for c, col := range s.b.cols {
+			out.cols[c][k] = col[row]
 		}
 		out.n = k + 1
 	}
@@ -278,7 +281,7 @@ func (g *vecGatherMergeOp) nextBatch() (*batch, bool) {
 	return out, true
 }
 
-func (g *vecGatherMergeOp) close() {
+func (g *gatherMergeOp) close() {
 	if !g.started || g.closed {
 		return
 	}

@@ -57,7 +57,7 @@ var parallelRewriteMinRows = 1024.0
 // query-answering path of the three-tier deployment scenario: workload
 // queries run against the recommended views only, with no access to the
 // triple store (Section 1). The logical plan is compiled to a pipeline of
-// batch operators (vec_exec.go) — view scans, filters, hash joins,
+// batch operators (operators.go) — view scans, filters, hash joins,
 // deduplicating projections and unions — and drained once; all structural
 // validation happens at compile time.
 func Execute(p algebra.Plan, resolve ViewResolver) (*Relation, error) {
@@ -68,25 +68,24 @@ func Execute(p algebra.Plan, resolve ViewResolver) (*Relation, error) {
 // value reproduces Execute exactly. With DOP > 1 large hash joins run with
 // partitioned parallel builds and fanned-out probe streams, and union
 // branches evaluate concurrently (see ExecOptions.DOP); answers are
-// identical at every DOP. Output rows are arena-gathered from the root's
-// batches, or appended directly when the root operator offers the sink fast
-// path.
+// identical at every DOP.
 func ExecuteWithOptions(p algebra.Plan, resolve ViewResolver, opts ExecOptions) (*Relation, error) {
 	opts.intr = newInterrupt(opts.Ctx)
-	root, _, err := compileVecRel(p, resolve, opts)
+	root, _, err := compileRel(p, resolve.extent, opts)
 	if err != nil {
 		return nil, err
 	}
-	defer closeVop(root) // release parallel workers on every exit path
+	return materialize(root, opts)
+}
+
+// materialize is the materializing drain of both tiers: it pulls the root dry,
+// gathering each batch's live rows into arena-backed rows, and closes it
+// (releasing parallel workers on every exit path). A canceled opts.Ctx
+// surfaces as its error, never as a truncated relation.
+func materialize(root operator, opts ExecOptions) (*Relation, error) {
+	defer closeOp(root)
 	out := NewRelation(root.cols())
-	if s, ok := root.(vecSink); ok {
-		s.drainInto(out)
-		if err := opts.ctxErr(); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	w := len(root.cols())
+	w := len(out.Cols)
 	var arena rowArena
 	for {
 		b, ok := root.nextBatch()
@@ -95,7 +94,7 @@ func ExecuteWithOptions(p algebra.Plan, resolve ViewResolver, opts ExecOptions) 
 		}
 		for _, i := range b.liveSel() {
 			row := arena.alloc(w)
-			for c := 0; c < w; c++ {
+			for c := range row {
 				row[c] = b.cols[c][i]
 			}
 			out.Rows = append(out.Rows, row)
@@ -105,6 +104,114 @@ func ExecuteWithOptions(p algebra.Plan, resolve ViewResolver, opts ExecOptions) 
 		return nil, err
 	}
 	return out, nil
+}
+
+// extent is the leaf source of an executing plan: the resolved view's rows,
+// which are also its exact cardinality.
+func (resolve ViewResolver) extent(n *algebra.Scan) ([]Row, float64, error) {
+	base, err := resolve(n.View)
+	if err != nil {
+		return nil, 0, err
+	}
+	if len(n.Cols) != base.Arity() {
+		return nil, 0, fmt.Errorf("engine: scan of v%d relabels %d columns, view has %d",
+			int(n.View), len(n.Cols), base.Arity())
+	}
+	return base.Rows, float64(len(base.Rows)), nil
+}
+
+// compileRel compiles a plan node to its batch operator and the node's
+// estimated output cardinality. extent supplies each leaf's rows and
+// cardinality — exact when executing; Explain supplies cardinalities alone,
+// which costs nothing because operators touch their input only when pulled.
+// Inner estimates use the same containment-style arithmetic the store planner
+// uses. The estimates drive the hash joins' cost-chosen build sides, the dedup
+// size hints and the parallel-operator thresholds.
+func compileRel(p algebra.Plan, extent func(*algebra.Scan) ([]Row, float64, error), opts ExecOptions) (operator, float64, error) {
+	switch n := p.(type) {
+	case *algebra.Scan:
+		rows, card, err := extent(n)
+		if err != nil {
+			return nil, 0, err
+		}
+		eq := repeatedLabelPairs(n.Cols)
+		est := scanEst(card, len(eq))
+		return &viewScanOp{view: n.View, rows: rows, labels: n.Cols, eq: eq, est: est, intr: opts.intr}, est, nil
+	case *algebra.Select:
+		in, est, err := compileRel(n.Input, extent, opts)
+		if err != nil {
+			return nil, 0, err
+		}
+		tests, err := compileConds(in.cols(), n.Conds)
+		if err != nil {
+			return nil, 0, err
+		}
+		est = condsEst(est, len(n.Conds))
+		return &filterOp{in: in, tests: tests, conds: n.Conds, est: est}, est, nil
+	case *algebra.Project:
+		in, est, err := compileRel(n.Input, extent, opts)
+		if err != nil {
+			return nil, 0, err
+		}
+		op, err := newProjectOp(in, n.Cols, est)
+		if err != nil {
+			return nil, 0, err
+		}
+		// A filter over a large splittable extent feeds the deduplicating
+		// projection through an exchange: the predicate work fans out over
+		// DOP workers while the dedup stays at the (serial) consumer.
+		if f, ok := in.(*filterOp); ok && opts.DOP > 1 && est >= parallelRewriteMinRows && f.overScan() {
+			op.in = newRelExchange(f, opts.DOP, opts.intr)
+		}
+		return op, est, nil
+	case *algebra.Join:
+		left, lest, err := compileRel(n.Left, extent, opts)
+		if err != nil {
+			return nil, 0, err
+		}
+		right, rest, err := compileRel(n.Right, extent, opts)
+		if err != nil {
+			return nil, 0, err
+		}
+		shape, err := joinShape(left.cols(), right.cols(), n.Conds)
+		if err != nil {
+			return nil, 0, err
+		}
+		est := joinOutEst(lest, rest, len(shape.keys))
+		j := newHashJoin(left, right, shape, cost.HashJoinBuildLeft(lest, rest), lest, rest, est, opts.intr)
+		if opts.DOP > 1 && lest+rest >= parallelRewriteMinRows {
+			return &parallelHashJoinOp{hashJoin: j, dop: opts.DOP}, est, nil
+		}
+		return &hashJoinOp{hashJoin: j}, est, nil
+	case *algebra.Union:
+		if len(n.Branches) == 0 {
+			return nil, 0, fmt.Errorf("engine: empty union")
+		}
+		src := &concatOp{branches: make([]operator, len(n.Branches))}
+		for i, b := range n.Branches {
+			in, est, err := compileRel(b, extent, opts)
+			if err != nil {
+				return nil, 0, err
+			}
+			if i > 0 && len(in.cols()) != len(src.branches[0].cols()) {
+				return nil, 0, fmt.Errorf("engine: union arity mismatch: %d vs %d",
+					len(in.cols()), len(src.branches[0].cols()))
+			}
+			src.branches[i] = in
+			src.est += est
+		}
+		op := &projectOp{in: src, labels: src.cols(), idx: make([]int, len(src.cols())),
+			distinct: true, union: true, est: src.est}
+		for c := range op.idx {
+			op.idx[c] = c
+		}
+		if opts.DOP > 1 && len(n.Branches) > 1 && src.est >= parallelRewriteMinRows {
+			op.in = newRelExchange(src, min(opts.DOP, len(n.Branches)), opts.intr)
+		}
+		return op, src.est, nil
+	default:
+		return nil, 0, fmt.Errorf("engine: unknown plan node %T", p)
+	}
 }
 
 func termIndex(cols []cq.Term, t cq.Term) int {
@@ -219,166 +326,96 @@ func joinShape(leftCols, rightCols []cq.Term, conds []algebra.Cond) (joinShapeIn
 	return sh, nil
 }
 
-// DescribePlan compiles a rewriting plan's physical shape without touching
-// view extents: the same operator choices Execute makes, with per-scan
-// cardinalities supplied by card (may be nil). It is the explain surface for
-// rewritings, mirroring QueryPlan.Describe for store-level queries.
+// DescribePlan renders a rewriting plan's physical shape without touching
+// view extents: the plan is compiled exactly as Execute compiles it, against
+// leaves that carry only the cardinalities card supplies (may be nil), and the
+// compiled operators describe themselves. It is the explain surface for
+// rewritings, as QueryPlan.Describe is for store-level queries.
 func DescribePlan(p algebra.Plan, card func(algebra.ViewID) float64) (*algebra.PhysNode, error) {
 	return DescribePlanWithOptions(p, card, ExecOptions{})
 }
 
 // DescribePlanWithOptions is DescribePlan under explicit execution options:
-// with DOP > 1 the hash joins and unions that would run partitioned/parallel
-// are annotated with their degree of parallelism, mirroring
-// ExecuteWithOptions' thresholds on the supplied estimates.
+// the hash joins, unions and filters that ExecuteWithOptions would run
+// partitioned/parallel at opts.DOP given those cardinalities render their
+// degree of parallelism.
 func DescribePlanWithOptions(p algebra.Plan, card func(algebra.ViewID) float64, opts ExecOptions) (*algebra.PhysNode, error) {
-	_, node, _, err := describeRel(p, card, opts)
-	return node, err
+	root, _, err := compileRel(p, func(n *algebra.Scan) ([]Row, float64, error) {
+		if card == nil {
+			return nil, 0, nil
+		}
+		return nil, card(n.View), nil
+	}, opts)
+	if err != nil {
+		return nil, err
+	}
+	return describeOp(root), nil
 }
 
-// selectChainOverScan reports whether the plan is a chain of selections
-// bottoming out at a view scan — the shape that compiles to a splittable
-// vecFilterOp, which compileVecRel wraps in a parallel exchange under an
-// eligible projection.
-func selectChainOverScan(p algebra.Plan) bool {
-	s, ok := p.(*algebra.Select)
-	if !ok {
-		return false
-	}
-	for {
-		switch in := s.Input.(type) {
-		case *algebra.Select:
-			s = in
-		case *algebra.Scan:
-			return true
-		default:
-			return false
+// describeOp renders a compiled rewriting operator tree from the fields the
+// operators execute with: every node carries its estimated output
+// cardinality, hash joins their chosen build side, and whatever runs behind an
+// exchange or partitioned its degree of parallelism.
+func describeOp(o operator) *algebra.PhysNode {
+	switch o := o.(type) {
+	case *viewScanOp:
+		detail := fmt.Sprintf("v%d[%s]", int(o.view), joinStrings(o.labels, ","))
+		if len(o.eq) > 0 {
+			detail += fmt.Sprintf(" +%d equality filters", len(o.eq))
 		}
-	}
-}
-
-// describeRel mirrors compileVecRel symbolically: same shapes, same estimate
-// arithmetic, same build-side and parallelism choices, but leaf cardinalities
-// come from card instead of resolved extents. Every node carries its
-// estimated output cardinality; hash joins carry their chosen build side.
-func describeRel(p algebra.Plan, card func(algebra.ViewID) float64, opts ExecOptions) ([]cq.Term, *algebra.PhysNode, float64, error) {
-	switch n := p.(type) {
-	case *algebra.Scan:
-		est := 0.0
-		if card != nil {
-			est = card(n.View)
-		}
-		labels := make([]string, len(n.Cols))
-		for i, c := range n.Cols {
-			labels[i] = c.String()
-		}
-		detail := fmt.Sprintf("v%d[%s]", int(n.View), strings.Join(labels, ","))
-		eq := repeatedLabelPairs(n.Cols)
-		if len(eq) > 0 {
-			detail += fmt.Sprintf(" +%d equality filters", len(eq))
-			est = scanEst(est, len(eq))
-		}
-		node := algebra.NewPhysNode("ViewScan", detail, est)
+		node := algebra.NewPhysNode("ViewScan", detail, o.est)
 		node.Batch = BatchSize
-		return n.Cols, node, est, nil
-	case *algebra.Select:
-		cols, child, est, err := describeRel(n.Input, card, opts)
-		if err != nil {
-			return nil, nil, 0, err
+		return node
+	case *filterOp:
+		return algebra.NewPhysNode("Filter", "["+joinStrings(o.conds, "&")+"]", o.est, describeOp(o.in))
+	case *projectOp:
+		if o.union {
+			return describeOp(o.in)
 		}
-		if _, err := compileConds(cols, n.Conds); err != nil {
-			return nil, nil, 0, err
+		return algebra.NewPhysNode("Project", "["+joinStrings(o.labels, ",")+"] distinct", o.est, describeOp(o.in))
+	case *concatOp:
+		children := make([]*algebra.PhysNode, len(o.branches))
+		for i, b := range o.branches {
+			children[i] = describeOp(b)
 		}
-		parts := make([]string, len(n.Conds))
-		for i, c := range n.Conds {
-			parts[i] = c.String()
-		}
-		est = condsEst(est, len(n.Conds))
-		return cols, algebra.NewPhysNode("Filter", "["+strings.Join(parts, "&")+"]", est, child), est, nil
-	case *algebra.Project:
-		cols, child, est, err := describeRel(n.Input, card, opts)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		for _, c := range n.Cols {
-			if c.IsVar() && termIndex(cols, c) < 0 {
-				return nil, nil, 0, fmt.Errorf("engine: projection column %v not in %v", c, cols)
-			}
-		}
-		labels := make([]string, len(n.Cols))
-		for i, c := range n.Cols {
-			labels[i] = c.String()
-		}
-		// Mirror compileVecRel's exchange under a deduplicating projection: a
-		// large filter over a splittable extent scan fans out over DOP
-		// workers, so its Filter node carries the dop annotation.
-		if opts.DOP > 1 && est >= parallelRewriteMinRows && selectChainOverScan(n.Input) {
-			child.DOP = opts.DOP
-			child.Batch = BatchSize
-		}
-		return n.Cols, algebra.NewPhysNode("Project",
-			"["+strings.Join(labels, ",")+"] distinct", est, child), est, nil
-	case *algebra.Join:
-		lcols, lnode, lest, err := describeRel(n.Left, card, opts)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		rcols, rnode, rest, err := describeRel(n.Right, card, opts)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		sh, err := joinShape(lcols, rcols, n.Conds)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		parts := make([]string, len(sh.keys))
-		for i, k := range sh.keys {
-			parts[i] = fmt.Sprintf("%s=%s", lcols[k.li], rcols[k.ri])
-		}
-		est := joinOutEst(lest, rest, len(sh.keys))
-		op, detail := "HashJoin", "["+strings.Join(parts, "&")+"]"
-		if len(sh.keys) == 0 {
-			op, detail = "CrossProduct", ""
-		}
-		node := algebra.NewPhysNode(op, detail, est, lnode, rnode)
-		if op == "HashJoin" {
-			node.Build = "right"
-			if cost.HashJoinBuildLeft(lest, rest) {
-				node.Build = "left"
-			}
-		}
-		if opts.DOP > 1 && lest+rest >= parallelRewriteMinRows {
-			node.DOP = opts.DOP
-			node.Batch = BatchSize
-		}
-		return sh.outCols, node, est, nil
-	case *algebra.Union:
-		if len(n.Branches) == 0 {
-			return nil, nil, 0, fmt.Errorf("engine: empty union")
-		}
-		var cols []cq.Term
-		sum := 0.0
-		children := make([]*algebra.PhysNode, len(n.Branches))
-		for i, b := range n.Branches {
-			bcols, bnode, best, err := describeRel(b, card, opts)
-			if err != nil {
-				return nil, nil, 0, err
-			}
-			if i == 0 {
-				cols = bcols
-			} else if len(bcols) != len(cols) {
-				return nil, nil, 0, fmt.Errorf("engine: union arity mismatch: %d vs %d", len(bcols), len(cols))
-			}
-			children[i] = bnode
-			sum += best
-		}
-		node := algebra.NewPhysNode("Union", "distinct", sum, children...)
-		if opts.DOP > 1 && len(n.Branches) > 1 && sum >= parallelRewriteMinRows {
-			node.DOP = min(opts.DOP, len(n.Branches))
-			node.Batch = BatchSize
-		}
-		return cols, node, sum, nil
-	default:
-		return nil, nil, 0, fmt.Errorf("engine: unknown plan node %T", p)
+		return algebra.NewPhysNode("Union", "distinct", o.est, children...)
+	case *exchangeOp:
+		node := describeOp(o.over)
+		node.DOP, node.Batch = o.workers, BatchSize
+		return node
+	case *hashJoinOp:
+		return o.describe()
+	case *parallelHashJoinOp:
+		node := o.describe()
+		node.DOP, node.Batch = o.dop, BatchSize
+		return node
 	}
+	panic(fmt.Sprintf("engine: no description for operator %T", o))
+}
+
+func (j *hashJoin) describe() *algebra.PhysNode {
+	left, right := describeOp(j.left), describeOp(j.right)
+	if len(j.shape.keys) == 0 {
+		return algebra.NewPhysNode("CrossProduct", "", j.est, left, right)
+	}
+	lcols, rcols := j.left.cols(), j.right.cols()
+	parts := make([]string, len(j.shape.keys))
+	for i, k := range j.shape.keys {
+		parts[i] = fmt.Sprintf("%s=%s", lcols[k.li], rcols[k.ri])
+	}
+	node := algebra.NewPhysNode("HashJoin", "["+strings.Join(parts, "&")+"]", j.est, left, right)
+	node.Build = "right"
+	if j.buildLeft {
+		node.Build = "left"
+	}
+	return node
+}
+
+// joinStrings renders the elements with their String methods, sep-separated.
+func joinStrings[T fmt.Stringer](xs []T, sep string) string {
+	parts := make([]string, len(xs))
+	for i, x := range xs {
+		parts[i] = x.String()
+	}
+	return strings.Join(parts, sep)
 }

@@ -62,31 +62,7 @@ func sameRows(t *testing.T, label string, serial, parallel *Relation) {
 // row multiset at every DOP.
 func TestParallelExecuteMatchesSerial(t *testing.T) {
 	forceParallelRewrite(t)
-	rng := rand.New(rand.NewSource(7))
-	x1, x2, x3, x4 := cq.Var(1), cq.Var(2), cq.Var(3), cq.Var(4)
-	views := map[algebra.ViewID]*Relation{
-		1: randomExtent(rng, []cq.Term{x1, x2}, 900, 140),
-		2: randomExtent(rng, []cq.Term{x2, x3}, 700, 140),
-		3: randomExtent(rng, []cq.Term{x1, x2}, 400, 140),
-		4: randomExtent(rng, []cq.Term{x3, x4}, 500, 140),
-	}
-	s1 := func() *algebra.Scan { return algebra.NewScan(1, []cq.Term{x1, x2}) }
-	s2 := func() *algebra.Scan { return algebra.NewScan(2, []cq.Term{x2, x3}) }
-	s3 := func() *algebra.Scan { return algebra.NewScan(3, []cq.Term{x1, x2}) }
-	s4 := func() *algebra.Scan { return algebra.NewScan(4, []cq.Term{x3, x4}) }
-	c := views[1].Rows[0][0] // a constant that actually occurs
-
-	plans := map[string]algebra.Plan{
-		"join":          algebra.NewJoin(s1(), s2()),
-		"join-flipped":  algebra.NewJoin(s2(), s1()),
-		"join-cond":     algebra.NewJoin(s1(), algebra.NewScan(4, []cq.Term{x3, x4}), algebra.Cond{Left: x2, Right: x3}),
-		"deep-join":     algebra.NewJoin(algebra.NewJoin(s1(), s2()), s4()),
-		"filter-join":   algebra.NewJoin(algebra.NewSelect(s1(), algebra.Cond{Left: x1, Right: cq.Const(c)}), s2()),
-		"project":       algebra.NewProject(algebra.NewSelect(s1(), algebra.Cond{Left: x1, Right: x2}), []cq.Term{x2}),
-		"union":         algebra.NewUnion(s1(), s3()),
-		"union-of-join": algebra.NewUnion(algebra.NewJoin(s1(), s2()), algebra.NewJoin(s3(), s2()), algebra.NewJoin(s1(), s2())),
-		"project-union": algebra.NewProject(algebra.NewUnion(algebra.NewJoin(s1(), s2()), algebra.NewJoin(s3(), s2())), []cq.Term{x1, x3}),
-	}
+	views, plans := rewriteMatrix(7)
 	for name, plan := range plans {
 		serial, err := Execute(plan, MapResolver(views))
 		if err != nil {
@@ -107,13 +83,13 @@ func TestParallelExecuteMatchesSerial(t *testing.T) {
 // side or spawn probe workers.
 func TestParallelJoinEmptyProbeSkipsBuild(t *testing.T) {
 	x1, x2, x3 := cq.Var(1), cq.Var(2), cq.Var(3)
-	empty := &vecRelScanOp{labels: []cq.Term{x1, x2}}
-	counted := &countingRel{in: &vecRelScanOp{rows: bigExtent([]cq.Term{x2, x3}, 2000).Rows, labels: []cq.Term{x2, x3}}}
+	empty := &viewScanOp{labels: []cq.Term{x1, x2}}
+	counted := &countingRel{in: &viewScanOp{rows: bigExtent([]cq.Term{x2, x3}, 2000).Rows, labels: []cq.Term{x2, x3}}}
 	shape, err := joinShape(empty.cols(), counted.cols(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := newVecParallelHashJoin(empty, counted, shape, []int{1}, []int{0}, false, 4, nil)
+	j := &parallelHashJoinOp{hashJoin: newHashJoin(empty, counted, shape, false, 0, 0, 0, nil), dop: 4}
 	if _, ok := j.nextBatch(); ok {
 		t.Fatal("parallel join over empty probe returned a row")
 	}
@@ -175,7 +151,7 @@ func TestParallelExecuteAbandonedPipeline(t *testing.T) {
 		algebra.NewJoin(algebra.NewScan(1, []cq.Term{x1, x2}), algebra.NewScan(2, []cq.Term{x2, x3})),
 		algebra.NewJoin(algebra.NewScan(1, []cq.Term{x1, x2}), algebra.NewScan(2, []cq.Term{x2, x3})),
 	)
-	root, _, err := compileVecRel(plan, MapResolver(views), ExecOptions{DOP: 4})
+	root, _, err := compileRel(plan, MapResolver(views).extent, ExecOptions{DOP: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,14 +160,14 @@ func TestParallelExecuteAbandonedPipeline(t *testing.T) {
 			break
 		}
 	}
-	closeVop(root)
+	closeOp(root)
 	// Closing twice is safe, as is closing a never-started pipeline.
-	closeVop(root)
-	fresh, _, err := compileVecRel(plan, MapResolver(views), ExecOptions{DOP: 4})
+	closeOp(root)
+	fresh, _, err := compileRel(plan, MapResolver(views).extent, ExecOptions{DOP: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	closeVop(fresh)
+	closeOp(fresh)
 	waitGoroutines(t, base)
 }
 

@@ -156,7 +156,7 @@ func TestExecuteErrors(t *testing.T) {
 // countingRel counts nextBatch() calls on a wrapped operator, to observe
 // whether a side of a join was drained at all.
 type countingRel struct {
-	in    vrop
+	in    operator
 	calls int
 }
 
@@ -222,15 +222,14 @@ func TestExecuteJoinBuildSideChosen(t *testing.T) {
 // in both build orientations.
 func TestExecuteEmptyProbeSkipsBuild(t *testing.T) {
 	x1, x2, x3 := cq.Var(1), cq.Var(2), cq.Var(3)
-	empty := &vecRelScanOp{labels: []cq.Term{x1, x2}}
-	counted := &countingRel{in: &vecRelScanOp{rows: bigExtent([]cq.Term{x2, x3}, 1000).Rows, labels: []cq.Term{x2, x3}}}
+	empty := &viewScanOp{labels: []cq.Term{x1, x2}}
+	counted := &countingRel{in: &viewScanOp{rows: bigExtent([]cq.Term{x2, x3}, 1000).Rows, labels: []cq.Term{x2, x3}}}
 	shape, err := joinShape(empty.cols(), counted.cols(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// build=right: left probe is empty, the counted right build must not run.
-	j := &vecHashJoinRelOp{left: empty, right: counted, shape: shape,
-		lIdx: []int{1}, rIdx: []int{0}, leftWidth: 2}
+	j := &hashJoinOp{hashJoin: newHashJoin(empty, counted, shape, false, 0, 0, 0, nil)}
 	if _, ok := j.nextBatch(); ok {
 		t.Fatal("join over empty probe returned a row")
 	}
@@ -242,14 +241,13 @@ func TestExecuteEmptyProbeSkipsBuild(t *testing.T) {
 	}
 
 	// build=left: right probe is empty, the counted left build must not run.
-	counted2 := &countingRel{in: &vecRelScanOp{rows: bigExtent([]cq.Term{x1, x2}, 1000).Rows, labels: []cq.Term{x1, x2}}}
-	emptyRight := &vecRelScanOp{labels: []cq.Term{x2, x3}}
+	counted2 := &countingRel{in: &viewScanOp{rows: bigExtent([]cq.Term{x1, x2}, 1000).Rows, labels: []cq.Term{x1, x2}}}
+	emptyRight := &viewScanOp{labels: []cq.Term{x2, x3}}
 	shape2, err := joinShape(counted2.cols(), emptyRight.cols(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2 := &vecHashJoinRelOp{left: counted2, right: emptyRight, shape: shape2,
-		lIdx: []int{1}, rIdx: []int{0}, buildLeft: true, leftWidth: 2}
+	j2 := &hashJoinOp{hashJoin: newHashJoin(counted2, emptyRight, shape2, true, 0, 0, 0, nil)}
 	if _, ok := j2.nextBatch(); ok {
 		t.Fatal("build-left join over empty probe returned a row")
 	}
@@ -286,11 +284,15 @@ func TestUnionDedupHintSizedFromExtents(t *testing.T) {
 			algebra.NewScan(1, []cq.Term{x1, x2}),
 			algebra.NewScan(1, []cq.Term{x1, x2}),
 		)
-		op, _, err := compileVecRel(u, MapResolver(views), ExecOptions{})
+		op, _, err := compileRel(u, MapResolver(views).extent, ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return len(op.(*vecUnionOp).seen.index.keys)
+		defer closeOp(op)
+		if _, ok := op.nextBatch(); !ok { // the dedup set is allocated on the first pull
+			t.Fatal("empty union")
+		}
+		return len(op.(*projectOp).seen.index.keys)
 	}
 	small, big := tableSlots(smallViews), tableSlots(bigViews)
 	if big <= small {

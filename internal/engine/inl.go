@@ -11,7 +11,7 @@ import (
 // already-placed variables) and each atom is resolved through the store's
 // permutation indexes under the current partial binding held in a map.
 //
-// It is superseded by the planned streaming pipeline (planner.go, vec.go)
+// It is superseded by the planned streaming pipeline (planner.go, pipeline.go)
 // but kept as the correctness oracle of the store-side differential tests: it
 // shares the atom ordering with the planner and nothing with the operators.
 // Like the planned paths it reads through store.Reader, so the oracle can replay

@@ -8,11 +8,11 @@ import (
 
 // Instantiate returns a copy of the plan bound to the given reader with the
 // constant substitution applied to every compiled structure that carries
-// constants: scan patterns, the atoms kept for explain output, head constants
-// and head column labels. The receiver is not modified and stays usable — the
-// clone shares the immutable step specs it does not rewrite, so instantiating
-// a cached template per execution is cheap (one steps slice plus one atomSpec
-// per substituted atom).
+// constants: scan patterns, the atoms kept for explain output and the head
+// column labels (whose constants the root projection emits). The receiver is
+// not modified and stays usable — the clone shares the immutable step specs it
+// does not rewrite, so instantiating a cached template per execution is cheap
+// (one steps slice plus one atomSpec per substituted atom).
 //
 // This is what makes compiled plans reusable across snapshots and across
 // parameter bindings: operator pipelines are built from p.st and the specs at
@@ -22,7 +22,7 @@ import (
 // tuned for the one that triggered compilation. Shard routing is NOT frozen:
 // substitution changes which shard a bound position hashes to, so the
 // concrete route is re-resolved from the instantiated patterns at
-// pipeline-build time (buildVecOps for exchanges, the store's routed
+// pipeline-build time (buildPipeline for exchanges, the store's routed
 // NewCursor for serial scans). Only the route's *shape* — how many
 // shards it spans, decided by which positions are bound — is stable across
 // bindings, which is what keeps the compile-time parallelism decision valid.
@@ -60,12 +60,6 @@ func (p *QueryPlan) Instantiate(st store.Reader, subst map[dict.ID]dict.ID) *Que
 		}
 		if changed {
 			s.spec = &sp
-		}
-	}
-	q.headConsts = append([]dict.ID(nil), p.headConsts...)
-	for i, id := range q.headConsts {
-		if v, ok := subst[id]; ok {
-			q.headConsts[i] = v
 		}
 	}
 	q.head = append([]cq.Term(nil), p.head...)

@@ -1,0 +1,733 @@
+package engine
+
+import (
+	"fmt"
+	"slices"
+	"sync"
+
+	"rdfviews/internal/algebra"
+	"rdfviews/internal/cq"
+	"rdfviews/internal/dict"
+)
+
+// The engine's operators: pull-based physical operators exchanging column
+// batches (batch.go). One set serves both tiers — a conjunctive query over
+// the triple table t(s,p,o) and a rewriting over view extents are the same
+// algebra over two leaf kinds, scanOp (IndexScan, pipeline.go) and viewScanOp
+// (ViewScan). This file holds what every plan shares: the view-extent scan,
+// filters, the deduplicating projection, union sources and the hash join.
+// Filters narrow selection vectors in place without moving data; hash joins
+// hash whole key columns and fetch chain heads with one getBatch call per
+// probe batch. compileRel (exec.go) assembles them for rewriting plans,
+// QueryPlan.compile (pipeline.go) for store-side pipelines; the two drains
+// (exec.go, stream.go) pull either.
+//
+// Columns are positional: a batch's column i carries cols()[i].
+//
+// Ownership: a returned batch is valid only until the next nextBatch call.
+// Serial operators therefore reuse one owned output batch; only the exchange
+// operators (exchange.go) lease pool batches across goroutines.
+
+// operator is a pull-based physical operator yielding column batches.
+type operator interface {
+	// cols labels the operator's output columns, positionally.
+	cols() []cq.Term
+	// nextBatch returns the next batch, valid until the next call. Returned
+	// batches always have at least one live row; EOF is the false return.
+	nextBatch() (*batch, bool)
+}
+
+// closeOp releases the operator's batches and buffers back to their pools
+// and stops any parallel workers below it; safe on operators without either.
+func closeOp(o operator) {
+	if c, ok := o.(interface{ close() }); ok {
+		c.close()
+	}
+}
+
+// splitOp splits an operator into independent substreams for parallel
+// draining, or nil when the operator does not support splitting.
+func splitOp(o operator, parts int) []operator {
+	if parts <= 1 {
+		return nil
+	}
+	if s, ok := o.(interface{ split(int) []operator }); ok {
+		return s.split(parts)
+	}
+	return nil
+}
+
+// viewScanOp (ViewScan) streams a materialized view's rows as column batches
+// under the scan's relabeling: each batch is one transpose of up to BatchSize
+// extent rows, with repeated-label equality filters compacted into the
+// selection.
+type viewScanOp struct {
+	view   algebra.ViewID
+	rows   []Row
+	labels []cq.Term
+	eq     [][2]int
+	est    float64 // the extent's cardinality, discounted per equality filter
+	intr   *interrupt
+	i      int
+	out    *batch
+}
+
+func (s *viewScanOp) cols() []cq.Term { return s.labels }
+
+func (s *viewScanOp) close() {
+	s.out.release()
+	s.out = nil
+}
+
+func (s *viewScanOp) nextBatch() (*batch, bool) {
+	w := len(s.labels)
+	if s.out == nil {
+		s.out = newBatch(w)
+	}
+	for s.i < len(s.rows) {
+		if s.intr.stop() { // cancellation checkpoint: once per transposed batch
+			return nil, false
+		}
+		n := len(s.rows) - s.i
+		if n > BatchSize {
+			n = BatchSize
+		}
+		rows := s.rows[s.i : s.i+n]
+		s.i += n
+		out := s.out
+		out.reset()
+		out.n = n
+		for c := 0; c < w; c++ {
+			col := out.cols[c]
+			for r, row := range rows {
+				col[r] = row[c]
+			}
+		}
+		for _, pair := range s.eq {
+			compactEqCols(out, out.cols[pair[0]], out.cols[pair[1]])
+		}
+		if out.live() > 0 {
+			return out, true
+		}
+	}
+	return nil, false
+}
+
+// split partitions the remaining rows into contiguous ranges, one sub-scan
+// per part, for parallel draining.
+func (s *viewScanOp) split(parts int) []operator {
+	rows := s.rows[s.i:]
+	if parts > len(rows) {
+		parts = len(rows)
+	}
+	if parts <= 1 {
+		return nil
+	}
+	out := make([]operator, parts)
+	for p := 0; p < parts; p++ {
+		lo, hi := p*len(rows)/parts, (p+1)*len(rows)/parts
+		out[p] = &viewScanOp{view: s.view, rows: rows[lo:hi], labels: s.labels, eq: s.eq, intr: s.intr}
+	}
+	return out
+}
+
+// compactEqCols narrows the batch's selection to rows where the two columns
+// are equal — the branch-free store-always/advance-on-pass compaction.
+func compactEqCols(b *batch, c0, c1 []dict.ID) {
+	if b.sel == nil {
+		sel := b.selStorage()
+		k := 0
+		for i := 0; i < b.n; i++ {
+			sel[k] = int32(i)
+			if c0[i] == c1[i] {
+				k++
+			}
+		}
+		b.sel = sel[:k]
+		return
+	}
+	sel := b.sel
+	k := 0
+	for _, i := range sel {
+		sel[k] = i
+		if c0[i] == c1[i] {
+			k++
+		}
+	}
+	b.sel = sel[:k]
+}
+
+// compactConstCol narrows the batch's selection to rows where the column
+// equals the constant.
+func compactConstCol(b *batch, c0 []dict.ID, v dict.ID) {
+	if b.sel == nil {
+		sel := b.selStorage()
+		k := 0
+		for i := 0; i < b.n; i++ {
+			sel[k] = int32(i)
+			if c0[i] == v {
+				k++
+			}
+		}
+		b.sel = sel[:k]
+		return
+	}
+	sel := b.sel
+	k := 0
+	for _, i := range sel {
+		sel[k] = i
+		if c0[i] == v {
+			k++
+		}
+	}
+	b.sel = sel[:k]
+}
+
+// filterOp applies equality conditions (σ) by narrowing each input batch's
+// selection vector in place — no data moves, failing rows just drop out of
+// sel.
+type filterOp struct {
+	in    operator
+	tests []condTest
+	conds []algebra.Cond // what tests were compiled from, for Explain
+	est   float64
+}
+
+func (f *filterOp) cols() []cq.Term { return f.in.cols() }
+func (f *filterOp) close()          { closeOp(f.in) }
+
+func (f *filterOp) nextBatch() (*batch, bool) {
+	for {
+		b, ok := f.in.nextBatch()
+		if !ok {
+			return nil, false
+		}
+		for _, t := range f.tests {
+			if t.ri < 0 {
+				compactConstCol(b, b.cols[t.li], t.c)
+			} else {
+				compactEqCols(b, b.cols[t.li], b.cols[t.ri])
+			}
+		}
+		if b.live() > 0 {
+			return b, true
+		}
+	}
+}
+
+// overScan reports whether the filter reaches a view scan through filters only
+// — the shape split partitions.
+func (f *filterOp) overScan() bool {
+	switch in := f.in.(type) {
+	case *viewScanOp:
+		return true
+	case *filterOp:
+		return in.overScan()
+	}
+	return false
+}
+
+// split distributes the filter over its input's split streams.
+func (f *filterOp) split(parts int) []operator {
+	ins := splitOp(f.in, parts)
+	if ins == nil {
+		return nil
+	}
+	out := make([]operator, len(ins))
+	for i, in := range ins {
+		out[i] = &filterOp{in: in, tests: f.tests}
+	}
+	return out
+}
+
+// projectOp is π with set semantics — the one place operators eliminate
+// duplicates. It restricts/reorders its input's columns onto labels (constant
+// labels project as constant columns) and, when distinct, keeps only rows not
+// seen before, emitting dense batches. Every root is one: a rewriting's
+// Project and Union nodes (a union is the dedup of its concatenated or
+// exchanged branches, columns unchanged) and a store-side plan's head, which
+// skips the dedup when the head exposes every body variable. Resume state (the
+// current input batch and position) lets a projection span output batches.
+type projectOp struct {
+	in       operator
+	labels   []cq.Term
+	idx      []int // per output column: input column, or -1 for a constant label
+	distinct bool
+	union    bool    // the dedup of a union's branches, which Explain renders instead
+	est      float64 // estimated input rows: sizes the dedup set on first use
+
+	scratch Row
+	seen    *rowSet
+	b       *batch
+	sel     []int32
+	si      int
+	out     *batch
+}
+
+func newProjectOp(in operator, colLabels []cq.Term, est float64) (*projectOp, error) {
+	inCols := in.cols()
+	idx := make([]int, len(colLabels))
+	for i, c := range colLabels {
+		if c.IsConst() {
+			idx[i] = -1
+			continue
+		}
+		j := termIndex(inCols, c)
+		if j < 0 {
+			return nil, fmt.Errorf("engine: projection column %v not in %v", c, inCols)
+		}
+		idx[i] = j
+	}
+	return &projectOp{in: in, labels: colLabels, idx: idx, distinct: true, est: est}, nil
+}
+
+func (p *projectOp) cols() []cq.Term { return p.labels }
+
+func (p *projectOp) close() {
+	p.out.release()
+	p.out = nil
+	closeOp(p.in)
+}
+
+// open allocates the output batch and, for a dedup, the set and the scratch
+// row candidates are assembled in; constant columns are written once.
+func (p *projectOp) open() {
+	p.out = newBatch(len(p.idx))
+	if p.distinct {
+		p.seen = newRowSet(distinctSizeHint(p.est))
+		p.scratch = make(Row, len(p.idx))
+	}
+	for c, j := range p.idx {
+		if j >= 0 {
+			continue
+		}
+		v := p.labels[c].ConstID()
+		if p.distinct {
+			p.scratch[c] = v
+			continue
+		}
+		col := p.out.cols[c]
+		for i := range col {
+			col[i] = v
+		}
+	}
+}
+
+func (p *projectOp) nextBatch() (*batch, bool) {
+	if p.out == nil {
+		p.open()
+	}
+	out := p.out
+	out.reset()
+	if !p.distinct {
+		// Every input row survives: one columnar gather per input batch.
+		b, ok := p.in.nextBatch()
+		if !ok {
+			return nil, false
+		}
+		sel := b.liveSel()
+		for c, j := range p.idx {
+			if j < 0 {
+				continue
+			}
+			dst, src := out.cols[c], b.cols[j]
+			for k, i := range sel {
+				dst[k] = src[i]
+			}
+		}
+		out.n = len(sel)
+		return out, true
+	}
+	for {
+		if p.b == nil || p.si >= len(p.sel) {
+			b, ok := p.in.nextBatch()
+			if !ok {
+				p.b = nil
+				if out.n > 0 {
+					return out, true
+				}
+				return nil, false
+			}
+			p.b, p.sel, p.si = b, b.liveSel(), 0
+		}
+		for p.si < len(p.sel) {
+			if out.n == BatchSize {
+				return out, true
+			}
+			i := p.sel[p.si]
+			p.si++
+			for c, j := range p.idx {
+				if j >= 0 {
+					p.scratch[c] = p.b.cols[j][i]
+				}
+			}
+			if _, added := p.seen.addCopy(p.scratch); added {
+				k := out.n
+				for c, v := range p.scratch {
+					out.cols[c][k] = v
+				}
+				out.n = k + 1
+			}
+		}
+	}
+}
+
+// concatOp streams its branches one after another (∪ before its dedup);
+// columns are aligned positionally and labeled by the first branch. Under an
+// exchange the branches are its independent streams.
+type concatOp struct {
+	branches []operator
+	bi       int
+	est      float64
+}
+
+func (u *concatOp) cols() []cq.Term { return u.branches[0].cols() }
+
+func (u *concatOp) close() {
+	for _, b := range u.branches {
+		closeOp(b)
+	}
+}
+
+func (u *concatOp) split(int) []operator { return u.branches }
+
+func (u *concatOp) nextBatch() (*batch, bool) {
+	for ; u.bi < len(u.branches); u.bi++ {
+		if b, ok := u.branches[u.bi].nextBatch(); ok {
+			return b, true
+		}
+	}
+	return nil, false
+}
+
+// hashJoin is the hash-join kernel's static half, shared by its two drivers
+// (hashJoinOp here, the partitioned parallelHashJoinOp in
+// exec_parallel.go): the inputs, the compiled shape and the build side.
+// The build side drains into rows chained through an idTable by key hash; the
+// probe side's batches are hashed columnar with all chain heads fetched in one
+// getBatch call. Output columns are always the left columns followed by the
+// kept right columns, and output order is the probe side's, whichever side
+// builds — the contract the planner's sort-order bookkeeping relies on.
+type hashJoin struct {
+	left, right operator
+	shape       joinShapeInfo
+	buildLeft   bool
+	bIdx, pIdx  []int   // key columns, build side and probe side, pairwise
+	buildEst    float64 // estimated build-side rows: pre-sizes the gathered build
+	est         float64 // estimated output rows
+	intr        *interrupt
+}
+
+// newHashJoin compiles a join of two inputs estimated at lest and rest rows
+// into est.
+func newHashJoin(left, right operator, shape joinShapeInfo, buildLeft bool, lest, rest, est float64, intr *interrupt) hashJoin {
+	j := hashJoin{left: left, right: right, shape: shape, buildLeft: buildLeft, buildEst: rest, est: est, intr: intr,
+		bIdx: make([]int, len(shape.keys)), pIdx: make([]int, len(shape.keys))}
+	if buildLeft {
+		j.buildEst = lest
+	}
+	for i, k := range shape.keys {
+		j.bIdx[i], j.pIdx[i] = k.ri, k.li
+		if buildLeft {
+			j.bIdx[i], j.pIdx[i] = k.li, k.ri
+		}
+	}
+	return j
+}
+
+func (j *hashJoin) cols() []cq.Term { return j.shape.outCols }
+
+// sides orients the join around its chosen build side.
+func (j *hashJoin) sides() (build, probe operator) {
+	if j.buildLeft {
+		return j.left, j.right
+	}
+	return j.right, j.left
+}
+
+// joinTable is a hash join's build side: its rows — borrowed from an extent,
+// or gathered flat (w values each, no per-row header for the collector to
+// trace) — chained by key hash. Chains index the rows globally; under the
+// partitioned driver each key-hash partition has a table of its own, linked
+// concurrently. Immutable once linked, so probe workers read it without locks.
+type joinTable struct {
+	rows   []Row     // borrowed extent rows, or nil when gathered into
+	flat   []dict.ID // ... w values per row
+	w      int
+	hashes []uint64   // per row, until linked
+	tables []*idTable // per partition: key hash -> chain head, as row index + 1
+	chains []int32    // collision chain, same encoding as the tables
+}
+
+func (t *joinTable) row(r int32) Row {
+	if t.rows != nil {
+		return t.rows[r]
+	}
+	return t.flat[int(r)*t.w : int(r+1)*t.w]
+}
+
+// gatherBuild drains the build side into rows and their key hashes.
+func (j *hashJoin) gatherBuild(in operator) *joinTable {
+	t := &joinTable{w: len(in.cols())}
+	if s, ok := in.(*viewScanOp); ok && len(s.eq) == 0 && s.i == 0 {
+		// Straight from the extent: the scan only relabels columns, so its
+		// rows hash and chain as-is — no batch transpose, no copies.
+		t.rows = s.rows
+		s.i = len(s.rows)
+		t.hashes = make([]uint64, len(t.rows))
+		for r, row := range t.rows {
+			// Cancellation checkpoint: this loop walks the whole extent with
+			// no batch boundary to poll at.
+			if r&(BatchSize-1) == 0 && j.intr.stop() {
+				t.rows, t.hashes = t.rows[:r], t.hashes[:r]
+				break
+			}
+			t.hashes[r] = hashValues(row, j.bIdx)
+		}
+		return t
+	}
+	hint := distinctSizeHint(j.buildEst)
+	t.flat, t.hashes = make([]dict.ID, 0, hint*t.w), make([]uint64, 0, hint)
+	for {
+		b, ok := in.nextBatch()
+		if !ok {
+			return t
+		}
+		sel := b.liveSel()
+		n := len(t.hashes)
+		t.hashes = slices.Grow(t.hashes, len(sel))[:n+len(sel)]
+		t.flat = slices.Grow(t.flat, len(sel)*t.w)[:(n+len(sel))*t.w]
+		hashColumns(t.hashes[n:], b, sel, j.bIdx)
+		dst := t.flat[n*t.w:]
+		for c := 0; c < t.w; c++ {
+			col := b.cols[c]
+			for k, i := range sel {
+				dst[k*t.w+c] = col[i]
+			}
+		}
+	}
+}
+
+// hashColumns hashes the given columns of the batch's selected rows, column by
+// column, consistently with hashValues so build and probe sides agree.
+func hashColumns(hashes []uint64, b *batch, sel []int32, idx []int) {
+	for k := range hashes {
+		hashes[k] = hashSeed
+	}
+	for _, c := range idx {
+		col := b.cols[c]
+		for k, i := range sel {
+			hashes[k] = hashMix(hashes[k], uint64(col[i]))
+		}
+	}
+}
+
+// link chains the gathered rows through parts key-hash partition tables, built
+// concurrently when there are several.
+func (t *joinTable) link(parts int) {
+	t.chains = make([]int32, len(t.hashes))
+	t.tables = make([]*idTable, parts)
+	if parts == 1 {
+		t.linkPart(0)
+	} else {
+		var wg sync.WaitGroup
+		for p := range t.tables {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				t.linkPart(p)
+			}(p)
+		}
+		wg.Wait()
+	}
+	t.hashes = nil
+}
+
+// linkPart builds partition p's table over the rows whose key hash falls in it.
+func (t *joinTable) linkPart(p int) {
+	n := uint64(len(t.tables))
+	tbl := newIDTable(len(t.hashes) / len(t.tables))
+	for r, h := range t.hashes {
+		if h%n == uint64(p) {
+			t.chains[r] = tbl.get(h)
+			tbl.put(h, int32(r+1))
+		}
+	}
+	t.tables[p] = tbl
+}
+
+// joinProbe is the kernel's probe half: the state of one probe stream against
+// the linked build side. begin hashes a probe batch and fetches its chain
+// heads; fill emits the matches, resuming across output batches, so a probe
+// row's chain can span them.
+type joinProbe struct {
+	j *hashJoin
+	t *joinTable
+
+	b        *batch
+	sel      []int32
+	k        int   // next probe row, as an index into sel
+	row      int   // current probe row while a chain is being emitted
+	chain    int32 // rest of the current chain; 0 = none
+	hashes   []uint64
+	heads    []int32
+	matchBuf []int32 // verified chain matches, collected before columnar emit
+}
+
+// begin hashes the key columns of every live row of the probe batch and
+// fetches all chain heads (one batched table probe when unpartitioned).
+func (p *joinProbe) begin(b *batch) {
+	p.b, p.sel, p.k = b, b.liveSel(), 0
+	// Scratch sizes track the largest probe batch seen (≤ BatchSize): a
+	// selective probe stream should not pay for full-batch scratch.
+	if cap(p.hashes) < len(p.sel) {
+		p.hashes = make([]uint64, len(p.sel))
+		p.heads = make([]int32, len(p.sel))
+	}
+	hashes, heads := p.hashes[:len(p.sel)], p.heads[:len(p.sel)]
+	hashColumns(hashes, b, p.sel, p.j.pIdx)
+	if len(p.t.tables) == 1 {
+		p.t.tables[0].getBatch(hashes, heads)
+		return
+	}
+	for k, h := range hashes {
+		heads[k] = p.t.tables[h%uint64(len(p.t.tables))].get(h)
+	}
+}
+
+// fill appends joined rows to out until it is full (true) or the probe batch
+// is exhausted (false).
+func (p *joinProbe) fill(out *batch) bool {
+	for {
+		if p.chain != 0 {
+			p.emitChain(out)
+			if out.n == BatchSize {
+				return true
+			}
+		}
+		if p.k >= len(p.sel) {
+			return false
+		}
+		p.row, p.chain = int(p.sel[p.k]), p.heads[p.k]
+		p.k++
+	}
+}
+
+// emitChain walks the current probe row's collision chain in two phases:
+// verified matches are first collected into a scratch index run, then emitted
+// column-at-a-time — the probe row's values (left values under build=right,
+// kept right values under build=left) are constant across the run, so their
+// columns are fills and the build rows' columns gathers. Emission stops when
+// the chain or the output batch is exhausted.
+func (p *joinProbe) emitChain(out *batch) {
+	j, t := p.j, p.t
+	cols, prow := p.b.cols, p.row
+	if p.matchBuf == nil {
+		p.matchBuf = make([]int32, 0, 16)
+	}
+	free := BatchSize - out.n
+	run := p.matchBuf[:0]
+	for p.chain != 0 && len(run) < free {
+		c := p.chain - 1
+		brow := t.row(c)
+		p.chain = t.chains[c]
+		match := true
+		for x, pc := range j.pIdx {
+			if cols[pc][prow] != brow[j.bIdx[x]] {
+				match = false
+				break
+			}
+		}
+		if match {
+			run = append(run, c)
+		}
+	}
+	if g := len(run); g > 0 {
+		k := out.n
+		nl := len(j.shape.outCols) - len(j.shape.rightKeep)
+		for c := 0; c < nl; c++ {
+			dst := out.cols[c][k : k+g]
+			if j.buildLeft {
+				for x, r := range run {
+					dst[x] = t.row(r)[c]
+				}
+				continue
+			}
+			v := cols[c][prow]
+			for x := range dst {
+				dst[x] = v
+			}
+		}
+		for i, ri := range j.shape.rightKeep {
+			dst := out.cols[nl+i][k : k+g]
+			if j.buildLeft {
+				v := cols[ri][prow]
+				for x := range dst {
+					dst[x] = v
+				}
+				continue
+			}
+			for x, r := range run {
+				dst[x] = t.row(r)[ri]
+			}
+		}
+		out.n = k + g
+	}
+	p.matchBuf = run[:0] // keep any growth for the next chain
+}
+
+// hashJoinOp is the serial driver of the hash join. One probe batch is
+// peeked before the build: a zero-row probe side makes the join empty, so the
+// (possibly huge) build side is never drained.
+type hashJoinOp struct {
+	hashJoin
+
+	built bool
+	eof   bool
+	pr    joinProbe
+	out   *batch
+}
+
+func (j *hashJoinOp) close() {
+	j.out.release()
+	j.out = nil
+	closeOp(j.left)
+	closeOp(j.right)
+}
+
+func (j *hashJoinOp) nextBatch() (*batch, bool) {
+	if j.eof {
+		return nil, false
+	}
+	build, probe := j.sides()
+	if !j.built {
+		b, ok := probe.nextBatch()
+		if !ok {
+			j.eof = true
+			return nil, false
+		}
+		t := j.gatherBuild(build)
+		if len(t.hashes) == 0 {
+			j.eof = true
+			return nil, false
+		}
+		t.link(1)
+		j.built = true
+		j.pr = joinProbe{j: &j.hashJoin, t: t}
+		j.pr.begin(b)
+		j.out = newBatch(len(j.shape.outCols))
+	}
+	out := j.out
+	out.reset()
+	for !j.pr.fill(out) {
+		b, ok := probe.nextBatch()
+		if !ok {
+			// Latched only once nothing is left to hand out, so the probe's
+			// cancellation checkpoint is polled again after the final rows.
+			j.eof = out.n == 0
+			break
+		}
+		j.pr.begin(b)
+	}
+	return out, out.n > 0
+}

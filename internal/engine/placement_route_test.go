@@ -81,8 +81,7 @@ func TestGoldenExplainDualPlacement(t *testing.T) {
 // concrete shard must be re-resolved per Instantiate binding — freezing it at
 // compile time would send every binding to the sentinel's shard and silently
 // drop answers. Each instantiation must return exactly the concrete query's
-// answers while opening exactly one of the 8 object shards, on both the
-// vectorized and row paths.
+// answers while opening exactly one of the 8 object shards.
 func TestCachedTemplateReroutesOnInstantiate(t *testing.T) {
 	st := store.NewDual(8, 8)
 	d := st.Dict()

@@ -8,7 +8,6 @@ import (
 	"rdfviews/internal/algebra"
 	"rdfviews/internal/cost"
 	"rdfviews/internal/cq"
-	"rdfviews/internal/dict"
 	"rdfviews/internal/store"
 )
 
@@ -148,14 +147,12 @@ const buildLeftMargin = 16.0
 // head drops body variables — duplicate elimination. Build with PlanQuery,
 // run with Eval, render with Explain.
 type QueryPlan struct {
-	st         store.Reader
-	steps      []planStep
-	width      int       // register file width: number of distinct body vars
-	slotTerms  []cq.Term // slot -> variable, the compact numbering
-	head       []cq.Term
-	headSlots  []int     // per head position: register slot, or -1 for consts
-	headConsts []dict.ID // per head position: constant ID when headSlots < 0
-	distinct   bool      // false when the head exposes every body variable
+	st        store.Reader
+	steps     []planStep
+	slotTerms []cq.Term // slot -> variable, the compact numbering
+	head      []cq.Term
+	headSlots []int // per head position: register slot, or -1 for consts
+	distinct  bool  // false when the head exposes every body variable
 }
 
 // PlanQuery compiles the query using exact store counts for join ordering.
@@ -216,12 +213,11 @@ func PlanQueryWithStats(st store.Reader, q *cq.Query, cards Cards) (*QueryPlan, 
 	}
 	p := &QueryPlan{
 		st:        st,
-		width:     len(slotTerms),
 		slotTerms: slotTerms,
 		head:      append([]cq.Term(nil), q.Head...),
 	}
 
-	bound := make([]bool, p.width)
+	bound := make([]bool, len(slotTerms))
 	sorted := -1     // register slot the pipeline is currently sorted on
 	scanSorted := -1 // the driving scan's sort slot (for the exchange fan-in)
 	pipe := 0.0      // estimated cardinality of the pipeline so far
@@ -353,7 +349,7 @@ func PlanQueryWithStats(st store.Reader, q *cq.Query, cards Cards) (*QueryPlan, 
 	// (build=left hash join) it; otherwise batches surface in arrival order.
 	// With one shard (the default) plans are exactly the historical serial
 	// ones. The concrete shard subset is re-resolved from the instantiated
-	// pattern at pipeline-build time (buildVecOps): constant
+	// pattern at pipeline-build time (buildPipeline): constant
 	// substitution in cached plan templates never changes which positions
 	// are bound — so this par decision stays valid — but it does change
 	// which single shard a bound position hashes to.
@@ -378,17 +374,15 @@ func PlanQueryWithStats(st store.Reader, q *cq.Query, cards Cards) (*QueryPlan, 
 		}
 	}
 
-	// Head projection: slots for variables, IDs for constants. Distinct is
+	// Head projection: slots for variables, -1 for constants. Distinct is
 	// needed only when the head drops a body variable — when every body
 	// variable is exposed, assignments map bijectively to head tuples and the
 	// pipeline already emits each assignment once.
 	p.headSlots = make([]int, len(p.head))
-	p.headConsts = make([]dict.ID, len(p.head))
 	headVars := make(map[cq.Term]bool, len(p.head))
 	for i, h := range p.head {
 		if h.IsConst() {
 			p.headSlots[i] = -1
-			p.headConsts[i] = h.ConstID()
 			continue
 		}
 		p.headSlots[i] = slotOf[h]
@@ -421,6 +415,7 @@ func makeAtomSpec(a cq.Atom, slotOf map[cq.Term]int) *atomSpec {
 		}
 		firstPos[t] = pos
 		spec.binds = append(spec.binds, bindPos{pos: pos, slot: slotOf[t]})
+		spec.vars = append(spec.vars, t)
 	}
 	return spec
 }
@@ -608,15 +603,14 @@ func distinctSizeHint(est float64) int {
 	return int(est)
 }
 
-// Eval runs the pipeline (vec.go) and returns the distinct head tuples — the
-// same observable contract as the evaluator this engine replaced (inl.go).
+// Eval runs the pipeline (pipeline.go) and returns the distinct head tuples.
 func (p *QueryPlan) Eval() (*Relation, error) {
 	return p.EvalWithOptions(ExecOptions{})
 }
 
-// Describe returns the physical plan tree for explain surfaces. Operators
-// that own a batching knob — the scan leaves that decode column batches and
-// the Gather exchange that hands them between goroutines — self-describe
+// Describe returns the physical plan tree for explain surfaces, read off the
+// same planSteps buildPipeline instantiates. The scan leaves that decode column
+// batches and the Gather exchange that hands them between goroutines render
 // their batch size (like dop= for parallelism).
 func (p *QueryPlan) Describe() *algebra.PhysNode {
 	var node *algebra.PhysNode

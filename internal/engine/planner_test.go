@@ -2,12 +2,14 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"rdfviews/internal/algebra"
 	"rdfviews/internal/cq"
+	"rdfviews/internal/dict"
 	"rdfviews/internal/store"
 )
 
@@ -252,9 +254,49 @@ func TestPlanVariablePredicates(t *testing.T) {
 }
 
 func TestPlanPipelineAgainstINLRandom(t *testing.T) {
-	// Property: the planned streaming pipeline agrees with the legacy INL
-	// evaluator on random stores and random connected queries of 1–4 atoms.
+	// Property: the planned pipeline — materialized and streamed — agrees with
+	// the INL evaluator, multiset-exact, on random stores and random queries
+	// of 1–4 atoms, whatever physical shape got planned. Two regimes: tiny
+	// random stores under exact counts, then a skewed store (flat, 4-shard and
+	// 4×4 dual) under randomly distorted counts — estimates only steer
+	// operator choice, never answers, so distorting them walks the planner
+	// through every operator the store-side pipeline shares with rewritings.
 	rng := rand.New(rand.NewSource(99))
+	planned := map[string]bool{}
+	var record func(n *algebra.PhysNode)
+	record = func(n *algebra.PhysNode) {
+		planned[n.Op] = true
+		if n.Build != "" {
+			planned[n.Op+" build="+n.Build] = true
+		}
+		for _, c := range n.Children {
+			record(c)
+		}
+	}
+	check := func(label string, st *store.Store, q *cq.Query, cards Cards) {
+		t.Helper()
+		plan, err := PlanQueryWithStats(st, q, cards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		record(plan.Describe())
+		want, err := evalQueryINL(st, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label += " " + q.Format(st.Dict()) + "\n" + plan.Explain()
+		got, err := plan.EvalWithOptions(ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRows(t, label+"materialized", want, got)
+		streamed, err := plan.EvalStream(ExecOptions{}).Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRows(t, label+"streamed", want, streamed)
+	}
+
 	for trial := 0; trial < 60; trial++ {
 		st := store.New()
 		d := st.Dict()
@@ -265,19 +307,80 @@ func TestPlanPipelineAgainstINLRandom(t *testing.T) {
 				d.EncodeIRI(fmt.Sprintf("s%d", rng.Intn(6))),
 			})
 		}
+		q := randomConnectedQuery(rng, cq.NewParser(d), d, 1+rng.Intn(4))
+		check(fmt.Sprintf("trial %d", trial), st, q, storeCards{st})
+	}
+
+	// The skewed store: 1100 subjects share the object s0 under p0, so a hash
+	// join keyed on it walks one chain longer than BatchSize and emission
+	// resumes across output batches (the two fixed queries below, one per
+	// build side); s-nodes are subjects too, so chains continue through the
+	// hub. (V, p2, s4) holds on three triples only: the disconnected atom that
+	// makes a query a bounded cross product.
+	flat := store.New()
+	d := flat.Dict()
+	node := func(i int) dict.ID { return d.EncodeIRI(fmt.Sprintf("n%d", i)) }
+	hub := func(i int) dict.ID { return d.EncodeIRI(fmt.Sprintf("s%d", i)) }
+	prop := func(i int) dict.ID { return d.EncodeIRI(fmt.Sprintf("p%d", i)) }
+	for i := 0; i < 1100; i++ {
+		flat.Add(store.Triple{node(i), prop(0), hub(0)})
+	}
+	for i := 0; i < 300; i++ {
+		flat.Add(store.Triple{node(rng.Intn(1100)), prop(rng.Intn(2)), hub(rng.Intn(4))})
+		flat.Add(store.Triple{node(rng.Intn(1100)), prop(rng.Intn(3)), node(rng.Intn(1100))})
+	}
+	for i := 0; i < 40; i++ {
+		flat.Add(store.Triple{hub(rng.Intn(5)), prop(rng.Intn(3)), hub(rng.Intn(4))})
+	}
+	for i := 0; i < 3; i++ {
+		flat.Add(store.Triple{node(i), prop(2), hub(4)})
+		flat.Add(store.Triple{node(i), prop(1), hub(0)})
+	}
+	flat.Add(store.Triple{hub(0), prop(1), hub(1)})
+	// Estimates placing the long chain in the hash table under either build
+	// side: a sort break (the third atom shares only Y, the pipeline is sorted
+	// on the first two's subject) where hashing beats sorting, with the
+	// pipeline within, respectively beyond, buildLeftMargin of the atom.
+	longChain := []struct {
+		src, build string
+		est        map[dict.ID]float64
+	}{
+		{"q(X, U, V) :- t(U, p1, Y), t(U, p2, V), t(X, p0, Y)", "build=right",
+			map[dict.ID]float64{prop(1): 100, prop(2): 100, prop(0): 1100}},
+		{"q(X, Y2, Z) :- t(X, p0, Y), t(X, p0, Y2), t(Y, p1, Z)", "build=left",
+			map[dict.ID]float64{prop(0): 1000, prop(1): 20000}},
+	}
+	sharded := store.NewWithDictSharded(d, 4)
+	sharded.AddBatch(flat.Triples())
+	dual := store.NewWithDictDual(d, 4, 4)
+	dual.AddBatch(flat.Triples())
+	for layout, st := range map[string]*store.Store{"flat": flat, "4-shard": sharded, "4x4-dual": dual} {
+		st.Count(store.Pattern{})
+		distorted := cardsFunc(func(a cq.Atom) float64 {
+			return storeCards{st}.AtomCount(a) * math.Exp2(float64(rng.Intn(13)-6))
+		})
 		p := cq.NewParser(d)
-		q := randomConnectedQuery(rng, p, d, 1+rng.Intn(4))
-		got, err := EvalQuery(st, q)
-		if err != nil {
-			t.Fatal(err)
+		for _, lc := range longChain {
+			q := p.MustParseQuery(lc.src)
+			p.ResetNames()
+			est := cardsFunc(func(a cq.Atom) float64 { return lc.est[a[1].ConstID()] })
+			if plan, _ := PlanQueryWithStats(st, q, est); plan == nil || !strings.Contains(plan.Explain(), lc.build) {
+				t.Fatalf("%s: long-chain fixture no longer plans its hash join %s:\n%s", layout, lc.build, plan.Explain())
+			}
+			check(layout+" long chain", st, q, est)
 		}
-		want, err := evalQueryINL(st, q)
-		if err != nil {
-			t.Fatal(err)
+		for trial := 0; trial < 40; trial++ {
+			q := randomConnectedQuery(rng, p, d, 1+rng.Intn(4))
+			if len(q.Atoms) <= 2 && rng.Intn(3) == 0 {
+				q.Atoms = append(q.Atoms, cq.Atom{p.FreshVar(), cq.Const(prop(2)), cq.Const(hub(4))})
+			}
+			check(fmt.Sprintf("%s trial %d", layout, trial), st, q, distorted)
+			p.ResetNames()
 		}
-		if !got.EqualAsSet(want) {
-			t.Fatalf("trial %d: pipeline vs INL mismatch for %s: got %d rows, want %d",
-				trial, q.Format(d), got.Len(), want.Len())
+	}
+	for _, shape := range []string{"MergeJoin", "Sort", "HashJoin build=left", "HashJoin build=right", "CrossProduct"} {
+		if !planned[shape] {
+			t.Errorf("no trial planned a %s: the property never exercised it", shape)
 		}
 	}
 }

@@ -8,9 +8,9 @@ import (
 	"rdfviews/internal/dict"
 )
 
-// Streaming drains for both execution tiers: instead of materializing a
-// Relation, the pipeline is pulled one batch at a time and each batch is
-// handed to the consumer as a row slab. This is the serving tier's
+// The streaming drain: instead of materializing a Relation, the pipeline is
+// pulled one batch at a time and each batch is handed to the consumer as a
+// row slab. This is the serving tier's
 // backpressure path — an HTTP response encodes each slab and blocks on the
 // client's socket before the next batch is pulled, so a slow reader holds
 // O(batch) engine state, not O(result). The streams honor
@@ -63,20 +63,43 @@ func (s *RowStream) Close() {
 	}
 }
 
+// Collect drains the stream into a relation and closes it: materialization
+// as a wrapper over the streaming path.
+func (s *RowStream) Collect() (*Relation, error) {
+	defer s.Close()
+	out := NewRelation(s.streamCols)
+	var arena rowArena
+	for {
+		rows, err := s.Next()
+		if err != nil {
+			return nil, err
+		}
+		if rows == nil {
+			return out, nil
+		}
+		for _, row := range rows {
+			out.Rows = append(out.Rows, arena.copyRow(row))
+		}
+	}
+}
+
 // slabBuf is the reusable row-slab buffer streaming drains transpose batches
-// into: one flat backing array, re-sliced into rows per fill.
+// into: one flat backing array, re-sliced into rows per fill and sized by the
+// largest slab seen, so a point lookup does not pay for a full batch.
 type slabBuf struct {
 	rows []Row
 	back []dict.ID
 	w    int
 }
 
-func newSlabBuf(w int) *slabBuf {
-	return &slabBuf{rows: make([]Row, 0, BatchSize), back: make([]dict.ID, BatchSize*w), w: w}
+// reset readies the buffer for a new slab of up to n rows.
+func (sb *slabBuf) reset(n int) {
+	if cap(sb.rows) < n {
+		sb.rows = make([]Row, 0, n)
+		sb.back = make([]dict.ID, n*sb.w)
+	}
+	sb.rows = sb.rows[:0]
 }
-
-// reset readies the buffer for a new slab.
-func (sb *slabBuf) reset() { sb.rows = sb.rows[:0] }
 
 // next returns the next uninitialized row of the slab.
 func (sb *slabBuf) next() Row {
@@ -86,95 +109,48 @@ func (sb *slabBuf) next() Row {
 	return row
 }
 
-// EvalStream runs the store-side pipeline and streams its head tuples instead
-// of materializing them; distinct plans keep their dedup set across slabs —
-// the set holds each kept row once, which is inherent to distinct — while
-// non-distinct plans hold only the current slab. The stream's rows are valid until the next Next.
-func (p *QueryPlan) EvalStream(opts ExecOptions) *RowStream {
-	opts.intr = newInterrupt(opts.Ctx)
-	root := p.buildVecOps(opts.intr)
-	var seen *rowSet
-	if p.distinct {
-		hint := 64
-		if len(p.steps) > 0 {
-			hint = distinctSizeHint(p.steps[0].est)
-		}
-		seen = newRowSet(hint)
-	}
-	w := len(p.head)
-	slab := newSlabBuf(w)
-	scratch := make(Row, w)
-	hdst := make([]int, 0, w)
-	for c, s := range p.headSlots {
-		if s < 0 {
-			scratch[c] = p.headConsts[c]
-		} else {
-			hdst = append(hdst, c)
-		}
-	}
-	hcols := make([][]dict.ID, 0, len(hdst))
-	pull := func() ([]Row, error) {
-		for {
-			b, ok := root.nextBatch()
-			if !ok {
-				return nil, opts.ctxErr()
-			}
-			slab.reset()
-			hcols = hcols[:0]
-			for _, c := range hdst {
-				hcols = append(hcols, b.cols[p.headSlots[c]])
-			}
-			for _, i := range b.liveSel() {
-				for k, c := range hdst {
-					scratch[c] = hcols[k][i]
-				}
-				if seen == nil {
-					copy(slab.next(), scratch)
-				} else if kept, added := seen.addCopy(scratch); added {
-					// Kept rows live in the dedup set's arena, so the slab can
-					// reference them directly; they stay valid across Next calls.
-					slab.rows = append(slab.rows, kept)
-				}
-			}
-			if len(slab.rows) > 0 {
-				return slab.rows, nil
-			}
-			// A batch whose rows were all duplicates yields nothing; pull on.
-		}
-	}
-	return &RowStream{streamCols: append([]cq.Term(nil), p.head...), pull: pull,
-		stop: func() { closeVop(root) }}
-}
-
-// ExecuteStream runs a rewriting plan over materialized views and streams the
-// result, the streaming counterpart of ExecuteWithOptions. Deduplication
-// happens inside the pipeline's projection/union roots exactly as in the
-// materializing drain; the stream transposes each surviving batch into a
-// reused slab, so it holds O(batch) beyond the operators' own state.
-func ExecuteStream(p algebra.Plan, resolve ViewResolver, opts ExecOptions) (*RowStream, error) {
-	opts.intr = newInterrupt(opts.Ctx)
-	root, _, err := compileVecRel(p, resolve, opts)
-	if err != nil {
-		return nil, err
-	}
+// stream is the streaming drain of both tiers: each batch the root yields is
+// transposed into a reused slab, so the stream holds O(batch) beyond the
+// operators' own state (a dedup set holds each kept row once, which is
+// inherent to distinct). Closing the stream closes the root.
+func stream(root operator, opts ExecOptions) *RowStream {
 	w := len(root.cols())
-	slab := newSlabBuf(w)
+	slab := slabBuf{w: w}
 	pull := func() ([]Row, error) {
 		b, ok := root.nextBatch()
 		if !ok {
 			return nil, opts.ctxErr()
 		}
-		slab.reset()
-		for _, i := range b.liveSel() {
+		sel := b.liveSel()
+		slab.reset(len(sel))
+		for _, i := range sel {
 			row := slab.next()
-			for c := 0; c < w; c++ {
+			for c := range row {
 				row[c] = b.cols[c][i]
 			}
 		}
 		return slab.rows, nil
 	}
 	return &RowStream{streamCols: append([]cq.Term(nil), root.cols()...), pull: pull,
-		stop: func() { closeVop(root) }}, nil
+		stop: func() { closeOp(root) }}
+}
+
+// EvalStream runs the store-side pipeline and streams its head tuples instead
+// of materializing them. The stream's rows are valid until the next Next.
+func (p *QueryPlan) EvalStream(opts ExecOptions) *RowStream {
+	opts.intr = newInterrupt(opts.Ctx)
+	return stream(p.compile(opts.intr), opts)
+}
+
+// ExecuteStream runs a rewriting plan over materialized views and streams the
+// result, the streaming counterpart of ExecuteWithOptions.
+func ExecuteStream(p algebra.Plan, resolve ViewResolver, opts ExecOptions) (*RowStream, error) {
+	opts.intr = newInterrupt(opts.Ctx)
+	root, _, err := compileRel(p, resolve.extent, opts)
+	if err != nil {
+		return nil, err
+	}
+	return stream(root, opts), nil
 }
 
 // UnionStreams streams the set union of its member streams, deduplicating
@@ -244,13 +220,13 @@ func ProjectStream(in *RowStream, cols []cq.Term) (*RowStream, error) {
 			return nil, fmt.Errorf("engine: projection column %v not in %v", c, inCols)
 		}
 	}
-	slab := newSlabBuf(len(cols))
+	slab := slabBuf{w: len(cols)}
 	pull := func() ([]Row, error) {
 		rows, err := in.Next()
 		if err != nil || rows == nil {
 			return nil, err
 		}
-		slab.reset()
+		slab.reset(len(rows))
 		for _, row := range rows {
 			nr := slab.next()
 			for i, j := range idx {

@@ -42,6 +42,7 @@ package rdfviews
 // construction, drift only makes their join order stale.
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strconv"
@@ -211,8 +212,8 @@ func applyConstSubst(q *cq.Query, sub map[dict.ID]dict.ID) *cq.Query {
 
 // storeTemplate is the compiled store-path artifact: one physical plan per
 // member of the (possibly reformulated) skeleton union. Execution
-// instantiates each member against the caller's snapshot and binding and
-// takes the distinct union.
+// (execStream, serve_stream.go) instantiates each member against the caller's
+// snapshot and binding and takes the distinct union.
 type storeTemplate struct {
 	members []*engine.QueryPlan
 
@@ -271,34 +272,6 @@ func (t *storeTemplate) boundMembers(bkey string, repr map[dict.ID]dict.ID) []*e
 	}
 	t.mu.Unlock()
 	return ms
-}
-
-// exec runs the template against a reader under a concrete binding: each
-// cached member plan is instantiated (the memoized substituted clone, plus a
-// struct copy pinning the reader) and evaluated; multi-member unions
-// deduplicate positionally, exactly like engine.EvalUCQ.
-func (t *storeTemplate) exec(reader store.Reader, bkey string, repr map[dict.ID]dict.ID) (*engine.Relation, error) {
-	ms := t.boundMembers(bkey, repr)
-	if len(ms) == 1 {
-		return ms[0].Instantiate(reader, nil).Eval()
-	}
-	var out *engine.Relation
-	seen := engine.NewRowSet(64)
-	for _, p := range ms {
-		rel, err := p.Instantiate(reader, nil).Eval()
-		if err != nil {
-			return nil, err
-		}
-		if out == nil {
-			out = engine.NewRelation(rel.Cols)
-		}
-		for _, row := range rel.Rows {
-			if seen.Add(row) {
-				out.Rows = append(out.Rows, row)
-			}
-		}
-	}
-	return out, nil
 }
 
 // viewRoute records whether a concrete binding of a skeleton matches a
@@ -367,7 +340,7 @@ type Prepared struct {
 }
 
 // parseServeQuery parses ad-hoc query text in either supported syntax:
-// SPARQL when it starts with SELECT or PREFIX (case-insensitive), the
+// SPARQL when its first token is SELECT or PREFIX (case-insensitive), the
 // paper's Datalog-like notation otherwise. Alongside the query it returns
 // the source-level head column names (the SPARQL ?var names or the Datalog
 // head tokens; positions without a name — head constants — fall back to
@@ -378,12 +351,11 @@ func parseServeQuery(d *dict.Dictionary, text string) (*cq.Query, []string, erro
 		return nil, nil, fmt.Errorf("rdfviews: empty query")
 	}
 	p := cq.NewParser(d)
-	u := strings.ToUpper(t)
 	var (
 		q   *cq.Query
 		err error
 	)
-	if strings.HasPrefix(u, "SELECT") || strings.HasPrefix(u, "PREFIX") {
+	if isSPARQL(t) {
 		q, err = p.ParseSPARQL(t)
 	} else {
 		q, err = p.ParseQuery(t)
@@ -400,6 +372,18 @@ func parseServeQuery(d *dict.Dictionary, text string) (*cq.Query, []string, erro
 		}
 	}
 	return q, names, nil
+}
+
+// isSPARQL reports whether the (trimmed) query text opens with the keyword
+// SELECT or PREFIX: the keyword, then whitespace, a ?variable or *. A Datalog
+// head may be named anything — selected(X), prefixes(X) — so a bare prefix
+// match is not enough.
+func isSPARQL(t string) bool {
+	const n = len("SELECT") // == len("PREFIX")
+	if len(t) <= n || !(strings.EqualFold(t[:n], "SELECT") || strings.EqualFold(t[:n], "PREFIX")) {
+		return false
+	}
+	return strings.ContainsRune(" \t\r\n?*", rune(t[n]))
 }
 
 // AnswerQuery answers one ad-hoc query (SPARQL or Datalog-like text) over
@@ -500,40 +484,13 @@ func (p *Prepared) AnswerBound(args ...string) ([][]string, error) {
 }
 
 // answerLifted is the common execution path behind AnswerQuery, Answer and
-// AnswerBound: fetch-or-compile the artifact, resolve the route for this
-// binding, execute.
+// AnswerBound: the streaming path (openLifted), materialized.
 func (lv *LiveViews) answerLifted(li *liftInfo) ([][]string, error) {
-	a, err := lv.artifactFor(li)
+	rs, err := lv.openLifted(context.Background(), li)
 	if err != nil {
 		return nil, err
 	}
-	r, tmpl, err := lv.routeFor(a, li)
-	if err != nil {
-		return nil, err
-	}
-	if r.matched {
-		if lv.stale == WaitFresh {
-			if err := lv.m.Flush(); err != nil {
-				return nil, err
-			}
-		}
-		rel, err := engine.ExecuteWithOptions(lv.rec.state.Plans[r.idx], lv.m.Resolver(),
-			engine.ExecOptions{DOP: lv.dop})
-		if err != nil {
-			return nil, err
-		}
-		if !sameCols(rel.Cols, r.cols) {
-			rel, err = rel.Project(r.cols)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return lv.rec.db.decodeRows(rel), nil
-	}
-	// Store path. The base store is updated synchronously by Insert/Delete
-	// even under asynchronous maintenance, so no flush barrier is needed:
-	// a snapshot here always reflects every applied update.
-	rel, err := tmpl.exec(lv.m.Store().Snapshot(), bindingKey(li.binding), li.repr)
+	rel, err := rs.Collect()
 	if err != nil {
 		return nil, err
 	}
@@ -779,7 +736,11 @@ func (db *Database) answerCached(q *cq.Query, mode Reasoning) (*engine.Relation,
 	if err != nil {
 		return nil, err
 	}
-	return a.tmpl.exec(reader, bindingKey(li.binding), li.repr)
+	rs, err := a.tmpl.execStream(reader, bindingKey(li.binding), li.repr, engine.ExecOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return rs.Collect()
 }
 
 // explainCached renders the physical plan Answer would execute for q under

@@ -8,9 +8,10 @@ package rdfviews
 // context.Context cancels the running pipeline at its next checkpoint
 // (client disconnects and deadlines propagate into the engine).
 //
-// Routing, caching and freshness are byte-identical to the materializing
-// path: the same statement cache, plan cache, view-route match and
-// StaleReadPolicy flush barrier, and the same decode rules as decodeRows.
+// The materializing answers (AnswerQuery, Prepared.Answer, Database.Answer)
+// collect these same streams, so routing, caching and freshness — statement
+// cache, plan cache, view-route match, StaleReadPolicy flush barrier — exist
+// once; AnswerStream decodes by the same rules as decodeRows.
 
 import (
 	"context"
@@ -107,9 +108,11 @@ func (s *AnswerStream) decode(id dict.ID) string {
 	return v
 }
 
-// execStream is storeTemplate.exec's streaming counterpart: the single-member
-// fast path streams the instantiated plan directly; multi-member unions
-// deduplicate across member streams exactly like the materializing union.
+// execStream runs the template against a reader under a concrete binding:
+// each cached member plan is instantiated (the memoized substituted clone,
+// plus a struct copy pinning the reader) and streamed — directly for a single
+// member, deduplicated positionally across members otherwise, exactly like
+// engine.EvalUCQ.
 func (t *storeTemplate) execStream(reader store.Reader, bkey string, repr map[dict.ID]dict.ID, opts engine.ExecOptions) (*engine.RowStream, error) {
 	ms := t.boundMembers(bkey, repr)
 	if len(ms) == 1 {
@@ -132,6 +135,16 @@ func (lv *LiveViews) AnswerQueryStream(ctx context.Context, text string) (*Answe
 	if err != nil {
 		return nil, err
 	}
+	rs, err := lv.openLifted(ctx, li)
+	if err != nil {
+		return nil, err
+	}
+	return newAnswerStream(rs, li.headNames, lv.m.Store().Dict()), nil
+}
+
+// openLifted is the one execution path of the serving surface: fetch-or-compile
+// the artifact, resolve the route for this binding, open its stream.
+func (lv *LiveViews) openLifted(ctx context.Context, li *liftInfo) (*engine.RowStream, error) {
 	a, err := lv.artifactFor(li)
 	if err != nil {
 		return nil, err
@@ -140,36 +153,27 @@ func (lv *LiveViews) AnswerQueryStream(ctx context.Context, text string) (*Answe
 	if err != nil {
 		return nil, err
 	}
-	var rs *engine.RowStream
-	if r.matched {
-		if lv.stale == WaitFresh {
-			if err := lv.m.Flush(); err != nil {
-				return nil, err
-			}
-		}
-		rs, err = engine.ExecuteStream(lv.rec.state.Plans[r.idx], lv.m.Resolver(),
-			engine.ExecOptions{DOP: lv.dop, Ctx: ctx})
-		if err != nil {
-			return nil, err
-		}
-		if !sameCols(rs.Cols(), r.cols) {
-			proj, err := engine.ProjectStream(rs, r.cols)
-			if err != nil {
-				rs.Close()
-				return nil, err
-			}
-			rs = proj
-		}
-	} else {
+	if !r.matched {
 		// Store path: the base store is updated synchronously even under
 		// asynchronous maintenance, so a snapshot needs no flush barrier.
-		rs, err = tmpl.execStream(lv.m.Store().Snapshot(), bindingKey(li.binding), li.repr,
+		return tmpl.execStream(lv.m.Store().Snapshot(), bindingKey(li.binding), li.repr,
 			engine.ExecOptions{Ctx: ctx})
-		if err != nil {
+	}
+	if lv.stale == WaitFresh {
+		if err := lv.m.Flush(); err != nil {
 			return nil, err
 		}
 	}
-	return newAnswerStream(rs, li.headNames, lv.m.Store().Dict()), nil
+	rs, err := engine.ExecuteStream(lv.rec.state.Plans[r.idx], lv.m.Resolver(),
+		engine.ExecOptions{DOP: lv.dop, Ctx: ctx})
+	if err != nil || sameCols(rs.Cols(), r.cols) {
+		return rs, err
+	}
+	proj, err := engine.ProjectStream(rs, r.cols)
+	if err != nil {
+		rs.Close()
+	}
+	return proj, err
 }
 
 // AnswerQueryStream answers ad-hoc query text directly on the database as a

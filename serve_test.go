@@ -1,6 +1,7 @@
 package rdfviews
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -401,6 +402,65 @@ func TestServeCacheChurnConcurrent(t *testing.T) {
 		}
 		if !sameAnswers(got, want) {
 			t.Fatalf("post-churn %q diverged\n got: %v\nwant: %v", qs, got, want)
+		}
+	}
+}
+
+// TestParseServeQueryRoutesBySyntax pins the SPARQL/Datalog sniffing: the
+// text is SPARQL only when its first token is the keyword SELECT or PREFIX, so
+// Datalog heads that merely start with those letters keep parsing as Datalog
+// on every ad-hoc surface.
+func TestParseServeQueryRoutesBySyntax(t *testing.T) {
+	db, lv := serveLive(t, ReasoningNone, MaintainOptions{})
+	want := oracle(t, db, `q(X) :- t(X, hasPainted, Y)`, ReasoningNone)
+	cases := []struct {
+		text string
+		cols []string
+	}{
+		{`selected(X) :- t(X, hasPainted, Y)`, []string{"X"}},
+		{`prefixes(X) :- t(X, hasPainted, Y)`, []string{"X"}},
+		{`Selected(X) :- t(X, hasPainted, Y)`, []string{"X"}},
+		{`q(X) :- t(X, hasPainted, Y)`, []string{"X"}},
+		{`SELECT ?x WHERE { ?x <hasPainted> ?y }`, []string{"x"}},
+		{"  select\t?x where { ?x <hasPainted> ?y }", []string{"x"}},
+		{`PREFIX ex: <http://example.org/> SELECT ?x WHERE { ?x <hasPainted> ?y }`, []string{"x"}},
+		{"prefix ex: <http://example.org/>\nSELECT ?x WHERE { ?x <hasPainted> ?y }", []string{"x"}},
+	}
+	for _, tc := range cases {
+		_, names, err := parseServeQuery(db.st.Dict(), tc.text)
+		if err != nil {
+			t.Errorf("parseServeQuery(%q): %v", tc.text, err)
+			continue
+		}
+		if fmt.Sprint(names) != fmt.Sprint(tc.cols) {
+			t.Errorf("parseServeQuery(%q) head names = %v, want %v", tc.text, names, tc.cols)
+		}
+		got, err := lv.AnswerQuery(tc.text)
+		if err != nil {
+			t.Fatalf("AnswerQuery(%q): %v", tc.text, err)
+		}
+		if !sameAnswers(got, want) {
+			t.Errorf("AnswerQuery(%q) = %v, want %v", tc.text, got, want)
+		}
+		for _, open := range []func() (*AnswerStream, error){
+			func() (*AnswerStream, error) { return lv.AnswerQueryStream(context.Background(), tc.text) },
+			func() (*AnswerStream, error) {
+				return db.AnswerQueryStream(context.Background(), tc.text, ReasoningNone)
+			},
+		} {
+			s, err := open()
+			if err != nil {
+				t.Fatalf("AnswerQueryStream(%q): %v", tc.text, err)
+			}
+			if got := drainAnswers(t, s); !sameAnswers(got, want) {
+				t.Errorf("AnswerQueryStream(%q) = %v, want %v", tc.text, got, want)
+			}
+		}
+	}
+	// Keyword directly followed by ? or *: still SPARQL's to accept or reject.
+	for _, text := range []string{`SELECT?x WHERE { ?x <hasPainted> ?y }`, `select* where { ?s ?p ?o }`} {
+		if _, _, err := parseServeQuery(db.st.Dict(), text); err != nil && !strings.Contains(err.Error(), "sparql") {
+			t.Errorf("parseServeQuery(%q) was not routed to the SPARQL parser: %v", text, err)
 		}
 	}
 }
