@@ -56,6 +56,10 @@ type testbed struct {
 	schema  *reason.Schema
 	props   []string
 	consts  []string
+
+	// reform is the saturated-equivalent global statistics of (st, schema),
+	// derived by the first post-reformulation series that asks.
+	reform *stats.Globals
 }
 
 func newTestbed(sc Scale) *testbed {
@@ -77,6 +81,16 @@ func newTestbed(sc Scale) *testbed {
 // estimator builds the plain-store estimator.
 func (tb *testbed) estimator() *cost.Estimator {
 	return cost.NewEstimator(stats.NewStoreStats(tb.st), cost.DefaultWeights())
+}
+
+// postEstimator builds a post-reformulation estimator: reformulated
+// statistics over the non-saturated store, with per-atom counts of its own.
+func (tb *testbed) postEstimator() *cost.Estimator {
+	if tb.reform == nil {
+		g := stats.NewReformulatedStats(tb.st, tb.schema).Globals()
+		tb.reform = &g
+	}
+	return cost.NewEstimator(stats.NewReformulatedStatsFrom(tb.st, tb.schema, *tb.reform), cost.DefaultWeights())
 }
 
 // genWorkload draws a free-standing workload over the testbed vocabulary.

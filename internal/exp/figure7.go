@@ -99,7 +99,7 @@ func ReformExperiment(sc Scale) (ReformResult, error) {
 		out.Table3 = append(out.Table3, row)
 
 		// Post-reformulation: original workload, reformulated statistics.
-		postEst := cost.NewEstimator(stats.NewReformulatedStats(tb.st, tb.schema), cost.DefaultWeights())
+		postEst := tb.postEstimator()
 		postRes, err := searchTimeline(wl.queries, nil, postEst, sc)
 		if err != nil {
 			return ReformResult{}, err

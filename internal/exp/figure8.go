@@ -67,7 +67,7 @@ func Figure8(sc Scale, repeats int) (Fig8Result, error) {
 
 	// (2) post-reformulation recommendation: search with reformulated stats,
 	// materialize reformulated views on the original store.
-	postEst := cost.NewEstimator(stats.NewReformulatedStats(tb.st, tb.schema), cost.DefaultWeights())
+	postEst := tb.postEstimator()
 	postRes, err := searchTimeline(q1, nil, postEst, sc)
 	if err != nil {
 		return Fig8Result{}, err

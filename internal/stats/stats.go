@@ -10,7 +10,6 @@
 package stats
 
 import (
-	"fmt"
 	"sync"
 
 	"rdfviews/internal/cq"
@@ -84,6 +83,16 @@ func PatternOf(a cq.Atom) store.Pattern {
 	return pat
 }
 
+// Globals are the saturated-equivalent global statistics of Section 4.3:
+// |sat(D)| and the distinct counts of its three columns. They are a function
+// of (data, schema) alone, so an owner that knows when neither moved can
+// derive them once (ReformulatedStats.Globals) and hand them to every later
+// provider (NewReformulatedStatsFrom).
+type Globals struct {
+	Total    float64
+	Distinct [3]float64
+}
+
 // ReformulatedStats serves the statistics of the post-reformulation scenario
 // (Section 4.3): per-atom counts are the sizes of the atom's reformulation
 // evaluated on the original store, and the global statistics (total size,
@@ -95,28 +104,53 @@ type ReformulatedStats struct {
 	schema *reason.Schema
 
 	mu       sync.Mutex
-	cache    map[string]float64
+	cache    map[store.Pattern]float64
 	prepOnce sync.Once
-	distinct [3]float64
-	total    float64
+	globals  Globals
 }
 
-// NewReformulatedStats returns a provider over the non-saturated store.
+// NewReformulatedStats returns a provider over the non-saturated store. The
+// global statistics are derived on first use.
 func NewReformulatedStats(st *store.Store, schema *reason.Schema) *ReformulatedStats {
 	warmStore(st)
-	return &ReformulatedStats{st: st, schema: schema, cache: make(map[string]float64)}
+	return &ReformulatedStats{st: st, schema: schema, cache: make(map[store.Pattern]float64)}
+}
+
+// NewReformulatedStatsFrom returns a provider that takes its global
+// statistics from g — what Globals returned for the same store contents and
+// schema — instead of deriving them. The fully relaxed atom's count is the
+// total, so it is known too: the search asks for it whenever a selection cut
+// relaxes an atom's last constant.
+func NewReformulatedStatsFrom(st *store.Store, schema *reason.Schema, g Globals) *ReformulatedStats {
+	s := NewReformulatedStats(st, schema)
+	s.prepOnce.Do(func() {
+		s.globals = g
+		s.cache[store.Pattern{}] = g.Total
+	})
+	return s
 }
 
 // Store exposes the underlying (non-saturated) store.
 func (s *ReformulatedStats) Store() *store.Store { return s.st }
 
-// atomQuery builds the one-atom query vi of Section 3.3: body = the atom,
-// head = the distinct variables of the atom.
-func atomQuery(a cq.Atom) *cq.Query {
-	head := a.Vars()
-	if len(head) == 0 {
-		// Fully bound atom: boolean query; count is 0 or 1.
-		head = nil
+// relaxed are the variables of the fully relaxed atom t(X, Y, Z) of Section
+// 3.3, numbered away from anything a workload uses.
+var relaxed = cq.Atom{cq.Var(1000000001), cq.Var(1000000002), cq.Var(1000000003)}
+
+// atomQuery builds the one-atom query vi of Section 3.3 for the atom's
+// constant pattern: every variable position gets a variable of its own
+// (cost.Stats: repeated-variable equalities are the estimator's), and the
+// head is those variables — none for a fully bound atom, whose boolean query
+// counts 0 or 1.
+func atomQuery(pat store.Pattern) *cq.Query {
+	a := relaxed
+	var head []cq.Term
+	for i, id := range pat {
+		if id != store.Wildcard {
+			a[i] = cq.Const(id)
+		} else {
+			head = append(head, a[i])
+		}
 	}
 	return &cq.Query{Head: head, Atoms: []cq.Atom{a}}
 }
@@ -124,45 +158,25 @@ func atomQuery(a cq.Atom) *cq.Query {
 // AtomCount implements cost.Stats: |Reformulate(vi, S)| evaluated with set
 // semantics on the original store.
 func (s *ReformulatedStats) AtomCount(a cq.Atom) float64 {
-	key := cacheKey(a)
+	pat := PatternOf(a)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if c, ok := s.cache[key]; ok {
+	if c, ok := s.cache[pat]; ok {
 		return c
 	}
-	q := atomQuery(a)
-	u, err := reason.Reformulate(q, s.schema, 0)
+	u, err := reason.Reformulate(atomQuery(pat), s.schema, 0)
+	var n int
+	if err == nil {
+		n, err = engine.CountUCQ(s.st, u)
+	}
 	if err != nil {
 		// Fall back to the plain count; the limit only trips on adversarial
 		// schemas, and an under-estimate is preferable to failing the search.
-		c := float64(s.st.Count(PatternOf(a)))
-		s.cache[key] = c
-		return c
-	}
-	n, err := engine.CountUCQ(s.st, u)
-	if err != nil {
-		n = s.st.Count(PatternOf(a))
+		n = s.st.Count(pat)
 	}
 	c := float64(n)
-	s.cache[key] = c
+	s.cache[pat] = c
 	return c
-}
-
-func cacheKey(a cq.Atom) string {
-	// Variables are interchangeable for counting; normalize by position.
-	norm := func(t cq.Term, i int) int64 {
-		if t.IsVar() {
-			// Repeated variables within the atom must keep their identity.
-			for j := 0; j < i; j++ {
-				if a[j] == t {
-					return int64(-(j + 1))
-				}
-			}
-			return int64(-(i + 1))
-		}
-		return int64(t)
-	}
-	return fmt.Sprintf("%d|%d|%d", norm(a[0], 0), norm(a[1], 1), norm(a[2], 2))
 }
 
 // prepare computes the saturated-equivalent global statistics from fully
@@ -170,36 +184,35 @@ func cacheKey(a cq.Atom) string {
 // the computed fields safe to read from concurrent searchers.
 func (s *ReformulatedStats) prepare() {
 	s.prepOnce.Do(func() {
-		x, y, z := cq.Var(1000000001), cq.Var(1000000002), cq.Var(1000000003)
-		full := cq.Atom{x, y, z}
-		s.total = s.AtomCount(full)
-		for col, v := range []cq.Term{x, y, z} {
-			q := &cq.Query{Head: []cq.Term{v}, Atoms: []cq.Atom{full}}
+		s.globals.Total = s.AtomCount(relaxed)
+		for col, v := range relaxed {
+			q := &cq.Query{Head: []cq.Term{v}, Atoms: []cq.Atom{relaxed}}
 			u, err := reason.Reformulate(q, s.schema, 0)
 			if err != nil {
-				s.distinct[col] = float64(s.st.DistinctCount(col))
+				s.globals.Distinct[col] = float64(s.st.DistinctCount(col))
 				continue
 			}
 			n, err := engine.CountUCQ(s.st, u)
 			if err != nil {
 				n = s.st.DistinctCount(col)
 			}
-			s.distinct[col] = float64(n)
+			s.globals.Distinct[col] = float64(n)
 		}
 	})
 }
 
-// TotalTriples implements cost.Stats: the saturated database size.
-func (s *ReformulatedStats) TotalTriples() float64 {
+// Globals returns the saturated-equivalent global statistics, deriving them
+// if this provider has not yet.
+func (s *ReformulatedStats) Globals() Globals {
 	s.prepare()
-	return s.total
+	return s.globals
 }
 
+// TotalTriples implements cost.Stats: the saturated database size.
+func (s *ReformulatedStats) TotalTriples() float64 { return s.Globals().Total }
+
 // DistinctCount implements cost.Stats over the saturated extension.
-func (s *ReformulatedStats) DistinctCount(col int) float64 {
-	s.prepare()
-	return s.distinct[col]
-}
+func (s *ReformulatedStats) DistinctCount(col int) float64 { return s.Globals().Distinct[col] }
 
 // AvgWidth implements cost.Stats; widths are taken from the base store
 // (saturation adds no new lexical values beyond schema terms).

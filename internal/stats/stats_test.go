@@ -100,55 +100,102 @@ func TestReformulatedStatsMatchSaturated(t *testing.T) {
 	}
 }
 
+// TestReformulatedStatsRandomized is the same property on random data and
+// schemas, for every statistic cost.Stats serves and every atom shape the
+// search can produce: reformulated = StoreStats over reason.Saturate.
 func TestReformulatedStatsRandomized(t *testing.T) {
-	// Same property on random data and schema.
-	rng := rand.New(rand.NewSource(4))
 	names := []string{"a", "b", "c", "d", "e"}
 	props := []string{"p1", "p2", "p3"}
 	classes := []string{"k1", "k2", "k3"}
-	for trial := 0; trial < 10; trial++ {
+	for seed := int64(0); seed < 120; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pick := func(from []string) string { return from[rng.Intn(len(from))] }
 		st := store.New()
 		d := st.Dict()
+		typeID := d.EncodeIRI(rdf.RDFType)
 		for i := 0; i < 25; i++ {
 			if rng.Intn(3) == 0 {
-				st.Add(store.Triple{
-					d.EncodeIRI(names[rng.Intn(len(names))]),
-					d.EncodeIRI(rdf.RDFType),
-					d.EncodeIRI(classes[rng.Intn(len(classes))]),
-				})
+				st.Add(store.Triple{d.EncodeIRI(pick(names)), typeID, d.EncodeIRI(pick(classes))})
 				continue
 			}
-			st.Add(store.Triple{
-				d.EncodeIRI(names[rng.Intn(len(names))]),
-				d.EncodeIRI(props[rng.Intn(len(props))]),
-				d.EncodeIRI(names[rng.Intn(len(names))]),
-			})
+			st.Add(store.Triple{d.EncodeIRI(pick(names)), d.EncodeIRI(pick(props)), d.EncodeIRI(pick(names))})
 		}
 		sch := rdf.NewSchema()
-		sch.AddSubClass(classes[rng.Intn(3)], classes[rng.Intn(3)])
-		sch.AddSubProperty(props[rng.Intn(3)], props[rng.Intn(3)])
-		sch.AddDomain(props[rng.Intn(3)], classes[rng.Intn(3)])
-		sch.AddRange(props[rng.Intn(3)], classes[rng.Intn(3)])
+		for _, add := range []func(){
+			func() { sch.AddSubClass(pick(classes), pick(classes)) },
+			func() { sch.AddSubProperty(pick(props), pick(props)) },
+			func() { sch.AddDomain(pick(props), pick(classes)) },
+			func() { sch.AddRange(pick(props), pick(classes)) },
+		} {
+			for n := 1 + rng.Intn(3); n > 0; n-- {
+				add()
+			}
+		}
 		schema := reason.NewSchema(sch, d)
 
-		sat := reason.Saturate(st, schema)
-		satStats := NewStoreStats(sat)
+		satStats := NewStoreStats(reason.Saturate(st, schema))
 		refStats := NewReformulatedStats(st, schema)
-		x, y := cq.Var(1), cq.Var(2)
+		x, y, z := cq.Var(1), cq.Var(2), cq.Var(3)
+		konst := func(from []string) cq.Term { return cq.Const(d.EncodeIRI(pick(from))) }
 		atoms := []cq.Atom{
-			{x, cq.Const(d.EncodeIRI(rdf.RDFType)), cq.Const(d.EncodeIRI(classes[rng.Intn(3)]))},
-			{x, cq.Const(d.EncodeIRI(props[rng.Intn(3)])), y},
-			{x, cq.Const(d.EncodeIRI(rdf.RDFType)), y},
+			{x, cq.Const(typeID), konst(classes)},
+			{x, konst(props), y},
+			{x, cq.Const(typeID), y},
+			{x, y, z},
+			{x, y, konst(names)},
+			{konst(names), y, z},
+			{x, konst(props), x},
+			{konst(names), konst(props), konst(names)},
+			{konst(names), cq.Const(typeID), konst(classes)},
+			{x, y, konst(classes)},
 		}
 		for _, a := range atoms {
 			if got, want := refStats.AtomCount(a), satStats.AtomCount(a); got != want {
-				t.Fatalf("trial %d atom %v: reformulated %v != saturated %v\nschema: %v",
-					trial, a, got, want, sch.Statements())
+				t.Fatalf("seed %d atom %v: reformulated %v != saturated %v\nschema: %v",
+					seed, a, got, want, sch.Statements())
 			}
 		}
 		if got, want := refStats.TotalTriples(), satStats.TotalTriples(); got != want {
-			t.Fatalf("trial %d TotalTriples: %v vs %v", trial, got, want)
+			t.Fatalf("seed %d TotalTriples: %v vs %v\nschema: %v", seed, got, want, sch.Statements())
 		}
+		for col := 0; col < 3; col++ {
+			if got, want := refStats.DistinctCount(col), satStats.DistinctCount(col); got != want {
+				t.Fatalf("seed %d DistinctCount(%d): %v vs %v\nschema: %v", seed, col, got, want, sch.Statements())
+			}
+		}
+	}
+}
+
+// TestReformulatedStatsFromGlobals: a provider built from another's globals
+// serves the same statistics as one that derives them — the fully relaxed
+// atom included — without evaluating anything over the store to do so.
+func TestReformulatedStatsFromGlobals(t *testing.T) {
+	st, schema := museumStore(t)
+	cold := NewReformulatedStats(st, schema)
+	g := cold.Globals()
+	if want := (Globals{Total: 10, Distinct: [3]float64{4, 3, 5}}); g != want {
+		t.Fatalf("Globals = %+v, want %+v", g, want)
+	}
+
+	before := st.PruneStats().Snapshot().Opens
+	warm := NewReformulatedStatsFrom(st, schema, g)
+	if warm.Globals() != g {
+		t.Errorf("seeded provider's Globals = %+v, want %+v", warm.Globals(), g)
+	}
+	if got := warm.AtomCount(cq.Atom{cq.Var(1), cq.Var(2), cq.Var(3)}); got != g.Total {
+		t.Errorf("seeded AtomCount(t(X,Y,Z)) = %v, want the total %v", got, g.Total)
+	}
+	if warm.TotalTriples() != g.Total || warm.DistinctCount(store.O) != g.Distinct[store.O] {
+		t.Errorf("seeded provider serves %v / %v, want %v / %v",
+			warm.TotalTriples(), warm.DistinctCount(store.O), g.Total, g.Distinct[store.O])
+	}
+	if opens := st.PruneStats().Snapshot().Opens - before; opens != 0 {
+		t.Errorf("seeded provider opened %d cursors for statistics it was given", opens)
+	}
+	// Everything else is still derived on demand, and agrees.
+	a := cq.Atom{cq.Var(1), cq.Const(st.Dict().EncodeIRI("isLocatIn")), cq.Var(2)}
+	if got, want := warm.AtomCount(a), cold.AtomCount(a); got != want {
+		t.Errorf("AtomCount(%v) = %v, cold provider %v", a, got, want)
 	}
 }
 

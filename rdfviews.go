@@ -78,6 +78,7 @@ import (
 	"rdfviews/internal/engine"
 	"rdfviews/internal/plancache"
 	"rdfviews/internal/rdf"
+	"rdfviews/internal/stats"
 	"rdfviews/internal/store"
 )
 
@@ -92,12 +93,32 @@ type Database struct {
 	serveOnce  sync.Once
 	serveCache *plancache.Cache
 
-	// Saturated-copy cache for ReasoningSaturate, pinned to the (store epoch,
-	// schema size) it was computed from.
-	satMu        sync.Mutex
-	satStore     *store.Store
-	satEpoch     uint64
-	satSchemaLen int
+	pin pinned
+}
+
+// pinned holds what the database derives from (data, schema) alone and keeps
+// across calls. Both members are filled lazily by the first caller that needs
+// them at a database version and dropped together when the version moves;
+// nothing on a write path touches them.
+type pinned struct {
+	mu        sync.Mutex
+	epoch     uint64
+	schemaLen int
+	// sat is the saturated copy Answer reads under ReasoningSaturate.
+	sat *store.Store
+	// reform holds the saturated-equivalent global statistics Recommend
+	// costs with under ReasoningPost.
+	reform *stats.Globals
+}
+
+// lockAt locks the pin for the database version (store epoch, schema size),
+// first dropping whatever was derived from another one. The caller unlocks.
+func (p *pinned) lockAt(epoch uint64, schemaLen int) {
+	p.mu.Lock()
+	if p.epoch != epoch || p.schemaLen != schemaLen {
+		p.epoch, p.schemaLen = epoch, schemaLen
+		p.sat, p.reform = nil, nil
+	}
 }
 
 // NewDatabase returns an empty database with an empty schema, backed by a

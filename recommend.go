@@ -290,7 +290,7 @@ func (db *Database) Recommend(w *Workload, opts Options) (*Recommendation, error
 		matStore = reason.Saturate(db.st, schema)
 		provider = stats.NewStoreStats(matStore)
 	case ReasoningPost:
-		provider = stats.NewReformulatedStats(db.st, schema)
+		provider = stats.NewReformulatedStatsFrom(db.st, schema, db.reformGlobals(schema))
 	default:
 		return nil, fmt.Errorf("rdfviews: unknown reasoning mode %q", mode)
 	}
@@ -350,6 +350,21 @@ func (db *Database) Recommend(w *Workload, opts Options) (*Recommendation, error
 		matStore:      matStore,
 		maxUnionTerms: opts.MaxUnionTerms,
 	}, nil
+}
+
+// reformGlobals returns the saturated-equivalent global statistics of the
+// current database version: four reformulated unions over the whole store,
+// evaluated by the first post-reformulation Recommend of a version — the
+// pin's mutex makes concurrent first callers wait for one derivation — and
+// read by every later one. Per-atom counts stay with each call's provider.
+func (db *Database) reformGlobals(schema *reason.Schema) stats.Globals {
+	db.pin.lockAt(db.st.Epoch(), db.schema.Len())
+	defer db.pin.mu.Unlock()
+	if db.pin.reform == nil {
+		g := stats.NewReformulatedStats(db.st, schema).Globals()
+		db.pin.reform = &g
+	}
+	return *db.pin.reform
 }
 
 // answerRelation evaluates a query directly on the database under the

@@ -717,15 +717,12 @@ func dbModeTag(mode Reasoning) (string, error) {
 // (epoch, schema) state, rebuilding it only when either moved — Answer under
 // ReasoningSaturate used to re-saturate on every call.
 func (db *Database) saturatedFor(epoch uint64, schemaLen int) *store.Store {
-	db.satMu.Lock()
-	defer db.satMu.Unlock()
-	if db.satStore == nil || db.satEpoch != epoch || db.satSchemaLen != schemaLen {
-		schema := reason.NewSchema(db.schema, db.st.Dict())
-		db.satStore = reason.Saturate(db.st, schema)
-		db.satEpoch = epoch
-		db.satSchemaLen = schemaLen
+	db.pin.lockAt(epoch, schemaLen)
+	defer db.pin.mu.Unlock()
+	if db.pin.sat == nil {
+		db.pin.sat = reason.Saturate(db.st, reason.NewSchema(db.schema, db.st.Dict()))
 	}
-	return db.satStore
+	return db.pin.sat
 }
 
 // answerCached evaluates q on the database under the reasoning mode through
