@@ -10,8 +10,10 @@ package persist
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"rdfviews/internal/algebra"
 	"rdfviews/internal/cq"
@@ -43,8 +45,8 @@ const oldestReadableVersion = 1
 // per store shard), so a sharded store round-trips with its partitioning;
 // version 3 adds ObjectShards so a dual-partitioned store round-trips with
 // its full placement. Only subject-side sections are written — the object
-// side holds replicas of the same triples, so it is rebuilt by write routing
-// on load rather than stored twice. Gob leaves absent fields zero, which is
+// side holds replicas of the same triples, so it is rebuilt on load rather
+// than stored twice. Gob leaves absent fields zero, which is
 // how newer readers recognize older images.
 type databaseImage struct {
 	Version      int
@@ -77,12 +79,48 @@ func SaveDatabase(w io.Writer, st *store.Store, schema *rdf.Schema) error {
 	return gob.NewEncoder(w).Encode(&img)
 }
 
+// ErrCorruptImage reports a database image that decoded but cannot be a store:
+// a triple naming a term the dictionary lacks, a section count that disagrees
+// with the shard count, or a shard count no store is built with. Test for it
+// with errors.Is.
+var ErrCorruptImage = errors.New("persist: corrupt database image")
+
+// validate checks everything LoadDatabase relies on before it builds a store
+// from the image's triples (every section, concatenated), so that a damaged
+// image is an error here and not an index panic when an answer is decoded
+// later.
+func (img *databaseImage) validate(triples []store.Triple) error {
+	if img.Version >= 2 {
+		if img.Shards < 1 || img.Shards > store.MaxShards {
+			return fmt.Errorf("%w: %d subject shards", ErrCorruptImage, img.Shards)
+		}
+		if len(img.Sections) != img.Shards {
+			return fmt.Errorf("%w: %d sections for %d shards", ErrCorruptImage, len(img.Sections), img.Shards)
+		}
+	}
+	if img.ObjectShards < 0 || img.ObjectShards > store.MaxShards {
+		return fmt.Errorf("%w: %d object shards", ErrCorruptImage, img.ObjectShards)
+	}
+	terms := dict.ID(len(img.Terms))
+	for _, t := range triples {
+		for _, id := range t {
+			if id < 1 || id > terms {
+				return fmt.Errorf("%w: triple %v names term %d of %d", ErrCorruptImage, t, id, terms)
+			}
+		}
+	}
+	return nil
+}
+
 // LoadDatabase reads a snapshot back into a fresh store and schema. Version 1
 // images load into a single-shard store; version 2 images restore the shard
 // count they were written with; version 3 images restore the full dual
-// placement, with the object-side replicas rebuilt by write routing (images
-// never carry them). Older images load with ObjectShards zero — a
-// subject-only layout, exactly what they were written from.
+// placement (older images load with ObjectShards zero — a subject-only
+// layout, exactly what they were written from). The image is validated first
+// (ErrCorruptImage), then every section goes into the store as one batch:
+// each triple is routed by its own hash, whatever section it arrived in, each
+// subject shard sorts its share once, and the object side — which images
+// never carry — is grouped by object shard once and sorted once per shard.
 func LoadDatabase(r io.Reader) (*store.Store, *rdf.Schema, error) {
 	var img databaseImage
 	if err := gob.NewDecoder(r).Decode(&img); err != nil {
@@ -91,15 +129,16 @@ func LoadDatabase(r io.Reader) (*store.Store, *rdf.Schema, error) {
 	if img.Version < oldestReadableVersion || img.Version > FormatVersion {
 		return nil, nil, fmt.Errorf("persist: unsupported format version %d", img.Version)
 	}
-	shards := img.Shards
-	if shards < 1 {
-		shards = 1
+	triples := slices.Concat(append(img.Sections, img.Triples)...)
+	if err := img.validate(triples); err != nil {
+		return nil, nil, err
 	}
-	st := store.NewWithDictDual(dict.FromTerms(img.Terms), shards, img.ObjectShards)
-	st.AddBatch(img.Triples)
-	for _, sec := range img.Sections {
-		st.AddBatch(sec)
+	d := dict.FromTerms(img.Terms)
+	if d.Len() != len(img.Terms) {
+		return nil, nil, fmt.Errorf("%w: %d distinct terms of %d", ErrCorruptImage, d.Len(), len(img.Terms))
 	}
+	st := store.NewWithDictDual(d, max(img.Shards, 1), img.ObjectShards)
+	st.AddBatch(triples)
 	schema := rdf.NewSchema()
 	for _, s := range img.Schema {
 		schema.Add(s)

@@ -3,7 +3,9 @@ package persist
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"rdfviews/internal/algebra"
@@ -319,6 +321,82 @@ u2 hasPainted irises .
 	for _, tr := range st.Triples() {
 		if !got.Contains(tr) {
 			t.Fatalf("v2 image lost %v", tr)
+		}
+	}
+}
+
+// TestLoadDatabaseRejectsCorruptImages hands LoadDatabase images that decode
+// but cannot be a store. Each must come back as ErrCorruptImage before any
+// store is built — not as an index panic in dict.MustDecode when an answer is
+// decoded later.
+func TestLoadDatabaseRejectsCorruptImages(t *testing.T) {
+	terms := []rdf.Term{rdf.NewIRI("a"), rdf.NewIRI("p"), rdf.NewIRI("b")}
+	ok := store.Triple{1, 2, 3}
+	v3 := func(shards, objectShards int, sections ...[]store.Triple) databaseImage {
+		return databaseImage{Version: 3, Terms: terms, Shards: shards, ObjectShards: objectShards, Sections: sections}
+	}
+	cases := []struct {
+		name string
+		img  databaseImage
+	}{
+		{"ID 0", v3(1, 0, []store.Triple{ok, {1, 0, 3}})},
+		{"ID past the dictionary", v3(1, 0, []store.Triple{ok, {1, 2, 4}})},
+		{"negative ID", v3(1, 0, []store.Triple{{-1, 2, 3}})},
+		{"ID past the dictionary in a v1 image", databaseImage{Version: 1, Terms: terms, Triples: []store.Triple{{9, 2, 3}}}},
+		{"fewer sections than shards", v3(2, 0, []store.Triple{ok})},
+		{"more sections than shards", v3(1, 0, []store.Triple{ok}, nil)},
+		{"no subject shard", v3(0, 0)},
+		{"subject shards past the cap", v3(store.MaxShards+1, 0, make([][]store.Triple, store.MaxShards+1)...)},
+		{"negative object shards", v3(1, -1, []store.Triple{ok})},
+		{"object shards past the cap", v3(1, store.MaxShards+1, []store.Triple{ok})},
+		{"a term listed twice", databaseImage{Version: 3, Terms: append(terms[:3:3], terms[0]), Shards: 1, Sections: [][]store.Triple{{ok}}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(&tc.img); err != nil {
+				t.Fatal(err)
+			}
+			st, _, err := LoadDatabase(&buf)
+			if !errors.Is(err, ErrCorruptImage) {
+				t.Fatalf("LoadDatabase = (%v, %v), want ErrCorruptImage", st, err)
+			}
+		})
+	}
+}
+
+// TestLoadDatabaseRoutesByHash loads an image whose sections hold the right
+// triples in the wrong sections: every triple must still land in the shard
+// its subject hashes to, on both sides, in section order.
+func TestLoadDatabaseRoutesByHash(t *testing.T) {
+	st := store.NewDual(3, 2)
+	d := st.Dict()
+	for i := 0; i < 300; i++ {
+		st.Add(store.Triple{
+			d.EncodeIRI(fmt.Sprintf("s%d", i%61)),
+			d.EncodeIRI(fmt.Sprintf("p%d", i%5)),
+			d.EncodeIRI(fmt.Sprintf("o%d", i%37)),
+		})
+	}
+	img := databaseImage{Version: FormatVersion, Terms: d.Terms(), Shards: 3, ObjectShards: 2,
+		Sections: [][]store.Triple{st.ShardTriples(2), st.ShardTriples(0), st.ShardTriples(1)}}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&img); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := LoadDatabase(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if !slices.Equal(got.ShardTriples(i), st.ShardTriples(i)) {
+			t.Fatalf("shard %d restored %d triples, want the %d its subjects hash to, in order", i, len(got.ShardTriples(i)), len(st.ShardTriples(i)))
+		}
+	}
+	for i := 0; i < 37; i++ {
+		pat := store.Pattern{0, 0, d.EncodeIRI(fmt.Sprintf("o%d", i))}
+		if w, g := st.Count(pat), got.Count(pat); g != w {
+			t.Fatalf("object-bound count o%d: got %d, want %d", i, g, w)
 		}
 	}
 }

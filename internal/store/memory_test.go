@@ -1,0 +1,70 @@
+package store
+
+import (
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"rdfviews/internal/dict"
+)
+
+// seededTriples returns n distinct triples over raw IDs (no dictionary
+// strings, so a heap delta around building a store is the store's alone).
+func seededTriples(n int, seed int64) []Triple {
+	rng := rand.New(rand.NewSource(seed))
+	seen := make(map[Triple]struct{}, n)
+	ts := make([]Triple, 0, n)
+	for len(ts) < n {
+		t := Triple{
+			dict.ID(1 + rng.Intn(n/4)),
+			dict.ID(1 + n + rng.Intn(32)),
+			dict.ID(1 + rng.Intn(n/4)),
+		}
+		if _, dup := seen[t]; !dup {
+			seen[t] = struct{}{}
+			ts = append(ts, t)
+		}
+	}
+	return ts
+}
+
+func heapAfterGC() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestResidentBytesPerTriple is the memory tripwire: what a loaded store
+// keeps on the heap per triple. A subject shard costs the 24-byte triple and
+// six 4-byte positions, an object shard the triple and three; the bounds
+// leave room for allocator size classes and nothing else — a per-triple map
+// or a fourth object-side index would not fit (the parent of this test
+// measured 214 B on Dual(2,2) and 106 B on one shard).
+func TestResidentBytesPerTriple(t *testing.T) {
+	const n = 100_000
+	ts := seededTriples(n, 1)
+	for _, tc := range []struct {
+		name              string
+		subjectK, objectK int
+		maxBytes          float64
+	}{
+		{"one-shard", 1, 0, 56},
+		{"dual-2x2", 2, 2, 110},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := heapAfterGC()
+			st := NewDual(tc.subjectK, tc.objectK)
+			if got := st.AddBatch(ts); got != n {
+				t.Fatalf("AddBatch added %d of %d", got, n)
+			}
+			perTriple := (float64(heapAfterGC()) - float64(before)) / n
+			t.Logf("%.1f B/triple", perTriple)
+			if perTriple > tc.maxBytes {
+				t.Errorf("store holds %.1f B/triple, want <= %.0f", perTriple, tc.maxBytes)
+			}
+			runtime.KeepAlive(st)
+		})
+	}
+}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"rdfviews/internal/dict"
@@ -16,15 +17,20 @@ import (
 //
 // The layout is dual-partitioned: every triple lives in a subject-hash shard
 // (the historical side) and, when ObjectShards > 0, in an object-hash replica
-// shard as well. Each side reuses the shard machinery unchanged — six sorted
-// permutations, insert/tombstone overlays, atomic snapshot publication — so
-// either side can serve any permutation over its partitions. What the dual
-// side buys is access-side pruning: a subject-bound pattern touches exactly
-// one subject shard, and an object-bound pattern touches exactly one object
-// shard, instead of fanning out over all K subject partitions. Object-bound
-// patterns are the dominant shape of reformulated union members (every
-// ?s p o member of a relaxed query), which is why the replica is worth its
-// memory: it turns the serving tier's O(K) fan-outs into O(1) lookups.
+// shard as well. Both sides are the same shard machinery — sorted
+// permutations, insert/tombstone overlays, atomic snapshot publication — over
+// different permutation sets: the subject side keeps all six and decides
+// membership; the object side keeps POS, OSP and OPS, the three an access
+// with the subject unbound can ask for, and is never asked whether a triple
+// exists. Route therefore names the object side only under those three. What
+// the dual side buys is access-side pruning: a subject-bound pattern touches
+// exactly one subject shard, and an object-bound pattern touches exactly one
+// object shard, instead of fanning out over all K subject partitions.
+// Object-bound patterns are the dominant shape of reformulated union members
+// (every ?s p o member of a relaxed query), which is why the replica is worth
+// its memory — about 36 B a triple (the triple and three positions) beside
+// the subject side's 48: it turns the serving tier's O(K) fan-outs into O(1)
+// lookups.
 type Placement struct {
 	// SubjectShards is the partition count of the subject-hash side (>= 1).
 	SubjectShards int
@@ -91,23 +97,28 @@ func shardOfID(id dict.ID, k int) int {
 }
 
 // Route maps a pattern, under the permutation chosen for its access path, to
-// the minimal shard subset that serves it:
+// the minimal shard subset that serves it — always on a side that keeps that
+// permutation:
 //
 //   - subject bound: the one owning subject shard (both sides hold the
 //     triple, but the subject side needs no residual routing and is always
 //     present);
-//   - object bound, subject unbound, dual layout: the one owning object
-//     shard — the pruning the replica side exists for;
+//   - object bound, subject unbound, dual layout, and a permutation the object
+//     side keeps (POS, OSP, OPS — what PermFor gives every such pattern): the
+//     one owning object shard, the pruning the replica side exists for. Under
+//     SPO, SOP or PSO the object stays a residual filter over the subject
+//     fan-out, exactly as on a subject-only layout;
 //   - neither bound: the full fan-out of one side. Object-leading
 //     permutations (OSP, OPS) scan the object side when it exists, spreading
 //     unbound load across both partition families; everything else keeps the
 //     historical subject-side fan-out.
 //
-// Routing depends only on which positions are bound, never on the constant
-// values' hashes beyond picking the single shard — so a plan compiled over a
-// parameterized pattern has a stable route *shape*, while the concrete shard
-// index must be re-resolved once real constants are substituted (the plan
-// cache instantiates routes per binding for exactly this reason).
+// Routing depends only on the permutation and on which positions are bound,
+// never on the constant values' hashes beyond picking the single shard — so a
+// plan compiled over a parameterized pattern has a stable route *shape*, while
+// the concrete shard index must be re-resolved once real constants are
+// substituted (the plan cache instantiates routes per binding for exactly
+// this reason).
 func (pl Placement) Route(p Perm, pat Pattern) Route {
 	subjK := pl.SubjectShards
 	if subjK < 1 {
@@ -116,11 +127,13 @@ func (pl Placement) Route(p Perm, pat Pattern) Route {
 	if pat[S] != Wildcard {
 		return Route{Side: SubjectSide, Shard: shardOfID(pat[S], subjK), K: subjK}
 	}
-	if pat[O] != Wildcard && pl.Dual() {
-		return Route{Side: ObjectSide, Shard: shardOfID(pat[O], pl.ObjectShards), K: pl.ObjectShards}
-	}
-	if pl.Dual() && (p == OSP || p == OPS) {
-		return Route{Side: ObjectSide, Shard: -1, K: pl.ObjectShards}
+	if pl.Dual() && slices.Contains(objectPerms, p) {
+		if pat[O] != Wildcard {
+			return Route{Side: ObjectSide, Shard: shardOfID(pat[O], pl.ObjectShards), K: pl.ObjectShards}
+		}
+		if perms[p][0] == O {
+			return Route{Side: ObjectSide, Shard: -1, K: pl.ObjectShards}
+		}
 	}
 	return Route{Side: SubjectSide, Shard: -1, K: subjK}
 }

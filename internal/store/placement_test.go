@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rdfviews/internal/dict"
@@ -55,6 +56,40 @@ func TestPlacementRouteBoundness(t *testing.T) {
 	if flat.Dual() || !dual.Dual() {
 		t.Fatal("Dual() wrong")
 	}
+
+	// Route is total: for every permutation and boundness shape it names a
+	// side that keeps the permutation, a shard inside that side, and the one
+	// owning shard whenever the side's partition column is bound.
+	for _, pl := range []Placement{flat, {SubjectShards: 2, ObjectShards: 2}, {SubjectShards: 3, ObjectShards: 5}} {
+		for perm := SPO; perm <= OPS; perm++ {
+			for shape := 0; shape < 8; shape++ {
+				var pat Pattern
+				for c, id := range []dict.ID{s, p, o} {
+					if shape&(1<<c) != 0 {
+						pat[c] = id
+					}
+				}
+				r := pl.Route(perm, pat)
+				held, k, col := subjectPerms, pl.SubjectShards, S
+				if r.Side == ObjectSide {
+					held, k, col = objectPerms, pl.ObjectShards, O
+				}
+				if !slices.Contains(held, perm) || k == 0 {
+					t.Fatalf("%+v: Route(%v, %v) = %+v names a side without that permutation", pl, perm, pat, r)
+				}
+				want := -1
+				if pat[col] != Wildcard {
+					want = shardOfID(pat[col], k)
+				}
+				if r.K != k || r.Shard != want {
+					t.Fatalf("%+v: Route(%v, %v) = %+v, want shard %d of %d", pl, perm, pat, r, want, k)
+				}
+				if pat[S] != Wildcard && r.Side != SubjectSide {
+					t.Fatalf("%+v: Route(%v, %v) = %+v leaves the subject side with S bound", pl, perm, pat, r)
+				}
+			}
+		}
+	}
 	if r := dual.Route(OPS, Pattern{Wildcard, Wildcard, o}); r.Len() != 1 {
 		t.Fatalf("point route Len = %d", r.Len())
 	}
@@ -63,80 +98,16 @@ func TestPlacementRouteBoundness(t *testing.T) {
 	}
 }
 
-// TestDualMatchesModelUnderChurn is the sharded churn equivalence test over a
-// dual-partitioned layout: every read must agree with the naive model whether
-// placement serves it from the subject or the object side, across overlay
-// thresholds, removals and re-adds on both sides.
+// TestDualMatchesModelUnderChurn is the sharded churn equivalence test
+// (churnAgainstModel) over a dual-partitioned layout: every read must agree
+// with the naive model whether placement serves it from the subject or the
+// object side, across overlay thresholds, removals and re-adds on both sides.
 func TestDualMatchesModelUnderChurn(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
 	st := NewDual(4, 4)
 	if pl := st.Placement(); pl.SubjectShards != 4 || pl.ObjectShards != 4 {
 		t.Fatalf("Placement = %+v, want 4/4", pl)
 	}
-	m := newNaiveModel()
-	d := st.Dict()
-	subj := make([]dict.ID, 40)
-	for i := range subj {
-		subj[i] = d.EncodeIRI(fmt.Sprintf("s%d", i))
-	}
-	props := make([]dict.ID, 5)
-	for i := range props {
-		props[i] = d.EncodeIRI(fmt.Sprintf("p%d", i))
-	}
-	randTriple := func() Triple {
-		return Triple{
-			subj[rng.Intn(len(subj))],
-			props[rng.Intn(len(props))],
-			subj[rng.Intn(len(subj))],
-		}
-	}
-	pats := []Pattern{
-		{},
-		{subj[0], Wildcard, Wildcard},
-		{Wildcard, props[1], Wildcard},
-		{Wildcard, Wildcard, subj[2]},
-		{subj[3], props[0], Wildcard},
-		{Wildcard, props[2], subj[4]},
-		{subj[5], Wildcard, subj[6]},
-	}
-
-	for i := 0; i < 2*deltaMax; i++ {
-		tr := randTriple()
-		if st.Add(tr) != m.add(tr) {
-			t.Fatalf("Add(%v) disagreement", tr)
-		}
-	}
-	checkAgainstModel(t, st, m, pats, "after inserts")
-
-	for i := 0; i < 3*deltaMax; i++ {
-		if rng.Intn(3) == 0 {
-			tr := randTriple()
-			if st.Add(tr) != m.add(tr) {
-				t.Fatalf("Add(%v) disagreement", tr)
-			}
-		} else {
-			tr := randTriple()
-			if st.Remove(tr) != m.remove(tr) {
-				t.Fatalf("Remove(%v) disagreement", tr)
-			}
-		}
-	}
-	checkAgainstModel(t, st, m, pats, "after churn")
-
-	var some []Triple
-	for tr := range m.set {
-		some = append(some, tr)
-		if len(some) == 20 {
-			break
-		}
-	}
-	for _, tr := range some {
-		st.Remove(tr)
-		m.remove(tr)
-		st.Add(tr)
-		m.add(tr)
-	}
-	checkAgainstModel(t, st, m, pats, "after re-adds")
+	m, pats := churnAgainstModel(t, st, 53)
 
 	// AddBatch routes to both sides like the Add loop does.
 	st2 := NewWithDictDual(st.Dict(), 4, 4)

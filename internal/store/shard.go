@@ -1,6 +1,8 @@
 package store
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -14,9 +16,9 @@ import (
 // mutation plus an amortized O(N/deltaMax) share of each merge.
 const deltaMax = 512
 
-// snap is one immutable snapshot of a shard: the triple slice, the six base
-// permutation indexes, the six sorted insert overlays and the tombstone
-// bitmap. Readers load a snapshot through an atomic pointer and operate on it
+// snap is one immutable snapshot of a shard: the triple slice, a base index
+// and a sorted insert overlay per permutation the shard's side keeps (the
+// others stay nil), and the tombstones. Readers load a snapshot through an atomic pointer and operate on it
 // lock-free; writers (serialized by the shard mutex) build a new snapshot
 // that shares every unchanged part and publish it with a pointer swap.
 //
@@ -39,7 +41,7 @@ type snap struct {
 	tomb []int32
 	dead []uint64
 
-	base  [6][]int32 // sorted positions, one index per permutation
+	base  [6][]int32 // sorted positions, indexed by Perm; nil where not kept
 	delta [6][]int32 // small sorted insert overlays, same order
 }
 
@@ -78,15 +80,26 @@ func foldTomb(dead []uint64, tomb []int32, n int) []uint64 {
 	return nd
 }
 
+// subjectPerms and objectPerms are the permutations each side of the layout
+// keeps. A side's first permutation is its membership index: a triple's
+// liveness and position are a full-prefix binary search in it. The object
+// side is only ever routed accesses that leave the subject unbound (see
+// Placement.Route), which arrive as POS, OSP or OPS, so those three are all it
+// builds.
+var (
+	subjectPerms = []Perm{SPO, SOP, PSO, POS, OSP, OPS}
+	objectPerms  = []Perm{OSP, OPS, POS}
+)
+
 // shard is one hash partition of the store.
 type shard struct {
-	mu      sync.RWMutex     // serializes writers; guards present
-	present map[Triple]int32 // triple -> position (live triples only)
-	cur     atomic.Pointer[snap]
+	mu    sync.Mutex // serializes writers; readers only load cur
+	perms []Perm     // the permutations this side keeps; perms[0] answers membership
+	cur   atomic.Pointer[snap]
 }
 
-func newShard() *shard {
-	sh := &shard{present: make(map[Triple]int32)}
+func newShard(held []Perm) *shard {
+	sh := &shard{perms: held}
 	sh.cur.Store(&snap{})
 	return sh
 }
@@ -96,8 +109,19 @@ func isDead(dead []uint64, pos int32) bool {
 	return w < len(dead) && dead[w]&(1<<(uint(pos)&63)) != 0
 }
 
-// permLess orders triples by the permutation's column order. Distinct triples
-// always compare strictly (the three columns form a total key).
+// permCmp three-way compares triples by the permutation's column order.
+// Distinct triples never compare equal (the three columns form a total key).
+func permCmp(a, b Triple, order [3]int) int {
+	for _, c := range order {
+		if a[c] != b[c] {
+			return cmp.Compare(a[c], b[c])
+		}
+	}
+	return 0
+}
+
+// permLess is permCmp < 0, spelled out: the merge loops and cursors call it
+// per entry and the three-way form does not inline into them.
 func permLess(a, b Triple, order [3]int) bool {
 	for _, c := range order {
 		if a[c] != b[c] {
@@ -128,65 +152,222 @@ func rangeIn(triples []Triple, idx []int32, order [3]int, prefix []dict.ID) (int
 	return lo, hi
 }
 
-// insert adds the batch's non-duplicate triples, merging their positions into
-// every permutation's overlay, and publishes the new snapshot. It returns the
-// number of triples actually added.
-func (sh *shard) insert(ts []Triple) int {
+// find returns the position of the live copy of t, or -1: a lower-bound
+// search in permutation p's base index, then in its overlay. A triple removed
+// and re-added since the last merge has tombstoned copies next to the live
+// one, so equal entries are walked until one is not in tomb.
+func (s *snap) find(p Perm, t Triple) int32 {
+	order := perms[p]
+	for _, idx := range [2][]int32{s.base[p], s.delta[p]} {
+		i := sort.Search(len(idx), func(k int) bool { return !permLess(s.triples[idx[k]], t, order) })
+		for ; i < len(idx) && s.triples[idx[i]] == t; i++ {
+			if !tombHas(s.tomb, idx[i]) {
+				return idx[i]
+			}
+		}
+	}
+	return -1
+}
+
+// insert adds the batch's triples that are not live in the shard yet and
+// returns them in batch order (ts itself when every one was new). Only the
+// subject side inserts: it decides what a write changed, and the object side
+// is handed exactly that (add).
+func (sh *shard) insert(ts []Triple) []Triple {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	s := sh.cur.Load()
-	triples := s.triples
-	var fresh []int32
-	for _, t := range ts {
-		if _, ok := sh.present[t]; ok {
-			continue
+	fresh, spo := s.novel(ts)
+	if len(fresh) > 0 {
+		sh.cur.Store(s.with(fresh, spo, sh.perms))
+	}
+	return fresh
+}
+
+// add appends triples the caller knows to be absent, with no membership test.
+func (sh *shard) add(ts []Triple) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.cur.Store(sh.cur.Load().with(ts, nil, sh.perms))
+}
+
+// novel returns the batch's triples that are not live in the snapshot — first
+// occurrences only, in batch order — and their indexes in SPO order. The sort
+// that makes the batch's own duplicates adjacent is the SPO sort the overlay
+// needs anyway; ties break on batch index so the first occurrence wins.
+func (s *snap) novel(ts []Triple) ([]Triple, []int32) {
+	by := make([]int32, len(ts))
+	for i := range by {
+		by[i] = int32(i)
+	}
+	slices.SortFunc(by, func(a, b int32) int {
+		if c := permCmp(ts[a], ts[b], perms[SPO]); c != 0 {
+			return c
 		}
-		pos := int32(len(triples))
-		triples = append(triples, t)
-		sh.present[t] = pos
-		fresh = append(fresh, pos)
+		return cmp.Compare(a, b)
+	})
+	rank := make([]int32, len(ts)) // index among the kept triples, -1 = dropped
+	dropped := 0
+	for k, i := range by {
+		if (k > 0 && ts[by[k-1]] == ts[i]) || s.find(SPO, ts[i]) >= 0 {
+			rank[i] = -1
+			dropped++
+		}
 	}
-	if len(fresh) == 0 {
-		return 0
+	if dropped == 0 {
+		return ts, by
 	}
+	fresh := make([]Triple, 0, len(ts)-dropped)
+	for i, t := range ts {
+		if rank[i] == 0 {
+			rank[i] = int32(len(fresh))
+			fresh = append(fresh, t)
+		}
+	}
+	spo := by[:0]
+	for _, i := range by {
+		if rank[i] >= 0 {
+			spo = append(spo, rank[i])
+		}
+	}
+	return fresh, spo
+}
+
+// with returns the successor snapshot: fresh appended to the triple slice (so
+// positions follow batch order) and indexed under every held permutation. spo
+// lists fresh's indexes in SPO order when the caller already sorted them. The
+// new positions join the overlays; a batch that takes an overlay to deltaMax
+// is merged on into the base indexes before anything is published, and where
+// base and overlay were empty (a bulk load) the sorted batch is the base.
+func (s *snap) with(fresh []Triple, spo []int32, held []Perm) *snap {
+	first := int32(len(s.triples))
 	ns := &snap{
-		triples: triples,
+		triples: append(s.triples, fresh...),
 		live:    s.live + len(fresh),
 		tomb:    s.tomb,
 		dead:    s.dead,
 		base:    s.base,
 	}
-	for pi := range perms {
-		ns.delta[pi] = mergedDelta(triples, s.delta[pi], fresh, perms[pi])
+	sorted := sortedPositions(ns.triples, first, len(fresh), spo, held)
+	for _, p := range held {
+		ns.delta[p] = mergePositions(ns.triples, s.delta[p], sorted[p], perms[p])
 	}
-	if len(ns.delta[0]) >= deltaMax || len(ns.tomb) >= deltaMax {
-		ns = compacted(ns, false, sh.present)
+	if len(ns.delta[held[0]]) >= deltaMax {
+		ns = compacted(ns, false, held)
 	}
-	sh.cur.Store(ns)
-	return len(fresh)
+	return ns
 }
 
-// mergedDelta returns a fresh sorted overlay holding the old overlay plus the
-// fresh positions (sorted here by the permutation order).
-func mergedDelta(triples []Triple, delta []int32, fresh []int32, order [3]int) []int32 {
-	f := append([]int32(nil), fresh...)
-	sort.Slice(f, func(a, b int) bool {
-		return permLess(triples[f[a]], triples[f[b]], order)
-	})
-	out := make([]int32, 0, len(delta)+len(f))
-	di, fi := 0, 0
-	for di < len(delta) && fi < len(f) {
-		if permLess(triples[f[fi]], triples[delta[di]], order) {
-			out = append(out, f[fi])
-			fi++
+// sortedPositions returns the n positions from first on, sorted under each
+// held permutation, with one full comparison sort per leading column the side
+// keeps: SPO (skipped when the caller's de-duplication already produced it)
+// and OSP. SOP and OPS differ from those only inside runs of equal leading
+// column, which are short and re-sorted in place; PSO and POS are a stable
+// distribution by P of SPO and OPS order.
+func sortedPositions(triples []Triple, first int32, n int, spo []int32, held []Perm) (out [6][]int32) {
+	if n == 1 { // a single Add: every order is the same list, shared
+		one := []int32{first}
+		for _, p := range held {
+			out[p] = one
+		}
+		return out
+	}
+	full := func(p Perm) []int32 {
+		idx := make([]int32, n)
+		for i := range idx {
+			idx[i] = first + int32(i)
+		}
+		slices.SortFunc(idx, positionCmp(triples, p))
+		return idx
+	}
+	if held[0] == SPO { // the subject side; the object side keeps no S-leading order
+		if spo == nil {
+			spo = full(SPO)
 		} else {
-			out = append(out, delta[di])
-			di++
+			for i := range spo {
+				spo[i] += first
+			}
+		}
+		out[SPO] = spo
+		out[SOP] = resortedRuns(triples, spo, SOP)
+		out[PSO] = distributedByP(triples, spo)
+	}
+	out[OSP] = full(OSP)
+	out[OPS] = resortedRuns(triples, out[OSP], OPS)
+	out[POS] = distributedByP(triples, out[OPS])
+	return out
+}
+
+// resortedRuns copies src — sorted by some permutation with p's leading
+// column — and sorts each run of equal leading column by p's remaining two.
+func resortedRuns(triples []Triple, src []int32, p Perm) []int32 {
+	lead, byP := perms[p][0], positionCmp(triples, p)
+	out := slices.Clone(src)
+	for lo := 0; lo < len(out); {
+		hi := lo + 1
+		for hi < len(out) && triples[out[hi]][lead] == triples[out[lo]][lead] {
+			hi++
+		}
+		slices.SortFunc(out[lo:hi], byP)
+		lo = hi
+	}
+	return out
+}
+
+// positionCmp orders positions by their triples under permutation p.
+func positionCmp(triples []Triple, p Perm) func(a, b int32) int {
+	order := perms[p]
+	return func(a, b int32) int { return permCmp(triples[a], triples[b], order) }
+}
+
+// distributedByP stably distributes src by predicate: buckets in ascending P,
+// each keeping src's order. Applied to SPO order that is PSO; to OPS, POS.
+func distributedByP(triples []Triple, src []int32) []int32 {
+	next := make(map[dict.ID]int32) // P -> bucket size, then next free slot
+	for _, pos := range src {
+		next[triples[pos][P]]++
+	}
+	ps := make([]dict.ID, 0, len(next))
+	for p := range next {
+		ps = append(ps, p)
+	}
+	slices.Sort(ps)
+	at := int32(0)
+	for _, p := range ps {
+		at, next[p] = at+next[p], at
+	}
+	out := make([]int32, len(src))
+	for _, pos := range src {
+		p := triples[pos][P]
+		out[next[p]] = pos
+		next[p]++
+	}
+	return out
+}
+
+// mergePositions linearly merges two position lists sorted by the same
+// permutation. Either input is returned as is when the other is empty: lists
+// are immutable once built, so snapshots may share them.
+func mergePositions(triples []Triple, a, b []int32, order [3]int) []int32 {
+	if len(a) == 0 {
+		return b
+	}
+	if len(b) == 0 {
+		return a
+	}
+	out := make([]int32, 0, len(a)+len(b))
+	ai, bi := 0, 0
+	for ai < len(a) && bi < len(b) {
+		if permLess(triples[b[bi]], triples[a[ai]], order) {
+			out = append(out, b[bi])
+			bi++
+		} else {
+			out = append(out, a[ai])
+			ai++
 		}
 	}
-	out = append(out, delta[di:]...)
-	out = append(out, f[fi:]...)
-	return out
+	out = append(out, a[ai:]...)
+	return append(out, b[bi:]...)
 }
 
 // remove tombstones the triple in the small sorted overlay (copied so older
@@ -194,12 +375,11 @@ func mergedDelta(triples []Triple, delta []int32, fresh []int32, order [3]int) [
 func (sh *shard) remove(t Triple) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	pos, ok := sh.present[t]
-	if !ok {
+	s := sh.cur.Load()
+	pos := s.find(sh.perms[0], t)
+	if pos < 0 {
 		return false
 	}
-	delete(sh.present, t)
-	s := sh.cur.Load()
 	ns := &snap{
 		triples: s.triples,
 		live:    s.live - 1,
@@ -209,18 +389,17 @@ func (sh *shard) remove(t Triple) bool {
 		delta:   s.delta,
 	}
 	if len(ns.tomb) >= deltaMax {
-		ns = compacted(ns, false, sh.present)
+		ns = compacted(ns, false, sh.perms)
 	}
 	sh.cur.Store(ns)
 	return true
 }
 
-// compacted merges each permutation's overlay into its base index with a
-// linear two-way merge, dropping tombstoned positions. When the holes
-// outweigh the live triples (or force is set) it also densifies: the triple
-// slice is rewritten without holes, positions are remapped, and present is
-// rebuilt. present may be nil when the caller rebuilds its own map.
-func compacted(s *snap, force bool, present map[Triple]int32) *snap {
+// compacted merges each held permutation's overlay into its base index with a
+// linear two-way merge, dropping tombstoned positions. When the holes outweigh
+// the live triples (or force is set) it also densifies: the triple slice is
+// rewritten without holes and positions are remapped.
+func compacted(s *snap, force bool, held []Perm) *snap {
 	holes := len(s.triples) - s.live
 	densify := force || (holes > 0 && holes >= s.live)
 	ns := &snap{live: s.live}
@@ -237,11 +416,6 @@ func compacted(s *snap, force bool, present map[Triple]int32) *snap {
 			nt = append(nt, s.triples[pos])
 		}
 		ns.triples = nt
-		if present != nil {
-			for i, t := range nt {
-				present[t] = int32(i)
-			}
-		}
 	} else {
 		ns.triples = s.triples
 		// Fold the overlay into the cumulative hole bitmap, for liveTriples
@@ -249,8 +423,8 @@ func compacted(s *snap, force bool, present map[Triple]int32) *snap {
 		// positions, so reads stop checking.
 		ns.dead = foldTomb(s.dead, s.tomb, len(s.triples))
 	}
-	for pi := range perms {
-		ns.base[pi] = mergedBase(s, pi, remap)
+	for _, p := range held {
+		ns.base[p] = mergedBase(s, p, remap)
 	}
 	return ns
 }
@@ -259,9 +433,12 @@ func compacted(s *snap, force bool, present map[Triple]int32) *snap {
 // tombstoned positions and applying the densification remap when present.
 // Base and delta entries can only be deadened by the tomb overlay (bitmap
 // holes were dropped when that bitmap was folded), so that is the one check.
-func mergedBase(s *snap, pi int, remap []int32) []int32 {
-	order := perms[pi]
-	base, delta := s.base[pi], s.delta[pi]
+func mergedBase(s *snap, p Perm, remap []int32) []int32 {
+	if len(s.tomb) == 0 && remap == nil {
+		return mergePositions(s.triples, s.base[p], s.delta[p], perms[p])
+	}
+	order := perms[p]
+	base, delta := s.base[p], s.delta[p]
 	out := make([]int32, 0, s.live)
 	bi, di := 0, 0
 	for bi < len(base) || di < len(delta) {
@@ -286,20 +463,26 @@ func mergedBase(s *snap, pi int, remap []int32) []int32 {
 }
 
 // count returns the exact number of triples in the snapshot matching the
-// bound prefix under permutation pi.
+// bound prefix under permutation pi: the two matching ranges, less the
+// tombstoned positions that fall in them. A tombstoned position stays in
+// exactly one of base and overlay until the next merge clears tomb, so
+// testing the at most deltaMax tombstones against the prefix is exact —
+// O(log N + |tomb|) however long the range.
 func (s *snap) count(pi int, prefix []dict.ID) int {
 	order := perms[pi]
 	n := 0
 	for _, idx := range [2][]int32{s.base[pi], s.delta[pi]} {
 		lo, hi := rangeIn(s.triples, idx, order, prefix)
 		n += hi - lo
-		if len(s.tomb) > 0 {
-			for i := lo; i < hi; i++ {
-				if tombHas(s.tomb, idx[i]) {
-					n--
-				}
+	}
+tombs:
+	for _, pos := range s.tomb {
+		for k, want := range prefix {
+			if s.triples[pos][order[k]] != want {
+				continue tombs
 			}
 		}
+		n--
 	}
 	return n
 }
@@ -323,11 +506,7 @@ func (s *snap) liveTriples() []Triple {
 // sharing no backing arrays with the original, so both sides can keep
 // mutating freely.
 func (sh *shard) clone() *shard {
-	sh.mu.RLock()
-	s := sh.cur.Load()
-	sh.mu.RUnlock()
-	n := &shard{present: make(map[Triple]int32, s.live)}
-	cs := compacted(s, true, n.present)
-	n.cur.Store(cs)
+	n := &shard{perms: sh.perms}
+	n.cur.Store(compacted(sh.cur.Load(), true, sh.perms))
 	return n
 }

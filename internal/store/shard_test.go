@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -33,6 +34,11 @@ func (m *naiveModel) remove(t Triple) bool {
 	return true
 }
 
+func (m *naiveModel) has(t Triple) bool {
+	_, ok := m.set[t]
+	return ok
+}
+
 func (m *naiveModel) match(pat Pattern) map[Triple]struct{} {
 	out := make(map[Triple]struct{})
 	for t := range m.set {
@@ -53,6 +59,32 @@ func checkAgainstModel(t *testing.T, st *Store, m *naiveModel, pats []Pattern, c
 	t.Helper()
 	if st.Len() != len(m.set) {
 		t.Fatalf("%s: Len = %d, model %d", ctx, st.Len(), len(m.set))
+	}
+	// Both sides hold the same live set, and Contains agrees with it.
+	for side, shards := range [][]*shard{st.shards, st.oshards} {
+		if len(shards) == 0 {
+			continue
+		}
+		n := 0
+		for _, sh := range shards {
+			for _, tr := range sh.cur.Load().liveTriples() {
+				if _, ok := m.set[tr]; !ok {
+					t.Fatalf("%s: side %d holds %v, not in model", ctx, side, tr)
+				}
+				n++
+			}
+		}
+		if n != len(m.set) {
+			t.Fatalf("%s: side %d holds %d live triples, model %d", ctx, side, n, len(m.set))
+		}
+	}
+	for tr := range m.set {
+		if !st.Contains(tr) {
+			t.Fatalf("%s: Contains(%v) = false, model has it", ctx, tr)
+		}
+		if gone := (Triple{tr[O], tr[P], tr[S]}); st.Contains(gone) != m.has(gone) {
+			t.Fatalf("%s: Contains(%v) = %v, model %v", ctx, gone, !m.has(gone), m.has(gone))
+		}
 	}
 	for _, pat := range pats {
 		want := m.match(pat)
@@ -76,113 +108,177 @@ func checkAgainstModel(t *testing.T, st *Store, m *naiveModel, pats []Pattern, c
 }
 
 // TestShardedMatchesModelUnderChurn drives single- and multi-shard stores
-// through interleaved adds and removes — crossing the overlay-merge and
-// densify thresholds — and checks counts, matches and cursor order against a
-// naive model after every phase.
+// through churnAgainstModel.
 func TestShardedMatchesModelUnderChurn(t *testing.T) {
 	for _, k := range []int{1, 4} {
 		k := k
 		t.Run(fmt.Sprintf("shards=%d", k), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(41 + k)))
 			st := NewSharded(k)
 			if st.NumShards() != k {
 				t.Fatalf("NumShards = %d, want %d", st.NumShards(), k)
 			}
-			m := newNaiveModel()
-			d := st.Dict()
-			subj := make([]dict.ID, 40)
-			for i := range subj {
-				subj[i] = d.EncodeIRI(fmt.Sprintf("s%d", i))
-			}
-			props := make([]dict.ID, 5)
-			for i := range props {
-				props[i] = d.EncodeIRI(fmt.Sprintf("p%d", i))
-			}
-			randTriple := func() Triple {
-				return Triple{
-					subj[rng.Intn(len(subj))],
-					props[rng.Intn(len(props))],
-					subj[rng.Intn(len(subj))],
-				}
-			}
-			pats := []Pattern{
-				{},
-				{subj[0], Wildcard, Wildcard},
-				{Wildcard, props[1], Wildcard},
-				{Wildcard, Wildcard, subj[2]},
-				{subj[3], props[0], Wildcard},
-				{Wildcard, props[2], subj[4]},
-				{subj[5], Wildcard, subj[6]},
-			}
-
-			// Phase 1: bulk inserts past the overlay threshold.
-			for i := 0; i < 2*deltaMax; i++ {
-				tr := randTriple()
-				if st.Add(tr) != m.add(tr) {
-					t.Fatalf("Add(%v) disagreement", tr)
-				}
-			}
-			checkAgainstModel(t, st, m, pats, "after inserts")
-
-			// Phase 2: interleaved adds/removes, enough removes to densify.
-			for i := 0; i < 3*deltaMax; i++ {
-				if rng.Intn(3) == 0 {
-					tr := randTriple()
-					if st.Add(tr) != m.add(tr) {
-						t.Fatalf("Add(%v) disagreement", tr)
-					}
-				} else {
-					tr := randTriple()
-					if st.Remove(tr) != m.remove(tr) {
-						t.Fatalf("Remove(%v) disagreement", tr)
-					}
-				}
-			}
-			checkAgainstModel(t, st, m, pats, "after churn")
-
-			// Phase 3: re-add after delete (tombstone + re-insert of the same
-			// triple must coexist in the overlays).
-			var some []Triple
-			for tr := range m.set {
-				some = append(some, tr)
-				if len(some) == 20 {
-					break
-				}
-			}
-			for _, tr := range some {
-				st.Remove(tr)
-				m.remove(tr)
-				st.Add(tr)
-				m.add(tr)
-			}
-			checkAgainstModel(t, st, m, pats, "after re-adds")
-
-			// DistinctInColumn agrees with a set-based recomputation.
-			for _, pat := range pats {
-				for c := 0; c < 3; c++ {
-					got := st.DistinctInColumn(pat, c)
-					wantSet := make(map[dict.ID]struct{})
-					for tr := range m.match(pat) {
-						wantSet[tr[c]] = struct{}{}
-					}
-					if len(got) != len(wantSet) {
-						t.Fatalf("DistinctInColumn(%v, %d) = %d values, model %d",
-							pat, c, len(got), len(wantSet))
-					}
-					for i := 1; i < len(got); i++ {
-						if got[i-1] >= got[i] {
-							t.Fatalf("DistinctInColumn(%v, %d) not strictly sorted: %v", pat, c, got)
-						}
-					}
-					for _, v := range got {
-						if _, ok := wantSet[v]; !ok {
-							t.Fatalf("DistinctInColumn(%v, %d): %d not in model", pat, c, v)
-						}
-					}
-				}
-			}
+			churnAgainstModel(t, st, int64(41+k))
 		})
 	}
+}
+
+// churnAgainstModel drives the store through interleaved adds and removes —
+// crossing the overlay-merge and densify thresholds, removing and re-adding
+// the same triple on either side of both, batching duplicates — and checks
+// membership, counts, matches, cursor order and (on a dual layout) that the
+// two sides hold the same live set against a naive model after every phase.
+// It returns the model and the patterns it checked for layout-specific
+// follow-ups.
+func churnAgainstModel(t *testing.T, st *Store, seed int64) (*naiveModel, []Pattern) {
+	rng := rand.New(rand.NewSource(seed))
+	m := newNaiveModel()
+	d := st.Dict()
+	subj := make([]dict.ID, 40)
+	for i := range subj {
+		subj[i] = d.EncodeIRI(fmt.Sprintf("s%d", i))
+	}
+	props := make([]dict.ID, 5)
+	for i := range props {
+		props[i] = d.EncodeIRI(fmt.Sprintf("p%d", i))
+	}
+	randTriple := func() Triple {
+		return Triple{
+			subj[rng.Intn(len(subj))],
+			props[rng.Intn(len(props))],
+			subj[rng.Intn(len(subj))],
+		}
+	}
+	pats := []Pattern{
+		{},
+		{subj[0], Wildcard, Wildcard},
+		{Wildcard, props[1], Wildcard},
+		{Wildcard, Wildcard, subj[2]},
+		{subj[3], props[0], Wildcard},
+		{Wildcard, props[2], subj[4]},
+		{subj[5], Wildcard, subj[6]},
+	}
+	add := func(tr Triple) {
+		t.Helper()
+		if st.Add(tr) != m.add(tr) {
+			t.Fatalf("Add(%v) disagreement", tr)
+		}
+	}
+	remove := func(tr Triple) {
+		t.Helper()
+		if st.Remove(tr) != m.remove(tr) {
+			t.Fatalf("Remove(%v) disagreement", tr)
+		}
+	}
+
+	// Phase 1: bulk inserts past the overlay threshold.
+	for i := 0; i < 2*deltaMax; i++ {
+		add(randTriple())
+	}
+	checkAgainstModel(t, st, m, pats, "after inserts")
+
+	// Phase 2: interleaved adds/removes, enough removes to densify.
+	for i := 0; i < 3*deltaMax; i++ {
+		if rng.Intn(3) == 0 {
+			add(randTriple())
+		} else {
+			remove(randTriple())
+		}
+	}
+	checkAgainstModel(t, st, m, pats, "after churn")
+
+	// Phase 3: re-add after delete (tombstone + re-insert of the same
+	// triple must coexist in the overlays) — twice over for the first, so
+	// two tombstoned copies sit beside the live one.
+	var some []Triple
+	for tr := range m.set {
+		some = append(some, tr)
+		if len(some) == 20 {
+			break
+		}
+	}
+	for _, tr := range append(some, some[0]) {
+		remove(tr)
+		if st.Contains(tr) {
+			t.Fatalf("Contains(%v) after Remove", tr)
+		}
+		add(tr)
+	}
+	checkAgainstModel(t, st, m, pats, "after re-adds")
+
+	// Phase 4: the same triple removed before a threshold merge and re-added
+	// after it. The merge is forced where the victim lives: one batch of
+	// triples sharing its subject (its subject shard) and one sharing its
+	// object (its object shard), with duplicates inside the batch and of
+	// stored triples.
+	victim := some[1]
+	sub := st.shards[st.shardOf(victim[S])]
+	obj := sub
+	if k := len(st.oshards); k > 0 {
+		obj = st.oshards[shardOfID(victim[O], k)]
+	}
+	var crowd []Triple
+	for i := 0; i < 4*deltaMax; i++ {
+		x := d.EncodeIRI(fmt.Sprintf("x%d", i))
+		crowd = append(crowd, Triple{victim[S], props[i%5], x}, Triple{x, props[i%5], victim[O]})
+	}
+	remove(victim)
+	batch := append(append(slices.Clone(crowd), crowd[:50]...), some[2], some[3])
+	if got := st.AddBatch(batch); got != len(crowd) {
+		t.Fatalf("AddBatch added %d of a batch with %d distinct new triples", got, len(crowd))
+	}
+	for _, tr := range crowd {
+		m.add(tr)
+	}
+	if s, o := sub.cur.Load(), obj.cur.Load(); len(s.tomb) > 0 || len(o.tomb) > 0 || len(s.delta[SPO]) > 0 || len(o.delta[OSP]) > 0 {
+		t.Fatalf("a batch of %d did not merge the victim's shards", len(batch))
+	}
+	if st.Contains(victim) {
+		t.Fatal("merge resurrected the removed victim")
+	}
+	add(victim)
+	checkAgainstModel(t, st, m, pats, "re-add across a merge")
+
+	// Phase 5: the same across a densify — removing the crowd leaves both of
+	// the victim's shards with more holes than live triples, so the next
+	// merge rewrites the triple slice and remaps every position.
+	remove(victim)
+	before := [2]int{len(sub.cur.Load().triples), len(obj.cur.Load().triples)}
+	for _, tr := range crowd {
+		remove(tr)
+	}
+	if s, o := len(sub.cur.Load().triples), len(obj.cur.Load().triples); s >= before[0] || o >= before[1] {
+		t.Fatalf("removing the crowd did not densify: triple slices %v -> [%d %d]", before, s, o)
+	}
+	add(victim)
+	remove(victim)
+	add(victim)
+	checkAgainstModel(t, st, m, pats, "re-add across a densify")
+
+	// DistinctInColumn agrees with a set-based recomputation.
+	for _, pat := range pats {
+		for c := 0; c < 3; c++ {
+			got := st.DistinctInColumn(pat, c)
+			wantSet := make(map[dict.ID]struct{})
+			for tr := range m.match(pat) {
+				wantSet[tr[c]] = struct{}{}
+			}
+			if len(got) != len(wantSet) {
+				t.Fatalf("DistinctInColumn(%v, %d) = %d values, model %d",
+					pat, c, len(got), len(wantSet))
+			}
+			for i := 1; i < len(got); i++ {
+				if got[i-1] >= got[i] {
+					t.Fatalf("DistinctInColumn(%v, %d) not strictly sorted: %v", pat, c, got)
+				}
+			}
+			for _, v := range got {
+				if _, ok := wantSet[v]; !ok {
+					t.Fatalf("DistinctInColumn(%v, %d): %d not in model", pat, c, v)
+				}
+			}
+		}
+	}
+	return m, pats
 }
 
 // TestShardTriplesPartition checks the subject-hash partitioning invariants:
@@ -298,7 +394,7 @@ func TestCursorSnapshotIsolation(t *testing.T) {
 }
 
 // TestConcurrentReadersAndWriters runs lock-free readers (counts, matches,
-// full cursor drains) against a writer mutating all shards. The reader-side
+// membership probes, full cursor drains) against a writer mutating all shards. The reader-side
 // invariant: triples under the immutable predicate are never touched by the
 // writer, so every read over it sees exactly the initial extent. Run with
 // -race to check the snapshot handoff.
@@ -330,7 +426,17 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 					return
 				default:
 				}
-				switch rng.Intn(3) {
+				switch rng.Intn(4) {
+				case 3:
+					// Contains reads the published SPO index without the
+					// shard lock: a stable triple is always there, and probing
+					// the subjects the writer churns must not race with it.
+					i := rng.Intn(300)
+					if tr := (Triple{d.EncodeIRI(fmt.Sprintf("s%d", i)), stable, d.EncodeIRI(fmt.Sprintf("o%d", i))}); !st.Contains(tr) {
+						errs <- fmt.Errorf("reader: Contains(%v) = false for a stable triple", tr)
+						return
+					}
+					st.Contains(Triple{d.EncodeIRI(fmt.Sprintf("c0-%d", i)), churn, d.EncodeIRI(fmt.Sprintf("v%d", i))})
 				case 0:
 					if got := st.Count(stablePat); got != wantCount {
 						errs <- fmt.Errorf("reader: Count(stable) = %d, want %d", got, wantCount)

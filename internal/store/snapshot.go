@@ -1,7 +1,5 @@
 package store
 
-import "rdfviews/internal/dict"
-
 // Snapshot is an immutable point-in-time view of the whole store: every
 // shard's published snapshot — both partition sides of a dual layout —
 // pinned together and tagged with the store epoch they were captured at.
@@ -91,12 +89,10 @@ func (s *Snapshot) Count(pat Pattern) int {
 	return n
 }
 
-// Contains reports whether the exact triple is present in the snapshot: a
-// full-prefix lookup in the pinned SPO index (the live store's present map
-// reflects later mutations, so it cannot be consulted here).
+// Contains reports whether the exact triple is present in the snapshot: the
+// lookup Store.Contains does, in the pinned SPO index of the owning shard.
 func (s *Snapshot) Contains(t Triple) bool {
-	prefix := []dict.ID{t[S], t[P], t[O]}
-	return s.snaps[s.st.shardOf(t[S])].count(int(SPO), prefix) > 0
+	return s.snaps[shardOfID(t[S], len(s.snaps))].find(SPO, t) >= 0
 }
 
 // NewCursor opens a cursor over the pinned snapshot, placement-routed to the

@@ -16,18 +16,29 @@
 //     subject partitions. Shard addressing is owned by the Placement router
 //     (placement.go): every read maps a (Perm, Pattern) pair to the minimal
 //     shard subset of one side, and a PruneStats ledger records shards
-//     opened versus the fan-out avoided. Writes route to both sides; each
-//     side reuses the shard machinery below unchanged.
-//   - Each shard owns the six sorted permutations of its triples (SPO, SOP,
-//     PSO, POS, OSP, OPS — the Hexastore scheme of [23]). Together they
-//     provide exact counts for any triple pattern with 0–3 constants (the
-//     statistics primitive of Section 3.3) and ordered prefix range scans.
+//     opened versus the fan-out avoided. The subject side decides what a
+//     write changes; the object side is handed exactly those triples and
+//     never tests membership itself.
+//   - Each subject shard owns the six sorted permutations of its triples
+//     (SPO, SOP, PSO, POS, OSP, OPS — the Hexastore scheme of [23]). Together
+//     they provide exact counts for any triple pattern with 0–3 constants
+//     (the statistics primitive of Section 3.3) and ordered prefix range
+//     scans. An object shard keeps POS, OSP and OPS only: it is routed
+//     nothing but accesses that leave the subject unbound, and those are the
+//     three permutations such an access can ask for.
+//   - There is no membership structure beside the indexes: whether a triple
+//     is stored, and at which position, is a full-prefix binary search in the
+//     shard's leading permutation (SPO; OSP on the object side). Resident
+//     cost is therefore the 24-byte triple plus 4 bytes per kept permutation:
+//     48 B a triple on the subject side, 36 B on the object side.
 //   - Index maintenance is incremental. Instead of marking the store dirty
 //     and re-sorting every permutation on the next read (O(N log N) per
 //     touched batch), an insert goes into a small sorted delta overlay per
 //     permutation and a delete sets a tombstone bit; overlays and tombstones
 //     are merged into the base indexes once they pass a threshold, by a
-//     linear merge that never re-sorts.
+//     linear merge that never re-sorts. A batch — one triple or a whole
+//     load — is sorted in full once per leading column (SPO and OSP); the
+//     other permutations are derived from those two orders.
 //   - Readers are lock-free: every shard publishes an immutable snapshot
 //     (triples, base indexes, delta overlays, tombstones) through an atomic
 //     pointer. Counts, scans and cursors operate on the snapshot they were
@@ -150,9 +161,9 @@ func PermFor(bound []int, then int) (Perm, bool) {
 	return SPO, false
 }
 
-// maxShards caps the shard count; beyond this, per-shard overheads (cursor
-// merging, snapshot bookkeeping) outweigh any parallelism.
-const maxShards = 256
+// MaxShards caps the shard count of either side; beyond this, per-shard
+// overheads (cursor merging, snapshot bookkeeping) outweigh any parallelism.
+const MaxShards = 256
 
 // Reader is the read-only query surface shared by the live *Store and an
 // immutable *Snapshot: the primitives the query engine scans and counts
@@ -252,10 +263,10 @@ func NewWithDictSharded(d *dict.Dictionary, k int) *Store {
 // NewDual returns an empty dual-partitioned store: subjectK subject-hash
 // shards plus objectK object-hash replica shards, so both subject-bound and
 // object-bound patterns prune to a single shard. objectK = 0 degenerates to
-// the subject-only layout. Memory roughly doubles against NewSharded — the
-// replica side holds every triple again, with its own six permutation
-// indexes — which is the trade the serving tier makes to turn O(K) fan-outs
-// into O(1) lookups on both access sides.
+// the subject-only layout. The replica side holds every triple again with
+// the three permutations it can be asked for (POS, OSP, OPS): about 36 B a
+// triple on top of the subject side's 48 B, which is the trade the serving
+// tier makes to turn O(K) fan-outs into O(1) lookups on both access sides.
 func NewDual(subjectK, objectK int) *Store {
 	return NewWithDictDual(dict.New(), subjectK, objectK)
 }
@@ -266,23 +277,23 @@ func NewWithDictDual(d *dict.Dictionary, subjectK, objectK int) *Store {
 	if subjectK < 1 {
 		subjectK = 1
 	}
-	if subjectK > maxShards {
-		subjectK = maxShards
+	if subjectK > MaxShards {
+		subjectK = MaxShards
 	}
 	if objectK < 0 {
 		objectK = 0
 	}
-	if objectK > maxShards {
-		objectK = maxShards
+	if objectK > MaxShards {
+		objectK = MaxShards
 	}
 	st := &Store{dict: d, shards: make([]*shard, subjectK)}
 	for i := range st.shards {
-		st.shards[i] = newShard()
+		st.shards[i] = newShard(subjectPerms)
 	}
 	if objectK > 0 {
 		st.oshards = make([]*shard, objectK)
 		for i := range st.oshards {
-			st.oshards[i] = newShard()
+			st.oshards[i] = newShard(objectPerms)
 		}
 	}
 	return st
@@ -322,67 +333,71 @@ func (st *Store) Len() int {
 // its object replica shard: the sides publish independently, so a concurrent
 // reader routed to the object side may briefly miss a triple the subject
 // side already serves — the same per-shard relaxation multi-shard cursors
-// have always had (each side is individually snapshot-consistent).
+// have always had (each side is individually snapshot-consistent). For the
+// same reason callers serialize writes of one triple (the maintainer's writer
+// mutex does): the object side applies what it is handed in arrival order.
 func (st *Store) Add(t Triple) bool {
-	if st.shards[st.shardOf(t[S])].insert([]Triple{t}) == 0 {
+	one := []Triple{t}
+	if len(st.shards[st.shardOf(t[S])].insert(one)) == 0 {
 		return false
 	}
-	if len(st.oshards) > 0 {
-		st.oshards[shardOfID(t[O], len(st.oshards))].insert([]Triple{t})
+	if k := len(st.oshards); k > 0 {
+		st.oshards[shardOfID(t[O], k)].add(one)
 	}
 	st.epoch.Add(1)
 	st.statsGen.Add(1)
 	return true
 }
 
-// AddBatch inserts many triples at once, ignoring duplicates, and returns the
-// number added. Batching amortizes the per-mutation index maintenance: each
-// shard sorts and merges the whole batch into its overlays in one step.
+// AddBatch inserts many triples at once, ignoring duplicates (of stored
+// triples and inside the batch), and returns the number added. Batching
+// amortizes the per-mutation index maintenance: each shard sorts the whole
+// batch once per leading column and merges it in one step. The object side is
+// handed the triples the subject side reported new, grouped by object shard.
 func (st *Store) AddBatch(ts []Triple) int {
 	if len(ts) == 0 {
 		return 0
 	}
-	added := 0
+	var added []Triple
 	if len(st.shards) == 1 {
 		added = st.shards[0].insert(ts)
 	} else {
-		groups := make([][]Triple, len(st.shards))
-		for _, t := range ts {
-			i := st.shardOf(t[S])
-			groups[i] = append(groups[i], t)
-		}
-		for i, g := range groups {
+		for i, g := range groupByShard(ts, S, len(st.shards)) {
 			if len(g) > 0 {
-				added += st.shards[i].insert(g)
+				added = append(added, st.shards[i].insert(g)...)
 			}
 		}
+	}
+	if len(added) == 0 {
+		return 0
 	}
 	if k := len(st.oshards); k > 0 {
-		groups := make([][]Triple, k)
-		for _, t := range ts {
-			i := shardOfID(t[O], k)
-			groups[i] = append(groups[i], t)
-		}
-		for i, g := range groups {
+		for i, g := range groupByShard(added, O, k) {
 			if len(g) > 0 {
-				st.oshards[i].insert(g)
+				st.oshards[i].add(g)
 			}
 		}
 	}
-	if added > 0 {
-		st.epoch.Add(uint64(added))
-		st.statsGen.Add(1)
-	}
-	return added
+	st.epoch.Add(uint64(len(added)))
+	st.statsGen.Add(1)
+	return len(added)
 }
 
-// Contains reports whether the exact triple is present.
+// groupByShard splits the triples by the hash of column col over k shards,
+// keeping their order inside each group.
+func groupByShard(ts []Triple, col, k int) [][]Triple {
+	groups := make([][]Triple, k)
+	for _, t := range ts {
+		i := shardOfID(t[col], k)
+		groups[i] = append(groups[i], t)
+	}
+	return groups
+}
+
+// Contains reports whether the exact triple is present: a lock-free lookup in
+// the owning subject shard's published SPO index.
 func (st *Store) Contains(t Triple) bool {
-	sh := st.shards[st.shardOf(t[S])]
-	sh.mu.RLock()
-	_, ok := sh.present[t]
-	sh.mu.RUnlock()
-	return ok
+	return st.shards[st.shardOf(t[S])].cur.Load().find(SPO, t) >= 0
 }
 
 // Remove deletes a triple, reporting whether it was present. The triple is
@@ -392,8 +407,8 @@ func (st *Store) Remove(t Triple) bool {
 	if !st.shards[st.shardOf(t[S])].remove(t) {
 		return false
 	}
-	if len(st.oshards) > 0 {
-		st.oshards[shardOfID(t[O], len(st.oshards))].remove(t)
+	if k := len(st.oshards); k > 0 {
+		st.oshards[shardOfID(t[O], k)].remove(t)
 	}
 	st.epoch.Add(1)
 	st.statsGen.Add(1)
