@@ -48,23 +48,22 @@ func MediumScale() Scale {
 }
 
 // testbed is the shared environment: the Barton-like dataset, its schema
-// (both string-level and encoded), and vocabulary slices for the workload
-// generators.
+// (both string-level and encoded), the post-reformulation statistics of the
+// two — they never move, so every series reads one provider — and vocabulary
+// slices for the workload generators.
 type testbed struct {
-	st      *store.Store
-	rschema *rdf.Schema
-	schema  *reason.Schema
-	props   []string
-	consts  []string
-
-	// reform is the saturated-equivalent global statistics of (st, schema),
-	// derived by the first post-reformulation series that asks.
-	reform *stats.Globals
+	st        *store.Store
+	rschema   *rdf.Schema
+	schema    *reason.Schema
+	postStats *stats.ReformulatedStats
+	props     []string
+	consts    []string
 }
 
 func newTestbed(sc Scale) *testbed {
 	st, rschema := datagen.Generate(datagen.Config{Triples: sc.Triples, Seed: sc.Seed})
 	tb := &testbed{st: st, rschema: rschema, schema: reason.NewSchema(rschema, st.Dict())}
+	tb.postStats = stats.NewReformulatedStats(st, tb.schema)
 	for i := 0; i < 16; i++ {
 		tb.props = append(tb.props, datagen.PropName(i))
 	}
@@ -84,13 +83,9 @@ func (tb *testbed) estimator() *cost.Estimator {
 }
 
 // postEstimator builds a post-reformulation estimator: reformulated
-// statistics over the non-saturated store, with per-atom counts of its own.
+// statistics over the non-saturated store.
 func (tb *testbed) postEstimator() *cost.Estimator {
-	if tb.reform == nil {
-		g := stats.NewReformulatedStats(tb.st, tb.schema).Globals()
-		tb.reform = &g
-	}
-	return cost.NewEstimator(stats.NewReformulatedStatsFrom(tb.st, tb.schema, *tb.reform), cost.DefaultWeights())
+	return cost.NewEstimator(tb.postStats, cost.DefaultWeights())
 }
 
 // genWorkload draws a free-standing workload over the testbed vocabulary.

@@ -7,6 +7,14 @@
 //     (the post-reformulation scenario: "replacing |vi| in our cost formulas
 //     with |Reformulate(vi, S)| ... results in having the same statistics as
 //     if the database was saturated").
+//
+// Both remember what they counted, so a provider describes the store as it
+// was when each count was first asked for. Whoever creates a provider owns
+// that: a StoreStats is an index lookup per count and is made per search; a
+// ReformulatedStats evaluates a union per count and is kept for as long as
+// its store and schema stay put — Database pins one to the database version
+// (rdfviews.go) — and is replaced by a new provider, not emptied, when they
+// move. Either may be read from any number of goroutines.
 package stats
 
 import (
@@ -19,7 +27,8 @@ import (
 )
 
 // StoreStats serves statistics straight from a store. It caches pattern
-// counts; the store must not be modified while the provider is in use.
+// counts, so it is made for one search over a store that holds still for
+// that long (Database.Recommend makes one per call) and dropped with it.
 type StoreStats struct {
 	st *store.Store
 
@@ -84,13 +93,25 @@ func PatternOf(a cq.Atom) store.Pattern {
 }
 
 // Globals are the saturated-equivalent global statistics of Section 4.3:
-// |sat(D)| and the distinct counts of its three columns. They are a function
-// of (data, schema) alone, so an owner that knows when neither moved can
-// derive them once (ReformulatedStats.Globals) and hand them to every later
-// provider (NewReformulatedStatsFrom).
+// |sat(D)| and the distinct counts of its three columns.
 type Globals struct {
 	Total    float64
 	Distinct [3]float64
+}
+
+// maxCells bounds the per-pattern counts one ReformulatedStats keeps, at about
+// 100 bytes each. A search asks for tens of patterns (32 on the benchmark's
+// select-reform); a provider shared by a database version's searches
+// overflows only under workloads that keep bringing new constants, and then
+// loses time, not exactness.
+const maxCells = 1 << 16
+
+// cell is one once-evaluated count. Whoever finds the cell unevaluated
+// evaluates it while later askers of that cell wait; askers of other cells do
+// not.
+type cell struct {
+	once sync.Once
+	n    float64
 }
 
 // ReformulatedStats serves the statistics of the post-reformulation scenario
@@ -99,35 +120,31 @@ type Globals struct {
 // distinct counts) are computed the same way from fully relaxed atoms. The
 // provider is equivalent to StoreStats over the saturated store without ever
 // materializing the saturation (property-tested in stats_test.go).
+//
+// Every count is a function of (store contents, schema) and is evaluated at
+// most once per provider, on first request, however many goroutines ask. A
+// provider is therefore good for as long as neither moves, and its owner
+// replaces it — never resets it — when one does: searches and
+// recommendations still holding the old provider keep statistics consistent
+// with each other. Database.Recommend shares one provider per database
+// version.
 type ReformulatedStats struct {
 	st     *store.Store
 	schema *reason.Schema
 
+	// mu guards the cells map only, never an evaluation. limit is maxCells;
+	// tests lower it.
 	mu       sync.Mutex
-	cache    map[store.Pattern]float64
-	prepOnce sync.Once
-	globals  Globals
+	cells    map[store.Pattern]*cell
+	limit    int
+	distinct [3]cell
 }
 
-// NewReformulatedStats returns a provider over the non-saturated store. The
-// global statistics are derived on first use.
+// NewReformulatedStats returns a provider over the non-saturated store.
+// Nothing is evaluated until it is asked for.
 func NewReformulatedStats(st *store.Store, schema *reason.Schema) *ReformulatedStats {
 	warmStore(st)
-	return &ReformulatedStats{st: st, schema: schema, cache: make(map[store.Pattern]float64)}
-}
-
-// NewReformulatedStatsFrom returns a provider that takes its global
-// statistics from g — what Globals returned for the same store contents and
-// schema — instead of deriving them. The fully relaxed atom's count is the
-// total, so it is known too: the search asks for it whenever a selection cut
-// relaxes an atom's last constant.
-func NewReformulatedStatsFrom(st *store.Store, schema *reason.Schema, g Globals) *ReformulatedStats {
-	s := NewReformulatedStats(st, schema)
-	s.prepOnce.Do(func() {
-		s.globals = g
-		s.cache[store.Pattern{}] = g.Total
-	})
-	return s
+	return &ReformulatedStats{st: st, schema: schema, cells: make(map[store.Pattern]*cell), limit: maxCells}
 }
 
 // Store exposes the underlying (non-saturated) store.
@@ -155,64 +172,66 @@ func atomQuery(pat store.Pattern) *cq.Query {
 	return &cq.Query{Head: head, Atoms: []cq.Atom{a}}
 }
 
-// AtomCount implements cost.Stats: |Reformulate(vi, S)| evaluated with set
-// semantics on the original store.
+// count is |Reformulate(q, S)| evaluated with set semantics on the original
+// store. When the reformulation trips its size limit the plain count stands
+// in; that only happens on adversarial schemas, and an under-estimate is
+// preferable to failing the search.
+func (s *ReformulatedStats) count(q *cq.Query, plain func() int) float64 {
+	u, err := reason.Reformulate(q, s.schema, 0)
+	if err == nil {
+		var n int
+		if n, err = engine.CountUCQ(s.st, u); err == nil {
+			return float64(n)
+		}
+	}
+	return float64(plain())
+}
+
+// AtomCount implements cost.Stats: the pattern's cell, evaluated by the first
+// caller to ask for it. When the map is full a fresh one takes its place;
+// cells already handed out stay valid for their holders.
 func (s *ReformulatedStats) AtomCount(a cq.Atom) float64 {
 	pat := PatternOf(a)
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if c, ok := s.cache[pat]; ok {
-		return c
-	}
-	u, err := reason.Reformulate(atomQuery(pat), s.schema, 0)
-	var n int
-	if err == nil {
-		n, err = engine.CountUCQ(s.st, u)
-	}
-	if err != nil {
-		// Fall back to the plain count; the limit only trips on adversarial
-		// schemas, and an under-estimate is preferable to failing the search.
-		n = s.st.Count(pat)
-	}
-	c := float64(n)
-	s.cache[pat] = c
-	return c
-}
-
-// prepare computes the saturated-equivalent global statistics from fully
-// relaxed atoms, exactly as Section 3.3 relaxes query atoms. sync.Once makes
-// the computed fields safe to read from concurrent searchers.
-func (s *ReformulatedStats) prepare() {
-	s.prepOnce.Do(func() {
-		s.globals.Total = s.AtomCount(relaxed)
-		for col, v := range relaxed {
-			q := &cq.Query{Head: []cq.Term{v}, Atoms: []cq.Atom{relaxed}}
-			u, err := reason.Reformulate(q, s.schema, 0)
-			if err != nil {
-				s.globals.Distinct[col] = float64(s.st.DistinctCount(col))
-				continue
-			}
-			n, err := engine.CountUCQ(s.st, u)
-			if err != nil {
-				n = s.st.DistinctCount(col)
-			}
-			s.globals.Distinct[col] = float64(n)
+	c := s.cells[pat]
+	if c == nil {
+		if len(s.cells) >= s.limit {
+			s.cells = make(map[store.Pattern]*cell)
 		}
+		c = new(cell)
+		s.cells[pat] = c
+	}
+	s.mu.Unlock()
+	c.once.Do(func() {
+		c.n = s.count(atomQuery(pat), func() int { return s.st.Count(pat) })
 	})
+	return c.n
 }
 
-// Globals returns the saturated-equivalent global statistics, deriving them
-// if this provider has not yet.
+// TotalTriples implements cost.Stats: the saturated database size, which is
+// the fully relaxed atom's count.
+func (s *ReformulatedStats) TotalTriples() float64 { return s.AtomCount(relaxed) }
+
+// DistinctCount implements cost.Stats over the saturated extension: the
+// fully relaxed atom projected on the column, exactly as Section 3.3 relaxes
+// query atoms.
+func (s *ReformulatedStats) DistinctCount(col int) float64 {
+	c := &s.distinct[col]
+	c.once.Do(func() {
+		q := &cq.Query{Head: []cq.Term{relaxed[col]}, Atoms: []cq.Atom{relaxed}}
+		c.n = s.count(q, func() int { return s.st.DistinctCount(col) })
+	})
+	return c.n
+}
+
+// Globals returns the saturated-equivalent global statistics.
 func (s *ReformulatedStats) Globals() Globals {
-	s.prepare()
-	return s.globals
+	g := Globals{Total: s.TotalTriples()}
+	for col := range g.Distinct {
+		g.Distinct[col] = s.DistinctCount(col)
+	}
+	return g
 }
-
-// TotalTriples implements cost.Stats: the saturated database size.
-func (s *ReformulatedStats) TotalTriples() float64 { return s.Globals().Total }
-
-// DistinctCount implements cost.Stats over the saturated extension.
-func (s *ReformulatedStats) DistinctCount(col int) float64 { return s.Globals().Distinct[col] }
 
 // AvgWidth implements cost.Stats; widths are taken from the base store
 // (saturation adds no new lexical values beyond schema terms).

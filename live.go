@@ -79,10 +79,11 @@ type LiveViews struct {
 
 // Maintain materializes the recommended views under synchronous incremental
 // maintenance. Supported for ReasoningNone, ReasoningSaturate (under
-// saturation, the maintained store is the saturated copy, and updates are
-// interpreted as updates to it) and ReasoningPre (pre-reformulation views
-// are plain conjunctive queries over the original store, so they maintain
-// directly). Only ReasoningPost is rejected: its views stay
+// saturation, the maintained store is a private copy of the saturated
+// database, and updates are interpreted as updates to it: the database, its
+// Answer and later Recommend calls do not see them) and ReasoningPre
+// (pre-reformulation views are plain conjunctive queries over the original
+// store, so they maintain directly). Only ReasoningPost is rejected: its views stay
 // virtual-by-reformulation and are refreshed by re-materializing (use
 // Materialize again), as maintaining reformulated views incrementally is
 // future work in the paper too ("the maintenance of a saturated database ...
@@ -102,7 +103,13 @@ func (r *Recommendation) MaintainWithOptions(opts MaintainOptions) (*LiveViews, 
 	default:
 		return nil, fmt.Errorf("rdfviews: incremental maintenance is not supported under reasoning mode %q; re-materialize instead", r.mode)
 	}
-	m, err := maintain.NewWithConfig(r.matStore, r.state.ViewQueries(), maintain.Config{
+	st := r.matStore
+	if r.mode == ReasoningSaturate {
+		// The saturated copy is the database's, shared with Answer and every
+		// Recommend of the version; the maintainer writes a copy of its own.
+		st = st.Clone()
+	}
+	m, err := maintain.NewWithConfig(st, r.state.ViewQueries(), maintain.Config{
 		QueueDepth: opts.QueueDepth,
 		BatchMax:   opts.BatchMax,
 	})
@@ -137,7 +144,7 @@ func (lv *LiveViews) Insert(line string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return lv.m.Insert(lv.rec.matStore.Encode(t))
+	return lv.m.Insert(lv.m.Store().Encode(t))
 }
 
 // Delete removes one triple and propagates the deletion. The return count
@@ -147,7 +154,7 @@ func (lv *LiveViews) Delete(line string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return lv.m.Delete(lv.rec.matStore.Encode(t))
+	return lv.m.Delete(lv.m.Store().Encode(t))
 }
 
 // Answer executes the rewriting of workload query i over the maintained

@@ -78,6 +78,7 @@ import (
 	"rdfviews/internal/engine"
 	"rdfviews/internal/plancache"
 	"rdfviews/internal/rdf"
+	"rdfviews/internal/reason"
 	"rdfviews/internal/stats"
 	"rdfviews/internal/store"
 )
@@ -97,18 +98,38 @@ type Database struct {
 }
 
 // pinned holds what the database derives from (data, schema) alone and keeps
-// across calls. Both members are filled lazily by the first caller that needs
-// them at a database version and dropped together when the version moves;
-// nothing on a write path touches them.
+// across calls: the encoded, transitively closed schema; the saturated copy;
+// and the post-reformulation statistics provider with every count it has
+// evaluated. Each is made by the first caller that needs it at a database
+// version — (store epoch, schema size), compared in lockAt, the one place
+// that does — and all are dropped together when the next caller finds the
+// version moved: a load, a schema statement, a LiveViews insert or delete on
+// the database's own store. Nothing on a write path touches the pin.
+//
+// Dropping replaces; it never empties an object in place. A search in
+// flight, a Recommendation and its estimator, a LiveViews keep the objects
+// they were handed, which stay consistent with one another and never reach a
+// later version's callers. Nobody writes the saturated copy either:
+// MaintainWithOptions clones it before a maintainer may.
+//
+// What it costs to keep: the saturated copy is a second store (only once
+// ReasoningSaturate is used); the schema is its closure maps; the provider is
+// one map entry and one cell per pattern a search has asked for — tens per
+// workload, at most stats' maxCells. Together, schema and provider are about
+// 0.5 B per triple on the benchmark's select-reform.
 type pinned struct {
 	mu        sync.Mutex
 	epoch     uint64
 	schemaLen int
-	// sat is the saturated copy Answer reads under ReasoningSaturate.
+	// schema is what Recommend, Answer's reformulation and the two members
+	// below reason with.
+	schema *reason.Schema
+	// sat is the saturated copy Answer reads, and Recommend costs with and
+	// materializes against, under ReasoningSaturate.
 	sat *store.Store
-	// reform holds the saturated-equivalent global statistics Recommend
-	// costs with under ReasoningPost.
-	reform *stats.Globals
+	// reform is the statistics provider Recommend costs with under
+	// ReasoningPost.
+	reform *stats.ReformulatedStats
 }
 
 // lockAt locks the pin for the database version (store epoch, schema size),
@@ -117,8 +138,48 @@ func (p *pinned) lockAt(epoch uint64, schemaLen int) {
 	p.mu.Lock()
 	if p.epoch != epoch || p.schemaLen != schemaLen {
 		p.epoch, p.schemaLen = epoch, schemaLen
-		p.sat, p.reform = nil, nil
+		p.schema, p.sat, p.reform = nil, nil, nil
 	}
+}
+
+// reasonSchema returns the schema encoded against the dictionary with its
+// RDFS closure, derived once per database version.
+func (db *Database) reasonSchema() *reason.Schema {
+	db.pin.lockAt(db.st.Epoch(), db.schema.Len())
+	defer db.pin.mu.Unlock()
+	return db.pinnedSchema()
+}
+
+// pinnedSchema is reasonSchema for callers that hold the pin.
+func (db *Database) pinnedSchema() *reason.Schema {
+	if db.pin.schema == nil {
+		db.pin.schema = reason.NewSchema(db.schema, db.st.Dict())
+	}
+	return db.pin.schema
+}
+
+// saturatedFor returns the saturated copy of the store for the (epoch,
+// schema) state the caller read. It is shared and read-only.
+func (db *Database) saturatedFor(epoch uint64, schemaLen int) *store.Store {
+	db.pin.lockAt(epoch, schemaLen)
+	defer db.pin.mu.Unlock()
+	if db.pin.sat == nil {
+		db.pin.sat = reason.Saturate(db.st, db.pinnedSchema())
+	}
+	return db.pin.sat
+}
+
+// reformStats returns the post-reformulation statistics provider of the
+// current database version. The first search to ask for a pattern evaluates
+// its union; every later one, in this call or any other at the version,
+// reads the count.
+func (db *Database) reformStats() *stats.ReformulatedStats {
+	db.pin.lockAt(db.st.Epoch(), db.schema.Len())
+	defer db.pin.mu.Unlock()
+	if db.pin.reform == nil {
+		db.pin.reform = stats.NewReformulatedStats(db.st, db.pinnedSchema())
+	}
+	return db.pin.reform
 }
 
 // NewDatabase returns an empty database with an empty schema, backed by a

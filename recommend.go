@@ -137,8 +137,9 @@ type Recommendation struct {
 	state     *core.State
 	result    core.Result
 	estimator *cost.Estimator
-	// matStore is the store views materialize against (saturated copy for
-	// ReasoningSaturate, the original otherwise).
+	// matStore is the store views materialize against: the database's pinned
+	// saturated copy, shared and read-only, for ReasoningSaturate; the
+	// original otherwise.
 	matStore      *store.Store
 	maxUnionTerms int
 }
@@ -278,19 +279,21 @@ func (db *Database) Recommend(w *Workload, opts Options) (*Recommendation, error
 	if err != nil {
 		return nil, err
 	}
-	schema := reason.NewSchema(db.schema, db.st.Dict())
+	schema := db.reasonSchema()
 
-	// Statistics and materialization store per reasoning mode.
+	// Statistics and materialization store per reasoning mode. What is a
+	// function of (data, schema) comes from the pin; an index count is a
+	// binary search, so StoreStats is made per call.
 	var provider cost.Stats
 	matStore := db.st
 	switch mode {
 	case ReasoningNone, ReasoningPre:
 		provider = stats.NewStoreStats(db.st)
 	case ReasoningSaturate:
-		matStore = reason.Saturate(db.st, schema)
+		matStore = db.saturatedFor(db.st.Epoch(), db.schema.Len())
 		provider = stats.NewStoreStats(matStore)
 	case ReasoningPost:
-		provider = stats.NewReformulatedStatsFrom(db.st, schema, db.reformGlobals(schema))
+		provider = db.reformStats()
 	default:
 		return nil, fmt.Errorf("rdfviews: unknown reasoning mode %q", mode)
 	}
@@ -352,23 +355,9 @@ func (db *Database) Recommend(w *Workload, opts Options) (*Recommendation, error
 	}, nil
 }
 
-// reformGlobals returns the saturated-equivalent global statistics of the
-// current database version: four reformulated unions over the whole store,
-// evaluated by the first post-reformulation Recommend of a version — the
-// pin's mutex makes concurrent first callers wait for one derivation — and
-// read by every later one. Per-atom counts stay with each call's provider.
-func (db *Database) reformGlobals(schema *reason.Schema) stats.Globals {
-	db.pin.lockAt(db.st.Epoch(), db.schema.Len())
-	defer db.pin.mu.Unlock()
-	if db.pin.reform == nil {
-		g := stats.NewReformulatedStats(db.st, schema).Globals()
-		db.pin.reform = &g
-	}
-	return *db.pin.reform
-}
-
 // answerRelation evaluates a query directly on the database under the
-// reasoning mode.
+// reasoning mode, deriving schema closure and saturation itself: it is the
+// uncached oracle the differential tests compare the pinned paths against.
 func (db *Database) answerRelation(q *cq.Query, mode Reasoning) (*engine.Relation, error) {
 	switch mode {
 	case ReasoningNone, "":

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"rdfviews/internal/core"
-	"rdfviews/internal/cq"
 	"rdfviews/internal/datagen"
 	"rdfviews/internal/rdf"
 	"rdfviews/internal/reason"
@@ -21,6 +20,12 @@ import (
 func reformDB(t testing.TB) (*Database, *Workload) {
 	t.Helper()
 	st, schema := datagen.Generate(datagen.Config{Triples: 4000, Seed: 3})
+	db := &Database{st: st, schema: schema}
+	return db, reformWorkload(db, 3)
+}
+
+// reformWorkload draws reformDB's kind of workload from another seed.
+func reformWorkload(db *Database, seed int64) *Workload {
 	var props, consts []string
 	for i := 0; i < 16; i++ {
 		props = append(props, datagen.PropName(i))
@@ -32,12 +37,11 @@ func reformDB(t testing.TB) (*Database, *Workload) {
 	for i := 0; i < 8; i++ {
 		consts = append(consts, datagen.ClassName(i))
 	}
-	qs := workload.Generate(st.Dict(), workload.Spec{
+	return &Workload{Queries: workload.Generate(db.st.Dict(), workload.Spec{
 		Queries: 3, AtomsPerQuery: 3,
 		Shape: workload.Mixed, Commonality: workload.High,
-		PropVocab: props, ConstVocab: consts, Seed: 3,
-	})
-	return &Database{st: st, schema: schema}, &Workload{Queries: qs}
+		PropVocab: props, ConstVocab: consts, Seed: seed,
+	})}
 }
 
 func budgeted(mode Reasoning, states int) Options {
@@ -108,10 +112,11 @@ func TestRecommendationRetainsOnlyItsViews(t *testing.T) {
 // TestConcurrentRecommend runs selections from several goroutines against
 // one database: every search fills an estimator of its own, and the
 // recommendations' retained estimators are only read. In the cold variant no
-// serial call has derived the pinned statistics of the database the
-// goroutines hit — the first of them does, the others wait for it — and the
-// serial result comes from an identical database built apart. Run under -race
-// (the CI race gate matches the test's name).
+// serial call has filled the pinned provider of the database the goroutines
+// hit — whichever of them asks for a pattern first evaluates it, the others
+// wait for that cell or evaluate another — and the serial result comes from
+// an identical database built apart. Run under -race (the CI race gate
+// matches the test's name).
 func TestConcurrentRecommend(t *testing.T) {
 	for _, variant := range []string{"warm", "cold"} {
 		t.Run(variant, func(t *testing.T) {
@@ -179,10 +184,10 @@ func sameSelection(t *testing.T, what string, got, want *Recommendation) {
 }
 
 // TestRecommendPinnedStatisticsRepeat: under ReasoningPost the first call of
-// a database version derives the global statistics and later calls read them;
-// all of them run the same search — the one the commit before the pin ran on
-// this fixture (values recorded at 99e98a1) — and so does the first call on
-// an identical database built apart.
+// a database version evaluates the statistics it asks the pinned provider for
+// and later calls read them; all of them run the same search — the one the
+// commit before the pin ran on this fixture (values recorded at 99e98a1) —
+// and so does the first call on an identical database built apart.
 func TestRecommendPinnedStatisticsRepeat(t *testing.T) {
 	db, w := reformDB(t)
 	first, err := db.Recommend(w, budgeted(ReasoningPost, 400))
@@ -212,48 +217,66 @@ func TestRecommendPinnedStatisticsRepeat(t *testing.T) {
 	sameSelection(t, "identical database built apart", apart, first)
 }
 
-// postGlobals runs a post-reformulation selection and returns the global
-// statistics it was costed with, next to what a provider that derives them
-// from the database as it is now reports.
-func postGlobals(t *testing.T, db *Database, w *Workload) (used, fresh stats.Globals) {
+// postStatistics is every statistic a post-reformulation search of the
+// workload starts from: the four globals and the count of each workload atom.
+type postStatistics struct {
+	globals stats.Globals
+	atoms   string // fmt of the per-atom counts, in workload order
+}
+
+func postStatisticsOf(p *stats.ReformulatedStats, w *Workload) postStatistics {
+	var counts []float64
+	for _, q := range w.Queries {
+		for _, a := range q.Atoms {
+			counts = append(counts, p.AtomCount(a))
+		}
+	}
+	return postStatistics{globals: p.Globals(), atoms: fmt.Sprint(counts)}
+}
+
+// postStatisticsUsed runs a post-reformulation selection and returns the
+// statistics it was costed with, next to what a provider made for the
+// database as it is now derives.
+func postStatisticsUsed(t *testing.T, db *Database, w *Workload) (used, fresh postStatistics) {
 	t.Helper()
 	rec, err := db.Recommend(w, budgeted(ReasoningPost, 50))
 	if err != nil {
 		t.Fatal(err)
 	}
-	used = rec.estimator.Stats.(*stats.ReformulatedStats).Globals()
-	fresh = stats.NewReformulatedStats(db.st, reason.NewSchema(db.schema, db.st.Dict())).Globals()
+	used = postStatisticsOf(rec.estimator.Stats.(*stats.ReformulatedStats), w)
+	fresh = postStatisticsOf(stats.NewReformulatedStats(db.st, reason.NewSchema(db.schema, db.st.Dict())), w)
 	return used, fresh
 }
 
 // TestRecommendPinnedStatisticsInvalidate: the pin follows the database
 // version. New data, a new schema statement alone, and an insert undone by a
 // delete through a maintained recommendation (same content, epoch two
-// further) each make the next post-reformulation Recommend derive its
-// statistics again.
+// further) each make the next post-reformulation Recommend cost with what a
+// fresh provider derives, globals and workload atoms alike. The triples use
+// properties of the workload, so each step moves an atom's count too.
 func TestRecommendPinnedStatisticsInvalidate(t *testing.T) {
 	db, w := reformDB(t)
-	base, fresh := postGlobals(t, db, w)
+	base, fresh := postStatisticsUsed(t, db, w)
 	if base != fresh {
 		t.Fatalf("cold: costed with %+v, a fresh provider derives %+v", base, fresh)
 	}
 
-	db.MustLoadGraphString("pinned:s " + datagen.PropName(0) + " pinned:o .")
-	afterData, fresh := postGlobals(t, db, w)
+	db.MustLoadGraphString("pinned:s " + datagen.PropName(5) + " pinned:o .")
+	afterData, fresh := postStatisticsUsed(t, db, w)
 	if afterData != fresh {
 		t.Errorf("after LoadGraphString: costed with %+v, a fresh provider derives %+v", afterData, fresh)
 	}
-	if afterData == base {
-		t.Fatalf("the loaded triple left the statistics at %+v; the case checks nothing", base)
+	if afterData.globals == base.globals || afterData.atoms == base.atoms {
+		t.Fatalf("the loaded triple left statistics where they were (%+v, before %+v); the case checks nothing", afterData, base)
 	}
 
-	db.MustLoadSchemaString(datagen.PropName(0) + " rdfs:subPropertyOf pinned:super .")
-	afterSchema, fresh := postGlobals(t, db, w)
+	db.MustLoadSchemaString(datagen.PropName(0) + " rdfs:subPropertyOf " + datagen.PropName(5) + " .")
+	afterSchema, fresh := postStatisticsUsed(t, db, w)
 	if afterSchema != fresh {
 		t.Errorf("after LoadSchemaString: costed with %+v, a fresh provider derives %+v", afterSchema, fresh)
 	}
-	if afterSchema == afterData {
-		t.Fatalf("the schema statement left the statistics at %+v; the case checks nothing", afterData)
+	if afterSchema.globals == afterData.globals || afterSchema.atoms == afterData.atoms {
+		t.Fatalf("the schema statement left statistics where they were (%+v, before %+v); the case checks nothing", afterSchema, afterData)
 	}
 
 	pre, err := db.Recommend(w, budgeted(ReasoningPre, 50))
@@ -266,19 +289,19 @@ func TestRecommendPinnedStatisticsInvalidate(t *testing.T) {
 	}
 	defer lv.Close()
 	epoch := db.st.Epoch()
-	line := "pinned:s2 " + datagen.PropName(1) + " pinned:o2 ."
+	line := "pinned:s2 " + datagen.PropName(11) + " pinned:o2 ."
 	if _, err := lv.Insert(line); err != nil {
 		t.Fatal(err)
 	}
-	afterInsert, fresh := postGlobals(t, db, w)
-	if afterInsert != fresh || afterInsert == afterSchema {
+	afterInsert, fresh := postStatisticsUsed(t, db, w)
+	if afterInsert != fresh || afterInsert.globals == afterSchema.globals || afterInsert.atoms == afterSchema.atoms {
 		t.Errorf("after LiveViews.Insert: costed with %+v, a fresh provider derives %+v (before the insert: %+v)",
 			afterInsert, fresh, afterSchema)
 	}
 	if _, err := lv.Delete(line); err != nil {
 		t.Fatal(err)
 	}
-	afterDelete, fresh := postGlobals(t, db, w)
+	afterDelete, fresh := postStatisticsUsed(t, db, w)
 	if afterDelete != fresh || afterDelete != afterSchema {
 		t.Errorf("after Insert then Delete: costed with %+v, a fresh provider derives %+v, before the pair %+v",
 			afterDelete, fresh, afterSchema)
@@ -288,38 +311,170 @@ func TestRecommendPinnedStatisticsInvalidate(t *testing.T) {
 	}
 }
 
-// TestRecommendPinnedStatisticsSkipTheUnions: what the steady state saves is
-// the derivation itself — the second call opens fewer store cursors than the
-// first by at least what one cold derivation opens (the four reformulated
-// unions over the whole store). It does not evaluate the largest of them,
-// t(X,Y,Z), on the search's behalf either: it opens fewer cursors than that
-// union alone takes.
+// TestRecommendPinnedStatisticsInFlight: a version move replaces what the pin
+// holds and leaves the replaced objects alone. A recommendation taken before
+// a load keeps the provider and the schema it was built with — its statistics
+// and the cost of its state under them read after the load as before it —
+// while the next Recommend gets a provider and a schema of its own, with the
+// new counts.
+func TestRecommendPinnedStatisticsInFlight(t *testing.T) {
+	db, w := reformDB(t)
+	before, err := db.Recommend(w, budgeted(ReasoningPost, 50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := before.estimator.Stats.(*stats.ReformulatedStats)
+	if held != db.pin.reform || before.schema != db.pin.schema {
+		t.Fatalf("the recommendation holds provider %p and schema %p, the pin %p and %p", held, before.schema, db.pin.reform, db.pin.schema)
+	}
+	was := postStatisticsOf(held, w)
+	cost := before.state.Cost(before.estimator)
+
+	db.MustLoadGraphString("pinned:s " + datagen.PropName(5) + " pinned:o .")
+	after, err := db.Recommend(w, budgeted(ReasoningPost, 50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db.pin.reform == held || db.pin.schema == before.schema {
+		t.Errorf("after the load the pin still holds the earlier recommendation's provider (%v) or schema (%v)",
+			db.pin.reform == held, db.pin.schema == before.schema)
+	}
+	if after.estimator.Stats != db.pin.reform || after.schema != db.pin.schema {
+		t.Error("the recommendation taken after the load does not hold what the pin holds")
+	}
+	if now := postStatisticsOf(held, w); now != was {
+		t.Errorf("the earlier recommendation's provider reports %+v after the load, %+v before it", now, was)
+	}
+	if got := before.state.Cost(before.estimator); got != cost || before.Cost() != cost {
+		t.Errorf("the earlier recommendation costs %+v after the load, %+v before it (reported: %+v)", got, cost, before.Cost())
+	}
+	if now := postStatisticsOf(db.pin.reform, w); now == was {
+		t.Fatalf("the load left the statistics at %+v; the case checks nothing", was)
+	}
+}
+
+// TestRecommendPinnedStatisticsSkipTheUnions: in the steady state nothing is
+// evaluated. The second post-reformulation call of a database version opens
+// no store cursor at all; a third with another workload evaluates the
+// patterns the first two never asked for and reads the rest — it opens fewer
+// cursors than the same call on an identical database built apart, which
+// starts cold.
 func TestRecommendPinnedStatisticsSkipTheUnions(t *testing.T) {
 	db, w := reformDB(t)
-	opens := func(f func()) int64 {
+	opens := func(db *Database, w *Workload) int64 {
 		before := db.PruneStats().Opens
-		f()
-		return db.PruneStats().Opens - before
-	}
-	recommend := func() {
 		if _, err := db.Recommend(w, budgeted(ReasoningPost, 400)); err != nil {
 			t.Fatal(err)
 		}
+		return db.PruneStats().Opens - before
 	}
-	first, second := opens(recommend), opens(recommend)
-	schema := reason.NewSchema(db.schema, db.st.Dict())
-	derive := opens(func() { stats.NewReformulatedStats(db.st, schema).Globals() })
-	relaxed := opens(func() {
-		stats.NewReformulatedStats(db.st, schema).AtomCount(cq.Atom{cq.Var(1), cq.Var(2), cq.Var(3)})
-	})
-	if relaxed == 0 || derive <= relaxed {
-		t.Fatalf("t(X,Y,Z) opens %d cursors, a cold derivation %d; the counts measure nothing", relaxed, derive)
+	first, second := opens(db, w), opens(db, w)
+	if first == 0 {
+		t.Fatal("the cold call opened no cursor; the counts measure nothing")
 	}
-	if first-second < derive {
-		t.Errorf("first call opened %d cursors, second %d: saved %d, one cold derivation opens %d",
-			first, second, first-second, derive)
+	if second != 0 {
+		t.Errorf("second call opened %d cursors (first: %d), want 0", second, first)
 	}
-	if second >= relaxed {
-		t.Errorf("second call opened %d cursors; t(X,Y,Z) alone takes %d, so it may have been evaluated again", second, relaxed)
+
+	other := reformWorkload(db, 4)
+	apartDB, _ := reformDB(t)
+	third, cold := opens(db, other), opens(apartDB, reformWorkload(apartDB, 4))
+	if third == 0 || third >= cold {
+		t.Errorf("another workload opened %d cursors on the warm database, %d on a cold one: want fewer, and some", third, cold)
+	}
+}
+
+// TestRecommendPinnedSaturateRepeat: under ReasoningSaturate every Recommend
+// of a database version costs with and materializes against one saturated
+// copy — the one Answer reads — and runs the search that saturating per call
+// ran on this fixture (values recorded at 7f4d923).
+func TestRecommendPinnedSaturateRepeat(t *testing.T) {
+	db, w := reformDB(t)
+	first, err := db.Recommend(w, budgeted(ReasoningSaturate, 400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := first.Result()
+	if want := (core.Counters{Created: 400, Duplicates: 168, Discarded: 162, Explored: 64}); r.Counters != want ||
+		r.Transitions != 400 || r.StatesSeen != 233 {
+		t.Errorf("first call: %+v / %d transitions / %d seen, want %+v / 400 / 233", r.Counters, r.Transitions, r.StatesSeen, want)
+	}
+	if got, want, s0 := first.Cost().Total, 1483.09831952733, 1488.0092411151688; got != want || first.InitialCost().Total != s0 {
+		t.Errorf("first call: best cost %v (S0 %v), want %v (S0 %v)", got, first.InitialCost().Total, want, s0)
+	}
+	again, err := db.Recommend(w, budgeted(ReasoningSaturate, 400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSelection(t, "second call", again, first)
+	if again.matStore != first.matStore || first.matStore != db.pin.sat || first.matStore == db.st {
+		t.Errorf("saturated copies: first %p, second %p, pinned %p (database store %p); want one copy",
+			first.matStore, again.matStore, db.pin.sat, db.st)
+	}
+
+	db.MustLoadGraphString("pinned:s " + datagen.PropName(5) + " pinned:o .")
+	moved, err := db.Recommend(w, budgeted(ReasoningSaturate, 400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if moved.matStore == first.matStore || moved.matStore.Len() <= first.matStore.Len() {
+		t.Errorf("after a load: saturated copy %p with %d triples, before it %p with %d",
+			moved.matStore, moved.matStore.Len(), first.matStore, first.matStore.Len())
+	}
+}
+
+// TestRecommendPinnedSaturateCopyOnMaintain: the saturated copy is shared, so
+// nobody writes it. A LiveViews over a saturate recommendation maintains a
+// copy of its own: its answers follow its updates, while Database.Answer and
+// a later Recommend keep reading the pinned copy, which still equals
+// saturating the database afresh.
+func TestRecommendPinnedSaturateCopyOnMaintain(t *testing.T) {
+	db := NewDatabase()
+	db.MustLoadGraphString(museumData)
+	db.MustLoadSchemaString(museumSchema)
+	w := db.MustParseWorkload(`q(X) :- t(X, rdf:type, picture)`)
+	rec, err := db.Recommend(w, Options{Reasoning: ReasoningSaturate, Timeout: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := rec.matStore.Len()
+	lv, err := rec.Maintain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lv.Close()
+	if _, err := lv.Insert("m9 rdf:type picture ."); err != nil {
+		t.Fatal(err)
+	}
+	live, err := lv.Answer(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(canon(live)), "[m1 m2 m3 m9]"; got != want {
+		t.Errorf("live views answer %v after the insert, want %v", got, want)
+	}
+
+	q := w.Queries[0]
+	got, err := db.Answer(q, ReasoningSaturate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := db.answerRelation(q, ReasoningSaturate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := db.decodeRows(oracle); !sameAnswers(got, want) || len(got) != 3 {
+		t.Errorf("Database.Answer under saturate = %v after a LiveViews insert, the uncached oracle %v", canon(got), canon(want))
+	}
+	if rec.matStore != db.pin.sat || rec.matStore.Len() != size || lv.m.Store() == rec.matStore {
+		t.Errorf("pinned copy %p holds %d triples (the recommendation's: %p, %d before the insert); the maintainer writes %p",
+			db.pin.sat, db.pin.sat.Len(), rec.matStore, size, lv.m.Store())
+	}
+	m, err := rec.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows, err := m.Answer(0); err != nil || len(rows) != 3 {
+		t.Errorf("materializing the recommendation again gives %d rows (%v), want the database's 3", len(rows), err)
 	}
 }

@@ -713,18 +713,6 @@ func dbModeTag(mode Reasoning) (string, error) {
 	return "", fmt.Errorf("rdfviews: unknown reasoning mode %q", mode)
 }
 
-// saturatedFor returns the saturated copy of the store for the current
-// (epoch, schema) state, rebuilding it only when either moved — Answer under
-// ReasoningSaturate used to re-saturate on every call.
-func (db *Database) saturatedFor(epoch uint64, schemaLen int) *store.Store {
-	db.pin.lockAt(epoch, schemaLen)
-	defer db.pin.mu.Unlock()
-	if db.pin.sat == nil {
-		db.pin.sat = reason.Saturate(db.st, reason.NewSchema(db.schema, db.st.Dict()))
-	}
-	return db.pin.sat
-}
-
 // answerCached evaluates q on the database under the reasoning mode through
 // the plan cache; semantically identical to answerRelation (the uncached
 // oracle the differential tests compare against).
@@ -796,7 +784,7 @@ func (db *Database) serveArtifactFor(q *cq.Query, mode Reasoning) (*serveArtifac
 		a.genSeen.Store(epoch)
 		var schema *reason.Schema
 		if tag == "reform" {
-			schema = reason.NewSchema(db.schema, db.st.Dict())
+			schema = db.reasonSchema()
 		}
 		tmpl, err := compileStoreTemplate(reader, li.skeleton, li.repr, schema, tag == "reform", 0)
 		if err != nil {
