@@ -7,6 +7,7 @@ import (
 	"rdfviews/internal/algebra"
 	"rdfviews/internal/cq"
 	"rdfviews/internal/dict"
+	"rdfviews/internal/store"
 )
 
 // Test fixtures: two small relations standing for materialized views.
@@ -292,11 +293,42 @@ func TestUnionDedupHintSizedFromExtents(t *testing.T) {
 		if _, ok := op.nextBatch(); !ok { // the dedup set is allocated on the first pull
 			t.Fatal("empty union")
 		}
-		return len(op.(*projectOp).seen.index.keys)
+		return len(op.(*projectOp).seen.slots)
 	}
 	small, big := tableSlots(smallViews), tableSlots(bigViews)
 	if big <= small {
 		t.Fatalf("union dedup table not sized from branch extents: %d slots for 10000-row branches vs %d for tiny ones", big, small)
+	}
+}
+
+// TestUnionStreamsHintSizedFromEstimates is the store-path twin: a union of
+// streams sizes its set from what its members' plans expect to produce, not
+// from the caller's literal, so a union of scans over a large store starts
+// with a table that holds them.
+func TestUnionStreamsHintSizedFromEstimates(t *testing.T) {
+	members := func(triples int) []*RowStream {
+		st := store.New()
+		for i := 0; i < triples; i++ {
+			st.Add(store.Triple{dict.ID(i + 1), dict.ID(i%3 + 1), dict.ID(i + 2)})
+		}
+		q := cq.NewParser(st.Dict()).MustParseQuery("q(X, P, Y) :- t(X, P, Y)")
+		streams := make([]*RowStream, 2)
+		for i := range streams {
+			plan, err := PlanQuery(st, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			streams[i] = plan.EvalStream(ExecOptions{})
+			t.Cleanup(streams[i].Close)
+		}
+		return streams
+	}
+	small, big := members(3), members(5000)
+	if got := unionEst(small, 64); got != 64 {
+		t.Fatalf("union of two 3-row scans sized for %v rows, want the caller's floor of 64", got)
+	}
+	if got := unionEst(big, 64); got < 2*5000 {
+		t.Fatalf("union of two 5000-row scans sized for %v rows, want at least their sum", got)
 	}
 }
 

@@ -1,10 +1,11 @@
 package engine
 
 // idTable is a flat open-addressing hash table from a 64-bit key hash to an
-// int32 chain head, used by the distinct sets and hash joins. Callers pass
-// hashes they already computed (hashRow, hashValues, hashIDs) and resolve
-// collisions by value comparison, so the table can probe linearly on raw
-// uint64 keys with no re-hashing — measurably faster than a Go map on the
+// int32 chain head, used by the hash joins and RowIndex (the distinct sets
+// have a table of their own, rowSet). Callers pass hashes they already
+// computed (hashRow, hashValues, hashIDs) and resolve collisions by value
+// comparison, so the table can probe linearly on raw uint64 keys with no
+// re-hashing — measurably faster than a Go map on the
 // executor's hot path, where the map's own hashing and bucket bookkeeping
 // dominated the profile.
 //
@@ -17,11 +18,19 @@ type idTable struct {
 	used int
 }
 
-func newIDTable(sizeHint int) *idTable {
+// tableSlots is the initial size of the engine's open-addressing tables: the
+// power of two, at least 16, that holds sizeHint entries at a load factor of
+// at most 3/4.
+func tableSlots(sizeHint int) int {
 	size := 16
-	for size*3 < sizeHint*4 { // initial load factor ≤ 3/4
+	for size*3 < sizeHint*4 {
 		size <<= 1
 	}
+	return size
+}
+
+func newIDTable(sizeHint int) *idTable {
+	size := tableSlots(sizeHint)
 	return &idTable{
 		keys: make([]uint64, size),
 		vals: make([]int32, size),

@@ -514,7 +514,7 @@ func (p *QueryPlan) buildPipeline(intr *interrupt) operator {
 
 // compile instantiates the whole plan: the pipeline under the head projection,
 // which deduplicates when the head drops a body variable.
-func (p *QueryPlan) compile(intr *interrupt) operator {
+func (p *QueryPlan) compile(intr *interrupt) *projectOp {
 	return &projectOp{in: p.buildPipeline(intr), labels: p.head, idx: p.headSlots,
 		distinct: p.distinct, est: p.steps[0].est}
 }

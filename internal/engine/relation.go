@@ -46,21 +46,29 @@ func (r *Relation) ColIndex(label cq.Term) int {
 	return -1
 }
 
-// rowSet is a set of rows for set-semantics deduplication. Rows are keyed by
-// a 64-bit hash; collisions chain through a flat index array and are
-// resolved by value comparison. Membership tests allocate nothing — unlike
-// the string keys this replaced, which allocated one 8·arity-byte string per
-// candidate row — and insertion costs one map entry plus two amortized
-// appends.
+// rowSet is a set of rows for set-semantics deduplication: one open-addressing
+// table of (64-bit row hash, row index) slots, probed linearly. A candidate is
+// probed once — find returns either the slot holding its equal or the empty
+// slot it belongs in, and insert fills that slot — so a kept row costs one
+// walk of the table, not a lookup and then a store. Equal hashes are told
+// apart by comparing rows and probing on. Membership tests allocate nothing;
+// insertion costs one slot plus one amortized append.
 type rowSet struct {
-	index *idTable // hash -> head of chain, as row index + 1
-	rows  []Row    // stored rows, insertion order
-	next  []int32  // collision chain, same encoding as index
+	slots []rowSlot // power-of-two length, load factor at most 3/4
+	mask  uint64
+	rows  []Row // stored rows, insertion order
 	rowArena
 }
 
+// rowSlot is one table entry; ref == 0 marks it empty.
+type rowSlot struct {
+	hash uint64
+	ref  int32 // index into rows, plus one
+}
+
 func newRowSet(sizeHint int) *rowSet {
-	return &rowSet{index: newIDTable(sizeHint)}
+	size := tableSlots(sizeHint)
+	return &rowSet{slots: make([]rowSlot, size), mask: uint64(size - 1)}
 }
 
 // rowArena chunk-allocates row copies for bulk output materialization: one
@@ -144,47 +152,74 @@ func rowsEqual(a, b Row) bool {
 
 func (s *rowSet) len() int { return len(s.rows) }
 
-func (s *rowSet) has(row Row) bool {
-	for j := s.index.get(hashRow(row)); j != 0; j = s.next[j-1] {
-		if rowsEqual(s.rows[j-1], row) {
-			return true
+// find probes for row under hash h. When the row is present it returns its
+// slot and true; otherwise the empty slot insert(slot, h, row) must fill.
+func (s *rowSet) find(h uint64, row Row) (slot uint64, found bool) {
+	for i := h & s.mask; ; i = (i + 1) & s.mask {
+		e := s.slots[i]
+		if e.ref == 0 {
+			return i, false
+		}
+		if e.hash == h && rowsEqual(s.rows[e.ref-1], row) {
+			return i, true
 		}
 	}
-	return false
 }
 
-func (s *rowSet) insert(h uint64, head int32, row Row) {
+// insert stores row in the empty slot find just returned for (h, row). The
+// set keeps a reference to the row.
+func (s *rowSet) insert(slot, h uint64, row Row) {
 	s.rows = append(s.rows, row)
-	s.next = append(s.next, head)
-	s.index.put(h, int32(len(s.rows)))
+	s.slots[slot] = rowSlot{hash: h, ref: int32(len(s.rows))}
+	if len(s.rows)*4 > len(s.slots)*3 {
+		s.grow()
+	}
+}
+
+// grow doubles the table. Stored rows are distinct, so re-placing a slot
+// needs its hash and the next empty slot, never a row comparison.
+func (s *rowSet) grow() {
+	old := s.slots
+	s.slots = make([]rowSlot, 2*len(old))
+	s.mask = uint64(len(s.slots) - 1)
+	for _, e := range old {
+		if e.ref == 0 {
+			continue
+		}
+		i := e.hash & s.mask
+		for s.slots[i].ref != 0 {
+			i = (i + 1) & s.mask
+		}
+		s.slots[i] = e
+	}
+}
+
+func (s *rowSet) has(row Row) bool {
+	_, found := s.find(hashRow(row), row)
+	return found
 }
 
 // add inserts the row unless present, reporting whether it was new. The set
 // keeps a reference: the caller must not mutate the row afterwards.
 func (s *rowSet) add(row Row) bool {
 	h := hashRow(row)
-	head := s.index.get(h)
-	for j := head; j != 0; j = s.next[j-1] {
-		if rowsEqual(s.rows[j-1], row) {
-			return false
-		}
+	slot, found := s.find(h, row)
+	if !found {
+		s.insert(slot, h, row)
 	}
-	s.insert(h, head, row)
-	return true
+	return !found
 }
 
 // addCopy is add for a reused scratch row: on insertion it stores (and
 // returns) a private copy, so the caller may keep overwriting the scratch.
 func (s *rowSet) addCopy(row Row) (Row, bool) {
 	h := hashRow(row)
-	head := s.index.get(h)
-	for j := head; j != 0; j = s.next[j-1] {
-		if rowsEqual(s.rows[j-1], row) {
-			return s.rows[j-1], false
-		}
+	slot, found := s.find(h, row)
+	if found {
+		return s.rows[s.slots[slot].ref-1], false
 	}
 	cp := s.copyRow(row)
-	s.insert(h, head, cp)
+	s.insert(slot, h, cp)
 	return cp, true
 }
 

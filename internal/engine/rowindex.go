@@ -1,10 +1,10 @@
 package engine
 
 // Exported row-hashing containers for callers that maintain relations
-// incrementally (internal/maintain): the same idTable + chain machinery the
-// executor's distinct sets and hash joins use, so membership tests, inserts
-// and deletes hash raw ID words instead of allocating an 8·arity-byte string
-// key per row.
+// incrementally (internal/maintain): the executor's distinct set, and an
+// index over the idTable + chain machinery its hash joins use, so membership
+// tests, inserts and deletes hash raw ID words instead of allocating an
+// 8·arity-byte string key per row.
 
 // RowSet is a set of rows for set-semantics deduplication. Rows are keyed by
 // a 64-bit hash with collisions resolved by value comparison; membership
@@ -12,9 +12,7 @@ package engine
 type RowSet struct{ s rowSet }
 
 // NewRowSet returns an empty set sized for the hint.
-func NewRowSet(sizeHint int) *RowSet {
-	return &RowSet{s: rowSet{index: newIDTable(sizeHint)}}
-}
+func NewRowSet(sizeHint int) *RowSet { return &RowSet{s: *newRowSet(sizeHint)} }
 
 // Add inserts the row unless present, reporting whether it was new. The set
 // keeps a reference: the caller must not mutate the row afterwards.

@@ -26,6 +26,7 @@ type RowStream struct {
 	streamCols []cq.Term
 	pull       func() ([]Row, error) // nil slab = EOF
 	stop       func()
+	est        float64 // the compiled root's estimated rows; 0 for a stream over streams
 	done       bool
 	err        error
 }
@@ -112,8 +113,10 @@ func (sb *slabBuf) next() Row {
 // stream is the streaming drain of both tiers: each batch the root yields is
 // transposed into a reused slab, so the stream holds O(batch) beyond the
 // operators' own state (a dedup set holds each kept row once, which is
-// inherent to distinct). Closing the stream closes the root.
-func stream(root operator, opts ExecOptions) *RowStream {
+// inherent to distinct). est is the planner's row estimate for the root,
+// carried for a union over this stream to size its set from. Closing the
+// stream closes the root.
+func stream(root operator, est float64, opts ExecOptions) *RowStream {
 	w := len(root.cols())
 	slab := slabBuf{w: w}
 	pull := func() ([]Row, error) {
@@ -132,32 +135,34 @@ func stream(root operator, opts ExecOptions) *RowStream {
 		return slab.rows, nil
 	}
 	return &RowStream{streamCols: append([]cq.Term(nil), root.cols()...), pull: pull,
-		stop: func() { closeOp(root) }}
+		stop: func() { closeOp(root) }, est: est}
 }
 
 // EvalStream runs the store-side pipeline and streams its head tuples instead
 // of materializing them. The stream's rows are valid until the next Next.
 func (p *QueryPlan) EvalStream(opts ExecOptions) *RowStream {
 	opts.intr = newInterrupt(opts.Ctx)
-	return stream(p.compile(opts.intr), opts)
+	root := p.compile(opts.intr)
+	return stream(root, root.est, opts)
 }
 
 // ExecuteStream runs a rewriting plan over materialized views and streams the
 // result, the streaming counterpart of ExecuteWithOptions.
 func ExecuteStream(p algebra.Plan, resolve ViewResolver, opts ExecOptions) (*RowStream, error) {
 	opts.intr = newInterrupt(opts.Ctx)
-	root, _, err := compileRel(p, resolve.extent, opts)
+	root, est, err := compileRel(p, resolve.extent, opts)
 	if err != nil {
 		return nil, err
 	}
-	return stream(root, opts), nil
+	return stream(root, est, opts), nil
 }
 
 // UnionStreams streams the set union of its member streams, deduplicating
 // across members (the streaming counterpart of the multi-member template
 // union in the serving tier). Kept rows are copied into the dedup set's
-// arena, so the union's slabs stay valid across Next calls. Closing the
-// union closes every member.
+// arena, so the union's slabs stay valid across Next calls. The set is sized
+// by unionEst, the rule a union inside a plan follows. Closing the union
+// closes every member.
 func UnionStreams(streams []*RowStream, sizeHint int) (*RowStream, error) {
 	if len(streams) == 0 {
 		return nil, fmt.Errorf("engine: empty stream union")
@@ -168,7 +173,7 @@ func UnionStreams(streams []*RowStream, sizeHint int) (*RowStream, error) {
 			return nil, fmt.Errorf("engine: stream union arity mismatch: %d vs %d", len(s.Cols()), w)
 		}
 	}
-	seen := newRowSet(sizeHint)
+	seen := newRowSet(distinctSizeHint(unionEst(streams, sizeHint)))
 	si := 0
 	out := make([]Row, 0, BatchSize)
 	pull := func() ([]Row, error) {
@@ -199,6 +204,17 @@ func UnionStreams(streams []*RowStream, sizeHint int) (*RowStream, error) {
 		}
 	}
 	return &RowStream{streamCols: streams[0].Cols(), pull: pull, stop: stop}, nil
+}
+
+// unionEst is the row estimate a union of streams dedups under: the sum of
+// its members' estimates, as for a Union node of a rewriting plan
+// (compileRel), with sizeHint as the floor for members that carry none.
+func unionEst(streams []*RowStream, sizeHint int) float64 {
+	est := 0.0
+	for _, s := range streams {
+		est += s.est
+	}
+	return max(float64(sizeHint), est)
 }
 
 // ProjectStream reorders a stream's columns onto the given labels; constant

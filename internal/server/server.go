@@ -8,8 +8,12 @@
 // not:
 //
 //   - Streamed result writing with backpressure: the response encodes one
-//     row slab at a time and flushes it before pulling the next, so a slow
-//     client holds O(batch) server memory, never O(result).
+//     row slab at a time, pulls the next, and only then writes and flushes
+//     the encoded one, so a slow client holds O(batch) server memory — one
+//     encoded slab — never O(result). An answer that fits one slab therefore
+//     leaves in a single write (head, rows and tail together; small ones
+//     with Content-Length and no chunk framing), and a stream that fails on
+//     its first pull still gets a status line of its own.
 //   - Deadlines as cancellation: every request runs under a context that
 //     expires at its (client-chosen, server-capped) timeout and is canceled
 //     when the client disconnects; the engine's cancellation checkpoints
@@ -23,13 +27,15 @@
 //     requests (net/http's lame-duck semantics).
 //
 // Results are SPARQL JSON (application/sparql-results+json): head.vars from
-// the query's own variable names, one binding object per row. Mid-stream
-// failures cannot change the status line, so a truncated result closes the
-// JSON with a nonstandard "error" member the client can detect.
+// the query's own variable names, one binding object per row, appended into a
+// reused buffer by an encoder whose bytes are those of encoding/json
+// (encode.go). A failure before the first slab answers 504 (deadline, cancel)
+// or 500; mid-stream failures cannot change the status line, so a truncated
+// result closes the JSON with a nonstandard "error" member the client can
+// detect.
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -120,6 +126,7 @@ type Server struct {
 	hs       *http.Server
 	sem      chan struct{} // execution slots
 	queue    chan struct{} // wait-queue slots
+	encoders chan *encoder // idle encoders, at most one per execution slot
 	counters stats.ServeCounters
 }
 
@@ -130,10 +137,11 @@ func New(cfg Config) (*Server, error) {
 	}
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:   cfg,
-		mux:   http.NewServeMux(),
-		sem:   make(chan struct{}, cfg.MaxInFlight),
-		queue: make(chan struct{}, cfg.MaxQueue),
+		cfg:      cfg,
+		mux:      http.NewServeMux(),
+		sem:      make(chan struct{}, cfg.MaxInFlight),
+		queue:    make(chan struct{}, cfg.MaxQueue),
+		encoders: make(chan *encoder, cfg.MaxInFlight),
 	}
 	s.mux.HandleFunc("/sparql", s.handleQuery)
 	s.mux.HandleFunc("/stats", s.handleStats)
@@ -164,12 +172,17 @@ func (s *Server) Serve(l net.Listener) error { return s.hs.Serve(l) }
 // drain until done or ctx expires.
 func (s *Server) Shutdown(ctx context.Context) error { return s.hs.Shutdown(ctx) }
 
+// maxQueryBytes bounds a raw application/sparql-query body.
+const maxQueryBytes = 1 << 20
+
 // queryText extracts the query from a request: the query form/URL parameter
-// (GET or POST form), or the raw POST body under application/sparql-query.
-func queryText(r *http.Request) (string, error) {
+// (GET or POST form), or the raw POST body under application/sparql-query. A
+// raw body over maxQueryBytes is an *http.MaxBytesError, never a query cut
+// short.
+func queryText(w http.ResponseWriter, r *http.Request) (string, error) {
 	if r.Method == http.MethodPost &&
 		strings.HasPrefix(r.Header.Get("Content-Type"), "application/sparql-query") {
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxQueryBytes))
 		if err != nil {
 			return "", fmt.Errorf("reading query body: %w", err)
 		}
@@ -250,10 +263,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	query, err := queryText(r)
+	query, err := queryText(w, r)
 	if err != nil {
 		s.counters.BadQuery.Add(1)
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, err.Error(), status)
 		return
 	}
 	timeout, err := s.timeoutFor(r)
@@ -279,7 +297,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	st, err := s.cfg.Backend.AnswerStream(ctx, query)
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		if isCancel(err) {
 			s.counters.Canceled.Add(1)
 			http.Error(w, err.Error(), http.StatusGatewayTimeout)
 			return
@@ -304,67 +322,68 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// writeResults streams the SPARQL JSON result document: head first, then one
-// binding object per row, encoded and flushed slab by slab. Backpressure is
-// the write itself — the next slab is pulled only after this one reached the
-// socket (or its buffer), so server-side result state stays O(batch).
+// isCancel reports whether err is a deadline or a cancellation.
+func isCancel(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// acquire hands out an idle encoder, or a new one.
+func (s *Server) acquire() *encoder {
+	select {
+	case e := <-s.encoders:
+		return e
+	default:
+		return new(encoder)
+	}
+}
+
+// release keeps the encoder for a later request unless its buffer outgrew
+// what is worth keeping or every slot already has one.
+func (s *Server) release(e *encoder) {
+	if cap(e.buf) > maxKeptEncoderBytes {
+		return
+	}
+	select {
+	case s.encoders <- e:
+	default:
+	}
+}
+
+// writeResults streams the SPARQL JSON result document: head, one binding
+// object per row, tail. Each slab is encoded, then the next one is pulled,
+// and only then is the encoded one written and flushed — so an answer of one
+// slab is one write, and a longer one holds one encoded slab while the
+// pipeline produces the next. Backpressure is the write itself: no slab is
+// pulled while an earlier one waits for the socket, so server-side result
+// state stays O(batch).
 func (s *Server) writeResults(ctx context.Context, w http.ResponseWriter, st Stream) {
+	rows, err := st.Next()
+	if err != nil {
+		// Nothing is on the wire yet, so the failure gets a status line.
+		status := http.StatusInternalServerError
+		if isCancel(err) {
+			s.counters.Canceled.Add(1)
+			status = http.StatusGatewayTimeout
+		}
+		http.Error(w, err.Error(), status)
+		return
+	}
 	h := w.Header()
 	h.Set("Content-Type", "application/sparql-results+json")
 	h.Set("Cache-Control", "no-store")
 	cw := &countingWriter{w: w, c: &s.counters}
 	flusher, _ := w.(http.Flusher)
 
-	cols := st.Columns()
-	// Pre-marshal the per-column key prefix `"name":{"type":"literal","value":`.
-	keys := make([][]byte, len(cols))
-	for i, c := range cols {
-		name, _ := json.Marshal(c)
-		keys[i] = []byte(string(name) + `:{"type":"literal","value":`)
-	}
-	headVars, _ := json.Marshal(cols)
-	if _, err := fmt.Fprintf(cw, `{"head":{"vars":%s},"results":{"bindings":[`, headVars); err != nil {
-		s.counters.Canceled.Add(1)
-		return
-	}
-
-	var buf bytes.Buffer
-	first := true
-	for {
-		rows, err := st.Next()
-		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				s.counters.Canceled.Add(1)
-			}
-			// The status line is already on the wire: close the JSON with a
-			// nonstandard error member so truncation is detectable.
-			msg, _ := json.Marshal(err.Error())
-			fmt.Fprintf(cw, `]},"error":%s}`, msg)
-			return
-		}
-		if rows == nil {
+	e := s.acquire()
+	defer s.release(e)
+	e.begin(st.Columns())
+	for rows != nil {
+		e.rows(rows)
+		s.counters.Rows.Add(int64(len(rows)))
+		if rows, err = st.Next(); err != nil || rows == nil {
 			break
 		}
-		buf.Reset()
-		for _, row := range rows {
-			if !first {
-				buf.WriteByte(',')
-			}
-			first = false
-			buf.WriteByte('{')
-			for i, v := range row {
-				if i > 0 {
-					buf.WriteByte(',')
-				}
-				buf.Write(keys[i])
-				val, _ := json.Marshal(v)
-				buf.Write(val)
-				buf.WriteByte('}')
-			}
-			buf.WriteByte('}')
-		}
-		s.counters.Rows.Add(int64(len(rows)))
-		if _, err := cw.Write(buf.Bytes()); err != nil {
+		if _, werr := cw.Write(e.buf); werr != nil {
 			// The client went away mid-write. Its disconnect cancels ctx
 			// (bounded by the request deadline in any case); wait for that,
 			// then give the pipeline one final pull so it stops at an engine
@@ -377,8 +396,16 @@ func (s *Server) writeResults(ctx context.Context, w http.ResponseWriter, st Str
 		if flusher != nil {
 			flusher.Flush()
 		}
+		e.buf = e.buf[:0]
 	}
-	io.WriteString(cw, "]}}")
+	canceled := isCancel(err)
+	e.end(err)
+	if _, werr := cw.Write(e.buf); werr != nil {
+		canceled = true // the client left before the last (or only) write
+	}
+	if canceled {
+		s.counters.Canceled.Add(1)
+	}
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

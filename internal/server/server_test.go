@@ -276,6 +276,32 @@ func TestServerHTTPBadQuery(t *testing.T) {
 	}
 }
 
+// TestServerHTTPOversizedBody: a raw application/sparql-query body one byte
+// over the limit is refused with 413 — not cut at the limit and its first
+// MiB, a valid query, answered.
+func TestServerHTTPOversizedBody(t *testing.T) {
+	srv, hs := newTestServer(t, server.Config{
+		Backend: server.BackendFunc(func(ctx context.Context, q string) (server.Stream, error) {
+			t.Errorf("backend asked to answer %d bytes of a refused body", len(q))
+			return &sliceStream{cols: []string{"x"}}, nil
+		}),
+	})
+	query := `SELECT ?a ?b WHERE { ?a <hasPainted> ?b }`
+	body := query + strings.Repeat(" ", 1<<20-len(query)) + "}"
+	resp, err := http.Post(hs.URL+"/sparql", "application/sparql-query", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("1 MiB + 1 body: status %d, want 413", resp.StatusCode)
+	}
+	if got := srv.Counters().BadQuery.Load(); got != 1 {
+		t.Fatalf("bad-query counter = %d, want 1", got)
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Admission control
 
@@ -385,8 +411,9 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // Deadlines and disconnects
 
 // TestServerDeadline runs a query whose stream outlives its deadline: before
-// first output the server answers 504; mid-stream the result closes with the
-// error member.
+// first output — the backend never returns a stream, or the stream's first
+// pull never returns a slab — the server answers 504; mid-stream the result
+// closes with the error member.
 func TestServerDeadline(t *testing.T) {
 	// Backend A: blocks before returning a stream.
 	gb := &gatedBackend{entered: make(chan struct{}, 8), gate: make(chan struct{})}
@@ -404,6 +431,37 @@ func TestServerDeadline(t *testing.T) {
 	}
 	if srv.Counters().Canceled.Load() == 0 {
 		t.Fatal("deadline not recorded in the ledger")
+	}
+
+	// Backend A': a stream whose first pull waits out the context. Nothing is
+	// on the wire yet, so this too is a 504 and not a 200 with an error member;
+	// a first pull that fails for another reason is a 500 with the message.
+	failFirst := func(fail func(ctx context.Context) error) server.Backend {
+		return server.BackendFunc(func(ctx context.Context, q string) (server.Stream, error) {
+			return streamFunc{cols: []string{"x"}, next: func() ([][]string, error) { return nil, fail(ctx) }}, nil
+		})
+	}
+	srvA, hsA := newTestServer(t, server.Config{
+		Backend:        failFirst(func(ctx context.Context) error { <-ctx.Done(); return ctx.Err() }),
+		DefaultTimeout: 50 * time.Millisecond,
+	})
+	if status, _, _, _ := fetch(t, hsA.URL, "q"); status != http.StatusGatewayTimeout {
+		t.Fatalf("deadline on the first pull: status %d, want 504", status)
+	}
+	if srvA.Counters().Canceled.Load() != 1 {
+		t.Fatalf("first-pull deadline: canceled = %d, want 1", srvA.Counters().Canceled.Load())
+	}
+	_, hsF := newTestServer(t, server.Config{
+		Backend: failFirst(func(context.Context) error { return fmt.Errorf("extent unreadable") }),
+	})
+	resp, err = http.Get(hsF.URL + "/sparql?query=q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(msg), "extent unreadable") {
+		t.Fatalf("failure on the first pull: status %d, body %q; want 500 with the message", resp.StatusCode, msg)
 	}
 
 	// Backend B: one slab, then the stream waits out the context.

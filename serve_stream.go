@@ -24,9 +24,16 @@ import (
 )
 
 // maxStreamMemo caps the per-stream decode memo. decodeRows memoizes every
-// distinct ID of a materialized result; a stream must stay O(batch), so past
-// the cap repeated IDs simply decode again.
+// distinct ID of a materialized result; a stream must stay O(batch), so the
+// memo is a direct-mapped table of at most this many entries in which an ID
+// simply takes the place of whichever one shared its slot.
 const maxStreamMemo = 4096
+
+// memoEntry is one slot of the decode memo: the last ID decoded into it.
+type memoEntry struct {
+	id  dict.ID
+	val string
+}
 
 // AnswerStream is a streaming query answer: decoded row slabs pulled on
 // demand. A slab (and its rows) is valid only until the next call to Next.
@@ -36,7 +43,7 @@ type AnswerStream struct {
 	cols []string
 	rs   *engine.RowStream
 	d    *dict.Dictionary
-	memo map[dict.ID]string
+	memo []memoEntry // direct-mapped by id & (len-1); sized by the first slab
 	out  [][]string
 	flat []string
 }
@@ -51,7 +58,7 @@ func newAnswerStream(rs *engine.RowStream, cols []string, d *dict.Dictionary) *A
 			cols[i] = "c" + fmt.Sprint(i+1)
 		}
 	}
-	return &AnswerStream{cols: cols, rs: rs, d: d, memo: make(map[dict.ID]string, 64)}
+	return &AnswerStream{cols: cols, rs: rs, d: d}
 }
 
 // Columns returns the result column names, in the source query's head order:
@@ -68,8 +75,18 @@ func (s *AnswerStream) Next() ([][]string, error) {
 		return nil, err
 	}
 	w := len(s.cols)
-	if need := len(rows) * w; cap(s.flat) < need {
+	need := len(rows) * w
+	if cap(s.flat) < need {
 		s.flat = make([]string, need)
+	}
+	if s.memo == nil {
+		// Sized by what the first slab could hold distinct: a point answer
+		// pays for a handful of entries, a scan for the cap.
+		size := 1
+		for size < need && size < maxStreamMemo {
+			size <<= 1
+		}
+		s.memo = make([]memoEntry, size)
 	}
 	s.out = s.out[:0]
 	for ri, row := range rows {
@@ -88,9 +105,11 @@ func (s *AnswerStream) Close() { s.rs.Close() }
 // decode renders one dictionary ID exactly like Database.decodeRows: IRIs
 // shortened, literal values raw, undecodable IDs as ?id. The memo is bounded
 // (maxStreamMemo) so an adversarially wide result cannot grow it past O(1).
+// Valid IDs start at 1, so the zero entry of a fresh slot matches none.
 func (s *AnswerStream) decode(id dict.ID) string {
-	if v, ok := s.memo[id]; ok {
-		return v
+	e := &s.memo[uint64(id)&uint64(len(s.memo)-1)]
+	if e.id == id && id != 0 {
+		return e.val
 	}
 	t, err := s.d.Decode(id)
 	var v string
@@ -102,9 +121,7 @@ func (s *AnswerStream) decode(id dict.ID) string {
 	default:
 		v = t.Value
 	}
-	if len(s.memo) < maxStreamMemo {
-		s.memo[id] = v
-	}
+	e.id, e.val = id, v
 	return v
 }
 
