@@ -80,7 +80,7 @@ type ViewTerms struct {
 // and may be recalibrated at any time (see CalibrateCM).
 //
 // Filling the memo is not synchronized: concurrent searches each take their
-// own estimator over the shared Stats (SearchParallel does). Reads of
+// own estimator over the shared Stats (concurrent Recommend calls do). Reads of
 // memoized views are safe from any number of goroutines.
 type Estimator struct {
 	Stats Stats

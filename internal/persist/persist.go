@@ -79,10 +79,12 @@ func SaveDatabase(w io.Writer, st *store.Store, schema *rdf.Schema) error {
 	return gob.NewEncoder(w).Encode(&img)
 }
 
-// ErrCorruptImage reports a database image that decoded but cannot be a store:
-// a triple naming a term the dictionary lacks, a section count that disagrees
-// with the shard count, or a shard count no store is built with. Test for it
-// with errors.Is.
+// ErrCorruptImage reports a database image or view bundle that decoded but
+// cannot be used: a triple or extent row naming a term the dictionary lacks,
+// a term listed twice, a section count that disagrees with the shard count or
+// a shard count no store is built with; in a bundle, a row narrower or wider
+// than its view's columns, a view shipped twice or a plan scanning a view
+// that is not shipped. Test for it with errors.Is.
 var ErrCorruptImage = errors.New("persist: corrupt database image")
 
 // validate checks everything LoadDatabase relies on before it builds a store
@@ -167,6 +169,8 @@ type Bundle struct {
 	Plans []algebra.Plan
 	// Views holds definitions and extents.
 	Views []BundleView
+
+	dict *dict.Dictionary // built and checked by LoadBundle; not serialized
 }
 
 // NewBundle assembles a bundle from a recommendation's parts.
@@ -197,7 +201,9 @@ func (b *Bundle) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(b)
 }
 
-// LoadBundle reads a bundle.
+// LoadBundle reads a bundle and validates it (ErrCorruptImage), so that a
+// damaged bundle fails here and not with an index panic or a wrong term when
+// a query is answered from it.
 func LoadBundle(r io.Reader) (*Bundle, error) {
 	var b Bundle
 	if err := gob.NewDecoder(r).Decode(&b); err != nil {
@@ -207,11 +213,61 @@ func LoadBundle(r io.Reader) (*Bundle, error) {
 	if b.Version < oldestReadableVersion || b.Version > FormatVersion {
 		return nil, fmt.Errorf("persist: unsupported format version %d", b.Version)
 	}
+	if err := b.validate(); err != nil {
+		return nil, err
+	}
 	return &b, nil
 }
 
-// Dict rebuilds the bundle's dictionary.
-func (b *Bundle) Dict() *dict.Dictionary { return dict.FromTerms(b.Terms) }
+// validate checks everything answering from the bundle relies on: the terms
+// are distinct, no view is shipped twice, every extent row is as wide as its
+// view's columns and names only terms of the dictionary, and every view a
+// plan scans is shipped. It keeps the dictionary it built.
+func (b *Bundle) validate() error {
+	d := dict.FromTerms(b.Terms)
+	if d.Len() != len(b.Terms) {
+		return fmt.Errorf("%w: %d distinct terms of %d", ErrCorruptImage, d.Len(), len(b.Terms))
+	}
+	terms := dict.ID(len(b.Terms))
+	shipped := make(map[algebra.ViewID]bool, len(b.Views))
+	for _, v := range b.Views {
+		if shipped[v.ID] {
+			return fmt.Errorf("%w: view v%d shipped twice", ErrCorruptImage, int(v.ID))
+		}
+		shipped[v.ID] = true
+		for _, row := range v.Rows {
+			if len(row) != len(v.Cols) {
+				return fmt.Errorf("%w: view v%d has a row of %d values for %d columns", ErrCorruptImage, int(v.ID), len(row), len(v.Cols))
+			}
+			for _, id := range row {
+				if id < 1 || id > terms {
+					return fmt.Errorf("%w: view v%d names term %d of %d", ErrCorruptImage, int(v.ID), id, terms)
+				}
+			}
+		}
+	}
+	for i, p := range b.Plans {
+		if p == nil {
+			return fmt.Errorf("%w: query %d has no rewriting", ErrCorruptImage, i+1)
+		}
+		for _, id := range p.Views(nil) {
+			if !shipped[id] {
+				return fmt.Errorf("%w: query %d scans view v%d, which is not shipped", ErrCorruptImage, i+1, int(id))
+			}
+		}
+	}
+	b.dict = d
+	return nil
+}
+
+// Dict returns the bundle's dictionary: the one LoadBundle built, or a
+// rebuild for a bundle assembled in memory.
+func (b *Bundle) Dict() *dict.Dictionary {
+	if b.dict != nil {
+		return b.dict
+	}
+	return dict.FromTerms(b.Terms)
+}
 
 // Resolver exposes the bundled extents to plan execution.
 func (b *Bundle) Resolver() engine.ViewResolver {
@@ -220,14 +276,6 @@ func (b *Bundle) Resolver() engine.ViewResolver {
 		byID[v.ID] = &engine.Relation{Cols: v.Cols, Rows: v.Rows}
 	}
 	return engine.MapResolver(byID)
-}
-
-// Answer executes the rewriting of query i over the bundled views.
-func (b *Bundle) Answer(i int) (*engine.Relation, error) {
-	if i < 0 || i >= len(b.Plans) {
-		return nil, fmt.Errorf("persist: query index %d out of range", i)
-	}
-	return engine.Execute(b.Plans[i], b.Resolver())
 }
 
 // NumQueries returns the workload size.

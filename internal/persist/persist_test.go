@@ -119,11 +119,11 @@ u2 hasPainted irises .
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := b.Answer(0)
+	want, err := engine.Execute(b.Plans[0], b.Resolver())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := back.Answer(0)
+	got, err := engine.Execute(back.Plans[0], back.Resolver())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,6 +362,55 @@ func TestLoadDatabaseRejectsCorruptImages(t *testing.T) {
 				t.Fatalf("LoadDatabase = (%v, %v), want ErrCorruptImage", st, err)
 			}
 		})
+	}
+}
+
+// TestLoadBundleRejectsCorruptBundles hands LoadBundle bundles that decode but
+// cannot be answered from. Each must come back as ErrCorruptImage at load —
+// not as an index panic when a row is read, nor as a wrong term when one is
+// decoded, at answer time.
+func TestLoadBundleRejectsCorruptBundles(t *testing.T) {
+	terms := []rdf.Term{rdf.NewIRI("a"), rdf.NewIRI("p"), rdf.NewIRI("b")}
+	x, y := cq.Var(1), cq.Var(2)
+	view := func(id algebra.ViewID, rows ...engine.Row) BundleView {
+		return BundleView{ID: id, Cols: []cq.Term{x, y}, Rows: rows}
+	}
+	bundle := func(plan algebra.Plan, views ...BundleView) *Bundle {
+		return &Bundle{Version: FormatVersion, Terms: terms, Plans: []algebra.Plan{plan}, Views: views}
+	}
+	scan1 := algebra.NewScan(1, []cq.Term{x, y})
+	join := algebra.NewJoin(scan1, algebra.NewScan(2, []cq.Term{y, x}))
+	cases := []struct {
+		name string
+		b    *Bundle
+	}{
+		{"short row", bundle(scan1, view(1, engine.Row{1, 3}, engine.Row{1}))},
+		{"ID 0", bundle(scan1, view(1, engine.Row{1, 0}))},
+		{"ID past the dictionary", bundle(scan1, view(1, engine.Row{1, 4}))},
+		{"missing view", bundle(join, view(1, engine.Row{1, 3}))},
+		{"duplicate view", bundle(scan1, view(1, engine.Row{1, 3}), view(1, engine.Row{3, 1}))},
+		{"a term listed twice", &Bundle{Version: FormatVersion, Terms: append(terms[:3:3], terms[0]),
+			Plans: []algebra.Plan{scan1}, Views: []BundleView{view(1, engine.Row{1, 3})}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := tc.b.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			b, err := LoadBundle(&buf)
+			if !errors.Is(err, ErrCorruptImage) {
+				t.Fatalf("LoadBundle = (%v, %v), want ErrCorruptImage", b, err)
+			}
+		})
+	}
+	// The same shapes, well formed, load.
+	var buf bytes.Buffer
+	if err := bundle(join, view(1, engine.Row{1, 3}), view(2, engine.Row{3, 1})).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadBundle(&buf); err != nil {
+		t.Fatalf("well-formed bundle rejected: %v", err)
 	}
 }
 

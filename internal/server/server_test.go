@@ -396,6 +396,91 @@ func TestServerAdmissionControl(t *testing.T) {
 	}
 }
 
+// TestServerOverloadLatency is the acceptance test for admission control
+// under overload: a closed loop at twice MaxInFlight must shed, and keep the
+// admitted p50 within 3× the uncontended p50 — excess demand sheds at the
+// door (429/503) instead of queueing behind execution, where the p50 would
+// be about 10× (the 3× leaves CI headroom).
+func TestServerOverloadLatency(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing-sensitive load test in -short mode")
+	}
+	const service = 5 * time.Millisecond
+	const slots = 4
+	_, hs := newTestServer(t, server.Config{
+		Backend: server.BackendFunc(func(ctx context.Context, q string) (server.Stream, error) {
+			select {
+			case <-time.After(service):
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			return &sliceStream{cols: []string{"x"}}, nil
+		}),
+		MaxInFlight:  slots,
+		MaxQueue:     1,
+		QueueTimeout: time.Millisecond,
+	})
+
+	base, _ := closedLoop(t, hs.URL, slots, 700*time.Millisecond) // at capacity: no contention
+	over, shed := closedLoop(t, hs.URL, 2*slots, 700*time.Millisecond)
+	if len(base) == 0 || len(over) == 0 {
+		t.Fatalf("admitted %d requests at capacity and %d at 2× capacity, want some of each", len(base), len(over))
+	}
+	if shed == 0 {
+		t.Fatalf("2× capacity shed nothing (%d admitted): admission control inactive", len(over))
+	}
+	baseP50, overP50 := base[len(base)/2], over[len(over)/2]
+	if overP50 > 3*baseP50 {
+		t.Fatalf("admitted p50 under 2× load = %v, at capacity %v: admission control failed to bound latency", overP50, baseP50)
+	}
+	t.Logf("p50 at capacity %v (%d admitted); at 2× %v (%d admitted, %d shed)", baseP50, len(base), overP50, len(over), shed)
+}
+
+// closedLoop runs workers closed-loop clients against /sparql for d — each
+// sends its next request when its previous one is answered — and returns the
+// sorted latencies of the admitted (200) requests and the number shed
+// (429/503).
+func closedLoop(t *testing.T, base string, workers int, d time.Duration) (admitted []time.Duration, shed int) {
+	t.Helper()
+	// One kept-alive connection per worker: shed answers return at once, and a
+	// fresh connection per request would run the host out of ports.
+	client := &http.Client{Timeout: 10 * time.Second, Transport: &http.Transport{MaxIdleConnsPerHost: workers}}
+	defer client.CloseIdleConnections()
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	stop := time.Now().Add(d)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for time.Now().Before(stop) {
+				start := time.Now()
+				resp, err := client.Get(base + "/sparql?query=q")
+				if err != nil {
+					t.Errorf("GET: %v", err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				took := time.Since(start)
+				mu.Lock()
+				switch resp.StatusCode {
+				case http.StatusOK:
+					admitted = append(admitted, took)
+				case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+					shed++
+				default:
+					t.Errorf("status %d", resp.StatusCode)
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	sort.Slice(admitted, func(i, j int) bool { return admitted[i] < admitted[j] })
+	return admitted, shed
+}
+
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(3 * time.Second)
@@ -665,7 +750,7 @@ func newLocalListener() (net.Listener, error) {
 // moves backward. After the churn settles (Flush), HTTP answers must equal
 // the library surface exactly.
 func TestServerHTTPChurnConcurrent(t *testing.T) {
-	lv := serveWorld(t, 4, rdfviews.MaintainOptions{QueueDepth: 256, BatchMax: 16})
+	lv := serveWorld(t, 4, rdfviews.MaintainOptions{QueueDepth: 256})
 	_, hs := newTestServer(t, server.Config{Backend: liveBackend(lv)})
 
 	queries := []string{

@@ -1,10 +1,9 @@
 package rdfviews
 
 import (
+	"context"
 	"fmt"
-	"sync"
 
-	"rdfviews/internal/engine"
 	"rdfviews/internal/maintain"
 	"rdfviews/internal/plancache"
 	"rdfviews/internal/rdf"
@@ -31,16 +30,18 @@ func (p StaleReadPolicy) String() string {
 	return "serve-stale"
 }
 
-// MaintainOptions configures how the live view set is maintained.
+// MaintainOptions configures how the live view set is maintained. The zero
+// value maintains synchronously with serial rewriting execution; AnswerQuery,
+// Prepare and AnswerQueryStream always go through a plan cache of
+// plancache.DefaultCapacity entries.
 type MaintainOptions struct {
 	// QueueDepth > 0 maintains views asynchronously behind a bounded change
 	// queue of that capacity: updates return once the base store is updated
-	// and the delta is queued, and a background refresher folds batches into
-	// the extents. 0 (the default) keeps maintenance synchronous — every
-	// update propagates before returning, the exact historical semantics.
+	// and the delta is queued, and a background refresher folds batches of
+	// up to 256 deltas into the extents. 0 (the default) keeps maintenance
+	// synchronous — every update propagates before returning, the exact
+	// historical semantics.
 	QueueDepth int
-	// BatchMax caps deltas per background refresh batch (0 = default 256).
-	BatchMax int
 	// StaleReads is consulted by Answer when maintenance is asynchronous.
 	StaleReads StaleReadPolicy
 	// ExecDOP is the degree of parallelism Answer executes rewritings with:
@@ -49,11 +50,6 @@ type MaintainOptions struct {
 	// 1 (the default) keeps rewriting execution serial. Answers are identical
 	// either way, and each execution still sees one pinned extent generation.
 	ExecDOP int
-	// PlanCache sets the capacity of the serving-tier plan cache behind
-	// AnswerQuery and Prepare: 0 (the default) selects
-	// plancache.DefaultCapacity, a negative value disables caching entirely
-	// (every call re-parses the shape and recompiles — the benchmark oracle).
-	PlanCache int
 }
 
 // LiveViews is a materialized view set under incremental maintenance: triple
@@ -64,17 +60,17 @@ type MaintainOptions struct {
 // a background refresher behind a change queue; Flush, Lag and the
 // StaleReadPolicy govern freshness.
 type LiveViews struct {
+	// front is the serving tier (serve.go): the plan cache behind
+	// AnswerQuery/Prepare/AnswerQueryStream and the workload whose rewritings
+	// answer exact matches.
+	front
 	rec   *Recommendation
 	m     *maintain.Maintainer
 	stale StaleReadPolicy
 	dop   int
-
-	// Serving tier (serve.go): plan cache behind AnswerQuery/Prepare (nil
-	// when disabled via MaintainOptions.PlanCache < 0) and the lazily built
-	// canonical-code index over the workload for exact view-route matching.
-	cache    *plancache.Cache
-	widxOnce sync.Once
-	widx     map[string]int
+	// at is the maintained deployment as the plan cache sees it; each call
+	// reads the publish generation into a copy (now).
+	at version
 }
 
 // Maintain materializes the recommended views under synchronous incremental
@@ -109,16 +105,20 @@ func (r *Recommendation) MaintainWithOptions(opts MaintainOptions) (*LiveViews, 
 		// Recommend of the version; the maintainer writes a copy of its own.
 		st = st.Clone()
 	}
-	m, err := maintain.NewWithConfig(st, r.state.ViewQueries(), maintain.Config{
-		QueueDepth: opts.QueueDepth,
-		BatchMax:   opts.BatchMax,
-	})
+	m, err := maintain.NewWithConfig(st, r.state.ViewQueries(), maintain.Config{QueueDepth: opts.QueueDepth})
 	if err != nil {
 		return nil, err
 	}
-	lv := &LiveViews{rec: r, m: m, stale: opts.StaleReads, dop: opts.ExecDOP}
-	if opts.PlanCache >= 0 {
-		lv.cache = plancache.New(opts.PlanCache, nil)
+	lv := &LiveViews{
+		front: front{cache: plancache.New(plancache.DefaultCapacity, nil), workload: r.workload.Queries},
+		rec:   r,
+		m:     m,
+		stale: opts.StaleReads,
+		dop:   opts.ExecDOP,
+		at:    version{tag: "lv:" + string(r.mode), stmt: "txt|", reader: st, maxTerms: r.maxUnionTerms, typeID: r.schema.TypeID},
+	}
+	if r.mode == ReasoningPre {
+		lv.at.schema = r.schema
 	}
 	return lv, nil
 }
@@ -163,20 +163,11 @@ func (lv *LiveViews) Delete(line string) (int, error) {
 // generation (ServeStale) and flushing first (WaitFresh); either way one
 // query sees one consistent generation across every view it scans.
 func (lv *LiveViews) Answer(i int) ([][]string, error) {
-	if i < 0 || i >= len(lv.rec.state.Plans) {
-		return nil, fmt.Errorf("rdfviews: query index %d out of range", i)
-	}
-	if lv.stale == WaitFresh {
-		if err := lv.m.Flush(); err != nil {
-			return nil, err
-		}
-	}
-	rel, err := engine.ExecuteWithOptions(lv.rec.state.Plans[i], lv.m.Resolver(),
-		engine.ExecOptions{DOP: lv.dop})
+	rs, err := lv.rewriting(context.Background(), i)
 	if err != nil {
 		return nil, err
 	}
-	return lv.rec.db.decodeRows(rel), nil
+	return newAnswerStream(rs, nil, lv.m.Store().Dict()).collect()
 }
 
 // Flush blocks until every update applied before the call is folded into

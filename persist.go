@@ -1,11 +1,12 @@
 package rdfviews
 
 import (
-	"fmt"
+	"context"
 	"io"
 
+	"rdfviews/internal/dict"
+	"rdfviews/internal/engine"
 	"rdfviews/internal/persist"
-	"rdfviews/internal/rdf"
 )
 
 // Save writes a binary snapshot of the database (dictionary, triples,
@@ -20,7 +21,7 @@ func OpenDatabase(r io.Reader) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Database{st: st, schema: schema}, nil
+	return newDatabase(st, schema), nil
 }
 
 // SaveBundle writes the materialized view set as a self-contained client
@@ -44,16 +45,20 @@ func (m *Materialized) SaveBundle(w io.Writer) error {
 // OfflineViews is a loaded client bundle: it answers the workload queries it
 // was built for, entirely from the shipped views.
 type OfflineViews struct {
-	bundle *persist.Bundle
+	bundle  *persist.Bundle
+	dict    *dict.Dictionary
+	resolve engine.ViewResolver
 }
 
-// LoadBundle reads a bundle written by Materialized.SaveBundle.
+// LoadBundle reads a bundle written by Materialized.SaveBundle. A bundle that
+// decodes but cannot be answered from fails here with
+// persist.ErrCorruptImage; its dictionary and extents are indexed once.
 func LoadBundle(r io.Reader) (*OfflineViews, error) {
 	b, err := persist.LoadBundle(r)
 	if err != nil {
 		return nil, err
 	}
-	return &OfflineViews{bundle: b}, nil
+	return &OfflineViews{bundle: b, dict: b.Dict(), resolve: b.Resolver()}, nil
 }
 
 // NumQueries returns the number of workload queries the bundle can answer.
@@ -73,26 +78,9 @@ func (o *OfflineViews) QueryText(i int) string {
 // Answer executes the rewriting of workload query i over the shipped views
 // and returns decoded rows.
 func (o *OfflineViews) Answer(i int) ([][]string, error) {
-	rel, err := o.bundle.Answer(i)
+	rs, err := openRewriting(context.Background(), o.bundle.Plans, i, o.resolve, 0)
 	if err != nil {
 		return nil, err
 	}
-	d := o.bundle.Dict()
-	out := make([][]string, 0, rel.Len())
-	for _, row := range rel.Rows {
-		r := make([]string, len(row))
-		for k, id := range row {
-			t, err := d.Decode(id)
-			if err != nil {
-				return nil, fmt.Errorf("rdfviews: bundle references unknown term %d", id)
-			}
-			if t.Kind == rdf.IRI {
-				r[k] = rdf.ShortenIRI(t.Value)
-			} else {
-				r[k] = t.Value
-			}
-		}
-		out = append(out, r)
-	}
-	return out, nil
+	return newAnswerStream(rs, nil, o.dict).collect()
 }

@@ -68,14 +68,13 @@
 package rdfviews
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
 	"sync"
 
 	"rdfviews/internal/cq"
-	"rdfviews/internal/dict"
-	"rdfviews/internal/engine"
 	"rdfviews/internal/plancache"
 	"rdfviews/internal/rdf"
 	"rdfviews/internal/reason"
@@ -86,15 +85,19 @@ import (
 // Database holds the RDF data (a dictionary-encoded, fully indexed triple
 // table) and the optional RDF Schema. Create with NewDatabase.
 type Database struct {
+	// front is the serving tier (serve.go): Answer, AnswerQueryStream and
+	// ExplainQuery cache statements and compiled artifacts keyed by
+	// canonicalized, constant-lifted query shape.
+	front
 	st     *store.Store
 	schema *rdf.Schema
 
-	// Serving-path plan cache (serve.go): Answer and ExplainQuery cache
-	// compiled artifacts keyed by canonicalized, constant-lifted query shape.
-	serveOnce  sync.Once
-	serveCache *plancache.Cache
-
 	pin pinned
+}
+
+// newDatabase wraps a store and schema with an empty plan cache.
+func newDatabase(st *store.Store, schema *rdf.Schema) *Database {
+	return &Database{front: front{cache: plancache.New(plancache.DefaultCapacity, nil)}, st: st, schema: schema}
 }
 
 // pinned holds what the database derives from (data, schema) alone and keeps
@@ -185,7 +188,7 @@ func (db *Database) reformStats() *stats.ReformulatedStats {
 // NewDatabase returns an empty database with an empty schema, backed by a
 // single-shard store.
 func NewDatabase() *Database {
-	return &Database{st: store.New(), schema: rdf.NewSchema()}
+	return newDatabase(store.New(), rdf.NewSchema())
 }
 
 // NewDatabaseSharded returns an empty database whose triple store is
@@ -195,7 +198,7 @@ func NewDatabase() *Database {
 // incremental index maintenance to one shard per update. k is clamped to
 // [1, 256]; with k=1 the database behaves exactly like NewDatabase.
 func NewDatabaseSharded(k int) *Database {
-	return &Database{st: store.NewSharded(k), schema: rdf.NewSchema()}
+	return newDatabase(store.NewSharded(k), rdf.NewSchema())
 }
 
 // NewDatabaseDual returns an empty database over a dual-partitioned store:
@@ -206,7 +209,7 @@ func NewDatabaseSharded(k int) *Database {
 // of storing each triple twice. Both counts are clamped to [1, 256] and
 // [0, 256] respectively; objectK=0 is exactly NewDatabaseSharded(subjectK).
 func NewDatabaseDual(subjectK, objectK int) *Database {
-	return &Database{st: store.NewDual(subjectK, objectK), schema: rdf.NewSchema()}
+	return newDatabase(store.NewDual(subjectK, objectK), rdf.NewSchema())
 }
 
 // PruneStats reports the store's shard-pruning ledger: cursor opens, shards
@@ -384,11 +387,15 @@ func (db *Database) ParseSPARQLWorkload(text string) (*Workload, error) {
 // liftable constants parameterized, so repeated shapes skip reformulation
 // and planning; see CacheStats and InvalidatePlans.
 func (db *Database) Answer(q *cq.Query, mode Reasoning) ([][]string, error) {
-	rel, err := db.answerCached(q, mode)
+	li, v, err := db.lift(q, mode)
 	if err != nil {
 		return nil, err
 	}
-	return db.decodeRows(rel), nil
+	s, err := db.open(context.Background(), li, &v)
+	if err != nil {
+		return nil, err
+	}
+	return s.collect()
 }
 
 // ExplainQuery renders the physical plan the engine compiles to answer q
@@ -399,50 +406,13 @@ func (db *Database) Answer(q *cq.Query, mode Reasoning) ([][]string, error) {
 // Answer uses, so explaining a query leaves its plan warm. For the plans
 // behind a recommendation, see Recommendation.ExplainPhysical.
 func (db *Database) ExplainQuery(q *cq.Query) (string, error) {
-	return db.explainCached(q)
-}
-
-// decodeRows decodes dictionary-encoded result rows to strings. One string
-// slice backs the whole result (row slices are carved out of it), repeated
-// IDs decode once through a per-call memo, and rows are assumed rectangular
-// (they are: relations are fixed-arity) — together this cuts the serving
-// path's per-answer allocations from O(rows·cols) to O(distinct values).
-func (db *Database) decodeRows(rel *engine.Relation) [][]string {
-	n := rel.Len()
-	if n == 0 {
-		return [][]string{}
+	li, v, err := db.lift(q, ReasoningNone)
+	if err != nil {
+		return "", err
 	}
-	arity := len(rel.Rows[0])
-	out := make([][]string, n)
-	if arity == 0 {
-		return out
+	_, tmpl, err := db.plan(li, &v)
+	if err != nil {
+		return "", err
 	}
-	flat := make([]string, n*arity)
-	hint := n * arity
-	if hint > 64 {
-		hint = 64
-	}
-	memo := make(map[dict.ID]string, hint)
-	d := db.st.Dict()
-	for ri, row := range rel.Rows {
-		r := flat[ri*arity : (ri+1)*arity : (ri+1)*arity]
-		for i, id := range row {
-			s, ok := memo[id]
-			if !ok {
-				t, err := d.Decode(id)
-				switch {
-				case err != nil:
-					s = fmt.Sprintf("?%d", id)
-				case t.Kind == rdf.IRI:
-					s = rdf.ShortenIRI(t.Value)
-				default:
-					s = t.Value
-				}
-				memo[id] = s
-			}
-			r[i] = s
-		}
-		out[ri] = r
-	}
-	return out
+	return tmpl.members[0].Instantiate(v.reader, li.repr).Explain(), nil
 }

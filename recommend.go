@@ -1,6 +1,7 @@
 package rdfviews
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -242,20 +243,25 @@ func (m *Materialized) SizeBytes() int {
 // Answer executes the rewriting of workload query i over the materialized
 // views only and returns decoded rows.
 func (m *Materialized) Answer(i int) ([][]string, error) {
-	rel, err := m.AnswerRelation(i)
+	rs, err := m.open(i)
 	if err != nil {
 		return nil, err
 	}
-	return m.rec.db.decodeRows(rel), nil
+	return newAnswerStream(rs, nil, m.rec.db.st.Dict()).collect()
 }
 
 // AnswerRelation is Answer without decoding.
 func (m *Materialized) AnswerRelation(i int) (*engine.Relation, error) {
-	if i < 0 || i >= len(m.rec.state.Plans) {
-		return nil, fmt.Errorf("rdfviews: query index %d out of range", i)
+	rs, err := m.open(i)
+	if err != nil {
+		return nil, err
 	}
-	return engine.ExecuteWithOptions(m.rec.state.Plans[i], engine.MapResolver(m.extents),
-		engine.ExecOptions{DOP: m.ExecDOP})
+	return rs.Collect()
+}
+
+// open runs rewriting i over the extents.
+func (m *Materialized) open(i int) (*engine.RowStream, error) {
+	return openRewriting(context.Background(), m.rec.state.Plans, i, engine.MapResolver(m.extents), m.ExecDOP)
 }
 
 // Recommend runs view selection for the workload (Definition 2.4: find the

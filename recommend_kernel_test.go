@@ -20,7 +20,7 @@ import (
 func reformDB(t testing.TB) (*Database, *Workload) {
 	t.Helper()
 	st, schema := datagen.Generate(datagen.Config{Triples: 4000, Seed: 3})
-	db := &Database{st: st, schema: schema}
+	db := newDatabase(st, schema)
 	return db, reformWorkload(db, 3)
 }
 
@@ -463,7 +463,7 @@ func TestRecommendPinnedSaturateCopyOnMaintain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := db.decodeRows(oracle); !sameAnswers(got, want) || len(got) != 3 {
+	if want := decoded(db, oracle); !sameAnswers(got, want) || len(got) != 3 {
 		t.Errorf("Database.Answer under saturate = %v after a LiveViews insert, the uncached oracle %v", canon(got), canon(want))
 	}
 	if rec.matStore != db.pin.sat || rec.matStore.Len() != size || lv.m.Store() == rec.matStore {

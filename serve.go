@@ -21,6 +21,12 @@ package rdfviews
 //	              view route (exact workload match)
 //	              or store template (reformulated members, compiled plans)
 //
+// Database and LiveViews share this path: both embed a front — the cache, and
+// on a LiveViews the workload its maintained rewritings answer — and differ
+// only in the version they hand it per call (version): the Database its store
+// epoch, schema size and the reader of the reasoning mode, a LiveViews its
+// maintained store and publish generation.
+//
 // Constant lifting is what turns the cache into a prepared-query engine:
 // liftable constants (cq.LiftConstants — sound with respect to the RDFS
 // reformulation rules) are replaced by parameter sentinels, so every query of
@@ -35,11 +41,11 @@ package rdfviews
 // parameters' canonical variable numbers so a parameterized occurrence never
 // collides with the same shape carrying a genuine variable.
 //
-// Validity is pull-based: each hit revalidates the artifact against the
-// maintainer's publish generation (or the store epoch on the Database path)
-// and recompiles when the base cardinality has drifted materially since
-// compilation — cached plans stay execution-safe across snapshots by
-// construction, drift only makes their join order stale.
+// Validity is pull-based (serveArtifact.valid): each hit revalidates the
+// artifact against the version's change generation and recompiles when the
+// base cardinality has drifted materially since compilation — cached plans
+// stay execution-safe across snapshots by construction, drift only makes
+// their join order stale.
 
 import (
 	"context"
@@ -75,10 +81,11 @@ const maxRoutesPerArtifact = 128
 type liftInfo struct {
 	key      string
 	skeleton *cq.Query // lifted query with parameters as sentinel constants
-	// binding holds the lifted constant values in rank order (rank = position
-	// of the parameter's canonical variable number in sorted order — the
-	// numbering shared by every query with this skeleton).
-	binding []dict.ID
+	// bkey renders the binding — the lifted constant values in rank order
+	// (rank = position of the parameter's canonical variable number in sorted
+	// order, the numbering shared by every query with this skeleton) — for
+	// the per-binding memos.
+	bkey    string
 	occRank []int               // occurrence index (lift order) -> rank
 	repr    map[dict.ID]dict.ID // sentinel -> this query's concrete value
 	// headNames labels the result columns with the source query's own head
@@ -94,7 +101,9 @@ type liftInfo struct {
 // Two queries get the same key exactly when their lifted skeletons are
 // isomorphic, the same canonical positions are parameters, and their heads
 // agree positionally under the canonical renaming — the precondition for
-// executing one compiled artifact under either query's binding.
+// executing one compiled artifact under either query's binding. Objects of
+// atoms whose predicate is typeID (rdf:type) never lift: reformulation
+// matches on them.
 func liftForCache(q *cq.Query, typeID dict.ID, tag string) (*liftInfo, error) {
 	lifted, params, vals := cq.LiftConstants(q, typeID)
 	code, m := lifted.Canonicalize()
@@ -111,11 +120,8 @@ func liftForCache(q *cq.Query, typeID dict.ID, tag string) (*liftInfo, error) {
 	}
 	sort.Slice(ord, func(a, b int) bool { return nums[ord[a]] < nums[ord[b]] })
 
-	li := &liftInfo{
-		binding: make([]dict.ID, len(params)),
-		occRank: make([]int, len(params)),
-		repr:    make(map[dict.ID]dict.ID, len(params)),
-	}
+	binding := make([]dict.ID, len(params))
+	li := &liftInfo{occRank: make([]int, len(params))}
 	skel := lifted
 	var key strings.Builder
 	key.WriteString(tag)
@@ -123,11 +129,9 @@ func liftForCache(q *cq.Query, typeID dict.ID, tag string) (*liftInfo, error) {
 	key.WriteString(code)
 	key.WriteString("|p[")
 	for r, occ := range ord {
-		s := sentinelBase + dict.ID(r)
-		skel = skel.Substitute(params[occ], cq.Const(s))
-		li.binding[r] = vals[occ]
+		skel = skel.Substitute(params[occ], cq.Const(sentinelBase+dict.ID(r)))
+		binding[r] = vals[occ]
 		li.occRank[occ] = r
-		li.repr[s] = vals[occ]
 		if r > 0 {
 			key.WriteByte(',')
 		}
@@ -143,24 +147,25 @@ func liftForCache(q *cq.Query, typeID dict.ID, tag string) (*liftInfo, error) {
 	key.WriteByte(']')
 	li.skeleton = skel
 	li.key = key.String()
+	li.bind(binding)
 	return li, nil
 }
 
 // withBinding returns the same cache admission under different parameter
 // values (the prepared-query rebind).
 func (li *liftInfo) withBinding(binding []dict.ID) *liftInfo {
-	out := &liftInfo{
-		key:       li.key,
-		skeleton:  li.skeleton,
-		occRank:   li.occRank,
-		binding:   binding,
-		repr:      make(map[dict.ID]dict.ID, len(binding)),
-		headNames: li.headNames,
-	}
-	for r, v := range binding {
-		out.repr[sentinelBase+dict.ID(r)] = v
-	}
+	out := &liftInfo{key: li.key, skeleton: li.skeleton, occRank: li.occRank, headNames: li.headNames}
+	out.bind(binding)
 	return out
+}
+
+// bind sets what is derived from the rank-ordered parameter values.
+func (li *liftInfo) bind(binding []dict.ID) {
+	li.bkey = bindingKey(binding)
+	li.repr = make(map[dict.ID]dict.ID, len(binding))
+	for r, v := range binding {
+		li.repr[sentinelBase+dict.ID(r)] = v
+	}
 }
 
 // headToken renders one head term under a canonical renaming: ?n for the
@@ -226,12 +231,12 @@ type storeTemplate struct {
 	bound map[string][]*engine.QueryPlan
 }
 
-// compileStoreTemplate reformulates the skeleton when the mode calls for it
-// and compiles a parameterized physical plan per member, join-ordered by the
-// cardinalities of the triggering query's constants (repr).
-func compileStoreTemplate(reader store.Reader, skel *cq.Query, repr map[dict.ID]dict.ID, schema *reason.Schema, reformulate bool, maxTerms int) (*storeTemplate, error) {
+// compileStoreTemplate reformulates the skeleton under schema when one is
+// given and compiles a parameterized physical plan per member, join-ordered
+// by the cardinalities of the triggering query's constants (repr).
+func compileStoreTemplate(reader store.Reader, skel *cq.Query, repr map[dict.ID]dict.ID, schema *reason.Schema, maxTerms int) (*storeTemplate, error) {
 	members := []*cq.Query{skel}
-	if reformulate {
+	if schema != nil {
 		u, err := reason.Reformulate(skel, schema, maxTerms)
 		if err != nil {
 			return nil, err
@@ -252,22 +257,22 @@ func compileStoreTemplate(reader store.Reader, skel *cq.Query, repr map[dict.ID]
 // boundMembers returns the member plans with the binding's constants
 // substituted but no reader pinned, memoized per binding key. A query without
 // parameters uses the compiled members directly.
-func (t *storeTemplate) boundMembers(bkey string, repr map[dict.ID]dict.ID) []*engine.QueryPlan {
-	if len(repr) == 0 {
+func (t *storeTemplate) boundMembers(li *liftInfo) []*engine.QueryPlan {
+	if len(li.repr) == 0 {
 		return t.members
 	}
 	t.mu.Lock()
-	ms, ok := t.bound[bkey]
+	ms, ok := t.bound[li.bkey]
 	if !ok {
 		ms = make([]*engine.QueryPlan, len(t.members))
 		for i, p := range t.members {
-			ms[i] = p.Instantiate(nil, repr)
+			ms[i] = p.Instantiate(nil, li.repr)
 		}
 		if t.bound == nil {
 			t.bound = make(map[string][]*engine.QueryPlan)
 		}
 		if len(t.bound) < maxRoutesPerArtifact {
-			t.bound[bkey] = ms
+			t.bound[li.bkey] = ms
 		}
 	}
 	t.mu.Unlock()
@@ -284,32 +289,53 @@ type viewRoute struct {
 	cols    []cq.Term // rewriting columns in incoming head order
 }
 
+// unroutable is the shared no-view-route result for skeletons whose shape
+// rules out every workload match.
+var unroutable = &viewRoute{}
+
 // serveArtifact is one plan-cache entry: the skeleton it was compiled from,
 // the lazily compiled store template, per-binding view routes, and the
 // validity snapshot taken at compile time.
 type serveArtifact struct {
 	skeleton *cq.Query
 
-	// Validity. rows is the base cardinality at compile time; genSeen is the
-	// last change-generation (maintainer publish generation, or store epoch on
-	// the Database path) the artifact was validated against — a matching
-	// generation skips the cardinality-drift check entirely. epochPin and
-	// schemaLen pin exact snapshots where drift is not acceptable
-	// (ReasoningSaturate's saturated copy; the schema under reformulation).
+	// Validity (valid). rows is the base cardinality at compile time;
+	// genSeen the last change generation the artifact was validated against.
+	// A pinned artifact serves the generation it was compiled at only;
+	// schemaLen is the size of the schema it reasons with.
 	rows      atomic.Int64
 	genSeen   atomic.Uint64
-	epochPin  uint64
+	pinned    bool
 	schemaLen int
 
-	mu     sync.Mutex
-	tmpl   *storeTemplate
-	routes map[string]*viewRoute // binding key -> route; nil when no views exist
+	mu   sync.Mutex
+	tmpl *storeTemplate
+	// routes memoizes each binding's route. It is nil when no workload query
+	// shares the skeleton's atom count and head arity — canonical-code
+	// equality needs both, so that rules out a view route for every binding
+	// at once and the per-binding match (a canonicalization per new binding)
+	// is skipped entirely. Always nil on a Database, which has no workload.
+	routes map[string]*viewRoute
+}
 
-	// routable is false when no workload query shares the skeleton's atom
-	// count and head arity: canonical-code equality needs both, so a mismatch
-	// rules out a view route for every binding at once and the per-binding
-	// match (a canonicalization per new binding) is skipped entirely.
-	routable bool
+// valid is the one validity rule of the plan cache, run on every hit under
+// the cache's shard lock: an artifact serves only the schema size it was
+// compiled at; a change generation it has seen is proof nothing moved; past
+// that a pinned artifact is stale, and any other survives — recording the
+// generation — while the base cardinality has not drifted far. The base
+// cardinality is read only when the generation has moved.
+func (a *serveArtifact) valid(v *version) bool {
+	if a.schemaLen != v.schemaLen {
+		return false
+	}
+	if a.genSeen.Load() == v.gen {
+		return true
+	}
+	if a.pinned || a.driftedFar(int64(v.reader.Len())) {
+		return false
+	}
+	a.genSeen.Store(v.gen)
+	return true
 }
 
 // driftedFar reports whether the base cardinality has moved materially since
@@ -328,15 +354,210 @@ func (a *serveArtifact) driftedFar(rows int64) bool {
 	return drift > lim
 }
 
-// ---------------------------------------------------------------------------
-// LiveViews serving surface
+// version is one answering surface's data at a call, as the plan cache sees
+// it: what keys, validates and compiles an artifact.
+type version struct {
+	// tag starts every artifact key: the surface and the mode's execution
+	// strategy ("lv:pre", "db:reform"). stmt starts every statement key:
+	// "txt|" on a LiveViews, whose cache serves one mode, "txt|<tag>|" on a
+	// Database, whose cache serves them all.
+	tag, stmt string
+	// reader is what templates are planned against; its Len is the drift
+	// baseline.
+	reader store.Reader
+	// gen is the change generation: the store epoch, or a LiveViews' publish
+	// generation.
+	gen uint64
+	// schemaLen is the size of the schema the mode reasons with; 0 when it
+	// reasons with none, or with one fixed for the surface's lifetime.
+	schemaLen int
+	// pinned artifacts serve the generation they were compiled at only.
+	pinned bool
+	// schema, when set, reformulates every template, bounded by maxTerms.
+	schema   *reason.Schema
+	maxTerms int
+	// typeID is rdf:type's dictionary ID, which lifting leaves alone.
+	typeID dict.ID
+}
 
-// Prepared is a parameterized query handle: the parse/lift/key work is done,
-// the compiled artifact is warm, and each Answer or AnswerBound call costs a
-// cache hit plus execution.
-type Prepared struct {
-	lv *LiveViews
-	li *liftInfo
+// front is the serving tier both Database and LiveViews embed: one plan
+// cache holding statements and compiled artifacts under one ledger, and the
+// workload whose maintained rewritings answer exact matches (none on a
+// Database).
+type front struct {
+	cache    *plancache.Cache // nil only when a test clears it: compile every call
+	workload []*cq.Query
+	widxOnce sync.Once
+	widx     map[string]int // canonical code -> first workload query with it
+}
+
+// do is the one lookup into the plan cache, for statements and artifacts
+// alike.
+func (f *front) do(key string, valid func(any) bool, compile func() (any, error)) (any, error) {
+	if f.cache == nil {
+		return compile()
+	}
+	v, _, err := f.cache.Do(key, valid, compile)
+	return v, err
+}
+
+// lifted resolves query text to its lifted form at v through the statement
+// cache: repeated text costs one lookup instead of parse + lift + a
+// branch-and-bound canonicalization. Safe because parsing is deterministic
+// and the dictionary is append-only — the same text under the same mode
+// always denotes the same query. liftInfos are immutable once published.
+func (f *front) lifted(d *dict.Dictionary, v *version, text string) (*liftInfo, error) {
+	x, err := f.do(v.stmt+text, nil, func() (any, error) {
+		q, names, err := parseServeQuery(d, text)
+		if err != nil {
+			return nil, err
+		}
+		li, err := liftForCache(q, v.typeID, v.tag)
+		if err != nil {
+			return nil, err
+		}
+		li.headNames = names
+		return li, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return x.(*liftInfo), nil
+}
+
+// plan is the plan-cache admission of every ad-hoc answer: it fetches li's
+// artifact — compiling it at v on a miss or when it fails validity at v —
+// and resolves how li's binding executes there.
+func (f *front) plan(li *liftInfo, v *version) (*viewRoute, *storeTemplate, error) {
+	x, err := f.do(li.key,
+		func(x any) bool { return x.(*serveArtifact).valid(v) },
+		func() (any, error) { return f.compile(li, v) })
+	if err != nil {
+		return nil, nil, err
+	}
+	return f.route(x.(*serveArtifact), li, v)
+}
+
+// compile does the full miss-path work for the triggering binding: snapshot
+// the validity baseline, then resolve the route — which compiles the store
+// template when no workload view matches — so the whole cost lands inside the
+// cache's compile accounting.
+func (f *front) compile(li *liftInfo, v *version) (*serveArtifact, error) {
+	a := &serveArtifact{skeleton: li.skeleton, pinned: v.pinned, schemaLen: v.schemaLen}
+	if f.shapeRoutable(li.skeleton) {
+		a.routes = make(map[string]*viewRoute)
+	}
+	a.rows.Store(int64(v.reader.Len()))
+	a.genSeen.Store(v.gen)
+	if _, _, err := f.route(a, li, v); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// route resolves how this binding executes: an exact workload match runs
+// the maintained rewriting, everything else the store template (compiled on
+// first need). Routes are memoized per binding on the artifact, because the
+// same skeleton matches the workload only under the constants the workload
+// query carries.
+func (f *front) route(a *serveArtifact, li *liftInfo, v *version) (*viewRoute, *storeTemplate, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	r := unroutable
+	if a.routes != nil {
+		var ok bool
+		if r, ok = a.routes[li.bkey]; !ok {
+			r = f.matchRoute(applyConstSubst(a.skeleton, li.repr))
+			if len(a.routes) < maxRoutesPerArtifact {
+				a.routes[li.bkey] = r
+			}
+		}
+	}
+	if !r.matched && a.tmpl == nil {
+		tmpl, err := compileStoreTemplate(v.reader, a.skeleton, li.repr, v.schema, v.maxTerms)
+		if err != nil {
+			return nil, nil, err
+		}
+		a.tmpl = tmpl
+	}
+	return r, a.tmpl, nil
+}
+
+// shapeRoutable reports whether some workload query could be isomorphic to an
+// instance of the skeleton. Canonical codes agree only when atom count and
+// head arity agree, and lifting never adds or removes atoms or head terms, so
+// a mismatch here is binding-independent.
+func (f *front) shapeRoutable(skel *cq.Query) bool {
+	for _, w := range f.workload {
+		if len(w.Atoms) == len(skel.Atoms) && len(w.Head) == len(skel.Head) {
+			return true
+		}
+	}
+	return false
+}
+
+// matchRoute tests a concrete query against the workload index: a canonical
+// code match means the query is isomorphic to a workload query modulo head
+// column order, and the head tokens line its columns up with the rewriting's.
+func (f *front) matchRoute(conc *cq.Query) *viewRoute {
+	f.widxOnce.Do(f.buildWorkloadIndex)
+	code, m := conc.Canonicalize()
+	k, ok := f.widx[code]
+	if !ok {
+		return &viewRoute{}
+	}
+	w := f.workload[k]
+	_, wm := w.Canonicalize()
+	cols := make([]cq.Term, len(conc.Head))
+	for j, h := range conc.Head {
+		tok := headToken(h, m)
+		found := false
+		for _, wh := range w.Head {
+			if headToken(wh, wm) == tok {
+				cols[j] = wh
+				found = true
+				break
+			}
+		}
+		if !found {
+			return &viewRoute{}
+		}
+	}
+	return &viewRoute{matched: true, idx: k, cols: cols}
+}
+
+// buildWorkloadIndex maps each workload query's canonical code to its index
+// (first wins on duplicates — duplicate workload queries share answers).
+func (f *front) buildWorkloadIndex() {
+	f.widx = make(map[string]int, len(f.workload))
+	for i, q := range f.workload {
+		code := q.CanonicalCode()
+		if _, dup := f.widx[code]; !dup {
+			f.widx[code] = i
+		}
+	}
+}
+
+// CacheStats returns the plan cache's counters: statement and artifact
+// lookups, evictions, invalidations, compile time paid and saved.
+func (f *front) CacheStats() stats.CacheSnapshot { return f.cache.Counters().Snapshot() }
+
+// InvalidatePlans drops every cached plan artifact (lazily: entries
+// recompile on their next lookup). Useful after bulk statistics shifts the
+// drift heuristic is too slow to notice.
+func (f *front) InvalidatePlans() { f.cache.Invalidate() }
+
+// sameCols reports positional equality of column label slices.
+func sameCols(a, b []cq.Term) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // parseServeQuery parses ad-hoc query text in either supported syntax:
@@ -386,6 +607,30 @@ func isSPARQL(t string) bool {
 	return strings.ContainsRune(" \t\r\n?*", rune(t[n]))
 }
 
+// ---------------------------------------------------------------------------
+// LiveViews serving surface
+
+// Prepared is a parameterized query handle: the parse/lift/key work is done,
+// the compiled artifact is warm, and each Answer or AnswerBound call costs a
+// cache hit plus execution.
+type Prepared struct {
+	lv *LiveViews
+	li *liftInfo
+}
+
+// now is the maintained deployment at the publish generation this call
+// reads.
+func (lv *LiveViews) now() version {
+	v := lv.at
+	v.gen = lv.m.PublishGen()
+	return v
+}
+
+// liftedFor resolves query text through the statement cache.
+func (lv *LiveViews) liftedFor(text string) (*liftInfo, error) {
+	return lv.lifted(lv.m.Store().Dict(), &lv.at, text)
+}
+
 // AnswerQuery answers one ad-hoc query (SPARQL or Datalog-like text) over
 // the maintained deployment: queries matching a workload shape execute their
 // maintained rewriting over the view extents (honoring the StaleReadPolicy),
@@ -412,41 +657,11 @@ func (lv *LiveViews) Prepare(text string) (*Prepared, error) {
 		return nil, err
 	}
 	// Warm the cache now so Prepare absorbs the compile and Answer is a hit.
-	if _, err := lv.artifactFor(li); err != nil {
+	v := lv.now()
+	if _, _, err := lv.plan(li, &v); err != nil {
 		return nil, err
 	}
 	return &Prepared{lv: lv, li: li}, nil
-}
-
-// liftedFor resolves query text to its lifted form through the statement
-// cache: repeated text costs one lookup instead of parse + lift + a
-// branch-and-bound canonicalization. Safe because parsing is deterministic
-// and the dictionary is append-only — the same text always denotes the same
-// query. liftInfos are immutable once published.
-func (lv *LiveViews) liftedFor(text string) (*liftInfo, error) {
-	if lv.cache == nil {
-		return lv.parseAndLift(text)
-	}
-	v, _, err := lv.cache.Do("txt|"+text, nil, func() (any, error) {
-		return lv.parseAndLift(text)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*liftInfo), nil
-}
-
-func (lv *LiveViews) parseAndLift(text string) (*liftInfo, error) {
-	q, names, err := parseServeQuery(lv.m.Store().Dict(), text)
-	if err != nil {
-		return nil, err
-	}
-	li, err := liftForCache(q, lv.rec.schema.TypeID, "lv:"+string(lv.rec.mode))
-	if err != nil {
-		return nil, err
-	}
-	li.headNames = names
-	return li, nil
 }
 
 // NumParams returns the number of lifted parameters (bindable positions).
@@ -469,7 +684,7 @@ func (p *Prepared) AnswerBound(args ...string) ([][]string, error) {
 		return p.Answer()
 	}
 	parser := cq.NewParser(p.lv.m.Store().Dict())
-	binding := make([]dict.ID, len(p.li.binding))
+	binding := make([]dict.ID, len(p.li.occRank))
 	for i, arg := range args {
 		t, err := parser.ParseTerm(arg)
 		if err != nil {
@@ -484,181 +699,13 @@ func (p *Prepared) AnswerBound(args ...string) ([][]string, error) {
 }
 
 // answerLifted is the common execution path behind AnswerQuery, Answer and
-// AnswerBound: the streaming path (openLifted), materialized.
+// AnswerBound: the streaming path (openLifted), collected.
 func (lv *LiveViews) answerLifted(li *liftInfo) ([][]string, error) {
 	rs, err := lv.openLifted(context.Background(), li)
 	if err != nil {
 		return nil, err
 	}
-	rel, err := rs.Collect()
-	if err != nil {
-		return nil, err
-	}
-	return lv.rec.db.decodeRows(rel), nil
-}
-
-// artifactFor returns the cached artifact for the lifted query, compiling it
-// under the cache's singleflight discipline on a miss. With caching disabled
-// (MaintainOptions.PlanCache < 0) it compiles fresh every call — the
-// benchmark oracle.
-func (lv *LiveViews) artifactFor(li *liftInfo) (*serveArtifact, error) {
-	if lv.cache == nil {
-		return lv.compileServeArtifact(li)
-	}
-	v, _, err := lv.cache.Do(li.key, lv.artifactValid, func() (any, error) {
-		return lv.compileServeArtifact(li)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*serveArtifact), nil
-}
-
-// artifactValid revalidates a cached artifact on each hit: an unchanged
-// publish generation is proof nothing moved; otherwise the artifact survives
-// only while the base cardinality has not drifted materially since compile
-// time. Runs under the cache's shard lock — generation and length reads are
-// a handful of atomic loads.
-func (lv *LiveViews) artifactValid(v any) bool {
-	a := v.(*serveArtifact)
-	gen := lv.m.PublishGen()
-	if a.genSeen.Load() == gen {
-		return true
-	}
-	if a.driftedFar(int64(lv.m.Store().Len())) {
-		return false
-	}
-	a.genSeen.Store(gen)
-	return true
-}
-
-// compileServeArtifact does the full miss-path work for the triggering
-// binding: snapshot the validity baseline, then resolve the route — which
-// compiles the store template when no workload view matches — so the whole
-// cost lands inside the cache's compile accounting.
-func (lv *LiveViews) compileServeArtifact(li *liftInfo) (*serveArtifact, error) {
-	a := &serveArtifact{
-		skeleton: li.skeleton,
-		routes:   make(map[string]*viewRoute),
-		routable: lv.shapeRoutable(li.skeleton),
-	}
-	a.rows.Store(int64(lv.m.Store().Len()))
-	a.genSeen.Store(lv.m.PublishGen())
-	if _, _, err := lv.routeFor(a, li); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
-// routeFor resolves how this binding executes: an exact workload match runs
-// the maintained rewriting, everything else the store template (compiled on
-// first need). Routes are memoized per binding on the artifact, because the
-// same skeleton matches the workload only under the constants the workload
-// query carries.
-func (lv *LiveViews) routeFor(a *serveArtifact, li *liftInfo) (*viewRoute, *storeTemplate, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	r := unroutable
-	if a.routable {
-		bkey := bindingKey(li.binding)
-		var ok bool
-		if r, ok = a.routes[bkey]; !ok {
-			r = lv.matchRoute(applyConstSubst(a.skeleton, li.repr))
-			if len(a.routes) < maxRoutesPerArtifact {
-				a.routes[bkey] = r
-			}
-		}
-	}
-	if !r.matched && a.tmpl == nil {
-		tmpl, err := compileStoreTemplate(lv.m.Store(), a.skeleton, li.repr,
-			lv.rec.schema, lv.rec.mode == ReasoningPre, lv.rec.maxUnionTerms)
-		if err != nil {
-			return nil, nil, err
-		}
-		a.tmpl = tmpl
-	}
-	return r, a.tmpl, nil
-}
-
-// unroutable is the shared no-view-route result for skeletons whose shape
-// rules out every workload match.
-var unroutable = &viewRoute{}
-
-// shapeRoutable reports whether some workload query could be isomorphic to an
-// instance of the skeleton. Canonical codes agree only when atom count and
-// head arity agree, and lifting never adds or removes atoms or head terms, so
-// a mismatch here is binding-independent.
-func (lv *LiveViews) shapeRoutable(skel *cq.Query) bool {
-	for _, w := range lv.rec.workload.Queries {
-		if len(w.Atoms) == len(skel.Atoms) && len(w.Head) == len(skel.Head) {
-			return true
-		}
-	}
-	return false
-}
-
-// matchRoute tests a concrete query against the workload index: a canonical
-// code match means the query is isomorphic to a workload query modulo head
-// column order, and the head tokens line its columns up with the rewriting's.
-func (lv *LiveViews) matchRoute(conc *cq.Query) *viewRoute {
-	lv.widxOnce.Do(lv.buildWorkloadIndex)
-	code, m := conc.Canonicalize()
-	k, ok := lv.widx[code]
-	if !ok {
-		return &viewRoute{}
-	}
-	w := lv.rec.workload.Queries[k]
-	_, wm := w.Canonicalize()
-	cols := make([]cq.Term, len(conc.Head))
-	for j, h := range conc.Head {
-		tok := headToken(h, m)
-		found := false
-		for _, wh := range w.Head {
-			if headToken(wh, wm) == tok {
-				cols[j] = wh
-				found = true
-				break
-			}
-		}
-		if !found {
-			return &viewRoute{}
-		}
-	}
-	return &viewRoute{matched: true, idx: k, cols: cols}
-}
-
-// buildWorkloadIndex maps each workload query's canonical code to its index
-// (first wins on duplicates — duplicate workload queries share answers).
-func (lv *LiveViews) buildWorkloadIndex() {
-	lv.widx = make(map[string]int, len(lv.rec.workload.Queries))
-	for i, q := range lv.rec.workload.Queries {
-		code := q.CanonicalCode()
-		if _, dup := lv.widx[code]; !dup {
-			lv.widx[code] = i
-		}
-	}
-}
-
-// sameCols reports positional equality of column label slices.
-func sameCols(a, b []cq.Term) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// CacheStats returns the serving-tier plan cache counters (zero snapshot
-// when caching is disabled).
-func (lv *LiveViews) CacheStats() stats.CacheSnapshot {
-	if lv.cache == nil {
-		return stats.CacheSnapshot{}
-	}
-	return lv.cache.Counters().Snapshot()
+	return newAnswerStream(rs, li.headNames, lv.m.Store().Dict()).collect()
 }
 
 // PruneStats reports the maintained store's shard-pruning ledger: cursor
@@ -669,134 +716,55 @@ func (lv *LiveViews) PruneStats() store.PruneSnapshot {
 	return lv.m.Store().PruneStats().Snapshot()
 }
 
-// InvalidatePlans drops every cached plan artifact (lazily: entries
-// recompile on their next lookup). Useful after bulk statistics shifts the
-// drift heuristic is too slow to notice.
-func (lv *LiveViews) InvalidatePlans() {
-	if lv.cache != nil {
-		lv.cache.Invalidate()
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Database serving surface
 
-// dbServe returns the database's lazily created plan cache.
-func (db *Database) dbServe() *plancache.Cache {
-	db.serveOnce.Do(func() {
-		db.serveCache = plancache.New(plancache.DefaultCapacity, nil)
-	})
-	return db.serveCache
-}
-
-// CacheStats returns the database's plan-cache counters.
-func (db *Database) CacheStats() stats.CacheSnapshot {
-	return db.dbServe().Counters().Snapshot()
-}
-
-// InvalidatePlans drops every plan cached by Answer and ExplainQuery.
-func (db *Database) InvalidatePlans() { db.dbServe().Invalidate() }
-
-// dbModeTag collapses reasoning modes onto their store-path execution
-// strategy: post- and pre-reformulation answer ad-hoc queries identically
-// (reformulate, evaluate the union on the original store), so they share
-// cached artifacts.
-func dbModeTag(mode Reasoning) (string, error) {
+// at is the database under the reasoning mode at the version this call
+// reads. Post- and pre-reformulation answer ad-hoc queries identically
+// (reformulate with the pinned schema, evaluate the union on the original
+// store), so they share cache entries. Under ReasoningSaturate templates plan
+// against the pinned saturated copy and are pinned to the epoch, so execution
+// and plan never straddle two copies. rdf:type is looked up last: deriving
+// the schema encodes it, and only the modes that derive one need it.
+func (db *Database) at(mode Reasoning) (version, error) {
+	v := version{reader: db.st, gen: db.st.Epoch()}
 	switch mode {
 	case ReasoningNone, "":
-		return "none", nil
+		v.tag, v.stmt = "db:none", "txt|db:none|"
 	case ReasoningSaturate:
-		return "sat", nil
+		v.tag, v.stmt = "db:sat", "txt|db:sat|"
+		v.schemaLen = db.schema.Len()
+		v.reader, v.pinned = db.saturatedFor(v.gen, v.schemaLen), true
 	case ReasoningPost, ReasoningPre:
-		return "reform", nil
+		v.tag, v.stmt = "db:reform", "txt|db:reform|"
+		v.schemaLen, v.schema = db.schema.Len(), db.reasonSchema()
+	default:
+		return v, fmt.Errorf("rdfviews: unknown reasoning mode %q", mode)
 	}
-	return "", fmt.Errorf("rdfviews: unknown reasoning mode %q", mode)
+	v.typeID, _ = db.st.Dict().LookupIRI(rdf.RDFType)
+	return v, nil
 }
 
-// answerCached evaluates q on the database under the reasoning mode through
-// the plan cache; semantically identical to answerRelation (the uncached
-// oracle the differential tests compare against).
-func (db *Database) answerCached(q *cq.Query, mode Reasoning) (*engine.Relation, error) {
-	a, li, reader, err := db.serveArtifactFor(q, mode)
+// lift is the Database admission of a parsed query under the mode.
+func (db *Database) lift(q *cq.Query, mode Reasoning) (*liftInfo, version, error) {
+	v, err := db.at(mode)
+	if err != nil {
+		return nil, v, err
+	}
+	li, err := liftForCache(q, v.typeID, v.tag)
+	return li, v, err
+}
+
+// open is the one execution path of the Database surface: plan li at v and
+// stream its template over v's reader.
+func (db *Database) open(ctx context.Context, li *liftInfo, v *version) (*AnswerStream, error) {
+	_, tmpl, err := db.plan(li, v)
 	if err != nil {
 		return nil, err
 	}
-	rs, err := a.tmpl.execStream(reader, bindingKey(li.binding), li.repr, engine.ExecOptions{})
+	rs, err := tmpl.execStream(v.reader, li, engine.ExecOptions{Ctx: ctx})
 	if err != nil {
 		return nil, err
 	}
-	return rs.Collect()
-}
-
-// explainCached renders the physical plan Answer would execute for q under
-// ReasoningNone, through the same cache — explaining a query warms the plan
-// Answer will hit.
-func (db *Database) explainCached(q *cq.Query) (string, error) {
-	a, li, reader, err := db.serveArtifactFor(q, ReasoningNone)
-	if err != nil {
-		return "", err
-	}
-	return a.tmpl.members[0].Instantiate(reader, li.repr).Explain(), nil
-}
-
-// serveArtifactFor is the Database-path cache admission: lift, key, validate
-// or compile, and return the artifact with the reader execution must use.
-func (db *Database) serveArtifactFor(q *cq.Query, mode Reasoning) (*serveArtifact, *liftInfo, store.Reader, error) {
-	tag, err := dbModeTag(mode)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	typeID, _ := db.st.Dict().LookupIRI(rdf.RDFType)
-	li, err := liftForCache(q, typeID, "db:"+tag)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-
-	epoch := db.st.Epoch()
-	schemaLen := db.schema.Len()
-	reader := store.Reader(db.st)
-	if tag == "sat" {
-		reader = db.saturatedFor(epoch, schemaLen)
-	}
-
-	valid := func(v any) bool {
-		a := v.(*serveArtifact)
-		if tag != "none" && a.schemaLen != schemaLen {
-			return false
-		}
-		if tag == "sat" {
-			// The template is planned against one saturated copy; pin it
-			// exactly so execution and plan never straddle two copies.
-			return a.epochPin == epoch
-		}
-		if a.genSeen.Load() == epoch {
-			return true
-		}
-		if a.driftedFar(int64(db.st.Len())) {
-			return false
-		}
-		a.genSeen.Store(epoch)
-		return true
-	}
-	compile := func() (any, error) {
-		a := &serveArtifact{skeleton: li.skeleton, epochPin: epoch, schemaLen: schemaLen}
-		a.rows.Store(int64(db.st.Len()))
-		a.genSeen.Store(epoch)
-		var schema *reason.Schema
-		if tag == "reform" {
-			schema = db.reasonSchema()
-		}
-		tmpl, err := compileStoreTemplate(reader, li.skeleton, li.repr, schema, tag == "reform", 0)
-		if err != nil {
-			return nil, err
-		}
-		a.tmpl = tmpl
-		return a, nil
-	}
-
-	v, _, err := db.dbServe().Do(li.key, valid, compile)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return v.(*serveArtifact), li, reader, nil
+	return newAnswerStream(rs, li.headNames, db.st.Dict()), nil
 }

@@ -8,25 +8,28 @@ package rdfviews
 // context.Context cancels the running pipeline at its next checkpoint
 // (client disconnects and deadlines propagate into the engine).
 //
-// The materializing answers (AnswerQuery, Prepared.Answer, Database.Answer)
-// collect these same streams, so routing, caching and freshness — statement
-// cache, plan cache, view-route match, StaleReadPolicy flush barrier — exist
-// once; AnswerStream decodes by the same rules as decodeRows.
+// Every materialized answer of the facade — AnswerQuery, Prepared.Answer,
+// Database.Answer, and the per-query Answer of LiveViews, Materialized and
+// OfflineViews — collects one of these streams, so routing, caching and
+// freshness — statement cache, plan cache, view-route match, StaleReadPolicy
+// flush barrier — exist once, every rewriting runs through openRewriting,
+// and AnswerStream.decode is the only decoder.
 
 import (
 	"context"
 	"fmt"
 
+	"rdfviews/internal/algebra"
 	"rdfviews/internal/dict"
 	"rdfviews/internal/engine"
 	"rdfviews/internal/rdf"
 	"rdfviews/internal/store"
 )
 
-// maxStreamMemo caps the per-stream decode memo. decodeRows memoizes every
-// distinct ID of a materialized result; a stream must stay O(batch), so the
-// memo is a direct-mapped table of at most this many entries in which an ID
-// simply takes the place of whichever one shared its slot.
+// maxStreamMemo caps the per-stream decode memo. A stream must stay
+// O(batch), so the memo is a direct-mapped table of at most this many
+// entries in which an ID simply takes the place of whichever one shared its
+// slot.
 const maxStreamMemo = 4096
 
 // memoEntry is one slot of the decode memo: the last ID decoded into it.
@@ -102,7 +105,27 @@ func (s *AnswerStream) Next() ([][]string, error) {
 // Close releases the stream's pipeline; idempotent, safe after EOF.
 func (s *AnswerStream) Close() { s.rs.Close() }
 
-// decode renders one dictionary ID exactly like Database.decodeRows: IRIs
+// collect drains the stream into rows that outlive it and closes it: the
+// materialized answer of every surface.
+func (s *AnswerStream) collect() ([][]string, error) {
+	defer s.Close()
+	out := [][]string{}
+	for {
+		rows, err := s.Next()
+		if err != nil {
+			return nil, err
+		}
+		if rows == nil {
+			return out, nil
+		}
+		out = append(out, rows...)
+		// The collected rows keep this slab's strings: decode the next into a
+		// fresh one.
+		s.flat = nil
+	}
+}
+
+// decode renders one dictionary ID — the one rule every answer follows: IRIs
 // shortened, literal values raw, undecodable IDs as ?id. The memo is bounded
 // (maxStreamMemo) so an adversarially wide result cannot grow it past O(1).
 // Valid IDs start at 1, so the zero entry of a fresh slot matches none.
@@ -125,13 +148,22 @@ func (s *AnswerStream) decode(id dict.ID) string {
 	return v
 }
 
-// execStream runs the template against a reader under a concrete binding:
-// each cached member plan is instantiated (the memoized substituted clone,
-// plus a struct copy pinning the reader) and streamed — directly for a single
+// openRewriting is the one way a rewriting runs, whichever surface asks:
+// plan i of plans over the extents resolve supplies, at dop, canceled by ctx.
+func openRewriting(ctx context.Context, plans []algebra.Plan, i int, resolve engine.ViewResolver, dop int) (*engine.RowStream, error) {
+	if i < 0 || i >= len(plans) {
+		return nil, fmt.Errorf("rdfviews: query index %d out of range", i)
+	}
+	return engine.ExecuteStream(plans[i], resolve, engine.ExecOptions{DOP: dop, Ctx: ctx})
+}
+
+// execStream runs the template against a reader under li's binding: each
+// cached member plan is instantiated (the memoized substituted clone, plus a
+// struct copy pinning the reader) and streamed — directly for a single
 // member, deduplicated positionally across members otherwise, exactly like
 // engine.EvalUCQ.
-func (t *storeTemplate) execStream(reader store.Reader, bkey string, repr map[dict.ID]dict.ID, opts engine.ExecOptions) (*engine.RowStream, error) {
-	ms := t.boundMembers(bkey, repr)
+func (t *storeTemplate) execStream(reader store.Reader, li *liftInfo, opts engine.ExecOptions) (*engine.RowStream, error) {
+	ms := t.boundMembers(li)
 	if len(ms) == 1 {
 		return ms[0].Instantiate(reader, nil).EvalStream(opts), nil
 	}
@@ -159,30 +191,22 @@ func (lv *LiveViews) AnswerQueryStream(ctx context.Context, text string) (*Answe
 	return newAnswerStream(rs, li.headNames, lv.m.Store().Dict()), nil
 }
 
-// openLifted is the one execution path of the serving surface: fetch-or-compile
-// the artifact, resolve the route for this binding, open its stream.
+// openLifted is the one execution path of the LiveViews serving surface:
+// plan li at the current publish generation, then run the store template or
+// — for an exact workload match — the maintained rewriting, its columns
+// lined up with the incoming head.
 func (lv *LiveViews) openLifted(ctx context.Context, li *liftInfo) (*engine.RowStream, error) {
-	a, err := lv.artifactFor(li)
-	if err != nil {
-		return nil, err
-	}
-	r, tmpl, err := lv.routeFor(a, li)
+	v := lv.now()
+	r, tmpl, err := lv.plan(li, &v)
 	if err != nil {
 		return nil, err
 	}
 	if !r.matched {
 		// Store path: the base store is updated synchronously even under
 		// asynchronous maintenance, so a snapshot needs no flush barrier.
-		return tmpl.execStream(lv.m.Store().Snapshot(), bindingKey(li.binding), li.repr,
-			engine.ExecOptions{Ctx: ctx})
+		return tmpl.execStream(lv.m.Store().Snapshot(), li, engine.ExecOptions{Ctx: ctx})
 	}
-	if lv.stale == WaitFresh {
-		if err := lv.m.Flush(); err != nil {
-			return nil, err
-		}
-	}
-	rs, err := engine.ExecuteStream(lv.rec.state.Plans[r.idx], lv.m.Resolver(),
-		engine.ExecOptions{DOP: lv.dop, Ctx: ctx})
+	rs, err := lv.rewriting(ctx, r.idx)
 	if err != nil || sameCols(rs.Cols(), r.cols) {
 		return rs, err
 	}
@@ -193,24 +217,31 @@ func (lv *LiveViews) openLifted(ctx context.Context, li *liftInfo) (*engine.RowS
 	return proj, err
 }
 
+// rewriting opens workload query i's rewriting over the published extents,
+// behind the flush barrier when the StaleReadPolicy is WaitFresh.
+func (lv *LiveViews) rewriting(ctx context.Context, i int) (*engine.RowStream, error) {
+	if lv.stale == WaitFresh {
+		if err := lv.m.Flush(); err != nil {
+			return nil, err
+		}
+	}
+	return openRewriting(ctx, lv.rec.state.Plans, i, lv.m.Resolver(), lv.dop)
+}
+
 // AnswerQueryStream answers ad-hoc query text directly on the database as a
 // stream, under the reasoning mode — the streaming counterpart of Answer for
-// text queries, sharing its plan cache. The caller must Close the stream.
+// text queries, sharing its statement and plan cache. The caller must Close
+// the stream.
 func (db *Database) AnswerQueryStream(ctx context.Context, text string, mode Reasoning) (*AnswerStream, error) {
-	q, names, err := parseServeQuery(db.st.Dict(), text)
+	v, err := db.at(mode)
 	if err != nil {
 		return nil, err
 	}
-	a, li, reader, err := db.serveArtifactFor(q, mode)
+	li, err := db.lifted(db.st.Dict(), &v, text)
 	if err != nil {
 		return nil, err
 	}
-	rs, err := a.tmpl.execStream(reader, bindingKey(li.binding), li.repr,
-		engine.ExecOptions{Ctx: ctx})
-	if err != nil {
-		return nil, err
-	}
-	return newAnswerStream(rs, names, db.st.Dict()), nil
+	return db.open(ctx, li, &v)
 }
 
 // PublishGen returns the maintainer's monotone publish generation — it

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"rdfviews/internal/engine"
 )
 
 // Differential tests for the serving tier (serve.go): every cached path must
@@ -76,7 +78,20 @@ func oracle(t *testing.T, db *Database, q string, mode Reasoning) [][]string {
 	if err != nil {
 		t.Fatalf("oracle %q under %q: %v", q, mode, err)
 	}
-	return db.decodeRows(rel)
+	return decoded(db, rel)
+}
+
+// decoded renders an oracle relation through the facade's one decoder.
+func decoded(db *Database, rel *engine.Relation) [][]string {
+	s := &AnswerStream{d: db.st.Dict(), memo: make([]memoEntry, 1)}
+	out := make([][]string, len(rel.Rows))
+	for i, row := range rel.Rows {
+		out[i] = make([]string, len(row))
+		for k, id := range row {
+			out[i][k] = s.decode(id)
+		}
+	}
+	return out
 }
 
 var serveQueries = []string{
@@ -306,8 +321,13 @@ func TestServePreparedBindings(t *testing.T) {
 	}
 }
 
+// TestServePlanCacheDisabledOracle clears the plan cache: every call parses
+// and compiles afresh (the shared admission's uncached branch) and still
+// answers like the oracle.
 func TestServePlanCacheDisabledOracle(t *testing.T) {
-	db, lv := serveLive(t, ReasoningNone, MaintainOptions{PlanCache: -1})
+	db, lv := serveLive(t, ReasoningNone, MaintainOptions{})
+	ledger := lv.cache.Counters()
+	lv.cache = nil
 	qs := `q(X, Z) :- t(X, hasPainted, guernica), t(X, isParentOf, Y), t(Y, hasPainted, Z)`
 	want := oracle(t, db, qs, ReasoningNone)
 	for pass := 0; pass < 2; pass++ {
@@ -319,7 +339,7 @@ func TestServePlanCacheDisabledOracle(t *testing.T) {
 			t.Fatalf("cache-off answer diverged: %v vs %v", got, want)
 		}
 	}
-	if snap := lv.CacheStats(); snap.Hits != 0 || snap.Misses != 0 {
+	if snap := ledger.Snapshot(); snap.Hits != 0 || snap.Misses != 0 {
 		t.Fatalf("disabled cache recorded traffic: %+v", snap)
 	}
 }
@@ -328,7 +348,7 @@ func TestServePlanCacheDisabledOracle(t *testing.T) {
 // queries, prepared bindings and updates; run under -race in CI. Every
 // answer must be error-free, and the final state must match the oracle.
 func TestServeCacheChurnConcurrent(t *testing.T) {
-	db, lv := serveLive(t, ReasoningNone, MaintainOptions{QueueDepth: 256, BatchMax: 16})
+	db, lv := serveLive(t, ReasoningNone, MaintainOptions{QueueDepth: 256})
 	prep, err := lv.Prepare(`q(X, Z) :- t(X, hasPainted, starryNight), t(X, isParentOf, Y), t(Y, hasPainted, Z)`)
 	if err != nil {
 		t.Fatal(err)
