@@ -12,6 +12,7 @@ package algebra
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -195,13 +196,24 @@ func (u *Union) String() string {
 }
 
 // SubstituteViews returns a copy of p in which every scan of a view in subs
-// is replaced by subs[view] (which must expose at least the scan's column
-// labels). Unchanged subtrees are shared, not copied.
+// is replaced by subs[view]. Unchanged subtrees are shared, not copied.
+//
+// A replacement is written in the namespace of the view it replaces: its
+// head — a projection's columns, or else its output columns — is that
+// view's head, position for position, and every other label in it is its
+// own. A scan, though, may relabel the view's head (Cols; View Fusion's
+// ⟨3→2⟩ renaming is one), so each substituted scan gets the replacement
+// relabeled to it: head position i becomes Cols[i], and every other label
+// of the replacement that one of Cols would capture becomes a label fresh
+// to the replacement (a Join Cut's extra column is a body variable of the
+// view, and the scan may expose a column of that name). Cols must be the
+// replacement's head under a renaming of its variables, constants in place.
+// A scan whose Cols is the replacement's head gets the replacement itself.
 func SubstituteViews(p Plan, subs map[ViewID]Plan) Plan {
 	switch n := p.(type) {
 	case *Scan:
 		if r, ok := subs[n.View]; ok {
-			return r
+			return relabel(r, n.Cols)
 		}
 		return n
 	case *Select:
@@ -238,6 +250,147 @@ func SubstituteViews(p Plan, subs map[ViewID]Plan) Plan {
 		}
 		if bs == nil {
 			return n
+		}
+		return &Union{Branches: bs}
+	default:
+		panic(fmt.Sprintf("algebra: unknown plan node %T", p))
+	}
+}
+
+// relabel returns replacement r with its head relabeled to cols, as
+// SubstituteViews describes: a relabeled copy of r, or r itself when cols is
+// its head.
+func relabel(r Plan, cols []cq.Term) Plan {
+	head := headOf(r)
+	if slices.Equal(head, cols) {
+		return r
+	}
+	if len(head) != len(cols) {
+		panic(fmt.Sprintf("algebra: a scan labels %d columns, its replacement's head has %d", len(cols), len(head)))
+	}
+	ren := make(renaming, 0, 2*len(cols))
+	for i, h := range head {
+		if !h.IsVar() && h != cols[i] {
+			panic(fmt.Sprintf("algebra: a scan relabels the replacement's head constant %v to %v", h, cols[i]))
+		}
+		ren = append(ren, [2]cq.Term{h, cols[i]})
+	}
+	// A column label that is not a head label may still label something
+	// inside r: move it out of the way.
+	fresh := 0
+	for _, c := range cols {
+		if _, ok := ren.lookup(c); ok || !c.IsVar() {
+			continue
+		}
+		if fresh == 0 {
+			fresh = maxVarNum(r, 0)
+			for _, c := range cols {
+				if c.IsVar() {
+					fresh = max(fresh, c.VarNum())
+				}
+			}
+		}
+		fresh++
+		ren = append(ren, [2]cq.Term{c, cq.Var(fresh)})
+	}
+	return ren.plan(r)
+}
+
+// headOf is a replacement's head: a projection's or scan's columns as
+// listed, the first branch's for a union, the output columns otherwise.
+func headOf(p Plan) []cq.Term {
+	switch n := p.(type) {
+	case *Project:
+		return n.Cols
+	case *Scan:
+		return n.Cols
+	case *Select:
+		return headOf(n.Input)
+	case *Union:
+		if len(n.Branches) > 0 {
+			return headOf(n.Branches[0])
+		}
+	}
+	return p.Columns()
+}
+
+// maxVarNum is the largest of m and the variable numbers among p's labels.
+func maxVarNum(p Plan, m int) int {
+	see := func(ts ...cq.Term) {
+		for _, t := range ts {
+			if t.IsVar() {
+				m = max(m, t.VarNum())
+			}
+		}
+	}
+	switch n := p.(type) {
+	case *Scan:
+		see(n.Cols...)
+	case *Select:
+		for _, c := range n.Conds {
+			see(c.Left, c.Right)
+		}
+		m = maxVarNum(n.Input, m)
+	case *Project:
+		see(n.Cols...)
+		m = maxVarNum(n.Input, m)
+	case *Join:
+		for _, c := range n.Conds {
+			see(c.Left, c.Right)
+		}
+		m = maxVarNum(n.Right, maxVarNum(n.Left, m))
+	case *Union:
+		for _, b := range n.Branches {
+			m = maxVarNum(b, m)
+		}
+	}
+	return m
+}
+
+// renaming maps labels to labels, all at once; labels it does not list stay.
+type renaming [][2]cq.Term
+
+func (ren renaming) lookup(t cq.Term) (cq.Term, bool) {
+	for _, e := range ren {
+		if e[0] == t {
+			return e[1], true
+		}
+	}
+	return t, false
+}
+
+func (ren renaming) terms(ts []cq.Term) []cq.Term {
+	out := make([]cq.Term, len(ts))
+	for i, t := range ts {
+		out[i], _ = ren.lookup(t)
+	}
+	return out
+}
+
+func (ren renaming) conds(cs []Cond) []Cond {
+	out := make([]Cond, len(cs))
+	for i, c := range cs {
+		out[i].Left, _ = ren.lookup(c.Left)
+		out[i].Right, _ = ren.lookup(c.Right)
+	}
+	return out
+}
+
+// plan returns a copy of p with every label renamed.
+func (ren renaming) plan(p Plan) Plan {
+	switch n := p.(type) {
+	case *Scan:
+		return &Scan{View: n.View, Cols: ren.terms(n.Cols)}
+	case *Select:
+		return &Select{Input: ren.plan(n.Input), Conds: ren.conds(n.Conds)}
+	case *Project:
+		return &Project{Input: ren.plan(n.Input), Cols: ren.terms(n.Cols)}
+	case *Join:
+		return &Join{Left: ren.plan(n.Left), Right: ren.plan(n.Right), Conds: ren.conds(n.Conds)}
+	case *Union:
+		bs := make([]Plan, len(n.Branches))
+		for i, b := range n.Branches {
+			bs[i] = ren.plan(b)
 		}
 		return &Union{Branches: bs}
 	default:

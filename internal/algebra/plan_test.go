@@ -66,6 +66,46 @@ func TestSubstituteViewsNested(t *testing.T) {
 	}
 }
 
+// TestSubstituteViewsRelabelsScan: a scan that relabels its view's head gets
+// the replacement relabeled to its columns, and a label the replacement uses
+// inside that one of the scan's columns would capture moves to a fresh one.
+func TestSubstituteViewsRelabelsScan(t *testing.T) {
+	x, y, z, w, w2 := cq.Var(1), cq.Var(2), cq.Var(3), cq.Var(4), cq.Var(5)
+	cases := []struct {
+		name string
+		cols []cq.Term // the scan of view 1, whose head is [x, y]
+		repl Plan
+		want string
+	}{
+		{"cut kept connected", []cq.Term{y, z},
+			NewProject(NewSelect(NewScan(7, []cq.Term{x, y, z}), Cond{Left: y, Right: z}), []cq.Term{x, y}),
+			"π[X2,X3](σ[X3=X4](v7[X2,X3,X4]))"},
+		{"cut split in two", []cq.Term{w, x},
+			NewProject(NewJoin(NewScan(7, []cq.Term{x, w}), NewScan(8, []cq.Term{w2, y}), Cond{Left: w, Right: w2}), []cq.Term{x, y}),
+			"π[X4,X1]((v7[X4,X6] ⋈[X6=X5] v8[X5,X1]))"},
+		{"constant column stays", []cq.Term{z, cq.Const(9)},
+			NewProject(NewSelect(NewScan(7, []cq.Term{x, y}), Cond{Left: y, Right: cq.Const(9)}), []cq.Term{x, cq.Const(9)}),
+			"π[X3,#9](σ[X2=#9](v7[X3,X2]))"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			plan := NewJoin(NewScan(1, tc.cols), NewScan(2, []cq.Term{z}))
+			got := SubstituteViews(plan, map[ViewID]Plan{1: tc.repl}).(*Join)
+			if s := got.Left.String(); s != tc.want {
+				t.Fatalf("substituted %s\n want %s", s, tc.want)
+			}
+			if got.Right != plan.Right {
+				t.Error("untouched scan was rebuilt")
+			}
+		})
+	}
+	// A scan labeled with the replacement's head takes it as it is.
+	repl := NewProject(NewScan(7, []cq.Term{x, y, z}), []cq.Term{x, y})
+	if got := SubstituteViews(NewScan(1, []cq.Term{x, y}), map[ViewID]Plan{1: repl}); got != Plan(repl) {
+		t.Errorf("same labels: got %v, want the replacement itself", got)
+	}
+}
+
 func TestScanRenamed(t *testing.T) {
 	x, y := cq.Var(1), cq.Var(2)
 	a, b := cq.Var(10), cq.Var(20)

@@ -25,8 +25,8 @@ type View struct {
 	ID algebra.ViewID
 	Q  *cq.Query
 
-	code     string // canonical code incl. head (state equality, Def. §3.1)
-	bodyCode string // canonical code of the body only (View Fusion prefilter)
+	code     string // set-mode canonical code incl. head (state equality, Def. §3.1)
+	bodyCode string // its body prefix (View Fusion prefilter)
 	// allVar: no constants at all (stopvar); tripleTable: a single atom of
 	// three distinct variables (stoptt).
 	allVar, tripleTable bool
@@ -34,11 +34,11 @@ type View struct {
 	vbPairs             [][2]uint32 // cached View Break cover pairs (see enumVB)
 }
 
-// NewView builds a view, computing its canonical codes.
+// NewView builds a view, computing its canonical codes in one labeling run.
 func NewView(id algebra.ViewID, q *cq.Query) *View {
 	v := &View{ID: id, Q: q, allVar: q.ConstCount() == 0}
-	v.code = q.CanonicalCode()
-	v.bodyCode = (&cq.Query{Atoms: q.Atoms}).CanonicalCode()
+	lab := q.Label(cq.SetHead)
+	v.code, v.bodyCode = lab.Code, lab.Code[:lab.BodyLen]
 	if len(q.Atoms) == 1 && v.allVar {
 		a := q.Atoms[0]
 		v.tripleTable = a[0] != a[1] && a[1] != a[2] && a[0] != a[2]

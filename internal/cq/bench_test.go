@@ -16,22 +16,6 @@ func benchQueries(b *testing.B, atoms int) []*Query {
 	return qs
 }
 
-func BenchmarkCanonicalCode6Atoms(b *testing.B) {
-	qs := benchQueries(b, 6)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = qs[i%len(qs)].CanonicalCode()
-	}
-}
-
-func BenchmarkCanonicalCode10Atoms(b *testing.B) {
-	qs := benchQueries(b, 10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = qs[i%len(qs)].CanonicalCode()
-	}
-}
-
 func BenchmarkMinimize(b *testing.B) {
 	qs := benchQueries(b, 6)
 	b.ResetTimer()

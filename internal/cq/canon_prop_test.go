@@ -72,17 +72,48 @@ func scramble(q *Query, rng *rand.Rand) *Query {
 	return out
 }
 
+// TestCanonicalCodeInvariance checks both head modes for invariance under
+// renaming and atom order, and set mode against the oracle: the same code
+// byte for byte and the same numbering, which plan-cache keys are built from.
 func TestCanonicalCodeInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 2000; i++ {
 		q := genQuery(rng)
-		code := q.CanonicalCode()
+		code, ordered := q.CanonicalCode(), q.OrderedCode()
+		assertMatchesOracle(t, q)
 		for j := 0; j < 3; j++ {
 			s := scramble(q, rng)
 			if got := s.CanonicalCode(); got != code {
 				t.Fatalf("iter %d: code changed under renaming/permutation\n  q:  %v -> %s\n  s:  %v -> %s",
 					i, q, code, s, got)
 			}
+			if got := s.OrderedCode(); got != ordered {
+				t.Fatalf("iter %d: ordered code changed under renaming/permutation\n  q:  %v -> %s\n  s:  %v -> %s",
+					i, q, ordered, s, got)
+			}
+			assertMatchesOracle(t, s)
+		}
+	}
+}
+
+// assertMatchesOracle checks the set-mode labeling against the oracle's:
+// same code, same body prefix, same number for every variable.
+func assertMatchesOracle(t *testing.T, q *Query) {
+	t.Helper()
+	want, m := oracleCanonicalize(q)
+	lab := q.Label(SetHead)
+	if lab.Code != want {
+		t.Fatalf("set code differs from the oracle for %v\n  got:  %s\n  want: %s", q, lab.Code, want)
+	}
+	if body, _ := oracleCanonicalize(&Query{Atoms: q.Atoms}); lab.Code[:lab.BodyLen]+"H[]" != body {
+		t.Fatalf("body prefix %q of %v is not the oracle's body-only code %q", lab.Code[:lab.BodyLen], q, body)
+	}
+	if len(lab.Vars) != len(m) {
+		t.Fatalf("numbering of %v has %d variables, oracle %d", q, len(lab.Vars), len(m))
+	}
+	for v, c := range m {
+		if lab.Num(v) != c.VarNum() {
+			t.Fatalf("numbering of %v: %v is %d, oracle %d", q, v, lab.Num(v), c.VarNum())
 		}
 	}
 }
@@ -90,10 +121,10 @@ func TestCanonicalCodeInvariance(t *testing.T) {
 // headNormalized reorders (and dedups) the head into canonical-number order.
 // CanonicalCode compares heads as sets, so same-code queries are equivalent
 // only modulo head column order — normalizing both sides makes Equivalent
-// (which is positional) the right oracle. The serving cache appends its own
-// positional head suffix to keys for exactly this reason.
+// (which is positional) the right oracle. Ordered codes need no such
+// normalization.
 func headNormalized(q *Query) *Query {
-	_, m := q.Canonicalize()
+	lab := q.Label(SetHead)
 	out := q.Clone()
 	seen := map[Term]bool{}
 	head := out.Head[:0]
@@ -108,10 +139,10 @@ func headNormalized(q *Query) *Query {
 		a, b := out.Head[i], out.Head[j]
 		an, bn := int64(a), int64(b)
 		if a.IsVar() {
-			an = -int64(m[a].VarNum())
+			an = -int64(lab.Num(a))
 		}
 		if b.IsVar() {
-			bn = -int64(m[b].VarNum())
+			bn = -int64(lab.Num(b))
 		}
 		return an > bn
 	}
@@ -125,28 +156,49 @@ func TestCanonicalCodeNoCollisions(t *testing.T) {
 	// answer). Group a corpus by code and verify every same-code pair is
 	// Equivalent after head normalization — distinct-code pairs carry no
 	// claim (codes are finer than semantic equivalence: redundant atoms
-	// change the code).
+	// change the code). Same ordered code must imply positional equivalence
+	// as it stands: that is what lets a union drop the second term.
 	rng := rand.New(rand.NewSource(11))
 	groups := map[string][]*Query{}
+	ordered := map[string][]*Query{}
 	for i := 0; i < 3000; i++ {
 		q := genQuery(rng)
 		code := q.CanonicalCode()
 		groups[code] = append(groups[code], q)
-	}
-	checked := 0
-	for code, qs := range groups {
-		for i := 1; i < len(qs); i++ {
-			if !Equivalent(headNormalized(qs[0]), headNormalized(qs[i])) {
-				t.Fatalf("collision: same code %q for non-equivalent queries\n  %v\n  %v", code, qs[0], qs[i])
-			}
-			checked++
-			if checked > 500 {
-				return // equivalence is NP-complete; bound the budget
-			}
+		// A scrambled copy with its head reversed joins q's ordered group
+		// only when the reversal is a symmetry of q.
+		s := scramble(q, rng)
+		for l, r := 0, len(s.Head)-1; l < r; l, r = l+1, r-1 {
+			s.Head[l], s.Head[r] = s.Head[r], s.Head[l]
+		}
+		for _, x := range []*Query{q, s} {
+			c := x.OrderedCode()
+			ordered[c] = append(ordered[c], x)
 		}
 	}
-	if len(groups) < 100 {
-		t.Fatalf("corpus degenerate: only %d distinct codes", len(groups))
+	for _, tc := range []struct {
+		groups map[string][]*Query
+		norm   func(*Query) *Query
+	}{
+		{groups, headNormalized},
+		{ordered, func(q *Query) *Query { return q }},
+	} {
+		checked := 0
+	group:
+		for code, qs := range tc.groups {
+			for i := 1; i < len(qs); i++ {
+				if !Equivalent(tc.norm(qs[0]), tc.norm(qs[i])) {
+					t.Fatalf("collision: same code %q for non-equivalent queries\n  %v\n  %v", code, qs[0], qs[i])
+				}
+				checked++
+				if checked > 500 {
+					break group // equivalence is NP-complete; bound the budget
+				}
+			}
+		}
+		if len(tc.groups) < 100 {
+			t.Fatalf("corpus degenerate: only %d distinct codes", len(tc.groups))
+		}
 	}
 }
 
@@ -160,6 +212,27 @@ func TestCanonicalCodeHeadIsSetLike(t *testing.T) {
 	b := NewQuery([]Term{y, x}, []Atom{{x, p, y}})
 	if a.CanonicalCode() != b.CanonicalCode() {
 		t.Fatalf("head order changed the code")
+	}
+	// Ordered mode keeps the two apart, but not a head permutation that is a
+	// symmetry of the body, whichever order the atoms are listed in.
+	if a.OrderedCode() == b.OrderedCode() {
+		t.Fatalf("head order did not change the ordered code")
+	}
+	s, p2, p3 := Var(3), Const(dict.ID(3)), Const(dict.ID(4))
+	sym := NewQuery([]Term{x, y}, []Atom{{s, p, x}, {s, p, y}})
+	for _, q := range []*Query{
+		NewQuery([]Term{x, y}, []Atom{{s, p, y}, {s, p, x}}),
+		NewQuery([]Term{y, x}, []Atom{{s, p, x}, {s, p, y}}),
+	} {
+		if q.OrderedCode() != sym.OrderedCode() {
+			t.Fatalf("symmetric query: ordered codes differ: %v %s vs %v %s", q, q.OrderedCode(), sym, sym.OrderedCode())
+		}
+	}
+	// The mirror image of a union term over two properties is another term.
+	m1 := NewQuery([]Term{x, y}, []Atom{{s, p2, x}, {s, p3, y}})
+	m2 := NewQuery([]Term{x, y}, []Atom{{s, p3, x}, {s, p2, y}})
+	if m1.CanonicalCode() != m2.CanonicalCode() || m1.OrderedCode() == m2.OrderedCode() {
+		t.Fatalf("mirror images: set codes must agree and ordered codes differ")
 	}
 }
 
@@ -177,6 +250,11 @@ func FuzzCanonicalCode(f *testing.F) {
 		if got := s.CanonicalCode(); got != code {
 			t.Fatalf("code not invariant: %q vs %q for %v / %v", code, got, q, s)
 		}
+		if a, b := q.OrderedCode(), s.OrderedCode(); a != b {
+			t.Fatalf("ordered code not invariant: %q vs %q for %v / %v", a, b, q, s)
+		}
+		assertMatchesOracle(t, q)
+		assertMatchesOracle(t, s)
 		// The canonical form itself must be a fixed point.
 		canon := q.CanonicalizeVars()
 		if canon.CanonicalCode() != code {

@@ -2,14 +2,6 @@ package cq
 
 import "rdfviews/internal/dict"
 
-// Canonicalize returns the canonical code together with the variable
-// renaming that produced it (each body variable mapped to its canonical
-// Var(n)). The serving tier's plan cache uses the map to line up head
-// columns and parameter bindings between queries that share a code.
-func (q *Query) Canonicalize() (string, map[Term]Term) {
-	return canonicalize(q)
-}
-
 // MaxLiftedParams bounds how many constant occurrences LiftConstants lifts:
 // beyond it the remaining occurrences stay concrete (correct, just less
 // sharing), keeping parameter vectors and sentinel ranges small.

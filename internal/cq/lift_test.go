@@ -70,12 +70,11 @@ func TestLiftConstantsSharesSkeleton(t *testing.T) {
 	if len(p1) != 1 || len(p2) != 1 || v1[0] != 10 || v2[0] != 11 {
 		t.Fatalf("unexpected lift: %v/%v %v/%v", p1, v1, p2, v2)
 	}
-	c1, m1 := s1.Canonicalize()
-	c2, m2 := s2.Canonicalize()
-	if c1 != c2 {
-		t.Fatalf("skeleton codes differ:\n  %s\n  %s", c1, c2)
+	l1, l2 := s1.Label(SetHead), s2.Label(SetHead)
+	if l1.Code != l2.Code {
+		t.Fatalf("skeleton codes differ:\n  %s\n  %s", l1.Code, l2.Code)
 	}
-	if m1[p1[0]] != m2[p2[0]] {
-		t.Fatalf("parameter canonical numbers differ: %v vs %v", m1[p1[0]], m2[p2[0]])
+	if l1.Num(p1[0]) != l2.Num(p2[0]) {
+		t.Fatalf("parameter canonical numbers differ: %d vs %d", l1.Num(p1[0]), l2.Num(p2[0]))
 	}
 }

@@ -15,7 +15,8 @@ type UCQ struct {
 }
 
 // NewUCQ returns a UCQ containing the given queries, deduplicated up to
-// variable renaming.
+// variable renaming that keeps the head in place (OrderedCode): a term and
+// its mirror image under a head permutation are different members.
 func NewUCQ(qs ...*Query) *UCQ {
 	u := &UCQ{codes: make(map[string]struct{})}
 	for _, q := range qs {
@@ -30,7 +31,7 @@ func (u *UCQ) Add(q *Query) bool {
 	if u.codes == nil {
 		u.codes = make(map[string]struct{})
 	}
-	code := q.CanonicalCode()
+	code := q.OrderedCode()
 	if _, ok := u.codes[code]; ok {
 		return false
 	}
@@ -44,7 +45,7 @@ func (u *UCQ) Contains(q *Query) bool {
 	if u.codes == nil {
 		return false
 	}
-	_, ok := u.codes[q.CanonicalCode()]
+	_, ok := u.codes[q.OrderedCode()]
 	return ok
 }
 

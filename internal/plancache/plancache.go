@@ -1,5 +1,5 @@
 // Package plancache is the serving tier's compiled-artifact cache: a sharded
-// LRU keyed by canonicalized query codes (internal/cq.CanonicalCode — built
+// LRU keyed by canonicalized query codes (internal/cq.Query.Label — built
 // for exactly this) holding whatever the answering paths find expensive to
 // rebuild per call: reformulated UCQs, chosen rewritings, compiled physical
 // plans, cardinality snapshots.

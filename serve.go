@@ -34,12 +34,13 @@ package rdfviews
 // regardless of C, and execution just substitutes the caller's constants into
 // the cached plan (engine.Instantiate — a shallow clone, not a re-plan).
 //
-// Cache keys are built from cq.CanonicalCode, which is invariant under
-// variable renaming and atom order but compares heads as *sets*; the key
-// appends the positional head token list so artifacts are shared only between
-// queries whose output columns line up positionally, and a sorted list of the
-// parameters' canonical variable numbers so a parameterized occurrence never
-// collides with the same shape carrying a genuine variable.
+// A cache key comes from one set-mode canonical labeling of the skeleton
+// (cq.Query.Label): its code, invariant under variable renaming and atom
+// order but comparing heads as *sets*, then — from the same labeling's
+// numbering — a sorted list of the parameters' canonical numbers, so a
+// parameterized occurrence never collides with the same shape carrying a
+// genuine variable, and the positional head tokens, so artifacts are shared
+// only between queries whose output columns line up positionally.
 //
 // Validity is pull-based (serveArtifact.valid): each hit revalidates the
 // artifact against the version's change generation and recompiles when the
@@ -101,21 +102,17 @@ type liftInfo struct {
 // Two queries get the same key exactly when their lifted skeletons are
 // isomorphic, the same canonical positions are parameters, and their heads
 // agree positionally under the canonical renaming — the precondition for
-// executing one compiled artifact under either query's binding. Objects of
-// atoms whose predicate is typeID (rdf:type) never lift: reformulation
-// matches on them.
-func liftForCache(q *cq.Query, typeID dict.ID, tag string) (*liftInfo, error) {
+// executing one compiled artifact under either query's binding. Every part
+// comes from one labeling of the skeleton. Objects of atoms whose predicate
+// is typeID (rdf:type) never lift: reformulation matches on them.
+func liftForCache(q *cq.Query, typeID dict.ID, tag string) *liftInfo {
 	lifted, params, vals := cq.LiftConstants(q, typeID)
-	code, m := lifted.Canonicalize()
+	lab := lifted.Label(cq.SetHead)
 
 	nums := make([]int, len(params))
 	ord := make([]int, len(params))
 	for i, p := range params {
-		c, ok := m[p]
-		if !ok {
-			return nil, fmt.Errorf("rdfviews: internal: lifted parameter %v absent from canonical map", p)
-		}
-		nums[i] = c.VarNum()
+		nums[i] = lab.Num(p) // a parameter sits in the body, so it is numbered
 		ord[i] = i
 	}
 	sort.Slice(ord, func(a, b int) bool { return nums[ord[a]] < nums[ord[b]] })
@@ -123,32 +120,29 @@ func liftForCache(q *cq.Query, typeID dict.ID, tag string) (*liftInfo, error) {
 	binding := make([]dict.ID, len(params))
 	li := &liftInfo{occRank: make([]int, len(params))}
 	skel := lifted
-	var key strings.Builder
-	key.WriteString(tag)
-	key.WriteByte('|')
-	key.WriteString(code)
-	key.WriteString("|p[")
+	key := make([]byte, 0, len(tag)+len(lab.Code)+8+4*(len(params)+len(q.Head)))
+	key = append(append(append(key, tag...), '|'), lab.Code...)
+	key = append(key, "|p["...)
 	for r, occ := range ord {
 		skel = skel.Substitute(params[occ], cq.Const(sentinelBase+dict.ID(r)))
 		binding[r] = vals[occ]
 		li.occRank[occ] = r
 		if r > 0 {
-			key.WriteByte(',')
+			key = append(key, ',')
 		}
-		key.WriteString(strconv.Itoa(nums[occ]))
+		key = strconv.AppendInt(key, int64(nums[occ]), 10)
 	}
-	key.WriteString("]|h[")
+	key = append(key, "]|h["...)
 	for j, h := range q.Head {
 		if j > 0 {
-			key.WriteByte(',')
+			key = append(key, ',')
 		}
-		key.WriteString(headToken(h, m))
+		key = lab.AppendToken(key, h)
 	}
-	key.WriteByte(']')
 	li.skeleton = skel
-	li.key = key.String()
+	li.key = string(append(key, ']'))
 	li.bind(binding)
-	return li, nil
+	return li
 }
 
 // withBinding returns the same cache admission under different parameter
@@ -166,18 +160,6 @@ func (li *liftInfo) bind(binding []dict.ID) {
 	for r, v := range binding {
 		li.repr[sentinelBase+dict.ID(r)] = v
 	}
-}
-
-// headToken renders one head term under a canonical renaming: ?n for the
-// canonical variable number, #id for a constant.
-func headToken(t cq.Term, m map[cq.Term]cq.Term) string {
-	if t.IsConst() {
-		return "#" + strconv.FormatInt(int64(t.ConstID()), 10)
-	}
-	if c, ok := m[t]; ok {
-		return "?" + strconv.Itoa(c.VarNum())
-	}
-	return "?" + strconv.Itoa(t.VarNum())
 }
 
 // bindingKey renders a rank-ordered binding vector for route memoization.
@@ -388,7 +370,7 @@ type front struct {
 	cache    *plancache.Cache // nil only when a test clears it: compile every call
 	workload []*cq.Query
 	widxOnce sync.Once
-	widx     map[string]int // canonical code -> first workload query with it
+	widx     map[string]workloadEntry // canonical code -> first workload query with it
 }
 
 // do is the one lookup into the plan cache, for statements and artifacts
@@ -412,10 +394,7 @@ func (f *front) lifted(d *dict.Dictionary, v *version, text string) (*liftInfo, 
 		if err != nil {
 			return nil, err
 		}
-		li, err := liftForCache(q, v.typeID, v.tag)
-		if err != nil {
-			return nil, err
-		}
+		li := liftForCache(q, v.typeID, v.tag)
 		li.headNames = names
 		return li, nil
 	})
@@ -498,43 +477,56 @@ func (f *front) shapeRoutable(skel *cq.Query) bool {
 
 // matchRoute tests a concrete query against the workload index: a canonical
 // code match means the query is isomorphic to a workload query modulo head
-// column order, and the head tokens line its columns up with the rewriting's.
+// column order, and the two labelings' numberings line its columns up with
+// the rewriting's — a head variable numbered n is the workload head variable
+// numbered n, a head constant is itself.
 func (f *front) matchRoute(conc *cq.Query) *viewRoute {
 	f.widxOnce.Do(f.buildWorkloadIndex)
-	code, m := conc.Canonicalize()
-	k, ok := f.widx[code]
+	lab := conc.Label(cq.SetHead)
+	w, ok := f.widx[lab.Code]
 	if !ok {
 		return &viewRoute{}
 	}
-	w := f.workload[k]
-	_, wm := w.Canonicalize()
 	cols := make([]cq.Term, len(conc.Head))
 	for j, h := range conc.Head {
-		tok := headToken(h, m)
-		found := false
-		for _, wh := range w.Head {
-			if headToken(wh, wm) == tok {
-				cols[j] = wh
-				found = true
-				break
-			}
+		if h.IsConst() {
+			cols[j] = h
+			continue
 		}
-		if !found {
+		n := lab.Num(h)
+		if n == 0 || n >= len(w.cols) || w.cols[n] == 0 {
 			return &viewRoute{}
 		}
+		cols[j] = w.cols[n]
 	}
-	return &viewRoute{matched: true, idx: k, cols: cols}
+	return &viewRoute{matched: true, idx: w.idx, cols: cols}
 }
 
-// buildWorkloadIndex maps each workload query's canonical code to its index
-// (first wins on duplicates — duplicate workload queries share answers).
+// workloadEntry is one workload query in the route index: its index, and its
+// head variables by the canonical number its labeling gives them (cols[n],
+// zero where n numbers no head variable).
+type workloadEntry struct {
+	idx  int
+	cols []cq.Term
+}
+
+// buildWorkloadIndex labels each workload query once and maps its canonical
+// code to its entry (first wins on duplicates — duplicate workload queries
+// share answers).
 func (f *front) buildWorkloadIndex() {
-	f.widx = make(map[string]int, len(f.workload))
+	f.widx = make(map[string]workloadEntry, len(f.workload))
 	for i, q := range f.workload {
-		code := q.CanonicalCode()
-		if _, dup := f.widx[code]; !dup {
-			f.widx[code] = i
+		lab := q.Label(cq.SetHead)
+		if _, dup := f.widx[lab.Code]; dup {
+			continue
 		}
+		e := workloadEntry{idx: i, cols: make([]cq.Term, len(lab.Vars)+1)}
+		for _, h := range q.Head {
+			if h.IsVar() {
+				e.cols[lab.Num(h)] = h
+			}
+		}
+		f.widx[lab.Code] = e
 	}
 }
 
@@ -751,8 +743,7 @@ func (db *Database) lift(q *cq.Query, mode Reasoning) (*liftInfo, version, error
 	if err != nil {
 		return nil, v, err
 	}
-	li, err := liftForCache(q, v.typeID, v.tag)
-	return li, v, err
+	return liftForCache(q, v.typeID, v.tag), v, nil
 }
 
 // open is the one execution path of the Database surface: plan li at v and

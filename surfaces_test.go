@@ -32,11 +32,17 @@ func TestAnswerSurfacesAgree(t *testing.T) {
 			`q(X, Y) :- t(X, rdf:type, picture), t(X, isLocatIn, Y)`,
 			`q(X) :- t(X, isLocatIn, Y)`,
 		}},
+		// Head-symmetric: its reformulation holds mirror-image terms.
+		{"symmetric", symData, symSchema, []string{
+			symQuery,
+			`q(B) :- t(S, p4, B), t(S, p0, A)`,
+		}},
 	}
 	// The first workload query of each fixture with its head reversed.
 	permuted := map[string]string{
-		"painters": `q(Z, X) :- t(X, hasPainted, starryNight), t(X, isParentOf, Y), t(Y, hasPainted, Z)`,
-		"museum":   `q(Y, X) :- t(X, rdf:type, picture), t(X, isLocatIn, Y)`,
+		"painters":  `q(Z, X) :- t(X, hasPainted, starryNight), t(X, isParentOf, Y), t(Y, hasPainted, Z)`,
+		"museum":    `q(Y, X) :- t(X, rdf:type, picture), t(X, isLocatIn, Y)`,
+		"symmetric": `q(B, A) :- t(S, p0, A), t(S, p4, B)`,
 	}
 	layouts := []struct {
 		name string
