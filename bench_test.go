@@ -143,7 +143,7 @@ func BenchmarkFigure8QueryEvaluation(b *testing.B) {
 	b.ReportMetric(speedup, "speedup")
 }
 
-// --- Ablation benches for the design choices DESIGN.md calls out. ---
+// --- Ablation benches: how much of the search comes from the strategy and how much from the heuristics. ---
 
 // benchWorkload builds a fixed star workload over a tiny dictionary.
 func benchSearch(b *testing.B, opts core.Options) {

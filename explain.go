@@ -141,7 +141,7 @@ func (r *Recommendation) explainPhysical(opts engine.ExecOptions) string {
 	sb.WriteString("  rewriting execution (over the views):\n")
 	for i, p := range r.state.Plans {
 		fmt.Fprintf(&sb, "    q%d:\n", i+1)
-		node, err := engine.DescribePlanWithOptions(p, card, opts)
+		node, err := engine.DescribePlan(p, card, opts)
 		if err != nil {
 			fmt.Fprintf(&sb, "      (unplannable: %v)\n", err)
 			continue

@@ -172,7 +172,8 @@ func TestVBOverlappingCoverKeepsSharedAtomVars(t *testing.T) {
 // TestDisjointVBOnExistentialJoinVariable: a disjoint cover whose parts
 // share only an existential variable must still export it from both parts
 // for the natural-join rewriting to be equivalent (the correctness-preserving
-// reading of Definition 3.2 — see DESIGN.md).
+// reading of Definition 3.2: a join variable is exported even when the query
+// projects it away).
 func TestDisjointVBOnExistentialJoinVariable(t *testing.T) {
 	st, p, _ := paintersFixture(t)
 	// X is existential: head only has Z.

@@ -51,11 +51,11 @@ func checkStateAnswers(t *testing.T, st *store.Store, s *State, queries []*cq.Qu
 	}
 	resolve := engine.MapResolver(mats)
 	for i, plan := range s.Plans {
-		got, err := engine.Execute(plan, resolve)
+		got, err := execute(plan, resolve)
 		if err != nil {
 			t.Fatalf("execute plan %d (%s): %v\nstate:\n%s", i, plan, err, s.Format())
 		}
-		want, err := engine.EvalQuery(st, queries[i])
+		want, err := engine.Materialize(st, queries[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -432,4 +432,13 @@ func TestInitialStateValidation(t *testing.T) {
 	if _, _, err := InitialState([]*cq.Query{q}); err == nil {
 		t.Error("cartesian-product query must fail")
 	}
+}
+
+// execute runs a rewriting plan through engine.ExecuteStream and collects it.
+func execute(p algebra.Plan, resolve engine.ViewResolver) (*engine.Relation, error) {
+	rs, err := engine.ExecuteStream(p, resolve, engine.ExecOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return rs.Collect()
 }

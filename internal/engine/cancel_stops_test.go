@@ -30,7 +30,7 @@ func TestCancelStopsAccounting(t *testing.T) {
 
 	flat, sharded, _ := diffStores(t)
 	fullScan := "q(X, P, Y) :- t(X, P, Y)"
-	chain3 := benchQueries["Chain3"]
+	chain3 := joinShapes["Chain3"]
 
 	// plan compiles src and asserts the markers appear in the explain output,
 	// so each case keeps covering the operator it names even if the cost
@@ -209,13 +209,13 @@ func TestCancelStopsAccounting(t *testing.T) {
 		{"entry/eval-vec", func(t *testing.T) error {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			_, err := plan(t, false, fullScan).EvalWithOptions(ExecOptions{Ctx: ctx})
+			_, err := plan(t, false, fullScan).EvalStream(ExecOptions{Ctx: ctx}).Collect()
 			return err
 		}},
 		{"entry/execute", func(t *testing.T) error {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			_, err := ExecuteWithOptions(algebra.NewJoin(s1(), s2()), MapResolver(views), ExecOptions{Ctx: ctx})
+			_, err := execute(algebra.NewJoin(s1(), s2()), MapResolver(views), ExecOptions{Ctx: ctx})
 			return err
 		}},
 	}
@@ -251,7 +251,7 @@ func requireExplain(t *testing.T, plan *QueryPlan, marks ...string) {
 
 // drainPipelineMidCancel runs the store-side pipeline with a live interrupt, pulls
 // one batch, cancels, and drains to termination, returning the context's
-// terminal error (what EvalWithOptions would surface).
+// terminal error (what RowStream.Collect would surface).
 func drainPipelineMidCancel(t *testing.T, plan *QueryPlan) error {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())

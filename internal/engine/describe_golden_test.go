@@ -7,7 +7,7 @@ import (
 	"rdfviews/internal/cq"
 )
 
-// describeGolden pins DescribePlanWithOptions at DOP 1 and 4 for the plans of
+// describeGolden pins DescribePlan at DOP 1 and 4 for the plans of
 // rewriteMatrix(19), the fixtures of TestDescribeParallelAnnotations and a
 // build=left join. The strings were rendered by the hand-written describe
 // mirror this package used to keep beside compileRel, at the last commit
@@ -208,7 +208,7 @@ func TestDescribeGoldenMatchesCompiled(t *testing.T) {
 		card := func(id algebra.ViewID) float64 { return float64(f.views[id].Len()) }
 		for dop, golden := range want {
 			opts := ExecOptions{DOP: dop}
-			node, err := DescribePlanWithOptions(f.plan, card, opts)
+			node, err := DescribePlan(f.plan, card, opts)
 			if err != nil {
 				t.Fatalf("%s dop=%d: %v", name, dop, err)
 			}

@@ -39,6 +39,113 @@ func diffStores(t *testing.T) (flat, sharded, dual *store.Store) {
 	return flat, sharded, dual
 }
 
+// joinShapes are the join-heavy query shapes of the store-side differentials:
+// chains (merge-join friendly), stars (all joins on one variable), a mixed
+// star+chain multi-join, and a value join with no shared sort order.
+var joinShapes = map[string]string{
+	"Chain3": "q(X, Z) :- t(X, " + datagen.PropName(0) + ", Y), t(Y, " + datagen.PropName(1) + ", Z)",
+	"Chain4": "q(X, W) :- t(X, " + datagen.PropName(0) + ", Y), t(Y, " + datagen.PropName(1) + ", Z), t(Z, " + datagen.PropName(2) + ", W)",
+	"Star3": "q(X) :- t(X, " + datagen.PropName(0) + ", Y), t(X, " + datagen.PropName(1) + ", Z), " +
+		"t(X, rdf:type, " + datagen.ClassName(0) + ")",
+	"Star4": "q(X, Y, Z, W) :- t(X, " + datagen.PropName(0) + ", Y), t(X, " + datagen.PropName(1) + ", Z), " +
+		"t(X, " + datagen.PropName(2) + ", W)",
+	"MultiJoin5": "q(X, W) :- t(X, rdf:type, " + datagen.ClassName(0) + "), t(X, " + datagen.PropName(0) + ", Y), " +
+		"t(X, " + datagen.PropName(1) + ", Z), t(Y, " + datagen.PropName(2) + ", W), t(W, " + datagen.PropName(3) + ", V)",
+	"ValueJoin": "q(X, Z) :- t(X, " + datagen.PropName(0) + ", Y), t(Z, " + datagen.PropName(1) + ", Y)",
+}
+
+// standardData loads the standard 20k-triple dataset (seed 1) into a k-shard
+// store.
+func standardData(t testing.TB, k int) (*store.Store, *cq.Parser) {
+	t.Helper()
+	st, _ := datagen.Generate(datagen.Config{Triples: 20000, Seed: 1})
+	if k == 1 {
+		st.Count(store.Pattern{})
+		return st, cq.NewParser(st.Dict())
+	}
+	sh := store.NewWithDictSharded(st.Dict(), k)
+	sh.AddBatch(st.Triples())
+	sh.Count(store.Pattern{})
+	return sh, cq.NewParser(sh.Dict())
+}
+
+// plannerChainFixture is a chain dataset with a sparse first hop (300 p0
+// edges) into large but selective p1/p2/p3 relations (20000 edges each,
+// out-degree ~1), the shape where the sort-break plan — sort the small
+// pipeline, merge against the big already-sorted predicate index — beats
+// cascading hash joins that build a 20000-entry table per hop.
+func plannerChainFixture(t testing.TB) (*store.Store, *cq.Query) {
+	t.Helper()
+	st := store.New()
+	d := st.Dict()
+	rng := rand.New(rand.NewSource(11))
+	n := func(i int) dict.ID { return d.EncodeIRI(fmt.Sprintf("n%d", i)) }
+	for i := 0; i < 300; i++ {
+		st.Add(store.Triple{d.EncodeIRI(fmt.Sprintf("a%d", i)), d.EncodeIRI("p0"), n(rng.Intn(20000))})
+	}
+	for _, pred := range []string{"p1", "p2", "p3"} {
+		pid := d.EncodeIRI(pred)
+		for i := 0; i < 20000; i++ {
+			st.Add(store.Triple{n(rng.Intn(20000)), pid, n(rng.Intn(20000))})
+		}
+	}
+	q := cq.NewParser(d).MustParseQuery(
+		"q(X, V) :- t(X, p0, Y), t(Y, p1, Z), t(Z, p2, W), t(W, p3, V)")
+	return st, q
+}
+
+// rewriteUnionFixture materializes atomic predicate views from the standard
+// dataset in a 4-shard store — the deployment shape of the answering tier:
+// workload queries run against view extents only. It returns the extents plus
+// a 4-branch union of hash joins (one branch per predicate view, all joining
+// the shared second-hop view v9 on Y).
+func rewriteUnionFixture(t testing.TB) (map[algebra.ViewID]*Relation, *algebra.Union) {
+	t.Helper()
+	st, p := standardData(t, 4)
+	views := make(map[algebra.ViewID]*Relation)
+	x, y, z := cq.Var(1), cq.Var(2), cq.Var(3)
+	for i := 0; i < 4; i++ {
+		q := p.MustParseQuery(fmt.Sprintf("q(X, Y) :- t(X, %s, Y)", datagen.PropName(i)))
+		p.ResetNames()
+		rel, err := Materialize(st, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel.Cols = []cq.Term{x, y}
+		views[algebra.ViewID(i+1)] = rel
+	}
+	shared := p.MustParseQuery(fmt.Sprintf("q(Y, Z) :- t(Y, %s, Z)", datagen.PropName(4)))
+	p.ResetNames()
+	rel, err := Materialize(st, shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel.Cols = []cq.Term{y, z}
+	views[9] = rel
+
+	branches := make([]algebra.Plan, 4)
+	for i := range branches {
+		branches[i] = algebra.NewJoin(
+			algebra.NewScan(algebra.ViewID(i+1), []cq.Term{x, y}),
+			algebra.NewScan(9, []cq.Term{y, z}),
+		)
+	}
+	return views, algebra.NewUnion(branches...)
+}
+
+// buildSideFixture is a join whose left input is a small slice of an extent
+// and whose right input is a full extent ~20× larger: the cost-chosen
+// executor builds the small left side and streams the large extent through
+// as the probe.
+func buildSideFixture(views map[algebra.ViewID]*Relation) (map[algebra.ViewID]*Relation, *algebra.Join) {
+	x, y := cq.Var(1), cq.Var(2)
+	small := &Relation{Cols: []cq.Term{x, y}, Rows: views[1].Rows[:min(100, views[1].Len())]}
+	return map[algebra.ViewID]*Relation{1: small, 2: views[9]}, algebra.NewJoin(
+		algebra.NewScan(1, []cq.Term{x, y}),
+		algebra.NewScan(2, []cq.Term{y, cq.Var(3)}),
+	)
+}
+
 // skewedHashJoinFixture is a value join over hub-skewed data (500 edges per
 // side over 20 shared hubs, ~12k output rows). The extra p2 atom keeps the
 // pipeline sorted on X, so the planner hash-joins the final skewed atom: long
@@ -61,7 +168,7 @@ func skewedHashJoinFixture() (*store.Store, *cq.Query) {
 
 // TestBatchEvalMatchesINL is the store-side matrix: nine query shapes (scans,
 // chains, stars, a five-atom mix, a value join, a self-loop) over the flat,
-// 4-shard and 4×4 dual-partitioned stores plus the flat and 4-shard benchmark
+// 4-shard and 4×4 dual-partitioned stores plus the flat and 4-shard standard
 // datasets, pipeline vs INL oracle, multiset-exact. The parallel-scan
 // threshold is dropped so the sharded runs exercise the exchange and
 // ordered-gather operators, over both partition sides on the dual layout. The
@@ -75,12 +182,12 @@ func TestBatchEvalMatchesINL(t *testing.T) {
 	shapes := map[string]string{
 		"full-scan":  "q(X, P, Y) :- t(X, P, Y)",
 		"pred-scan":  "q(X, Y) :- t(X, " + datagen.PropName(0) + ", Y)",
-		"chain3":     benchQueries["Chain3"],
-		"chain4":     benchQueries["Chain4"],
-		"star3":      benchQueries["Star3"],
-		"star4":      benchQueries["Star4"],
-		"multijoin5": benchQueries["MultiJoin5"],
-		"valuejoin":  benchQueries["ValueJoin"],
+		"chain3":     joinShapes["Chain3"],
+		"chain4":     joinShapes["Chain4"],
+		"star3":      joinShapes["Star3"],
+		"star4":      joinShapes["Star4"],
+		"multijoin5": joinShapes["MultiJoin5"],
+		"valuejoin":  joinShapes["ValueJoin"],
 		"self-loop":  "q(X) :- t(X, " + datagen.PropName(0) + ", X)",
 	}
 	check := func(label string, st *store.Store, q *cq.Query) *Relation {
@@ -89,7 +196,7 @@ func TestBatchEvalMatchesINL(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: INL oracle: %v", label, err)
 		}
-		got, err := EvalQuery(st, q)
+		got, err := Materialize(st, q)
 		if err != nil {
 			t.Fatalf("%s: pipeline: %v", label, err)
 		}
@@ -97,10 +204,10 @@ func TestBatchEvalMatchesINL(t *testing.T) {
 		return got
 	}
 	flat, sharded, dual := diffStores(t)
-	benchFlat, _ := benchShardedData(t, 1)
-	bench4, _ := benchShardedData(t, 4)
+	stdFlat, _ := standardData(t, 1)
+	std4, _ := standardData(t, 4)
 	for layout, st := range map[string]*store.Store{"flat": flat, "4-shard": sharded, "4x4-dual": dual,
-		"bench-flat": benchFlat, "bench-4-shard": bench4} {
+		"standard-flat": stdFlat, "standard-4-shard": std4} {
 		p := cq.NewParser(st.Dict())
 		for name, src := range shapes {
 			q := p.MustParseQuery(src)
@@ -111,7 +218,7 @@ func TestBatchEvalMatchesINL(t *testing.T) {
 			}
 		}
 	}
-	st, q := benchPlannerChain(t)
+	st, q := plannerChainFixture(t)
 	check("planner-chain4", st, q)
 	st, q = skewedHashJoinFixture()
 	check("skewed-hash-join", st, q)
@@ -150,8 +257,8 @@ func rewriteMatrix(seed int64) (map[algebra.ViewID]*Relation, map[string]algebra
 }
 
 // TestBatchExecuteMatchesRef is the rewriting-executor matrix: the same nine
-// plan shapes as the serial-vs-parallel differential plus the benchmark
-// fixtures' union of joins and skewed build-side join, run against the
+// plan shapes as the serial-vs-parallel differential plus the standard
+// dataset's union of joins and skewed build-side join, run against the
 // reference interpreter at DOP 1, 2 and 4, multiset-exact.
 func TestBatchExecuteMatchesRef(t *testing.T) {
 	forceParallelRewrite(t)
@@ -160,7 +267,7 @@ func TestBatchExecuteMatchesRef(t *testing.T) {
 		t.Helper()
 		want := refExecute(t, plan, views)
 		for _, dop := range []int{1, 2, 4} {
-			got, err := ExecuteWithOptions(plan, MapResolver(views), ExecOptions{DOP: dop})
+			got, err := execute(plan, MapResolver(views), ExecOptions{DOP: dop})
 			if err != nil {
 				t.Fatalf("%s dop=%d: %v", name, dop, err)
 			}
@@ -170,10 +277,10 @@ func TestBatchExecuteMatchesRef(t *testing.T) {
 	for name, plan := range plans {
 		check(name, plan, views)
 	}
-	benchViews, union := rewriteBenchFixture(t)
-	check("bench-union", union, benchViews)
-	sviews, join := buildSideFixture(benchViews)
-	check("bench-build-side", join, sviews)
+	stdViews, union := rewriteUnionFixture(t)
+	check("standard-union", union, stdViews)
+	sviews, join := buildSideFixture(stdViews)
+	check("standard-build-side", join, sviews)
 }
 
 // TestBatchAbandonedPipeline closes partially drained pipelines — serial and

@@ -34,7 +34,7 @@ func TestEvalQueryPaperExample(t *testing.T) {
 	// Painters of starryNight with a painter child, and the child's works.
 	q := p.MustParseQuery(
 		"q(X, Z) :- t(X, hasPainted, starryNight), t(X, isParentOf, Y), t(Y, hasPainted, Z)")
-	r, err := EvalQuery(st, q)
+	r, err := Materialize(st, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestEvalQueryAgainstNaive(t *testing.T) {
 		}
 		p := cq.NewParser(d)
 		q := randomConnectedQuery(rng, p, d, 1+rng.Intn(3))
-		got, err := EvalQuery(st, q)
+		got, err := Materialize(st, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func TestEvalUCQDedup(t *testing.T) {
 	p.ResetNames()
 	q2 := p.MustParseQuery("q(X) :- t(X, isParentOf, Y)")
 	u := cq.NewUCQ(q1, q2)
-	r, err := EvalUCQ(st, u)
+	r, err := MaterializeUCQ(st, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,10 +178,10 @@ func TestEvalUCQArityMismatch(t *testing.T) {
 	q1 := p.MustParseQuery("q(X) :- t(X, hasPainted, Y)")
 	p.ResetNames()
 	q2 := p.MustParseQuery("q(X, Y) :- t(X, hasPainted, Y)")
-	if _, err := EvalUCQ(st, cq.NewUCQ(q1, q2)); err == nil {
+	if _, err := MaterializeUCQ(st, cq.NewUCQ(q1, q2)); err == nil {
 		t.Fatal("arity mismatch should fail")
 	}
-	if _, err := EvalUCQ(st, cq.NewUCQ()); err == nil {
+	if _, err := MaterializeUCQ(st, cq.NewUCQ()); err == nil {
 		t.Fatal("empty union should fail")
 	}
 }
@@ -189,12 +189,13 @@ func TestEvalUCQArityMismatch(t *testing.T) {
 func TestCountHelpers(t *testing.T) {
 	st, p := paintersStore(t)
 	q := p.MustParseQuery("q(X) :- t(X, hasPainted, Y)")
-	n, err := CountQuery(st, q)
-	if err != nil || n != 4 { // u1, u2, u3, u4, u5 paint; u5 too => u1,u2,u3,u4,u5 = 5? see data
-		// Data: painters are u1, u2, u3, u4, u5 -> 5 distinct.
-		if n != 5 {
-			t.Fatalf("CountQuery = %d err=%v", n, err)
-		}
+	r, err := Materialize(st, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := r.Len()
+	if n != 5 { // painters: u1, u2, u3, u4, u5
+		t.Fatalf("Materialize = %d rows, want 5 painters", n)
 	}
 	un, err := CountUCQ(st, cq.NewUCQ(q))
 	if err != nil || un != n {
@@ -205,7 +206,7 @@ func TestCountHelpers(t *testing.T) {
 func TestRelationProjectWithConstants(t *testing.T) {
 	st, p := paintersStore(t)
 	q := p.MustParseQuery("q(X, Y) :- t(X, hasPainted, Y)")
-	r, err := EvalQuery(st, q)
+	r, err := Materialize(st, q)
 	if err != nil {
 		t.Fatal(err)
 	}

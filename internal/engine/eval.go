@@ -7,17 +7,6 @@ import (
 	"rdfviews/internal/store"
 )
 
-// EvalQuery evaluates a conjunctive query over the triple store by compiling
-// it to a physical plan (planner.go) and draining the operator pipeline
-// (pipeline.go). Results are distinct head tuples.
-func EvalQuery(st store.Reader, q *cq.Query) (*Relation, error) {
-	p, err := PlanQuery(st, q)
-	if err != nil {
-		return nil, err
-	}
-	return p.Eval()
-}
-
 // streamUCQ streams a union of conjunctive queries with set semantics: the
 // distinct union of the members' answers, aligned positionally on the head.
 func streamUCQ(st store.Reader, u *cq.UCQ) (*RowStream, error) {
@@ -32,28 +21,7 @@ func streamUCQ(st store.Reader, u *cq.UCQ) (*RowStream, error) {
 		}
 		streams[i] = p.EvalStream(ExecOptions{})
 	}
-	if len(streams) == 1 {
-		return streams[0], nil // one member: already distinct
-	}
 	return UnionStreams(streams, 64)
-}
-
-// EvalUCQ evaluates a union of conjunctive queries with set semantics.
-func EvalUCQ(st store.Reader, u *cq.UCQ) (*Relation, error) {
-	rs, err := streamUCQ(st, u)
-	if err != nil {
-		return nil, err
-	}
-	return rs.Collect()
-}
-
-// CountQuery returns the number of distinct answers of q on the store.
-func CountQuery(st store.Reader, q *cq.Query) (int, error) {
-	r, err := EvalQuery(st, q)
-	if err != nil {
-		return 0, err
-	}
-	return r.Len(), nil
 }
 
 // CountUCQ returns the number of distinct answers of the union on the store.
@@ -73,10 +41,16 @@ func CountUCQ(st store.Reader, u *cq.UCQ) (int, error) {
 	}
 }
 
-// Materialize evaluates the view (a conjunctive query) and returns its
-// extension as a relation labeled by the view's head.
+// Materialize evaluates a conjunctive query (a view, or any query) over the
+// triple store: it plans the query (planner.go), streams the operator
+// pipeline (pipeline.go) and collects the distinct head tuples into a
+// relation labeled by the head.
 func Materialize(st store.Reader, view *cq.Query) (*Relation, error) {
-	return EvalQuery(st, view)
+	p, err := PlanQuery(st, view)
+	if err != nil {
+		return nil, err
+	}
+	return p.EvalStream(ExecOptions{}).Collect()
 }
 
 // MaterializeUCQ materializes a union view: the reformulated views v′ of
@@ -84,5 +58,9 @@ func Materialize(st store.Reader, view *cq.Query) (*Relation, error) {
 // distinct answers on the non-saturated store equal the original view's
 // answers on the saturated one (Theorem 4.2).
 func MaterializeUCQ(st store.Reader, view *cq.UCQ) (*Relation, error) {
-	return EvalUCQ(st, view)
+	rs, err := streamUCQ(st, view)
+	if err != nil {
+		return nil, err
+	}
+	return rs.Collect()
 }

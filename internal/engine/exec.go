@@ -27,8 +27,8 @@ func MapResolver(m map[algebra.ViewID]*Relation) ViewResolver {
 }
 
 // ExecOptions tunes execution of both engines: the rewriting executor
-// (Execute) and the store-side pipeline (QueryPlan.EvalWithOptions). The zero
-// value is serial execution, the default everywhere.
+// (ExecuteStream) and the store-side pipeline (QueryPlan.EvalStream). The zero
+// value is serial, uncancellable execution, the default everywhere.
 type ExecOptions struct {
 	// DOP is the degree of parallelism parallel-eligible rewriting operators
 	// run at: a hash join partitions its build extent into DOP key-hash
@@ -52,59 +52,6 @@ type ExecOptions struct {
 // and copy overhead. Variable so tests can force the parallel operators on
 // small fixtures.
 var parallelRewriteMinRows = 1024.0
-
-// Execute evaluates a rewriting plan over materialized views. This is the
-// query-answering path of the three-tier deployment scenario: workload
-// queries run against the recommended views only, with no access to the
-// triple store (Section 1). The logical plan is compiled to a pipeline of
-// batch operators (operators.go) — view scans, filters, hash joins,
-// deduplicating projections and unions — and drained once; all structural
-// validation happens at compile time.
-func Execute(p algebra.Plan, resolve ViewResolver) (*Relation, error) {
-	return ExecuteWithOptions(p, resolve, ExecOptions{})
-}
-
-// ExecuteWithOptions is Execute with explicit execution options; the zero
-// value reproduces Execute exactly. With DOP > 1 large hash joins run with
-// partitioned parallel builds and fanned-out probe streams, and union
-// branches evaluate concurrently (see ExecOptions.DOP); answers are
-// identical at every DOP.
-func ExecuteWithOptions(p algebra.Plan, resolve ViewResolver, opts ExecOptions) (*Relation, error) {
-	opts.intr = newInterrupt(opts.Ctx)
-	root, _, err := compileRel(p, resolve.extent, opts)
-	if err != nil {
-		return nil, err
-	}
-	return materialize(root, opts)
-}
-
-// materialize is the materializing drain of both tiers: it pulls the root dry,
-// gathering each batch's live rows into arena-backed rows, and closes it
-// (releasing parallel workers on every exit path). A canceled opts.Ctx
-// surfaces as its error, never as a truncated relation.
-func materialize(root operator, opts ExecOptions) (*Relation, error) {
-	defer closeOp(root)
-	out := NewRelation(root.cols())
-	w := len(out.Cols)
-	var arena rowArena
-	for {
-		b, ok := root.nextBatch()
-		if !ok {
-			break
-		}
-		for _, i := range b.liveSel() {
-			row := arena.alloc(w)
-			for c := range row {
-				row[c] = b.cols[c][i]
-			}
-			out.Rows = append(out.Rows, row)
-		}
-	}
-	if err := opts.ctxErr(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
 
 // extent is the leaf source of an executing plan: the resolved view's rows,
 // which are also its exact cardinality.
@@ -327,19 +274,13 @@ func joinShape(leftCols, rightCols []cq.Term, conds []algebra.Cond) (joinShapeIn
 }
 
 // DescribePlan renders a rewriting plan's physical shape without touching
-// view extents: the plan is compiled exactly as Execute compiles it, against
-// leaves that carry only the cardinalities card supplies (may be nil), and the
-// compiled operators describe themselves. It is the explain surface for
-// rewritings, as QueryPlan.Describe is for store-level queries.
-func DescribePlan(p algebra.Plan, card func(algebra.ViewID) float64) (*algebra.PhysNode, error) {
-	return DescribePlanWithOptions(p, card, ExecOptions{})
-}
-
-// DescribePlanWithOptions is DescribePlan under explicit execution options:
-// the hash joins, unions and filters that ExecuteWithOptions would run
-// partitioned/parallel at opts.DOP given those cardinalities render their
-// degree of parallelism.
-func DescribePlanWithOptions(p algebra.Plan, card func(algebra.ViewID) float64, opts ExecOptions) (*algebra.PhysNode, error) {
+// view extents: the plan is compiled exactly as ExecuteStream compiles it under
+// opts, against leaves that carry only the cardinalities card supplies (may be
+// nil), and the compiled operators describe themselves — the hash joins,
+// unions and filters that would run partitioned or parallel at opts.DOP render
+// their degree of parallelism. It is the explain surface for rewritings, as
+// QueryPlan.Describe is for store-level queries.
+func DescribePlan(p algebra.Plan, card func(algebra.ViewID) float64, opts ExecOptions) (*algebra.PhysNode, error) {
 	root, _, err := compileRel(p, func(n *algebra.Scan) ([]Row, float64, error) {
 		if card == nil {
 			return nil, 0, nil

@@ -64,12 +64,12 @@ func TestParallelExecuteMatchesSerial(t *testing.T) {
 	forceParallelRewrite(t)
 	views, plans := rewriteMatrix(7)
 	for name, plan := range plans {
-		serial, err := Execute(plan, MapResolver(views))
+		serial, err := execute(plan, MapResolver(views), ExecOptions{})
 		if err != nil {
 			t.Fatalf("%s: serial: %v", name, err)
 		}
 		for _, dop := range []int{2, 4, 8} {
-			par, err := ExecuteWithOptions(plan, MapResolver(views), ExecOptions{DOP: dop})
+			par, err := execute(plan, MapResolver(views), ExecOptions{DOP: dop})
 			if err != nil {
 				t.Fatalf("%s dop=%d: %v", name, dop, err)
 			}
@@ -112,7 +112,7 @@ func TestParallelUnionSharedDedup(t *testing.T) {
 		algebra.NewScan(1, []cq.Term{x1, x2}),
 		algebra.NewScan(1, []cq.Term{x1, x2}),
 	)
-	r, err := ExecuteWithOptions(u, MapResolver(views), ExecOptions{DOP: 4})
+	r, err := execute(u, MapResolver(views), ExecOptions{DOP: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestDescribeParallelAnnotations(t *testing.T) {
 		algebra.NewJoin(algebra.NewScan(1, []cq.Term{x1, x2}), algebra.NewScan(2, []cq.Term{x2, x3})),
 		algebra.NewJoin(algebra.NewScan(3, []cq.Term{x1, x2}), algebra.NewScan(2, []cq.Term{x2, x3})),
 	)
-	node, err := DescribePlanWithOptions(u, card, ExecOptions{DOP: 4})
+	node, err := DescribePlan(u, card, ExecOptions{DOP: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestDescribeParallelAnnotations(t *testing.T) {
 	if !strings.Contains(out, "dop=4") || !strings.Contains(out, "dop=2") {
 		t.Fatalf("missing dop annotations:\n%s", out)
 	}
-	serial, err := DescribePlan(u, card)
+	serial, err := DescribePlan(u, card, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestDescribeParallelAnnotations(t *testing.T) {
 		algebra.NewSelect(algebra.NewScan(1, []cq.Term{x1, x2}), algebra.Cond{Left: x1, Right: x2}),
 		[]cq.Term{x2},
 	)
-	node, err = DescribePlanWithOptions(proj, card, ExecOptions{DOP: 4})
+	node, err = DescribePlan(proj, card, ExecOptions{DOP: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,15 @@ import (
 	"rdfviews/internal/store"
 )
 
+// execute runs a rewriting plan through ExecuteStream and collects it.
+func execute(p algebra.Plan, resolve ViewResolver, opts ExecOptions) (*Relation, error) {
+	rs, err := ExecuteStream(p, resolve, opts)
+	if err != nil {
+		return nil, err
+	}
+	return rs.Collect()
+}
+
 // Test fixtures: two small relations standing for materialized views.
 //
 //	v1(X1, X2): parent relation
@@ -29,7 +38,7 @@ func TestExecuteScanSelectProject(t *testing.T) {
 	scan := algebra.NewScan(1, []cq.Term{x1, x2})
 	sel := algebra.NewSelect(scan, algebra.Cond{Left: x1, Right: cq.Const(10)})
 	proj := algebra.NewProject(sel, []cq.Term{x2})
-	r, err := Execute(proj, MapResolver(views))
+	r, err := execute(proj, MapResolver(views), ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +54,7 @@ func TestExecuteNaturalJoin(t *testing.T) {
 		algebra.NewScan(1, []cq.Term{x1, x2}),
 		algebra.NewScan(2, []cq.Term{x2, x3}),
 	)
-	r, err := Execute(join, MapResolver(views))
+	r, err := execute(join, MapResolver(views), ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +78,7 @@ func TestExecuteJoinExplicitCond(t *testing.T) {
 		algebra.NewScan(2, []cq.Term{x4, x3}),
 		algebra.Cond{Left: x2, Right: x4},
 	)
-	r, err := Execute(join, MapResolver(views))
+	r, err := execute(join, MapResolver(views), ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +103,7 @@ func TestExecuteSelectColEqCol(t *testing.T) {
 	views := map[algebra.ViewID]*Relation{1: v}
 	sel := algebra.NewSelect(algebra.NewScan(1, []cq.Term{x1, x2}),
 		algebra.Cond{Left: x1, Right: x2})
-	r, err := Execute(sel, MapResolver(views))
+	r, err := execute(sel, MapResolver(views), ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +119,7 @@ func TestExecuteUnion(t *testing.T) {
 		algebra.NewScan(1, []cq.Term{x1, x2}),
 		algebra.NewScan(1, []cq.Term{x1, x2}),
 	)
-	r, err := Execute(u, MapResolver(views))
+	r, err := execute(u, MapResolver(views), ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +134,7 @@ func TestExecuteScanRepeatedLabelFilters(t *testing.T) {
 	v.Rows = []Row{{5, 5}, {5, 6}}
 	views := map[algebra.ViewID]*Relation{3: v}
 	// Scan relabels both columns to X1: implicit equality filter.
-	r, err := Execute(algebra.NewScan(3, []cq.Term{x1, x1}), MapResolver(views))
+	r, err := execute(algebra.NewScan(3, []cq.Term{x1, x1}), MapResolver(views), ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +157,7 @@ func TestExecuteErrors(t *testing.T) {
 		algebra.NewJoin(algebra.NewScan(1, []cq.Term{x1, x2}), algebra.NewScan(2, []cq.Term{x2, cq.Var(3)}), algebra.Cond{Left: cq.Var(98), Right: cq.Var(97)}),
 	}
 	for i, p := range cases {
-		if _, err := Execute(p, resolve); err == nil {
+		if _, err := execute(p, resolve, ExecOptions{}); err == nil {
 			t.Errorf("case %d (%s) should fail", i, p)
 		}
 	}
@@ -188,7 +197,7 @@ func TestExecuteJoinBuildSideChosen(t *testing.T) {
 	card := func(id algebra.ViewID) float64 { return float64(views[id].Len()) }
 
 	smallFirst := algebra.NewJoin(algebra.NewScan(1, []cq.Term{x1, x2}), algebra.NewScan(2, []cq.Term{x2, x3}))
-	node, err := DescribePlan(smallFirst, card)
+	node, err := DescribePlan(smallFirst, card, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +208,7 @@ func TestExecuteJoinBuildSideChosen(t *testing.T) {
 		t.Fatalf("join node should carry an output estimate:\n%s", node)
 	}
 	bigFirst := algebra.NewJoin(algebra.NewScan(2, []cq.Term{x2, x3}), algebra.NewScan(1, []cq.Term{x1, x2}))
-	node, err = DescribePlan(bigFirst, card)
+	node, err = DescribePlan(bigFirst, card, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +219,7 @@ func TestExecuteJoinBuildSideChosen(t *testing.T) {
 	// Answers are identical whichever side builds: compare against the
 	// reference interpreter, which has no build side.
 	for _, plan := range []algebra.Plan{smallFirst, bigFirst} {
-		chosen, err := Execute(plan, MapResolver(views))
+		chosen, err := execute(plan, MapResolver(views), ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,10 +270,10 @@ func TestExecuteEmptyProbeSkipsBuild(t *testing.T) {
 		1: NewRelation([]cq.Term{x1, x2}),
 		2: bigExtent([]cq.Term{x2, x3}, 1000),
 	}
-	r, err := Execute(algebra.NewJoin(
+	r, err := execute(algebra.NewJoin(
 		algebra.NewScan(1, []cq.Term{x1, x2}),
 		algebra.NewScan(2, []cq.Term{x2, x3}),
-	), MapResolver(views))
+	), MapResolver(views), ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

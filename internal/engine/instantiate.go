@@ -15,11 +15,11 @@ import (
 // (one steps slice plus one atomSpec per substituted atom).
 //
 // This is what makes compiled plans reusable across snapshots and across
-// parameter bindings: operator pipelines are built from p.st and the specs at
-// Eval time, so a clone carrying a fresh snapshot and the caller's concrete
-// constants executes the cached shape against current data. Join order and
-// permutations are frozen at compile time — correct for any binding, merely
-// tuned for the one that triggered compilation. Shard routing is NOT frozen:
+// parameter bindings: operator pipelines are built from p.st and the specs
+// when EvalStream runs, so a clone carrying a fresh snapshot and the caller's
+// concrete constants executes the cached shape against current data. Join
+// order and permutations are frozen at compile time — correct for any
+// binding, merely tuned for the one that triggered compilation. Shard routing is NOT frozen:
 // substitution changes which shard a bound position hashes to, so the
 // concrete route is re-resolved from the instantiated patterns at
 // pipeline-build time (buildPipeline for exchanges, the store's routed
@@ -96,7 +96,7 @@ func (c substCards) AtomCount(a cq.Atom) float64 {
 // PlanQueryParams compiles a parameterized query whose body carries sentinel
 // constants (parameter placeholders outside the dictionary's ID range),
 // estimating cardinalities as if each sentinel held its representative
-// concrete value from repr. Execute the result via Instantiate with a
+// concrete value from repr. Run the result via Instantiate with a
 // sentinel→value substitution.
 func PlanQueryParams(st store.Reader, q *cq.Query, repr map[dict.ID]dict.ID) (*QueryPlan, error) {
 	if len(repr) == 0 {

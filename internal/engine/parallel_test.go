@@ -51,11 +51,11 @@ func TestParallelScanMatchesSerial(t *testing.T) {
 	} {
 		q := p.MustParseQuery(src)
 		p.ResetNames()
-		serial, err := EvalQuery(st1, q)
+		serial, err := Materialize(st1, q)
 		if err != nil {
 			t.Fatalf("%s: serial: %v", src, err)
 		}
-		par, err := EvalQuery(st4, q)
+		par, err := Materialize(st4, q)
 		if err != nil {
 			t.Fatalf("%s: parallel: %v", src, err)
 		}
@@ -153,11 +153,11 @@ func TestGatherMergeSkewedShards(t *testing.T) {
 	if out := plan.Explain(); !strings.Contains(out, "merge=[") {
 		t.Fatalf("skewed chain should still use an ordered gather:\n%s", out)
 	}
-	serial, err := EvalQuery(st1, q)
+	serial, err := Materialize(st1, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := plan.Eval()
+	par, err := plan.EvalStream(ExecOptions{}).Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestParallelAgainstINLRandom(t *testing.T) {
 		}
 		p := cq.NewParser(d)
 		q := randomConnectedQuery(rng, p, d, 1+rng.Intn(4))
-		got, err := EvalQuery(st, q)
+		got, err := Materialize(st, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,7 +270,7 @@ func TestParallelQueriesDuringMutation(t *testing.T) {
 	}
 	p := cq.NewParser(d)
 	q := p.MustParseQuery("q(X, Y) :- t(X, stable, Y)")
-	want, err := EvalQuery(st, q)
+	want, err := Materialize(st, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestParallelQueriesDuringMutation(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		for i := 0; i < 30; i++ {
-			got, err := EvalQuery(st, q)
+			got, err := Materialize(st, q)
 			if err != nil {
 				done <- err
 				return

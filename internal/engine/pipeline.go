@@ -518,10 +518,3 @@ func (p *QueryPlan) compile(intr *interrupt) *projectOp {
 	return &projectOp{in: p.buildPipeline(intr), labels: p.head, idx: p.headSlots,
 		distinct: p.distinct, est: p.steps[0].est}
 }
-
-// EvalWithOptions is Eval under explicit execution options. A canceled
-// opts.Ctx stops the pipeline at its next checkpoint and surfaces ctx.Err().
-func (p *QueryPlan) EvalWithOptions(opts ExecOptions) (*Relation, error) {
-	opts.intr = newInterrupt(opts.Ctx)
-	return materialize(p.compile(opts.intr), opts)
-}

@@ -131,7 +131,7 @@ func TestCachedTemplateReroutesOnInstantiate(t *testing.T) {
 			diverged = true
 		}
 		before := st.PruneStats().Snapshot()
-		got, err := inst.Eval()
+		got, err := inst.EvalStream(ExecOptions{}).Collect()
 		if err != nil {
 			t.Fatalf("o%d: %v", i, err)
 		}
@@ -176,7 +176,7 @@ func TestParallelScanOverObjectSide(t *testing.T) {
 		t.Fatalf("par=%d but route %v", s0.par, route)
 	}
 	before := dual.PruneStats().Snapshot()
-	got, err := plan.Eval()
+	got, err := plan.EvalStream(ExecOptions{}).Collect()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -145,7 +145,7 @@ const buildLeftMargin = 16.0
 // left-deep pipeline of index scans, joins and sorts over the store's six
 // sorted permutations, followed by projection onto the head and — when the
 // head drops body variables — duplicate elimination. Build with PlanQuery,
-// run with Eval, render with Explain.
+// run with EvalStream, render with Explain.
 type QueryPlan struct {
 	st        store.Reader
 	steps     []planStep
@@ -601,11 +601,6 @@ func distinctSizeHint(est float64) int {
 		return distinctHintCap
 	}
 	return int(est)
-}
-
-// Eval runs the pipeline (pipeline.go) and returns the distinct head tuples.
-func (p *QueryPlan) Eval() (*Relation, error) {
-	return p.EvalWithOptions(ExecOptions{})
 }
 
 // Describe returns the physical plan tree for explain surfaces, read off the

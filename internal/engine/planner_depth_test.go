@@ -112,7 +112,7 @@ func TestPlanDepthAgainstINLShapes(t *testing.T) {
 		for _, src := range shapes {
 			q := p.MustParseQuery(src)
 			p.ResetNames()
-			got, err := EvalQuery(st, q)
+			got, err := Materialize(st, q)
 			if err != nil {
 				t.Fatalf("layout=%d/%d %s: %v", lay.subjectK, lay.objectK, src, err)
 			}
@@ -140,7 +140,7 @@ func TestPlanBuildSideChoice(t *testing.T) {
 	}
 	checkAgainstOracle := func(t *testing.T, plan *QueryPlan, q *cq.Query) {
 		t.Helper()
-		r, err := plan.Eval()
+		r, err := plan.EvalStream(ExecOptions{}).Collect()
 		if err != nil {
 			t.Fatal(err)
 		}

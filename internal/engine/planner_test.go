@@ -16,9 +16,9 @@ import (
 // assertSameAnswers checks pipeline, INL, and naive evaluation agree on q.
 func assertSameAnswers(t *testing.T, st *store.Store, q *cq.Query) {
 	t.Helper()
-	got, err := EvalQuery(st, q)
+	got, err := Materialize(st, q)
 	if err != nil {
-		t.Fatalf("EvalQuery(%s): %v", q, err)
+		t.Fatalf("Materialize(%s): %v", q, err)
 	}
 	inl, err := evalQueryINL(st, q)
 	if err != nil {
@@ -38,7 +38,7 @@ func TestPlanConstantOnlyHead(t *testing.T) {
 	tag := cq.Const(st.Dict().EncodeIRI("tag"))
 	// Head is a single constant: one row when the body matches, none when not.
 	q := &cq.Query{Head: []cq.Term{tag}, Atoms: p.MustParseQuery("q(X) :- t(X, hasPainted, starryNight)").Atoms}
-	r, err := EvalQuery(st, q)
+	r, err := Materialize(st, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestPlanConstantOnlyHead(t *testing.T) {
 	assertSameAnswers(t, st, q)
 
 	empty := &cq.Query{Head: []cq.Term{tag}, Atoms: p.MustParseQuery("q(X) :- t(X, hasPainted, tag)").Atoms}
-	r, err = EvalQuery(st, empty)
+	r, err = Materialize(st, empty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestPlanEmptyHeadBoolean(t *testing.T) {
 	st, p := paintersStore(t)
 	q := p.MustParseQuery("q(X) :- t(X, hasPainted, starryNight)")
 	boolean := &cq.Query{Head: nil, Atoms: q.Atoms}
-	r, err := EvalQuery(st, boolean)
+	r, err := Materialize(st, boolean)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestPlanEmptyHeadBoolean(t *testing.T) {
 		t.Fatalf("boolean true: got %d rows, want 1 empty row", r.Len())
 	}
 	no := &cq.Query{Head: nil, Atoms: p.MustParseQuery("q(X) :- t(X, hasPainted, nothingPaintedThis)").Atoms}
-	r, err = EvalQuery(st, no)
+	r, err = Materialize(st, no)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestPlanZeroMatches(t *testing.T) {
 	} {
 		q := p.MustParseQuery(src)
 		p.ResetNames()
-		r, err := EvalQuery(st, q)
+		r, err := Materialize(st, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func TestPlanTriangleSortBreakUsesSortMerge(t *testing.T) {
 	if !strings.Contains(out, "residual=[") {
 		t.Fatalf("two shared variables should leave a residual equality:\n%s", out)
 	}
-	r, err := plan.Eval()
+	r, err := plan.EvalStream(ExecOptions{}).Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestPlanDuplicateEliminationAcrossJoinPaths(t *testing.T) {
 	// away the intermediate variables must collapse the duplicates.
 	st, p := paintersStore(t)
 	q := p.MustParseQuery("q(X) :- t(X, isParentOf, Y), t(Y, hasPainted, Z)")
-	r, err := EvalQuery(st, q)
+	r, err := Materialize(st, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestPlanCartesianProduct(t *testing.T) {
 	if !hasCross {
 		t.Fatalf("disconnected query should cross-product, got %v", ops)
 	}
-	r, err := plan.Eval()
+	r, err := plan.EvalStream(ExecOptions{}).Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestPlanPipelineAgainstINLRandom(t *testing.T) {
 			t.Fatal(err)
 		}
 		label += " " + q.Format(st.Dict()) + "\n" + plan.Explain()
-		got, err := plan.EvalWithOptions(ExecOptions{})
+		got, err := plan.EvalStream(ExecOptions{}).Collect()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -408,7 +408,7 @@ func TestDescribePlanRendersRewriting(t *testing.T) {
 		),
 		[]cq.Term{x1, x3},
 	)
-	node, err := DescribePlan(plan, func(id algebra.ViewID) float64 { return 10 * float64(id) })
+	node, err := DescribePlan(plan, func(id algebra.ViewID) float64 { return 10 * float64(id) }, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,13 +418,13 @@ func TestDescribePlanRendersRewriting(t *testing.T) {
 			t.Errorf("DescribePlan missing %q:\n%s", want, out)
 		}
 	}
-	// The physical description must agree with Execute's operator choices on
+	// The physical description must agree with ExecuteStream's operator choices on
 	// error cases too.
-	if _, err := DescribePlan(algebra.NewUnion(), nil); err == nil {
+	if _, err := DescribePlan(algebra.NewUnion(), nil, ExecOptions{}); err == nil {
 		t.Error("empty union should fail")
 	}
 	if _, err := DescribePlan(algebra.NewSelect(
-		algebra.NewScan(1, []cq.Term{x1}), algebra.Cond{Left: cq.Var(99), Right: cq.Const(1)}), nil); err == nil {
+		algebra.NewScan(1, []cq.Term{x1}), algebra.Cond{Left: cq.Var(99), Right: cq.Const(1)}), nil, ExecOptions{}); err == nil {
 		t.Error("bad selection column should fail")
 	}
 }

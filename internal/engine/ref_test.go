@@ -194,7 +194,7 @@ const maxRefPairs = 400000
 // executor: seeded random plan trees (depth ≤ 4: repeated scan labels,
 // constant and column conditions, constant projection columns, 1–3-branch
 // unions) must produce the reference's exact row multiset through
-// ExecuteWithOptions at DOP 1, 2 and 4 and through a drained ExecuteStream.
+// ExecuteStream, collected at DOP 1, 2 and 4 and drained slab by slab.
 func TestExecuteRandomPlansMatchRef(t *testing.T) {
 	forceParallelRewrite(t)
 	rng := rand.New(rand.NewSource(41))
@@ -209,7 +209,7 @@ func TestExecuteRandomPlansMatchRef(t *testing.T) {
 		plan := g.gen(4)
 		want := refExecute(t, plan, g.views)
 		for _, dop := range []int{1, 2, 4} {
-			got, err := ExecuteWithOptions(plan, resolve, ExecOptions{DOP: dop})
+			got, err := execute(plan, resolve, ExecOptions{DOP: dop})
 			if err != nil {
 				t.Fatalf("plan %d %s dop=%d: %v", i, plan, dop, err)
 			}

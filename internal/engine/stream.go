@@ -8,14 +8,14 @@ import (
 	"rdfviews/internal/dict"
 )
 
-// The streaming drain: instead of materializing a Relation, the pipeline is
-// pulled one batch at a time and each batch is handed to the consumer as a
-// row slab. This is the serving tier's
-// backpressure path — an HTTP response encodes each slab and blocks on the
-// client's socket before the next batch is pulled, so a slow reader holds
-// O(batch) engine state, not O(result). The streams honor
-// ExecOptions.Ctx like the materializing drains: a canceled context stops the
-// pipeline at its next checkpoint and Next surfaces ctx.Err().
+// The one drain of both tiers: the pipeline is pulled one batch at a time and
+// each batch is handed to the consumer as a row slab. This is the serving
+// tier's backpressure path — an HTTP response encodes each slab and blocks on
+// the client's socket before the next batch is pulled, so a slow reader holds
+// O(batch) engine state, not O(result) — and Collect over it is the one way a
+// result becomes a Relation. The streams honor ExecOptions.Ctx: a canceled
+// context stops the pipeline at its next checkpoint and Next surfaces
+// ctx.Err().
 
 // RowStream is a pulled sequence of row slabs from a running pipeline.
 // Next returns slabs of at least one row; unless the stream says otherwise,
@@ -64,8 +64,10 @@ func (s *RowStream) Close() {
 	}
 }
 
-// Collect drains the stream into a relation and closes it: materialization
-// as a wrapper over the streaming path.
+// Collect is the one materializing drain: it pulls the stream dry into a
+// relation and closes it (releasing parallel workers on every exit path). A
+// canceled ExecOptions.Ctx surfaces as its error, never as a truncated
+// relation.
 func (s *RowStream) Collect() (*Relation, error) {
 	defer s.Close()
 	out := NewRelation(s.streamCols)
@@ -146,8 +148,15 @@ func (p *QueryPlan) EvalStream(opts ExecOptions) *RowStream {
 	return stream(root, root.est, opts)
 }
 
-// ExecuteStream runs a rewriting plan over materialized views and streams the
-// result, the streaming counterpart of ExecuteWithOptions.
+// ExecuteStream evaluates a rewriting plan over materialized views and
+// streams the result. This is the query-answering path of the three-tier
+// deployment scenario: workload queries run against the recommended views
+// only, with no access to the triple store (Section 1). The logical plan is
+// compiled to a pipeline of batch operators (operators.go) — view scans,
+// filters, hash joins, deduplicating projections and unions — and all
+// structural validation happens at compile time. With opts.DOP > 1 large hash
+// joins and unions run in parallel (see ExecOptions.DOP); answers are
+// identical at every DOP.
 func ExecuteStream(p algebra.Plan, resolve ViewResolver, opts ExecOptions) (*RowStream, error) {
 	opts.intr = newInterrupt(opts.Ctx)
 	root, est, err := compileRel(p, resolve.extent, opts)
@@ -158,14 +167,19 @@ func ExecuteStream(p algebra.Plan, resolve ViewResolver, opts ExecOptions) (*Row
 }
 
 // UnionStreams streams the set union of its member streams, deduplicating
-// across members (the streaming counterpart of the multi-member template
-// union in the serving tier). Kept rows are copied into the dedup set's
-// arena, so the union's slabs stay valid across Next calls. The set is sized
-// by unionEst, the rule a union inside a plan follows. Closing the union
-// closes every member.
+// across members: a union of conjunctive queries on the store, or the
+// serving tier's multi-member template. Every member is a distinct stream,
+// so a union of one is that member, returned unchanged (its slabs valid
+// until the next Next, as any stream's). Otherwise kept rows are copied into
+// the dedup set's arena, so the union's slabs stay valid across Next calls;
+// the set is sized by unionEst, the rule a union inside a plan follows.
+// Closing the union closes every member.
 func UnionStreams(streams []*RowStream, sizeHint int) (*RowStream, error) {
-	if len(streams) == 0 {
+	switch len(streams) {
+	case 0:
 		return nil, fmt.Errorf("engine: empty stream union")
+	case 1:
+		return streams[0], nil
 	}
 	w := len(streams[0].Cols())
 	for _, s := range streams[1:] {

@@ -35,10 +35,11 @@ func drainStream(t *testing.T, label string, s *RowStream) *Relation {
 	}
 }
 
-// TestEvalStreamMatchesEval checks the streaming store-side drain against the
-// materializing one on the standard nine shapes over flat and 4-shard stores:
-// same multiset, distinct or not, serial or exchange-parallel.
-func TestEvalStreamMatchesEval(t *testing.T) {
+// TestEvalStreamMatchesINL drains the store-side stream slab by slab on the
+// standard nine shapes over flat, 4-shard and dual stores and checks it
+// against the INL oracle: same multiset, distinct or not, serial or
+// exchange-parallel, and no empty slab.
+func TestEvalStreamMatchesINL(t *testing.T) {
 	oldMin := parallelScanMinRows
 	parallelScanMinRows = 0
 	defer func() { parallelScanMinRows = oldMin }()
@@ -46,12 +47,12 @@ func TestEvalStreamMatchesEval(t *testing.T) {
 	shapes := map[string]string{
 		"full-scan":  "q(X, P, Y) :- t(X, P, Y)",
 		"pred-scan":  "q(X, Y) :- t(X, " + datagen.PropName(0) + ", Y)",
-		"chain3":     benchQueries["Chain3"],
-		"chain4":     benchQueries["Chain4"],
-		"star3":      benchQueries["Star3"],
-		"star4":      benchQueries["Star4"],
-		"multijoin5": benchQueries["MultiJoin5"],
-		"valuejoin":  benchQueries["ValueJoin"],
+		"chain3":     joinShapes["Chain3"],
+		"chain4":     joinShapes["Chain4"],
+		"star3":      joinShapes["Star3"],
+		"star4":      joinShapes["Star4"],
+		"multijoin5": joinShapes["MultiJoin5"],
+		"valuejoin":  joinShapes["ValueJoin"],
 		"self-loop":  "q(X) :- t(X, " + datagen.PropName(0) + ", X)",
 	}
 	flat, sharded, dual := diffStores(t)
@@ -64,9 +65,9 @@ func TestEvalStreamMatchesEval(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: plan: %v", layout, name, err)
 			}
-			want, err := plan.Eval()
+			want, err := evalQueryINL(st, q)
 			if err != nil {
-				t.Fatalf("%s/%s: eval: %v", layout, name, err)
+				t.Fatalf("%s/%s: INL oracle: %v", layout, name, err)
 			}
 			got := drainStream(t, layout+"/"+name, plan.EvalStream(ExecOptions{Ctx: context.Background()}))
 			sameRows(t, layout+"/"+name+" streamed", want, got)
@@ -74,39 +75,16 @@ func TestEvalStreamMatchesEval(t *testing.T) {
 	}
 }
 
-// TestExecuteStreamMatchesExecute checks the streaming rewriting drain against
-// the materializing executor on the plan-shape matrix, serial and parallel.
-func TestExecuteStreamMatchesExecute(t *testing.T) {
+// TestExecuteStreamMatchesRef drains the rewriting stream slab by slab on the
+// plan-shape matrix, serial and parallel, and checks it against the reference
+// interpreter.
+func TestExecuteStreamMatchesRef(t *testing.T) {
 	forceParallelRewrite(t)
-	rng := rand.New(rand.NewSource(19))
-	x1, x2, x3, x4 := cq.Var(1), cq.Var(2), cq.Var(3), cq.Var(4)
-	views := map[algebra.ViewID]*Relation{
-		1: randomExtent(rng, []cq.Term{x1, x2}, 900, 140),
-		2: randomExtent(rng, []cq.Term{x2, x3}, 700, 140),
-		3: randomExtent(rng, []cq.Term{x1, x2}, 400, 140),
-		4: randomExtent(rng, []cq.Term{x3, x4}, 500, 140),
-	}
-	s1 := func() *algebra.Scan { return algebra.NewScan(1, []cq.Term{x1, x2}) }
-	s2 := func() *algebra.Scan { return algebra.NewScan(2, []cq.Term{x2, x3}) }
-	s3 := func() *algebra.Scan { return algebra.NewScan(3, []cq.Term{x1, x2}) }
-	s4 := func() *algebra.Scan { return algebra.NewScan(4, []cq.Term{x3, x4}) }
-	c := views[1].Rows[0][0]
-	plans := map[string]algebra.Plan{
-		"join":          algebra.NewJoin(s1(), s2()),
-		"join-cond":     algebra.NewJoin(s1(), s4(), algebra.Cond{Left: x2, Right: x3}),
-		"deep-join":     algebra.NewJoin(algebra.NewJoin(s1(), s2()), s4()),
-		"filter-join":   algebra.NewJoin(algebra.NewSelect(s1(), algebra.Cond{Left: x1, Right: cq.Const(c)}), s2()),
-		"project":       algebra.NewProject(algebra.NewSelect(s1(), algebra.Cond{Left: x1, Right: x2}), []cq.Term{x2}),
-		"union":         algebra.NewUnion(s1(), s3()),
-		"project-union": algebra.NewProject(algebra.NewUnion(algebra.NewJoin(s1(), s2()), algebra.NewJoin(s3(), s2())), []cq.Term{x1, x3}),
-	}
+	views, plans := rewriteMatrix(19)
 	for name, plan := range plans {
+		want := refExecute(t, plan, views)
 		for _, dop := range []int{1, 4} {
 			label := fmt.Sprintf("%s dop=%d", name, dop)
-			want, err := ExecuteWithOptions(plan, MapResolver(views), ExecOptions{DOP: dop})
-			if err != nil {
-				t.Fatalf("%s: execute: %v", label, err)
-			}
 			s, err := ExecuteStream(plan, MapResolver(views), ExecOptions{DOP: dop, Ctx: context.Background()})
 			if err != nil {
 				t.Fatalf("%s: stream compile: %v", label, err)
@@ -128,7 +106,7 @@ func TestUnionProjectStreams(t *testing.T) {
 	scan := func(id algebra.ViewID) algebra.Plan {
 		return algebra.NewProject(algebra.NewScan(id, []cq.Term{x1, x2}), []cq.Term{x1, x2})
 	}
-	want, err := Execute(algebra.NewUnion(scan(1), scan(2)), MapResolver(views))
+	want, err := execute(algebra.NewUnion(scan(1), scan(2)), MapResolver(views), ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,6 +122,33 @@ func TestUnionProjectStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameRows(t, "union streams", want, drainStream(t, "union", u))
+
+	// A union of one is its member, unchanged: it yields the member's rows,
+	// and closing it mid-stream closes the member.
+	only := mk(1)
+	one, err := UnionStreams([]*RowStream{only}, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one != only {
+		t.Fatal("a one-member union wraps its member")
+	}
+	if _, err := one.Next(); err != nil {
+		t.Fatal(err)
+	}
+	one.Close()
+	if only.stop != nil {
+		t.Fatal("closing a one-member union left its member open")
+	}
+	wantOne, err := views[1].Project([]cq.Term{x1, x2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u1, err := UnionStreams([]*RowStream{mk(1)}, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRows(t, "one-member union", wantOne, drainStream(t, "one-member union", u1))
 
 	// Permuting an already-distinct stream preserves the row count and moves
 	// the columns.
@@ -163,9 +168,10 @@ func TestUnionProjectStreams(t *testing.T) {
 	}
 }
 
-// TestExecCancelContext checks that a canceled context aborts every drain —
-// materializing and streaming, store-side and rewriting — with ctx.Err(), and
-// that the engine's cancellation checkpoints register the stop.
+// TestExecCancelContext checks that a canceled context aborts the drain —
+// collected or pulled slab by slab, store-side and rewriting — with
+// ctx.Err(), never a truncated relation, and that the engine's cancellation
+// checkpoints register the stop.
 func TestExecCancelContext(t *testing.T) {
 	flat, _, _ := diffStores(t)
 	p := cq.NewParser(flat.Dict())
@@ -178,7 +184,7 @@ func TestExecCancelContext(t *testing.T) {
 	cancel() // canceled before execution starts
 
 	before := CancelStops()
-	if _, err := plan.EvalWithOptions(ExecOptions{Ctx: ctx}); err != context.Canceled {
+	if _, err := plan.EvalStream(ExecOptions{Ctx: ctx}).Collect(); err != context.Canceled {
 		t.Fatalf("eval under canceled ctx: got %v, want context.Canceled", err)
 	}
 	if CancelStops() <= before {
@@ -189,7 +195,7 @@ func TestExecCancelContext(t *testing.T) {
 	x1, x2 := cq.Var(1), cq.Var(2)
 	views := map[algebra.ViewID]*Relation{1: randomExtent(rng, []cq.Term{x1, x2}, 5000, 100)}
 	rp := algebra.NewProject(algebra.NewScan(1, []cq.Term{x1, x2}), []cq.Term{x1, x2})
-	if _, err := ExecuteWithOptions(rp, MapResolver(views), ExecOptions{Ctx: ctx}); err != context.Canceled {
+	if _, err := execute(rp, MapResolver(views), ExecOptions{Ctx: ctx}); err != context.Canceled {
 		t.Fatalf("rewriting execute under canceled ctx: got %v, want context.Canceled", err)
 	}
 

@@ -7,10 +7,9 @@ import (
 	"rdfviews/internal/workload"
 )
 
-// Ablation sweeps the strategy × heuristic grid on one workload — the
-// design-choice ablation DESIGN.md calls out: how much of the result quality
-// comes from the strategy (DFS vs GSTR vs exhaustive), and how much from the
-// AVF/STV heuristics.
+// AblationRow is one cell of the strategy × heuristic grid Ablation sweeps on
+// one workload: how much of the result quality comes from the strategy (DFS
+// vs GSTR vs exhaustive), and how much from the AVF/STV heuristics.
 type AblationRow struct {
 	Strategy   string
 	Heuristics string

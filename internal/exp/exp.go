@@ -5,8 +5,8 @@
 //
 // Scales: the paper ran 30-minute to 3-hour searches on a 35M-triple Barton
 // dataset; the harness defaults to seconds-scale budgets over a synthetic
-// Barton-like dataset (see DESIGN.md §3 for the substitution argument), with
-// every knob exposed to run closer to paper scale.
+// Barton-like dataset, with a state budget standing in for the paper's JVM
+// heap, and exposes every knob to run closer to paper scale.
 package exp
 
 import (

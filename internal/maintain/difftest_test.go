@@ -152,7 +152,7 @@ func runDiff(ops []dOp, cfg Config) error {
 			// Stale reads are allowed mid-stream; the point is that a pinned
 			// generation executes cleanly while the refresher churns.
 			for id, v := range views {
-				if _, err := engine.Execute(algebra.NewScan(id, v.Head), mA.Resolver()); err != nil {
+				if _, err := execute(algebra.NewScan(id, v.Head), mA.Resolver()); err != nil {
 					return fmt.Errorf("step %d query v%d: %w", i, int(id), err)
 				}
 			}

@@ -282,7 +282,7 @@ func (m *Maintainer) deltaRows(r store.Reader, v *cq.Query, t store.Triple) ([]e
 		if !ok {
 			continue
 		}
-		rel, err := engine.EvalQuery(r, qb)
+		rel, err := engine.Materialize(r, qb)
 		if err != nil {
 			return nil, err
 		}
@@ -335,7 +335,7 @@ func (m *Maintainer) rederivable(r store.Reader, v *cq.Query, row engine.Row) (b
 			return false, nil
 		}
 	}
-	rel, err := engine.EvalQuery(r, q)
+	rel, err := engine.Materialize(r, q)
 	if err != nil {
 		return false, err
 	}

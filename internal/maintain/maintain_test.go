@@ -117,14 +117,14 @@ func TestResolverExecutesPlans(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := algebra.NewScan(2, views[2].Head)
-	rel, err := engine.Execute(plan, m.Resolver())
+	rel, err := execute(plan, m.Resolver())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rel.Len() != 2 {
 		t.Errorf("rows = %d", rel.Len())
 	}
-	if _, err := engine.Execute(algebra.NewScan(9, views[2].Head), m.Resolver()); err == nil {
+	if _, err := execute(algebra.NewScan(9, views[2].Head), m.Resolver()); err == nil {
 		t.Error("unknown view should fail")
 	}
 	if m.NumRows() != 3 {
@@ -210,4 +210,13 @@ func incrementalMatchesRecompute(t *testing.T, st *store.Store) {
 		}
 	}
 	_ = fmt.Sprint() // keep fmt for debugging convenience
+}
+
+// execute runs a rewriting plan through engine.ExecuteStream and collects it.
+func execute(p algebra.Plan, resolve engine.ViewResolver) (*engine.Relation, error) {
+	rs, err := engine.ExecuteStream(p, resolve, engine.ExecOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return rs.Collect()
 }

@@ -114,7 +114,7 @@ func TestAsyncMaintainConcurrentStress(t *testing.T) {
 						return
 					}
 					before := rel.Len()
-					out, err := engine.Execute(algebra.NewScan(id, v.Head), func(algebra.ViewID) (*engine.Relation, error) {
+					out, err := execute(algebra.NewScan(id, v.Head), func(algebra.ViewID) (*engine.Relation, error) {
 						return rel, nil
 					})
 					if err != nil {

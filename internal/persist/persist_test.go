@@ -119,11 +119,11 @@ u2 hasPainted irises .
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := engine.Execute(b.Plans[0], b.Resolver())
+	want, err := execute(b.Plans[0], b.Resolver())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := engine.Execute(back.Plans[0], back.Resolver())
+	got, err := execute(back.Plans[0], back.Resolver())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,4 +448,13 @@ func TestLoadDatabaseRoutesByHash(t *testing.T) {
 			t.Fatalf("object-bound count o%d: got %d, want %d", i, g, w)
 		}
 	}
+}
+
+// execute runs a rewriting plan through engine.ExecuteStream and collects it.
+func execute(p algebra.Plan, resolve engine.ViewResolver) (*engine.Relation, error) {
+	rs, err := engine.ExecuteStream(p, resolve, engine.ExecOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return rs.Collect()
 }

@@ -39,7 +39,7 @@ func BenchmarkRDF3XVersusINLJ(b *testing.B) {
 	})
 	b.Run("triple-table", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := engine.EvalQuery(st, q); err != nil {
+			if _, err := engine.Materialize(st, q); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -65,7 +65,7 @@ func TestEvaluateMatchesEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := engine.EvalQuery(st, q)
+		want, err := engine.Materialize(st, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func TestEvaluateOnGeneratedWorkload(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := engine.EvalQuery(st, q)
+		want, err := engine.Materialize(st, q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -297,11 +297,11 @@ func TestReformulateEquivalentToSaturation(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		sat := Saturate(st, s)
-		onSat, err := engine.EvalQuery(sat, q)
+		onSat, err := engine.Materialize(sat, q)
 		if err != nil {
 			t.Fatalf("trial %d eval on saturated: %v", trial, err)
 		}
-		onOrig, err := engine.EvalUCQ(st, u)
+		onOrig, err := engine.MaterializeUCQ(st, u)
 		if err != nil {
 			t.Fatalf("trial %d eval reformulation: %v", trial, err)
 		}

@@ -115,7 +115,7 @@ func TestGenerateSatisfiable(t *testing.T) {
 		if err := q.Validate(); err != nil {
 			t.Fatalf("query %d invalid: %v", i, err)
 		}
-		r, err := engine.EvalQuery(st, q)
+		r, err := engine.Materialize(st, q)
 		if err != nil {
 			t.Fatal(err)
 		}

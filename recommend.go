@@ -367,17 +367,17 @@ func (db *Database) Recommend(w *Workload, opts Options) (*Recommendation, error
 func (db *Database) answerRelation(q *cq.Query, mode Reasoning) (*engine.Relation, error) {
 	switch mode {
 	case ReasoningNone, "":
-		return engine.EvalQuery(db.st, q)
+		return engine.Materialize(db.st, q)
 	case ReasoningSaturate:
 		schema := reason.NewSchema(db.schema, db.st.Dict())
-		return engine.EvalQuery(reason.Saturate(db.st, schema), q)
+		return engine.Materialize(reason.Saturate(db.st, schema), q)
 	case ReasoningPost, ReasoningPre:
 		schema := reason.NewSchema(db.schema, db.st.Dict())
 		u, err := reason.Reformulate(q, schema, 0)
 		if err != nil {
 			return nil, err
 		}
-		return engine.EvalUCQ(db.st, u)
+		return engine.MaterializeUCQ(db.st, u)
 	}
 	return nil, fmt.Errorf("rdfviews: unknown reasoning mode %q", mode)
 }
