@@ -7,7 +7,7 @@
 //
 //	rdfviews -data data.nt -queries workload.cq [-schema schema.nt] \
 //	         [-strategy dfs] [-reasoning post] [-timeout 10s] [-answer] \
-//	         [-explain-physical] [-shards 4] [-exec-dop 4] \
+//	         [-explain-physical] [-shards 4] \
 //	         [-updates updates.nt] [-async-maintain 1024] [-stale-reads wait-fresh] \
 //	         [-cache-stats]
 //
@@ -19,15 +19,10 @@
 // Large index scans then fan out across the shards on worker goroutines —
 // the Gather/ParallelScan operators visible under -explain-physical — using
 // one core per shard when available; updates touch only the owning shard's
-// indexes. The default (1) is the classic single-table layout.
-//
-// -exec-dop N parallelizes rewriting execution over the view extents — the
-// answering tier: large hash joins partition their build extent into N
-// key-hash partitions built concurrently and fan their probe streams out over
-// N workers, and union branches of reformulated rewritings evaluate
-// concurrently. Join build sides are cost-chosen from the extent
-// cardinalities either way (visible as build=left/right under
-// -explain-physical). The default (1) is serial execution.
+// indexes. The default (1) is the classic single-table layout. Rewriting
+// execution over the view extents — the answering tier — is serial, its
+// hash joins building the side chosen from the extent cardinalities
+// (build=left/right under -explain-physical).
 //
 // -updates streams triple updates through the maintained views (one triple
 // per line, inserted; a "- " prefix deletes). -async-maintain N maintains
@@ -50,13 +45,19 @@
 // with per-request deadlines and admission control, /stats reports the
 // request and plan-cache ledgers. SIGINT/SIGTERM drains in-flight requests
 // and exits. Implies the live maintenance path.
+//
+// A command line with an unknown flag, a malformed value or a -stale-reads
+// outside its vocabulary exits with status 2 before anything runs; a failed
+// run exits with status 1.
 package main
 
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -67,42 +68,82 @@ import (
 	"rdfviews/internal/server"
 )
 
+// config is one parsed command line.
+type config struct {
+	dataPath, schemaPath, queryPath string
+	strategy, reasoning             string
+	timeout                         time.Duration
+	answer                          bool
+	maxRows                         int
+	explainPhy                      bool
+	shards, objShards               int
+	updates                         string
+	asyncQueue                      int
+	staleReads                      rdfviews.StaleReadPolicy
+	cacheStats                      bool
+	serveAddr                       string
+}
+
+// parseFlags parses the command line. It returns the config to run, or nil
+// and the exit status: 0 after -h, 2 for a command line the flag set rejects
+// (reported on stderr) or one missing -data or -queries.
+func parseFlags(args []string, stderr io.Writer) (*config, int) {
+	fs := flag.NewFlagSet("rdfviews", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	c := &config{}
+	fs.StringVar(&c.dataPath, "data", "", "N-Triples data file (required)")
+	fs.StringVar(&c.schemaPath, "schema", "", "RDFS statements file (optional)")
+	fs.StringVar(&c.queryPath, "queries", "", "workload file, one query per line (required)")
+	fs.StringVar(&c.strategy, "strategy", "dfs", "dfs|gstr|exnaive|exstr|pruning|greedy|heuristic")
+	fs.StringVar(&c.reasoning, "reasoning", "", "none|saturate|post|pre (default: post when a schema is present)")
+	fs.DurationVar(&c.timeout, "timeout", 10*time.Second, "search time budget (stoptime)")
+	fs.BoolVar(&c.answer, "answer", false, "materialize the views and print each query's answers")
+	fs.IntVar(&c.maxRows, "maxrows", 10, "max answer rows to print per query")
+	fs.BoolVar(&c.explainPhy, "explain-physical", false, "print the physical plans: view materialization pipelines (scan permutations, merge/sort/hash joins with build sides and row estimates) and rewriting operator trees")
+	fs.IntVar(&c.shards, "shards", 1, "hash-partition the triple store across N shards (by subject); >1 parallelizes large scans across cores")
+	fs.IntVar(&c.objShards, "object-shards", 0, "additionally replicate the store across N object-hash shards: placement routing then serves object-bound patterns from one shard instead of fanning out (0 = subject partitioning only)")
+	fs.StringVar(&c.updates, "updates", "", "stream triple updates through the maintained views: one triple per line inserts, a '- ' prefix deletes")
+	fs.IntVar(&c.asyncQueue, "async-maintain", 0, "maintain views asynchronously behind a change queue of this depth (0 = synchronous maintenance)")
+	fs.Func("stale-reads", "answering policy over asynchronously maintained views: serve-stale|wait-fresh (default serve-stale)", func(s string) error {
+		for _, p := range []rdfviews.StaleReadPolicy{rdfviews.ServeStale, rdfviews.WaitFresh} {
+			if s == p.String() {
+				c.staleReads = p
+				return nil
+			}
+		}
+		return errors.New("want serve-stale|wait-fresh")
+	})
+	fs.BoolVar(&c.cacheStats, "cache-stats", false, "answer the workload through the serving-tier plan cache and print the hit/miss/eviction/compile-time ledger")
+	fs.StringVar(&c.serveAddr, "serve", "", "serve SPARQL over HTTP on this address (e.g. :8080): GET/POST /sparql streams results over the maintained views, /stats reports the ledgers")
+	switch err := fs.Parse(args); {
+	case errors.Is(err, flag.ErrHelp):
+		return nil, 0
+	case err != nil:
+		return nil, 2
+	}
+	if c.dataPath == "" || c.queryPath == "" {
+		fs.Usage()
+		return nil, 2
+	}
+	return c, 0
+}
+
 func main() {
-	var (
-		dataPath   = flag.String("data", "", "N-Triples data file (required)")
-		schemaPath = flag.String("schema", "", "RDFS statements file (optional)")
-		queryPath  = flag.String("queries", "", "workload file, one query per line (required)")
-		strategy   = flag.String("strategy", "dfs", "dfs|gstr|exnaive|exstr|pruning|greedy|heuristic")
-		reasoning  = flag.String("reasoning", "", "none|saturate|post|pre (default: post when a schema is present)")
-		timeout    = flag.Duration("timeout", 10*time.Second, "search time budget (stoptime)")
-		answer     = flag.Bool("answer", false, "materialize the views and print each query's answers")
-		maxRows    = flag.Int("maxrows", 10, "max answer rows to print per query")
-		explainPhy = flag.Bool("explain-physical", false, "print the physical plans: view materialization pipelines (scan permutations, merge/sort/hash joins with build sides and row estimates) and rewriting operator trees")
-		shards     = flag.Int("shards", 1, "hash-partition the triple store across N shards (by subject); >1 parallelizes large scans across cores")
-		objShards  = flag.Int("object-shards", 0, "additionally replicate the store across N object-hash shards: placement routing then serves object-bound patterns from one shard instead of fanning out (0 = subject partitioning only)")
-		execDOP    = flag.Int("exec-dop", 1, "degree of parallelism for rewriting execution over view extents: >1 runs large hash joins with partitioned parallel builds and fanned probe streams, and evaluates union branches concurrently")
-		updates    = flag.String("updates", "", "stream triple updates through the maintained views: one triple per line inserts, a '- ' prefix deletes")
-		asyncQueue = flag.Int("async-maintain", 0, "maintain views asynchronously behind a change queue of this depth (0 = synchronous maintenance)")
-		staleReads = flag.String("stale-reads", "serve-stale", "answering policy over asynchronously maintained views: serve-stale|wait-fresh")
-		cacheStats = flag.Bool("cache-stats", false, "answer the workload through the serving-tier plan cache and print the hit/miss/eviction/compile-time ledger")
-		serveAddr  = flag.String("serve", "", "serve SPARQL over HTTP on this address (e.g. :8080): GET/POST /sparql streams results over the maintained views, /stats reports the ledgers")
-	)
-	flag.Parse()
-	if *dataPath == "" || *queryPath == "" {
-		flag.Usage()
-		os.Exit(2)
+	c, code := parseFlags(os.Args[1:], os.Stderr)
+	if c == nil {
+		os.Exit(code)
 	}
 
-	db := rdfviews.NewDatabaseDual(*shards, *objShards)
-	if err := loadFile(db, *dataPath, false); err != nil {
+	db := rdfviews.NewDatabaseDual(c.shards, c.objShards)
+	if err := loadFile(db, c.dataPath, false); err != nil {
 		fatal(err)
 	}
-	if *schemaPath != "" {
-		if err := loadFile(db, *schemaPath, true); err != nil {
+	if c.schemaPath != "" {
+		if err := loadFile(db, c.schemaPath, true); err != nil {
 			fatal(err)
 		}
 	}
-	queryText, err := os.ReadFile(*queryPath)
+	queryText, err := os.ReadFile(c.queryPath)
 	if err != nil {
 		fatal(err)
 	}
@@ -114,9 +155,9 @@ func main() {
 		db.NumTriples(), db.SchemaSize(), w.Len())
 
 	rec, err := db.Recommend(w, rdfviews.Options{
-		Strategy:  rdfviews.Strategy(*strategy),
-		Reasoning: rdfviews.Reasoning(*reasoning),
-		Timeout:   *timeout,
+		Strategy:  rdfviews.Strategy(c.strategy),
+		Reasoning: rdfviews.Reasoning(c.reasoning),
+		Timeout:   c.timeout,
 	})
 	if err != nil {
 		fatal(err)
@@ -137,72 +178,59 @@ func main() {
 		fmt.Printf("  q%d = %s\n", i+1, r)
 	}
 
-	if *explainPhy {
+	if c.explainPhy {
 		fmt.Println()
-		if *execDOP > 1 {
-			fmt.Print(rec.ExplainPhysicalDOP(*execDOP))
-		} else {
-			fmt.Print(rec.ExplainPhysical())
-		}
+		fmt.Print(rec.ExplainPhysical())
 	}
 
 	switch {
-	case *updates != "" || *asyncQueue > 0 || *cacheStats || *serveAddr != "":
+	case c.updates != "" || c.asyncQueue > 0 || c.cacheStats || c.serveAddr != "":
 		// Live maintenance path: updates stream through the maintainer and
 		// -answer runs over the maintained (possibly lagging) extents.
-		policy := rdfviews.ServeStale
-		switch *staleReads {
-		case "serve-stale":
-		case "wait-fresh":
-			policy = rdfviews.WaitFresh
-		default:
-			fatal(fmt.Errorf("unknown -stale-reads %q (serve-stale|wait-fresh)", *staleReads))
-		}
 		lv, err := rec.MaintainWithOptions(rdfviews.MaintainOptions{
-			QueueDepth: *asyncQueue,
-			StaleReads: policy,
-			ExecDOP:    *execDOP,
+			QueueDepth: c.asyncQueue,
+			StaleReads: c.staleReads,
 		})
 		if err != nil {
 			fatal(err)
 		}
 		mode := "synchronously"
 		if lv.Async() {
-			mode = fmt.Sprintf("asynchronously (queue depth %d, %s reads)", *asyncQueue, policy)
+			mode = fmt.Sprintf("asynchronously (queue depth %d, %s reads)", c.asyncQueue, c.staleReads)
 		}
 		fmt.Printf("\nmaintaining %d views %s: %d rows\n", rec.NumViews(), mode, lv.NumRows())
-		if *updates != "" {
-			if err := streamUpdates(lv, *updates); err != nil {
+		if c.updates != "" {
+			if err := streamUpdates(lv, c.updates); err != nil {
 				fatal(err)
 			}
 		}
-		if *answer {
-			if *cacheStats {
-				answerAdHoc(workloadLines(string(queryText)), *maxRows, lv.AnswerQuery)
+		if c.answer {
+			if c.cacheStats {
+				texts := workloadLines(string(queryText))
+				printAnswers(len(texts), c.maxRows, func(i int) ([][]string, error) { return lv.AnswerQuery(texts[i]) })
 			} else {
-				answerQueries(w.Len(), *maxRows, lv.Answer)
+				printAnswers(w.Len(), c.maxRows, lv.Answer)
 			}
 		}
-		if *cacheStats {
+		if c.cacheStats {
 			fmt.Printf("\nplan cache: %s\n", lv.CacheStats())
 			fmt.Printf("shard pruning: %s\n", lv.PruneStats())
 		}
-		if *serveAddr != "" {
-			if err := serveHTTP(lv, *serveAddr); err != nil {
+		if c.serveAddr != "" {
+			if err := serveHTTP(lv, c.serveAddr); err != nil {
 				fatal(err)
 			}
 		}
 		if err := lv.Close(); err != nil {
 			fatal(err)
 		}
-	case *answer:
+	case c.answer:
 		mat, err := rec.Materialize()
 		if err != nil {
 			fatal(err)
 		}
-		mat.ExecDOP = *execDOP
 		fmt.Printf("\nmaterialized %d rows (%d bytes)\n", mat.NumRows(), mat.SizeBytes())
-		answerQueries(w.Len(), *maxRows, mat.Answer)
+		printAnswers(w.Len(), c.maxRows, mat.Answer)
 	}
 }
 
@@ -304,30 +332,12 @@ func streamUpdates(lv *rdfviews.LiveViews, path string) error {
 	return nil
 }
 
-// answerQueries prints every workload query's answers through the given
-// answering surface (materialized or live views).
-func answerQueries(n, maxRows int, answer func(int) ([][]string, error)) {
+// printAnswers prints the answers of queries 0..n-1, at most maxRows rows
+// each, through the given answering surface: materialized or live views, or
+// the serving tier's plan cache by query text.
+func printAnswers(n, maxRows int, answer func(int) ([][]string, error)) {
 	for i := 0; i < n; i++ {
 		rows, err := answer(i)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\nq%d: %d answers\n", i+1, len(rows))
-		for j, row := range rows {
-			if j >= maxRows {
-				fmt.Printf("  ... (%d more)\n", len(rows)-j)
-				break
-			}
-			fmt.Printf("  %v\n", row)
-		}
-	}
-}
-
-// answerAdHoc answers each workload query by text through the serving-tier
-// surface — the path that consults the plan cache.
-func answerAdHoc(texts []string, maxRows int, answer func(string) ([][]string, error)) {
-	for i, q := range texts {
-		rows, err := answer(q)
 		if err != nil {
 			fatal(err)
 		}

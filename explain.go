@@ -107,19 +107,7 @@ func (r *Recommendation) Explain() string {
 // and for each rewriting, the streaming operator tree it executes over the
 // materialized views. This is the physical counterpart of the logical
 // rewritings shown by Explain.
-func (r *Recommendation) ExplainPhysical() string { return r.explainPhysical(engine.ExecOptions{}) }
-
-// ExplainPhysicalDOP renders the same report with rewriting execution
-// planned at the given degree of parallelism: hash joins whose inputs are
-// large enough to run with partitioned parallel builds and fanned probe
-// streams, and unions whose branches would evaluate concurrently, are
-// annotated dop=N. View-materialization plans are unaffected (their
-// parallelism comes from store sharding).
-func (r *Recommendation) ExplainPhysicalDOP(dop int) string {
-	return r.explainPhysical(engine.ExecOptions{DOP: dop})
-}
-
-func (r *Recommendation) explainPhysical(opts engine.ExecOptions) string {
+func (r *Recommendation) ExplainPhysical() string {
 	var sb strings.Builder
 	sb.WriteString("physical plans:\n")
 	sb.WriteString("  view materialization (over the store):\n")
@@ -141,7 +129,7 @@ func (r *Recommendation) explainPhysical(opts engine.ExecOptions) string {
 	sb.WriteString("  rewriting execution (over the views):\n")
 	for i, p := range r.state.Plans {
 		fmt.Fprintf(&sb, "    q%d:\n", i+1)
-		node, err := engine.DescribePlan(p, card, opts)
+		node, err := engine.DescribePlan(p, card)
 		if err != nil {
 			fmt.Fprintf(&sb, "      (unplannable: %v)\n", err)
 			continue

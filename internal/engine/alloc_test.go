@@ -97,7 +97,7 @@ func TestVecRelScanSteadyStateZeroAlloc(t *testing.T) {
 		rel.Rows = append(rel.Rows, Row{dict.ID(i + 1), dict.ID(i%97 + 1)})
 	}
 	resolve := MapResolver(map[algebra.ViewID]*Relation{1: rel})
-	root, _, err := compileRel(algebra.NewScan(1, head), resolve.extent, ExecOptions{})
+	root, _, err := compileRel(algebra.NewScan(1, head), resolve.extent, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

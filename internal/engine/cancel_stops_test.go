@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"rdfviews/internal/algebra"
 	"rdfviews/internal/cq"
@@ -26,7 +27,6 @@ func TestCancelStopsAccounting(t *testing.T) {
 	oldMin := parallelScanMinRows
 	parallelScanMinRows = 0
 	defer func() { parallelScanMinRows = oldMin }()
-	forceParallelRewrite(t)
 
 	flat, sharded, _ := diffStores(t)
 	fullScan := "q(X, P, Y) :- t(X, P, Y)"
@@ -114,9 +114,9 @@ func TestCancelStopsAccounting(t *testing.T) {
 	s1 := func() *algebra.Scan { return algebra.NewScan(1, []cq.Term{x1, x2}) }
 	s2 := func() *algebra.Scan { return algebra.NewScan(2, []cq.Term{x2, x3}) }
 	s3 := func() *algebra.Scan { return algebra.NewScan(3, []cq.Term{x1, x2}) }
-	execStream := func(t *testing.T, p algebra.Plan, dop int, ctx context.Context) *RowStream {
+	execStream := func(t *testing.T, p algebra.Plan, ctx context.Context) *RowStream {
 		t.Helper()
-		s, err := ExecuteStream(p, MapResolver(views), ExecOptions{DOP: dop, Ctx: ctx})
+		s, err := ExecuteStream(p, MapResolver(views), ExecOptions{Ctx: ctx})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,29 +153,17 @@ func TestCancelStopsAccounting(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			p := algebra.NewProject(algebra.NewScan(1, []cq.Term{x1, x2}), []cq.Term{x2, x1})
-			return drainStreamMidCancel(t, execStream(t, p, 1, ctx), cancel)
+			return drainStreamMidCancel(t, execStream(t, p, ctx), cancel)
 		}},
 		{"rewrite/hash-join", func(t *testing.T) error {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			return drainStreamMidCancel(t, execStream(t, algebra.NewJoin(s1(), s2()), 1, ctx), cancel)
-		}},
-		{"rewrite/parallel-hash-join", func(t *testing.T) error {
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			return drainStreamMidCancel(t, execStream(t, algebra.NewJoin(s1(), s2()), 4, ctx), cancel)
+			return drainStreamMidCancel(t, execStream(t, algebra.NewJoin(s1(), s2()), ctx), cancel)
 		}},
 		{"rewrite/union", func(t *testing.T) error {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			return drainStreamMidCancel(t, execStream(t, algebra.NewUnion(s1(), s3()), 1, ctx), cancel)
-		}},
-		// The merged exchange under a parallel union: its consumer-side
-		// checkpoint must not deliver the batches the workers left buffered.
-		{"rewrite/parallel-union", func(t *testing.T) error {
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			return drainStreamMidCancel(t, execStream(t, algebra.NewUnion(s1(), s3(), s1(), s3()), 4, ctx), cancel)
+			return drainStreamMidCancel(t, execStream(t, algebra.NewUnion(s1(), s3()), ctx), cancel)
 		}},
 
 		// Serving-tier stream combinators: the cancel is observed by the one
@@ -185,8 +173,8 @@ func TestCancelStopsAccounting(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			u, err := UnionStreams([]*RowStream{
-				execStream(t, s1(), 1, ctx),
-				execStream(t, s3(), 1, ctx),
+				execStream(t, s1(), ctx),
+				execStream(t, s3(), ctx),
 			}, 64)
 			if err != nil {
 				t.Fatal(err)
@@ -233,6 +221,20 @@ func TestCancelStopsAccounting(t *testing.T) {
 			}
 			waitGoroutines(t, base)
 		})
+	}
+}
+
+// waitGoroutines fails the test unless the goroutine count returns to base:
+// close() on an exchange returns only after its workers have exited, so at
+// most the channel-closing helpers are still winding down.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still running, %d before the execution", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -13,9 +13,43 @@ import (
 )
 
 // Executor-vs-reference differentials: the batch operators must reproduce
-// their reference's exact row multiset on every shape, store layout and DOP.
+// their reference's exact row multiset on every shape and store layout.
 // Store-side plans are checked against evalQueryINL (inl.go), rewriting plans
 // against refExecute (ref_test.go); neither shares code with the operators.
+
+// randomExtent builds an n-row extent with values drawn from a bounded
+// domain, so joins match and unions overlap.
+func randomExtent(rng *rand.Rand, cols []cq.Term, n, domain int) *Relation {
+	r := NewRelation(cols)
+	for i := 0; i < n; i++ {
+		row := make(Row, len(cols))
+		for j := range row {
+			row[j] = dict.ID(rng.Intn(domain) + 1)
+		}
+		r.Rows = append(r.Rows, row)
+	}
+	return r
+}
+
+// sameRows asserts two relations hold exactly the same rows with the same
+// multiplicities (order-insensitive) — stronger than EqualAsSet, because an
+// operator must reproduce its reference's multiset, not just its distinct
+// rows.
+func sameRows(t *testing.T, label string, want, got *Relation) {
+	t.Helper()
+	if want.Len() != got.Len() {
+		t.Fatalf("%s: want %d rows, got %d rows", label, want.Len(), got.Len())
+	}
+	a := &Relation{Cols: want.Cols, Rows: append([]Row(nil), want.Rows...)}
+	b := &Relation{Cols: got.Cols, Rows: append([]Row(nil), got.Rows...)}
+	a.SortRows()
+	b.SortRows()
+	for i := range a.Rows {
+		if !rowsEqual(a.Rows[i], b.Rows[i]) {
+			t.Fatalf("%s: row %d differs: %v vs %v", label, i, a.Rows[i], b.Rows[i])
+		}
+	}
+}
 
 // diffStores builds the flat, 4-shard and 4×4 dual-partitioned variants of
 // the standard 20k-triple dataset, with a few self-loop edges added so the
@@ -256,23 +290,19 @@ func rewriteMatrix(seed int64) (map[algebra.ViewID]*Relation, map[string]algebra
 	}
 }
 
-// TestBatchExecuteMatchesRef is the rewriting-executor matrix: the same nine
-// plan shapes as the serial-vs-parallel differential plus the standard
-// dataset's union of joins and skewed build-side join, run against the
-// reference interpreter at DOP 1, 2 and 4, multiset-exact.
+// TestBatchExecuteMatchesRef is the rewriting-executor matrix: the nine plan
+// shapes of rewriteMatrix plus the standard dataset's union of joins and
+// skewed build-side join, run against the reference interpreter,
+// multiset-exact.
 func TestBatchExecuteMatchesRef(t *testing.T) {
-	forceParallelRewrite(t)
 	views, plans := rewriteMatrix(19)
 	check := func(name string, plan algebra.Plan, views map[algebra.ViewID]*Relation) {
 		t.Helper()
-		want := refExecute(t, plan, views)
-		for _, dop := range []int{1, 2, 4} {
-			got, err := execute(plan, MapResolver(views), ExecOptions{DOP: dop})
-			if err != nil {
-				t.Fatalf("%s dop=%d: %v", name, dop, err)
-			}
-			sameRows(t, fmt.Sprintf("%s dop=%d", name, dop), want, got)
+		got, err := execute(plan, MapResolver(views), ExecOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
+		sameRows(t, name, refExecute(t, plan, views), got)
 	}
 	for name, plan := range plans {
 		check(name, plan, views)
@@ -283,11 +313,10 @@ func TestBatchExecuteMatchesRef(t *testing.T) {
 	check("standard-build-side", join, sviews)
 }
 
-// TestBatchAbandonedPipeline closes partially drained pipelines — serial and
-// parallel, both executors — and checks every worker is released (the race
-// detector and goroutine scheduler catch leaks).
+// TestBatchAbandonedPipeline closes partially drained pipelines — a
+// rewriting and a sharded store-side scan — and checks every worker is
+// released (the race detector and goroutine scheduler catch leaks).
 func TestBatchAbandonedPipeline(t *testing.T) {
-	forceParallelRewrite(t)
 	rng := rand.New(rand.NewSource(23))
 	x1, x2, x3 := cq.Var(1), cq.Var(2), cq.Var(3)
 	views := map[algebra.ViewID]*Relation{
@@ -298,7 +327,7 @@ func TestBatchAbandonedPipeline(t *testing.T) {
 		algebra.NewJoin(algebra.NewScan(1, []cq.Term{x1, x2}), algebra.NewScan(2, []cq.Term{x2, x3})),
 		algebra.NewJoin(algebra.NewScan(1, []cq.Term{x1, x2}), algebra.NewScan(2, []cq.Term{x2, x3})),
 	)
-	root, _, err := compileRel(plan, MapResolver(views).extent, ExecOptions{DOP: 4})
+	root, _, err := compileRel(plan, MapResolver(views).extent, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,20 +8,19 @@ import (
 	"rdfviews/internal/store"
 )
 
-// Exchange operators: when the store is sharded, the planner replaces the
-// driving index scan of a pipeline with a fan-out that opens one shard-local
-// cursor per partition on its own goroutine. Shard workers decode and bind
-// whole column batches and hand each one over a channel in a single send, and
-// the batches themselves are leased from a shared batchPool, recycled by the
-// consumer as it advances, so steady-state parallel scans allocate nothing
-// per batch.
+// Exchange operators, the engine's only parallelism: when the store is
+// sharded, the planner replaces the driving index scan of a pipeline with a
+// fan-out that opens one shard-local cursor per partition of the placement
+// route on its own goroutine. Shard workers decode and bind whole column
+// batches and hand each one over a channel in a single send, and the batches
+// themselves are leased from a shared batchPool, recycled by the consumer as
+// it advances, so steady-state parallel scans allocate nothing per batch.
 //
 // Two gather shapes exist, mirroring classic exchange operators:
 //
 //   - exchangeOp collects batches from all workers over one channel in
 //     arrival order — used when nothing downstream depends on the scan's
-//     sort order (hash joins, plain projection). The rewriting executor fans
-//     out through the same operator (newRelExchange, exec_parallel.go);
+//     sort order (hash joins, plain projection);
 //   - gatherMergeOp keeps one channel per worker and merges their streams
 //     on the pipeline's sort slot. Each shard cursor emits in permutation
 //     order, so the merge restores the global order a downstream merge join
@@ -64,24 +63,17 @@ func scanShard(st store.Reader, route store.Route, k int, spec *atomSpec, pool *
 	}
 }
 
-// exchangeOp is the unordered fan-in: workers goroutines each run produce,
-// all feeding a single channel of pooled batches; batches surface in whatever
-// order the workers produce them (output order is immaterial under set
-// semantics) and return to the pool when the consumer advances. Over a driving
-// index scan the producers are shard scans (newShardExchange); over any other
-// operator they drain the independent streams it splits into
-// (newRelExchange).
+// exchangeOp is the unordered parallel scan: one worker per shard of the
+// placement route, all feeding a single channel of pooled batches; batches
+// surface in whatever order the workers produce them (output order is
+// immaterial under set semantics) and return to the pool when the consumer
+// advances.
 type exchangeOp struct {
-	labels  []cq.Term
-	workers int
-	// produce is the body of worker k: it sends non-empty pool batches on ch
-	// until its share of the input is drained, done closes or intr fires.
-	produce func(k int)
-	// over (newRelExchange only) is the operator the exchange parallelizes,
-	// split into sources when the first batch is pulled; both close with it.
-	over    operator
-	sources []operator
-	intr    *interrupt
+	st    store.Reader
+	spec  *atomSpec
+	route store.Route // placement route the workers fan out over
+	dop   int
+	intr  *interrupt
 
 	started bool
 	closed  bool
@@ -91,29 +83,18 @@ type exchangeOp struct {
 	cur     *batch // the batch currently on loan to the consumer
 }
 
-// newShardExchange is the unordered parallel scan: one worker per shard of
-// the placement route.
-func newShardExchange(st store.Reader, route store.Route, spec *atomSpec, dop int, intr *interrupt) *exchangeOp {
-	e := &exchangeOp{labels: spec.vars, workers: dop, intr: intr}
-	e.produce = func(k int) { scanShard(st, route, k, spec, e.pool, e.ch, e.done, intr) }
-	return e
-}
-
-func (e *exchangeOp) cols() []cq.Term { return e.labels }
+func (e *exchangeOp) cols() []cq.Term { return e.spec.vars }
 
 func (e *exchangeOp) start() {
-	if e.over != nil {
-		e.splitSources()
-	}
 	e.done = make(chan struct{})
-	e.ch = make(chan *batch, e.workers)
-	e.pool = newBatchPool(len(e.labels))
+	e.ch = make(chan *batch, e.dop)
+	e.pool = newBatchPool(len(e.spec.binds))
 	var wg sync.WaitGroup
-	for k := 0; k < e.workers; k++ {
+	for k := 0; k < e.dop; k++ {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			e.produce(k)
+			scanShard(e.st, e.route, k, e.spec, e.pool, e.ch, e.done, e.intr)
 		}(k)
 	}
 	go func() {
@@ -157,10 +138,6 @@ func (e *exchangeOp) close() {
 		e.pool.releaseAll()
 	}
 	e.closed = true
-	for _, s := range e.sources {
-		closeOp(s)
-	}
-	closeOp(e.over)
 }
 
 // shardStream is one worker's batch stream with its merge position.

@@ -28,30 +28,15 @@ func MapResolver(m map[algebra.ViewID]*Relation) ViewResolver {
 
 // ExecOptions tunes execution of both engines: the rewriting executor
 // (ExecuteStream) and the store-side pipeline (QueryPlan.EvalStream). The zero
-// value is serial, uncancellable execution, the default everywhere.
+// value is uncancellable execution, the default everywhere. Rewriting
+// execution is serial; the only parallelism is the shard exchange the
+// store-side planner chooses from the placement route (exchange.go).
 type ExecOptions struct {
-	// DOP is the degree of parallelism parallel-eligible rewriting operators
-	// run at: a hash join partitions its build extent into DOP key-hash
-	// partitions built concurrently and fans its probe stream out over DOP
-	// worker goroutines; a union evaluates up to DOP branches concurrently.
-	// 0 or 1 keeps every operator serial.
-	DOP int
-
 	// Ctx, when non-nil, cancels the execution: operators poll its Done
 	// channel at per-batch checkpoints and stop scanning, and the drain
 	// surfaces ctx.Err(). nil (the zero value) executes to completion.
 	Ctx context.Context
-
-	// intr is the per-execution cancellation token derived from Ctx by the
-	// entry points (cancel.go); compile recursions thread it by value.
-	intr *interrupt
 }
-
-// parallelRewriteMinRows is the estimated operator input size below which
-// fanning rewriting execution out over goroutines is not worth the channel
-// and copy overhead. Variable so tests can force the parallel operators on
-// small fixtures.
-var parallelRewriteMinRows = 1024.0
 
 // extent is the leaf source of an executing plan: the resolved view's rows,
 // which are also its exact cardinality.
@@ -72,9 +57,11 @@ func (resolve ViewResolver) extent(n *algebra.Scan) ([]Row, float64, error) {
 // cardinality — exact when executing; Explain supplies cardinalities alone,
 // which costs nothing because operators touch their input only when pulled.
 // Inner estimates use the same containment-style arithmetic the store planner
-// uses. The estimates drive the hash joins' cost-chosen build sides, the dedup
-// size hints and the parallel-operator thresholds.
-func compileRel(p algebra.Plan, extent func(*algebra.Scan) ([]Row, float64, error), opts ExecOptions) (operator, float64, error) {
+// uses. The estimates drive the hash joins' cost-chosen build sides and the
+// dedup size hints. intr (nil for uncancellable executions) reaches the
+// operators that loop without returning control: view scans and hash-join
+// build drains.
+func compileRel(p algebra.Plan, extent func(*algebra.Scan) ([]Row, float64, error), intr *interrupt) (operator, float64, error) {
 	switch n := p.(type) {
 	case *algebra.Scan:
 		rows, card, err := extent(n)
@@ -83,9 +70,9 @@ func compileRel(p algebra.Plan, extent func(*algebra.Scan) ([]Row, float64, erro
 		}
 		eq := repeatedLabelPairs(n.Cols)
 		est := scanEst(card, len(eq))
-		return &viewScanOp{view: n.View, rows: rows, labels: n.Cols, eq: eq, est: est, intr: opts.intr}, est, nil
+		return &viewScanOp{view: n.View, rows: rows, labels: n.Cols, eq: eq, est: est, intr: intr}, est, nil
 	case *algebra.Select:
-		in, est, err := compileRel(n.Input, extent, opts)
+		in, est, err := compileRel(n.Input, extent, intr)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -96,7 +83,7 @@ func compileRel(p algebra.Plan, extent func(*algebra.Scan) ([]Row, float64, erro
 		est = condsEst(est, len(n.Conds))
 		return &filterOp{in: in, tests: tests, conds: n.Conds, est: est}, est, nil
 	case *algebra.Project:
-		in, est, err := compileRel(n.Input, extent, opts)
+		in, est, err := compileRel(n.Input, extent, intr)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -104,19 +91,13 @@ func compileRel(p algebra.Plan, extent func(*algebra.Scan) ([]Row, float64, erro
 		if err != nil {
 			return nil, 0, err
 		}
-		// A filter over a large splittable extent feeds the deduplicating
-		// projection through an exchange: the predicate work fans out over
-		// DOP workers while the dedup stays at the (serial) consumer.
-		if f, ok := in.(*filterOp); ok && opts.DOP > 1 && est >= parallelRewriteMinRows && f.overScan() {
-			op.in = newRelExchange(f, opts.DOP, opts.intr)
-		}
 		return op, est, nil
 	case *algebra.Join:
-		left, lest, err := compileRel(n.Left, extent, opts)
+		left, lest, err := compileRel(n.Left, extent, intr)
 		if err != nil {
 			return nil, 0, err
 		}
-		right, rest, err := compileRel(n.Right, extent, opts)
+		right, rest, err := compileRel(n.Right, extent, intr)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -125,18 +106,14 @@ func compileRel(p algebra.Plan, extent func(*algebra.Scan) ([]Row, float64, erro
 			return nil, 0, err
 		}
 		est := joinOutEst(lest, rest, len(shape.keys))
-		j := newHashJoin(left, right, shape, cost.HashJoinBuildLeft(lest, rest), lest, rest, est, opts.intr)
-		if opts.DOP > 1 && lest+rest >= parallelRewriteMinRows {
-			return &parallelHashJoinOp{hashJoin: j, dop: opts.DOP}, est, nil
-		}
-		return &hashJoinOp{hashJoin: j}, est, nil
+		return newHashJoinOp(left, right, shape, cost.HashJoinBuildLeft(lest, rest), lest, rest, est, intr), est, nil
 	case *algebra.Union:
 		if len(n.Branches) == 0 {
 			return nil, 0, fmt.Errorf("engine: empty union")
 		}
 		src := &concatOp{branches: make([]operator, len(n.Branches))}
 		for i, b := range n.Branches {
-			in, est, err := compileRel(b, extent, opts)
+			in, est, err := compileRel(b, extent, intr)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -151,9 +128,6 @@ func compileRel(p algebra.Plan, extent func(*algebra.Scan) ([]Row, float64, erro
 			distinct: true, union: true, est: src.est}
 		for c := range op.idx {
 			op.idx[c] = c
-		}
-		if opts.DOP > 1 && len(n.Branches) > 1 && src.est >= parallelRewriteMinRows {
-			op.in = newRelExchange(src, min(opts.DOP, len(n.Branches)), opts.intr)
 		}
 		return op, src.est, nil
 	default:
@@ -274,19 +248,17 @@ func joinShape(leftCols, rightCols []cq.Term, conds []algebra.Cond) (joinShapeIn
 }
 
 // DescribePlan renders a rewriting plan's physical shape without touching
-// view extents: the plan is compiled exactly as ExecuteStream compiles it under
-// opts, against leaves that carry only the cardinalities card supplies (may be
-// nil), and the compiled operators describe themselves — the hash joins,
-// unions and filters that would run partitioned or parallel at opts.DOP render
-// their degree of parallelism. It is the explain surface for rewritings, as
-// QueryPlan.Describe is for store-level queries.
-func DescribePlan(p algebra.Plan, card func(algebra.ViewID) float64, opts ExecOptions) (*algebra.PhysNode, error) {
+// view extents: the plan is compiled exactly as ExecuteStream compiles it,
+// against leaves that carry only the cardinalities card supplies (may be
+// nil), and the compiled operators describe themselves. It is the explain
+// surface for rewritings, as QueryPlan.Describe is for store-level queries.
+func DescribePlan(p algebra.Plan, card func(algebra.ViewID) float64) (*algebra.PhysNode, error) {
 	root, _, err := compileRel(p, func(n *algebra.Scan) ([]Row, float64, error) {
 		if card == nil {
 			return nil, 0, nil
 		}
 		return nil, card(n.View), nil
-	}, opts)
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -295,8 +267,7 @@ func DescribePlan(p algebra.Plan, card func(algebra.ViewID) float64, opts ExecOp
 
 // describeOp renders a compiled rewriting operator tree from the fields the
 // operators execute with: every node carries its estimated output
-// cardinality, hash joins their chosen build side, and whatever runs behind an
-// exchange or partitioned its degree of parallelism.
+// cardinality, and hash joins their chosen build side.
 func describeOp(o operator) *algebra.PhysNode {
 	switch o := o.(type) {
 	case *viewScanOp:
@@ -320,21 +291,13 @@ func describeOp(o operator) *algebra.PhysNode {
 			children[i] = describeOp(b)
 		}
 		return algebra.NewPhysNode("Union", "distinct", o.est, children...)
-	case *exchangeOp:
-		node := describeOp(o.over)
-		node.DOP, node.Batch = o.workers, BatchSize
-		return node
 	case *hashJoinOp:
 		return o.describe()
-	case *parallelHashJoinOp:
-		node := o.describe()
-		node.DOP, node.Batch = o.dop, BatchSize
-		return node
 	}
 	panic(fmt.Sprintf("engine: no description for operator %T", o))
 }
 
-func (j *hashJoin) describe() *algebra.PhysNode {
+func (j *hashJoinOp) describe() *algebra.PhysNode {
 	left, right := describeOp(j.left), describeOp(j.right)
 	if len(j.shape.keys) == 0 {
 		return algebra.NewPhysNode("CrossProduct", "", j.est, left, right)

@@ -197,7 +197,7 @@ func TestExecuteJoinBuildSideChosen(t *testing.T) {
 	card := func(id algebra.ViewID) float64 { return float64(views[id].Len()) }
 
 	smallFirst := algebra.NewJoin(algebra.NewScan(1, []cq.Term{x1, x2}), algebra.NewScan(2, []cq.Term{x2, x3}))
-	node, err := DescribePlan(smallFirst, card, ExecOptions{})
+	node, err := DescribePlan(smallFirst, card)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestExecuteJoinBuildSideChosen(t *testing.T) {
 		t.Fatalf("join node should carry an output estimate:\n%s", node)
 	}
 	bigFirst := algebra.NewJoin(algebra.NewScan(2, []cq.Term{x2, x3}), algebra.NewScan(1, []cq.Term{x1, x2}))
-	node, err = DescribePlan(bigFirst, card, ExecOptions{})
+	node, err = DescribePlan(bigFirst, card)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestExecuteEmptyProbeSkipsBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	// build=right: left probe is empty, the counted right build must not run.
-	j := &hashJoinOp{hashJoin: newHashJoin(empty, counted, shape, false, 0, 0, 0, nil)}
+	j := newHashJoinOp(empty, counted, shape, false, 0, 0, 0, nil)
 	if _, ok := j.nextBatch(); ok {
 		t.Fatal("join over empty probe returned a row")
 	}
@@ -257,7 +257,7 @@ func TestExecuteEmptyProbeSkipsBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2 := &hashJoinOp{hashJoin: newHashJoin(counted2, emptyRight, shape2, true, 0, 0, 0, nil)}
+	j2 := newHashJoinOp(counted2, emptyRight, shape2, true, 0, 0, 0, nil)
 	if _, ok := j2.nextBatch(); ok {
 		t.Fatal("build-left join over empty probe returned a row")
 	}
@@ -294,7 +294,7 @@ func TestUnionDedupHintSizedFromExtents(t *testing.T) {
 			algebra.NewScan(1, []cq.Term{x1, x2}),
 			algebra.NewScan(1, []cq.Term{x1, x2}),
 		)
-		op, _, err := compileRel(u, MapResolver(views).extent, ExecOptions{})
+		op, _, err := compileRel(u, MapResolver(views).extent, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"rdfviews/internal/algebra"
 	"rdfviews/internal/cq"
@@ -19,14 +18,15 @@ import (
 // Filters narrow selection vectors in place without moving data; hash joins
 // hash whole key columns and fetch chain heads with one getBatch call per
 // probe batch. compileRel (exec.go) assembles them for rewriting plans,
-// QueryPlan.compile (pipeline.go) for store-side pipelines; the two drains
-// (exec.go, stream.go) pull either.
+// QueryPlan.compile (pipeline.go) for store-side pipelines; the one drain
+// (stream.go) pulls either.
 //
 // Columns are positional: a batch's column i carries cols()[i].
 //
 // Ownership: a returned batch is valid only until the next nextBatch call.
-// Serial operators therefore reuse one owned output batch; only the exchange
-// operators (exchange.go) lease pool batches across goroutines.
+// Every operator here runs on the consumer's goroutine and reuses one owned
+// output batch; only the store-side shard exchanges (exchange.go) lease pool
+// batches across goroutines.
 
 // operator is a pull-based physical operator yielding column batches.
 type operator interface {
@@ -38,23 +38,11 @@ type operator interface {
 }
 
 // closeOp releases the operator's batches and buffers back to their pools
-// and stops any parallel workers below it; safe on operators without either.
+// and stops any shard workers below it; safe on operators without either.
 func closeOp(o operator) {
 	if c, ok := o.(interface{ close() }); ok {
 		c.close()
 	}
-}
-
-// splitOp splits an operator into independent substreams for parallel
-// draining, or nil when the operator does not support splitting.
-func splitOp(o operator, parts int) []operator {
-	if parts <= 1 {
-		return nil
-	}
-	if s, ok := o.(interface{ split(int) []operator }); ok {
-		return s.split(parts)
-	}
-	return nil
 }
 
 // viewScanOp (ViewScan) streams a materialized view's rows as column batches
@@ -111,24 +99,6 @@ func (s *viewScanOp) nextBatch() (*batch, bool) {
 		}
 	}
 	return nil, false
-}
-
-// split partitions the remaining rows into contiguous ranges, one sub-scan
-// per part, for parallel draining.
-func (s *viewScanOp) split(parts int) []operator {
-	rows := s.rows[s.i:]
-	if parts > len(rows) {
-		parts = len(rows)
-	}
-	if parts <= 1 {
-		return nil
-	}
-	out := make([]operator, parts)
-	for p := 0; p < parts; p++ {
-		lo, hi := p*len(rows)/parts, (p+1)*len(rows)/parts
-		out[p] = &viewScanOp{view: s.view, rows: rows[lo:hi], labels: s.labels, eq: s.eq, intr: s.intr}
-	}
-	return out
 }
 
 // compactEqCols narrows the batch's selection to rows where the two columns
@@ -215,37 +185,12 @@ func (f *filterOp) nextBatch() (*batch, bool) {
 	}
 }
 
-// overScan reports whether the filter reaches a view scan through filters only
-// — the shape split partitions.
-func (f *filterOp) overScan() bool {
-	switch in := f.in.(type) {
-	case *viewScanOp:
-		return true
-	case *filterOp:
-		return in.overScan()
-	}
-	return false
-}
-
-// split distributes the filter over its input's split streams.
-func (f *filterOp) split(parts int) []operator {
-	ins := splitOp(f.in, parts)
-	if ins == nil {
-		return nil
-	}
-	out := make([]operator, len(ins))
-	for i, in := range ins {
-		out[i] = &filterOp{in: in, tests: f.tests}
-	}
-	return out
-}
-
 // projectOp is π with set semantics — the one place operators eliminate
 // duplicates. It restricts/reorders its input's columns onto labels (constant
 // labels project as constant columns) and, when distinct, keeps only rows not
 // seen before, emitting dense batches. Every root is one: a rewriting's
-// Project and Union nodes (a union is the dedup of its concatenated or
-// exchanged branches, columns unchanged) and a store-side plan's head, which
+// Project and Union nodes (a union is the dedup of its concatenated
+// branches, columns unchanged) and a store-side plan's head, which
 // skips the dedup when the head exposes every body variable. Resume state (the
 // current input batch and position) lets a projection span output batches.
 type projectOp struct {
@@ -373,8 +318,7 @@ func (p *projectOp) nextBatch() (*batch, bool) {
 }
 
 // concatOp streams its branches one after another (∪ before its dedup);
-// columns are aligned positionally and labeled by the first branch. Under an
-// exchange the branches are its independent streams.
+// columns are aligned positionally and labeled by the first branch.
 type concatOp struct {
 	branches []operator
 	bi       int
@@ -389,8 +333,6 @@ func (u *concatOp) close() {
 	}
 }
 
-func (u *concatOp) split(int) []operator { return u.branches }
-
 func (u *concatOp) nextBatch() (*batch, bool) {
 	for ; u.bi < len(u.branches); u.bi++ {
 		if b, ok := u.branches[u.bi].nextBatch(); ok {
@@ -400,15 +342,15 @@ func (u *concatOp) nextBatch() (*batch, bool) {
 	return nil, false
 }
 
-// hashJoin is the hash-join kernel's static half, shared by its two drivers
-// (hashJoinOp here, the partitioned parallelHashJoinOp in
-// exec_parallel.go): the inputs, the compiled shape and the build side.
-// The build side drains into rows chained through an idTable by key hash; the
-// probe side's batches are hashed columnar with all chain heads fetched in one
-// getBatch call. Output columns are always the left columns followed by the
-// kept right columns, and output order is the probe side's, whichever side
-// builds — the contract the planner's sort-order bookkeeping relies on.
-type hashJoin struct {
+// hashJoinOp is the hash join. The build side drains into rows chained
+// through an idTable by key hash; the probe side's batches are hashed
+// columnar with all chain heads fetched in one getBatch call. Output columns
+// are always the left columns followed by the kept right columns, and output
+// order is the probe side's, whichever side builds — the contract the
+// planner's sort-order bookkeeping relies on. One probe batch is peeked
+// before the build: a zero-row probe side makes the join empty, so the
+// (possibly huge) build side is never drained.
+type hashJoinOp struct {
 	left, right operator
 	shape       joinShapeInfo
 	buildLeft   bool
@@ -416,12 +358,29 @@ type hashJoin struct {
 	buildEst    float64 // estimated build-side rows: pre-sizes the gathered build
 	est         float64 // estimated output rows
 	intr        *interrupt
+
+	built bool
+	eof   bool
+	t     *joinTable
+	out   *batch
+
+	// Probe state: beginProbe hashes a probe batch and fetches its chain
+	// heads; fill emits the matches, resuming across output batches, so a
+	// probe row's chain can span them.
+	b        *batch
+	sel      []int32
+	k        int   // next probe row, as an index into sel
+	row      int   // current probe row while a chain is being emitted
+	chain    int32 // rest of the current chain; 0 = none
+	hashes   []uint64
+	heads    []int32
+	matchBuf []int32 // verified chain matches, collected before columnar emit
 }
 
-// newHashJoin compiles a join of two inputs estimated at lest and rest rows
+// newHashJoinOp compiles a join of two inputs estimated at lest and rest rows
 // into est.
-func newHashJoin(left, right operator, shape joinShapeInfo, buildLeft bool, lest, rest, est float64, intr *interrupt) hashJoin {
-	j := hashJoin{left: left, right: right, shape: shape, buildLeft: buildLeft, buildEst: rest, est: est, intr: intr,
+func newHashJoinOp(left, right operator, shape joinShapeInfo, buildLeft bool, lest, rest, est float64, intr *interrupt) *hashJoinOp {
+	j := &hashJoinOp{left: left, right: right, shape: shape, buildLeft: buildLeft, buildEst: rest, est: est, intr: intr,
 		bIdx: make([]int, len(shape.keys)), pIdx: make([]int, len(shape.keys))}
 	if buildLeft {
 		j.buildEst = lest
@@ -435,28 +394,18 @@ func newHashJoin(left, right operator, shape joinShapeInfo, buildLeft bool, lest
 	return j
 }
 
-func (j *hashJoin) cols() []cq.Term { return j.shape.outCols }
-
-// sides orients the join around its chosen build side.
-func (j *hashJoin) sides() (build, probe operator) {
-	if j.buildLeft {
-		return j.left, j.right
-	}
-	return j.right, j.left
-}
+func (j *hashJoinOp) cols() []cq.Term { return j.shape.outCols }
 
 // joinTable is a hash join's build side: its rows — borrowed from an extent,
 // or gathered flat (w values each, no per-row header for the collector to
-// trace) — chained by key hash. Chains index the rows globally; under the
-// partitioned driver each key-hash partition has a table of its own, linked
-// concurrently. Immutable once linked, so probe workers read it without locks.
+// trace) — chained by key hash through one table.
 type joinTable struct {
 	rows   []Row     // borrowed extent rows, or nil when gathered into
 	flat   []dict.ID // ... w values per row
 	w      int
-	hashes []uint64   // per row, until linked
-	tables []*idTable // per partition: key hash -> chain head, as row index + 1
-	chains []int32    // collision chain, same encoding as the tables
+	hashes []uint64 // per row, until linked
+	table  *idTable // key hash -> chain head, as row index + 1
+	chains []int32  // collision chain, same encoding as the table
 }
 
 func (t *joinTable) row(r int32) Row {
@@ -467,7 +416,7 @@ func (t *joinTable) row(r int32) Row {
 }
 
 // gatherBuild drains the build side into rows and their key hashes.
-func (j *hashJoin) gatherBuild(in operator) *joinTable {
+func (j *hashJoinOp) gatherBuild(in operator) *joinTable {
 	t := &joinTable{w: len(in.cols())}
 	if s, ok := in.(*viewScanOp); ok && len(s.eq) == 0 && s.i == 0 {
 		// Straight from the extent: the scan only relabels columns, so its
@@ -522,94 +471,47 @@ func hashColumns(hashes []uint64, b *batch, sel []int32, idx []int) {
 	}
 }
 
-// link chains the gathered rows through parts key-hash partition tables, built
-// concurrently when there are several.
-func (t *joinTable) link(parts int) {
+// link chains the gathered rows through the table by key hash.
+func (t *joinTable) link() {
 	t.chains = make([]int32, len(t.hashes))
-	t.tables = make([]*idTable, parts)
-	if parts == 1 {
-		t.linkPart(0)
-	} else {
-		var wg sync.WaitGroup
-		for p := range t.tables {
-			wg.Add(1)
-			go func(p int) {
-				defer wg.Done()
-				t.linkPart(p)
-			}(p)
-		}
-		wg.Wait()
+	t.table = newIDTable(len(t.hashes))
+	for r, h := range t.hashes {
+		t.chains[r] = t.table.get(h)
+		t.table.put(h, int32(r+1))
 	}
 	t.hashes = nil
 }
 
-// linkPart builds partition p's table over the rows whose key hash falls in it.
-func (t *joinTable) linkPart(p int) {
-	n := uint64(len(t.tables))
-	tbl := newIDTable(len(t.hashes) / len(t.tables))
-	for r, h := range t.hashes {
-		if h%n == uint64(p) {
-			t.chains[r] = tbl.get(h)
-			tbl.put(h, int32(r+1))
-		}
-	}
-	t.tables[p] = tbl
-}
-
-// joinProbe is the kernel's probe half: the state of one probe stream against
-// the linked build side. begin hashes a probe batch and fetches its chain
-// heads; fill emits the matches, resuming across output batches, so a probe
-// row's chain can span them.
-type joinProbe struct {
-	j *hashJoin
-	t *joinTable
-
-	b        *batch
-	sel      []int32
-	k        int   // next probe row, as an index into sel
-	row      int   // current probe row while a chain is being emitted
-	chain    int32 // rest of the current chain; 0 = none
-	hashes   []uint64
-	heads    []int32
-	matchBuf []int32 // verified chain matches, collected before columnar emit
-}
-
-// begin hashes the key columns of every live row of the probe batch and
-// fetches all chain heads (one batched table probe when unpartitioned).
-func (p *joinProbe) begin(b *batch) {
-	p.b, p.sel, p.k = b, b.liveSel(), 0
+// beginProbe hashes the key columns of every live row of the probe batch and
+// fetches all chain heads in one batched table probe.
+func (j *hashJoinOp) beginProbe(b *batch) {
+	j.b, j.sel, j.k = b, b.liveSel(), 0
 	// Scratch sizes track the largest probe batch seen (≤ BatchSize): a
 	// selective probe stream should not pay for full-batch scratch.
-	if cap(p.hashes) < len(p.sel) {
-		p.hashes = make([]uint64, len(p.sel))
-		p.heads = make([]int32, len(p.sel))
+	if cap(j.hashes) < len(j.sel) {
+		j.hashes = make([]uint64, len(j.sel))
+		j.heads = make([]int32, len(j.sel))
 	}
-	hashes, heads := p.hashes[:len(p.sel)], p.heads[:len(p.sel)]
-	hashColumns(hashes, b, p.sel, p.j.pIdx)
-	if len(p.t.tables) == 1 {
-		p.t.tables[0].getBatch(hashes, heads)
-		return
-	}
-	for k, h := range hashes {
-		heads[k] = p.t.tables[h%uint64(len(p.t.tables))].get(h)
-	}
+	hashes, heads := j.hashes[:len(j.sel)], j.heads[:len(j.sel)]
+	hashColumns(hashes, b, j.sel, j.pIdx)
+	j.t.table.getBatch(hashes, heads)
 }
 
 // fill appends joined rows to out until it is full (true) or the probe batch
 // is exhausted (false).
-func (p *joinProbe) fill(out *batch) bool {
+func (j *hashJoinOp) fill(out *batch) bool {
 	for {
-		if p.chain != 0 {
-			p.emitChain(out)
+		if j.chain != 0 {
+			j.emitChain(out)
 			if out.n == BatchSize {
 				return true
 			}
 		}
-		if p.k >= len(p.sel) {
+		if j.k >= len(j.sel) {
 			return false
 		}
-		p.row, p.chain = int(p.sel[p.k]), p.heads[p.k]
-		p.k++
+		j.row, j.chain = int(j.sel[j.k]), j.heads[j.k]
+		j.k++
 	}
 }
 
@@ -619,18 +521,18 @@ func (p *joinProbe) fill(out *batch) bool {
 // kept right values under build=left) are constant across the run, so their
 // columns are fills and the build rows' columns gathers. Emission stops when
 // the chain or the output batch is exhausted.
-func (p *joinProbe) emitChain(out *batch) {
-	j, t := p.j, p.t
-	cols, prow := p.b.cols, p.row
-	if p.matchBuf == nil {
-		p.matchBuf = make([]int32, 0, 16)
+func (j *hashJoinOp) emitChain(out *batch) {
+	t := j.t
+	cols, prow := j.b.cols, j.row
+	if j.matchBuf == nil {
+		j.matchBuf = make([]int32, 0, 16)
 	}
 	free := BatchSize - out.n
-	run := p.matchBuf[:0]
-	for p.chain != 0 && len(run) < free {
-		c := p.chain - 1
+	run := j.matchBuf[:0]
+	for j.chain != 0 && len(run) < free {
+		c := j.chain - 1
 		brow := t.row(c)
-		p.chain = t.chains[c]
+		j.chain = t.chains[c]
 		match := true
 		for x, pc := range j.pIdx {
 			if cols[pc][prow] != brow[j.bIdx[x]] {
@@ -673,19 +575,7 @@ func (p *joinProbe) emitChain(out *batch) {
 		}
 		out.n = k + g
 	}
-	p.matchBuf = run[:0] // keep any growth for the next chain
-}
-
-// hashJoinOp is the serial driver of the hash join. One probe batch is
-// peeked before the build: a zero-row probe side makes the join empty, so the
-// (possibly huge) build side is never drained.
-type hashJoinOp struct {
-	hashJoin
-
-	built bool
-	eof   bool
-	pr    joinProbe
-	out   *batch
+	j.matchBuf = run[:0] // keep any growth for the next chain
 }
 
 func (j *hashJoinOp) close() {
@@ -699,27 +589,29 @@ func (j *hashJoinOp) nextBatch() (*batch, bool) {
 	if j.eof {
 		return nil, false
 	}
-	build, probe := j.sides()
+	build, probe := j.right, j.left
+	if j.buildLeft {
+		build, probe = j.left, j.right
+	}
 	if !j.built {
 		b, ok := probe.nextBatch()
 		if !ok {
 			j.eof = true
 			return nil, false
 		}
-		t := j.gatherBuild(build)
-		if len(t.hashes) == 0 {
+		j.t = j.gatherBuild(build)
+		if len(j.t.hashes) == 0 {
 			j.eof = true
 			return nil, false
 		}
-		t.link(1)
+		j.t.link()
 		j.built = true
-		j.pr = joinProbe{j: &j.hashJoin, t: t}
-		j.pr.begin(b)
+		j.beginProbe(b)
 		j.out = newBatch(len(j.shape.outCols))
 	}
 	out := j.out
 	out.reset()
-	for !j.pr.fill(out) {
+	for !j.fill(out) {
 		b, ok := probe.nextBatch()
 		if !ok {
 			// Latched only once nothing is left to hand out, so the probe's
@@ -727,7 +619,7 @@ func (j *hashJoinOp) nextBatch() (*batch, bool) {
 			j.eof = out.n == 0
 			break
 		}
-		j.pr.begin(b)
+		j.beginProbe(b)
 	}
 	return out, out.n > 0
 }

@@ -493,7 +493,7 @@ func (p *QueryPlan) buildPipeline(intr *interrupt) operator {
 			case par > 1 && s.parSlot >= 0:
 				cur = &gatherMergeOp{st: p.st, spec: s.spec, route: route, dop: par, slot: s.parSlot, intr: intr}
 			case par > 1:
-				cur = newShardExchange(p.st, route, s.spec, par, intr)
+				cur = &exchangeOp{st: p.st, spec: s.spec, route: route, dop: par, intr: intr}
 			default:
 				cur = &scanOp{st: p.st, spec: s.spec, intr: intr}
 			}
@@ -505,7 +505,7 @@ func (p *QueryPlan) buildPipeline(intr *interrupt) operator {
 		default: // stepHashJoin, stepCross: the pipeline ⋈ a scan of the atom
 			leaf := &scanOp{st: p.st, spec: s.spec, intr: intr}
 			shape, _ := joinShape(cur.cols(), leaf.cols(), nil) // natural join: no condition to reject
-			cur = &hashJoinOp{hashJoin: newHashJoin(cur, leaf, shape, s.buildLeft, pipe, s.est, s.outEst, intr)}
+			cur = newHashJoinOp(cur, leaf, shape, s.buildLeft, pipe, s.est, s.outEst, intr)
 		}
 		pipe = s.outEst
 	}

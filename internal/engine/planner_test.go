@@ -408,7 +408,7 @@ func TestDescribePlanRendersRewriting(t *testing.T) {
 		),
 		[]cq.Term{x1, x3},
 	)
-	node, err := DescribePlan(plan, func(id algebra.ViewID) float64 { return 10 * float64(id) }, ExecOptions{})
+	node, err := DescribePlan(plan, func(id algebra.ViewID) float64 { return 10 * float64(id) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,11 +420,11 @@ func TestDescribePlanRendersRewriting(t *testing.T) {
 	}
 	// The physical description must agree with ExecuteStream's operator choices on
 	// error cases too.
-	if _, err := DescribePlan(algebra.NewUnion(), nil, ExecOptions{}); err == nil {
+	if _, err := DescribePlan(algebra.NewUnion(), nil); err == nil {
 		t.Error("empty union should fail")
 	}
 	if _, err := DescribePlan(algebra.NewSelect(
-		algebra.NewScan(1, []cq.Term{x1}), algebra.Cond{Left: cq.Var(99), Right: cq.Const(1)}), nil, ExecOptions{}); err == nil {
+		algebra.NewScan(1, []cq.Term{x1}), algebra.Cond{Left: cq.Var(99), Right: cq.Const(1)}), nil); err == nil {
 		t.Error("bad selection column should fail")
 	}
 }

@@ -143,8 +143,7 @@ func stream(root operator, est float64, opts ExecOptions) *RowStream {
 // EvalStream runs the store-side pipeline and streams its head tuples instead
 // of materializing them. The stream's rows are valid until the next Next.
 func (p *QueryPlan) EvalStream(opts ExecOptions) *RowStream {
-	opts.intr = newInterrupt(opts.Ctx)
-	root := p.compile(opts.intr)
+	root := p.compile(newInterrupt(opts.Ctx))
 	return stream(root, root.est, opts)
 }
 
@@ -153,13 +152,11 @@ func (p *QueryPlan) EvalStream(opts ExecOptions) *RowStream {
 // deployment scenario: workload queries run against the recommended views
 // only, with no access to the triple store (Section 1). The logical plan is
 // compiled to a pipeline of batch operators (operators.go) — view scans,
-// filters, hash joins, deduplicating projections and unions — and all
-// structural validation happens at compile time. With opts.DOP > 1 large hash
-// joins and unions run in parallel (see ExecOptions.DOP); answers are
-// identical at every DOP.
+// filters, hash joins, deduplicating projections and unions — that runs
+// serially on the consumer's goroutine, and all structural validation happens
+// at compile time.
 func ExecuteStream(p algebra.Plan, resolve ViewResolver, opts ExecOptions) (*RowStream, error) {
-	opts.intr = newInterrupt(opts.Ctx)
-	root, est, err := compileRel(p, resolve.extent, opts)
+	root, est, err := compileRel(p, resolve.extent, newInterrupt(opts.Ctx))
 	if err != nil {
 		return nil, err
 	}

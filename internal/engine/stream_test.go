@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -76,21 +75,15 @@ func TestEvalStreamMatchesINL(t *testing.T) {
 }
 
 // TestExecuteStreamMatchesRef drains the rewriting stream slab by slab on the
-// plan-shape matrix, serial and parallel, and checks it against the reference
-// interpreter.
+// plan-shape matrix and checks it against the reference interpreter.
 func TestExecuteStreamMatchesRef(t *testing.T) {
-	forceParallelRewrite(t)
 	views, plans := rewriteMatrix(19)
 	for name, plan := range plans {
-		want := refExecute(t, plan, views)
-		for _, dop := range []int{1, 4} {
-			label := fmt.Sprintf("%s dop=%d", name, dop)
-			s, err := ExecuteStream(plan, MapResolver(views), ExecOptions{DOP: dop, Ctx: context.Background()})
-			if err != nil {
-				t.Fatalf("%s: stream compile: %v", label, err)
-			}
-			sameRows(t, label+" streamed", want, drainStream(t, label, s))
+		s, err := ExecuteStream(plan, MapResolver(views), ExecOptions{Ctx: context.Background()})
+		if err != nil {
+			t.Fatalf("%s: stream compile: %v", name, err)
 		}
+		sameRows(t, name+" streamed", refExecute(t, plan, views), drainStream(t, name, s))
 	}
 }
 

@@ -88,7 +88,7 @@ func (st *Store) RouteCursor(r Route, p Perm, pat Pattern) Cursor {
 }
 
 // RouteShardCursor opens a cursor over the route's k-th shard only — the
-// per-partition stream the engine's parallel exchanges fan out over. The
+// per-partition stream the engine's shard exchanges fan out over. The
 // whole fan-out is one logical routed open, so only worker 0 records it in
 // the pruning ledger.
 func (st *Store) RouteShardCursor(r Route, k int, p Perm, pat Pattern) Cursor {
@@ -97,13 +97,6 @@ func (st *Store) RouteShardCursor(r Route, k int, p Perm, pat Pattern) Cursor {
 		st.prune.record(len(shs), r.K)
 	}
 	return cursorOverSnaps(st.loadSnaps(shs[k:k+1]), p, pat)
-}
-
-// ShardCursor opens a cursor over subject-side shard i only, bypassing
-// placement routing (and the pruning ledger); the historical per-partition
-// surface, kept for callers that address subject partitions directly.
-func (st *Store) ShardCursor(i int, p Perm, pat Pattern) Cursor {
-	return cursorOverSnaps(st.loadSnaps(st.shards[i:i+1]), p, pat)
 }
 
 // loadSnaps pins the current snapshot of each shard.

@@ -119,11 +119,6 @@ func (s *Snapshot) RouteShardCursor(r Route, k int, p Perm, pat Pattern) Cursor 
 	return cursorOverSnaps(sns[k:k+1], p, pat)
 }
 
-// ShardCursor opens a cursor over pinned subject-side shard i only.
-func (s *Snapshot) ShardCursor(i int, p Perm, pat Pattern) Cursor {
-	return cursorOverSnaps(s.snaps[i:i+1], p, pat)
-}
-
 // Scan visits every snapshot triple matching the pattern in the order of the
 // chosen index, until fn returns false.
 func (s *Snapshot) Scan(pat Pattern, fn func(Triple) bool) {

@@ -185,13 +185,10 @@ type Reader interface {
 	Contains(t Triple) bool
 	// NewCursor opens an ordered prefix-range cursor (see Store.NewCursor).
 	NewCursor(p Perm, pat Pattern) Cursor
-	// ShardCursor opens a cursor over subject-side shard i only (see
-	// Store.ShardCursor).
-	ShardCursor(i int, p Perm, pat Pattern) Cursor
 	// RouteCursor opens a cursor merged over exactly the route's shards.
 	RouteCursor(r Route, p Perm, pat Pattern) Cursor
 	// RouteShardCursor opens a cursor over the route's k-th shard only — the
-	// per-partition stream parallel exchanges fan out over.
+	// per-partition stream the engine's shard exchanges fan out over.
 	RouteShardCursor(r Route, k int, p Perm, pat Pattern) Cursor
 	// Scan visits every triple matching the pattern in index order until fn
 	// returns false (see Store.Scan).

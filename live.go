@@ -31,9 +31,8 @@ func (p StaleReadPolicy) String() string {
 }
 
 // MaintainOptions configures how the live view set is maintained. The zero
-// value maintains synchronously with serial rewriting execution; AnswerQuery,
-// Prepare and AnswerQueryStream always go through a plan cache of
-// plancache.DefaultCapacity entries.
+// value maintains synchronously; AnswerQuery, Prepare and AnswerQueryStream
+// always go through a plan cache of plancache.DefaultCapacity entries.
 type MaintainOptions struct {
 	// QueueDepth > 0 maintains views asynchronously behind a bounded change
 	// queue of that capacity: updates return once the base store is updated
@@ -44,12 +43,6 @@ type MaintainOptions struct {
 	QueueDepth int
 	// StaleReads is consulted by Answer when maintenance is asynchronous.
 	StaleReads StaleReadPolicy
-	// ExecDOP is the degree of parallelism Answer executes rewritings with:
-	// large hash joins partition their build extent and fan probe streams out
-	// over that many workers, and union branches evaluate concurrently. 0 or
-	// 1 (the default) keeps rewriting execution serial. Answers are identical
-	// either way, and each execution still sees one pinned extent generation.
-	ExecDOP int
 }
 
 // LiveViews is a materialized view set under incremental maintenance: triple
@@ -67,7 +60,6 @@ type LiveViews struct {
 	rec   *Recommendation
 	m     *maintain.Maintainer
 	stale StaleReadPolicy
-	dop   int
 	// at is the maintained deployment as the plan cache sees it; each call
 	// reads the publish generation into a copy (now).
 	at version
@@ -114,7 +106,6 @@ func (r *Recommendation) MaintainWithOptions(opts MaintainOptions) (*LiveViews, 
 		rec:   r,
 		m:     m,
 		stale: opts.StaleReads,
-		dop:   opts.ExecDOP,
 		at:    version{tag: "lv:" + string(r.mode), stmt: "txt|", reader: st, maxTerms: r.maxUnionTerms, typeID: r.schema.TypeID},
 	}
 	if r.mode == ReasoningPre {

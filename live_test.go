@@ -234,17 +234,17 @@ func TestMaintainUnderSaturation(t *testing.T) {
 	}
 }
 
-// TestConcurrentAnswerParallelExec drives LiveViews.Answer with the parallel
-// rewriting executor (ExecDOP 4) against concurrent writers, under both staleness policies. The
-// view extents are large enough for the partitioned parallel operators to
-// engage, and writers insert complete (locatedIn, hasPainted) pairs, so
-// every answer must reflect one pinned extent generation: per-query answer
-// counts can only grow between calls (published generations are monotonic
-// under insert-only churn), every row decodes at the query's arity, and
-// after the writers drain and a Flush the counts are exact and the answers
-// equal the store's own answer to the workload query. Run with -race to
-// check the batch handoffs against the refresher's extent publication.
-func TestConcurrentAnswerParallelExec(t *testing.T) {
+// TestConcurrentAnswerPinsOneGeneration drives LiveViews.Answer against
+// concurrent writers under both staleness policies. The view extents hold
+// thousands of rows, and writers insert complete (locatedIn, hasPainted)
+// pairs, so every answer must reflect one pinned extent generation:
+// per-query answer counts can only grow between calls (published generations
+// are monotonic under insert-only churn), every row decodes at the query's
+// arity, and after the writers drain and a Flush the counts are exact and the
+// answers equal the store's own answer to the workload query. Run with -race
+// to check the rewriting executor's reads against the refresher's extent
+// publication.
+func TestConcurrentAnswerPinsOneGeneration(t *testing.T) {
 	var data strings.Builder
 	const base = 1200
 	for i := 0; i < base; i++ {
@@ -254,8 +254,8 @@ func TestConcurrentAnswerParallelExec(t *testing.T) {
 	db := NewDatabaseSharded(2)
 	db.MustLoadGraphString(data.String())
 	// The two atomic queries push the search toward materializing the atomic
-	// views, so the join query's rewriting stays a join over large extents —
-	// the shape the partitioned parallel hash join executes.
+	// views, so the join query's rewriting stays a hash join over large
+	// extents.
 	w := db.MustParseWorkload(`
 q(X, Y) :- t(X, hasPainted, Y)
 q(Y, Z) :- t(Y, locatedIn, Z)
@@ -270,7 +270,6 @@ q(X, Z) :- t(X, hasPainted, Y), t(Y, locatedIn, Z)`)
 			lv, err := rec.MaintainWithOptions(MaintainOptions{
 				QueueDepth: 256,
 				StaleReads: policy,
-				ExecDOP:    4,
 			})
 			if err != nil {
 				t.Fatal(err)

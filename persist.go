@@ -78,7 +78,7 @@ func (o *OfflineViews) QueryText(i int) string {
 // Answer executes the rewriting of workload query i over the shipped views
 // and returns decoded rows.
 func (o *OfflineViews) Answer(i int) ([][]string, error) {
-	rs, err := openRewriting(context.Background(), o.bundle.Plans, i, o.resolve, 0)
+	rs, err := openRewriting(context.Background(), o.bundle.Plans, i, o.resolve)
 	if err != nil {
 		return nil, err
 	}

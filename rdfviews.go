@@ -35,10 +35,9 @@
 //     downstream merge join consumes the sort order). A streaming
 //     executor then pulls dictionary-encoded tuples through slice-based
 //     variable registers (no per-row maps, no string keys). Rewriting plans
-//     over materialized views execute on an analogous streaming operator
-//     set whose hash joins choose their build side from the extent
-//     cardinalities and, at ExecDOP > 1, run with partitioned parallel
-//     builds, fanned-out probe streams and concurrent union branches.
+//     over materialized views execute serially on the same operator set,
+//     whose hash joins choose their build side from the extent
+//     cardinalities; the shard exchange is the engine's only parallelism.
 //     Database.ExplainQuery and Recommendation.ExplainPhysical render
 //     the compiled physical plans.
 //   - internal/maintain keeps view extents synchronized with the store under

@@ -189,11 +189,6 @@ func (r *Recommendation) InitialCost() cost.Breakdown { return r.result.InitialC
 type Materialized struct {
 	rec     *Recommendation
 	extents map[algebra.ViewID]*engine.Relation
-
-	// ExecDOP is the degree of parallelism Answer/AnswerRelation execute
-	// rewritings with (see engine.ExecOptions.DOP); 0 or 1 keeps execution
-	// serial. Answers are identical either way.
-	ExecDOP int
 }
 
 // Materialize computes the extents of the recommended views. Under
@@ -261,7 +256,7 @@ func (m *Materialized) AnswerRelation(i int) (*engine.Relation, error) {
 
 // open runs rewriting i over the extents.
 func (m *Materialized) open(i int) (*engine.RowStream, error) {
-	return openRewriting(context.Background(), m.rec.state.Plans, i, engine.MapResolver(m.extents), m.ExecDOP)
+	return openRewriting(context.Background(), m.rec.state.Plans, i, engine.MapResolver(m.extents))
 }
 
 // Recommend runs view selection for the workload (Definition 2.4: find the

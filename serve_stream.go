@@ -149,12 +149,12 @@ func (s *AnswerStream) decode(id dict.ID) string {
 }
 
 // openRewriting is the one way a rewriting runs, whichever surface asks:
-// plan i of plans over the extents resolve supplies, at dop, canceled by ctx.
-func openRewriting(ctx context.Context, plans []algebra.Plan, i int, resolve engine.ViewResolver, dop int) (*engine.RowStream, error) {
+// plan i of plans over the extents resolve supplies, canceled by ctx.
+func openRewriting(ctx context.Context, plans []algebra.Plan, i int, resolve engine.ViewResolver) (*engine.RowStream, error) {
 	if i < 0 || i >= len(plans) {
 		return nil, fmt.Errorf("rdfviews: query index %d out of range", i)
 	}
-	return engine.ExecuteStream(plans[i], resolve, engine.ExecOptions{DOP: dop, Ctx: ctx})
+	return engine.ExecuteStream(plans[i], resolve, engine.ExecOptions{Ctx: ctx})
 }
 
 // execStream runs the template against a reader under li's binding: each
@@ -221,7 +221,7 @@ func (lv *LiveViews) rewriting(ctx context.Context, i int) (*engine.RowStream, e
 			return nil, err
 		}
 	}
-	return openRewriting(ctx, lv.rec.state.Plans, i, lv.m.Resolver(), lv.dop)
+	return openRewriting(ctx, lv.rec.state.Plans, i, lv.m.Resolver())
 }
 
 // AnswerQueryStream answers ad-hoc query text directly on the database as a
