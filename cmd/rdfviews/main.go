@@ -15,14 +15,15 @@
 //
 //	q(X, Z) :- t(X, hasPainted, starryNight), t(X, isParentOf, Y), t(Y, hasPainted, Z)
 //
-// -shards N hash-partitions the triple store across N shards (by subject).
-// Large index scans then fan out across the shards on worker goroutines —
-// the Gather/ParallelScan operators visible under -explain-physical — using
-// one core per shard when available; updates touch only the owning shard's
-// indexes. The default (1) is the classic single-table layout. Rewriting
-// execution over the view extents — the answering tier — is serial, its
-// hash joins building the side chosen from the extent cardinalities
-// (build=left/right under -explain-physical).
+// -shards N (1–256) hash-partitions the triple store across N shards (by
+// subject): subject-bound lookups then open one shard, and updates touch only
+// the owning shard's indexes. -object-shards N (0–256) adds an object-hash
+// replica side, so object-bound lookups open one shard too. The
+// -explain-physical plans annotate every scan with the shards it opens
+// (shards=m/K). The default (1, 0) is the classic single-table layout. Every
+// query runs on one goroutine; rewriting execution over the view extents —
+// the answering tier — builds each hash join over the side chosen from the
+// extent cardinalities (build=left/right under -explain-physical).
 //
 // -updates streams triple updates through the maintained views (one triple
 // per line, inserted; a "- " prefix deletes). -async-maintain N maintains
@@ -46,9 +47,10 @@
 // request and plan-cache ledgers. SIGINT/SIGTERM drains in-flight requests
 // and exits. Implies the live maintenance path.
 //
-// A command line with an unknown flag, a malformed value or a -stale-reads
-// outside its vocabulary exits with status 2 before anything runs; a failed
-// run exits with status 1.
+// A command line with an unknown flag, a malformed value, a -stale-reads
+// outside its vocabulary or a count outside its range (-shards 1–256,
+// -object-shards 0–256, -async-maintain and -maxrows ≥ 0) exits with status
+// 2 before anything runs; a failed run exits with status 1.
 package main
 
 import (
@@ -58,6 +60,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"strings"
@@ -66,6 +69,7 @@ import (
 
 	"rdfviews"
 	"rdfviews/internal/server"
+	"rdfviews/internal/store"
 )
 
 // config is one parsed command line.
@@ -100,8 +104,8 @@ func parseFlags(args []string, stderr io.Writer) (*config, int) {
 	fs.BoolVar(&c.answer, "answer", false, "materialize the views and print each query's answers")
 	fs.IntVar(&c.maxRows, "maxrows", 10, "max answer rows to print per query")
 	fs.BoolVar(&c.explainPhy, "explain-physical", false, "print the physical plans: view materialization pipelines (scan permutations, merge/sort/hash joins with build sides and row estimates) and rewriting operator trees")
-	fs.IntVar(&c.shards, "shards", 1, "hash-partition the triple store across N shards (by subject); >1 parallelizes large scans across cores")
-	fs.IntVar(&c.objShards, "object-shards", 0, "additionally replicate the store across N object-hash shards: placement routing then serves object-bound patterns from one shard instead of fanning out (0 = subject partitioning only)")
+	fs.IntVar(&c.shards, "shards", 1, "hash-partition the triple store across N shards by subject, 1-256: subject-bound lookups then open one shard")
+	fs.IntVar(&c.objShards, "object-shards", 0, "additionally replicate the store across N object-hash shards, 0-256: placement routing then serves object-bound patterns from one shard instead of fanning out (0 = subject partitioning only)")
 	fs.StringVar(&c.updates, "updates", "", "stream triple updates through the maintained views: one triple per line inserts, a '- ' prefix deletes")
 	fs.IntVar(&c.asyncQueue, "async-maintain", 0, "maintain views asynchronously behind a change queue of this depth (0 = synchronous maintenance)")
 	fs.Func("stale-reads", "answering policy over asynchronously maintained views: serve-stale|wait-fresh (default serve-stale)", func(s string) error {
@@ -124,6 +128,27 @@ func parseFlags(args []string, stderr io.Writer) (*config, int) {
 	if c.dataPath == "" || c.queryPath == "" {
 		fs.Usage()
 		return nil, 2
+	}
+	// Counts outside these ranges would otherwise be clamped or read as a
+	// different setting further down, silently.
+	for _, r := range []struct {
+		name      string
+		v, lo, hi int
+	}{
+		{"shards", c.shards, 1, store.MaxShards},
+		{"object-shards", c.objShards, 0, store.MaxShards},
+		{"async-maintain", c.asyncQueue, 0, math.MaxInt},
+		{"maxrows", c.maxRows, 0, math.MaxInt},
+	} {
+		if r.v < r.lo || r.v > r.hi {
+			want := fmt.Sprintf("want %d-%d", r.lo, r.hi)
+			if r.hi == math.MaxInt {
+				want = fmt.Sprintf("want >= %d", r.lo)
+			}
+			fmt.Fprintf(stderr, "invalid value %d for flag -%s: %s\n", r.v, r.name, want)
+			fs.Usage()
+			return nil, 2
+		}
 	}
 	return c, 0
 }

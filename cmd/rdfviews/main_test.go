@@ -10,14 +10,17 @@ import (
 )
 
 // TestFlagParsing runs command lines through parseFlags: a value outside a
-// flag's vocabulary, an unknown flag (the retired -exec-dop among them) and a
-// missing -data or -queries exit 2 with a message before anything runs, -h
-// exits 0, and accepted command lines yield their config, defaults included.
+// flag's vocabulary or range, an unknown flag (the retired -exec-dop among
+// them) and a missing -data or -queries exit 2 with a message before anything
+// runs, -h exits 0, and accepted command lines yield their config, defaults
+// included.
 func TestFlagParsing(t *testing.T) {
 	defaults := config{dataPath: "d.nt", queryPath: "w.cq", strategy: "dfs", timeout: 10 * time.Second,
 		maxRows: 10, shards: 1, staleReads: rdfviews.ServeStale}
 	waitFresh := defaults
 	waitFresh.staleReads, waitFresh.asyncQueue = rdfviews.WaitFresh, 64
+	dual := defaults
+	dual.shards, dual.objShards = 4, 4
 	cases := []struct {
 		args string
 		code int
@@ -26,11 +29,19 @@ func TestFlagParsing(t *testing.T) {
 		{"-data d.nt -queries w.cq -stale-reads bogus", 2, nil},
 		{"-data d.nt -queries w.cq -exec-dop 4", 2, nil},
 		{"-data d.nt -queries w.cq -timeout soon", 2, nil},
+		{"-data d.nt -queries w.cq -shards 0", 2, nil},
+		{"-data d.nt -queries w.cq -shards -3", 2, nil},
+		{"-data d.nt -queries w.cq -shards 1000", 2, nil},
+		{"-data d.nt -queries w.cq -object-shards -1", 2, nil},
+		{"-data d.nt -queries w.cq -object-shards 257", 2, nil},
+		{"-data d.nt -queries w.cq -async-maintain -5", 2, nil},
+		{"-data d.nt -queries w.cq -maxrows -1", 2, nil},
 		{"-data d.nt", 2, nil},
 		{"", 2, nil},
 		{"-h", 0, nil},
 		{"-data d.nt -queries w.cq", 0, &defaults},
 		{"-data d.nt -queries w.cq -async-maintain 64 -stale-reads wait-fresh", 0, &waitFresh},
+		{"-data d.nt -queries w.cq -shards 4 -object-shards 4", 0, &dual},
 	}
 	for _, c := range cases {
 		var stderr bytes.Buffer

@@ -11,9 +11,8 @@ import (
 // explain surfaces (the library facade, the CLI) can render the physical
 // shape without importing the executor.
 type PhysNode struct {
-	// Op is the operator name: IndexScan, ParallelScan, Gather, ViewScan,
-	// MergeJoin, HashJoin, Sort, CrossProduct, NestedLoop, Filter, Project,
-	// Distinct, Union.
+	// Op is the operator name: IndexScan, ViewScan, MergeJoin, HashJoin,
+	// Sort, CrossProduct, Filter, Project, Distinct, Union.
 	Op string
 	// Detail is operator-specific: the scanned atom and permutation, join
 	// columns and residual equalities, a hash join's build side, the sort
@@ -22,16 +21,12 @@ type PhysNode struct {
 	// EstRows is the operator's estimated output cardinality (0 if unknown).
 	EstRows float64
 	// Build is a hash join's chosen build side ("left" or "right"; empty for
-	// operators without one). It is rendered between Detail and the DOP/row
+	// operators without one). It is rendered between Detail and the batch/row
 	// annotations, so explain surfaces show the executor's actual choice.
 	Build string
-	// DOP is the operator's degree of parallelism: the number of worker
-	// streams an exchange operator (Gather) fans out over. 0 means serial.
-	DOP int
 	// Batch is the operator's batch size: the number of rows per column
 	// batch, rendered at the dataflow points that fill batches from outside
-	// the pipeline (scan leaves decoding them, exchanges handing them between
-	// goroutines). 0 leaves it unrendered.
+	// the pipeline (scan leaves decoding them). 0 leaves it unrendered.
 	Batch int
 	// Children are the input operators, left to right.
 	Children []*PhysNode
@@ -65,9 +60,6 @@ func (n *PhysNode) render(sb *strings.Builder, depth int) {
 	if n.Build != "" {
 		sb.WriteString(" build=")
 		sb.WriteString(n.Build)
-	}
-	if n.DOP > 0 {
-		fmt.Fprintf(sb, " dop=%d", n.DOP)
 	}
 	if n.Batch > 0 {
 		fmt.Fprintf(sb, " batch=%d", n.Batch)

@@ -7,17 +7,17 @@ import (
 )
 
 // Batchlease enforces the pooled-batch ownership protocol
-// (internal/engine/batch.go): a *batch acquired from newBatch or a
-// batchPool.get must be handed back — released, put, or transferred to
-// another owner — on every path. The analyzer checks three rules:
+// (internal/engine/batch.go): a *batch acquired from newBatch must be handed
+// back — released or transferred to another owner — on every path. The
+// analyzer checks three rules:
 //
-//  1. owned fields: a struct field assigned from newBatch()/pool.get()
-//     (directly or in a composite literal) makes the struct an owner; it
-//     must have a close method that releases that field (f.release() or
-//     passing it to a put). Fields assigned only from other sources —
-//     borrowed batches on loan from a child operator — are exempt.
-//  2. local leases: a function-local variable bound to newBatch()/pool.get()
-//     must be disposed somewhere in the function: released, passed to a
+//  1. owned fields: a struct field assigned from newBatch() (directly or in
+//     a composite literal) makes the struct an owner; it must have a close
+//     method that releases that field (f.release() or passing it to a call).
+//     Fields assigned only from other sources — borrowed batches on loan
+//     from a child operator — are exempt.
+//  2. local leases: a function-local variable bound to newBatch() must be
+//     disposed somewhere in the function: released, passed to a
 //     call, sent on a channel, returned, or stored into a field/variable
 //     (ownership transfer). A lease with no disposal use has leaked.
 //  3. close propagation: a struct with a close method and operator-typed
@@ -122,24 +122,19 @@ func localStructs(pass *Pass) map[*types.Named]*ast.StructType {
 	return out
 }
 
-// isAcquire reports whether e is newBatch(...) or <batchPool>.get(...).
-func isAcquire(pass *Pass, e ast.Expr) bool {
+// isAcquire reports whether e is a newBatch(...) call.
+func isAcquire(e ast.Expr) bool {
 	call, ok := e.(*ast.CallExpr)
 	if !ok {
 		return false
 	}
-	if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "newBatch" {
-		return true
-	}
-	if recv, ok := methodCall(call, "get"); ok {
-		return isNamed(pass.TypesInfo.Types[recv].Type, "", "batchPool")
-	}
-	return false
+	id, ok := call.Fun.(*ast.Ident)
+	return ok && id.Name == "newBatch"
 }
 
 // collectOwnedFields records struct fields assigned from an acquire
-// expression anywhere in the file: x.F = newBatch(w), x.F = pool.get(), and
-// T{F: newBatch(w)} composite literals.
+// expression anywhere in the file: x.F = newBatch(w) and T{F: newBatch(w)}
+// composite literals.
 func collectOwnedFields(pass *Pass, f *ast.File, structs map[*types.Named]*ast.StructType, owned map[*types.Named]map[string]token.Pos) {
 	record := func(n *types.Named, field string, pos token.Pos) {
 		if structs[n] == nil {
@@ -162,7 +157,7 @@ func collectOwnedFields(pass *Pass, f *ast.File, structs map[*types.Named]*ast.S
 					break
 				}
 				sel, ok := lhs.(*ast.SelectorExpr)
-				if !ok || !isAcquire(pass, n.Rhs[i]) {
+				if !ok || !isAcquire(n.Rhs[i]) {
 					continue
 				}
 				if named := namedOf(pass.TypesInfo.Types[sel.X].Type); named != nil {
@@ -180,7 +175,7 @@ func collectOwnedFields(pass *Pass, f *ast.File, structs map[*types.Named]*ast.S
 					continue
 				}
 				key, ok := kv.Key.(*ast.Ident)
-				if !ok || !isAcquire(pass, kv.Value) {
+				if !ok || !isAcquire(kv.Value) {
 					continue
 				}
 				record(named, key.Name, kv.Pos())
@@ -207,7 +202,7 @@ func closeMethods(pass *Pass) map[*types.Named]*ast.FuncDecl {
 }
 
 // releasesField reports whether the close method hands field back: calls
-// recv.field.release(), or passes recv.field to any call (pool.put).
+// recv.field.release(), or passes recv.field to any call.
 func releasesField(pass *Pass, cm *ast.FuncDecl, field string) bool {
 	found := false
 	ast.Inspect(cm.Body, func(n ast.Node) bool {
@@ -252,7 +247,7 @@ func checkLocalLeases(pass *Pass, body *ast.BlockStmt) {
 				break
 			}
 			id, ok := lhs.(*ast.Ident)
-			if !ok || id.Name == "_" || !isAcquire(pass, as.Rhs[i]) {
+			if !ok || id.Name == "_" || !isAcquire(as.Rhs[i]) {
 				continue
 			}
 			var obj types.Object
@@ -274,7 +269,7 @@ func checkLocalLeases(pass *Pass, body *ast.BlockStmt) {
 	}
 	disposed := map[types.Object]bool{}
 	// markDirect records a disposal only when the expression IS the leased
-	// variable (modulo parens/&): pool.put(b) transfers, b.n does not.
+	// variable (modulo parens/&): keep(b) transfers, b.n does not.
 	markDirect := func(e ast.Expr) {
 		for {
 			switch u := e.(type) {

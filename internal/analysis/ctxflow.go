@@ -17,8 +17,8 @@ import (
 //     bundles, which is exactly how ExecOptions.Ctx threads the engine.
 //  2. a function that already receives a context.Context but calls
 //     context.Background() or context.TODO() detaches its callees from the
-//     caller's cancellation — the exchange-operator goroutine that does this
-//     keeps scanning after the client is gone.
+//     caller's cancellation — a scan below such a call keeps running after
+//     the client is gone.
 var Ctxflow = &Analyzer{
 	Name: "ctxflow",
 	Doc: "context.Context must be threaded through parameters: not stored in " +

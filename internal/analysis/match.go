@@ -10,7 +10,7 @@ import (
 
 // Shared type matchers. The analyzers identify the engine's protocol types
 // nominally — a named type `Cursor` from a package named `store`, the
-// package-local `batch`, `batchPool` and `interrupt` types — rather than by
+// package-local `batch` and `interrupt` types — rather than by
 // import path, so the fixture packages under testdata (module lintfixtures)
 // can replicate the shapes without importing the real engine.
 

@@ -2,35 +2,11 @@
 // correctly — batchlease must stay silent.
 package engine
 
-import "sync"
-
 type batch struct{ n int }
 
 func newBatch(w int) *batch { _ = w; return &batch{} }
 
 func (b *batch) release() {}
-
-type batchPool struct {
-	mu   sync.Mutex
-	free []*batch
-}
-
-func (p *batchPool) get() *batch {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if n := len(p.free); n > 0 {
-		b := p.free[n-1]
-		p.free = p.free[:n-1]
-		return b
-	}
-	return newBatch(0)
-}
-
-func (p *batchPool) put(b *batch) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.free = append(p.free, b)
-}
 
 type operator interface {
 	nextBatch() (*batch, bool)
@@ -70,27 +46,17 @@ func (p *projOp) close() {
 	p.in.close()
 }
 
-// fanOut leases a batch and transfers ownership over the channel; the
-// consumer returns it to the pool.
-func fanOut(p *batchPool, out chan<- *batch) {
-	b := p.get()
+// handOff leases a batch and transfers ownership over the channel.
+func handOff(out chan<- *batch) {
+	b := newBatch(1)
 	b.n++
 	out <- b
 }
 
-func consume(p *batchPool, in <-chan *batch) int {
-	total := 0
-	for b := range in {
-		total += b.n
-		p.put(b)
-	}
-	return total
-}
-
-// refill leases, uses, and returns its batch on the same path.
-func refill(p *batchPool) int {
-	b := p.get()
+// refill leases, uses, and releases its batch on the same path.
+func refill() int {
+	b := newBatch(1)
 	n := b.n
-	p.put(b)
+	b.release()
 	return n
 }

@@ -14,10 +14,10 @@ import (
 // sorts) emit dense batches with a nil selection.
 //
 // Ownership: the batch an operator returns is valid only until its next
-// nextBatch call, so every serial operator reuses one owned output batch
-// (zero allocations per batch in steady state). Batches that cross goroutines
-// — the exchange operators — are leased from a shared batchPool instead and
-// recycled by the consumer once it advances past them.
+// nextBatch call, so every operator reuses one owned output batch (zero
+// allocations per batch in steady state) and releases it on close. Every
+// operator of a pipeline runs on its consumer's goroutine, so no batch is
+// ever handed between goroutines.
 
 // BatchSize is the number of rows an operator processes per call.
 // 1024 rows keeps a full-width batch of a typical 4-variable pipeline at
@@ -112,56 +112,4 @@ func (b *batch) liveSel() []int32 {
 		return b.sel
 	}
 	return identitySel[:b.n]
-}
-
-// batchPool recycles batches that cross goroutine boundaries: exchange
-// workers lease output batches here and the consuming operator returns each
-// one as it advances to the next, so steady-state parallel execution reuses
-// ~2 batches per worker instead of allocating one per send. It is the
-// batch-level extension of rowArena: same job (no per-unit allocations on the
-// output path), one level of granularity up, and shared across goroutines.
-type batchPool struct {
-	width int
-	mu    sync.Mutex
-	free  []*batch
-}
-
-func newBatchPool(width int) *batchPool { return &batchPool{width: width} }
-
-// get leases an empty batch of the pool's width.
-func (p *batchPool) get() *batch {
-	p.mu.Lock()
-	if n := len(p.free); n > 0 {
-		b := p.free[n-1]
-		p.free = p.free[:n-1]
-		p.mu.Unlock()
-		b.reset()
-		return b
-	}
-	p.mu.Unlock()
-	return newBatch(p.width)
-}
-
-// put returns a batch to the pool. The caller must hold no references into
-// its columns afterwards.
-func (p *batchPool) put(b *batch) {
-	if b == nil {
-		return
-	}
-	p.mu.Lock()
-	p.free = append(p.free, b)
-	p.mu.Unlock()
-}
-
-// releaseAll drains the pool's free list into the global batchFree pool; an
-// exchange calls it on close so its leased batches outlive neither the
-// execution nor the pool.
-func (p *batchPool) releaseAll() {
-	p.mu.Lock()
-	free := p.free
-	p.free = nil
-	p.mu.Unlock()
-	for _, b := range free {
-		b.release()
-	}
 }

@@ -8,13 +8,13 @@ import (
 // Cooperative cancellation for both execution tiers. ExecOptions.Ctx carries a
 // per-request context (a deadline, or an HTTP client's disconnect) into
 // execution; the entry points derive one interrupt token from it and thread it
-// to the operators that loop without returning control — the leaf scans, the
-// hash-join build drains and the exchange workers. Each such checkpoint polls
-// the token once per batch (an atomic load plus a non-blocking channel
-// receive, amortized over up to BatchSize rows) and reports EOF when it fires,
-// so the pipeline above winds down through its normal end-of-stream path. The
-// drain loops then surface ctx.Err() — a canceled query always returns an
-// error, never a silently truncated result.
+// to the operators that loop without returning control — the leaf scans and
+// the hash-join build drains. Each such checkpoint polls the token once per
+// batch (a flag test plus a non-blocking channel receive, amortized over up
+// to BatchSize rows) and reports EOF when it fires, so the pipeline above
+// winds down through its normal end-of-stream path. The drain loops then
+// surface ctx.Err() — a canceled query always returns an error, never a
+// silently truncated result.
 
 // cancelStops counts pipelines stopped early at an engine cancellation
 // checkpoint, process-wide.
@@ -27,11 +27,11 @@ var cancelStops atomic.Int64
 func CancelStops() int64 { return cancelStops.Load() }
 
 // interrupt is the per-execution cancellation token shared by every operator
-// of one pipeline. A nil *interrupt (context without cancellation) is valid
-// and never fires.
+// of one pipeline, all of which run on the goroutine pulling it. A nil
+// *interrupt (context without cancellation) is valid and never fires.
 type interrupt struct {
 	done  <-chan struct{}
-	fired atomic.Bool // memoized so later checkpoints skip the select
+	fired bool // memoized so later checkpoints skip the select
 }
 
 // newInterrupt derives a token from ctx; nil when ctx carries no cancellation.
@@ -51,14 +51,13 @@ func (it *interrupt) stop() bool {
 	if it == nil {
 		return false
 	}
-	if it.fired.Load() {
+	if it.fired {
 		return true
 	}
 	select {
 	case <-it.done:
-		if it.fired.CompareAndSwap(false, true) {
-			cancelStops.Add(1)
-		}
+		it.fired = true
+		cancelStops.Add(1)
 		return true
 	default:
 		return false

@@ -203,16 +203,11 @@ func skewedHashJoinFixture() (*store.Store, *cq.Query) {
 // TestBatchEvalMatchesINL is the store-side matrix: nine query shapes (scans,
 // chains, stars, a five-atom mix, a value join, a self-loop) over the flat,
 // 4-shard and 4×4 dual-partitioned stores plus the flat and 4-shard standard
-// datasets, pipeline vs INL oracle, multiset-exact. The parallel-scan
-// threshold is dropped so the sharded runs exercise the exchange and
-// ordered-gather operators, over both partition sides on the dual layout. The
-// planner-chain and skewed-hash-join fixtures add the sort-break and
-// long-collision-chain shapes.
+// datasets, pipeline vs INL oracle, multiset-exact. The sharded runs drive
+// both walked and merged driving scans, over both partition sides on the dual
+// layout. The planner-chain and skewed-hash-join fixtures add the sort-break
+// and long-collision-chain shapes.
 func TestBatchEvalMatchesINL(t *testing.T) {
-	oldMin := parallelScanMinRows
-	parallelScanMinRows = 0
-	defer func() { parallelScanMinRows = oldMin }()
-
 	shapes := map[string]string{
 		"full-scan":  "q(X, P, Y) :- t(X, P, Y)",
 		"pred-scan":  "q(X, Y) :- t(X, " + datagen.PropName(0) + ", Y)",
@@ -314,8 +309,8 @@ func TestBatchExecuteMatchesRef(t *testing.T) {
 }
 
 // TestBatchAbandonedPipeline closes partially drained pipelines — a
-// rewriting and a sharded store-side scan — and checks every worker is
-// released (the race detector and goroutine scheduler catch leaks).
+// rewriting and a walked sharded store-side scan — and checks that closing
+// twice is safe.
 func TestBatchAbandonedPipeline(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	x1, x2, x3 := cq.Var(1), cq.Var(2), cq.Var(3)
@@ -338,9 +333,6 @@ func TestBatchAbandonedPipeline(t *testing.T) {
 	closeOp(root) // closing twice is safe
 
 	// Store-side: abandon a sharded scan mid-stream.
-	oldMin := parallelScanMinRows
-	parallelScanMinRows = 0
-	defer func() { parallelScanMinRows = oldMin }()
 	_, sharded, _ := diffStores(t)
 	q := cq.NewParser(sharded.Dict()).MustParseQuery("q(X, P, Y) :- t(X, P, Y)")
 	qp, err := PlanQuery(sharded, q)

@@ -28,9 +28,8 @@ func MapResolver(m map[algebra.ViewID]*Relation) ViewResolver {
 
 // ExecOptions tunes execution of both engines: the rewriting executor
 // (ExecuteStream) and the store-side pipeline (QueryPlan.EvalStream). The zero
-// value is uncancellable execution, the default everywhere. Rewriting
-// execution is serial; the only parallelism is the shard exchange the
-// store-side planner chooses from the placement route (exchange.go).
+// value is uncancellable execution, the default everywhere. Either engine
+// runs a query on its caller's goroutine.
 type ExecOptions struct {
 	// Ctx, when non-nil, cancels the execution: operators poll its Done
 	// channel at per-batch checkpoints and stop scanning, and the drain

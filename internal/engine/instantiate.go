@@ -21,11 +21,8 @@ import (
 // order and permutations are frozen at compile time — correct for any
 // binding, merely tuned for the one that triggered compilation. Shard routing is NOT frozen:
 // substitution changes which shard a bound position hashes to, so the
-// concrete route is re-resolved from the instantiated patterns at
-// pipeline-build time (buildPipeline for exchanges, the store's routed
-// NewCursor for serial scans). Only the route's *shape* — how many
-// shards it spans, decided by which positions are bound — is stable across
-// bindings, which is what keeps the compile-time parallelism decision valid.
+// concrete route is re-resolved from the instantiated patterns when each
+// scan opens its cursors (scanOp.open, the store's routed NewCursor).
 //
 // A nil reader keeps the plan's own; an empty substitution just rebinds.
 func (p *QueryPlan) Instantiate(st store.Reader, subst map[dict.ID]dict.ID) *QueryPlan {

@@ -24,9 +24,8 @@ import (
 // Columns are positional: a batch's column i carries cols()[i].
 //
 // Ownership: a returned batch is valid only until the next nextBatch call.
-// Every operator here runs on the consumer's goroutine and reuses one owned
-// output batch; only the store-side shard exchanges (exchange.go) lease pool
-// batches across goroutines.
+// Every operator runs on the consumer's goroutine and reuses one owned output
+// batch.
 
 // operator is a pull-based physical operator yielding column batches.
 type operator interface {
@@ -37,8 +36,8 @@ type operator interface {
 	nextBatch() (*batch, bool)
 }
 
-// closeOp releases the operator's batches and buffers back to their pools
-// and stops any shard workers below it; safe on operators without either.
+// closeOp releases the operator's batches and buffers back to their pools;
+// safe on operators without any.
 func closeOp(o operator) {
 	if c, ok := o.(interface{ close() }); ok {
 		c.close()

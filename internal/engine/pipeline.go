@@ -163,13 +163,22 @@ func bindBatch(b *batch, spec *atomSpec, tris []store.Triple) {
 // scanOp (IndexScan) streams one permutation range as column batches: the
 // cursor decodes up to BatchSize triples per call (a flat gather on the common
 // clean-snapshot path) and the triple positions scatter into columns.
+//
+// A scan whose sort order nothing downstream reads (byShard, set by the
+// planner on driving scans) walks its placement route's shards in turn, one
+// single-shard cursor after another, so every NextBatch keeps the flat gather;
+// otherwise it drains one cursor merged over the route, in global permutation
+// order. The route is resolved from the pattern at first pull, so a cached
+// template instantiated with new constants re-routes per binding.
 type scanOp struct {
-	st   store.Reader
-	spec *atomSpec
-	intr *interrupt
+	st      store.Reader
+	spec    *atomSpec
+	byShard bool
+	intr    *interrupt
 
 	started bool
 	cur     store.Cursor
+	next    []store.Cursor // a walked scan's remaining shard cursors
 	tris    []store.Triple
 	out     *batch
 }
@@ -183,12 +192,28 @@ func (s *scanOp) close() {
 	s.out, s.tris = nil, nil
 }
 
+// open pins the scan's cursors. A walked scan opens all of its shard cursors
+// here, so each shard is read as of the scan's open, as a merged cursor reads
+// it; only the first open records in the pruning ledger, for the whole route.
+func (s *scanOp) open() {
+	s.started = true
+	s.tris = getTris()
+	s.out = newBatch(len(s.spec.binds))
+	perm, pat := s.spec.perm, s.spec.pat
+	if !s.byShard {
+		s.cur = s.st.NewCursor(perm, pat)
+		return
+	}
+	r := s.st.Placement().Route(perm, pat)
+	s.cur = s.st.RouteShardCursor(r, 0, perm, pat)
+	for k := 1; k < r.Len(); k++ {
+		s.next = append(s.next, s.st.RouteShardCursor(r, k, perm, pat))
+	}
+}
+
 func (s *scanOp) nextBatch() (*batch, bool) {
 	if !s.started {
-		s.started = true
-		s.cur = s.st.NewCursor(s.spec.perm, s.spec.pat)
-		s.tris = getTris()
-		s.out = newBatch(len(s.spec.binds))
+		s.open()
 	}
 	for {
 		if s.intr.stop() { // cancellation checkpoint: once per decoded batch
@@ -196,7 +221,11 @@ func (s *scanOp) nextBatch() (*batch, bool) {
 		}
 		n := s.cur.NextBatch(s.tris)
 		if n == 0 {
-			return nil, false
+			if len(s.next) == 0 {
+				return nil, false
+			}
+			s.cur, s.next = s.next[0], s.next[1:]
+			continue
 		}
 		bindBatch(s.out, s.spec, s.tris[:n])
 		if s.out.live() > 0 {
@@ -247,8 +276,8 @@ type mergeJoinOp struct {
 
 func (m *mergeJoinOp) cols() []cq.Term { return m.labels }
 
-// close returns the join's buffers to their pools and releases any
-// parallel-scan workers feeding the pipeline below.
+// close returns the join's buffers, and those of the pipeline below, to their
+// pools.
 func (m *mergeJoinOp) close() {
 	m.out.release()
 	putTris(m.cur.buf)
@@ -415,8 +444,8 @@ type sortOp struct {
 
 func (s *sortOp) cols() []cq.Term { return s.in.cols() }
 
-// close returns the sort's output batch to the pool and releases any
-// parallel-scan workers feeding the pipeline below.
+// close returns the sort's output batch, and the pipeline's below, to their
+// pools.
 func (s *sortOp) close() {
 	s.out.release()
 	s.out = nil
@@ -475,7 +504,7 @@ func (s *sortOp) nextBatch() (*batch, bool) {
 // how many register slots the pipeline has bound so far: slots are numbered in
 // binding order, so its columns are slotTerms[:n]. intr (nil for uncancellable
 // executions) reaches the operators that loop without returning control:
-// scans, exchanges and hash-join build drains.
+// scans and hash-join build drains.
 func (p *QueryPlan) buildPipeline(intr *interrupt) operator {
 	var cur operator
 	n, pipe := 0, 0.0 // columns and estimated rows of the pipeline so far
@@ -488,15 +517,7 @@ func (p *QueryPlan) buildPipeline(intr *interrupt) operator {
 		}
 		switch s.kind {
 		case stepScan:
-			route, par := p.scanRoute(s)
-			switch {
-			case par > 1 && s.parSlot >= 0:
-				cur = &gatherMergeOp{st: p.st, spec: s.spec, route: route, dop: par, slot: s.parSlot, intr: intr}
-			case par > 1:
-				cur = &exchangeOp{st: p.st, spec: s.spec, route: route, dop: par, intr: intr}
-			default:
-				cur = &scanOp{st: p.st, spec: s.spec, intr: intr}
-			}
+			cur = &scanOp{st: p.st, spec: s.spec, byShard: s.byShard, intr: intr}
 		case stepSort:
 			cur = &sortOp{in: cur, slot: s.joinSlot}
 		case stepMergeJoin:

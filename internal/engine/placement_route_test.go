@@ -150,14 +150,10 @@ func TestCachedTemplateReroutesOnInstantiate(t *testing.T) {
 	}
 }
 
-// TestParallelScanOverObjectSide checks the exchange operators fan out over
-// the object side when an unbound object-leading scan routes there, and that
-// one fan-out records once in the ledger with the object side's K.
+// TestParallelScanOverObjectSide checks that a walked driving scan over a
+// dual layout opens every shard of its route, returns every row, and records
+// once in the ledger for the whole route.
 func TestParallelScanOverObjectSide(t *testing.T) {
-	oldMin := parallelScanMinRows
-	parallelScanMinRows = 0
-	defer func() { parallelScanMinRows = oldMin }()
-
 	_, _, dual := diffStores(t)
 	p := cq.NewParser(dual.Dict())
 	// Full scan: indexFor picks SPO for the all-wildcard pattern, subject
@@ -172,8 +168,8 @@ func TestParallelScanOverObjectSide(t *testing.T) {
 	}
 	s0 := &plan.steps[0]
 	route := dual.Placement().Route(s0.spec.perm, s0.spec.pat)
-	if s0.par != route.Len() {
-		t.Fatalf("par=%d but route %v", s0.par, route)
+	if !s0.byShard || route.Len() < 2 {
+		t.Fatalf("full scan should walk a multi-shard route, got walked=%v over %v", s0.byShard, route)
 	}
 	before := dual.PruneStats().Snapshot()
 	got, err := plan.EvalStream(ExecOptions{}).Collect()
@@ -182,12 +178,12 @@ func TestParallelScanOverObjectSide(t *testing.T) {
 	}
 	after := dual.PruneStats().Snapshot()
 	if got.Len() != dual.Len() {
-		t.Fatalf("parallel full scan returned %d rows, store has %d", got.Len(), dual.Len())
+		t.Fatalf("walked full scan returned %d rows, store has %d", got.Len(), dual.Len())
 	}
 	if opens := after.Opens - before.Opens; opens != 1 {
-		t.Fatalf("fan-out recorded %d ledger opens, want 1", opens)
+		t.Fatalf("shard walk recorded %d ledger opens, want 1", opens)
 	}
 	if opened := after.ShardsOpened - before.ShardsOpened; opened != int64(route.Len()) {
-		t.Fatalf("fan-out recorded %d shards opened, want %d", opened, route.Len())
+		t.Fatalf("shard walk recorded %d shards opened, want %d", opened, route.Len())
 	}
 }

@@ -121,16 +121,10 @@ type planStep struct {
 	est    float64 // the step's atom cardinality (sort: pipeline input rows)
 	outEst float64 // estimated pipeline cardinality after this step
 
-	// Exchange parallelism (driving scan only): par > 1 fans the scan out
-	// across that many store shards on worker goroutines; parSlot is the
-	// register slot an ordered gather merges on (-1 for arrival order).
-	par     int
-	parSlot int
+	// byShard (driving scan only): no merge join reads the scan's sort
+	// order, so it walks its route's shards in turn (scanOp).
+	byShard bool
 }
-
-// parallelScanMinRows is the estimated driving-scan cardinality below which
-// fanning out across shards is not worth the goroutine and channel overhead.
-var parallelScanMinRows = 1024.0
 
 // buildLeftMargin is how many times smaller than the atom the pipeline must
 // be estimated before a hash join builds over the pipeline side. It is
@@ -218,9 +212,8 @@ func PlanQueryWithStats(st store.Reader, q *cq.Query, cards Cards) (*QueryPlan, 
 	}
 
 	bound := make([]bool, len(slotTerms))
-	sorted := -1     // register slot the pipeline is currently sorted on
-	scanSorted := -1 // the driving scan's sort slot (for the exchange fan-in)
-	pipe := 0.0      // estimated cardinality of the pipeline so far
+	sorted := -1 // register slot the pipeline is currently sorted on
+	pipe := 0.0  // estimated cardinality of the pipeline so far
 	for k, ai := range order {
 		a := q.Atoms[ai]
 		spec := makeAtomSpec(a, slotOf)
@@ -250,7 +243,6 @@ func PlanQueryWithStats(st store.Reader, q *cq.Query, cards Cards) (*QueryPlan, 
 			if then >= 0 {
 				sorted = slotOf[a[then]]
 			}
-			scanSorted = sorted
 			pipe = est
 			step.outEst = pipe
 			p.steps = append(p.steps, step)
@@ -338,39 +330,19 @@ func PlanQueryWithStats(st store.Reader, q *cq.Query, cards Cards) (*QueryPlan, 
 		}
 	}
 
-	// Exchange parallelism: a driving scan whose placement route spans more
-	// than one shard touches all of them, so fan it out across the route when
-	// it is large enough to amortize the workers. The route is computed by
-	// the store's Placement: a pattern bound on a partition column (subject,
-	// or object on a dual layout) prunes to one shard and stays serial —
-	// planner-driven shard pruning. The fan-in must be an ordered gather
-	// (merging on the scan's sort slot) only when a downstream merge join
-	// consumes that order before anything re-establishes (Sort) or destroys
-	// (build=left hash join) it; otherwise batches surface in arrival order.
-	// With one shard (the default) plans are exactly the historical serial
-	// ones. The concrete shard subset is re-resolved from the instantiated
-	// pattern at pipeline-build time (buildPipeline): constant
-	// substitution in cached plan templates never changes which positions
-	// are bound — so this par decision stays valid — but it does change
-	// which single shard a bound position hashes to.
-	if len(p.steps) > 0 && p.steps[0].kind == stepScan && st != nil {
-		s0 := &p.steps[0]
-		route := st.Placement().Route(s0.spec.perm, s0.spec.pat)
-		if route.Len() > 1 && s0.est >= parallelScanMinRows {
-			s0.par = route.Len()
-			s0.parSlot = -1
-			for i := 1; i < len(p.steps); i++ {
-				s := &p.steps[i]
-				if s.kind == stepMergeJoin {
-					s0.parSlot = scanSorted
-					break
-				}
-				if s.kind == stepSort || (s.kind == stepHashJoin && s.buildLeft) {
-					break
-				}
-				// build=right hash joins and cross products preserve the
-				// scan's order; keep looking.
-			}
+	// The driving scan's order is read only by a merge join that comes before
+	// anything re-establishes (Sort) or destroys (build=left hash join) it;
+	// build=right hash joins and cross products preserve it. A scan whose
+	// order nothing reads walks its route's shards one after another, each
+	// shard cursor decoding flat batches, instead of merging them.
+	p.steps[0].byShard = true
+	for _, s := range p.steps[1:] {
+		if s.kind == stepMergeJoin {
+			p.steps[0].byShard = false
+			break
+		}
+		if s.kind == stepSort || (s.kind == stepHashJoin && s.buildLeft) {
+			break
 		}
 	}
 
@@ -562,21 +534,6 @@ func orderAtoms(q *cq.Query, cards Cards) ([]int, []float64) {
 	return order, counts
 }
 
-// scanRoute resolves the concrete shard route for a parallel driving scan at
-// pipeline-build time. The planner froze the decision *that* the scan fans
-// out (s.par, from the route's shape — which positions are bound); the
-// concrete shard subset depends on the constant values actually in the
-// pattern, which for a cached plan template are substituted per Instantiate
-// call. Non-parallel steps return dop 1 without consulting placement (plans
-// built against a nil store — pure cost exploration — never fan out).
-func (p *QueryPlan) scanRoute(s *planStep) (store.Route, int) {
-	if s.par <= 1 || p.st == nil {
-		return store.Route{}, 1
-	}
-	route := p.st.Placement().Route(s.spec.perm, s.spec.pat)
-	return route, route.Len()
-}
-
 // distinctHintCap bounds the distinct set's pre-size: estimates at or above
 // it clamp to the cap (one bounded allocation) instead of being discarded —
 // the old behavior fell back to a 64-slot table and rehash-stormed on huge
@@ -605,8 +562,7 @@ func distinctSizeHint(est float64) int {
 
 // Describe returns the physical plan tree for explain surfaces, read off the
 // same planSteps buildPipeline instantiates. The scan leaves that decode column
-// batches and the Gather exchange that hands them between goroutines render
-// their batch size (like dop= for parallelism).
+// batches render their batch size.
 func (p *QueryPlan) Describe() *algebra.PhysNode {
 	var node *algebra.PhysNode
 	for _, s := range p.steps {
@@ -640,17 +596,6 @@ func (p *QueryPlan) Describe() *algebra.PhysNode {
 		switch s.kind {
 		case stepScan:
 			node = scan
-			if s.par > 1 {
-				scan.Op = "ParallelScan"
-				detail := ""
-				if s.parSlot >= 0 {
-					detail = fmt.Sprintf("merge=[%s]", p.slotTerms[s.parSlot])
-				}
-				gather := algebra.NewPhysNode("Gather", detail, s.est, scan)
-				gather.DOP = s.par
-				gather.Batch = BatchSize
-				node = gather
-			}
 		case stepMergeJoin:
 			detail := fmt.Sprintf("[%s]", p.slotTerms[s.joinSlot])
 			if len(s.extraSlots) > 0 {

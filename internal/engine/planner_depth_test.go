@@ -96,7 +96,6 @@ func TestPlanChainOfFourSortBreak(t *testing.T) {
 // each evaluated over a flat, a 4-subject-shard and a 4×4 dual-partitioned
 // store — all combinations must agree with the recursive oracle.
 func TestPlanDepthAgainstINLShapes(t *testing.T) {
-	forceParallel(t)
 	shapes := []string{
 		chain4Src,
 		"q(X) :- t(X, p1, Y), t(X, p2, Z), t(X, p3, W)",    // star

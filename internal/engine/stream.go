@@ -20,8 +20,8 @@ import (
 // RowStream is a pulled sequence of row slabs from a running pipeline.
 // Next returns slabs of at least one row; unless the stream says otherwise,
 // a slab (and its rows) is valid only until the next Next call. Close
-// releases the pipeline's operators and workers and is required on every
-// stream, drained or not.
+// releases the pipeline's operators and is required on every stream, drained
+// or not.
 type RowStream struct {
 	streamCols []cq.Term
 	pull       func() ([]Row, error) // nil slab = EOF
@@ -55,8 +55,8 @@ func (s *RowStream) Next() ([]Row, error) {
 	return rows, nil
 }
 
-// Close releases the stream's pipeline (batch buffers, parallel workers).
-// It is idempotent and safe after EOF.
+// Close releases the stream's pipeline (its batch buffers). It is idempotent
+// and safe after EOF.
 func (s *RowStream) Close() {
 	if s.stop != nil {
 		s.stop()
@@ -65,9 +65,8 @@ func (s *RowStream) Close() {
 }
 
 // Collect is the one materializing drain: it pulls the stream dry into a
-// relation and closes it (releasing parallel workers on every exit path). A
-// canceled ExecOptions.Ctx surfaces as its error, never as a truncated
-// relation.
+// relation and closes it on every exit path. A canceled ExecOptions.Ctx
+// surfaces as its error, never as a truncated relation.
 func (s *RowStream) Collect() (*Relation, error) {
 	defer s.Close()
 	out := NewRelation(s.streamCols)

@@ -88,9 +88,9 @@ func (st *Store) RouteCursor(r Route, p Perm, pat Pattern) Cursor {
 }
 
 // RouteShardCursor opens a cursor over the route's k-th shard only — the
-// per-partition stream the engine's shard exchanges fan out over. The
-// whole fan-out is one logical routed open, so only worker 0 records it in
-// the pruning ledger.
+// per-shard stream a scan walking its route reads, k = 0 … r.Len()-1. The
+// whole walk is one logical routed open, so only the open of shard 0
+// records it in the pruning ledger.
 func (st *Store) RouteShardCursor(r Route, k int, p Perm, pat Pattern) Cursor {
 	shs := st.routeShards(r)
 	if k == 0 {

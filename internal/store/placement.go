@@ -63,8 +63,8 @@ func (s Side) String() string {
 // Route is the minimal shard subset an access must touch: one side of the
 // dual layout, and either a single shard on it (Shard >= 0) or the side's
 // full fan-out (Shard < 0). K is the side's partition count, kept on the
-// route so consumers (the planner's DOP decision, Explain's shards=m/K
-// annotation, the pruning ledger) see the fan-out that was avoided.
+// route so consumers (Explain's shards=m/K annotation, the pruning ledger)
+// see the fan-out that was avoided.
 type Route struct {
 	Side  Side
 	Shard int // single shard index on the side, or -1 for all of them
@@ -143,8 +143,8 @@ func (pl Placement) Route(p Perm, pat Pattern) Route {
 // of the routed side, so pruning effectiveness (1.0 = no pruning possible,
 // 1/K = every open was a point route) is observable in production via /stats
 // and rdfviews -cache-stats. All fields are atomics; concurrent readers
-// record without locks. A parallel scan that fans out over a route records
-// once for the whole fan-out, not once per worker.
+// record without locks. A scan that walks a route's shards one at a time
+// records once for the whole route, not once per shard.
 type PruneStats struct {
 	Opens        atomic.Int64 // routed cursor opens
 	ShardsOpened atomic.Int64 // shards those opens actually touched

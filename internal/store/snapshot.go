@@ -110,7 +110,7 @@ func (s *Snapshot) RouteCursor(r Route, p Perm, pat Pattern) Cursor {
 }
 
 // RouteShardCursor opens a cursor over the route's k-th pinned shard only;
-// worker 0 records the whole fan-out (see Store.RouteShardCursor).
+// the open of shard 0 records the whole walk (see Store.RouteShardCursor).
 func (s *Snapshot) RouteShardCursor(r Route, k int, p Perm, pat Pattern) Cursor {
 	sns := s.routeSnaps(r)
 	if k == 0 {

@@ -7,8 +7,8 @@
 //     at construction; K=1 is the degenerate single-table layout and the
 //     default). All triples sharing a subject land in the same shard, so
 //     subject-bound lookups touch exactly one shard while unbound scans
-//     fan out across all of them — the unit of parallelism the engine's
-//     exchange operators exploit.
+//     read all of them, merged into one ordered stream or one shard after
+//     another (RouteShardCursor).
 //   - Optionally the layout is dual-partitioned: NewDual adds a second family
 //     of shards holding object-hash-partitioned replicas of every triple, so
 //     object-bound patterns (the dominant shape of reformulated union
@@ -162,7 +162,8 @@ func PermFor(bound []int, then int) (Perm, bool) {
 }
 
 // MaxShards caps the shard count of either side; beyond this, per-shard
-// overheads (cursor merging, snapshot bookkeeping) outweigh any parallelism.
+// overheads (cursor merging, snapshot bookkeeping) outweigh what pruning and
+// per-shard maintenance save.
 const MaxShards = 256
 
 // Reader is the read-only query surface shared by the live *Store and an
@@ -174,8 +175,8 @@ type Reader interface {
 	// NumShards returns the number of subject-side hash partitions.
 	NumShards() int
 	// Placement returns the shard router describing the partition layout.
-	// The engine's planner consults it to compute the minimal shard subset
-	// (Route) of every scan before deciding fan-out.
+	// The engine consults it for the minimal shard subset (Route) a scan
+	// walks and Explain annotates.
 	Placement() Placement
 	// Len returns the number of distinct live triples.
 	Len() int
@@ -188,7 +189,7 @@ type Reader interface {
 	// RouteCursor opens a cursor merged over exactly the route's shards.
 	RouteCursor(r Route, p Perm, pat Pattern) Cursor
 	// RouteShardCursor opens a cursor over the route's k-th shard only — the
-	// per-partition stream the engine's shard exchanges fan out over.
+	// per-shard stream a scan walking its route reads, k = 0 … r.Len()-1.
 	RouteShardCursor(r Route, k int, p Perm, pat Pattern) Cursor
 	// Scan visits every triple matching the pattern in index order until fn
 	// returns false (see Store.Scan).

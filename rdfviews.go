@@ -30,14 +30,13 @@
 //     through a compatible permutation, hash joins otherwise, then
 //     projection and duplicate elimination — choosing the join order from
 //     the same cardinality statistics the cost model uses. Over a sharded
-//     store, large driving scans fan out across the shards through
-//     Gather/ParallelScan exchange operators (an ordered gather when a
-//     downstream merge join consumes the sort order). A streaming
-//     executor then pulls dictionary-encoded tuples through slice-based
-//     variable registers (no per-row maps, no string keys). Rewriting plans
-//     over materialized views execute serially on the same operator set,
-//     whose hash joins choose their build side from the extent
-//     cardinalities; the shard exchange is the engine's only parallelism.
+//     store, a driving scan whose sort order no merge join reads walks its
+//     route's shards one after another; any other scan reads one cursor
+//     merged over them. A streaming executor then pulls dictionary-encoded
+//     tuples through slice-based variable registers (no per-row maps, no
+//     string keys). Rewriting plans over materialized views execute on the
+//     same operator set, whose hash joins choose their build side from the
+//     extent cardinalities. Every query runs on its caller's goroutine.
 //     Database.ExplainQuery and Recommendation.ExplainPhysical render
 //     the compiled physical plans.
 //   - internal/maintain keeps view extents synchronized with the store under
@@ -191,11 +190,10 @@ func NewDatabase() *Database {
 }
 
 // NewDatabaseSharded returns an empty database whose triple store is
-// hash-partitioned (by subject) across k shards. Sharding parallelizes large
-// scans across cores — the engine fans the driving index scan of a query out
-// over the shards with exchange operators — and bounds the cost of
-// incremental index maintenance to one shard per update. k is clamped to
-// [1, 256]; with k=1 the database behaves exactly like NewDatabase.
+// hash-partitioned (by subject) across k shards. A subject-bound access then
+// opens one shard, and incremental index maintenance touches one shard per
+// update. k is clamped to [1, 256]; with k=1 the database behaves exactly
+// like NewDatabase.
 func NewDatabaseSharded(k int) *Database {
 	return newDatabase(store.NewSharded(k), rdf.NewSchema())
 }
