@@ -76,15 +76,34 @@ func (c *Ctx) enumVB(s *State, yield func(*State) bool) bool {
 }
 
 // enumVF enumerates View Fusions: every unordered pair of views with equal
-// body codes.
+// body codes, i < j by ID. Only a view whose body ID occurs twice or more can
+// pair, so the body IDs are counted first and the pairs drawn from those
+// views alone, in the order of the all-pairs scan.
 func (c *Ctx) enumVF(s *State, yield func(*State) bool) bool {
 	views := s.SortedViews()
-	for i := 0; i < len(views); i++ {
-		for j := i + 1; j < len(views); j++ {
-			if views[i].BodyCode() != views[j].BodyCode() {
+	if n := len(c.bodies); len(c.bodyCount) < n {
+		c.bodyCount = append(c.bodyCount, make([]int32, n-len(c.bodyCount))...)
+	}
+	count := c.bodyCount
+	for _, v := range views {
+		count[v.bodyID]++
+	}
+	var paired []*View
+	for _, v := range views {
+		if count[v.bodyID] > 1 {
+			paired = append(paired, v)
+		}
+	}
+	// The counters are cleared before yielding: a yield may re-enter enumVF.
+	for _, v := range views {
+		count[v.bodyID] = 0
+	}
+	for i, a := range paired {
+		for _, b := range paired[i+1:] {
+			if a.bodyID != b.bodyID {
 				continue
 			}
-			if ns := c.ApplyVF(s, views[i].ID, views[j].ID); ns != nil {
+			if ns := c.ApplyVF(s, a.ID, b.ID); ns != nil {
 				if !yield(ns) {
 					return false
 				}
@@ -95,7 +114,8 @@ func (c *Ctx) enumVF(s *State, yield func(*State) bool) bool {
 }
 
 // firstVF returns the first applicable fusion, or nil — the step function of
-// the AVF closure.
+// the AVF closure. On a state without two equal bodies, which is where every
+// closure ends, it allocates nothing.
 func (c *Ctx) firstVF(s *State) *State {
 	var out *State
 	c.enumVF(s, func(ns *State) bool {

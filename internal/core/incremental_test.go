@@ -222,11 +222,29 @@ func TestStepAllocations(t *testing.T) {
 		ns := ctx.ApplySC(s0, vid, edge.atom, edge.pos)
 		ns.Cost(est)
 	})
-	// A Selection Cut builds one view (query, two canonical codes, plan
-	// nodes) and one state (its slices); costing it allocates the REC list
-	// and re-walks one union plan: 102 allocations, most of them the two
-	// canonical labelings, against 35193 at commit 1b0f562.
+	// A Selection Cut builds one view (query, canonical labeling, plan nodes)
+	// and one state (its slices and key); costing it allocates the REC list
+	// and re-walks one union plan: 38 allocations, against 35193 at commit
+	// 1b0f562.
 	if allocs > 150 {
 		t.Errorf("ApplySC + Cost on a %d-view state: %.0f allocations, want at most 150", s0.NumViews(), allocs)
+	}
+}
+
+// TestFirstVFOnClosedStateAllocatesNothing: every AVF closure ends with a
+// firstVF call that finds nothing to fuse, and that call only counts bodies.
+func TestFirstVFOnClosedStateAllocatesNothing(t *testing.T) {
+	f := newSearchFixture(t, 3, 3, 3)
+	s0, ctx, _ := f.start(t, "pre")
+	closed := ctx.AVFClose(s0, nil)
+	if closed.NumViews() < 200 {
+		t.Fatalf("closed state has %d views, want at least 200", closed.NumViews())
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if ctx.firstVF(closed) != nil {
+			t.Fatal("a VF-closed state has a fusion")
+		}
+	}); allocs != 0 {
+		t.Errorf("firstVF on a VF-closed %d-view state: %.0f allocations, want 0", closed.NumViews(), allocs)
 	}
 }

@@ -36,7 +36,7 @@ func InitialState(queries []*cq.Query) (*State, *Ctx, error) {
 	plans := make([]algebra.Plan, len(queries))
 	for i, q := range queries {
 		m := q.Minimize()
-		views[i] = NewView(ctx.FreshViewID(), m)
+		views[i] = ctx.NewView(m)
 		plans[i] = algebra.NewScan(views[i].ID, m.Head)
 	}
 	return newState(views, plans, StageVB).publish(), ctx, nil
@@ -84,7 +84,7 @@ func InitialStateUCQ(queries []*cq.Query, reformulations []*cq.UCQ) (*State, *Ct
 			if !m.IsConnected() {
 				m = term // keep product-free form; see finishView
 			}
-			v := NewView(ctx.FreshViewID(), m)
+			v := ctx.NewView(m)
 			views = append(views, v)
 			branches = append(branches, algebra.NewScan(v.ID, m.Head))
 		}

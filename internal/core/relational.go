@@ -65,6 +65,7 @@ func (sr *searcher) relational(initial *State) error {
 				if sr.budgetUp() {
 					return ErrStateBudget
 				}
+				sr.note(comb)
 				if c := comb.Cost(sr.opts.Estimator).Total; best == nil || c < bestC {
 					best, bestC = comb, c
 				}
@@ -109,12 +110,11 @@ func (sr *searcher) relational(initial *State) error {
 						sr.res.Counters.Discarded++
 						continue
 					}
-					code := cand.Code()
-					if _, dup := seen[code]; dup {
+					if !firstSight(seen, cand) {
 						sr.res.Counters.Duplicates++
 						continue
 					}
-					seen[code] = struct{}{}
+					sr.note(cand)
 					next = append(next, cand)
 				}
 			}
@@ -139,6 +139,11 @@ func (sr *searcher) relational(initial *State) error {
 	return nil
 }
 
+// note counts a state a relational phase admits in StatesSeen.
+func (sr *searcher) note(s *State) {
+	sr.seen[string(s.key)] = struct{}{}
+}
+
 // singleQueryState projects the initial state onto query i.
 func (sr *searcher) singleQueryState(initial *State, i int, p algebra.Plan) *State {
 	var views []*View
@@ -155,7 +160,7 @@ func (sr *searcher) singleQueryState(initial *State, i int, p algebra.Plan) *Sta
 // this closure's share of the stoptime budget.
 func (sr *searcher) perQueryClosure(s0 *State, phaseDeadline time.Time) ([]*State, bool) {
 	all := []*State{s0}
-	seen := map[string]struct{}{s0.Code(): {}}
+	seen := map[string]struct{}{string(s0.key): {}}
 	phaseUp := func() bool {
 		return !phaseDeadline.IsZero() && !time.Now().Before(phaseDeadline)
 	}
@@ -180,12 +185,11 @@ func (sr *searcher) perQueryClosure(s0 *State, phaseDeadline time.Time) ([]*Stat
 					if sr.budgetUp() {
 						return false
 					}
-					code := ns.Code()
-					if _, dup := seen[code]; dup {
+					if !firstSight(seen, ns) {
 						sr.res.Counters.Duplicates++
 						return true
 					}
-					seen[code] = struct{}{}
+					sr.note(ns)
 					if ns.Cost(sr.opts.Estimator).Total > bound {
 						sr.res.Counters.Discarded++
 						return true
@@ -219,16 +223,16 @@ func (sr *searcher) heuristicFilter(perQuery [][]*State) [][]*State {
 	for i, states := range perQuery {
 		mins[i] = sr.bestOf(states)
 	}
-	// Body codes of the other queries' minimal states.
+	// Body IDs of the other queries' minimal states.
 	out := make([][]*State, len(perQuery))
 	for i, states := range perQuery {
-		otherBodies := make(map[string]struct{})
+		otherBodies := make(map[uint32]struct{})
 		for j, m := range mins {
 			if i == j || m == nil {
 				continue
 			}
 			for _, v := range m.views {
-				otherBodies[v.BodyCode()] = struct{}{}
+				otherBodies[v.bodyID] = struct{}{}
 			}
 		}
 		kept := []*State{mins[i]}
@@ -238,7 +242,7 @@ func (sr *searcher) heuristicFilter(perQuery [][]*State) [][]*State {
 			}
 			fusable := false
 			for _, v := range s.views {
-				if _, ok := otherBodies[v.BodyCode()]; ok {
+				if _, ok := otherBodies[v.bodyID]; ok {
 					fusable = true
 					break
 				}

@@ -126,7 +126,7 @@ type searcher struct {
 	ctx  *Ctx
 	opts Options
 
-	seen  map[string]struct{}
+	seen  map[string]struct{} // state keys
 	best  *State
 	bestC cost.Breakdown
 
@@ -158,7 +158,7 @@ func newSearcher(initial *State, ctx *Ctx, opts Options) *searcher {
 	return &searcher{
 		ctx:           ctx,
 		opts:          opts,
-		seen:          map[string]struct{}{initial.Code(): {}},
+		seen:          map[string]struct{}{string(initial.key): {}},
 		best:          initial,
 		bestC:         initial.Cost(opts.Estimator),
 		initialAllVar: initial.HasAllVariableView(),
@@ -254,12 +254,10 @@ func (sr *searcher) admit(ns *State) *State {
 	if sr.check != nil {
 		sr.check(ns)
 	}
-	code := ns.Code()
-	if _, dup := sr.seen[code]; dup {
+	if !firstSight(sr.seen, ns) {
 		sr.res.Counters.Duplicates++
 		return nil
 	}
-	sr.seen[code] = struct{}{}
 	if sr.discard(ns) {
 		sr.res.Counters.Discarded++
 		return nil
@@ -270,6 +268,15 @@ func (sr *searcher) admit(ns *State) *State {
 		sr.point()
 	}
 	return ns
+}
+
+// firstSight records s's key in seen and reports whether it was new there.
+func firstSight(seen map[string]struct{}, s *State) bool {
+	if _, dup := seen[string(s.key)]; dup {
+		return false
+	}
+	seen[string(s.key)] = struct{}{}
+	return true
 }
 
 // discard applies the stopvar/stoptt stop conditions.

@@ -8,7 +8,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -19,14 +21,18 @@ import (
 
 // View is one candidate materialized view: a conjunctive query with a state-
 // unique ID and everything the search derives from its definition once, when
-// the view is built: canonical codes and the stop-condition properties. A
-// view is immutable and shared by every state that contains it.
+// the view is built: canonical codes, their interned IDs and the
+// stop-condition properties. A view is immutable and shared by every state
+// that contains it.
 type View struct {
 	ID algebra.ViewID
 	Q  *cq.Query
 
 	code     string // set-mode canonical code incl. head (state equality, Def. §3.1)
 	bodyCode string // its body prefix (View Fusion prefilter)
+	// codeID and bodyID are code and bodyCode interned by the Ctx that built
+	// the view: within one search, equal IDs are equal strings.
+	codeID, bodyID uint32
 	// allVar: no constants at all (stopvar); tripleTable: a single atom of
 	// three distinct variables (stoptt).
 	allVar, tripleTable bool
@@ -34,16 +40,29 @@ type View struct {
 	vbPairs             [][2]uint32 // cached View Break cover pairs (see enumVB)
 }
 
-// NewView builds a view, computing its canonical codes in one labeling run.
-func NewView(id algebra.ViewID, q *cq.Query) *View {
-	v := &View{ID: id, Q: q, allVar: q.ConstCount() == 0}
+// NewView builds a view under a fresh ID, computing its canonical codes in
+// one labeling run and interning them.
+func (c *Ctx) NewView(q *cq.Query) *View {
+	v := &View{ID: c.nextViewID, Q: q, allVar: q.ConstCount() == 0}
+	c.nextViewID++
 	lab := q.Label(cq.SetHead)
 	v.code, v.bodyCode = lab.Code, lab.Code[:lab.BodyLen]
+	v.codeID, v.bodyID = intern(c.codes, v.code), intern(c.bodies, v.bodyCode)
 	if len(q.Atoms) == 1 && v.allVar {
 		a := q.Atoms[0]
 		v.tripleTable = a[0] != a[1] && a[1] != a[2] && a[0] != a[2]
 	}
 	return v
+}
+
+// intern returns the ID of s in m, adding it under the next free ID.
+func intern(m map[string]uint32, s string) uint32 {
+	id, ok := m[s]
+	if !ok {
+		id = uint32(len(m))
+		m[s] = id
+	}
+	return id
 }
 
 // Code returns the canonical code of the view (body + head set).
@@ -134,7 +153,11 @@ type State struct {
 	// Stage is the stratification tag of the path that reached this state.
 	Stage Stage
 
-	views               []*View // in ID order
+	views []*View // in ID order
+	// key is the state's identity within a search: its views' interned code
+	// IDs, sorted, four big-endian bytes each. Two states of one search have
+	// equal keys exactly when they have equal codes (see Code).
+	key                 []byte
 	code                string
 	codeOnce            bool
 	allVar, tripleTable int // views with the stop-condition property
@@ -151,10 +174,42 @@ type State struct {
 // newState builds a state over views, which must be in ID order.
 func newState(views []*View, plans []algebra.Plan, stage Stage) *State {
 	s := &State{Plans: plans, Stage: stage, views: views}
-	for _, v := range views {
+	ids := make([]uint32, len(views))
+	for i, v := range views {
 		s.count(v, 1)
+		ids[i] = v.codeID
 	}
+	slices.Sort(ids)
+	s.key = rekey(nil, nil, ids)
 	return s
+}
+
+// rekey returns a new key: key without one occurrence of each ID in drop and
+// with the IDs in add. drop and add must be sorted, and drop a sub-multiset
+// of key. The runs of key between the edits are copied whole.
+func rekey(key []byte, drop, add []uint32) []byte {
+	out := make([]byte, 0, len(key)+4*(len(add)-len(drop)))
+	at := 0 // bytes of key consumed
+	// upTo copies key up to the first ID at or above id.
+	upTo := func(id uint32) {
+		n := sort.Search((len(key)-at)/4, func(k int) bool {
+			return binary.BigEndian.Uint32(key[at+4*k:]) >= id
+		})
+		out = append(out, key[at:at+4*n]...)
+		at += 4 * n
+	}
+	for len(drop) > 0 || len(add) > 0 {
+		if len(add) > 0 && (len(drop) == 0 || add[0] < drop[0]) {
+			upTo(add[0])
+			out = binary.BigEndian.AppendUint32(out, add[0])
+			add = add[1:]
+		} else {
+			upTo(drop[0])
+			at += 4
+			drop = drop[1:]
+		}
+	}
+	return append(out, key[at:]...)
 }
 
 // count adds (n=1) or removes (n=-1) a view's share of the stop-condition
@@ -181,7 +236,9 @@ func (s *State) publish() *State {
 
 // Code returns the canonical code of the state: the sorted multiset of its
 // views' canonical codes. Two states are equivalent iff they have the same
-// view sets (Section 3.1), so equal codes identify duplicate states.
+// view sets (Section 3.1), so equal codes identify duplicate states. A
+// search tells its states apart by their interned keys; the code, built on
+// first request, compares states across searches.
 func (s *State) Code() string {
 	if s.codeOnce {
 		return s.code
@@ -326,9 +383,12 @@ func (s *State) derive(removed []algebra.ViewID, added []*View, subs map[algebra
 	if s.est != nil {
 		ns.from = s
 	}
+	var dropBuf, addBuf [2]uint32
+	drop, add := dropBuf[:0], addBuf[:0]
 	for _, v := range s.views {
-		if containsID(removed, v.ID) {
+		if slices.Contains(removed, v.ID) {
 			ns.count(v, -1)
+			drop = append(drop, v.codeID)
 		} else {
 			ns.views = append(ns.views, v)
 		}
@@ -336,11 +396,15 @@ func (s *State) derive(removed []algebra.ViewID, added []*View, subs map[algebra
 	for _, v := range added {
 		ns.count(v, 1)
 		ns.views = append(ns.views, v)
+		add = append(add, v.codeID)
 		// Fresh IDs are the largest so far; keep the order whatever the caller's.
 		for i := len(ns.views) - 1; i > 0 && ns.views[i-1].ID > ns.views[i].ID; i-- {
 			ns.views[i-1], ns.views[i] = ns.views[i], ns.views[i-1]
 		}
 	}
+	slices.Sort(drop)
+	slices.Sort(add)
+	ns.key = rekey(s.key, drop, add)
 	ns.Plans = make([]algebra.Plan, len(s.Plans))
 	for i, p := range s.Plans {
 		// An untouched plan comes back as the same pointer, which is how Cost
@@ -348,15 +412,6 @@ func (s *State) derive(removed []algebra.ViewID, added []*View, subs map[algebra
 		ns.Plans[i] = algebra.SubstituteViews(p, subs)
 	}
 	return ns
-}
-
-func containsID(ids []algebra.ViewID, id algebra.ViewID) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
-		}
-	}
-	return false
 }
 
 // Format renders the state for debugging: each view and each rewriting.

@@ -7,23 +7,23 @@ import (
 	"rdfviews/internal/cq"
 )
 
-// Ctx allocates the fresh view IDs and fresh variables transitions need.
-// One Ctx must be shared across a whole search run.
+// Ctx allocates the fresh view IDs and fresh variables transitions need, and
+// interns the canonical codes of the views it builds (NewView). One Ctx must
+// be shared across a whole search run, and by no other.
 type Ctx struct {
 	nextViewID algebra.ViewID
 	nextVar    int
+	// codes and bodies number the distinct set-mode codes and body codes of
+	// the views built so far.
+	codes, bodies map[string]uint32
+	// bodyCount is enumVF's scratch: a counter per body ID, zero between
+	// calls.
+	bodyCount []int32
 }
 
 // NewCtx returns a context whose fresh variables start above maxVar.
 func NewCtx(maxVar int) *Ctx {
-	return &Ctx{nextViewID: 1, nextVar: maxVar}
-}
-
-// FreshViewID allocates a view ID.
-func (c *Ctx) FreshViewID() algebra.ViewID {
-	id := c.nextViewID
-	c.nextViewID++
-	return id
+	return &Ctx{nextViewID: 1, nextVar: maxVar, codes: map[string]uint32{}, bodies: map[string]uint32{}}
 }
 
 // FreshVar allocates a variable unused anywhere in the search.
@@ -81,7 +81,7 @@ func (c *Ctx) ApplySC(s *State, vid algebra.ViewID, atom, pos int) *State {
 	nq := v.Q.Clone()
 	nq.Atoms[atom][pos] = x
 	nq.Head = append(nq.Head, x)
-	nv := NewView(c.FreshViewID(), nq)
+	nv := c.NewView(nq)
 
 	repl := algebra.NewProject(
 		algebra.NewSelect(
@@ -131,7 +131,7 @@ func (c *Ctx) ApplyJC(s *State, vid algebra.ViewID, x cq.Term, atom, pos int) *S
 		}
 		head = append(head, xp)
 		body := &cq.Query{Head: head, Atoms: nq.Atoms}
-		nv := NewView(c.FreshViewID(), body)
+		nv := c.NewView(body)
 		repl := algebra.NewProject(
 			algebra.NewSelect(
 				algebra.NewScan(nv.ID, body.Head),
@@ -170,7 +170,7 @@ func (c *Ctx) ApplyJC(s *State, vid algebra.ViewID, x cq.Term, atom, pos int) *S
 			}
 		}
 		q := finishView(subQuery(nq, mask, head))
-		views[ci] = NewView(c.FreshViewID(), q)
+		views[ci] = c.NewView(q)
 	}
 	// Place the component exporting x on the left of ⋈ x=x′.
 	left, right := views[0], views[1]
@@ -232,7 +232,7 @@ func (c *Ctx) ApplyVB(s *State, vid algebra.ViewID, mask1, mask2 uint32) *State 
 		}
 		sortTailVars(head, len(headVarsInPart(headVars, own)))
 		q := finishView(subQuery(v.Q, mask, head))
-		return NewView(c.FreshViewID(), q)
+		return c.NewView(q)
 	}
 	v1 := buildPart(mask1, vars1, vars2)
 	v2 := buildPart(mask2, vars2, vars1)
@@ -260,7 +260,7 @@ func (c *Ctx) ApplyVF(s *State, id1, id2 algebra.ViewID) *State {
 	if v1 == nil || v2 == nil {
 		return nil
 	}
-	if v1.BodyCode() != v2.BodyCode() {
+	if v1.bodyID != v2.bodyID {
 		return nil
 	}
 	iso := cq.BodyIsomorphism(v1.Q, v2.Q) // v1 vars → v2 vars
@@ -287,7 +287,7 @@ func (c *Ctx) ApplyVF(s *State, id1, id2 algebra.ViewID) *State {
 		}
 	}
 	q3 := &cq.Query{Head: head3, Atoms: append([]cq.Atom(nil), v1.Q.Atoms...)}
-	v3 := NewView(c.FreshViewID(), q3)
+	v3 := c.NewView(q3)
 
 	// Occurrences of v1: π_head(v1)(v3) in v1's namespace.
 	repl1 := algebra.NewProject(algebra.NewScan(v3.ID, head3), v1.Q.Head)

@@ -113,7 +113,7 @@ func (e *Estimator) ViewTerms(v *cq.Query) ViewTerms {
 }
 
 // ViewTermsCoded is ViewTerms for callers that already hold v's canonical
-// code (the search computes it once per view, in core.NewView).
+// code (the search computes it once per view, in core.Ctx.NewView).
 func (e *Estimator) ViewTermsCoded(v *cq.Query, code string) ViewTerms {
 	if t, ok := e.byQuery[v]; ok {
 		return t
