@@ -5,9 +5,10 @@
 // isLocatIn. The query asks for pictures and their locations — every answer
 // requires implicit triples.
 //
-// The example contrasts the three reasoning modes: no reasoning (incomplete
-// answers), database saturation, and the paper's post-reformulation (same
-// answers as saturation, but the database is never modified).
+// The example contrasts three reasoning modes: no reasoning (incomplete
+// answers), database saturation, and the paper's post-reformulation. By
+// Theorem 4.2 the last two answer alike, so saturation runs as
+// post-reformulation and the database is never modified.
 //
 // Run: go run ./examples/museum
 package main
@@ -75,5 +76,5 @@ func main() {
 		fmt.Println()
 	}
 	fmt.Println("Note: 'none' misses every implicit answer; 'saturate' and 'post'")
-	fmt.Println("agree (Theorem 4.2) — but 'post' never modified the database.")
+	fmt.Println("agree (Theorem 4.2): both reformulate over the explicit triples.")
 }

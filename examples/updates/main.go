@@ -29,11 +29,12 @@ u1 isParentOf u2 .
 u2 hasPainted irises .
 `))
 	p := cq.NewParser(st.Dict())
-	views := map[algebra.ViewID]*cq.Query{
-		1: p.MustParseQuery("q(X, Z) :- t(X, isParentOf, Y), t(Y, hasPainted, Z)"),
+	// A view is a union of members; these two have one each.
+	views := map[algebra.ViewID]*cq.UCQ{
+		1: cq.NewUCQ(p.MustParseQuery("q(X, Z) :- t(X, isParentOf, Y), t(Y, hasPainted, Z)")),
 	}
 	p.ResetNames()
-	views[2] = p.MustParseQuery("q(A, B) :- t(A, hasPainted, B)")
+	views[2] = cq.NewUCQ(p.MustParseQuery("q(A, B) :- t(A, hasPainted, B)"))
 
 	m, err := maintain.New(st, views)
 	if err != nil {
@@ -72,7 +73,7 @@ u2 hasPainted irises .
 
 	// Consistency check against recomputation.
 	for id, v := range views {
-		want, err := engine.Materialize(st, v)
+		want, err := engine.MaterializeUCQ(st, v)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -104,7 +105,7 @@ u2 hasPainted irises .
 	fmt.Printf("async: after Flush, lag %d; extents hold %d rows (epoch %d)\n",
 		am.Lag(), am.NumRows(), am.AppliedEpoch())
 	for id, v := range views {
-		want, err := engine.Materialize(st, v)
+		want, err := engine.MaterializeUCQ(st, v)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -104,21 +104,34 @@ func (r *Recommendation) Explain() string {
 // engine compiles to materialize it against the store (index scans, merge
 // joins with residual equalities, explicit Sorts at sort breaks, hash joins
 // with their chosen build side — all annotated with estimated row counts),
-// and for each rewriting, the streaming operator tree it executes over the
-// materialized views. This is the physical counterpart of the logical
-// rewritings shown by Explain.
+// one per member when the view is a union of several, and for each
+// rewriting, the streaming operator tree it executes over the materialized
+// views. This is the physical counterpart of the logical rewritings shown by
+// Explain, and exactly what Materialize runs.
 func (r *Recommendation) ExplainPhysical() string {
 	var sb strings.Builder
 	sb.WriteString("physical plans:\n")
 	sb.WriteString("  view materialization (over the store):\n")
 	for _, v := range r.state.SortedViews() {
 		fmt.Fprintf(&sb, "    v%d:\n", int(v.ID))
-		qp, err := engine.PlanQueryWithStats(r.matStore, v.Q, r.estimator.Stats)
+		u, err := r.members(v)
 		if err != nil {
 			fmt.Fprintf(&sb, "      (unplannable: %v)\n", err)
 			continue
 		}
-		sb.WriteString(indentLines(qp.Explain(), "      "))
+		indent := "      "
+		for i, m := range u.Queries {
+			if u.Len() > 1 {
+				fmt.Fprintf(&sb, "      member %d of %d: %s\n", i+1, u.Len(), m.Format(r.db.st.Dict()))
+				indent = "        "
+			}
+			qp, err := engine.PlanQuery(r.db.st, m)
+			if err != nil {
+				fmt.Fprintf(&sb, "%s(unplannable: %v)\n", indent, err)
+				continue
+			}
+			sb.WriteString(indentLines(qp.Explain(), indent))
+		}
 	}
 	card := func(id algebra.ViewID) float64 {
 		if v, ok := r.state.Views[id]; ok {

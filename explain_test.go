@@ -79,3 +79,34 @@ func TestExplainQueryDirect(t *testing.T) {
 		t.Errorf("ExplainQuery shows no join operator:\n%s", out)
 	}
 }
+
+// TestExplainPhysicalGoldenPostMembers: under post-reformulation a view is
+// materialized as the union of its reformulation, so ExplainPhysical renders
+// one store plan per member — the plans Materialize runs — and not a plan of
+// the view itself.
+func TestExplainPhysicalGoldenPostMembers(t *testing.T) {
+	db := NewDatabase()
+	db.MustLoadGraphString(museumData)
+	db.MustLoadSchemaString(museumSchema)
+	w := db.MustParseWorkload(`q(X) :- t(X, rdf:type, picture)`)
+	rec, err := db.Recommend(w, Options{Reasoning: ReasoningPost, Timeout: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `physical plans:
+  view materialization (over the store):
+    v1:
+      member 1 of 2: q(X1) :- t(X1, rdf:type, picture)
+        Project [X1]
+          IndexScan t(X1, #2, #6) perm=pos prefix=2 batch=1024  (≈1 rows)
+      member 2 of 2: q(X1) :- t(X1, rdf:type, painting)
+        Project [X1]
+          IndexScan t(X1, #2, #3) perm=pos prefix=2 batch=1024  (≈2 rows)
+  rewriting execution (over the views):
+    q1:
+      ViewScan v1[X1] batch=1024  (≈3 rows)
+`
+	if got := rec.ExplainPhysical(); got != want {
+		t.Errorf("ExplainPhysical\n got:\n%s\nwant:\n%s", got, want)
+	}
+}

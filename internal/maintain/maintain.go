@@ -3,11 +3,15 @@
 // paper's view maintenance cost VMC (Section 3.3), which charges f^len(v)
 // per update for exactly the delta propagation performed here.
 //
-// Inserting a triple t+ into the store adds to each view v the tuples of the
-// delta queries obtained by binding one atom of v to t+ (the f1·f2·…·f_len(v)
-// joins the paper's model counts). Deleting t− is set-semantics DRed:
-// candidate tuples derived through t− are re-checked against the updated
-// store and removed only when no alternative derivation remains.
+// A view is a union of conjunctive members over the explicit store: one
+// member for a plain view, its reformulation under RDFS (Theorem 4.2 makes
+// that union's answers on the explicit store the view's answers on the
+// saturated one). Inserting a triple t+ into the store adds to each view the
+// tuples of the delta queries obtained by binding one atom of one member to
+// t+ (the f1·f2·…·f_len(v) joins the paper's model counts). Deleting t− is
+// set-semantics DRed: candidate tuples derived through t− are re-checked
+// against the updated store and removed only when no member re-derives them,
+// so a row with several derivations needs no support count.
 //
 // The maintainer runs in one of two modes, selected by Config.QueueDepth:
 //
@@ -38,7 +42,7 @@ import (
 // Maintainer keeps the extents of a view set synchronized with its store.
 type Maintainer struct {
 	st    *store.Store
-	views map[algebra.ViewID]*cq.Query
+	views map[algebra.ViewID]*cq.UCQ
 
 	// cur is the published generation of every extent. The synchronous mode
 	// mutates the current generation in place (single-caller semantics, as
@@ -66,8 +70,8 @@ type extentSet struct {
 
 // New materializes every view and returns a synchronous maintainer over
 // them — Insert/Delete propagate deltas inline. The store must be updated
-// only through the maintainer from then on.
-func New(st *store.Store, views map[algebra.ViewID]*cq.Query) (*Maintainer, error) {
+// only through the maintainer from then on, and the views must not change.
+func New(st *store.Store, views map[algebra.ViewID]*cq.UCQ) (*Maintainer, error) {
 	return NewWithConfig(st, views, Config{})
 }
 
@@ -75,22 +79,15 @@ func New(st *store.Store, views map[algebra.ViewID]*cq.Query) (*Maintainer, erro
 // the config selects (synchronous when QueueDepth <= 0, asynchronous
 // otherwise). An asynchronous maintainer owns a background goroutine;
 // release it with Close.
-func NewWithConfig(st *store.Store, views map[algebra.ViewID]*cq.Query, cfg Config) (*Maintainer, error) {
-	m := &Maintainer{
-		st:    st,
-		views: make(map[algebra.ViewID]*cq.Query, len(views)),
-	}
+func NewWithConfig(st *store.Store, views map[algebra.ViewID]*cq.UCQ, cfg Config) (*Maintainer, error) {
+	m := &Maintainer{st: st, views: views}
 	snap := st.Snapshot()
 	exts := make(map[algebra.ViewID]*engine.RowIndex, len(views))
 	for id, v := range views {
-		if err := v.Validate(); err != nil {
+		rel, err := engine.MaterializeUCQ(snap, v)
+		if err != nil {
 			return nil, fmt.Errorf("maintain: view v%d: %w", int(id), err)
 		}
-		rel, err := engine.Materialize(snap, v)
-		if err != nil {
-			return nil, err
-		}
-		m.views[id] = v.Clone()
 		exts[id] = engine.NewRowIndex(rel)
 	}
 	m.cur.Store(&extentSet{epoch: snap.Epoch(), extents: exts})
@@ -255,9 +252,8 @@ func (m *Maintainer) EpochsBehind() uint64 {
 // mutation reached the published extents in between.
 func (m *Maintainer) PublishGen() uint64 { return m.pubGen.Load() }
 
-// Store returns the base store the maintainer maintains views over. Under
-// ReasoningSaturate this is the saturated copy, so ad-hoc queries evaluated
-// against it see entailed triples without reformulation.
+// Store returns the base store the maintainer maintains views over: the
+// explicit triples, whatever the views' reasoning.
 func (m *Maintainer) Store() *store.Store { return m.st }
 
 // Close flushes the change queue, stops the background refresher and reports
@@ -271,24 +267,26 @@ func (m *Maintainer) Close() error {
 }
 
 // deltaRows evaluates the delta of view v for triple t against the reader:
-// the union over atoms of v unifying with t of the view with that atom's
-// variables bound. The reader is the live store in synchronous mode and a
-// batch-aligned snapshot in asynchronous mode.
-func (m *Maintainer) deltaRows(r store.Reader, v *cq.Query, t store.Triple) ([]engine.Row, error) {
+// the union over members of v and their atoms unifying with t of the member
+// with that atom's variables bound. The reader is the live store in
+// synchronous mode and a batch-aligned snapshot in asynchronous mode.
+func (m *Maintainer) deltaRows(r store.Reader, v *cq.UCQ, t store.Triple) ([]engine.Row, error) {
 	seen := engine.NewRowSet(8)
 	var out []engine.Row
-	for i := range v.Atoms {
-		qb, ok := bindAtom(v, i, t)
-		if !ok {
-			continue
-		}
-		rel, err := engine.Materialize(r, qb)
-		if err != nil {
-			return nil, err
-		}
-		for _, row := range rel.Rows {
-			if seen.Add(row) {
-				out = append(out, row)
+	for _, q := range v.Queries {
+		for i := range q.Atoms {
+			qb, ok := bindAtom(q, i, t)
+			if !ok {
+				continue
+			}
+			rel, err := engine.Materialize(r, qb)
+			if err != nil {
+				return nil, err
+			}
+			for _, row := range rel.Rows {
+				if seen.Add(row) {
+					out = append(out, row)
+				}
 			}
 		}
 	}
@@ -325,21 +323,26 @@ func bindAtom(v *cq.Query, i int, t store.Triple) (*cq.Query, bool) {
 }
 
 // rederivable reports whether the view still derives the tuple from the
-// reader's state: the view with its head bound to the tuple has an answer.
-func (m *Maintainer) rederivable(r store.Reader, v *cq.Query, row engine.Row) (bool, error) {
-	q := v
-	for i, h := range v.Head {
-		if h.IsVar() {
-			q = q.Substitute(h, cq.Const(row[i]))
-		} else if h.ConstID() != row[i] {
-			return false, nil
+// reader's state: some member with its head bound to the tuple has an answer.
+func (m *Maintainer) rederivable(r store.Reader, v *cq.UCQ, row engine.Row) (bool, error) {
+members:
+	for _, q := range v.Queries {
+		for i, h := range q.Head {
+			if h.IsVar() {
+				q = q.Substitute(h, cq.Const(row[i]))
+			} else if h.ConstID() != row[i] {
+				continue members
+			}
+		}
+		rel, err := engine.Materialize(r, q)
+		if err != nil {
+			return false, err
+		}
+		if rel.Len() > 0 {
+			return true, nil
 		}
 	}
-	rel, err := engine.Materialize(r, q)
-	if err != nil {
-		return false, err
-	}
-	return rel.Len() > 0, nil
+	return false, nil
 }
 
 // NumRows returns the total tuples across all published extents.

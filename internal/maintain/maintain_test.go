@@ -1,7 +1,6 @@
 package maintain
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -12,7 +11,10 @@ import (
 	"rdfviews/internal/store"
 )
 
-func setup(t testing.TB) (*store.Store, map[algebra.ViewID]*cq.Query, *cq.Parser) {
+// union makes a view of its members.
+func union(members ...*cq.Query) *cq.UCQ { return &cq.UCQ{Queries: members} }
+
+func setup(t testing.TB) (*store.Store, map[algebra.ViewID]*cq.UCQ, *cq.Parser) {
 	t.Helper()
 	st := store.New()
 	st.MustAddGraph(rdf.MustParse(`
@@ -21,11 +23,11 @@ u1 isParentOf u2 .
 u2 hasPainted irises .
 `))
 	p := cq.NewParser(st.Dict())
-	views := map[algebra.ViewID]*cq.Query{
-		1: p.MustParseQuery("q(X, Z) :- t(X, isParentOf, Y), t(Y, hasPainted, Z)"),
+	views := map[algebra.ViewID]*cq.UCQ{
+		1: union(p.MustParseQuery("q(X, Z) :- t(X, isParentOf, Y), t(Y, hasPainted, Z)")),
 	}
 	p.ResetNames()
-	views[2] = p.MustParseQuery("q(A, B) :- t(A, hasPainted, B)")
+	views[2] = union(p.MustParseQuery("q(A, B) :- t(A, hasPainted, B)"))
 	return st, views, p
 }
 
@@ -116,7 +118,8 @@ func TestResolverExecutesPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := algebra.NewScan(2, views[2].Head)
+	head := views[2].Queries[0].Head
+	plan := algebra.NewScan(2, head)
 	rel, err := execute(plan, m.Resolver())
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +127,7 @@ func TestResolverExecutesPlans(t *testing.T) {
 	if rel.Len() != 2 {
 		t.Errorf("rows = %d", rel.Len())
 	}
-	if _, err := execute(algebra.NewScan(9, views[2].Head), m.Resolver()); err == nil {
+	if _, err := execute(algebra.NewScan(9, head), m.Resolver()); err == nil {
 		t.Error("unknown view should fail")
 	}
 	if m.NumRows() != 3 {
@@ -134,7 +137,7 @@ func TestResolverExecutesPlans(t *testing.T) {
 
 func TestNewRejectsInvalidView(t *testing.T) {
 	st, _, _ := setup(t)
-	bad := map[algebra.ViewID]*cq.Query{1: {Head: []cq.Term{cq.Var(1)}}}
+	bad := map[algebra.ViewID]*cq.UCQ{1: union(&cq.Query{Head: []cq.Term{cq.Var(1)}})}
 	if _, err := New(st, bad); err == nil {
 		t.Fatal("invalid view accepted")
 	}
@@ -143,7 +146,8 @@ func TestNewRejectsInvalidView(t *testing.T) {
 // TestIncrementalMatchesRecompute is the central property: after any random
 // sequence of inserts and deletes, every incrementally maintained extent
 // equals a from-scratch materialization — over the flat layout and over a
-// dual-partitioned one, where every delta routes to both partition sides.
+// dual-partitioned one, where every delta routes to both partition sides —
+// for plain views and for a view of several members (diffViews).
 func TestIncrementalMatchesRecompute(t *testing.T) {
 	layouts := []struct {
 		name string
@@ -162,13 +166,7 @@ func incrementalMatchesRecompute(t *testing.T, st *store.Store) {
 	subjects := []string{"a", "b", "c", "d"}
 	props := []string{"p", "q", "isParentOf", "hasPainted"}
 
-	p := cq.NewParser(st.Dict())
-	views := map[algebra.ViewID]*cq.Query{}
-	views[1] = p.MustParseQuery("q(X, Z) :- t(X, isParentOf, Y), t(Y, hasPainted, Z)")
-	p.ResetNames()
-	views[2] = p.MustParseQuery("q(X) :- t(X, p, Y), t(X, q, Y)")
-	p.ResetNames()
-	views[3] = p.MustParseQuery("q(X, Y) :- t(X, p, Y)")
+	views := diffViews(st)
 
 	// Seed data.
 	for i := 0; i < 15; i++ {
@@ -198,7 +196,7 @@ func incrementalMatchesRecompute(t *testing.T, st *store.Store) {
 			continue
 		}
 		for id, v := range views {
-			want, err := engine.Materialize(st, v)
+			want, err := engine.MaterializeUCQ(st, v)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -209,7 +207,6 @@ func incrementalMatchesRecompute(t *testing.T, st *store.Store) {
 			}
 		}
 	}
-	_ = fmt.Sprint() // keep fmt for debugging convenience
 }
 
 // execute runs a rewriting plan through engine.ExecuteStream and collects it.

@@ -33,10 +33,10 @@ func TestAsyncMaintainConcurrentStress(t *testing.T) {
 	st := store.NewSharded(storeShards)
 	st.MustAddGraph(rdf.MustParse(diffSeedData))
 	p := cq.NewParser(st.Dict())
-	views := map[algebra.ViewID]*cq.Query{}
-	views[1] = p.MustParseQuery("q(X, Z) :- t(X, isParentOf, Y), t(Y, hasPainted, Z)")
+	views := map[algebra.ViewID]*cq.UCQ{}
+	views[1] = union(p.MustParseQuery("q(X, Z) :- t(X, isParentOf, Y), t(Y, hasPainted, Z)"))
 	p.ResetNames()
-	views[2] = p.MustParseQuery("q(X, Y) :- t(X, p, Y)")
+	views[2] = union(p.MustParseQuery("q(X, Y) :- t(X, p, Y)"))
 
 	m, err := NewWithConfig(st, views, Config{QueueDepth: queueDepth, BatchMax: batchMax})
 	if err != nil {
@@ -114,7 +114,8 @@ func TestAsyncMaintainConcurrentStress(t *testing.T) {
 						return
 					}
 					before := rel.Len()
-					out, err := execute(algebra.NewScan(id, v.Head), func(algebra.ViewID) (*engine.Relation, error) {
+					head := v.Queries[0].Head
+					out, err := execute(algebra.NewScan(id, head), func(algebra.ViewID) (*engine.Relation, error) {
 						return rel, nil
 					})
 					if err != nil {
@@ -129,8 +130,8 @@ func TestAsyncMaintainConcurrentStress(t *testing.T) {
 						return
 					}
 					for _, row := range out.Rows {
-						if len(row) != len(v.Head) {
-							fail(fmt.Errorf("reader %d: v%d row arity %d, want %d", r, int(id), len(row), len(v.Head)))
+						if len(row) != len(head) {
+							fail(fmt.Errorf("reader %d: v%d row arity %d, want %d", r, int(id), len(row), len(head)))
 							return
 						}
 					}
@@ -158,7 +159,7 @@ func TestAsyncMaintainConcurrentStress(t *testing.T) {
 		t.Fatalf("applied epoch %d != latest %d after flush", a, l)
 	}
 	for id, v := range views {
-		want, err := engine.Materialize(st, v)
+		want, err := engine.MaterializeUCQ(st, v)
 		if err != nil {
 			t.Fatal(err)
 		}

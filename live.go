@@ -2,8 +2,11 @@ package rdfviews
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
+	"rdfviews/internal/algebra"
+	"rdfviews/internal/cq"
 	"rdfviews/internal/maintain"
 	"rdfviews/internal/plancache"
 	"rdfviews/internal/rdf"
@@ -66,16 +69,12 @@ type LiveViews struct {
 }
 
 // Maintain materializes the recommended views under synchronous incremental
-// maintenance. Supported for ReasoningNone, ReasoningSaturate (under
-// saturation, the maintained store is a private copy of the saturated
-// database, and updates are interpreted as updates to it: the database, its
-// Answer and later Recommend calls do not see them) and ReasoningPre
-// (pre-reformulation views are plain conjunctive queries over the original
-// store, so they maintain directly). Only ReasoningPost is rejected: its views stay
-// virtual-by-reformulation and are refreshed by re-materializing (use
-// Materialize again), as maintaining reformulated views incrementally is
-// future work in the paper too ("the maintenance of a saturated database ...
-// may be complex and costly", Section 4.2).
+// maintenance, in every reasoning mode. The maintained store is the
+// database's own: updates reach Database.Answer and later Recommend calls.
+// A view is maintained as its members (the union of its reformulation under
+// post-reformulation, and so under saturation; the view itself otherwise),
+// each a conjunctive query over the explicit triples, so an update to an
+// explicit triple reaches every view it entails a row of (Theorem 4.2).
 func (r *Recommendation) Maintain() (*LiveViews, error) {
 	return r.MaintainWithOptions(MaintainOptions{})
 }
@@ -84,20 +83,15 @@ func (r *Recommendation) Maintain() (*LiveViews, error) {
 // zero value reproduces Maintain exactly. With QueueDepth > 0 the returned
 // LiveViews owns a background refresher — release it with Close.
 func (r *Recommendation) MaintainWithOptions(opts MaintainOptions) (*LiveViews, error) {
-	switch r.mode {
-	case ReasoningNone, ReasoningSaturate, ReasoningPre:
-		// Pre-reformulation views are plain conjunctive queries over the
-		// original store: maintainable directly.
-	default:
-		return nil, fmt.Errorf("rdfviews: incremental maintenance is not supported under reasoning mode %q; re-materialize instead", r.mode)
+	views := make(map[algebra.ViewID]*cq.UCQ, r.state.NumViews())
+	for id, v := range r.state.Views {
+		u, err := r.members(v)
+		if err != nil {
+			return nil, err
+		}
+		views[id] = u
 	}
-	st := r.matStore
-	if r.mode == ReasoningSaturate {
-		// The saturated copy is the database's, shared with Answer and every
-		// Recommend of the version; the maintainer writes a copy of its own.
-		st = st.Clone()
-	}
-	m, err := maintain.NewWithConfig(st, r.state.ViewQueries(), maintain.Config{QueueDepth: opts.QueueDepth})
+	m, err := maintain.NewWithConfig(r.db.st, views, maintain.Config{QueueDepth: opts.QueueDepth})
 	if err != nil {
 		return nil, err
 	}
@@ -106,15 +100,22 @@ func (r *Recommendation) MaintainWithOptions(opts MaintainOptions) (*LiveViews, 
 		rec:   r,
 		m:     m,
 		stale: opts.StaleReads,
-		at:    version{tag: "lv:" + string(r.mode), stmt: "txt|", reader: st, maxTerms: r.maxUnionTerms, typeID: r.schema.TypeID},
+		at:    version{tag: "lv:" + string(r.mode), stmt: "txt|", reader: r.db.st, maxTerms: r.maxUnionTerms, typeID: r.schema.TypeID},
 	}
-	if r.mode == ReasoningPre {
+	if r.mode != ReasoningNone {
 		lv.at.schema = r.schema
 	}
 	return lv, nil
 }
 
-// parseTriple parses one N-Triples-style line.
+// ErrSchemaUpdate is returned by LiveViews.Insert and Delete for a triple
+// whose predicate is an RDFS schema property (rdfs:subClassOf,
+// rdfs:subPropertyOf, rdfs:domain, rdfs:range). The views and their
+// reformulations were chosen under the schema as it was: load the statement
+// into the Database and Recommend again.
+var ErrSchemaUpdate = errors.New("rdfviews: schema triples cannot be maintained; load them and recommend again")
+
+// parseTriple parses one N-Triples-style data line.
 func (lv *LiveViews) parseTriple(line string) (rdf.Triple, error) {
 	t, ok, err := rdf.ParseLine(line)
 	if err != nil {
@@ -122,6 +123,9 @@ func (lv *LiveViews) parseTriple(line string) (rdf.Triple, error) {
 	}
 	if !ok {
 		return rdf.Triple{}, fmt.Errorf("rdfviews: no triple in %q", line)
+	}
+	if rdf.IsSchemaProperty(t.P.Value) {
+		return rdf.Triple{}, fmt.Errorf("%w: %q", ErrSchemaUpdate, line)
 	}
 	return t, nil
 }

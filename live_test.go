@@ -63,40 +63,28 @@ func TestLiveViewsInsertDelete(t *testing.T) {
 	}
 }
 
-// TestMaintainAcceptedModes pins which reasoning modes Maintain accepts:
-// none, saturate and pre maintain directly (their views are plain
-// conjunctive queries over the maintained store); only post is rejected,
-// because post-reformulation views stay virtual-by-reformulation.
+// TestMaintainAcceptedModes: Maintain accepts every reasoning mode. Each
+// maintains its views as conjunctive members over the database's store, so
+// each must answer and accept updates.
 func TestMaintainAcceptedModes(t *testing.T) {
-	for _, tc := range []struct {
-		mode Reasoning
-		ok   bool
-	}{
-		{ReasoningNone, true},
-		{ReasoningSaturate, true},
-		{ReasoningPre, true},
-		{ReasoningPost, false},
-	} {
+	for _, mode := range []Reasoning{ReasoningNone, ReasoningSaturate, ReasoningPre, ReasoningPost} {
 		db := NewDatabase()
 		db.MustLoadGraphString(museumData)
 		db.MustLoadSchemaString(museumSchema)
 		w := db.MustParseWorkload(`q(X) :- t(X, rdf:type, picture)`)
-		rec, err := db.Recommend(w, Options{Reasoning: tc.mode, Timeout: time.Second})
+		rec, err := db.Recommend(w, Options{Reasoning: mode, Timeout: time.Second})
 		if err != nil {
-			t.Fatalf("%s: recommend: %v", tc.mode, err)
+			t.Fatalf("%s: recommend: %v", mode, err)
 		}
 		lv, err := rec.Maintain()
-		if tc.ok != (err == nil) {
-			t.Fatalf("Maintain under %s: ok=%v, err=%v", tc.mode, tc.ok, err)
+		if err != nil {
+			t.Fatalf("Maintain under %s: %v", mode, err)
 		}
-		if err == nil {
-			// A maintained mode must actually answer and accept updates.
-			if _, aerr := lv.Answer(0); aerr != nil {
-				t.Fatalf("%s: answer: %v", tc.mode, aerr)
-			}
-			if _, ierr := lv.Insert("m77 rdf:type picture ."); ierr != nil {
-				t.Fatalf("%s: insert: %v", tc.mode, ierr)
-			}
+		if _, err := lv.Answer(0); err != nil {
+			t.Fatalf("%s: answer: %v", mode, err)
+		}
+		if _, err := lv.Insert("m77 rdf:type picture ."); err != nil {
+			t.Fatalf("%s: insert: %v", mode, err)
 		}
 	}
 }
@@ -190,20 +178,6 @@ func TestLiveViewsAsyncWaitFresh(t *testing.T) {
 	}
 }
 
-func TestMaintainRejectedUnderPostReformulation(t *testing.T) {
-	db := NewDatabase()
-	db.MustLoadGraphString(museumData)
-	db.MustLoadSchemaString(museumSchema)
-	w := db.MustParseWorkload(`q(X) :- t(X, rdf:type, picture)`)
-	rec, err := db.Recommend(w, Options{Reasoning: ReasoningPost, Timeout: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rec.Maintain(); err == nil {
-		t.Fatal("post-reformulation maintenance should be rejected")
-	}
-}
-
 func TestMaintainUnderSaturation(t *testing.T) {
 	db := NewDatabase()
 	db.MustLoadGraphString(museumData)
@@ -224,7 +198,7 @@ func TestMaintainUnderSaturation(t *testing.T) {
 	if len(rows) != 3 { // m1, m2 (paintings ⊑ picture), m3
 		t.Fatalf("saturated answers = %d, want 3", len(rows))
 	}
-	// An update against the saturated store: new explicit picture.
+	// A new explicit picture.
 	if _, err := lv.Insert("m9 rdf:type picture ."); err != nil {
 		t.Fatal(err)
 	}

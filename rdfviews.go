@@ -10,9 +10,12 @@
 // from the views alone — enabling the paper's three-tier/off-line deployment
 // where clients never touch the database.
 //
-// Implicit triples entailed by the RDF Schema are honored through either
-// database saturation or the paper's novel query reformulation algorithm
-// (post-reformulation), selected with Options.Reasoning.
+// Implicit triples entailed by the RDF Schema are honored, as
+// Options.Reasoning selects, by the paper's query reformulation algorithm:
+// a query or view reformulated into a union of conjunctive queries over the
+// explicit triples answers what it would answer on the saturated database
+// (Theorem 4.2), so every mode stores, answers, materializes and maintains
+// over the explicit triples alone.
 //
 // # Architecture
 //
@@ -41,10 +44,11 @@
 //     the compiled physical plans.
 //   - internal/maintain keeps view extents synchronized with the store under
 //     triple insertions and deletions (the delta propagation the paper's VMC
-//     cost charges for), either inline or asynchronously behind a bounded
-//     change queue: a background refresher evaluates delta queries against
-//     epoch-tagged store snapshots and publishes copy-on-write extents
-//     atomically. See Recommendation.Maintain/MaintainWithOptions, the
+//     cost charges for), each view as the union of its conjunctive members
+//     (its reformulation under RDFS), either inline or asynchronously behind
+//     a bounded change queue: a background refresher evaluates delta queries
+//     against epoch-tagged store snapshots and publishes copy-on-write
+//     extents atomically. See Recommendation.Maintain/MaintainWithOptions, the
 //     LiveViews Flush/Lag freshness surface and the StaleReadPolicy.
 //   - internal/cq, internal/algebra, internal/cost, internal/stats and
 //     internal/core implement the paper proper: conjunctive query theory,
@@ -99,37 +103,32 @@ func newDatabase(st *store.Store, schema *rdf.Schema) *Database {
 }
 
 // pinned holds what the database derives from (data, schema) alone and keeps
-// across calls: the encoded, transitively closed schema; the saturated copy;
-// and the post-reformulation statistics provider with every count it has
-// evaluated. Each is made by the first caller that needs it at a database
-// version — (store epoch, schema size), compared in lockAt, the one place
-// that does — and all are dropped together when the next caller finds the
-// version moved: a load, a schema statement, a LiveViews insert or delete on
-// the database's own store. Nothing on a write path touches the pin.
+// across calls: the encoded, transitively closed schema, and the
+// post-reformulation statistics provider with every count it has evaluated.
+// Each is made by the first caller that needs it at a database version —
+// (store epoch, schema size), compared in lockAt, the one place that does —
+// and both are dropped together when the next caller finds the version
+// moved: a load, a schema statement, a LiveViews insert or delete. Nothing on
+// a write path touches the pin.
 //
 // Dropping replaces; it never empties an object in place. A search in
 // flight, a Recommendation and its estimator, a LiveViews keep the objects
 // they were handed, which stay consistent with one another and never reach a
-// later version's callers. Nobody writes the saturated copy either:
-// MaintainWithOptions clones it before a maintainer may.
+// later version's callers.
 //
-// What it costs to keep: the saturated copy is a second store (only once
-// ReasoningSaturate is used); the schema is its closure maps; the provider is
-// one map entry and one cell per pattern a search has asked for — tens per
-// workload, at most stats' maxCells. Together, schema and provider are about
-// 0.5 B per triple on the benchmark's select-reform.
+// What it costs to keep: the schema is its closure maps; the provider is one
+// map entry and one cell per pattern a search has asked for — tens per
+// workload, at most stats' maxCells. Together they are about 0.5 B per triple
+// on the benchmark's select-reform.
 type pinned struct {
 	mu        sync.Mutex
 	epoch     uint64
 	schemaLen int
-	// schema is what Recommend, Answer's reformulation and the two members
+	// schema is what Recommend, Answer's reformulation and the provider
 	// below reason with.
 	schema *reason.Schema
-	// sat is the saturated copy Answer reads, and Recommend costs with and
-	// materializes against, under ReasoningSaturate.
-	sat *store.Store
 	// reform is the statistics provider Recommend costs with under
-	// ReasoningPost.
+	// ReasoningPost (and so under ReasoningSaturate).
 	reform *stats.ReformulatedStats
 }
 
@@ -139,7 +138,7 @@ func (p *pinned) lockAt(epoch uint64, schemaLen int) {
 	p.mu.Lock()
 	if p.epoch != epoch || p.schemaLen != schemaLen {
 		p.epoch, p.schemaLen = epoch, schemaLen
-		p.schema, p.sat, p.reform = nil, nil, nil
+		p.schema, p.reform = nil, nil
 	}
 }
 
@@ -157,17 +156,6 @@ func (db *Database) pinnedSchema() *reason.Schema {
 		db.pin.schema = reason.NewSchema(db.schema, db.st.Dict())
 	}
 	return db.pin.schema
-}
-
-// saturatedFor returns the saturated copy of the store for the (epoch,
-// schema) state the caller read. It is shared and read-only.
-func (db *Database) saturatedFor(epoch uint64, schemaLen int) *store.Store {
-	db.pin.lockAt(epoch, schemaLen)
-	defer db.pin.mu.Unlock()
-	if db.pin.sat == nil {
-		db.pin.sat = reason.Saturate(db.st, db.pinnedSchema())
-	}
-	return db.pin.sat
 }
 
 // reformStats returns the post-reformulation statistics provider of the
@@ -376,13 +364,12 @@ func (db *Database) ParseSPARQLWorkload(text string) (*Workload, error) {
 }
 
 // Answer evaluates one workload query directly on the database (not using
-// views), returning decoded rows. Reasoning is honored per the mode: with
-// ReasoningSaturate the query runs on a saturated copy; with the
-// reformulation modes the query is reformulated first; with ReasoningNone
-// the explicit triples only. Compiled plans (and, under ReasoningSaturate,
-// the saturated copy itself) are cached by canonicalized query shape with
-// liftable constants parameterized, so repeated shapes skip reformulation
-// and planning; see CacheStats and InvalidatePlans.
+// views), returning decoded rows. Reasoning is honored per the mode: under
+// saturation and the reformulation modes the query is reformulated and the
+// union evaluated on the explicit triples (Theorem 4.2); with ReasoningNone
+// the explicit triples only. Compiled plans are cached by canonicalized
+// query shape with liftable constants parameterized, so repeated shapes skip
+// reformulation and planning; see CacheStats and InvalidatePlans.
 func (db *Database) Answer(q *cq.Query, mode Reasoning) ([][]string, error) {
 	li, v, err := db.lift(q, mode)
 	if err != nil {

@@ -12,7 +12,6 @@ import (
 	"rdfviews/internal/engine"
 	"rdfviews/internal/reason"
 	"rdfviews/internal/stats"
-	"rdfviews/internal/store"
 )
 
 // Strategy names a search strategy (Section 5 of the paper, plus the
@@ -60,8 +59,10 @@ type Reasoning string
 const (
 	// ReasoningNone ignores the schema: only explicit triples count.
 	ReasoningNone Reasoning = "none"
-	// ReasoningSaturate searches with statistics of the saturated database
-	// and materializes views against it.
+	// ReasoningSaturate answers as if the database were saturated with every
+	// implicit triple. By Theorem 4.2 that is what post-reformulation computes
+	// over the explicit triples, so Recommend runs it as ReasoningPost (the
+	// recommendation reports post) and no saturated copy is ever built.
 	ReasoningSaturate Reasoning = "saturate"
 	// ReasoningPost is post-reformulation: the search runs on the original
 	// workload with reformulated (saturated-equivalent) statistics, and the
@@ -131,17 +132,13 @@ func (o Options) weights() cost.Weights {
 // Recommendation is the output of view selection: the recommended views,
 // one rewriting per workload query, and the search report.
 type Recommendation struct {
-	db        *Database
-	workload  *Workload
-	mode      Reasoning
-	schema    *reason.Schema
-	state     *core.State
-	result    core.Result
-	estimator *cost.Estimator
-	// matStore is the store views materialize against: the database's pinned
-	// saturated copy, shared and read-only, for ReasoningSaturate; the
-	// original otherwise.
-	matStore      *store.Store
+	db            *Database
+	workload      *Workload
+	mode          Reasoning
+	schema        *reason.Schema
+	state         *core.State
+	result        core.Result
+	estimator     *cost.Estimator
 	maxUnionTerms int
 }
 
@@ -159,13 +156,9 @@ func (r *Recommendation) ViewDefinitions() []string {
 	var out []string
 	for _, v := range r.state.SortedViews() {
 		out = append(out, fmt.Sprintf("v%d%s", int(v.ID),
-			r.withDict(v.Q)[1:])) // strip the leading "q"
+			v.Q.Format(r.db.st.Dict())[1:])) // strip the leading "q"
 	}
 	return out
-}
-
-func (r *Recommendation) withDict(q *cq.Query) string {
-	return q.Format(r.db.st.Dict())
 }
 
 // Rewritings renders the algebraic rewriting of each workload query.
@@ -191,24 +184,32 @@ type Materialized struct {
 	extents map[algebra.ViewID]*engine.Relation
 }
 
-// Materialize computes the extents of the recommended views. Under
-// ReasoningPost, each view is reformulated first and materialized as a union
-// on the non-saturated store (Theorem 4.2 makes this equivalent to
-// materializing on the saturated one).
+// members is what view v's extent is over the database's explicit store: the
+// union of its reformulation under post-reformulation (Theorem 4.2 makes
+// its answers there the view's answers on the saturated database), the view
+// alone otherwise. Materialize, MaintainWithOptions and ExplainPhysical all
+// read it.
+func (r *Recommendation) members(v *core.View) (*cq.UCQ, error) {
+	if r.mode != ReasoningPost {
+		return &cq.UCQ{Queries: []*cq.Query{v.Q}}, nil
+	}
+	u, err := reason.Reformulate(v.Q, r.schema, r.maxUnionTerms)
+	if err != nil {
+		return nil, fmt.Errorf("rdfviews: reformulating view v%d: %w", int(v.ID), err)
+	}
+	return u, nil
+}
+
+// Materialize computes the extent of every recommended view: the distinct
+// union of its members' answers on the database's store.
 func (r *Recommendation) Materialize() (*Materialized, error) {
 	extents := make(map[algebra.ViewID]*engine.Relation, r.state.NumViews())
 	for id, v := range r.state.Views {
-		var rel *engine.Relation
-		var err error
-		if r.mode == ReasoningPost {
-			u, rerr := reason.Reformulate(v.Q, r.schema, r.maxUnionTerms)
-			if rerr != nil {
-				return nil, fmt.Errorf("rdfviews: reformulating view v%d: %w", int(id), rerr)
-			}
-			rel, err = engine.MaterializeUCQ(r.matStore, u)
-		} else {
-			rel, err = engine.Materialize(r.matStore, v.Q)
+		u, err := r.members(v)
+		if err != nil {
+			return nil, err
 		}
+		rel, err := engine.MaterializeUCQ(r.db.st, u)
 		if err != nil {
 			return nil, fmt.Errorf("rdfviews: materializing view v%d: %w", int(id), err)
 		}
@@ -266,12 +267,13 @@ func (db *Database) Recommend(w *Workload, opts Options) (*Recommendation, error
 		return nil, fmt.Errorf("rdfviews: empty workload")
 	}
 	mode := opts.Reasoning
-	if mode == "" {
-		if db.schema.Len() > 0 {
-			mode = ReasoningPost
-		} else {
-			mode = ReasoningNone
-		}
+	switch {
+	case mode == "" && db.schema.Len() == 0:
+		mode = ReasoningNone
+	case mode == "", mode == ReasoningSaturate:
+		// Theorem 4.2: saturating the database and reformulating over its
+		// explicit triples answer alike, so saturation runs as post.
+		mode = ReasoningPost
 	}
 	if opts.Timeout == 0 {
 		opts.Timeout = 10 * time.Second
@@ -282,17 +284,13 @@ func (db *Database) Recommend(w *Workload, opts Options) (*Recommendation, error
 	}
 	schema := db.reasonSchema()
 
-	// Statistics and materialization store per reasoning mode. What is a
-	// function of (data, schema) comes from the pin; an index count is a
-	// binary search, so StoreStats is made per call.
+	// Statistics per reasoning mode. What is a function of (data, schema)
+	// comes from the pin; an index count is a binary search, so StoreStats is
+	// made per call.
 	var provider cost.Stats
-	matStore := db.st
 	switch mode {
 	case ReasoningNone, ReasoningPre:
 		provider = stats.NewStoreStats(db.st)
-	case ReasoningSaturate:
-		matStore = db.saturatedFor(db.st.Epoch(), db.schema.Len())
-		provider = stats.NewStoreStats(matStore)
 	case ReasoningPost:
 		provider = db.reformStats()
 	default:
@@ -351,28 +349,6 @@ func (db *Database) Recommend(w *Workload, opts Options) (*Recommendation, error
 		state:         res.Best,
 		result:        res,
 		estimator:     keep,
-		matStore:      matStore,
 		maxUnionTerms: opts.MaxUnionTerms,
 	}, nil
-}
-
-// answerRelation evaluates a query directly on the database under the
-// reasoning mode, deriving schema closure and saturation itself: it is the
-// uncached oracle the differential tests compare the pinned paths against.
-func (db *Database) answerRelation(q *cq.Query, mode Reasoning) (*engine.Relation, error) {
-	switch mode {
-	case ReasoningNone, "":
-		return engine.Materialize(db.st, q)
-	case ReasoningSaturate:
-		schema := reason.NewSchema(db.schema, db.st.Dict())
-		return engine.Materialize(reason.Saturate(db.st, schema), q)
-	case ReasoningPost, ReasoningPre:
-		schema := reason.NewSchema(db.schema, db.st.Dict())
-		u, err := reason.Reformulate(q, schema, 0)
-		if err != nil {
-			return nil, err
-		}
-		return engine.MaterializeUCQ(db.st, u)
-	}
-	return nil, fmt.Errorf("rdfviews: unknown reasoning mode %q", mode)
 }

@@ -384,10 +384,12 @@ func TestRecommendPinnedStatisticsSkipTheUnions(t *testing.T) {
 	}
 }
 
-// TestRecommendPinnedSaturateRepeat: under ReasoningSaturate every Recommend
-// of a database version costs with and materializes against one saturated
-// copy — the one Answer reads — and runs the search that saturating per call
-// ran on this fixture (values recorded at 7f4d923).
+// TestRecommendPinnedSaturateRepeat: ReasoningSaturate runs as
+// post-reformulation (Theorem 4.2). Every Recommend of a database version
+// costs with the provider pinned for post and runs post's pinned search on
+// this fixture — TestRecommendPinnedStatisticsRepeat's values; costing with
+// a saturated copy's statistics read 1483.09831952733 (S0
+// 1488.0092411151688). A load moves the pin, and the next call with it.
 func TestRecommendPinnedSaturateRepeat(t *testing.T) {
 	db, w := reformDB(t)
 	first, err := db.Recommend(w, budgeted(ReasoningSaturate, 400))
@@ -399,17 +401,25 @@ func TestRecommendPinnedSaturateRepeat(t *testing.T) {
 		r.Transitions != 400 || r.StatesSeen != 233 {
 		t.Errorf("first call: %+v / %d transitions / %d seen, want %+v / 400 / 233", r.Counters, r.Transitions, r.StatesSeen, want)
 	}
-	if got, want, s0 := first.Cost().Total, 1483.09831952733, 1488.0092411151688; got != want || first.InitialCost().Total != s0 {
+	if got, want, s0 := first.Cost().Total, 1561.421025891947, 1566.5912941896026; got != want || first.InitialCost().Total != s0 {
 		t.Errorf("first call: best cost %v (S0 %v), want %v (S0 %v)", got, first.InitialCost().Total, want, s0)
+	}
+	if first.mode != ReasoningPost || first.estimator.Stats != db.pin.reform || first.schema != db.pin.schema {
+		t.Errorf("a saturate recommendation runs as %q and holds provider %p and schema %p; the pin holds %p and %p",
+			first.mode, first.estimator.Stats, first.schema, db.pin.reform, db.pin.schema)
 	}
 	again, err := db.Recommend(w, budgeted(ReasoningSaturate, 400))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameSelection(t, "second call", again, first)
-	if again.matStore != first.matStore || first.matStore != db.pin.sat || first.matStore == db.st {
-		t.Errorf("saturated copies: first %p, second %p, pinned %p (database store %p); want one copy",
-			first.matStore, again.matStore, db.pin.sat, db.st)
+	post, err := db.Recommend(w, budgeted(ReasoningPost, 400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSelection(t, "post", post, first)
+	if again.estimator.Stats != first.estimator.Stats || post.estimator.Stats != first.estimator.Stats {
+		t.Error("recommendations of one database version cost with different providers")
 	}
 
 	db.MustLoadGraphString("pinned:s " + datagen.PropName(5) + " pinned:o .")
@@ -417,18 +427,16 @@ func TestRecommendPinnedSaturateRepeat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if moved.matStore == first.matStore || moved.matStore.Len() <= first.matStore.Len() {
-		t.Errorf("after a load: saturated copy %p with %d triples, before it %p with %d",
-			moved.matStore, moved.matStore.Len(), first.matStore, first.matStore.Len())
+	if moved.estimator.Stats == first.estimator.Stats || moved.estimator.Stats != db.pin.reform {
+		t.Error("after a load the saturate recommendation does not cost with the moved pin's provider")
 	}
 }
 
-// TestRecommendPinnedSaturateCopyOnMaintain: the saturated copy is shared, so
-// nobody writes it. A LiveViews over a saturate recommendation maintains a
-// copy of its own: its answers follow its updates, while Database.Answer and
-// a later Recommend keep reading the pinned copy, which still equals
-// saturating the database afresh.
-func TestRecommendPinnedSaturateCopyOnMaintain(t *testing.T) {
+// TestRecommendPinnedSaturateMaintainsDatabaseStore: one store per
+// deployment. A LiveViews over a saturate recommendation maintains the
+// database's own store, so Database.Answer and a fresh Materialize see its
+// insert — of a painting, which a view over pictures entails.
+func TestRecommendPinnedSaturateMaintainsDatabaseStore(t *testing.T) {
 	db := NewDatabase()
 	db.MustLoadGraphString(museumData)
 	db.MustLoadSchemaString(museumSchema)
@@ -437,44 +445,42 @@ func TestRecommendPinnedSaturateCopyOnMaintain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	size := rec.matStore.Len()
 	lv, err := rec.Maintain()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lv.Close()
-	if _, err := lv.Insert("m9 rdf:type picture ."); err != nil {
+	if lv.m.Store() != db.st {
+		t.Fatalf("the maintainer writes %p, not the database's store %p", lv.m.Store(), db.st)
+	}
+	if _, err := lv.Insert("m9 rdf:type painting ."); err != nil {
 		t.Fatal(err)
 	}
+	const want = "[m1 m2 m3 m9]"
 	live, err := lv.Answer(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := fmt.Sprint(canon(live)), "[m1 m2 m3 m9]"; got != want {
-		t.Errorf("live views answer %v after the insert, want %v", got, want)
-	}
-
-	q := w.Queries[0]
-	got, err := db.Answer(q, ReasoningSaturate)
+	direct, err := db.Answer(w.Queries[0], ReasoningSaturate)
 	if err != nil {
 		t.Fatal(err)
-	}
-	oracle, err := db.answerRelation(q, ReasoningSaturate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := decoded(db, oracle); !sameAnswers(got, want) || len(got) != 3 {
-		t.Errorf("Database.Answer under saturate = %v after a LiveViews insert, the uncached oracle %v", canon(got), canon(want))
-	}
-	if rec.matStore != db.pin.sat || rec.matStore.Len() != size || lv.m.Store() == rec.matStore {
-		t.Errorf("pinned copy %p holds %d triples (the recommendation's: %p, %d before the insert); the maintainer writes %p",
-			db.pin.sat, db.pin.sat.Len(), rec.matStore, size, lv.m.Store())
 	}
 	m, err := rec.Materialize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows, err := m.Answer(0); err != nil || len(rows) != 3 {
-		t.Errorf("materializing the recommendation again gives %d rows (%v), want the database's 3", len(rows), err)
+	again, err := m.Answer(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := db.answerRelation(w.Queries[0], ReasoningSaturate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for what, rows := range map[string][][]string{"LiveViews.Answer": live, "Database.Answer": direct,
+		"Materialize": again, "the saturated oracle": decoded(db, rel)} {
+		if got := fmt.Sprint(canon(rows)); got != want {
+			t.Errorf("%s after the insert: %v, want %v", what, got, want)
+		}
 	}
 }

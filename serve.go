@@ -282,12 +282,10 @@ type serveArtifact struct {
 	skeleton *cq.Query
 
 	// Validity (valid). rows is the base cardinality at compile time;
-	// genSeen the last change generation the artifact was validated against.
-	// A pinned artifact serves the generation it was compiled at only;
-	// schemaLen is the size of the schema it reasons with.
+	// genSeen the last change generation the artifact was validated against;
+	// schemaLen the size of the schema it reasons with.
 	rows      atomic.Int64
 	genSeen   atomic.Uint64
-	pinned    bool
 	schemaLen int
 
 	mu   sync.Mutex
@@ -303,9 +301,9 @@ type serveArtifact struct {
 // valid is the one validity rule of the plan cache, run on every hit under
 // the cache's shard lock: an artifact serves only the schema size it was
 // compiled at; a change generation it has seen is proof nothing moved; past
-// that a pinned artifact is stale, and any other survives — recording the
-// generation — while the base cardinality has not drifted far. The base
-// cardinality is read only when the generation has moved.
+// that it survives — recording the generation — while the base cardinality
+// has not drifted far. The base cardinality is read only when the
+// generation has moved.
 func (a *serveArtifact) valid(v *version) bool {
 	if a.schemaLen != v.schemaLen {
 		return false
@@ -313,7 +311,7 @@ func (a *serveArtifact) valid(v *version) bool {
 	if a.genSeen.Load() == v.gen {
 		return true
 	}
-	if a.pinned || a.driftedFar(int64(v.reader.Len())) {
+	if a.driftedFar(int64(v.reader.Len())) {
 		return false
 	}
 	a.genSeen.Store(v.gen)
@@ -353,8 +351,6 @@ type version struct {
 	// schemaLen is the size of the schema the mode reasons with; 0 when it
 	// reasons with none, or with one fixed for the surface's lifetime.
 	schemaLen int
-	// pinned artifacts serve the generation they were compiled at only.
-	pinned bool
 	// schema, when set, reformulates every template, bounded by maxTerms.
 	schema   *reason.Schema
 	maxTerms int
@@ -422,7 +418,7 @@ func (f *front) plan(li *liftInfo, v *version) (*viewRoute, *storeTemplate, erro
 // template when no workload view matches — so the whole cost lands inside the
 // cache's compile accounting.
 func (f *front) compile(li *liftInfo, v *version) (*serveArtifact, error) {
-	a := &serveArtifact{skeleton: li.skeleton, pinned: v.pinned, schemaLen: v.schemaLen}
+	a := &serveArtifact{skeleton: li.skeleton, schemaLen: v.schemaLen}
 	if f.shapeRoutable(li.skeleton) {
 		a.routes = make(map[string]*viewRoute)
 	}
@@ -712,22 +708,17 @@ func (lv *LiveViews) PruneStats() store.PruneSnapshot {
 // Database serving surface
 
 // at is the database under the reasoning mode at the version this call
-// reads. Post- and pre-reformulation answer ad-hoc queries identically
-// (reformulate with the pinned schema, evaluate the union on the original
-// store), so they share cache entries. Under ReasoningSaturate templates plan
-// against the pinned saturated copy and are pinned to the epoch, so execution
-// and plan never straddle two copies. rdf:type is looked up last: deriving
-// the schema encodes it, and only the modes that derive one need it.
+// reads. Saturation, post- and pre-reformulation answer ad-hoc queries
+// identically (reformulate with the pinned schema, evaluate the union on the
+// explicit store: Theorem 4.2), so they share cache entries. rdf:type is
+// looked up last: deriving the schema encodes it, and only the modes that
+// derive one need it.
 func (db *Database) at(mode Reasoning) (version, error) {
 	v := version{reader: db.st, gen: db.st.Epoch()}
 	switch mode {
 	case ReasoningNone, "":
 		v.tag, v.stmt = "db:none", "txt|db:none|"
-	case ReasoningSaturate:
-		v.tag, v.stmt = "db:sat", "txt|db:sat|"
-		v.schemaLen = db.schema.Len()
-		v.reader, v.pinned = db.saturatedFor(v.gen, v.schemaLen), true
-	case ReasoningPost, ReasoningPre:
+	case ReasoningSaturate, ReasoningPost, ReasoningPre:
 		v.tag, v.stmt = "db:reform", "txt|db:reform|"
 		v.schemaLen, v.schema = db.schema.Len(), db.reasonSchema()
 	default:

@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"rdfviews/internal/cq"
 	"rdfviews/internal/engine"
+	"rdfviews/internal/reason"
 )
 
 // Differential tests for the serving tier (serve.go): every cached path must
@@ -68,6 +70,27 @@ func sameAnswers(a, b [][]string) bool {
 		}
 	}
 	return true
+}
+
+// answerRelation evaluates a query directly on the database under the
+// reasoning mode, deriving schema closure and saturation itself: it is the
+// uncached oracle the differential tests compare the pinned paths against.
+func (db *Database) answerRelation(q *cq.Query, mode Reasoning) (*engine.Relation, error) {
+	switch mode {
+	case ReasoningNone, "":
+		return engine.Materialize(db.st, q)
+	case ReasoningSaturate:
+		schema := reason.NewSchema(db.schema, db.st.Dict())
+		return engine.Materialize(reason.Saturate(db.st, schema), q)
+	case ReasoningPost, ReasoningPre:
+		schema := reason.NewSchema(db.schema, db.st.Dict())
+		u, err := reason.Reformulate(q, schema, 0)
+		if err != nil {
+			return nil, err
+		}
+		return engine.MaterializeUCQ(db.st, u)
+	}
+	return nil, fmt.Errorf("rdfviews: unknown reasoning mode %q", mode)
 }
 
 // oracle answers q uncached, straight through answerRelation.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -14,35 +15,51 @@ import (
 // workload query answered through each surface returns the uncached oracle's
 // rows (answerRelation), sorted, at the head's width. The surfaces are
 // Database.Answer, a drained Database.AnswerQueryStream, Materialized.Answer,
-// OfflineViews.Answer after a bundle round trip and — in the maintainable
-// modes — LiveViews.Answer, LiveViews.AnswerQuery, Prepared.Answer and a
-// drained LiveViews.AnswerQueryStream. A workload text with its head permuted
-// takes the view route with its columns reordered on the text surfaces.
+// OfflineViews.Answer after a bundle round trip, LiveViews.Answer,
+// LiveViews.AnswerQuery, Prepared.Answer and a drained
+// LiveViews.AnswerQueryStream. A workload text with its head permuted takes
+// the view route with its columns reordered on the text surfaces. Then the
+// fixture's update stream runs through a LiveViews, synchronous and behind a
+// change queue (maintainedAgree).
 func TestAnswerSurfacesAgree(t *testing.T) {
 	fixtures := []struct {
 		name, data, schema string
 		workload           []string
+		// updates is a fixed stream of "+triple" inserts and "-triple"
+		// deletes: explicit triples that entail, or were the only support
+		// of, implicit ones, next to deletes that leave another support.
+		updates []string
 	}{
 		{"painters", paintersData, serveSchema, []string{
 			paintersQuery,
 			`q(A, B) :- t(A, hasCreated, B)`,
 			`q(X) :- t(X, rdf:type, artist)`,
+		}, []string{
+			"+u6 hasPainted wheatfield .", "+u9 rdf:type sculptor .", "-u3 hasPainted guernica .",
+			"-u2 hasPainted irises .", "-u1 isParentOf u2 .", "+u1 isParentOf u4 .", "+u9 hasCreated bust .",
 		}},
 		{"museum", museumData, museumSchema, []string{
 			`q(X, Y) :- t(X, rdf:type, picture), t(X, isLocatIn, Y)`,
 			`q(X) :- t(X, isLocatIn, Y)`,
+		}, []string{
+			"+m9 rdf:type painting .", "+m9 isExpIn prado .", "-m1 rdf:type painting .",
+			"-m2 isLocatIn orsay .", "+m3 isExpIn louvre .", "+m2 isExpIn orsay .",
 		}},
 		// Head-symmetric: its reformulation holds mirror-image terms.
 		{"symmetric", symData, symSchema, []string{
 			symQuery,
 			`q(B) :- t(S, p4, B), t(S, p0, A)`,
+		}, []string{
+			"+s2 p8 y3 .", "-s1 p11 x2 .", "+s4 p11 w1 .", "+s4 p0 w2 .", "-s3 p8 z1 .", "-s3 p11 z2 .",
 		}},
 	}
-	// The first workload query of each fixture with its head reversed.
-	permuted := map[string]string{
-		"painters":  `q(Z, X) :- t(X, hasPainted, starryNight), t(X, isParentOf, Y), t(Y, hasPainted, Z)`,
-		"museum":    `q(Y, X) :- t(X, rdf:type, picture), t(X, isLocatIn, Y)`,
-		"symmetric": `q(B, A) :- t(S, p0, A), t(S, p4, B)`,
+	// The first workload query of each fixture with its head reversed, and a
+	// query of no workload shape, which runs on the store.
+	adhoc := map[string][]string{
+		"painters": {`q(Z, X) :- t(X, hasPainted, starryNight), t(X, isParentOf, Y), t(Y, hasPainted, Z)`,
+			`q(X) :- t(X, hasCreated, Y)`},
+		"museum":    {`q(Y, X) :- t(X, rdf:type, picture), t(X, isLocatIn, Y)`, `q(Y) :- t(X, rdf:type, picture), t(X, isLocatIn, Y)`},
+		"symmetric": {`q(B, A) :- t(S, p0, A), t(S, p4, B)`, `q(A) :- t(S, p0, A)`},
 	}
 	layouts := []struct {
 		name string
@@ -76,13 +93,11 @@ func TestAnswerSurfacesAgree(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					var lv *LiveViews
-					if mode != ReasoningPost {
-						if lv, err = rec.Maintain(); err != nil {
-							t.Fatal(err)
-						}
-						defer lv.Close()
+					lv, err := rec.Maintain()
+					if err != nil {
+						t.Fatal(err)
 					}
+					defer lv.Close()
 
 					check := func(surface, text string, got [][]string, err error) {
 						t.Helper()
@@ -100,7 +115,7 @@ func TestAnswerSurfacesAgree(t *testing.T) {
 							t.Fatalf("%s(%q) diverged from the oracle\n got: %v\nwant: %v", surface, text, canon(got), canon(want))
 						}
 					}
-					texts := append(append([]string(nil), fx.workload...), permuted[fx.name])
+					texts := append(append([]string(nil), fx.workload...), adhoc[fx.name]...)
 					for i, text := range texts {
 						q := db.MustParseWorkload(text).Queries[0]
 						got, err := db.Answer(q, mode)
@@ -115,9 +130,6 @@ func TestAnswerSurfacesAgree(t *testing.T) {
 							check("Materialized.Answer", text, got, err)
 							got, err = off.Answer(i)
 							check("OfflineViews.Answer", text, got, err)
-						}
-						if lv == nil {
-							continue
 						}
 						if i < len(fx.workload) {
 							got, err = lv.Answer(i)
@@ -136,8 +148,101 @@ func TestAnswerSurfacesAgree(t *testing.T) {
 						}
 						check("LiveViews.AnswerQueryStream", text, got, err)
 					}
+
+					for _, depth := range []int{0, 8} {
+						live, fresh := lay.db(), lay.db()
+						live.MustLoadGraphString(fx.data)
+						live.MustLoadSchemaString(fx.schema)
+						fresh.MustLoadGraphString(afterUpdates(fx.data, fx.updates))
+						fresh.MustLoadSchemaString(fx.schema)
+						maintainedAgree(t, live, fresh, fx.workload, adhoc[fx.name], fx.updates, mode, depth)
+					}
 				})
 			}
 		}
 	}
+}
+
+// maintainedAgree runs the update stream through a LiveViews of db — queue
+// depth 0 maintains synchronously, more behind a change queue — and then,
+// after a Flush, checks that every maintained extent equals Materialize on
+// the updated store and what the uncached oracle answers for the view on
+// fresh, a database loaded with the data the stream leaves, and that
+// LiveViews.Answer of every workload query and AnswerQuery of every workload
+// and ad-hoc text answer what the oracle answers on fresh.
+func maintainedAgree(t *testing.T, db, fresh *Database, workload, adhoc, updates []string, mode Reasoning, depth int) {
+	t.Helper()
+	rec, err := db.Recommend(db.MustParseWorkload(strings.Join(workload, "\n")),
+		Options{Reasoning: mode, MaxStates: 200, Timeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lv, err := rec.MaintainWithOptions(MaintainOptions{QueueDepth: depth})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lv.Close()
+	for _, u := range updates {
+		if u[0] == '+' {
+			_, err = lv.Insert(u[1:])
+		} else {
+			_, err = lv.Delete(u[1:])
+		}
+		if err != nil {
+			t.Fatalf("queue=%d: %s: %v", depth, u, err)
+		}
+	}
+	if err := lv.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	mat, err := rec.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A pre-reformulation view is already one member of a reformulation, so
+	// its extent is its answer over the explicit triples.
+	viewMode := mode
+	if mode == ReasoningPre {
+		viewMode = ReasoningNone
+	}
+	for _, v := range rec.state.SortedViews() {
+		got, _ := lv.m.Extent(v.ID)
+		if want := mat.extents[v.ID]; !got.EqualAsSet(want) {
+			t.Errorf("queue=%d: maintained v%d holds %d rows, Materialize %d", depth, int(v.ID), got.Len(), want.Len())
+		}
+		def := v.Q.Format(db.st.Dict())
+		if want := oracle(t, fresh, def, viewMode); !sameAnswers(decoded(db, got), want) {
+			t.Errorf("queue=%d: maintained %s = %v, oracle on the updated data %v", depth, def, canon(decoded(db, got)), canon(want))
+		}
+	}
+	for i, text := range append(append([]string(nil), workload...), adhoc...) {
+		want := oracle(t, fresh, text, mode)
+		if i < len(workload) {
+			got, err := lv.Answer(i)
+			if err != nil || !sameAnswers(got, want) {
+				t.Errorf("queue=%d: LiveViews.Answer(%q) after the updates = %v (%v), oracle %v", depth, text, canon(got), err, canon(want))
+			}
+		}
+		got, err := lv.AnswerQuery(text)
+		if err != nil || !sameAnswers(got, want) {
+			t.Errorf("queue=%d: LiveViews.AnswerQuery(%q) after the updates = %v (%v), oracle %v", depth, text, canon(got), err, canon(want))
+		}
+	}
+}
+
+// afterUpdates is the data, one triple a line, that the update stream leaves.
+func afterUpdates(data string, updates []string) string {
+	var lines []string
+	for _, l := range strings.Split(data, "\n") {
+		if l = strings.TrimSpace(l); l != "" {
+			lines = append(lines, l)
+		}
+	}
+	for _, u := range updates {
+		lines = slices.DeleteFunc(lines, func(l string) bool { return l == u[1:] })
+		if u[0] == '+' {
+			lines = append(lines, u[1:])
+		}
+	}
+	return strings.Join(lines, "\n")
 }
