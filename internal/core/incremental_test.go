@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
+	"rdfviews/internal/algebra"
 	"rdfviews/internal/cost"
 	"rdfviews/internal/cq"
 	"rdfviews/internal/datagen"
@@ -149,6 +151,14 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 							!relClose(got.VMC, want.VMC) || !relClose(got.Total, want.Total) {
 							t.Fatalf("delta cost %+v, from scratch %+v, of\n%s", got, want, s.Format())
 						}
+						// A plan's REC term, union legs re-costed or kept, is
+						// the whole plan's, to the bit.
+						views := s.ViewQueries()
+						for k, p := range s.Plans {
+							if want := est.PlanREC(est.PlanCost(p, views)); s.recs[k] != want {
+								t.Fatalf("plan %d: REC %v, costing the whole plan %v", k, s.recs[k], want)
+							}
+						}
 					}
 					if _, err := sr.run(s0); err != nil {
 						t.Fatal(err)
@@ -209,25 +219,67 @@ func TestCostAnswersTheEstimatorAsked(t *testing.T) {
 // Allocation ceilings, in place of timing loops: per-state work must stay
 // proportional to the views a transition touches, and a regression shows as
 // allocations that grow with the state.
+//
+// Each step is measured twice: on S0 and on S0 padded with 200 plans that
+// scan a view the step leaves alone. The counts must be equal — derive and
+// Cost allocate a fixed number of slices over the plans, whatever their
+// number, and rewrite and re-cost only the legs the transition touches.
 func TestStepAllocations(t *testing.T) {
 	f := newSearchFixture(t, 3, 3, 3)
 	s0, ctx, est := f.start(t, "pre")
 	if s0.NumViews() < 200 {
 		t.Fatalf("fixture has %d views, want at least 200", s0.NumViews())
 	}
-	s0.Cost(est)
-	vid := s0.SortedViews()[0].ID
+	views := s0.SortedViews()
+	last := views[len(views)-1]
+	plans := slices.Clone(s0.Plans)
+	for range 200 {
+		plans = append(plans, algebra.NewScan(last.ID, last.Q.Head))
+	}
+	padded := newState(s0.views, plans, listScans(plans), s0.Stage)
+
+	vid := views[0].ID
 	edge := selectionEdges(s0.View(vid).Q)[0]
-	allocs := testing.AllocsPerRun(200, func() {
-		ns := ctx.ApplySC(s0, vid, edge.atom, edge.pos)
-		ns.Cost(est)
-	})
-	// A Selection Cut builds one view (query, canonical labeling, plan nodes)
-	// and one state (its slices and key); costing it allocates the REC list
-	// and re-walks one union plan: 38 allocations, against 35193 at commit
-	// 1b0f562.
-	if allocs > 150 {
-		t.Errorf("ApplySC + Cost on a %d-view state: %.0f allocations, want at most 150", s0.NumViews(), allocs)
+	var id1, id2 algebra.ViewID
+pairs:
+	for i, v := range views {
+		for _, w := range views[i+1:] {
+			if w != last && v.bodyID == w.bodyID && ctx.ApplyVF(s0, v.ID, w.ID) != nil {
+				id1, id2 = v.ID, w.ID
+				break pairs
+			}
+		}
+	}
+	if id1 == 0 {
+		t.Fatal("no fusable pair in the fixture")
+	}
+	for _, tc := range []struct {
+		name string
+		step func(*State) *State
+		// A Selection Cut builds one view (query, canonical labeling, plan
+		// nodes) and one state (its slices, its key, and new scan lists for
+		// the one leg it rewrites and for that leg's plan); costing it
+		// allocates the REC list, the leg costings of one union and re-costs
+		// one leg: 44 allocations, against 35193 at commit 1b0f562.
+		//
+		// A View Fusion builds one view over the body of two and rewrites the
+		// legs that scan either: 62 allocations.
+		ceiling float64
+	}{
+		{"ApplySC", func(s *State) *State { return ctx.ApplySC(s, vid, edge.atom, edge.pos) }, 50},
+		{"ApplyVF", func(s *State) *State { return ctx.ApplyVF(s, id1, id2) }, 70},
+	} {
+		var counts [2]float64
+		for k, s := range []*State{s0, padded} {
+			s.Cost(est)
+			counts[k] = testing.AllocsPerRun(200, func() { tc.step(s).Cost(est) })
+		}
+		if counts[0] > tc.ceiling {
+			t.Errorf("%s + Cost on a %d-view state: %.0f allocations, want at most %.0f", tc.name, s0.NumViews(), counts[0], tc.ceiling)
+		}
+		if counts[1] != counts[0] {
+			t.Errorf("%s + Cost: %.0f allocations over %d plans, %.0f over %d", tc.name, counts[0], len(s0.Plans), counts[1], len(padded.Plans))
+		}
 	}
 }
 

@@ -39,7 +39,7 @@ func InitialState(queries []*cq.Query) (*State, *Ctx, error) {
 		views[i] = ctx.NewView(m)
 		plans[i] = algebra.NewScan(views[i].ID, m.Head)
 	}
-	return newState(views, plans, StageVB).publish(), ctx, nil
+	return newState(views, plans, listScans(plans), StageVB).publish(), ctx, nil
 }
 
 // InitialStateUCQ builds the pre-reformulation initial state of Section 4.3:
@@ -94,5 +94,5 @@ func InitialStateUCQ(queries []*cq.Query, reformulations []*cq.UCQ) (*State, *Ct
 			plans[i] = algebra.NewUnion(branches...)
 		}
 	}
-	return newState(views, plans, StageVB).publish(), ctx, nil
+	return newState(views, plans, listScans(plans), StageVB).publish(), ctx, nil
 }

@@ -52,7 +52,7 @@ func TestStateKeyMatchesCode(t *testing.T) {
 	eachSearch(t, func(t *testing.T, ctx *Ctx, states []*State) {
 		byKey, byCode := map[string]string{}, map[string]string{}
 		for _, s := range states {
-			if scratch := newState(s.views, nil, s.Stage).key; !bytes.Equal(s.key, scratch) {
+			if scratch := newState(s.views, nil, nil, s.Stage).key; !bytes.Equal(s.key, scratch) {
 				t.Fatalf("derived key %x, from the views %x, of\n%s", s.key, scratch, s.Format())
 			}
 			k, c := string(s.key), s.Code()
@@ -129,8 +129,10 @@ func removedViews(s, ns *State) [2]algebra.ViewID {
 // TestDeriveMatchesFullSubstitution: a successor's plans are what passing
 // every plan of its predecessor through SubstituteViews gives — the same
 // pointer for a plan that scans no removed view, which is what lets Cost keep
-// its REC term. It is the oracle for a derive that rewrites only the plans
-// that scan a removed view.
+// its REC term. It is the oracle for a derive that rewrites only the legs
+// that scan a removed view. Every state's scan lists are what walking its
+// plans and legs gives, and a successor shares a plan's or a leg's list
+// exactly when it shares the plan or the leg.
 //
 // The substitution a transition made is read back by applying it a second
 // time, from the same context, to a probe state with the same views whose
@@ -138,6 +140,9 @@ func removedViews(s, ns *State) [2]algebra.ViewID {
 // scan its replacement itself.
 func TestDeriveMatchesFullSubstitution(t *testing.T) {
 	eachSearch(t, func(t *testing.T, ctx *Ctx, states []*State) {
+		for _, s := range states {
+			checkScans(t, s)
+		}
 		checked := 0
 		for _, s := range sample(states, 12) {
 			probe := probeState(s)
@@ -165,7 +170,19 @@ func TestDeriveMatchesFullSubstitution(t *testing.T) {
 					if !reflect.DeepEqual(ns.Plans[i], want) {
 						t.Fatalf("plan %d:\n got %s\nwant %s", i, ns.Plans[i], want)
 					}
+					was, is := s.scans[i], ns.scans[i]
+					if samePlan, sameList := p == ns.Plans[i], &was.all[0] == &is.all[0]; sameList != samePlan {
+						t.Fatalf("plan %d: plan shared %v, its list shared %v", i, samePlan, sameList)
+					}
+					legs, newLegs := legsOf(p), legsOf(ns.Plans[i])
+					for b := range legs {
+						sameLeg := legs[b] == newLegs[b]
+						if sameList := &was.legs[b][0] == &is.legs[b][0]; sameList != sameLeg {
+							t.Fatalf("plan %d leg %d: leg shared %v, its list shared %v", i, b, sameLeg, sameList)
+						}
+					}
 				}
+				checkScans(t, ns)
 				checked++
 			}
 		}
@@ -175,6 +192,29 @@ func TestDeriveMatchesFullSubstitution(t *testing.T) {
 	})
 }
 
+// checkScans fails unless each plan's and each leg's scan list is the sorted
+// distinct views the plan or leg scans.
+func checkScans(t *testing.T, s *State) {
+	t.Helper()
+	if len(s.scans) != len(s.Plans) {
+		t.Fatalf("%d scan lists for %d plans", len(s.scans), len(s.Plans))
+	}
+	for i, p := range s.Plans {
+		if want := algebra.SortedViewIDs(p); !slices.Equal(s.scans[i].all, want) {
+			t.Fatalf("plan %d: scan list %v, the plan scans %v", i, s.scans[i].all, want)
+		}
+		legs := legsOf(p)
+		if len(s.scans[i].legs) != len(legs) {
+			t.Fatalf("plan %d: %d scan lists for %d legs", i, len(s.scans[i].legs), len(legs))
+		}
+		for b, leg := range legs {
+			if want := algebra.SortedViewIDs(leg); !slices.Equal(s.scans[i].legs[b], want) {
+				t.Fatalf("plan %d leg %d: scan list %v, the leg scans %v", i, b, s.scans[i].legs[b], want)
+			}
+		}
+	}
+}
+
 // probeState has the views of s and, for the k-th of them, a plan that is a
 // bare scan of it.
 func probeState(s *State) *State {
@@ -182,7 +222,7 @@ func probeState(s *State) *State {
 	for k, v := range s.views {
 		plans[k] = algebra.NewScan(v.ID, v.Q.Head)
 	}
-	return newState(s.views, plans, s.Stage)
+	return newState(s.views, plans, listScans(plans), s.Stage)
 }
 
 // transitionsOf lists transitions applicable to s, at most perKind of each

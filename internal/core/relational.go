@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -147,10 +148,10 @@ func (sr *searcher) note(s *State) {
 // singleQueryState projects the initial state onto query i.
 func (sr *searcher) singleQueryState(initial *State, i int, p algebra.Plan) *State {
 	var views []*View
-	for _, id := range algebra.SortedViewIDs(p) {
+	for _, id := range initial.scans[i].all {
 		views = append(views, initial.View(id))
 	}
-	return newState(views, []algebra.Plan{p}, StageVB)
+	return newState(views, []algebra.Plan{p}, initial.scans[i:i+1:i+1], StageVB)
 }
 
 // perQueryClosure enumerates all states reachable for a single-query
@@ -261,10 +262,8 @@ func (sr *searcher) combine(a, b *State) *State {
 	views := make([]*View, 0, len(a.views)+len(b.views))
 	views = append(append(views, a.views...), b.views...)
 	sort.Slice(views, func(i, j int) bool { return views[i].ID < views[j].ID })
-	plans := make([]algebra.Plan, 0, len(a.Plans)+len(b.Plans))
-	plans = append(plans, a.Plans...)
-	plans = append(plans, b.Plans...)
-	return newState(views, plans, StageVF)
+	plans := slices.Concat(a.Plans, b.Plans)
+	return newState(views, plans, slices.Concat(a.scans, b.scans), StageVF)
 }
 
 // bestOf returns the lowest-cost state of the slice (nil for empty input).

@@ -207,7 +207,7 @@ func (sr *searcher) run(initial *State) (Result, error) {
 
 	// The best state leaves with its view map filled and without the run's
 	// estimator, whose memo covers every view the search ever costed.
-	sr.best.est, sr.best.recs, sr.best.from = nil, nil, nil
+	sr.best.est, sr.best.recs, sr.best.legCosts, sr.best.from = nil, nil, nil, nil
 	sr.res.Best = sr.best.publish()
 	sr.res.BestCost = sr.bestC
 	sr.res.Duration = time.Since(sr.start)

@@ -8,6 +8,7 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -154,6 +155,10 @@ type State struct {
 	Stage Stage
 
 	views []*View // in ID order
+	// scans[i] lists the views Plans[i] scans, beside Plans. A transition
+	// rewrites the legs that scan a view it removes, and shares every other
+	// leg and list with its predecessor.
+	scans []planScans
 	// key is the state's identity within a search: its views' interned code
 	// IDs, sorted, four big-endian bytes each. Two states of one search have
 	// equal keys exactly when they have equal codes (see Code).
@@ -163,17 +168,29 @@ type State struct {
 	allVar, tripleTable int // views with the stop-condition property
 
 	// Costing, see Cost: the estimator that produced sums and recs (nil until
-	// the state is costed), the REC term of every plan beside Plans, and —
+	// the state is costed), the REC term of every plan beside Plans, the
+	// costing of each leg of every union plan (nil for other plans), and —
 	// until then — the nearest costed predecessor to take the cost from.
-	est  *cost.Estimator
-	sums cost.Sums
-	recs []float64
-	from *State
+	est      *cost.Estimator
+	sums     cost.Sums
+	recs     []float64
+	legCosts [][]cost.PlanCosting
+	from     *State
 }
 
-// newState builds a state over views, which must be in ID order.
-func newState(views []*View, plans []algebra.Plan, stage Stage) *State {
-	s := &State{Plans: plans, Stage: stage, views: views}
+// planScans lists, each in ID order, the distinct views a plan scans and
+// those each of its legs scans. A leg is one branch of a union plan; any
+// other plan is one leg, and its two lists are one. The plan's list lets a
+// transition pass over a plan without looking at its legs.
+type planScans struct {
+	all  []algebra.ViewID
+	legs [][]algebra.ViewID
+}
+
+// newState builds a state over views, which must be in ID order, with scans
+// listing the views plans scan (see listScans).
+func newState(views []*View, plans []algebra.Plan, scans []planScans, stage Stage) *State {
+	s := &State{Plans: plans, Stage: stage, views: views, scans: scans}
 	ids := make([]uint32, len(views))
 	for i, v := range views {
 		s.count(v, 1)
@@ -182,6 +199,34 @@ func newState(views []*View, plans []algebra.Plan, stage Stage) *State {
 	slices.Sort(ids)
 	s.key = rekey(nil, nil, ids)
 	return s
+}
+
+// legsOf returns the legs of a plan: a union's branches, or the plan itself.
+func legsOf(p algebra.Plan) []algebra.Plan {
+	if u, ok := p.(*algebra.Union); ok {
+		return u.Branches
+	}
+	return []algebra.Plan{p}
+}
+
+// listScans walks every plan and each of its legs for the views they scan,
+// the lists a state built from nothing keeps beside its plans.
+func listScans(plans []algebra.Plan) []planScans {
+	scans := make([]planScans, len(plans))
+	for i, p := range plans {
+		legs := legsOf(p)
+		ps := planScans{legs: make([][]algebra.ViewID, len(legs))}
+		for b, leg := range legs {
+			ps.legs[b] = algebra.SortedViewIDs(leg)
+		}
+		if len(legs) == 1 {
+			ps.all = ps.legs[0]
+		} else {
+			ps.all = algebra.SortedViewIDs(p)
+		}
+		scans[i] = ps
+	}
+	return scans
 }
 
 // rekey returns a new key: key without one occurrence of each ID in drop and
@@ -286,21 +331,22 @@ func (s *State) ViewQueries() map[algebra.ViewID]*cq.Query {
 // A state derived from a costed predecessor is costed as a delta over it:
 // the predecessor's sums, minus the terms of the views only it has, plus the
 // terms of the views only this state has, with the plans whose pointer
-// changed re-walked. A state without one (the initial state, a combination
-// of partial states) is the same computation from nothing, which is also
-// what Estimator.CostState does.
+// changed re-costed — of a union, only the legs whose pointer changed. A
+// state without one (the initial state, a combination of partial states) is
+// the same computation from nothing, which is also what Estimator.CostState
+// does.
 func (s *State) Cost(e *cost.Estimator) cost.Breakdown {
 	if s.est == e {
 		return e.Breakdown(s.sums)
 	}
-	sums, recs := s.sum(e)
+	sums, recs, legCosts := s.sum(e)
 	if s.est == nil {
-		s.est, s.sums, s.recs, s.from = e, sums, recs, nil
+		s.est, s.sums, s.recs, s.legCosts, s.from = e, sums, recs, legCosts, nil
 	}
 	return e.Breakdown(sums)
 }
 
-func (s *State) sum(e *cost.Estimator) (cost.Sums, []float64) {
+func (s *State) sum(e *cost.Estimator) (cost.Sums, []float64, [][]cost.PlanCosting) {
 	base := s.from
 	if base != nil && (base.est != e || len(base.Plans) != len(s.Plans)) {
 		base = nil
@@ -324,19 +370,41 @@ func (s *State) sum(e *cost.Estimator) (cost.Sums, []float64) {
 		}
 	}
 	recs := make([]float64, len(s.Plans))
+	legCosts := make([][]cost.PlanCosting, len(s.Plans))
 	view := s.viewQuery
 	for k, p := range s.Plans {
+		var was *algebra.Union // the predecessor's plan, if a union
+		var wasLegs []cost.PlanCosting
 		if base != nil {
 			if p == base.Plans[k] {
-				recs[k] = base.recs[k]
+				recs[k], legCosts[k] = base.recs[k], base.legCosts[k]
 				continue
 			}
 			sums.RemovePlan(base.recs[k])
+			was, _ = base.Plans[k].(*algebra.Union)
+			wasLegs = base.legCosts[k]
 		}
-		recs[k] = e.PlanREC(e.PlanCostBy(p, view))
+		var pc cost.PlanCosting
+		if u, ok := p.(*algebra.Union); ok {
+			// A leg the transition left alone is the same pointer, scanning
+			// views it did not remove: its costing still holds.
+			legs := make([]cost.PlanCosting, len(u.Branches))
+			pc = cost.UnionCost(len(legs), func(b int) cost.PlanCosting {
+				if leg := u.Branches[b]; was != nil && leg == was.Branches[b] {
+					legs[b] = wasLegs[b]
+				} else {
+					legs[b] = e.PlanCostBy(leg, view)
+				}
+				return legs[b]
+			})
+			legCosts[k] = legs
+		} else {
+			pc = e.PlanCostBy(p, view)
+		}
+		recs[k] = e.PlanREC(pc)
 		sums.AddPlan(recs[k])
 	}
-	return sums, recs
+	return sums, recs, legCosts
 }
 
 // NumViews returns the number of views.
@@ -369,9 +437,9 @@ func (s *State) HasAllVariableView() bool { return s.allVar > 0 }
 func (s *State) HasTripleTableView() bool { return s.tripleTable > 0 }
 
 // derive builds a successor state: views in removed are dropped, views in
-// added inserted, the plans rewritten through subs (one replacement per
-// removed view, over the added views), and the stage raised to at least
-// minStage.
+// added inserted, the legs that scan a removed view rewritten through subs
+// (one replacement per removed view, over the added views), and the stage
+// raised to at least minStage.
 func (s *State) derive(removed []algebra.ViewID, added []*View, subs map[algebra.ViewID]algebra.Plan, minStage Stage) *State {
 	ns := &State{
 		Stage:       max(s.Stage, minStage),
@@ -385,14 +453,24 @@ func (s *State) derive(removed []algebra.ViewID, added []*View, subs map[algebra
 	}
 	var dropBuf, addBuf [2]uint32
 	drop, add := dropBuf[:0], addBuf[:0]
-	for _, v := range s.views {
-		if slices.Contains(removed, v.ID) {
-			ns.count(v, -1)
-			drop = append(drop, v.codeID)
-		} else {
-			ns.views = append(ns.views, v)
+	// The removed views are found by ID, in ID order; the runs of views
+	// between them are copied whole.
+	var goneBuf [2]algebra.ViewID
+	gone := append(goneBuf[:0], removed...)
+	slices.Sort(gone)
+	at := 0
+	for _, id := range gone {
+		k, ok := slices.BinarySearchFunc(s.views[at:], id, func(v *View, id algebra.ViewID) int { return cmp.Compare(v.ID, id) })
+		if !ok {
+			continue
 		}
+		k += at
+		ns.views = append(ns.views, s.views[at:k]...)
+		ns.count(s.views[k], -1)
+		drop = append(drop, s.views[k].codeID)
+		at = k + 1
 	}
+	ns.views = append(ns.views, s.views[at:]...)
 	for _, v := range added {
 		ns.count(v, 1)
 		ns.views = append(ns.views, v)
@@ -405,13 +483,72 @@ func (s *State) derive(removed []algebra.ViewID, added []*View, subs map[algebra
 	slices.Sort(drop)
 	slices.Sort(add)
 	ns.key = rekey(s.key, drop, add)
-	ns.Plans = make([]algebra.Plan, len(s.Plans))
-	for i, p := range s.Plans {
-		// An untouched plan comes back as the same pointer, which is how Cost
-		// knows its REC term still holds.
-		ns.Plans[i] = algebra.SubstituteViews(p, subs)
+	// The added views are the last of ns.views, in ID order. Every
+	// replacement scans each of them, so a rewritten leg's list is its old
+	// one without the removed IDs and with these, the largest, appended.
+	var freshBuf [2]algebra.ViewID
+	fresh := freshBuf[:0]
+	for _, v := range ns.views[len(ns.views)-len(added):] {
+		fresh = append(fresh, v.ID)
+	}
+	// Only the legs that scan a removed view are rewritten. Every other leg,
+	// plan and list stays the same pointer, which is how Cost knows its
+	// costing still holds.
+	ns.Plans, ns.scans = slices.Clone(s.Plans), slices.Clone(s.scans)
+	for i, ps := range s.scans {
+		if !scansAny(ps.all, removed) {
+			continue
+		}
+		legs := slices.Clone(ps.legs)
+		// A union's branches are copied; its untouched ones stay shared.
+		var branches []algebra.Plan
+		if u, ok := s.Plans[i].(*algebra.Union); ok {
+			branches = slices.Clone(u.Branches)
+			ns.Plans[i] = &algebra.Union{Branches: branches}
+		}
+		for b, ids := range ps.legs {
+			if !scansAny(ids, removed) {
+				continue
+			}
+			legs[b] = rescan(ids, removed, fresh)
+			leg := &ns.Plans[i]
+			if branches != nil {
+				leg = &branches[b]
+			}
+			*leg = algebra.SubstituteViews(*leg, subs)
+		}
+		// Every leg that scanned a removed view now scans the fresh ones.
+		all := legs[0]
+		if len(legs) != 1 {
+			all = rescan(ps.all, removed, fresh)
+		}
+		ns.scans[i] = planScans{all: all, legs: legs}
 	}
 	return ns
+}
+
+// scansAny reports whether ids holds one of removed, which is one or two
+// IDs: a linear scan beats a binary search.
+func scansAny(ids, removed []algebra.ViewID) bool {
+	for _, id := range ids {
+		for _, r := range removed {
+			if id == r {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// rescan returns a new list: ids without removed, with fresh appended.
+func rescan(ids, removed, fresh []algebra.ViewID) []algebra.ViewID {
+	out := make([]algebra.ViewID, 0, len(ids)+len(fresh))
+	for _, id := range ids {
+		if !slices.Contains(removed, id) {
+			out = append(out, id)
+		}
+	}
+	return append(out, fresh...)
 }
 
 // Format renders the state for debugging: each view and each rewriting.

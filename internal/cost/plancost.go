@@ -152,22 +152,33 @@ func (e *Estimator) planCost(p algebra.Plan, view func(algebra.ViewID) *cq.Query
 	case *algebra.Join:
 		return e.joinCost(n, e.planCost(n.Left, view, true), e.planCost(n.Right, view, true))
 	case *algebra.Union:
-		var out PlanCosting
-		for i, b := range n.Branches {
-			bc := e.planCost(b, view, wantCols && i == 0)
-			out.Card += bc.Card
-			out.IO += bc.IO
-			out.CPU += bc.CPU
-			if i == 0 {
-				out.cols = bc.cols
-			}
-		}
-		// Deduplicating the union touches every produced tuple once.
-		out.CPU += out.Card
-		return out
+		return UnionCost(len(n.Branches), func(i int) PlanCosting {
+			return e.planCost(n.Branches[i], view, wantCols && i == 0)
+		})
 	default:
 		return PlanCosting{}
 	}
+}
+
+// UnionCost folds the costings of a union's n branches, leg(0) to leg(n-1)
+// in that order, into the union's costing. It is how PlanCost costs a
+// union, so a caller that keeps each branch's PlanCostBy re-costs a union
+// whose branches partly changed by costing only those, and gets the same
+// bits. Taking the costings one at a time spares PlanCost a slice of them.
+func UnionCost(n int, leg func(i int) PlanCosting) PlanCosting {
+	var out PlanCosting
+	for i := range n {
+		bc := leg(i)
+		out.Card += bc.Card
+		out.IO += bc.IO
+		out.CPU += bc.CPU
+		if i == 0 {
+			out.cols = bc.cols
+		}
+	}
+	// Deduplicating the union touches every produced tuple once.
+	out.CPU += out.Card
+	return out
 }
 
 func (e *Estimator) scanCost(n *algebra.Scan, v *cq.Query, wantCols bool) PlanCosting {
