@@ -162,3 +162,31 @@ func checkDescribed(t *testing.T, name string, n *algebra.PhysNode, o operator) 
 		checkDescribed(t, name, n.Children[i], k)
 	}
 }
+
+// unionLeafGolden pins the store-side Explain of a plan with union leaves
+// (unionStore on Dual(2,2)): each leaf renders its frame atom and
+// permutation, then ∪ and every alternative with the permutation it scans
+// and the partitions it opens.
+const unionLeafGolden = `Project [X1,X2]
+  MergeJoin [X1]  (≈4 rows)
+    MergeJoin [X1]  (≈4 rows)
+      IndexScan t(#1, #409, X1) perm=spo prefix=2 shards=1/2 batch=1024  (≈4 rows)
+      IndexScan t(X1, #2, #3) perm=pos prefix=2 ∪{t(X1, #2, #3) perm=pos shards=1/2, t(X1, #2, #4) perm=pos shards=1/2, t(X1, #5, X900) perm=pso shards=2/2, t(X900, #13, X1) perm=pos shards=2/2}  (≈481 rows)
+    IndexScan t(X1, #9, X2) perm=pso prefix=1 ∪{t(X1, #9, X2) perm=pso shards=2/2, t(X1, #11, X2) perm=pso shards=2/2}  (≈495 rows)
+`
+
+// TestDescribeGoldenUnionLeaf checks the union-leaf rendering against its
+// golden.
+func TestDescribeGoldenUnionLeaf(t *testing.T) {
+	st, p := unionStore(2, 2)
+	d := st.Dict()
+	q := p.MustParseQuery("q(Y, Z) :- t(n0, far, Y), t(Y, rdf:type, c), t(Y, p, Z)")
+	alts := [][]cq.Atom{{q.Atoms[0]}, typeAlts(d, q.Atoms[1][0], cq.Var(900)), propAlts(d, q.Atoms[2][0], q.Atoms[2][2])}
+	plan, err := PlanQueryAlts(st, q, alts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := plan.Explain(); got != unionLeafGolden {
+		t.Errorf("union-leaf Explain drifted:\n--- got\n%s--- want\n%s", got, unionLeafGolden)
+	}
+}

@@ -20,7 +20,7 @@ func evalQueryINL(st store.Reader, q *cq.Query) (*Relation, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	order, _ := orderAtoms(q, storeCards{st})
+	order := orderAtoms(q, atomCounts(q, nil, storeCards{st}))
 	out := NewRelation(q.Head)
 	seen := newRowSet(16)
 	bind := make(map[cq.Term]dict.ID)

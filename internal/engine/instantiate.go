@@ -40,19 +40,17 @@ func (p *QueryPlan) Instantiate(st store.Reader, subst map[dict.ID]dict.ID) *Que
 			continue
 		}
 		sp := *s.spec
-		changed := false
-		for pos := 0; pos < 3; pos++ {
-			if id := sp.pat[pos]; id != store.Wildcard {
-				if v, ok := subst[id]; ok {
-					sp.pat[pos] = v
-					changed = true
+		changed := substPattern(&sp.pat, &sp.atom, subst)
+		if sp.alts != nil {
+			alts := append([]altSpec(nil), sp.alts...)
+			altsChanged := false
+			for k := range alts {
+				if substPattern(&alts[k].pat, &alts[k].atom, subst) {
+					altsChanged = true
 				}
 			}
-			if t := sp.atom[pos]; t.IsConst() {
-				if v, ok := subst[t.ConstID()]; ok {
-					sp.atom[pos] = cq.Const(v)
-					changed = true
-				}
+			if altsChanged {
+				sp.alts, changed = alts, true
 			}
 		}
 		if changed {
@@ -68,6 +66,27 @@ func (p *QueryPlan) Instantiate(st store.Reader, subst map[dict.ID]dict.ID) *Que
 		}
 	}
 	return &q
+}
+
+// substPattern applies the substitution to a compiled pattern and the atom it
+// was compiled from, reporting whether anything changed.
+func substPattern(pat *store.Pattern, atom *cq.Atom, subst map[dict.ID]dict.ID) bool {
+	changed := false
+	for pos := 0; pos < 3; pos++ {
+		if id := pat[pos]; id != store.Wildcard {
+			if v, ok := subst[id]; ok {
+				pat[pos] = v
+				changed = true
+			}
+		}
+		if t := atom[pos]; t.IsConst() {
+			if v, ok := subst[t.ConstID()]; ok {
+				atom[pos] = cq.Const(v)
+				changed = true
+			}
+		}
+	}
+	return changed
 }
 
 // substCards substitutes representative constants for parameter sentinels
@@ -94,10 +113,25 @@ func (c substCards) AtomCount(a cq.Atom) float64 {
 // constants (parameter placeholders outside the dictionary's ID range),
 // estimating cardinalities as if each sentinel held its representative
 // concrete value from repr. Run the result via Instantiate with a
-// sentinel→value substitution.
+// sentinel→value substitution. It is PlanQueryAlts without alternatives.
 func PlanQueryParams(st store.Reader, q *cq.Query, repr map[dict.ID]dict.ID) (*QueryPlan, error) {
-	if len(repr) == 0 {
-		return PlanQuery(st, q)
+	return PlanQueryAlts(st, q, nil, repr)
+}
+
+// PlanQueryAlts compiles a parameterized query (as PlanQueryParams) whose
+// atoms may be unions of triple patterns: alts[i], when it lists more than
+// the atom itself, holds atom i's alternatives, alts[i][0] being the atom.
+// Every alternative must keep the atom's variables; any other variable it
+// has is existential. Such an atom is one union leaf (union.go): estimated
+// as the sum of its alternatives' counts, run as one merged, duplicate-free
+// stream of the atom's bindings. nil alts plans the query's atoms alone.
+//
+// This is how a reformulated query is answered as one plan per rule-5/6
+// member (reason.ReformulateAtoms) rather than one per member of the union.
+func PlanQueryAlts(st store.Reader, q *cq.Query, alts [][]cq.Atom, repr map[dict.ID]dict.ID) (*QueryPlan, error) {
+	var cards Cards = storeCards{st}
+	if len(repr) > 0 {
+		cards = substCards{storeCards{st}, repr}
 	}
-	return PlanQueryWithStats(st, q, substCards{storeCards{st}, repr})
+	return planQuery(st, q, alts, cards)
 }

@@ -55,6 +55,7 @@ func putTris(t []store.Triple) {
 // triple.
 type triCursor struct {
 	cur  store.Cursor
+	u    *unionCursor // a union leaf's merged cursor, read instead of cur
 	buf  []store.Triple
 	i, n int
 	lim  int // fill limit: ramps up per refill, resets small after a seek
@@ -74,7 +75,11 @@ func (c *triCursor) next() (store.Triple, bool) {
 		if c.lim > len(c.buf) {
 			c.lim = len(c.buf)
 		}
-		c.n = c.cur.NextBatch(c.buf[:c.lim])
+		if c.u != nil {
+			c.n = c.u.NextBatch(c.buf[:c.lim])
+		} else {
+			c.n = c.cur.NextBatch(c.buf[:c.lim])
+		}
 		c.lim *= 2
 		c.i = 0
 		if c.n == 0 {
@@ -99,6 +104,10 @@ func (c *triCursor) seekGE(col int, key dict.ID) {
 	}
 	c.i, c.n = 0, 0
 	c.lim = 0 // next fill starts small: a seek usually lands on one group
+	if c.u != nil {
+		c.u.SeekGE(col, key)
+		return
+	}
 	c.cur.SeekGE(col, key)
 }
 
@@ -109,7 +118,9 @@ type bindPos struct {
 }
 
 // atomSpec is the compiled access path of one body atom: the pattern of its
-// constants, the permutation to scan, and how matching triples bind.
+// constants, the permutation to scan, and how matching triples bind. A union
+// leaf (union.go) also lists its alternatives, the atom itself among them;
+// its scans read their merged, re-mapped stream instead of the atom's own.
 type atomSpec struct {
 	atom   cq.Atom // retained for explain only; see planner.go
 	pat    store.Pattern
@@ -117,6 +128,7 @@ type atomSpec struct {
 	binds  []bindPos // first occurrence of each variable
 	vars   []cq.Term // the variable of each bind: a scan of the atom's columns
 	checks [][2]int  // positions that must be equal (repeated variables)
+	alts   []altSpec // a union leaf's alternatives; nil for a plain atom
 }
 
 // bindBatch writes len(tris) decoded triples into the batch as a scan of the
@@ -178,6 +190,7 @@ type scanOp struct {
 
 	started bool
 	cur     store.Cursor
+	u       *unionCursor   // a union leaf's merged cursor, read instead of cur
 	next    []store.Cursor // a walked scan's remaining shard cursors
 	tris    []store.Triple
 	out     *batch
@@ -189,7 +202,8 @@ func (s *scanOp) cols() []cq.Term { return s.spec.vars }
 func (s *scanOp) close() {
 	s.out.release()
 	putTris(s.tris)
-	s.out, s.tris = nil, nil
+	s.u.close()
+	s.out, s.tris, s.u = nil, nil, nil
 }
 
 // open pins the scan's cursors. A walked scan opens all of its shard cursors
@@ -200,6 +214,10 @@ func (s *scanOp) open() {
 	s.tris = getTris()
 	s.out = newBatch(len(s.spec.binds))
 	perm, pat := s.spec.perm, s.spec.pat
+	if s.spec.alts != nil {
+		s.u = newUnionCursor(s.st, s.spec, s.intr)
+		return
+	}
 	if !s.byShard {
 		s.cur = s.st.NewCursor(perm, pat)
 		return
@@ -219,7 +237,12 @@ func (s *scanOp) nextBatch() (*batch, bool) {
 		if s.intr.stop() { // cancellation checkpoint: once per decoded batch
 			return nil, false
 		}
-		n := s.cur.NextBatch(s.tris)
+		var n int
+		if s.u != nil {
+			n = s.u.NextBatch(s.tris)
+		} else {
+			n = s.cur.NextBatch(s.tris)
+		}
 		if n == 0 {
 			if len(s.next) == 0 {
 				return nil, false
@@ -281,15 +304,19 @@ func (m *mergeJoinOp) cols() []cq.Term { return m.labels }
 func (m *mergeJoinOp) close() {
 	m.out.release()
 	putTris(m.cur.buf)
-	m.out, m.cur.buf = nil, nil
+	m.cur.u.close()
+	m.out, m.cur.buf, m.cur.u = nil, nil, nil
 	closeOp(m.left)
 }
 
 func (m *mergeJoinOp) nextBatch() (*batch, bool) {
 	if !m.started {
 		m.started = true
-		m.cur = triCursor{cur: m.st.NewCursor(m.spec.perm, m.spec.pat), buf: getTris()}
-		m.curT, m.curOK = m.cur.next()
+		if m.spec.alts != nil {
+			m.cur = triCursor{u: newUnionCursor(m.st, m.spec, nil), buf: getTris()}
+		} else {
+			m.cur = triCursor{cur: m.st.NewCursor(m.spec.perm, m.spec.pat), buf: getTris()}
+		}
 		m.nleft = len(m.left.cols())
 		m.out = newBatch(len(m.labels))
 	}
@@ -320,6 +347,12 @@ func (m *mergeJoinOp) nextBatch() (*batch, bool) {
 		m.li++
 		key := m.lb.cols[m.slot][lrow]
 		if !m.haveGrp || key != m.groupKey {
+			if !m.haveGrp {
+				// The first key seeks before the cursor reads anything, so a
+				// union leaf decodes no triple the seek would skip.
+				m.cur.seekGE(m.rpos, key)
+				m.curT, m.curOK = m.cur.next()
+			}
 			// Left keys are non-decreasing, so the right cursor only ever
 			// moves forward. Small gaps advance linearly; anything larger
 			// gallops via the cursor's index seek, so a selective left side

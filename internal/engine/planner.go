@@ -187,10 +187,21 @@ func joinOutEst(l, r float64, keys int) float64 {
 //     (build=right, pipeline order preserved) or the pipeline-so-far
 //     (build=left, output re-ordered by the probe cursor's permutation).
 func PlanQueryWithStats(st store.Reader, q *cq.Query, cards Cards) (*QueryPlan, error) {
+	return planQuery(st, q, nil, cards)
+}
+
+// planQuery is the one planner. alts, when non-nil, lists per atom its
+// alternatives (the atom itself first): an atom with more than one becomes a
+// union leaf (union.go) whose estimate is the sum of its alternatives'.
+func planQuery(st store.Reader, q *cq.Query, alts [][]cq.Atom, cards Cards) (*QueryPlan, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	order, counts := orderAtoms(q, cards)
+	if alts != nil && len(alts) != len(q.Atoms) {
+		return nil, fmt.Errorf("engine: %d alternative lists for %d atoms", len(alts), len(q.Atoms))
+	}
+	counts := atomCounts(q, alts, cards)
+	order := orderAtoms(q, counts)
 
 	// Compact variable numbering, in pipeline binding order.
 	slotOf := make(map[cq.Term]int)
@@ -217,6 +228,12 @@ func PlanQueryWithStats(st store.Reader, q *cq.Query, cards Cards) (*QueryPlan, 
 	for k, ai := range order {
 		a := q.Atoms[ai]
 		spec := makeAtomSpec(a, slotOf)
+		if alts != nil && len(alts[ai]) > 1 {
+			var err error
+			if spec.alts, err = makeAltSpecs(a, alts[ai]); err != nil {
+				return nil, err
+			}
+		}
 		est := counts[ai]
 
 		// Shared variables: distinct register slots of a's already-bound
@@ -334,8 +351,9 @@ func PlanQueryWithStats(st store.Reader, q *cq.Query, cards Cards) (*QueryPlan, 
 	// anything re-establishes (Sort) or destroys (build=left hash join) it;
 	// build=right hash joins and cross products preserve it. A scan whose
 	// order nothing reads walks its route's shards one after another, each
-	// shard cursor decoding flat batches, instead of merging them.
-	p.steps[0].byShard = true
+	// shard cursor decoding flat batches, instead of merging them. A union
+	// leaf always merges (its duplicates meet only in one ordered stream).
+	p.steps[0].byShard = p.steps[0].spec.alts == nil
 	for _, s := range p.steps[1:] {
 		if s.kind == stepMergeJoin {
 			p.steps[0].byShard = false
@@ -343,6 +361,13 @@ func PlanQueryWithStats(st store.Reader, q *cq.Query, cards Cards) (*QueryPlan, 
 		}
 		if s.kind == stepSort || (s.kind == stepHashJoin && s.buildLeft) {
 			break
+		}
+	}
+	// Union leaves scan each alternative in the order matching the frame
+	// permutation just chosen.
+	for _, s := range p.steps {
+		if s.spec != nil && s.spec.alts != nil {
+			s.spec.setAltPerms()
 		}
 	}
 
@@ -374,22 +399,43 @@ func PlanQueryWithStats(st store.Reader, q *cq.Query, cards Cards) (*QueryPlan, 
 // The permutation is chosen by the caller per the atom's role.
 func makeAtomSpec(a cq.Atom, slotOf map[cq.Term]int) *atomSpec {
 	spec := &atomSpec{atom: a}
-	firstPos := make(map[cq.Term]int, 3)
-	for pos := 0; pos < 3; pos++ {
-		t := a[pos]
-		if t.IsConst() {
-			spec.pat[pos] = t.ConstID()
-			continue
+	spec.pat, spec.checks = compilePattern(a)
+	for pos, t := range a {
+		if t.IsVar() && firstOccurrence(a, pos) {
+			spec.binds = append(spec.binds, bindPos{pos: pos, slot: slotOf[t]})
+			spec.vars = append(spec.vars, t)
 		}
-		if fp, ok := firstPos[t]; ok {
-			spec.checks = append(spec.checks, [2]int{fp, pos})
-			continue
-		}
-		firstPos[t] = pos
-		spec.binds = append(spec.binds, bindPos{pos: pos, slot: slotOf[t]})
-		spec.vars = append(spec.vars, t)
 	}
 	return spec
+}
+
+// compilePattern returns the atom's pattern of constants and the position
+// pairs its repeated variables must agree on (first occurrence, repeat).
+func compilePattern(a cq.Atom) (pat store.Pattern, checks [][2]int) {
+	for pos, t := range a {
+		if t.IsConst() {
+			pat[pos] = t.ConstID()
+			continue
+		}
+		for prev := 0; prev < pos; prev++ {
+			if a[prev] == t {
+				checks = append(checks, [2]int{prev, pos})
+				break
+			}
+		}
+	}
+	return pat, checks
+}
+
+// firstOccurrence reports whether position pos holds the first occurrence of
+// its term in the atom.
+func firstOccurrence(a cq.Atom, pos int) bool {
+	for prev := 0; prev < pos; prev++ {
+		if a[prev] == a[pos] {
+			return false
+		}
+	}
+	return true
 }
 
 // chooseSortPosition picks the triple position the first scan should sort on:
@@ -446,17 +492,7 @@ func chooseSortPosition(q *cq.Query, order []int, slotOf map[cq.Term]int) int {
 func probeOrderPosition(q *cq.Query, rest []int, a cq.Atom, slotOf map[cq.Term]int, bound []bool) int {
 	for pos := 0; pos < 3; pos++ {
 		t := a[pos]
-		if !t.IsVar() || bound[slotOf[t]] {
-			continue
-		}
-		firstOcc := true
-		for prev := 0; prev < pos; prev++ {
-			if a[prev] == t {
-				firstOcc = false
-				break
-			}
-		}
-		if !firstOcc {
+		if !t.IsVar() || bound[slotOf[t]] || !firstOccurrence(a, pos) {
 			continue
 		}
 		for _, ai := range rest {
@@ -487,21 +523,31 @@ func containsInt(xs []int, x int) bool {
 	return false
 }
 
-// orderAtoms orders the body greedily by the provider's cardinalities: start
-// from the atom with the smallest estimate; repeatedly append the connected
-// atom (sharing a bound variable) with the smallest estimate, falling back to
-// the globally smallest when none connects. The per-atom counts are returned
-// for reuse — AtomCount can be a real scan for repeated-variable atoms, so
-// the planner asks once.
-func orderAtoms(q *cq.Query, cards Cards) ([]int, []float64) {
+// atomCounts estimates every atom once — AtomCount can be a real scan for
+// repeated-variable atoms: a union leaf as the sum of its alternatives'.
+func atomCounts(q *cq.Query, alts [][]cq.Atom, cards Cards) []float64 {
+	counts := make([]float64, len(q.Atoms))
+	for i, a := range q.Atoms {
+		if alts == nil || len(alts[i]) <= 1 {
+			counts[i] = cards.AtomCount(a)
+			continue
+		}
+		for _, alt := range alts[i] {
+			counts[i] += cards.AtomCount(alt)
+		}
+	}
+	return counts
+}
+
+// orderAtoms orders the body greedily by the per-atom estimates: start from
+// the atom with the smallest estimate; repeatedly append the connected atom
+// (sharing a bound variable) with the smallest estimate, falling back to the
+// globally smallest when none connects.
+func orderAtoms(q *cq.Query, counts []float64) []int {
 	n := len(q.Atoms)
 	order := make([]int, 0, n)
 	used := make([]bool, n)
 	bound := make(map[cq.Term]struct{})
-	counts := make([]float64, n)
-	for i := range counts {
-		counts[i] = cards.AtomCount(q.Atoms[i])
-	}
 	connected := func(i int) bool {
 		for _, t := range q.Atoms[i] {
 			if t.IsVar() {
@@ -531,7 +577,7 @@ func orderAtoms(q *cq.Query, cards Cards) ([]int, []float64) {
 			}
 		}
 	}
-	return order, counts
+	return order
 }
 
 // distinctHintCap bounds the distinct set's pre-size: estimates at or above
@@ -580,8 +626,11 @@ func (p *QueryPlan) Describe() *algebra.PhysNode {
 		// many of its routed side's partitions it opens (shards=m/K). Every
 		// operator opens its cursor through the store's routed NewCursor, so
 		// the annotation is the runtime behaviour, not a hint. Flat stores
-		// (K=1) stay unannotated — their plans are the historical ones.
-		if p.st != nil {
+		// (K=1) stay unannotated — their plans are the historical ones. A
+		// union leaf opens its alternatives' cursors, so it renders those.
+		if s.spec.alts != nil {
+			scan.Detail += s.spec.describeAlts(p.st)
+		} else if p.st != nil {
 			if r := p.st.Placement().Route(s.spec.perm, s.spec.pat); r.K > 1 {
 				scan.Detail += fmt.Sprintf(" shards=%d/%d", r.Len(), r.K)
 			}

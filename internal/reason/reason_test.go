@@ -212,14 +212,22 @@ func randomSchema(rng *rand.Rand, n int) *rdf.Schema {
 	return s
 }
 
-// randomSchemaQuery builds a connected query whose constants come from the
-// schema vocabulary, so reformulation has rules to fire.
+// randomSchemaQuery builds a query whose constants come from the schema
+// vocabulary, so reformulation has rules to fire. Subjects and objects
+// are sometimes constants of randomData's resources, objects sometimes
+// repeat a variable (also the atom's own subject), class and property
+// positions are sometimes variables (rules 5–6), and a third of the heads
+// keep every body variable — the full-width head whose plan does not dedup.
 func randomSchemaQuery(rng *rand.Rand, p *cq.Parser, s *Schema, atoms int) *cq.Query {
 	d := s.Dict()
+	res := func() cq.Term { return cq.Const(d.EncodeIRI(fmt.Sprintf("r%d", rng.Intn(8)))) }
 	vars := []cq.Term{p.FreshVar()}
 	var as []cq.Atom
 	for i := 0; i < atoms; i++ {
 		subj := vars[rng.Intn(len(vars))]
+		if rng.Intn(6) == 0 {
+			subj = res()
+		}
 		if rng.Intn(3) == 0 { // type atom
 			var cls cq.Term
 			if len(s.Classes) > 0 && rng.Intn(4) > 0 {
@@ -242,13 +250,24 @@ func randomSchemaQuery(rng *rand.Rand, p *cq.Parser, s *Schema, atoms int) *cq.Q
 			vars = append(vars, v)
 			prop = v
 		}
-		obj := p.FreshVar()
-		vars = append(vars, obj)
+		var obj cq.Term
+		switch rng.Intn(8) {
+		case 0:
+			obj = res()
+		case 1:
+			obj = vars[rng.Intn(len(vars))]
+		default:
+			obj = p.FreshVar()
+			vars = append(vars, obj)
+		}
 		as = append(as, cq.Atom{subj, prop, obj})
 	}
 	head := []cq.Term{vars[0]}
+	if rng.Intn(3) == 0 {
+		head = (&cq.Query{Atoms: as}).Vars()
+	}
 	q := &cq.Query{Head: head, Atoms: as}
-	if q.Validate() != nil {
+	if len(head) == 0 || q.Validate() != nil {
 		return randomSchemaQuery(rng, p, s, atoms)
 	}
 	return q
@@ -281,7 +300,9 @@ func randomData(rng *rand.Rand, st *store.Store, s *Schema, n int) {
 
 // TestReformulateEquivalentToSaturation is the Theorem 4.2 property test:
 // evaluate(q, saturate(D,S)) == evaluate(Reformulate(q,S), D) on random
-// schemas, databases, and queries.
+// schemas, databases, and queries — and == the factored reformulation
+// (ReformulateAtoms) evaluated on D the way the serving tier runs it: one
+// plan per rule-5/6 member with union leaves, several members unioned.
 func TestReformulateEquivalentToSaturation(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
 	for trial := 0; trial < 40; trial++ {
@@ -309,7 +330,54 @@ func TestReformulateEquivalentToSaturation(t *testing.T) {
 			t.Fatalf("trial %d: Theorem 4.2 violated\nquery: %s\nschema: %v\n|sat|=%d |orig|=%d union=%d\nsat rows: %d, reform rows: %d",
 				trial, q.Format(st.Dict()), sch.Statements(), sat.Len(), st.Len(), u.Len(), onSat.Len(), onOrig.Len())
 		}
+		factored := evalFactored(t, st, q, s)
+		if !onSat.EqualAsSet(factored) || hasDuplicateRows(factored) {
+			t.Fatalf("trial %d: factored reformulation differs from saturation\nquery: %s\nschema: %v\nsat rows: %d, factored rows: %d",
+				trial, q.Format(st.Dict()), sch.Statements(), onSat.Len(), factored.Len())
+		}
 	}
+}
+
+// evalFactored answers q on st as the serving tier does: ReformulateAtoms,
+// one engine.PlanQueryAlts plan per member, and the members' distinct union
+// when there are several — a single member's stream is returned as is, so
+// its rows must already be a set.
+func evalFactored(t *testing.T, st *store.Store, q *cq.Query, s *Schema) *engine.Relation {
+	t.Helper()
+	members, alts, err := ReformulateAtoms(q, s, 0)
+	if err != nil {
+		t.Fatalf("ReformulateAtoms: %v", err)
+	}
+	streams := make([]*engine.RowStream, len(members))
+	for i, m := range members {
+		p, err := engine.PlanQueryAlts(st, m, alts[i], nil)
+		if err != nil {
+			t.Fatalf("PlanQueryAlts(%s): %v", m.Format(st.Dict()), err)
+		}
+		streams[i] = p.EvalStream(engine.ExecOptions{})
+	}
+	rs, err := engine.UnionStreams(streams, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := rs.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rel
+}
+
+// hasDuplicateRows reports whether a relation holds some row twice.
+func hasDuplicateRows(r *engine.Relation) bool {
+	seen := make(map[string]bool, len(r.Rows))
+	for _, row := range r.Rows {
+		k := fmt.Sprint(row)
+		if seen[k] {
+			return true
+		}
+		seen[k] = true
+	}
+	return false
 }
 
 func TestReformulateUCQMerges(t *testing.T) {

@@ -3,8 +3,11 @@ package rdfviews
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
+
+	"rdfviews/internal/reason"
 )
 
 // TestMaintainDerivesEntailments: a maintained view over an implicit class
@@ -94,5 +97,68 @@ func TestSchemaUpdateFails(t *testing.T) {
 			t.Errorf("%s: refused schema updates left %d triples (was %d) and %d schema statements (was 2)",
 				mode, db.NumTriples(), n, db.SchemaSize())
 		}
+	}
+}
+
+// unionLimitLive is a deep sub-property hierarchy p0 ⊒ p1 ⊒ p2 ⊒ p3 over a
+// ring of edges spread across the four levels, with a recommendation under
+// post-reformulation whose union-term limit is 8.
+func unionLimitLive(t *testing.T) (*Database, *LiveViews) {
+	t.Helper()
+	db := NewDatabase()
+	var data strings.Builder
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&data, "n%d p%d n%d .\n", i, i%4, (i+1)%40)
+		fmt.Fprintf(&data, "n%d p%d n%d .\n", i, (i+1)%4, (i+7)%40)
+	}
+	db.MustLoadGraphString(data.String())
+	db.MustLoadSchemaString(`
+p1 rdfs:subPropertyOf p0 .
+p2 rdfs:subPropertyOf p1 .
+p3 rdfs:subPropertyOf p2 .
+`)
+	rec, err := db.Recommend(db.MustParseWorkload(`q(X, Y) :- t(X, p3, Y)`), Options{
+		Reasoning: ReasoningPost, MaxUnionTerms: 8, MaxStates: 50, Timeout: time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lv, err := rec.Maintain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db, lv
+}
+
+// TestServingUnionLimitBoundsAtoms: on the serving path the union-term limit
+// bounds an atom's alternatives, not their product. A 6-atom chain over the
+// hierarchy has 4^6 union terms — over the limit of 8, which Reformulate
+// refuses — but 4 alternatives per atom, so it answers, and its answer is the
+// saturated database's.
+func TestServingUnionLimitBoundsAtoms(t *testing.T) {
+	db, lv := unionLimitLive(t)
+	chain := `q(A, G) :- t(A, p0, B), t(B, p0, C), t(C, p0, D), t(D, p0, E), t(E, p0, F), t(F, p0, G)`
+	q := db.MustParseWorkload(chain).Queries[0]
+	if _, err := reason.Reformulate(q, db.reasonSchema(), 8); !errors.Is(err, reason.ErrTooManyUnionTerms) {
+		t.Fatalf("Reformulate under the limit: %v, want ErrTooManyUnionTerms", err)
+	}
+	got, err := lv.AnswerQuery(chain)
+	if err != nil {
+		t.Fatalf("AnswerQuery: %v", err)
+	}
+	want := oracle(t, db, chain, ReasoningSaturate)
+	if len(want) == 0 || !sameAnswers(got, want) {
+		t.Fatalf("chain answered %d rows, saturate oracle %d", len(got), len(want))
+	}
+}
+
+// TestServingUnionLimitBoundsMembers: rule 6 binds each property variable to
+// the four properties and rdf:type, so two of them give more than 8 members,
+// and the serving path still refuses the query.
+func TestServingUnionLimitBoundsMembers(t *testing.T) {
+	_, lv := unionLimitLive(t)
+	_, err := lv.AnswerQuery(`q(X) :- t(X, P, Y), t(Y, Q, Z)`)
+	if !errors.Is(err, reason.ErrTooManyUnionTerms) {
+		t.Fatalf("rule-6 query over the limit: %v, want ErrTooManyUnionTerms", err)
 	}
 }

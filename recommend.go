@@ -102,7 +102,12 @@ type Options struct {
 	// is zero it is auto-calibrated so that cm·VMC(S0) sits two orders of
 	// magnitude below the other cost components (Section 6).
 	Weights Weights
-	// MaxUnionTerms bounds reformulation size (0 = library default).
+	// MaxUnionTerms bounds reformulation size (0 = library default): the
+	// union of each reformulated workload query and view the search and
+	// maintenance read. An ad-hoc answer of the recommendation's LiveViews is
+	// reformulated per atom instead, so there it bounds the members the query
+	// has under reformulation rules 5–6 (bindings of class and property
+	// variables) and the alternatives of any one atom, not their product.
 	MaxUnionTerms int
 }
 

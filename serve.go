@@ -19,7 +19,7 @@ package rdfviews
 //	                   └─────────┬──────────┘
 //	                             ▼
 //	              view route (exact workload match)
-//	              or store template (reformulated members, compiled plans)
+//	              or store template (one plan per rule-5/6 member, union leaves)
 //
 // Database and LiveViews share this path: both embed a front — the cache, and
 // on a LiveViews the workload its maintained rewritings answer — and differ
@@ -198,9 +198,11 @@ func applyConstSubst(q *cq.Query, sub map[dict.ID]dict.ID) *cq.Query {
 }
 
 // storeTemplate is the compiled store-path artifact: one physical plan per
-// member of the (possibly reformulated) skeleton union. Execution
-// (execStream, serve_stream.go) instantiates each member against the caller's
-// snapshot and binding and takes the distinct union.
+// member of the skeleton's closure under reformulation rules 5–6 — a single
+// plan unless the skeleton has a class or property variable — whose atoms are
+// union leaves of their rule 1–4 alternatives. Execution (execStream,
+// serve_stream.go) instantiates each member against the caller's snapshot and
+// binding and, over several members, takes their distinct union.
 type storeTemplate struct {
 	members []*engine.QueryPlan
 
@@ -213,25 +215,31 @@ type storeTemplate struct {
 	bound map[string][]*engine.QueryPlan
 }
 
-// compileStoreTemplate reformulates the skeleton under schema when one is
-// given and compiles a parameterized physical plan per member, join-ordered
-// by the cardinalities of the triggering query's constants (repr).
+// compileStoreTemplate reformulates the skeleton per atom under schema when
+// one is given (reason.ReformulateAtoms) and compiles a parameterized
+// physical plan per member, its atoms union leaves of their alternatives,
+// join-ordered by the cardinalities of the triggering query's constants
+// (repr).
 func compileStoreTemplate(reader store.Reader, skel *cq.Query, repr map[dict.ID]dict.ID, schema *reason.Schema, maxTerms int) (*storeTemplate, error) {
 	members := []*cq.Query{skel}
+	var alts [][][]cq.Atom
 	if schema != nil {
-		u, err := reason.Reformulate(skel, schema, maxTerms)
-		if err != nil {
+		var err error
+		if members, alts, err = reason.ReformulateAtoms(skel, schema, maxTerms); err != nil {
 			return nil, err
 		}
-		members = u.Queries
 	}
-	t := &storeTemplate{members: make([]*engine.QueryPlan, 0, len(members))}
-	for _, mq := range members {
-		p, err := engine.PlanQueryParams(reader, mq, repr)
+	t := &storeTemplate{members: make([]*engine.QueryPlan, len(members))}
+	for i, mq := range members {
+		var ma [][]cq.Atom
+		if alts != nil {
+			ma = alts[i]
+		}
+		p, err := engine.PlanQueryAlts(reader, mq, ma, repr)
 		if err != nil {
 			return nil, err
 		}
-		t.members = append(t.members, p)
+		t.members[i] = p
 	}
 	return t, nil
 }
@@ -351,7 +359,8 @@ type version struct {
 	// schemaLen is the size of the schema the mode reasons with; 0 when it
 	// reasons with none, or with one fixed for the surface's lifetime.
 	schemaLen int
-	// schema, when set, reformulates every template, bounded by maxTerms.
+	// schema, when set, reformulates every template, maxTerms bounding its
+	// rule-5/6 members and the alternatives of any one atom.
 	schema   *reason.Schema
 	maxTerms int
 	// typeID is rdf:type's dictionary ID, which lifting leaves alone.

@@ -159,10 +159,14 @@ func openRewriting(ctx context.Context, plans []algebra.Plan, i int, resolve eng
 
 // execStream runs the template against a reader under li's binding: each
 // cached member plan is instantiated (the memoized substituted clone, plus a
-// struct copy pinning the reader), streamed, and the members unioned
-// positionally by engine.UnionStreams, exactly like engine.MaterializeUCQ.
+// struct copy pinning the reader) and streamed — a member's union leaves keep
+// its stream a set — and several members are unioned positionally by
+// engine.UnionStreams.
 func (t *storeTemplate) execStream(reader store.Reader, li *liftInfo, opts engine.ExecOptions) (*engine.RowStream, error) {
 	ms := t.boundMembers(li)
+	if len(ms) == 1 {
+		return ms[0].Instantiate(reader, nil).EvalStream(opts), nil
+	}
 	streams := make([]*engine.RowStream, len(ms))
 	for i, p := range ms {
 		streams[i] = p.Instantiate(reader, nil).EvalStream(opts)

@@ -160,17 +160,38 @@ func bulkDB(t testing.TB, n int) *Database {
 
 // TestAnswerStreamMemoryBounded is the O(batch) acceptance test: draining a
 // ~120k-row result through the stream must hold batch-sized state, not the
-// whole decoded result. The full scan is non-distinct (full-width head), so
-// the engine keeps no dedup set; the decode memo is capped; the slab is
-// reused — mid-drain live heap must stay far below the materialized answer.
+// whole decoded result — mid-drain live heap must stay far below the
+// materialized answer. The decode memo is capped and the slab is reused in
+// both cases. The full scan is non-distinct (full-width head), so the engine
+// keeps no dedup set. The type union is serve-scan's shape, ?x a <top> over a
+// bulk class hierarchy under post-reformulation: one plan whose union leaf
+// merges the subclass scans and drops their duplicates side by side, where
+// a union of member plans would hold every row in its dedup set.
 func TestAnswerStreamMemoryBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bulk load in -short mode")
 	}
 	const n = 120000
-	db := bulkDB(t, n)
-	text := `q(X, P, Y) :- t(X, P, Y)`
+	cases := []struct {
+		name string
+		db   func() *Database
+		text string
+		mode Reasoning
+	}{
+		{"scan", func() *Database { return bulkDB(t, n) }, `q(X, P, Y) :- t(X, P, Y)`, ReasoningNone},
+		{"type-union", func() *Database { return bulkTypeDB(t, n) }, `q(X) :- t(X, rdf:type, top)`, ReasoningPost},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			streamHeldBounded(t, c.db(), c.text, c.mode, n)
+		})
+	}
+}
 
+// streamHeldBounded drains text's stream under mode, expecting n rows, and
+// fails when its mid-drain heap delta exceeds a quarter of the materialized
+// answer's.
+func streamHeldBounded(t *testing.T, db *Database, text string, mode Reasoning, n int) {
 	heap := func() uint64 {
 		runtime.GC()
 		var ms runtime.MemStats
@@ -179,7 +200,7 @@ func TestAnswerStreamMemoryBounded(t *testing.T) {
 	}
 
 	base := heap()
-	s, err := db.AnswerQueryStream(context.Background(), text, ReasoningNone)
+	s, err := db.AnswerQueryStream(context.Background(), text, mode)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +230,7 @@ func TestAnswerStreamMemoryBounded(t *testing.T) {
 	// Reference: the materialized decode of the same result.
 	q := db.MustParseWorkload(text).Queries[0]
 	before := heap()
-	mat, err := db.Answer(q, ReasoningNone)
+	mat, err := db.Answer(q, mode)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,4 +246,25 @@ func TestAnswerStreamMemoryBounded(t *testing.T) {
 		t.Fatalf("streaming held %.1f MiB mid-drain, more than 1/4 of the %.1f MiB materialized result — not O(batch)",
 			float64(maxDelta)/(1<<20), float64(matHeap)/(1<<20))
 	}
+}
+
+// bulkTypeDB types n synthetic subjects into 16 classes under one top class,
+// every tenth subject into a second class too, so the reformulated ?x a top
+// has 17 alternatives whose answers overlap.
+func bulkTypeDB(t testing.TB, n int) *Database {
+	t.Helper()
+	db := NewDatabase()
+	var data, schema strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&data, "subject_%08d_padpadpad rdf:type class_%02d .\n", i, i%16)
+		if i%10 == 0 {
+			fmt.Fprintf(&data, "subject_%08d_padpadpad rdf:type class_%02d .\n", i, (i+1)%16)
+		}
+	}
+	for c := 0; c < 16; c++ {
+		fmt.Fprintf(&schema, "class_%02d rdfs:subClassOf top .\n", c)
+	}
+	db.MustLoadGraphString(data.String())
+	db.MustLoadSchemaString(schema.String())
+	return db
 }
