@@ -28,7 +28,7 @@ func TestJCSameAtomRepeatedVariable(t *testing.T) {
 		t.Fatalf("occurrences: %v", occs)
 	}
 	x := jvars[0]
-	ns := ctx.ApplyJC(s0, vid, x, occs[x][1].atom, occs[x][1].pos)
+	ns := ctx.applyJC(s0, vid, x, occs[x][1].atom, occs[x][1].pos)
 	if ns == nil {
 		t.Fatal("JC on self-edge not applicable")
 	}
@@ -55,12 +55,12 @@ func TestVFWithinOnePlan(t *testing.T) {
 	// Cut the chain join: two isomorphic single-atom views joined in one plan.
 	jvars, occs := joinVarOccurrences(s0.Views[vid].Q)
 	y := jvars[0]
-	s1 := ctx.ApplyJC(s0, vid, y, occs[y][0].atom, occs[y][0].pos)
+	s1 := ctx.applyJC(s0, vid, y, occs[y][0].atom, occs[y][0].pos)
 	if s1 == nil || s1.NumViews() != 2 {
 		t.Fatalf("JC split failed: %v", s1)
 	}
 	checkStateAnswers(t, st, s1, queries)
-	s2 := ctx.AVFClose(s1, nil)
+	s2 := ctx.avfClose(s1, nil)
 	if s2.NumViews() != 1 {
 		t.Fatalf("fusion within one plan left %d views:\n%s", s2.NumViews(), s2.Format())
 	}
@@ -82,7 +82,7 @@ func TestSCOnPropertyPosition(t *testing.T) {
 	for id := range s0.Views {
 		vid = id
 	}
-	ns := ctx.ApplySC(s0, vid, 0, 1) // cut the property constant
+	ns := ctx.applySC(s0, vid, 0, 1) // cut the property constant
 	if ns == nil {
 		t.Fatal("SC on property position not applicable")
 	}
@@ -117,7 +117,7 @@ func TestSCTwiceSameConstant(t *testing.T) {
 	if len(edges) != 4 { // hasPainted, starryNight (x2), depicts
 		t.Fatalf("selection edges = %d, want 4", len(edges))
 	}
-	s1 := ctx.ApplySC(s0, vid, 0, 2) // starryNight in object position
+	s1 := ctx.applySC(s0, vid, 0, 2) // starryNight in object position
 	if s1 == nil {
 		t.Fatal("first SC failed")
 	}
@@ -126,7 +126,7 @@ func TestSCTwiceSameConstant(t *testing.T) {
 	for _, id := range viewIDs(s1) {
 		vid1 = id
 	}
-	s2 := ctx.ApplySC(s1, vid1, 1, 2) // starryNight in the second atom
+	s2 := ctx.applySC(s1, vid1, 1, 2) // starryNight in the second atom
 	if s2 == nil {
 		t.Fatal("second SC failed")
 	}
@@ -149,7 +149,7 @@ func TestVBOverlappingCoverKeepsSharedAtomVars(t *testing.T) {
 	for id := range s0.Views {
 		vid = id
 	}
-	ns := ctx.ApplyVB(s0, vid, 0b011, 0b110) // overlap on the isParentOf atom
+	ns := ctx.applyVB(s0, vid, 0b011, 0b110) // overlap on the isParentOf atom
 	if ns == nil {
 		t.Fatal("VB failed")
 	}
@@ -189,7 +189,7 @@ func TestDisjointVBOnExistentialJoinVariable(t *testing.T) {
 		vid = id
 	}
 	// Disjoint split: {atom0} | {atom1, atom2}; shared var X is existential.
-	ns := ctx.ApplyVB(s0, vid, 0b001, 0b110)
+	ns := ctx.applyVB(s0, vid, 0b001, 0b110)
 	if ns == nil {
 		t.Fatal("disjoint VB failed")
 	}

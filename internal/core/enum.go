@@ -26,7 +26,7 @@ func (c *Ctx) enumKind(kind Stage, s *State, yield func(*State) bool) bool {
 func (c *Ctx) enumSC(s *State, yield func(*State) bool) bool {
 	for _, v := range s.SortedViews() {
 		for _, e := range selectionEdges(v.Q) {
-			if ns := c.ApplySC(s, v.ID, e.atom, e.pos); ns != nil {
+			if ns := c.applySC(s, v.ID, e.atom, e.pos); ns != nil {
 				if !yield(ns) {
 					return false
 				}
@@ -45,7 +45,7 @@ func (c *Ctx) enumJC(s *State, yield func(*State) bool) bool {
 		joinVars, occs := joinVarOccurrences(v.Q)
 		for _, x := range joinVars {
 			for _, o := range occs[x] {
-				if ns := c.ApplyJC(s, v.ID, x, o.atom, o.pos); ns != nil {
+				if ns := c.applyJC(s, v.ID, x, o.atom, o.pos); ns != nil {
 					if !yield(ns) {
 						return false
 					}
@@ -65,7 +65,7 @@ func (c *Ctx) enumJC(s *State, yield func(*State) bool) bool {
 func (c *Ctx) enumVB(s *State, yield func(*State) bool) bool {
 	for _, v := range s.SortedViews() {
 		for _, pair := range v.vbCandidates() {
-			if ns := c.ApplyVB(s, v.ID, pair[0], pair[1]); ns != nil {
+			if ns := c.applyVB(s, v.ID, pair[0], pair[1]); ns != nil {
 				if !yield(ns) {
 					return false
 				}
@@ -103,7 +103,7 @@ func (c *Ctx) enumVF(s *State, yield func(*State) bool) bool {
 			if a.bodyID != b.bodyID {
 				continue
 			}
-			if ns := c.ApplyVF(s, a.ID, b.ID); ns != nil {
+			if ns := c.applyVF(s, a.ID, b.ID); ns != nil {
 				if !yield(ns) {
 					return false
 				}
@@ -125,13 +125,13 @@ func (c *Ctx) firstVF(s *State) *State {
 	return out
 }
 
-// AVFClose applies View Fusions exhaustively (Aggressive View Fusion,
+// avfClose applies View Fusions exhaustively (Aggressive View Fusion,
 // Section 5.2): repeated fusions converge to a single state S_VF whose cost
 // is no higher than any intermediate's, since VF always reduces cost. The
 // returned state keeps the stage of s, so stratified strategies can continue
 // applying SC/JC after aggressive fusions. onIntermediate (optional) observes
 // each intermediate fused state, for the search counters.
-func (c *Ctx) AVFClose(s *State, onIntermediate func(*State)) *State {
+func (c *Ctx) avfClose(s *State, onIntermediate func(*State)) *State {
 	cur := s
 	for {
 		next := c.firstVF(cur)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -146,7 +147,8 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 					states := 0
 					sr.check = func(s *State) {
 						states++
-						got, want := s.Cost(est), est.CostState(s.ViewQueries(), s.Plans)
+						got := s.Cost(est) // builds the plans of a state the search has not costed
+						want := est.CostState(s.ViewQueries(), s.Plans)
 						if !relClose(got.VSO, want.VSO) || !relClose(got.REC, want.REC) ||
 							!relClose(got.VMC, want.VMC) || !relClose(got.Total, want.Total) {
 							t.Fatalf("delta cost %+v, from scratch %+v, of\n%s", got, want, s.Format())
@@ -196,7 +198,7 @@ func TestCostAnswersTheEstimatorAsked(t *testing.T) {
 	f := newSearchFixture(t, 5, 4, 5)
 	s0, ctx, est := f.start(t, "none")
 	first := s0.Cost(est)
-	s1 := ctx.ApplySC(s0, s0.SortedViews()[0].ID, 0, 1)
+	s1 := ctx.applySC(s0, s0.SortedViews()[0].ID, 0, 1)
 	if s1 == nil {
 		t.Fatal("SC not applicable")
 	}
@@ -206,7 +208,8 @@ func TestCostAnswersTheEstimatorAsked(t *testing.T) {
 	heavy.CS *= 10
 	other := cost.NewEstimator(stats.NewReformulatedStats(f.st, f.schema), heavy)
 	for _, s := range []*State{s0, s1} {
-		got, want := s.Cost(other), other.CostState(s.ViewQueries(), s.Plans)
+		got := s.Cost(other)
+		want := other.CostState(s.ViewQueries(), s.Plans)
 		if got != want {
 			t.Errorf("asked with another estimator: %+v, want its own %+v", got, want)
 		}
@@ -220,10 +223,12 @@ func TestCostAnswersTheEstimatorAsked(t *testing.T) {
 // proportional to the views a transition touches, and a regression shows as
 // allocations that grow with the state.
 //
-// Each step is measured twice: on S0 and on S0 padded with 200 plans that
-// scan a view the step leaves alone. The counts must be equal — derive and
-// Cost allocate a fixed number of slices over the plans, whatever their
-// number, and rewrite and re-cost only the legs the transition touches.
+// Each step is measured on S0 and on S0 padded with 200 plans that scan a
+// view the step leaves alone. A step the search never costs builds no plans,
+// so it allocates the same bytes over both. Costed, it must allocate the same
+// number of times over both — the plans are built and costed with a fixed
+// number of slices over the plans, whatever their number, and only the legs
+// the transition touches are rewritten and re-costed.
 func TestStepAllocations(t *testing.T) {
 	f := newSearchFixture(t, 3, 3, 3)
 	s0, ctx, est := f.start(t, "pre")
@@ -240,11 +245,22 @@ func TestStepAllocations(t *testing.T) {
 
 	vid := views[0].ID
 	edge := selectionEdges(s0.View(vid).Q)[0]
+	var jc func(*State) *State
+	for _, v := range views {
+		if joinVars, occs := joinVarOccurrences(v.Q); v != last && len(joinVars) > 0 {
+			x, o := joinVars[0], occs[joinVars[0]][0]
+			jc = func(s *State) *State { return ctx.applyJC(s, v.ID, x, o.atom, o.pos) }
+			break
+		}
+	}
+	if jc == nil || jc(s0) == nil {
+		t.Fatal("no join edge in the fixture")
+	}
 	var id1, id2 algebra.ViewID
 pairs:
 	for i, v := range views {
 		for _, w := range views[i+1:] {
-			if w != last && v.bodyID == w.bodyID && ctx.ApplyVF(s0, v.ID, w.ID) != nil {
+			if w != last && v.bodyID == w.bodyID && ctx.applyVF(s0, v.ID, w.ID) != nil {
 				id1, id2 = v.ID, w.ID
 				break pairs
 			}
@@ -253,26 +269,51 @@ pairs:
 	if id1 == 0 {
 		t.Fatal("no fusable pair in the fixture")
 	}
+	// miss clears the context's memo first, so the step builds its views.
+	miss := func(step func(*State) *State) func(*State) *State {
+		return func(s *State) *State {
+			clear(ctx.memo)
+			ctx.memoLog = ctx.memoLog[:0]
+			return step(s)
+		}
+	}
+	sc := func(s *State) *State { return ctx.applySC(s, vid, edge.atom, edge.pos) }
+	allocs := map[string]float64{}
 	for _, tc := range []struct {
 		name string
 		step func(*State) *State
-		// A Selection Cut builds one view (query, canonical labeling, plan
-		// nodes) and one state (its slices, its key, and new scan lists for
-		// the one leg it rewrites and for that leg's plan); costing it
-		// allocates the REC list, the leg costings of one union and re-costs
-		// one leg: 44 allocations, against 35193 at commit 1b0f562.
+		// A Selection Cut whose edge the context has built before takes its
+		// view from the memo (a renamed query and one view) and builds one
+		// state (its slices, its key, the plan nodes of its rewrite); costing
+		// it builds its plans and new scan lists for the one leg it rewrites
+		// and for that leg's plan, allocates the REC list and the leg
+		// costings of one union and re-costs one leg: 25 allocations,
+		// against 35193 at commit 1b0f562. Building its view instead (query,
+		// canonical labeling, the memo's entry) takes 45, one more than the
+		// eager build of the commit before the memo.
 		//
-		// A View Fusion builds one view over the body of two and rewrites the
-		// legs that scan either: 62 allocations.
+		// A Join Cut from the memo takes 34; building the two components of
+		// a split (components, minimization, two labelings) 118. A View
+		// Fusion builds one view over the body of two and rewrites the legs
+		// that scan either: 62 allocations.
 		ceiling float64
 	}{
-		{"ApplySC", func(s *State) *State { return ctx.ApplySC(s, vid, edge.atom, edge.pos) }, 50},
-		{"ApplyVF", func(s *State) *State { return ctx.ApplyVF(s, id1, id2) }, 70},
+		{"applySC", sc, 25},
+		{"applySC miss", miss(sc), 45},
+		{"applyJC", jc, 34},
+		{"applyJC miss", miss(jc), 118},
+		{"applyVF", func(s *State) *State { return ctx.applyVF(s, id1, id2) }, 62},
 	} {
+		var bytes [2]uint64
 		var counts [2]float64
 		for k, s := range []*State{s0, padded} {
 			s.Cost(est)
+			bytes[k] = bytesPerRun(200, func() { tc.step(s) })
 			counts[k] = testing.AllocsPerRun(200, func() { tc.step(s).Cost(est) })
+		}
+		allocs[tc.name] = counts[0]
+		if bytes[1] != bytes[0] {
+			t.Errorf("%s: %d bytes over %d plans, %d over %d", tc.name, bytes[0], len(s0.Plans), bytes[1], len(padded.Plans))
 		}
 		if counts[0] > tc.ceiling {
 			t.Errorf("%s + Cost on a %d-view state: %.0f allocations, want at most %.0f", tc.name, s0.NumViews(), counts[0], tc.ceiling)
@@ -281,6 +322,27 @@ pairs:
 			t.Errorf("%s + Cost: %.0f allocations over %d plans, %.0f over %d", tc.name, counts[0], len(s0.Plans), counts[1], len(padded.Plans))
 		}
 	}
+	// A memo hit copies the views of the first build: fewer allocations
+	// than building them.
+	for _, name := range []string{"applySC", "applyJC"} {
+		if allocs[name] >= allocs[name+" miss"] {
+			t.Errorf("%s: %.0f allocations from the memo, %.0f building the views", name, allocs[name], allocs[name+" miss"])
+		}
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the bytes one call of f
+// allocates, averaged over runs calls after a warm-up call.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
 // TestFirstVFOnClosedStateAllocatesNothing: every AVF closure ends with a
@@ -288,7 +350,7 @@ pairs:
 func TestFirstVFOnClosedStateAllocatesNothing(t *testing.T) {
 	f := newSearchFixture(t, 3, 3, 3)
 	s0, ctx, _ := f.start(t, "pre")
-	closed := ctx.AVFClose(s0, nil)
+	closed := ctx.avfClose(s0, nil)
 	if closed.NumViews() < 200 {
 		t.Fatalf("closed state has %d views, want at least 200", closed.NumViews())
 	}

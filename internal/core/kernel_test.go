@@ -21,6 +21,20 @@ import (
 // pre-reformulation × DFS, GSTR, EXSTR, EXNAIVE × AVF on and off — and hands
 // f each search's context and the states the search created, S0 first.
 func eachSearch(t *testing.T, f func(t *testing.T, ctx *Ctx, states []*State)) {
+	eachRun(t, func(t *testing.T, run *searchRun) { f(t, run.sr.ctx, run.states) })
+}
+
+// searchRun is one finished search of eachSearch's matrix.
+type searchRun struct {
+	sr     *searcher
+	states []*State // S0, then every created state as check saw it
+	// pending holds the rewrite each state check saw still had pending then,
+	// and those of the AVF intermediates behind it.
+	pending map[*State]rewrite
+}
+
+// eachRun is eachSearch, handing f the whole run.
+func eachRun(t *testing.T, f func(t *testing.T, run *searchRun)) {
 	for _, mode := range []string{"none", "pre"} {
 		queries, atoms := 5, 4
 		if mode == "pre" {
@@ -32,16 +46,191 @@ func eachSearch(t *testing.T, f func(t *testing.T, ctx *Ctx, states []*State)) {
 				t.Run(fmt.Sprintf("%s-%v-avf=%v", mode, strategy, avf), func(t *testing.T) {
 					s0, ctx, est := fx.start(t, mode)
 					sr := newSearcher(s0, ctx, Options{Strategy: strategy, AVF: avf, STV: true, MaxStates: 400, Estimator: est})
-					states := []*State{s0}
-					sr.check = func(s *State) { states = append(states, s) }
+					run := &searchRun{sr: sr, states: []*State{s0}, pending: map[*State]rewrite{}}
+					sr.check = func(s *State) {
+						run.states = append(run.states, s)
+						for at := s; at.pending.base != nil; at = at.pending.base {
+							if _, ok := run.pending[at]; ok {
+								break
+							}
+							run.pending[at] = at.pending
+						}
+					}
 					if _, err := sr.run(s0); err != nil {
 						t.Fatal(err)
 					}
-					f(t, ctx, states)
+					f(t, run)
 				})
 			}
 		}
 	}
+}
+
+// TestRejectedStatesBuildNoPlans: a state the search rejects — a duplicate,
+// or discarded by stopvar — never builds its plans, and every state it admits
+// has the plans the eager derive gave: each plan of its predecessor's passed
+// whole through SubstituteViews. The verdicts are replayed in the order check
+// saw the states.
+func TestRejectedStatesBuildNoPlans(t *testing.T) {
+	rejected := 0 // some searches of the matrix reject nothing
+	eachRun(t, func(t *testing.T, run *searchRun) {
+		s0 := run.states[0]
+		// eagerPlans substitutes along the state's path from S0, and holds
+		// every state on it that built its plans, AVF intermediates too, to
+		// the result. The built plans then stand for it, so a plan no later
+		// step touches is one pointer on both sides.
+		eager := map[*State][]algebra.Plan{s0: s0.Plans}
+		var eagerPlans func(s *State) []algebra.Plan
+		eagerPlans = func(s *State) []algebra.Plan {
+			if plans, ok := eager[s]; ok {
+				return plans
+			}
+			r, ok := run.pending[s]
+			if !ok {
+				t.Fatalf("no rewrite recorded for a derived state")
+			}
+			subs := map[algebra.ViewID]algebra.Plan{}
+			for i, id := range r.removed[:r.nRemoved] {
+				subs[id] = r.repl[i]
+			}
+			var plans []algebra.Plan
+			for _, p := range eagerPlans(r.base) {
+				plans = append(plans, algebra.SubstituteViews(p, subs))
+			}
+			if s.pending.base == nil {
+				if !reflect.DeepEqual(s.Plans, plans) {
+					t.Fatalf("built plans\n got %v\nwant %v", s.Plans, plans)
+				}
+				plans = s.Plans
+			}
+			eager[s] = plans
+			return plans
+		}
+		seen := map[string]bool{string(s0.key): true}
+		admitted := 0
+		for _, s := range run.states[1:] {
+			if s == s0 {
+				continue // the AVF seed found nothing to fuse
+			}
+			dup := seen[string(s.key)]
+			seen[string(s.key)] = true
+			if dup || run.sr.discard(s) {
+				if s.Plans != nil || s.scans != nil || s.pending.base == nil {
+					t.Fatalf("rejected state (duplicate %v) built its plans:\n%s", dup, s.Format())
+				}
+				rejected++
+				continue
+			}
+			if s.pending.base != nil {
+				t.Fatalf("admitted state left its rewrite pending")
+			}
+			eagerPlans(s)
+			checkScans(t, s)
+			admitted++
+		}
+		if admitted < 5 {
+			t.Fatalf("only %d states admitted", admitted)
+		}
+	})
+	if rejected < 100 {
+		t.Fatalf("only %d states rejected", rejected)
+	}
+}
+
+// TestTransitionMemoMatchesRebuild: the views a Selection Cut, Join Cut or
+// View Break takes from the context's memo are the views a context that
+// never built the edge builds, under the same fresh IDs and fresh variable:
+// equal queries, codes, interned IDs and stop flags, and equal plans.
+func TestTransitionMemoMatchesRebuild(t *testing.T) {
+	eachSearch(t, func(t *testing.T, ctx *Ctx, states []*State) {
+		hits := 0
+		for _, s := range sample(states, 12) {
+			for _, apply := range transitionsOf(s, 6) {
+				if apply(ctx, s) == nil {
+					continue
+				}
+				// The memo holds the edge now: apply it again, then once more
+				// from the same fresh IDs and variables with the memo cleared.
+				before := *ctx
+				hit := apply(ctx, s)
+				after := *ctx
+				*ctx = before
+				ctx.memo = nil
+				miss := apply(ctx, s)
+				memoized := len(ctx.memo) == 1
+				*ctx = after
+				if !memoized {
+					continue // View Fusion builds afresh every time
+				}
+				got, want := addedViews(s, hit), addedViews(s, miss)
+				if len(got) != len(want) || len(got) == 0 {
+					t.Fatalf("memo hit added %d views, a rebuild %d", len(got), len(want))
+				}
+				for i, v := range got {
+					w := want[i]
+					if v.ID != w.ID || !reflect.DeepEqual(v.Q, w.Q) || v.code != w.code || v.bodyCode != w.bodyCode ||
+						v.codeID != w.codeID || v.bodyID != w.bodyID || v.allVar != w.allVar || v.tripleTable != w.tripleTable {
+						t.Fatalf("memo hit built v%d: %s (code IDs %d/%d, allVar %v, tripleTable %v)\nrebuild v%d: %s (code IDs %d/%d, allVar %v, tripleTable %v)",
+							v.ID, v.Q, v.codeID, v.bodyID, v.allVar, v.tripleTable, w.ID, w.Q, w.codeID, w.bodyID, w.allVar, w.tripleTable)
+					}
+				}
+				hit.build()
+				miss.build()
+				if !reflect.DeepEqual(hit.Plans, miss.Plans) {
+					t.Fatalf("memo hit's plans\n%v\nrebuild's\n%v", hit.Plans, miss.Plans)
+				}
+				hits++
+			}
+		}
+		if hits < 10 {
+			t.Fatalf("only %d memo hits checked", hits)
+		}
+	})
+}
+
+// TestDFSForgetsLeftSubtrees: the memo keeps no edge of a view the
+// depth-first search can no longer reach. Once it has left every subtree of
+// the initial state, only the edges of the initial state's views are left.
+func TestDFSForgetsLeftSubtrees(t *testing.T) {
+	for _, mode := range []string{"none", "pre"} {
+		for _, avf := range []bool{true, false} {
+			queries, atoms := 5, 4
+			if mode == "pre" {
+				queries, atoms = 3, 3
+			}
+			f := newSearchFixture(t, queries, atoms, 5)
+			s0, ctx, est := f.start(t, mode)
+			sr := newSearcher(s0, ctx, Options{Strategy: DFS, AVF: avf, STV: true, MaxStates: 400, Estimator: est})
+			built := 0
+			sr.check = func(*State) { built = max(built, len(ctx.memo)) }
+			sr.dfs(s0, s0.Stage)
+			if built < 10 {
+				t.Fatalf("%s avf=%v: at most %d memo entries during the search", mode, avf, built)
+			}
+			if len(ctx.memo) == 0 {
+				t.Fatalf("%s avf=%v: the memo forgot the edges of the initial state's views", mode, avf)
+			}
+			if len(ctx.memoLog) != len(ctx.memo) {
+				t.Fatalf("%s avf=%v: %d logged edges for %d memo entries", mode, avf, len(ctx.memoLog), len(ctx.memo))
+			}
+			for e := range ctx.memo {
+				if s0.View(e.view) == nil {
+					t.Fatalf("%s avf=%v: the memo keeps an edge of v%d, made below the initial state", mode, avf, e.view)
+				}
+			}
+		}
+	}
+}
+
+// addedViews returns the views of ns that s does not have, in ID order.
+func addedViews(s, ns *State) []*View {
+	var out []*View
+	for _, v := range ns.SortedViews() {
+		if s.View(v.ID) == nil {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // TestStateKeyMatchesCode: the interned key a search deduplicates by, kept up
@@ -105,7 +294,7 @@ func allPairsVF(ctx *Ctx, s *State) [][2]algebra.ViewID {
 			if views[i].BodyCode() != views[j].BodyCode() {
 				continue
 			}
-			if ctx.ApplyVF(s, views[i].ID, views[j].ID) != nil {
+			if ctx.applyVF(s, views[i].ID, views[j].ID) != nil {
 				out = append(out, [2]algebra.ViewID{views[i].ID, views[j].ID})
 			}
 		}
@@ -137,10 +326,12 @@ func removedViews(s, ns *State) [2]algebra.ViewID {
 // The substitution a transition made is read back by applying it a second
 // time, from the same context, to a probe state with the same views whose
 // k-th plan is a bare scan of the k-th view: SubstituteViews hands such a
-// scan its replacement itself.
+// scan its replacement itself. A derived state builds its plans on first
+// need, so the test builds every state it reads the plans of.
 func TestDeriveMatchesFullSubstitution(t *testing.T) {
 	eachSearch(t, func(t *testing.T, ctx *Ctx, states []*State) {
 		for _, s := range states {
+			s.build()
 			checkScans(t, s)
 		}
 		checked := 0
@@ -156,6 +347,8 @@ func TestDeriveMatchesFullSubstitution(t *testing.T) {
 				*ctx = before // the same fresh IDs and variables again
 				pns := apply(ctx, probe)
 				*ctx = after
+				ns.build()
+				pns.build()
 				subs := map[algebra.ViewID]algebra.Plan{}
 				for k, v := range probe.SortedViews() {
 					if ns.View(v.ID) == nil {
@@ -233,20 +426,20 @@ func transitionsOf(s *State, perKind int) []func(*Ctx, *State) *State {
 	for i, v := range views {
 		id := v.ID
 		for _, e := range selectionEdges(v.Q) {
-			sc = append(sc, func(c *Ctx, s *State) *State { return c.ApplySC(s, id, e.atom, e.pos) })
+			sc = append(sc, func(c *Ctx, s *State) *State { return c.applySC(s, id, e.atom, e.pos) })
 		}
 		joinVars, occs := joinVarOccurrences(v.Q)
 		for _, x := range joinVars {
 			for _, o := range occs[x] {
-				jc = append(jc, func(c *Ctx, s *State) *State { return c.ApplyJC(s, id, x, o.atom, o.pos) })
+				jc = append(jc, func(c *Ctx, s *State) *State { return c.applyJC(s, id, x, o.atom, o.pos) })
 			}
 		}
 		for _, m := range v.vbCandidates() {
-			vb = append(vb, func(c *Ctx, s *State) *State { return c.ApplyVB(s, id, m[0], m[1]) })
+			vb = append(vb, func(c *Ctx, s *State) *State { return c.applyVB(s, id, m[0], m[1]) })
 		}
 		for _, w := range views[i+1:] {
 			if w.BodyCode() == v.BodyCode() {
-				vf = append(vf, func(c *Ctx, s *State) *State { return c.ApplyVF(s, id, w.ID) })
+				vf = append(vf, func(c *Ctx, s *State) *State { return c.applyVF(s, id, w.ID) })
 			}
 		}
 	}

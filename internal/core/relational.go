@@ -61,7 +61,7 @@ func (sr *searcher) relational(initial *State) error {
 				if sr.timeUp() {
 					return nil
 				}
-				comb := sr.ctx.AVFClose(sr.combine(cur, b), func(*State) { sr.res.Counters.Created++ })
+				comb := sr.ctx.avfClose(sr.combine(cur, b), func(*State) { sr.res.Counters.Created++ })
 				sr.res.Counters.Created++
 				if sr.budgetUp() {
 					return ErrStateBudget
@@ -103,7 +103,7 @@ func (sr *searcher) relational(initial *State) error {
 					return ErrStateBudget
 				}
 				candidates := []*State{comb}
-				if fused := sr.ctx.AVFClose(comb, func(*State) { sr.res.Counters.Created++ }); fused != comb {
+				if fused := sr.ctx.avfClose(comb, func(*State) { sr.res.Counters.Created++ }); fused != comb {
 					candidates = append(candidates, fused)
 				}
 				for _, cand := range candidates {
@@ -259,6 +259,8 @@ func (sr *searcher) heuristicFilter(perQuery [][]*State) [][]*State {
 
 // combine merges two partial states covering disjoint query subsets.
 func (sr *searcher) combine(a, b *State) *State {
+	a.build()
+	b.build()
 	views := make([]*View, 0, len(a.views)+len(b.views))
 	views = append(append(views, a.views...), b.views...)
 	sort.Slice(views, func(i, j int) bool { return views[i].ID < views[j].ID })

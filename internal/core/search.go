@@ -138,7 +138,7 @@ type searcher struct {
 	res Result
 
 	// check, when set (by tests), sees every created state after its AVF
-	// closure and before the duplicate test.
+	// closure and before the duplicate test, its plans not yet built.
 	check func(*State)
 }
 
@@ -206,7 +206,9 @@ func (sr *searcher) run(initial *State) (Result, error) {
 	}
 
 	// The best state leaves with its view map filled and without the run's
-	// estimator, whose memo covers every view the search ever costed.
+	// estimator, whose memo covers every view the search ever costed; the
+	// context's memo of transition builds goes too.
+	sr.ctx.memo, sr.ctx.memoLog = nil, nil
 	sr.best.est, sr.best.recs, sr.best.legCosts, sr.best.from = nil, nil, nil, nil
 	sr.res.Best = sr.best.publish()
 	sr.res.BestCost = sr.bestC
@@ -245,7 +247,7 @@ func (sr *searcher) admit(ns *State) *State {
 	sr.res.Counters.Created++
 	sr.res.Transitions++
 	if sr.opts.AVF {
-		ns = sr.ctx.AVFClose(ns, func(intermediate *State) {
+		ns = sr.ctx.avfClose(ns, func(intermediate *State) {
 			sr.res.Counters.Created++
 			sr.res.Transitions++
 			sr.res.Counters.Discarded++
@@ -346,6 +348,7 @@ func (sr *searcher) dfs(s *State, stage Stage) {
 		return
 	}
 	for k := stage; k <= StageVF; k++ {
+		m := sr.ctx.mark()
 		cont := sr.ctx.enumKind(k, s, func(ns *State) bool {
 			if sr.timeUp() || sr.budgetUp() {
 				return false
@@ -357,6 +360,10 @@ func (sr *searcher) dfs(s *State, stage Stage) {
 				}
 				sr.dfs(adm, next)
 			}
+			// The views made since m are ns's and those of the states below
+			// it, which the search has left.
+			sr.ctx.forget(m)
+			m = sr.ctx.mark()
 			return true
 		})
 		if !cont {

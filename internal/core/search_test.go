@@ -157,7 +157,7 @@ func TestAVFConvergesToSingleFusedState(t *testing.T) {
 	q3 := p.MustParseQuery("q(X) :- t(X, hasPainted, Y)")
 	s0, ctx, _ := InitialState([]*cq.Query{q1, q2, q3})
 	intermediates := 0
-	fused := ctx.AVFClose(s0, func(*State) { intermediates++ })
+	fused := ctx.avfClose(s0, func(*State) { intermediates++ })
 	if fused.NumViews() != 1 {
 		t.Fatalf("AVF left %d views, want 1", fused.NumViews())
 	}

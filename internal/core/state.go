@@ -145,11 +145,16 @@ func (st Stage) String() string {
 // and cost — adjusted for the one or two views they touch.
 type State struct {
 	// Views is the view set keyed by ID, on the states this package hands
-	// out: the initial state and Result.Best. The successor states a search
-	// (or a Ctx.Apply* call) builds leave it nil and are read through
+	// out: the initial state and Result.Best. The successor states a
+	// search's transitions build leave it nil and are read through
 	// SortedViews, View and ViewQueries.
 	Views map[algebra.ViewID]*View
-	// Plans holds one rewriting per workload query, in workload order.
+	// Plans holds one rewriting per workload query, in workload order. The
+	// initial state and every costed or published state carry them. A state
+	// a transition derives keeps its rewrite pending instead and builds its
+	// plans on first need (build): when it is costed, published, formatted
+	// or combined. Most states a search creates are duplicates or discarded
+	// and never build them.
 	Plans []algebra.Plan
 	// Stage is the stratification tag of the path that reached this state.
 	Stage Stage
@@ -159,6 +164,8 @@ type State struct {
 	// rewrites the legs that scan a view it removes, and shares every other
 	// leg and list with its predecessor.
 	scans []planScans
+	// pending builds Plans and scans from its base's, until build runs it.
+	pending rewrite
 	// key is the state's identity within a search: its views' interned code
 	// IDs, sorted, four big-endian bytes each. Two states of one search have
 	// equal keys exactly when they have equal codes (see Code).
@@ -268,8 +275,10 @@ func (s *State) count(v *View, n int) {
 	}
 }
 
-// publish fills Views before the state leaves the package.
+// publish builds the plans and fills Views before the state leaves the
+// package.
 func (s *State) publish() *State {
+	s.build()
 	if s.Views == nil {
 		s.Views = make(map[algebra.ViewID]*View, len(s.views))
 		for _, v := range s.views {
@@ -339,6 +348,7 @@ func (s *State) Cost(e *cost.Estimator) cost.Breakdown {
 	if s.est == e {
 		return e.Breakdown(s.sums)
 	}
+	s.build()
 	sums, recs, legCosts := s.sum(e)
 	if s.est == nil {
 		s.est, s.sums, s.recs, s.legCosts, s.from = e, sums, recs, legCosts, nil
@@ -436,18 +446,32 @@ func (s *State) HasAllVariableView() bool { return s.allVar > 0 }
 // stop condition (Section 5.2).
 func (s *State) HasTripleTableView() bool { return s.tripleTable > 0 }
 
+// rewrite is a derived state's pending plan rewrite: the legs of base's
+// plans that scan one of the removed views are rewritten, the view
+// removed[i] replaced by repl[i], a plan over the views the transition
+// added, which are the state's last added views.
+type rewrite struct {
+	base            *State // nil once the plans are built
+	removed         [2]algebra.ViewID
+	repl            [2]algebra.Plan
+	nRemoved, added int
+}
+
 // derive builds a successor state: views in removed are dropped, views in
-// added inserted, the legs that scan a removed view rewritten through subs
-// (one replacement per removed view, over the added views), and the stage
-// raised to at least minStage.
-func (s *State) derive(removed []algebra.ViewID, added []*View, subs map[algebra.ViewID]algebra.Plan, minStage Stage) *State {
+// added inserted, and the stage raised to at least minStage. The legs that
+// scan a removed view are rewritten, repl[i] replacing removed[i], when the
+// successor first needs its plans (build).
+func (s *State) derive(removed []algebra.ViewID, added []*View, repl []algebra.Plan, minStage Stage) *State {
 	ns := &State{
 		Stage:       max(s.Stage, minStage),
 		views:       make([]*View, 0, len(s.views)+len(added)),
 		allVar:      s.allVar,
 		tripleTable: s.tripleTable,
 		from:        s.from,
+		pending:     rewrite{base: s, nRemoved: len(removed), added: len(added)},
 	}
+	copy(ns.pending.removed[:], removed)
+	copy(ns.pending.repl[:], repl)
 	if s.est != nil {
 		ns.from = s
 	}
@@ -483,35 +507,52 @@ func (s *State) derive(removed []algebra.ViewID, added []*View, subs map[algebra
 	slices.Sort(drop)
 	slices.Sort(add)
 	ns.key = rekey(s.key, drop, add)
-	// The added views are the last of ns.views, in ID order. Every
+	return ns
+}
+
+// build runs the state's pending rewrite, after its base's own: an AVF chain
+// builds through its intermediates in order.
+func (s *State) build() {
+	r := s.pending
+	if r.base == nil {
+		return
+	}
+	base := r.base
+	base.build()
+	removed := r.removed[:r.nRemoved]
+	subs := make(map[algebra.ViewID]algebra.Plan, len(removed))
+	for i, id := range removed {
+		subs[id] = r.repl[i]
+	}
+	// The added views are the last of s.views, in ID order. Every
 	// replacement scans each of them, so a rewritten leg's list is its old
 	// one without the removed IDs and with these, the largest, appended.
 	var freshBuf [2]algebra.ViewID
 	fresh := freshBuf[:0]
-	for _, v := range ns.views[len(ns.views)-len(added):] {
+	for _, v := range s.views[len(s.views)-r.added:] {
 		fresh = append(fresh, v.ID)
 	}
 	// Only the legs that scan a removed view are rewritten. Every other leg,
 	// plan and list stays the same pointer, which is how Cost knows its
 	// costing still holds.
-	ns.Plans, ns.scans = slices.Clone(s.Plans), slices.Clone(s.scans)
-	for i, ps := range s.scans {
+	s.Plans, s.scans = slices.Clone(base.Plans), slices.Clone(base.scans)
+	for i, ps := range base.scans {
 		if !scansAny(ps.all, removed) {
 			continue
 		}
 		legs := slices.Clone(ps.legs)
 		// A union's branches are copied; its untouched ones stay shared.
 		var branches []algebra.Plan
-		if u, ok := s.Plans[i].(*algebra.Union); ok {
+		if u, ok := base.Plans[i].(*algebra.Union); ok {
 			branches = slices.Clone(u.Branches)
-			ns.Plans[i] = &algebra.Union{Branches: branches}
+			s.Plans[i] = &algebra.Union{Branches: branches}
 		}
 		for b, ids := range ps.legs {
 			if !scansAny(ids, removed) {
 				continue
 			}
 			legs[b] = rescan(ids, removed, fresh)
-			leg := &ns.Plans[i]
+			leg := &s.Plans[i]
 			if branches != nil {
 				leg = &branches[b]
 			}
@@ -522,9 +563,9 @@ func (s *State) derive(removed []algebra.ViewID, added []*View, subs map[algebra
 		if len(legs) != 1 {
 			all = rescan(ps.all, removed, fresh)
 		}
-		ns.scans[i] = planScans{all: all, legs: legs}
+		s.scans[i] = planScans{all: all, legs: legs}
 	}
-	return ns
+	s.pending = rewrite{}
 }
 
 // scansAny reports whether ids holds one of removed, which is one or two
@@ -553,6 +594,7 @@ func rescan(ids, removed, fresh []algebra.ViewID) []algebra.ViewID {
 
 // Format renders the state for debugging: each view and each rewriting.
 func (s *State) Format() string {
+	s.build()
 	var sb strings.Builder
 	for _, v := range s.views {
 		fmt.Fprintf(&sb, "v%d: %s\n", int(v.ID), v.Q)

@@ -37,9 +37,14 @@ u6 rdf:type painter .
 // checkStateAnswers materializes every view of the state on the store and
 // verifies that executing each rewriting plan returns exactly the answers of
 // the corresponding workload query — the rewriting-equivalence requirement
-// of Definition 2.2, which every transition must preserve.
+// of Definition 2.2, which every transition must preserve. A transition
+// leaves its rewrite pending, so the plans are built first.
 func checkStateAnswers(t *testing.T, st *store.Store, s *State, queries []*cq.Query) {
 	t.Helper()
+	s.build()
+	if len(s.Plans) != len(queries) {
+		t.Fatalf("%d plans for %d queries\nstate:\n%s", len(s.Plans), len(queries), s.Format())
+	}
 	mats := make(map[algebra.ViewID]*engine.Relation, s.NumViews())
 	for _, v := range s.SortedViews() {
 		id := v.ID
@@ -93,7 +98,7 @@ func TestPaperFigure1Walkthrough(t *testing.T) {
 	for id := range s0.Views {
 		vid = id
 	}
-	s1 := ctx.ApplyVB(s0, vid, 0b011, 0b110)
+	s1 := ctx.applyVB(s0, vid, 0b011, 0b110)
 	if s1 == nil {
 		t.Fatal("VB not applicable")
 	}
@@ -125,7 +130,7 @@ func TestPaperFigure1Walkthrough(t *testing.T) {
 			scEdge = e
 		}
 	}
-	s2 := ctx.ApplySC(s1, v2.ID, scEdge.atom, scEdge.pos)
+	s2 := ctx.applySC(s1, v2.ID, scEdge.atom, scEdge.pos)
 	if s2 == nil {
 		t.Fatal("SC not applicable")
 	}
@@ -152,7 +157,7 @@ func TestPaperFigure1Walkthrough(t *testing.T) {
 		t.Fatalf("v4 join vars = %d, want 1", len(jvars))
 	}
 	x := jvars[0]
-	s3a := ctx.ApplyJC(s2, v4.ID, x, occs[x][0].atom, occs[x][0].pos)
+	s3a := ctx.applyJC(s2, v4.ID, x, occs[x][0].atom, occs[x][0].pos)
 	if s3a == nil {
 		t.Fatal("JC not applicable")
 	}
@@ -176,7 +181,7 @@ func TestPaperFigure1Walkthrough(t *testing.T) {
 		t.Fatalf("v3 join vars = %d", len(jv3))
 	}
 	y := jv3[0]
-	s3 := ctx.ApplyJC(s3a, v3.ID, y, occ3[y][0].atom, occ3[y][0].pos)
+	s3 := ctx.applyJC(s3a, v3.ID, y, occ3[y][0].atom, occ3[y][0].pos)
 	if s3 == nil {
 		t.Fatal("second JC failed")
 	}
@@ -187,7 +192,7 @@ func TestPaperFigure1Walkthrough(t *testing.T) {
 
 	// Two VFs fuse the isomorphic single-atom views: S4 has 2 views
 	// (v9 = fused hasPainted views, v10 = fused isParentOf views).
-	s4 := ctx.AVFClose(s3, nil)
+	s4 := ctx.avfClose(s3, nil)
 	if s4.NumViews() != 2 {
 		t.Fatalf("S4 views = %d, want 2:\n%s", s4.NumViews(), s4.Format())
 	}
@@ -202,13 +207,13 @@ func TestApplySCRejectsNonEdges(t *testing.T) {
 	for id := range s0.Views {
 		vid = id
 	}
-	if ctx.ApplySC(s0, vid, 0, 0) != nil { // subject is a variable
+	if ctx.applySC(s0, vid, 0, 0) != nil { // subject is a variable
 		t.Error("SC on a variable position should fail")
 	}
-	if ctx.ApplySC(s0, vid, 99, 0) != nil {
+	if ctx.applySC(s0, vid, 99, 0) != nil {
 		t.Error("SC on missing atom should fail")
 	}
-	if ctx.ApplySC(s0, 999, 0, 1) != nil {
+	if ctx.applySC(s0, 999, 0, 1) != nil {
 		t.Error("SC on missing view should fail")
 	}
 }
@@ -238,7 +243,7 @@ func TestApplyJCConnectedCase(t *testing.T) {
 	if z == 0 {
 		t.Fatalf("Z join var not found; vars=%v", jvars)
 	}
-	ns := ctx.ApplyJC(s0, vid, z, occs[z][0].atom, occs[z][0].pos)
+	ns := ctx.applyJC(s0, vid, z, occs[z][0].atom, occs[z][0].pos)
 	if ns == nil {
 		t.Fatal("JC not applicable")
 	}
@@ -271,7 +276,7 @@ func TestApplyVBRequiresValidCover(t *testing.T) {
 		{0b101, 0b010, "m1 disconnected (atoms 0 and 2 share no var)"},
 	}
 	for _, c := range cases {
-		if ctx.ApplyVB(s0, vid, c.m1, c.m2) != nil {
+		if ctx.applyVB(s0, vid, c.m1, c.m2) != nil {
 			t.Errorf("VB should reject %s", c.why)
 		}
 	}
@@ -283,7 +288,7 @@ func TestApplyVBRequiresValidCover(t *testing.T) {
 	for _, id := range viewIDs(s2) {
 		vid2 = id
 	}
-	if ctx2.ApplyVB(s2, vid2, 0b01, 0b10) != nil {
+	if ctx2.applyVB(s2, vid2, 0b01, 0b10) != nil {
 		t.Error("VB on 2-atom view should fail")
 	}
 }
@@ -300,7 +305,7 @@ func TestApplyVFPaperSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids := viewIDs(s0)
-	ns := ctx.ApplyVF(s0, ids[0], ids[1])
+	ns := ctx.applyVF(s0, ids[0], ids[1])
 	if ns == nil {
 		t.Fatal("VF not applicable")
 	}
@@ -325,10 +330,10 @@ func TestApplyVFRejectsNonIsomorphic(t *testing.T) {
 	q2 := p.MustParseQuery("q(X) :- t(X, isParentOf, Y)")
 	s0, ctx, _ := InitialState([]*cq.Query{q1, q2})
 	ids := viewIDs(s0)
-	if ctx.ApplyVF(s0, ids[0], ids[1]) != nil {
+	if ctx.applyVF(s0, ids[0], ids[1]) != nil {
 		t.Error("VF on different constants should fail")
 	}
-	if ctx.ApplyVF(s0, ids[0], ids[0]) != nil {
+	if ctx.applyVF(s0, ids[0], ids[0]) != nil {
 		t.Error("VF of a view with itself should fail")
 	}
 }
