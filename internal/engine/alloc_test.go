@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"rdfviews/internal/algebra"
@@ -53,6 +54,66 @@ func TestVecScanSteadyStateZeroAlloc(t *testing.T) {
 	}
 	// 20000 rows / 1024 per batch ≈ 19 batches; stay well inside that.
 	assertZeroAllocBatches(t, "scan", 10, func() bool {
+		_, ok := root.nextBatch()
+		return ok
+	})
+}
+
+// TestVecUnionBitsetSteadyStateZeroAlloc: a driving union leaf on the bitset
+// merge — windows filled from the alternatives' pooled buffers into the
+// cursor's one bitset, set bits emitted into the scan's triple buffer — must
+// be allocation-free once its first window is filled.
+func TestVecUnionBitsetSteadyStateZeroAlloc(t *testing.T) {
+	for _, lay := range unionLayouts {
+		st, p := windowStore(lay.subjectK, lay.objectK, false)
+		q := p.MustParseQuery("q(X) :- t(X, rdf:type, c)")
+		alts := [][]cq.Atom{typeAlts(st.Dict(), q.Atoms[0][0], cq.Var(900))}
+		plan, err := planQuery(st, q, alts, storeCards{st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		picks := recordMerges(t)
+		root := plan.buildPipeline(nil)
+		if _, ok := root.nextBatch(); !ok { // warm: fills the first window
+			t.Fatal("empty union")
+		}
+		if *picks != [2]int{0, 1} {
+			t.Fatalf("%s: leaf picked %d heap and %d bitset merges, want the bitset", lay.name, picks[0], picks[1])
+		}
+		// About 8,000 rows: 7 batches past the warm one; stay inside that.
+		assertZeroAllocBatches(t, lay.name+" union bitset", 4, func() bool {
+			_, ok := root.nextBatch()
+			return ok
+		})
+		closeOp(root)
+	}
+}
+
+// TestVecMergedShardScanSteadyStateZeroAlloc: a scan that drains one cursor
+// merged over a clean Dual(2,2) store's two subject shards (the scan a merge
+// join reads, which does not walk the shards in turn) decodes through the
+// store's multi-shard batch merge and must be allocation-free after its first
+// batch.
+func TestVecMergedShardScanSteadyStateZeroAlloc(t *testing.T) {
+	gen, _ := datagen.Generate(datagen.Config{Triples: 20000, Seed: 1})
+	st := store.NewWithDictDual(gen.Dict(), 2, 2)
+	st.AddBatch(gen.Triples())
+	st = st.Clone()
+	q := cq.NewParser(st.Dict()).MustParseQuery("q(X, P, Y) :- t(X, P, Y)")
+	plan, err := PlanQuery(st, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.steps[0].byShard = false
+	if !strings.Contains(plan.Explain(), "shards=2/2") {
+		t.Fatalf("scan does not span both subject shards:\n%s", plan.Explain())
+	}
+	root := plan.buildPipeline(nil)
+	defer closeOp(root)
+	if _, ok := root.nextBatch(); !ok {
+		t.Fatal("empty scan")
+	}
+	assertZeroAllocBatches(t, "merged shard scan", 10, func() bool {
 		_, ok := root.nextBatch()
 		return ok
 	})

@@ -2,12 +2,14 @@ package engine
 
 import (
 	"context"
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"rdfviews/internal/algebra"
 	"rdfviews/internal/cq"
+	"rdfviews/internal/store"
 )
 
 // TestCancelStopsAccounting pins the CancelStops contract per operator type:
@@ -268,5 +270,54 @@ func drainStreamMidCancel(t *testing.T, s *RowStream, cancel context.CancelFunc)
 		if rows == nil {
 			return nil
 		}
+	}
+}
+
+// TestCancelStopsBitsetWindow: a driving union leaf on the bitset merge
+// checks for cancellation once per window, besides once per buffer its
+// alternatives decode — cancelcheck sees only store.Cursor pull loops, not
+// the window loop. Canceled after its first row, the cursor emits the rest
+// of the window it has filled, stops before filling the next, and counts the
+// stop once.
+func TestCancelStopsBitsetWindow(t *testing.T) {
+	st, p := windowStore(2, 2, false)
+	q := p.MustParseQuery("q(X) :- t(X, rdf:type, c)")
+	alts := [][]cq.Atom{typeAlts(st.Dict(), q.Atoms[0][0], cq.Var(900))}
+	plan, err := planQuery(st, q, alts, storeCards{st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	total, err := plan.EvalStream(ExecOptions{}).Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	u := newUnionCursor(st, plan.steps[0].spec, newInterrupt(ctx), true)
+	defer u.close()
+	buf := make([]store.Triple, BatchSize)
+	if u.NextBatch(buf[:1]) != 1 || u.bits == nil {
+		t.Fatal("the leaf did not start on the bitset merge")
+	}
+	pending := 0
+	for _, w := range u.bits[u.wi:u.wn] {
+		pending += bits.OnesCount64(w)
+	}
+	before := CancelStops()
+	cancel()
+	rest := 0
+	for {
+		n := u.NextBatch(buf)
+		if n == 0 {
+			break
+		}
+		rest += n
+	}
+	if rest != pending || 1+rest >= total.Len() {
+		t.Fatalf("after the cancel the leaf emitted %d rows, want the window's %d pending of %d in all",
+			rest, pending, total.Len())
+	}
+	if d := CancelStops() - before; d != 1 {
+		t.Fatalf("CancelStops advanced by %d, want exactly 1", d)
 	}
 }

@@ -215,7 +215,7 @@ func (s *scanOp) open() {
 	s.out = newBatch(len(s.spec.binds))
 	perm, pat := s.spec.perm, s.spec.pat
 	if s.spec.alts != nil {
-		s.u = newUnionCursor(s.st, s.spec, s.intr)
+		s.u = newUnionCursor(s.st, s.spec, s.intr, true)
 		return
 	}
 	if !s.byShard {
@@ -313,7 +313,7 @@ func (m *mergeJoinOp) nextBatch() (*batch, bool) {
 	if !m.started {
 		m.started = true
 		if m.spec.alts != nil {
-			m.cur = triCursor{u: newUnionCursor(m.st, m.spec, nil), buf: getTris()}
+			m.cur = triCursor{u: newUnionCursor(m.st, m.spec, nil, false), buf: getTris()}
 		} else {
 			m.cur = triCursor{cur: m.st.NewCursor(m.spec.perm, m.spec.pat), buf: getTris()}
 		}

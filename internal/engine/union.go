@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -27,8 +28,32 @@ import (
 // atom's. Every alternative is scanned in a permutation that orders its
 // re-mapped triples as the leaf's permutation orders the frame (constants
 // first, then the frame's variables in the leaf's order, then the
-// alternative's existential variable), so the merge emits the frame in the
-// leaf's order, duplicates side by side, and drops them with O(1) state.
+// alternative's existential variable), so each alternative streams the frame
+// in the leaf's order, its duplicates side by side (a fill drops them).
+//
+// The cursor then merges the alternatives' streams into the frame in the
+// leaf's order, each frame triple once, in one of two ways, picked at its
+// first pull from what it observes (unionCursor.start):
+//
+//   - the bitset merge, for a leaf that drives a scan (a scanOp: never
+//     sought), whose frame has one variable column and whose alternatives
+//     hold at least BatchSize triples (their cursors' Remaining, summed).
+//     Frame triples then differ in one ID, so the merge runs in windows of
+//     windowBits IDs starting at the smallest live head: each alternative
+//     whose head lies in the window ORs its keys below the window's end into
+//     one bitset, and the set bits are emitted in order. A triple read costs
+//     a bit-set, and the dedup state is the bitset's 1 KiB however large
+//     the answer. The serve-scan benchmark's type unions run it.
+//   - the heap merge, for every other leaf — a merge join's sought inner,
+//     two variable columns, a small point lookup: it pops the smallest head
+//     triple and drops it when it equals the last one emitted. The
+//     serve-adhoc benchmark's leaves run it.
+//
+// Both keep the alternatives in a min-heap on their head frame triples,
+// compared on the frame's variable columns only (its constants never
+// differ). The heap merge steps it per triple; the bitset merge per
+// alternative a window reads, so a window holding one key costs about what
+// the heap merge pays for it.
 
 // altSpec is one alternative of a union leaf: a triple pattern whose matches,
 // re-mapped into the leaf atom's positions, are matches of the atom.
@@ -124,12 +149,25 @@ func (spec *atomSpec) describeAlts(st store.Reader) string {
 	return " ∪{" + strings.Join(parts, ", ") + "}"
 }
 
-// altBufStart is the first fill size of each alternative's cursor, as
-// triCursorRamp is a merge consumer's: a point lookup or a seek reads a
-// handful of triples per alternative, so alternatives start from one small
-// shared slab, double their fill per refill and move to a pooled BatchSize
-// buffer once a fill outgrows the slab; a seek starts them small again.
+// altBufStart is the first fill size of each alternative's cursor under the
+// heap merge, as triCursorRamp is a merge consumer's: a point lookup or a
+// seek reads a handful of triples per alternative, so alternatives start
+// from one small shared slab, double their fill per refill and move to a
+// pooled BatchSize buffer once a fill outgrows the slab; a seek starts them
+// small again. Under the bitset merge every alternative is read to its end,
+// so each fills a pooled BatchSize buffer from the first.
 const altBufStart = 8
+
+// windowBits is the span of the bitset merge's window, in IDs: a 1 KiB
+// bitset.
+const (
+	windowBits  = 8192
+	windowWords = windowBits / 64
+)
+
+// unionMergeHook, when set, is told which merge each union-leaf cursor picks
+// at its first pull. Tests set it to check the rule; it is nil otherwise.
+var unionMergeHook func(bitset bool)
 
 // altCursor is one alternative's stream inside a unionCursor: its store
 // cursor and a buffer of already re-mapped frame triples.
@@ -142,36 +180,92 @@ type altCursor struct {
 	pooled bool // buf came from getTris
 }
 
-// unionCursor is a union leaf's cursor: it k-way merges its alternatives'
-// streams in the leaf permutation's order and emits each frame triple once.
+// headEntry is one alternative in the merges' heap, keyed on its head triple.
+type headEntry struct {
+	t store.Triple
+	k int32 // index into alts
+}
+
+// unionCursor is a union leaf's cursor: it merges its alternatives' streams
+// in the leaf permutation's order and emits each frame triple once, by the
+// heap or the bitset merge (see the top of this file).
 type unionCursor struct {
-	order [3]int // the leaf permutation's column order: the merge key
 	frame store.Pattern
+	keys  [3]int // the frame's variable positions in the leaf's order ...
+	nkeys int    // ... of which there are nkeys: what frame triples differ in
 	alts  []altCursor
-	heap  []int32 // alternatives with a buffered head, a min-heap on it
-	last  store.Triple
-	any   bool // last holds an emitted triple
 	intr  *interrupt
+	drive bool // the leaf drives a scan, so it is never sought
 
 	// started is set by the first NextBatch or SeekGE, which fill the
 	// alternatives: a merge join's inner seeks to its first key before it
 	// reads, and filling at open would decode triples that seek skips.
 	started bool
+
+	// Alternatives with a buffered head, a min-heap on it: both merges.
+	heap []headEntry
+
+	// The heap merge: the last frame triple emitted.
+	last store.Triple
+	any  bool // last holds an emitted triple
+
+	// The bitset merge: nil bits means the heap merge runs.
+	bits   *[windowWords]uint64
+	base   dict.ID // the current window's first key
+	wi, wn int     // next word of the window to emit; one past its last set word
 }
 
-// newUnionCursor opens every alternative's cursor of the spec on st.
-func newUnionCursor(st store.Reader, spec *atomSpec, intr *interrupt) *unionCursor {
-	u := &unionCursor{order: spec.perm.Order(), frame: spec.pat, intr: intr,
-		alts: make([]altCursor, len(spec.alts)), heap: make([]int32, len(spec.alts))}
-	slab := make([]store.Triple, len(spec.alts)*altBufStart)
+// newUnionCursor opens every alternative's cursor of the spec on st. drive
+// marks a leaf that drives a scan and is never sought.
+func newUnionCursor(st store.Reader, spec *atomSpec, intr *interrupt, drive bool) *unionCursor {
+	u := &unionCursor{frame: spec.pat, intr: intr, drive: drive, alts: make([]altCursor, len(spec.alts))}
+	for _, c := range spec.perm.Order() {
+		if spec.pat[c] == store.Wildcard {
+			u.keys[u.nkeys] = c
+			u.nkeys++
+		}
+	}
 	for k := range spec.alts {
 		a := &u.alts[k]
 		a.spec = &spec.alts[k]
 		a.cur = st.NewCursor(a.spec.perm, a.spec.pat)
-		a.buf = slab[k*altBufStart : (k+1)*altBufStart : (k+1)*altBufStart]
-		u.heap[k] = int32(k)
 	}
 	return u
+}
+
+// start picks the cursor's merge at its first pull or seek: the bitset when
+// the leaf drives a scan, its frame has one variable column and its
+// alternatives hold at least BatchSize triples — enough for windows to beat
+// heap pops — and the heap otherwise. Both keep the alternatives in a heap
+// on their head triples; the first pull or seek fills it.
+func (u *unionCursor) start() {
+	u.started = true
+	bitset := false
+	if u.drive && u.nkeys == 1 {
+		rem := 0
+		for k := range u.alts {
+			rem += u.alts[k].cur.Remaining()
+		}
+		bitset = rem >= BatchSize
+	}
+	if unionMergeHook != nil {
+		unionMergeHook(bitset)
+	}
+	if bitset {
+		u.bits = new([windowWords]uint64)
+		for k := range u.alts {
+			u.alts[k].lim = BatchSize
+		}
+	} else {
+		slab := make([]store.Triple, len(u.alts)*altBufStart)
+		for k := range u.alts {
+			u.alts[k].buf = slab[k*altBufStart : (k+1)*altBufStart : (k+1)*altBufStart]
+		}
+	}
+	u.heap = make([]headEntry, len(u.alts))
+	for k := range u.heap {
+		u.heap[k].k = int32(k)
+	}
 }
 
 // refill calls skip on every alternative still in the heap, keeps those it
@@ -180,11 +274,11 @@ func newUnionCursor(st store.Reader, spec *atomSpec, intr *interrupt) *unionCurs
 func (u *unionCursor) refill(skip func(a *altCursor)) {
 	live := u.heap
 	u.heap = u.heap[:0] // rebuilt in place: writes trail reads
-	for _, k := range live {
-		a := &u.alts[k]
+	for _, e := range live {
+		a := &u.alts[e.k]
 		skip(a)
 		if a.i < a.n || u.fill(a) {
-			u.heap = append(u.heap, k)
+			u.heap = append(u.heap, headEntry{t: a.buf[a.i], k: e.k})
 		}
 	}
 	for i := len(u.heap)/2 - 1; i >= 0; i-- {
@@ -231,8 +325,9 @@ func (u *unionCursor) fill(a *altCursor) bool {
 }
 
 // remap rewrites the alternative's triples in place into the leaf's frame,
-// dropping those that fail the alternative's checks, and returns how many
-// remain.
+// dropping those that fail the alternative's checks and those equal to the
+// frame triple before them (an existential position the frame drops repeats
+// it), and returns how many remain.
 func (u *unionCursor) remap(as *altSpec, tris []store.Triple) int {
 	src, frame := as.src, u.frame
 	k := 0
@@ -253,17 +348,19 @@ func (u *unionCursor) remap(as *altSpec, tris []store.Triple) int {
 				f[pos] = t[sp]
 			}
 		}
+		if k > 0 && tris[k-1] == f {
+			continue
+		}
 		tris[k] = f
 		k++
 	}
 	return k
 }
 
-// less orders two alternatives by their head triples in the leaf's order.
-func (u *unionCursor) less(x, y int32) bool {
-	a, b := &u.alts[x], &u.alts[y]
-	s, t := &a.buf[a.i], &b.buf[b.i]
-	for _, c := range u.order {
+// less orders two frame triples in the leaf's order, on its variable
+// columns.
+func (u *unionCursor) less(s, t *store.Triple) bool {
+	for _, c := range u.keys[:u.nkeys] {
 		if s[c] != t[c] {
 			return s[c] < t[c]
 		}
@@ -280,10 +377,10 @@ func (u *unionCursor) down(i int) {
 			return
 		}
 		m := l
-		if r := l + 1; r < len(h) && u.less(h[r], h[l]) {
+		if r := l + 1; r < len(h) && u.less(&h[r].t, &h[l].t) {
 			m = r
 		}
-		if !u.less(h[m], h[i]) {
+		if !u.less(&h[m].t, &h[i].t) {
 			return
 		}
 		h[i], h[m] = h[m], h[i]
@@ -295,20 +392,24 @@ func (u *unionCursor) down(i int) {
 // and returns how many; zero means EOF.
 func (u *unionCursor) NextBatch(dst []store.Triple) int {
 	if !u.started {
-		u.started = true
+		u.start()
 		u.refill(func(*altCursor) {})
+	}
+	if u.bits != nil {
+		return u.nextBits(dst)
 	}
 	n := 0
 	for n < len(dst) && len(u.heap) > 0 {
-		a := &u.alts[u.heap[0]]
-		t := a.buf[a.i]
-		a.i++
-		if !u.any || t != u.last {
+		top := &u.heap[0]
+		if t := top.t; !u.any || t != u.last {
 			dst[n] = t
 			n++
 			u.last, u.any = t, true
 		}
-		if a.i == a.n && !u.fill(a) {
+		a := &u.alts[top.k]
+		if a.i++; a.i < a.n || u.fill(a) {
+			top.t = a.buf[a.i]
+		} else {
 			last := len(u.heap) - 1
 			u.heap[0] = u.heap[last]
 			u.heap = u.heap[:last]
@@ -318,12 +419,85 @@ func (u *unionCursor) NextBatch(dst []store.Triple) int {
 	return n
 }
 
+// nextBits is NextBatch under the bitset merge: it emits the current
+// window's set bits in order, clearing them, and fills the next window when
+// they run out.
+func (u *unionCursor) nextBits(dst []store.Triple) int {
+	col, f := u.keys[0], store.Triple(u.frame)
+	n := 0
+	for n < len(dst) {
+		if u.wi == u.wn && !u.window() {
+			break
+		}
+		w := u.bits[u.wi]
+		first := u.base + dict.ID(u.wi*64)
+		for ; w != 0 && n < len(dst); n++ {
+			f[col] = first + dict.ID(bits.TrailingZeros64(w))
+			dst[n] = f
+			w &= w - 1
+		}
+		if u.bits[u.wi] = w; w == 0 {
+			u.wi++
+		}
+	}
+	return n
+}
+
+// window fills the bitset with the next window, which starts at the
+// smallest live head: the alternatives whose heads lie below the window's end
+// leave the top of the heap in turn, set the bits of their keys below the
+// end — refilling their buffers as they drain them — and sink back on their
+// new heads, or leave the heap when their streams end. So a window costs a
+// heap step per alternative it reads, not per triple. false when no
+// alternative is left or the execution is canceled (a checkpoint per window:
+// a window can read many buffers).
+func (u *unionCursor) window() bool {
+	if len(u.heap) == 0 || u.intr.stop() {
+		return false
+	}
+	col, bs := u.keys[0], u.bits
+	base := u.heap[0].t[col]
+	end := base + windowBits
+	wn := 0
+	for len(u.heap) > 0 && u.heap[0].t[col] < end {
+		top := &u.heap[0]
+		a := &u.alts[top.k]
+		for {
+			tris := a.buf[a.i:a.n]
+			j := 0
+			for ; j < len(tris) && tris[j][col] < end; j++ {
+				off := tris[j][col] - base
+				bs[off>>6] |= 1 << (off & 63)
+			}
+			if j > 0 {
+				wn = max(wn, int((tris[j-1][col]-base)>>6)+1)
+			}
+			if a.i += j; a.i < a.n {
+				top.t = a.buf[a.i]
+				break
+			}
+			if !u.fill(a) {
+				last := len(u.heap) - 1
+				u.heap[0] = u.heap[last]
+				u.heap = u.heap[:last]
+				break
+			}
+		}
+		u.down(0)
+	}
+	u.base, u.wi, u.wn = base, 0, wn
+	return true
+}
+
 // SeekGE skips every alternative past the frame triples whose value at the
 // frame position col is below key. col is the first variable position of the
 // leaf's order, as for a store cursor, so each alternative seeks on the
-// position feeding it — the first variable position of its own order.
+// position feeding it — the first variable position of its own order. Only a
+// leaf that does not drive a scan is sought, so the heap merge runs.
 func (u *unionCursor) SeekGE(col int, key dict.ID) {
-	u.started = true
+	if !u.started {
+		u.start()
+	}
 	u.refill(func(a *altCursor) {
 		if a.i < a.n && a.buf[a.n-1][col] >= key {
 			rest := a.buf[a.i:a.n]

@@ -182,43 +182,34 @@ func (c *Cursor) Next() (Triple, bool) {
 
 // NextBatch decodes up to len(dst) matching triples into dst and returns how
 // many it wrote, in the same global permutation order Next streams. It is the
-// amortized decode primitive of the engine's vectorized scans: a single-shard
-// cursor without residual filters decodes the whole batch in one tight loop —
-// a flat gather over the permutation index when the snapshot is clean, an
-// inlined base/overlay merge with tombstone skips otherwise — instead of a
-// per-triple call chain. Zero means EOF; a short non-zero batch is not EOF
+// amortized decode primitive of the engine's vectorized scans. A cursor
+// without residual filters decodes the whole batch in one tight loop instead
+// of a per-triple call chain: when no shard stream has overlay positions or
+// tombstones left (what a compacted or reopened store serves), a merge over
+// the buffered heads that copies each shard's base run while it stays below
+// the other heads — on one shard, a flat gather over the permutation index;
+// on one dirty shard, an inlined base/overlay merge with tombstone skips. Any
+// other cursor — residual filters, or several shards of which one is dirty —
+// pulls through Next. Zero means EOF; a short non-zero batch is not EOF
 // (callers keep pulling until zero).
 func (c *Cursor) NextBatch(dst []Triple) int {
 	if len(dst) == 0 {
 		return 0
 	}
+	if c.nres == 0 && c.cleanSubs() {
+		return c.mergeClean(dst)
+	}
 	if len(c.subs) == 1 && c.nres == 0 {
 		if !c.valid[0] {
 			return 0
 		}
+		// Merge base and overlay in permutation order, skipping tombstones —
+		// subCursor.next's loop, amortized over the batch. The buffered head
+		// is always the first triple of the batch.
 		sub := &c.subs[0]
-		// The buffered head is always the first triple of the batch.
 		dst[0] = c.heads[0]
 		n := 1
 		tris := sub.sn.triples
-		if len(sub.delta) == 0 && len(sub.sn.tomb) == 0 {
-			// Clean snapshot: the remaining base positions decode with a
-			// flat gather.
-			m := len(dst) - 1
-			if m > len(sub.base) {
-				m = len(sub.base)
-			}
-			for i := 0; i < m; i++ {
-				dst[n+i] = tris[sub.base[i]]
-			}
-			n += m
-			sub.base = sub.base[m:]
-			c.heads[0], c.valid[0] = sub.next(c.order)
-			return n
-		}
-		// Overlay snapshot: merge base and delta in permutation order,
-		// skipping tombstones — subCursor.next's loop, amortized over the
-		// batch.
 		base, delta := sub.base, sub.delta
 		tomb := sub.sn.tomb
 		order := c.order
@@ -258,6 +249,71 @@ func (c *Cursor) NextBatch(dst []Triple) int {
 		}
 		dst[n] = t
 		n++
+	}
+	return n
+}
+
+// cleanSubs reports whether no shard stream has overlay positions left or
+// tombstones to skip, so each streams its base range as it lies.
+func (c *Cursor) cleanSubs() bool {
+	for i := range c.subs {
+		if len(c.subs[i].delta) > 0 || len(c.subs[i].sn.tomb) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// mergeClean is NextBatch over clean shard streams: it takes the
+// smallest buffered head, then copies that shard's base run for as long as it
+// sorts below the smallest other live head (to its end when no other shard
+// is live), and repeats.
+func (c *Cursor) mergeClean(dst []Triple) int {
+	order := c.order
+	n := 0
+	for n < len(dst) {
+		best, next := -1, -1
+		for i := range c.subs {
+			if !c.valid[i] {
+				continue
+			}
+			switch {
+			case best < 0 || permLess(c.heads[i], c.heads[best], order):
+				best, next = i, best
+			case next < 0 || permLess(c.heads[i], c.heads[next], order):
+				next = i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		sub := &c.subs[best]
+		tris, base := sub.sn.triples, sub.base
+		dst[n] = c.heads[best]
+		n++
+		if next < 0 { // the last live stream: a flat gather
+			m := min(len(dst)-n, len(base))
+			for i, pos := range base[:m] {
+				dst[n+i] = tris[pos]
+			}
+			n += m
+			base = base[m:]
+		}
+		for n < len(dst) && len(base) > 0 {
+			t := tris[base[0]]
+			if !permLess(t, c.heads[next], order) {
+				break
+			}
+			dst[n] = t
+			n++
+			base = base[1:]
+		}
+		if len(base) == 0 {
+			sub.base = base
+			c.valid[best] = false
+			continue
+		}
+		c.heads[best], sub.base = tris[base[0]], base[1:]
 	}
 	return n
 }

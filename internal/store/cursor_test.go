@@ -194,31 +194,82 @@ func drain(c Cursor) []Triple {
 	}
 }
 
-// TestCursorNextBatchMatchesNext drives NextBatch against a fresh Next-driven
-// cursor over every permutation and pattern shape, across the decode paths:
-// clean single-shard stores (the flat-gather fast path), stores with live
-// insert overlays and tombstones (the per-triple fallback), residual-filtered
-// patterns, and multi-shard merges. Varied batch sizes catch resume bugs at
-// batch boundaries.
-func TestCursorNextBatchMatchesNext(t *testing.T) {
-	stores := map[string]*Store{"flat": randomStore(t, 300, 7)}
-	// Overlay state: mutations past the last compaction leave delta/tombstone
-	// overlays that the fast path must refuse.
-	dirty := randomStore(t, 300, 7)
-	ts := dirty.Triples()
-	for i := 0; i < 20; i++ {
-		dirty.Remove(ts[i*7%len(ts)])
-	}
-	d := dirty.Dict()
-	for i := 0; i < 25; i++ {
-		dirty.Add(Triple{d.EncodeIRI("nb"), d.EncodeIRI("nbp"), d.EncodeIRI(string(rune('a' + i)))})
-	}
-	stores["overlays"] = dirty
-	sharded := NewWithDictSharded(randomStore(t, 1, 1).Dict(), 4)
-	sharded.AddBatch(stores["flat"].Triples())
-	stores["sharded"] = sharded
+// cursorFixture is one store the cursor differentials run on, with the
+// snapshot state its shards must be in.
+type cursorFixture struct {
+	name  string
+	st    *Store
+	state string // fixtureState's verdict
+}
 
-	for name, st := range stores {
+// fixtureState classifies a store's published snapshots: "tombstoned" when
+// any shard holds tombstones, "overlay" when any holds insert-overlay
+// positions, otherwise "clean" (every triple in a base index).
+func fixtureState(st *Store) string {
+	state := "clean"
+	for _, sh := range append(append([]*shard(nil), st.shards...), st.oshards...) {
+		s := sh.cur.Load()
+		if len(s.tomb) > 0 {
+			return "tombstoned"
+		}
+		for _, d := range s.delta {
+			if len(d) > 0 {
+				state = "overlay"
+			}
+		}
+	}
+	return state
+}
+
+// cursorFixtures builds the stores the cursor differentials cover, each
+// pinned to the decode path it exercises: a store loaded one Add at a time
+// stays in its overlays (below deltaMax), a Clone is compacted into the base
+// indexes, and Remove/Add after that leaves overlays and tombstones. The
+// clean stores take NextBatch's merge over shard base runs (a flat gather on
+// one shard), the dirty single-shard ones its inlined overlay merge and the
+// dirty sharded ones its pull through Next.
+func cursorFixtures(t *testing.T, n int, seed int64) []cursorFixture {
+	t.Helper()
+	flat := randomStore(t, n, seed)
+	ts := flat.Triples()
+	d := flat.Dict()
+	dirty := func(st *Store, tag string) *Store {
+		for i := 0; i < 20; i++ {
+			st.Remove(ts[i*7%len(ts)])
+		}
+		for i := 0; i < 25; i++ {
+			st.Add(Triple{d.EncodeIRI(tag), d.EncodeIRI(tag + "p"), d.EncodeIRI(string(rune('a' + i)))})
+		}
+		return st
+	}
+	sharded := NewWithDictSharded(d, 4)
+	sharded.AddBatch(ts)
+	dual := NewWithDictDual(d, 2, 2)
+	dual.AddBatch(ts)
+	fx := []cursorFixture{
+		{"flat", flat, "overlay"},
+		{"flat-clean", flat.Clone(), "clean"},
+		{"overlays", dirty(flat.Clone(), "nb"), "tombstoned"},
+		{"sharded", sharded, "overlay"},
+		{"sharded-clean", sharded.Clone(), "clean"},
+		{"sharded-tombstoned", dirty(sharded.Clone(), "ns"), "tombstoned"},
+		{"dual-clean", dual.Clone(), "clean"},
+	}
+	for _, f := range fx {
+		if got := fixtureState(f.st); got != f.state {
+			t.Fatalf("fixture %s is %s, want %s", f.name, got, f.state)
+		}
+	}
+	return fx
+}
+
+// TestCursorNextBatchMatchesNext drives NextBatch against a fresh Next-driven
+// cursor over every permutation and pattern shape, across the decode paths
+// (cursorFixtures) and residual-filtered patterns. Varied batch sizes catch
+// resume bugs at batch boundaries.
+func TestCursorNextBatchMatchesNext(t *testing.T) {
+	for _, fx := range cursorFixtures(t, 300, 7) {
+		name, st := fx.name, fx.st
 		ts := st.Triples()
 		pats := []Pattern{
 			{},
@@ -266,43 +317,40 @@ func TestCursorNextBatchMatchesNext(t *testing.T) {
 }
 
 // TestCursorNextBatchInterleaved mixes Next and NextBatch calls on one
-// cursor: the head-buffer handoff between the two paths must not skip or
-// duplicate triples.
+// cursor over every fixture: the head-buffer handoff between the two paths
+// must not skip or duplicate triples.
 func TestCursorNextBatchInterleaved(t *testing.T) {
-	st := randomStore(t, 200, 11)
-	var want []Triple
-	ref := st.NewCursor(PSO, Pattern{})
-	for {
-		tr, ok := ref.Next()
-		if !ok {
-			break
-		}
-		want = append(want, tr)
-	}
-	c := st.NewCursor(PSO, Pattern{})
-	var got []Triple
-	buf := make([]Triple, 7)
-	for turn := 0; ; turn++ {
-		if turn%2 == 0 {
-			tr, ok := c.Next()
+	for _, fx := range cursorFixtures(t, 200, 11) {
+		st := fx.st
+		var want []Triple
+		ref := st.NewCursor(PSO, Pattern{})
+		for {
+			tr, ok := ref.Next()
 			if !ok {
 				break
 			}
-			got = append(got, tr)
-			continue
+			want = append(want, tr)
 		}
-		n := c.NextBatch(buf)
-		if n == 0 {
-			break
+		c := st.NewCursor(PSO, Pattern{})
+		var got []Triple
+		buf := make([]Triple, 7)
+		for turn := 0; ; turn++ {
+			if turn%2 == 0 {
+				tr, ok := c.Next()
+				if !ok {
+					break
+				}
+				got = append(got, tr)
+				continue
+			}
+			n := c.NextBatch(buf)
+			if n == 0 {
+				break
+			}
+			got = append(got, buf[:n]...)
 		}
-		got = append(got, buf[:n]...)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("interleaved drain: %d triples, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("interleaved drain: triple %d differs", i)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: interleaved drain streams %d triples, Next %d, or they differ", fx.name, len(got), len(want))
 		}
 	}
 }
@@ -320,26 +368,13 @@ func TestCursorRemaining(t *testing.T) {
 }
 
 // TestCursorSeekGE drives SeekGE against a reference cursor that skips by
-// draining Next, over clean, overlay and sharded stores, every permutation,
-// and seek keys landing before, inside and past each stream. After each seek
-// the remainders must match triple for triple.
+// draining Next, over every fixture (clean, overlay and tombstoned; one
+// shard and several), every permutation, and seek keys landing before,
+// inside and past each stream. After each seek the remainders must match
+// triple for triple, drained by Next and by NextBatch.
 func TestCursorSeekGE(t *testing.T) {
-	stores := map[string]*Store{"flat": randomStore(t, 300, 7)}
-	dirty := randomStore(t, 300, 7)
-	dts := dirty.Triples()
-	for i := 0; i < 20; i++ {
-		dirty.Remove(dts[i*7%len(dts)])
-	}
-	d := dirty.Dict()
-	for i := 0; i < 25; i++ {
-		dirty.Add(Triple{d.EncodeIRI("sk"), d.EncodeIRI("skp"), d.EncodeIRI(string(rune('a' + i)))})
-	}
-	stores["overlays"] = dirty
-	sharded := NewWithDictSharded(randomStore(t, 1, 1).Dict(), 4)
-	sharded.AddBatch(stores["flat"].Triples())
-	stores["sharded"] = sharded
-
-	for name, st := range stores {
+	for _, fx := range cursorFixtures(t, 300, 7) {
+		name, st := fx.name, fx.st
 		ts := st.Triples()
 		pats := []Pattern{
 			{},
@@ -380,11 +415,14 @@ func TestCursorSeekGE(t *testing.T) {
 					for _, pre := range []int{0, 3} {
 						ref := st.NewCursor(p, pat)
 						c := st.NewCursor(p, pat)
+						cb := st.NewCursor(p, pat)
 						for i := 0; i < pre; i++ {
 							ref.Next()
 							c.Next()
+							cb.Next()
 						}
 						c.SeekGE(col, key)
+						cb.SeekGE(col, key)
 						var want []Triple
 						for {
 							tr, ok := ref.Next()
@@ -402,6 +440,19 @@ func TestCursorSeekGE(t *testing.T) {
 								break
 							}
 							got = append(got, tr)
+						}
+						var gotB []Triple
+						buf := make([]Triple, 5)
+						for {
+							n := cb.NextBatch(buf)
+							if n == 0 {
+								break
+							}
+							gotB = append(gotB, buf[:n]...)
+						}
+						if !slices.Equal(gotB, got) {
+							t.Fatalf("%s perm=%v pat=%v key#%d pre=%d: NextBatch after SeekGE streams %v, Next %v",
+								name, p, pat, ki, pre, gotB, got)
 						}
 						if len(got) != len(want) {
 							t.Fatalf("%s perm=%v pat=%v key#%d pre=%d: SeekGE leaves %d triples, reference %d",

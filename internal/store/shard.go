@@ -236,9 +236,10 @@ func (s *snap) novel(ts []Triple) ([]Triple, []int32) {
 // with returns the successor snapshot: fresh appended to the triple slice (so
 // positions follow batch order) and indexed under every held permutation. spo
 // lists fresh's indexes in SPO order when the caller already sorted them. The
-// new positions join the overlays; a batch that takes an overlay to deltaMax
-// is merged on into the base indexes before anything is published, and where
-// base and overlay were empty (a bulk load) the sorted batch is the base.
+// new positions join the overlays. Only a batch that takes an overlay to
+// deltaMax is merged on into the base indexes before anything is published
+// (into an empty shard, the sorted batch becomes the base); a smaller one
+// stays in the overlays, even a bulk load into an empty shard.
 func (s *snap) with(fresh []Triple, spo []int32, held []Perm) *snap {
 	first := int32(len(s.triples))
 	ns := &snap{
