@@ -90,33 +90,56 @@ func TestVecUnionBitsetSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // TestVecMergedShardScanSteadyStateZeroAlloc: a scan that drains one cursor
-// merged over a clean Dual(2,2) store's two subject shards (the scan a merge
-// join reads, which does not walk the shards in turn) decodes through the
-// store's multi-shard batch merge and must be allocation-free after its first
-// batch.
+// merged over a Dual(2,2) store's two subject shards decodes through the
+// store's shard-run merge and must be allocation-free after its first batch —
+// on a clean store (base runs as they lie) and on a dirty one, whose shards
+// merge base and overlay positions and skip tombstones.
 func TestVecMergedShardScanSteadyStateZeroAlloc(t *testing.T) {
 	gen, _ := datagen.Generate(datagen.Config{Triples: 20000, Seed: 1})
 	st := store.NewWithDictDual(gen.Dict(), 2, 2)
 	st.AddBatch(gen.Triples())
-	st = st.Clone()
-	q := cq.NewParser(st.Dict()).MustParseQuery("q(X, P, Y) :- t(X, P, Y)")
-	plan, err := PlanQuery(st, q)
-	if err != nil {
-		t.Fatal(err)
+	clean := st.Clone()
+	dirty := st.Clone()
+	ts := gen.Triples()
+	const removed = 40
+	for i := 0; i < removed; i++ {
+		if !dirty.Remove(ts[i*97]) {
+			t.Fatalf("triple %d not in the store", i*97)
+		}
 	}
-	plan.steps[0].byShard = false
-	if !strings.Contains(plan.Explain(), "shards=2/2") {
-		t.Fatalf("scan does not span both subject shards:\n%s", plan.Explain())
+	d := dirty.Dict()
+	for i := 0; i < 60; i++ {
+		dirty.Add(store.Triple{d.EncodeIRI(fmt.Sprintf("fresh%d", i)), d.EncodeIRI("freshp"), ts[i][store.O]})
 	}
-	root := plan.buildPipeline(nil)
-	defer closeOp(root)
-	if _, ok := root.nextBatch(); !ok {
-		t.Fatal("empty scan")
+	// A full cursor counts tombstoned positions as remaining: exactly the
+	// removed triples are still tombstones, so no threshold merge has run
+	// since the Clone and the added triples sit in the insert overlays.
+	if c := dirty.NewCursor(store.SPO, store.Pattern{}); c.Remaining() != dirty.Len()+removed {
+		t.Fatalf("dirty store: cursor has %d positions for %d triples, want %d tombstones",
+			c.Remaining(), dirty.Len(), removed)
 	}
-	assertZeroAllocBatches(t, "merged shard scan", 10, func() bool {
-		_, ok := root.nextBatch()
-		return ok
-	})
+	for _, fx := range []struct {
+		name string
+		st   *store.Store
+	}{{"clean", clean}, {"dirty", dirty}} {
+		q := cq.NewParser(fx.st.Dict()).MustParseQuery("q(X, P, Y) :- t(X, P, Y)")
+		plan, err := PlanQuery(fx.st, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(plan.Explain(), "shards=2/2") {
+			t.Fatalf("%s: scan does not span both subject shards:\n%s", fx.name, plan.Explain())
+		}
+		root := plan.buildPipeline(nil)
+		if _, ok := root.nextBatch(); !ok {
+			t.Fatalf("%s: empty scan", fx.name)
+		}
+		assertZeroAllocBatches(t, fx.name+" merged shard scan", 10, func() bool {
+			_, ok := root.nextBatch()
+			return ok
+		})
+		closeOp(root)
+	}
 }
 
 // TestVecHashJoinSteadyStateZeroAlloc: a skewed value join (every edge meets

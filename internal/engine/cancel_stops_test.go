@@ -130,7 +130,7 @@ func TestCancelStopsAccounting(t *testing.T) {
 		{"vec/merge-join", func(t *testing.T) error {
 			return drainPipelineMidCancel(t, plan(t, false, chain3, "MergeJoin"))
 		}},
-		{"vec/shard-walk", func(t *testing.T) error {
+		{"vec/merged-shard-scan", func(t *testing.T) error {
 			return drainPipelineMidCancel(t, plan(t, true, fullScan, "shards=4/4"))
 		}},
 		{"vec/hash-join-build-left", func(t *testing.T) error {

@@ -204,8 +204,7 @@ func skewedHashJoinFixture() (*store.Store, *cq.Query) {
 // chains, stars, a five-atom mix, a value join, a self-loop) over the flat,
 // 4-shard and 4×4 dual-partitioned stores plus the flat and 4-shard standard
 // datasets, pipeline vs INL oracle, multiset-exact. The sharded runs drive
-// both walked and merged driving scans, over both partition sides on the dual
-// layout. The planner-chain and skewed-hash-join fixtures add the sort-break
+// merged driving scans over both partition sides on the dual layout. The planner-chain and skewed-hash-join fixtures add the sort-break
 // and long-collision-chain shapes.
 func TestBatchEvalMatchesINL(t *testing.T) {
 	shapes := map[string]string{
@@ -309,7 +308,7 @@ func TestBatchExecuteMatchesRef(t *testing.T) {
 }
 
 // TestBatchAbandonedPipeline closes partially drained pipelines — a
-// rewriting and a walked sharded store-side scan — and checks that closing
+// rewriting and a sharded store-side scan — and checks that closing
 // twice is safe.
 func TestBatchAbandonedPipeline(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))

@@ -172,26 +172,20 @@ func bindBatch(b *batch, spec *atomSpec, tris []store.Triple) {
 	}
 }
 
-// scanOp (IndexScan) streams one permutation range as column batches: the
-// cursor decodes up to BatchSize triples per call (a flat gather on the common
-// clean-snapshot path) and the triple positions scatter into columns.
-//
-// A scan whose sort order nothing downstream reads (byShard, set by the
-// planner on driving scans) walks its placement route's shards in turn, one
-// single-shard cursor after another, so every NextBatch keeps the flat gather;
-// otherwise it drains one cursor merged over the route, in global permutation
-// order. The route is resolved from the pattern at first pull, so a cached
-// template instantiated with new constants re-routes per binding.
+// scanOp (IndexScan) streams one permutation range as column batches: one
+// cursor merged over the pattern's placement route decodes up to BatchSize
+// triples per call, in global permutation order (a run copy per shard, a flat
+// gather on one clean shard), and the triple positions scatter into columns.
+// The route is resolved from the pattern at first pull, so a cached template
+// instantiated with new constants re-routes per binding.
 type scanOp struct {
-	st      store.Reader
-	spec    *atomSpec
-	byShard bool
-	intr    *interrupt
+	st   store.Reader
+	spec *atomSpec
+	intr *interrupt
 
 	started bool
 	cur     store.Cursor
-	u       *unionCursor   // a union leaf's merged cursor, read instead of cur
-	next    []store.Cursor // a walked scan's remaining shard cursors
+	u       *unionCursor // a union leaf's merged cursor, read instead of cur
 	tris    []store.Triple
 	out     *batch
 }
@@ -206,27 +200,16 @@ func (s *scanOp) close() {
 	s.out, s.tris, s.u = nil, nil, nil
 }
 
-// open pins the scan's cursors. A walked scan opens all of its shard cursors
-// here, so each shard is read as of the scan's open, as a merged cursor reads
-// it; only the first open records in the pruning ledger, for the whole route.
+// open pins the scan's cursor.
 func (s *scanOp) open() {
 	s.started = true
 	s.tris = getTris()
 	s.out = newBatch(len(s.spec.binds))
-	perm, pat := s.spec.perm, s.spec.pat
 	if s.spec.alts != nil {
 		s.u = newUnionCursor(s.st, s.spec, s.intr, true)
 		return
 	}
-	if !s.byShard {
-		s.cur = s.st.NewCursor(perm, pat)
-		return
-	}
-	r := s.st.Placement().Route(perm, pat)
-	s.cur = s.st.RouteShardCursor(r, 0, perm, pat)
-	for k := 1; k < r.Len(); k++ {
-		s.next = append(s.next, s.st.RouteShardCursor(r, k, perm, pat))
-	}
+	s.cur = s.st.NewCursor(s.spec.perm, s.spec.pat)
 }
 
 func (s *scanOp) nextBatch() (*batch, bool) {
@@ -244,11 +227,7 @@ func (s *scanOp) nextBatch() (*batch, bool) {
 			n = s.cur.NextBatch(s.tris)
 		}
 		if n == 0 {
-			if len(s.next) == 0 {
-				return nil, false
-			}
-			s.cur, s.next = s.next[0], s.next[1:]
-			continue
+			return nil, false
 		}
 		bindBatch(s.out, s.spec, s.tris[:n])
 		if s.out.live() > 0 {
@@ -550,7 +529,7 @@ func (p *QueryPlan) buildPipeline(intr *interrupt) operator {
 		}
 		switch s.kind {
 		case stepScan:
-			cur = &scanOp{st: p.st, spec: s.spec, byShard: s.byShard, intr: intr}
+			cur = &scanOp{st: p.st, spec: s.spec, intr: intr}
 		case stepSort:
 			cur = &sortOp{in: cur, slot: s.joinSlot}
 		case stepMergeJoin:

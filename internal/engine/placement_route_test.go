@@ -150,9 +150,9 @@ func TestCachedTemplateReroutesOnInstantiate(t *testing.T) {
 	}
 }
 
-// TestParallelScanOverObjectSide checks that a walked driving scan over a
-// dual layout opens every shard of its route, returns every row, and records
-// once in the ledger for the whole route.
+// TestParallelScanOverObjectSide checks that a driving scan over a dual
+// layout's multi-shard route returns every row and records one open of every
+// shard of its route in the ledger.
 func TestParallelScanOverObjectSide(t *testing.T) {
 	_, _, dual := diffStores(t)
 	p := cq.NewParser(dual.Dict())
@@ -168,8 +168,8 @@ func TestParallelScanOverObjectSide(t *testing.T) {
 	}
 	s0 := &plan.steps[0]
 	route := dual.Placement().Route(s0.spec.perm, s0.spec.pat)
-	if !s0.byShard || route.Len() < 2 {
-		t.Fatalf("full scan should walk a multi-shard route, got walked=%v over %v", s0.byShard, route)
+	if route.Len() < 2 {
+		t.Fatalf("full scan should span a multi-shard route, got %v", route)
 	}
 	before := dual.PruneStats().Snapshot()
 	got, err := plan.EvalStream(ExecOptions{}).Collect()
@@ -178,12 +178,12 @@ func TestParallelScanOverObjectSide(t *testing.T) {
 	}
 	after := dual.PruneStats().Snapshot()
 	if got.Len() != dual.Len() {
-		t.Fatalf("walked full scan returned %d rows, store has %d", got.Len(), dual.Len())
+		t.Fatalf("full scan returned %d rows, store has %d", got.Len(), dual.Len())
 	}
 	if opens := after.Opens - before.Opens; opens != 1 {
-		t.Fatalf("shard walk recorded %d ledger opens, want 1", opens)
+		t.Fatalf("full scan recorded %d ledger opens, want 1", opens)
 	}
 	if opened := after.ShardsOpened - before.ShardsOpened; opened != int64(route.Len()) {
-		t.Fatalf("shard walk recorded %d shards opened, want %d", opened, route.Len())
+		t.Fatalf("full scan recorded %d shards opened, want %d", opened, route.Len())
 	}
 }

@@ -120,10 +120,6 @@ type planStep struct {
 
 	est    float64 // the step's atom cardinality (sort: pipeline input rows)
 	outEst float64 // estimated pipeline cardinality after this step
-
-	// byShard (driving scan only): no merge join reads the scan's sort
-	// order, so it walks its route's shards in turn (scanOp).
-	byShard bool
 }
 
 // buildLeftMargin is how many times smaller than the atom the pipeline must
@@ -347,22 +343,6 @@ func planQuery(st store.Reader, q *cq.Query, alts [][]cq.Atom, cards Cards) (*Qu
 		}
 	}
 
-	// The driving scan's order is read only by a merge join that comes before
-	// anything re-establishes (Sort) or destroys (build=left hash join) it;
-	// build=right hash joins and cross products preserve it. A scan whose
-	// order nothing reads walks its route's shards one after another, each
-	// shard cursor decoding flat batches, instead of merging them. A union
-	// leaf always merges (its duplicates meet only in one ordered stream).
-	p.steps[0].byShard = p.steps[0].spec.alts == nil
-	for _, s := range p.steps[1:] {
-		if s.kind == stepMergeJoin {
-			p.steps[0].byShard = false
-			break
-		}
-		if s.kind == stepSort || (s.kind == stepHashJoin && s.buildLeft) {
-			break
-		}
-	}
 	// Union leaves scan each alternative in the order matching the frame
 	// permutation just chosen.
 	for _, s := range p.steps {

@@ -52,7 +52,7 @@ func drivingScan(t *testing.T, plan *QueryPlan) *scanOp {
 func TestShardedScanMatchesFlat(t *testing.T) {
 	st1, st4, p := twinStores(t, 800, 3)
 	for _, src := range []string{
-		"q(X, P, Y) :- t(X, P, Y)",                      // full scan: walked
+		"q(X, P, Y) :- t(X, P, Y)",                      // full scan
 		"q(X, Z) :- t(X, p0, Y), t(Y, p1, Z)",           // chain: merged cursor + merge join
 		"q(X, Z) :- t(X, p0, Y), t(Z, p1, Y)",           // value join
 		"q(X) :- t(X, p0, Y), t(X, p1, Z), t(X, p2, W)", // star
@@ -74,12 +74,12 @@ func TestShardedScanMatchesFlat(t *testing.T) {
 	}
 }
 
-// TestDrivingScanWalksShardsUnlessOrdered pins the planner's one shard
-// decision on a 4-shard store: a driving scan whose sort order a merge join
-// reads drains one cursor merged over its route, any other walks the route's
-// shards in turn — and a walked scan returns the same rows in the same order
-// on every run.
-func TestDrivingScanWalksShardsUnlessOrdered(t *testing.T) {
+// TestDrivingScanMergesShards runs a driving scan over a 4-shard store under
+// the three plan shapes that place it — read by a merge join, below a
+// build=right hash join that leaves its order unread, and alone — against
+// the INL oracle. Each drains one cursor merged over its route, so a full
+// scan returns its rows in global permutation order, the same on every run.
+func TestDrivingScanMergesShards(t *testing.T) {
 	st, p := chainStore(t, 4)
 	pred := func(a cq.Atom) string {
 		s, _ := st.Dict().Decode(a[1].ConstID())
@@ -115,17 +115,13 @@ func TestDrivingScanWalksShardsUnlessOrdered(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		compiled
-		mark   string
-		walked bool
+		mark string
 	}{
-		{"merge-join chain", plan("q(X, Z) :- t(X, p0, Y), t(Y, p1, Z)", storeCards{st}), "MergeJoin", false},
-		{"hash join", plan("q(X, V) :- t(X, p0, Y), t(Z, p1, W), t(W, p2, V)", hashCards), "build=right", true},
-		{"full scan", fullScan, "shards=4/4", true},
+		{"merge-join chain", plan("q(X, Z) :- t(X, p0, Y), t(Y, p1, Z)", storeCards{st}), "MergeJoin"},
+		{"hash join", plan("q(X, V) :- t(X, p0, Y), t(Z, p1, W), t(W, p2, V)", hashCards), "build=right"},
+		{"full scan", fullScan, "shards=4/4"},
 	} {
 		requireExplain(t, c.plan, c.mark)
-		if got := drivingScan(t, c.plan).byShard; got != c.walked {
-			t.Errorf("%s: driving scan walked=%v, want %v\n%s", c.name, got, c.walked, c.plan.Explain())
-		}
 		got, err := c.plan.EvalStream(ExecOptions{}).Collect()
 		if err != nil {
 			t.Fatal(err)
@@ -146,13 +142,28 @@ func TestDrivingScanWalksShardsUnlessOrdered(t *testing.T) {
 		t.Fatal(err)
 	}
 	if first.Len() != st.Len() || second.Len() != st.Len() {
-		t.Fatalf("walked full scan returned %d and %d rows, store has %d", first.Len(), second.Len(), st.Len())
+		t.Fatalf("merged full scan returned %d and %d rows, store has %d", first.Len(), second.Len(), st.Len())
 	}
+	perm := drivingScan(t, fullScan.plan).spec.perm
 	for i := range first.Rows {
 		if !rowsEqual(first.Rows[i], second.Rows[i]) {
-			t.Fatalf("walked scan row %d differs between runs: %v vs %v", i, first.Rows[i], second.Rows[i])
+			t.Fatalf("merged scan row %d differs between runs: %v vs %v", i, first.Rows[i], second.Rows[i])
+		}
+		if i > 0 && !permOrdered(first.Rows[i-1], first.Rows[i], perm) {
+			t.Fatalf("merged scan row %d out of %v order: %v after %v", i, perm, first.Rows[i], first.Rows[i-1])
 		}
 	}
+}
+
+// permOrdered reports whether full-scan row a (s, p, o) sorts strictly
+// before row b in the permutation's column order.
+func permOrdered(a, b Row, perm store.Perm) bool {
+	for _, c := range perm.Order() {
+		if a[c] != b[c] {
+			return a[c] < b[c]
+		}
+	}
+	return false
 }
 
 // TestGatherMergeSkewedShards drives a merge-join chain over a wide fan-out
@@ -180,9 +191,6 @@ func TestGatherMergeSkewedShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireExplain(t, plan, "MergeJoin", "shards=16/16")
-	if drivingScan(t, plan).byShard {
-		t.Fatalf("skewed chain's driving scan should drain the merged cursor:\n%s", plan.Explain())
-	}
 	flat, err := Materialize(st1, q)
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +235,7 @@ func TestShardedAgainstINLRandom(t *testing.T) {
 	}
 }
 
-// TestConcurrentShardedQueriesDuringMutation runs walked-scan queries on one
+// TestConcurrentShardedQueriesDuringMutation runs merged-scan queries on one
 // goroutine while another mutates the store on a disjoint predicate;
 // per-shard snapshot isolation must keep every answer exact. Run with -race.
 func TestConcurrentShardedQueriesDuringMutation(t *testing.T) {

@@ -36,8 +36,8 @@ func drainStream(t *testing.T, label string, s *RowStream) *Relation {
 
 // TestEvalStreamMatchesINL drains the store-side stream slab by slab on the
 // standard nine shapes over flat, 4-shard and dual stores and checks it
-// against the INL oracle: same multiset, distinct or not, merged or walked
-// shards, and no empty slab.
+// against the INL oracle: same multiset, distinct or not, one shard or
+// several merged, and no empty slab.
 func TestEvalStreamMatchesINL(t *testing.T) {
 	shapes := map[string]string{
 		"full-scan":  "q(X, P, Y) :- t(X, P, Y)",

@@ -20,8 +20,6 @@ import (
 // independently, in shard order).
 type Cursor struct {
 	subs     []subCursor
-	heads    []Triple
-	valid    []bool
 	order    [3]int
 	residual [3]ID2 // residual equality checks: (column, value) pairs
 	nres     int
@@ -33,36 +31,73 @@ type ID2 struct {
 	Val dict.ID
 }
 
-// subCursor streams one shard's snapshot: the remaining base range merged
-// with the remaining overlay range, skipping tombstones.
+// subCursor streams one shard's snapshot: a buffered head (the stream's
+// smallest unread triple, when live) followed by the remaining base range
+// merged with the remaining overlay range, skipping tombstones.
 type subCursor struct {
 	sn    *snap
 	base  []int32
 	delta []int32
+	head  Triple
+	live  bool
 }
 
-// next pops the sub-cursor's smallest remaining triple in permutation order.
-func (c *subCursor) next(order [3]int) (Triple, bool) {
+// advance is the one per-shard step: it copies the stream's triples, in
+// permutation order, into dst while they sort below bound (every one when
+// last), stops when dst is full, and pops the following triple as the new
+// head (live is false when none is left). A shard with no overlay positions
+// left and no tombstones streams its base range as it lies — on the last
+// live stream a flat gather; only a dirty shard merges base and overlay and
+// skips tombstones.
+func (c *subCursor) advance(dst []Triple, bound Triple, last bool, order [3]int) int {
+	tris := c.sn.triples
+	base, delta, tomb := c.base, c.delta, c.sn.tomb
+	n := 0
+	if len(delta) == 0 && len(tomb) == 0 {
+		if last {
+			n = min(len(dst), len(base))
+			for i, pos := range base[:n] {
+				dst[i] = tris[pos]
+			}
+			base = base[n:]
+		}
+		for ; len(base) > 0; n++ {
+			t := tris[base[0]]
+			base = base[1:]
+			if n == len(dst) || !(last || permLess(t, bound, order)) {
+				c.base, c.head, c.live = base, t, true
+				return n
+			}
+			dst[n] = t
+		}
+		c.base, c.live = base, false
+		return n
+	}
 	for {
 		var pos int32
 		switch {
-		case len(c.base) == 0 && len(c.delta) == 0:
-			return Triple{}, false
-		case len(c.delta) == 0:
-			pos, c.base = c.base[0], c.base[1:]
-		case len(c.base) == 0:
-			pos, c.delta = c.delta[0], c.delta[1:]
+		case len(base) == 0 && len(delta) == 0:
+			c.base, c.delta, c.live = base, delta, false
+			return n
+		case len(delta) == 0:
+			pos, base = base[0], base[1:]
+		case len(base) == 0:
+			pos, delta = delta[0], delta[1:]
+		case permLess(tris[delta[0]], tris[base[0]], order):
+			pos, delta = delta[0], delta[1:]
 		default:
-			if permLess(c.sn.triples[c.delta[0]], c.sn.triples[c.base[0]], order) {
-				pos, c.delta = c.delta[0], c.delta[1:]
-			} else {
-				pos, c.base = c.base[0], c.base[1:]
-			}
+			pos, base = base[0], base[1:]
 		}
-		if len(c.sn.tomb) > 0 && tombHas(c.sn.tomb, pos) {
+		if len(tomb) > 0 && tombHas(tomb, pos) {
 			continue
 		}
-		return c.sn.triples[pos], true
+		t := tris[pos]
+		if n == len(dst) || !(last || permLess(t, bound, order)) {
+			c.base, c.delta, c.head, c.live = base, delta, t, true
+			return n
+		}
+		dst[n] = t
+		n++
 	}
 }
 
@@ -72,31 +107,13 @@ func (c *subCursor) next(order [3]int) (Triple, bool) {
 // filtered row-by-row. The triples stream in p's global sort order. The
 // pattern is routed through the store's Placement, so a subject-bound
 // pattern opens only its owning subject shard and — on a dual layout — an
-// object-bound pattern opens only its owning object shard.
+// object-bound pattern opens only its owning object shard; the open is
+// recorded in the pruning ledger.
 func (st *Store) NewCursor(p Perm, pat Pattern) Cursor {
-	return st.RouteCursor(st.Placement().Route(p, pat), p, pat)
-}
-
-// RouteCursor opens a cursor merged over exactly the route's shards and
-// records the open in the pruning ledger. The route must come from the
-// store's own Placement (routes carry side/shard indexes, which only make
-// sense against the layout that produced them).
-func (st *Store) RouteCursor(r Route, p Perm, pat Pattern) Cursor {
+	r := st.Placement().Route(p, pat)
 	shs := st.routeShards(r)
 	st.prune.record(len(shs), r.K)
 	return cursorOverSnaps(st.loadSnaps(shs), p, pat)
-}
-
-// RouteShardCursor opens a cursor over the route's k-th shard only — the
-// per-shard stream a scan walking its route reads, k = 0 … r.Len()-1. The
-// whole walk is one logical routed open, so only the open of shard 0
-// records it in the pruning ledger.
-func (st *Store) RouteShardCursor(r Route, k int, p Perm, pat Pattern) Cursor {
-	shs := st.routeShards(r)
-	if k == 0 {
-		st.prune.record(len(shs), r.K)
-	}
-	return cursorOverSnaps(st.loadSnaps(shs[k:k+1]), p, pat)
 }
 
 // loadSnaps pins the current snapshot of each shard.
@@ -127,160 +144,52 @@ func cursorOverSnaps(snaps []*snap, p Perm, pat Pattern) Cursor {
 			c.nres++
 		}
 	}
-	c.subs = make([]subCursor, 0, len(snaps))
-	for _, s := range snaps {
-		sub := subCursor{sn: s}
+	c.subs = make([]subCursor, len(snaps))
+	for i, s := range snaps {
+		sub := &c.subs[i]
+		sub.sn = s
 		lo, hi := rangeIn(s.triples, s.base[p], order, prefix)
 		sub.base = s.base[p][lo:hi]
 		lo, hi = rangeIn(s.triples, s.delta[p], order, prefix)
 		sub.delta = s.delta[p][lo:hi]
-		c.subs = append(c.subs, sub)
-	}
-	c.heads = make([]Triple, len(c.subs))
-	c.valid = make([]bool, len(c.subs))
-	for i := range c.subs {
-		c.heads[i], c.valid[i] = c.subs[i].next(order)
+		sub.advance(nil, Triple{}, true, order)
 	}
 	return c
 }
 
-// Next returns the next matching triple, in global permutation order.
+// Next returns the next matching triple, in global permutation order: a
+// one-triple NextBatch.
 func (c *Cursor) Next() (Triple, bool) {
-	for {
-		var t Triple
-		if len(c.subs) == 1 {
-			if !c.valid[0] {
-				return Triple{}, false
-			}
-			t = c.heads[0]
-			c.heads[0], c.valid[0] = c.subs[0].next(c.order)
-		} else {
-			best := -1
-			for i := range c.subs {
-				if c.valid[i] && (best < 0 || permLess(c.heads[i], c.heads[best], c.order)) {
-					best = i
-				}
-			}
-			if best < 0 {
-				return Triple{}, false
-			}
-			t = c.heads[best]
-			c.heads[best], c.valid[best] = c.subs[best].next(c.order)
-		}
-		ok := true
-		for i := 0; i < c.nres; i++ {
-			if t[c.residual[i].Col] != c.residual[i].Val {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return t, true
-		}
+	var one [1]Triple
+	if c.NextBatch(one[:]) == 0 {
+		return Triple{}, false
 	}
+	return one[0], true
 }
 
 // NextBatch decodes up to len(dst) matching triples into dst and returns how
-// many it wrote, in the same global permutation order Next streams. It is the
-// amortized decode primitive of the engine's vectorized scans. A cursor
-// without residual filters decodes the whole batch in one tight loop instead
-// of a per-triple call chain: when no shard stream has overlay positions or
-// tombstones left (what a compacted or reopened store serves), a merge over
-// the buffered heads that copies each shard's base run while it stays below
-// the other heads — on one shard, a flat gather over the permutation index;
-// on one dirty shard, an inlined base/overlay merge with tombstone skips. Any
-// other cursor — residual filters, or several shards of which one is dirty —
-// pulls through Next. Zero means EOF; a short non-zero batch is not EOF
-// (callers keep pulling until zero).
+// many it wrote, in global permutation order. It is the amortized decode
+// primitive of the engine's scans, one loop for every cursor: take the
+// smallest shard head, then copy that shard's run for as long as it sorts
+// below the smallest other live head (to the end of the batch when no other
+// shard is live — a flat gather over the permutation index on a clean
+// shard), and repeat. Each shard merges its base and overlay positions and
+// skips tombstones only when it has any (subCursor.advance); residual
+// filters compact the triples each run copied. Zero means EOF; a short
+// non-zero batch is not EOF (callers keep pulling until zero).
 func (c *Cursor) NextBatch(dst []Triple) int {
-	if len(dst) == 0 {
-		return 0
-	}
-	if c.nres == 0 && c.cleanSubs() {
-		return c.mergeClean(dst)
-	}
-	if len(c.subs) == 1 && c.nres == 0 {
-		if !c.valid[0] {
-			return 0
-		}
-		// Merge base and overlay in permutation order, skipping tombstones —
-		// subCursor.next's loop, amortized over the batch. The buffered head
-		// is always the first triple of the batch.
-		sub := &c.subs[0]
-		dst[0] = c.heads[0]
-		n := 1
-		tris := sub.sn.triples
-		base, delta := sub.base, sub.delta
-		tomb := sub.sn.tomb
-		order := c.order
-		for n < len(dst) {
-			var pos int32
-			switch {
-			case len(base) == 0 && len(delta) == 0:
-				sub.base, sub.delta = base, delta
-				c.valid[0] = false
-				return n
-			case len(delta) == 0:
-				pos, base = base[0], base[1:]
-			case len(base) == 0:
-				pos, delta = delta[0], delta[1:]
-			default:
-				if permLess(tris[delta[0]], tris[base[0]], order) {
-					pos, delta = delta[0], delta[1:]
-				} else {
-					pos, base = base[0], base[1:]
-				}
-			}
-			if len(tomb) > 0 && tombHas(tomb, pos) {
-				continue
-			}
-			dst[n] = tris[pos]
-			n++
-		}
-		sub.base, sub.delta = base, delta
-		c.heads[0], c.valid[0] = sub.next(c.order)
-		return n
-	}
-	n := 0
-	for n < len(dst) {
-		t, ok := c.Next()
-		if !ok {
-			break
-		}
-		dst[n] = t
-		n++
-	}
-	return n
-}
-
-// cleanSubs reports whether no shard stream has overlay positions left or
-// tombstones to skip, so each streams its base range as it lies.
-func (c *Cursor) cleanSubs() bool {
-	for i := range c.subs {
-		if len(c.subs[i].delta) > 0 || len(c.subs[i].sn.tomb) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// mergeClean is NextBatch over clean shard streams: it takes the
-// smallest buffered head, then copies that shard's base run for as long as it
-// sorts below the smallest other live head (to its end when no other shard
-// is live), and repeats.
-func (c *Cursor) mergeClean(dst []Triple) int {
 	order := c.order
 	n := 0
 	for n < len(dst) {
 		best, next := -1, -1
 		for i := range c.subs {
-			if !c.valid[i] {
+			if !c.subs[i].live {
 				continue
 			}
 			switch {
-			case best < 0 || permLess(c.heads[i], c.heads[best], order):
+			case best < 0 || permLess(c.subs[i].head, c.subs[best].head, order):
 				best, next = i, best
-			case next < 0 || permLess(c.heads[i], c.heads[next], order):
+			case next < 0 || permLess(c.subs[i].head, c.subs[next].head, order):
 				next = i
 			}
 		}
@@ -288,34 +197,39 @@ func (c *Cursor) mergeClean(dst []Triple) int {
 			break
 		}
 		sub := &c.subs[best]
-		tris, base := sub.sn.triples, sub.base
-		dst[n] = c.heads[best]
+		var bound Triple
+		if next >= 0 {
+			bound = c.subs[next].head
+		}
+		start := n
+		dst[n] = sub.head
 		n++
-		if next < 0 { // the last live stream: a flat gather
-			m := min(len(dst)-n, len(base))
-			for i, pos := range base[:m] {
-				dst[n+i] = tris[pos]
-			}
-			n += m
-			base = base[m:]
+		n += sub.advance(dst[n:], bound, next < 0, order)
+		if c.nres > 0 {
+			n = start + c.filter(dst[start:n])
 		}
-		for n < len(dst) && len(base) > 0 {
-			t := tris[base[0]]
-			if !permLess(t, c.heads[next], order) {
-				break
-			}
-			dst[n] = t
-			n++
-			base = base[1:]
-		}
-		if len(base) == 0 {
-			sub.base = base
-			c.valid[best] = false
-			continue
-		}
-		c.heads[best], sub.base = tris[base[0]], base[1:]
 	}
 	return n
+}
+
+// filter compacts ts to the triples that pass the residual checks and
+// returns how many remain.
+func (c *Cursor) filter(ts []Triple) int {
+	k := 0
+	for _, t := range ts {
+		ok := true
+		for _, r := range c.residual[:c.nres] {
+			if t[r.Col] != r.Val {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			ts[k] = t
+			k++
+		}
+	}
+	return k
 }
 
 // SeekGE advances the cursor past every triple whose value at column col is
@@ -326,17 +240,14 @@ func (c *Cursor) mergeClean(dst []Triple) int {
 // first remaining triple with t[col] >= key (residual filters still apply).
 func (c *Cursor) SeekGE(col int, key dict.ID) {
 	for i := range c.subs {
-		if c.valid[i] && c.heads[i][col] >= key {
-			continue
-		}
 		sub := &c.subs[i]
-		if !c.valid[i] && len(sub.base) == 0 && len(sub.delta) == 0 {
-			continue // exhausted stream: nothing to skip
+		if !sub.live || sub.head[col] >= key {
+			continue // exhausted, or nothing to skip
 		}
 		tris := sub.sn.triples
 		sub.base = seekPositions(tris, sub.base, col, key)
 		sub.delta = seekPositions(tris, sub.delta, col, key)
-		c.heads[i], c.valid[i] = sub.next(c.order)
+		sub.advance(nil, Triple{}, true, c.order)
 	}
 }
 
@@ -354,7 +265,7 @@ func (c *Cursor) Remaining() int {
 	n := 0
 	for i := range c.subs {
 		n += len(c.subs[i].base) + len(c.subs[i].delta)
-		if c.valid[i] {
+		if c.subs[i].live {
 			n++
 		}
 	}

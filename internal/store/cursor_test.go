@@ -81,57 +81,38 @@ func TestPermString(t *testing.T) {
 	}
 }
 
-// cursorMatches drains a cursor and checks order plus set-equality with Match.
+// checkCursor drains a cursor and checks it against reference triple for
+// triple, order included.
 func checkCursor(t *testing.T, st *Store, p Perm, pat Pattern) {
 	t.Helper()
-	var got []Triple
-	c := st.NewCursor(p, pat)
-	for {
-		tr, ok := c.Next()
-		if !ok {
-			break
-		}
-		got = append(got, tr)
-	}
-	// Order: non-decreasing in permutation order.
-	order := p.Order()
-	for i := 1; i < len(got); i++ {
-		a, b := got[i-1], got[i]
-		less := false
-		eq := true
-		for _, c := range order {
-			if a[c] != b[c] {
-				less = a[c] < b[c]
-				eq = false
-				break
-			}
-		}
-		if !less && !eq {
-			t.Fatalf("cursor %v out of order at %d: %v after %v", p, i, b, a)
-		}
-	}
-	want := st.Match(pat)
-	if len(got) != len(want) {
-		t.Fatalf("cursor %v pat %v: %d triples, Match gives %d", p, pat, len(got), len(want))
-	}
-	sortTriples(got)
-	sortTriples(want)
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("cursor %v pat %v: triple sets differ", p, pat)
-		}
+	got, want := drain(st.NewCursor(p, pat)), reference(st, p, pat)
+	if !slices.Equal(got, want) {
+		t.Fatalf("cursor %v pat %v streams %d triples, reference %d, or they differ", p, pat, len(got), len(want))
 	}
 }
 
-func sortTriples(ts []Triple) {
-	sort.Slice(ts, func(i, j int) bool {
-		for k := 0; k < 3; k++ {
-			if ts[i][k] != ts[j][k] {
-				return ts[i][k] < ts[j][k]
+// reference is the cursor differentials' oracle and shares no code with
+// Cursor: the store's live triples (Triples) that match the pattern, sorted
+// in the permutation's column order.
+func reference(st *Store, p Perm, pat Pattern) []Triple {
+	var out []Triple
+	for _, tr := range st.Triples() {
+		if (pat[S] == Wildcard || tr[S] == pat[S]) &&
+			(pat[P] == Wildcard || tr[P] == pat[P]) &&
+			(pat[O] == Wildcard || tr[O] == pat[O]) {
+			out = append(out, tr)
+		}
+	}
+	order := p.Order()
+	sort.Slice(out, func(i, j int) bool {
+		for _, c := range order {
+			if out[i][c] != out[j][c] {
+				return out[i][c] < out[j][c]
 			}
 		}
 		return false
 	})
+	return out
 }
 
 func TestCursorAllPermsAllPatterns(t *testing.T) {
@@ -199,15 +180,15 @@ func drain(c Cursor) []Triple {
 type cursorFixture struct {
 	name  string
 	st    *Store
-	state string // fixtureState's verdict
+	state string // sideState's verdict, on each side of the layout
 }
 
-// fixtureState classifies a store's published snapshots: "tombstoned" when
-// any shard holds tombstones, "overlay" when any holds insert-overlay
+// sideState classifies one side's published shard snapshots: "tombstoned"
+// when any shard holds tombstones, "overlay" when any holds insert-overlay
 // positions, otherwise "clean" (every triple in a base index).
-func fixtureState(st *Store) string {
+func sideState(shards []*shard) string {
 	state := "clean"
-	for _, sh := range append(append([]*shard(nil), st.shards...), st.oshards...) {
+	for _, sh := range shards {
 		s := sh.cur.Load()
 		if len(s.tomb) > 0 {
 			return "tombstoned"
@@ -222,12 +203,12 @@ func fixtureState(st *Store) string {
 }
 
 // cursorFixtures builds the stores the cursor differentials cover, each
-// pinned to the decode path it exercises: a store loaded one Add at a time
-// stays in its overlays (below deltaMax), a Clone is compacted into the base
-// indexes, and Remove/Add after that leaves overlays and tombstones. The
-// clean stores take NextBatch's merge over shard base runs (a flat gather on
-// one shard), the dirty single-shard ones its inlined overlay merge and the
-// dirty sharded ones its pull through Next.
+// pinned to the snapshot state its shards are in: a store loaded one Add at a
+// time stays in its overlays (below deltaMax), a Clone is compacted into the
+// base indexes, and Remove/Add after that leaves overlays and tombstones — on
+// both sides of a dual layout. Clean shards stream their base runs as they
+// lie; dirty ones merge base and overlay and skip tombstones, one shard or
+// several.
 func cursorFixtures(t *testing.T, n int, seed int64) []cursorFixture {
 	t.Helper()
 	flat := randomStore(t, n, seed)
@@ -254,20 +235,24 @@ func cursorFixtures(t *testing.T, n int, seed int64) []cursorFixture {
 		{"sharded-clean", sharded.Clone(), "clean"},
 		{"sharded-tombstoned", dirty(sharded.Clone(), "ns"), "tombstoned"},
 		{"dual-clean", dual.Clone(), "clean"},
+		{"dual-tombstoned", dirty(dual.Clone(), "nd"), "tombstoned"},
 	}
 	for _, f := range fx {
-		if got := fixtureState(f.st); got != f.state {
-			t.Fatalf("fixture %s is %s, want %s", f.name, got, f.state)
+		for _, side := range [][]*shard{f.st.shards, f.st.oshards} {
+			if got := sideState(side); len(side) > 0 && got != f.state {
+				t.Fatalf("fixture %s has a %s side, want %s", f.name, got, f.state)
+			}
 		}
 	}
 	return fx
 }
 
-// TestCursorNextBatchMatchesNext drives NextBatch against a fresh Next-driven
-// cursor over every permutation and pattern shape, across the decode paths
-// (cursorFixtures) and residual-filtered patterns. Varied batch sizes catch
-// resume bugs at batch boundaries.
-func TestCursorNextBatchMatchesNext(t *testing.T) {
+// TestCursorNextBatchMatchesReference drains NextBatch over every
+// permutation and pattern shape on every fixture, against reference: each
+// snapshot state, one shard and several, with and without residual filters.
+// Varied batch sizes catch resume bugs at batch boundaries. Every dirty
+// multi-shard fixture must see residual-filtered cursors over several shards.
+func TestCursorNextBatchMatchesReference(t *testing.T) {
 	for _, fx := range cursorFixtures(t, 300, 7) {
 		name, st := fx.name, fx.st
 		ts := st.Triples()
@@ -275,23 +260,20 @@ func TestCursorNextBatchMatchesNext(t *testing.T) {
 			{},
 			{Wildcard, ts[1][P], Wildcard},
 			{ts[3][S], ts[3][P], Wildcard},
-			{ts[4][S], Wildcard, ts[4][O]}, // forces residual filters on some perms
-			{Wildcard, ts[5][P], ts[5][O]},
+			{ts[4][S], Wildcard, ts[4][O]}, // residual filters on one shard under some perms
+			{Wildcard, ts[5][P], ts[5][O]}, // ... and over every shard of a side
+			{Wildcard, Wildcard, ts[6][O]},
 		}
+		residualFanOut := 0
 		for _, pat := range pats {
 			for p := SPO; p <= OPS; p++ {
+				want := reference(st, p, pat)
 				for _, bs := range []int{1, 3, 64, 1024} {
-					var want []Triple
-					ref := st.NewCursor(p, pat)
-					for {
-						tr, ok := ref.Next()
-						if !ok {
-							break
-						}
-						want = append(want, tr)
-					}
 					var got []Triple
 					c := st.NewCursor(p, pat)
+					if c.nres > 0 && len(c.subs) > 1 {
+						residualFanOut++
+					}
 					buf := make([]Triple, bs)
 					for {
 						n := c.NextBatch(buf)
@@ -301,7 +283,7 @@ func TestCursorNextBatchMatchesNext(t *testing.T) {
 						got = append(got, buf[:n]...)
 					}
 					if len(got) != len(want) {
-						t.Fatalf("%s perm=%v pat=%v bs=%d: NextBatch %d triples, Next %d",
+						t.Fatalf("%s perm=%v pat=%v bs=%d: NextBatch %d triples, reference %d",
 							name, p, pat, bs, len(got), len(want))
 					}
 					for i := range got {
@@ -313,24 +295,19 @@ func TestCursorNextBatchMatchesNext(t *testing.T) {
 				}
 			}
 		}
+		if fx.state == "tombstoned" && st.NumShards() > 1 && residualFanOut == 0 {
+			t.Fatalf("%s: no residual-filtered cursor spans several shards", name)
+		}
 	}
 }
 
 // TestCursorNextBatchInterleaved mixes Next and NextBatch calls on one
-// cursor over every fixture: the head-buffer handoff between the two paths
-// must not skip or duplicate triples.
+// cursor over every fixture: a one-triple pull and a batch must hand the
+// shard heads over without skipping or duplicating triples.
 func TestCursorNextBatchInterleaved(t *testing.T) {
 	for _, fx := range cursorFixtures(t, 200, 11) {
 		st := fx.st
-		var want []Triple
-		ref := st.NewCursor(PSO, Pattern{})
-		for {
-			tr, ok := ref.Next()
-			if !ok {
-				break
-			}
-			want = append(want, tr)
-		}
+		want := reference(st, PSO, Pattern{})
 		c := st.NewCursor(PSO, Pattern{})
 		var got []Triple
 		buf := make([]Triple, 7)
@@ -350,7 +327,7 @@ func TestCursorNextBatchInterleaved(t *testing.T) {
 			got = append(got, buf[:n]...)
 		}
 		if !slices.Equal(got, want) {
-			t.Fatalf("%s: interleaved drain streams %d triples, Next %d, or they differ", fx.name, len(got), len(want))
+			t.Fatalf("%s: interleaved drain streams %d triples, reference %d, or they differ", fx.name, len(got), len(want))
 		}
 	}
 }
@@ -367,11 +344,11 @@ func TestCursorRemaining(t *testing.T) {
 	}
 }
 
-// TestCursorSeekGE drives SeekGE against a reference cursor that skips by
-// draining Next, over every fixture (clean, overlay and tombstoned; one
-// shard and several), every permutation, and seek keys landing before,
-// inside and past each stream. After each seek the remainders must match
-// triple for triple, drained by Next and by NextBatch.
+// TestCursorSeekGE drives SeekGE against reference with the skipped triples
+// dropped, over every fixture (clean, overlay and tombstoned; one shard and
+// several), every permutation, and seek keys landing before, inside and past
+// each stream. After each seek the remainders must match triple for triple,
+// drained by Next and by NextBatch.
 func TestCursorSeekGE(t *testing.T) {
 	for _, fx := range cursorFixtures(t, 300, 7) {
 		name, st := fx.name, fx.st
@@ -399,36 +376,24 @@ func TestCursorSeekGE(t *testing.T) {
 				// Sample seek keys: 0, a few stream values (exact and +1),
 				// and past the end.
 				keys := []dict.ID{0, 1 << 40}
-				probe := st.NewCursor(p, pat)
-				for i := 0; ; i++ {
-					tr, ok := probe.Next()
-					if !ok {
-						break
-					}
-					if i%17 == 0 {
-						keys = append(keys, tr[col], tr[col]+1)
-					}
+				all := reference(st, p, pat)
+				for i := 0; i < len(all); i += 17 {
+					keys = append(keys, all[i][col], all[i][col]+1)
 				}
 				for ki, key := range keys {
 					// Mix of positions before seeking: fresh cursor, and one
 					// mid-stream (a few Next calls consumed).
 					for _, pre := range []int{0, 3} {
-						ref := st.NewCursor(p, pat)
 						c := st.NewCursor(p, pat)
 						cb := st.NewCursor(p, pat)
 						for i := 0; i < pre; i++ {
-							ref.Next()
 							c.Next()
 							cb.Next()
 						}
 						c.SeekGE(col, key)
 						cb.SeekGE(col, key)
 						var want []Triple
-						for {
-							tr, ok := ref.Next()
-							if !ok {
-								break
-							}
+						for _, tr := range all[min(pre, len(all)):] {
 							if tr[col] >= key {
 								want = append(want, tr)
 							}

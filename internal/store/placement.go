@@ -143,8 +143,7 @@ func (pl Placement) Route(p Perm, pat Pattern) Route {
 // of the routed side, so pruning effectiveness (1.0 = no pruning possible,
 // 1/K = every open was a point route) is observable in production via /stats
 // and rdfviews -cache-stats. All fields are atomics; concurrent readers
-// record without locks. A scan that walks a route's shards one at a time
-// records once for the whole route, not once per shard.
+// record without locks.
 type PruneStats struct {
 	Opens        atomic.Int64 // routed cursor opens
 	ShardsOpened atomic.Int64 // shards those opens actually touched

@@ -96,51 +96,18 @@ func (s *Snapshot) Contains(t Triple) bool {
 }
 
 // NewCursor opens a cursor over the pinned snapshot, placement-routed to the
-// minimal shard subset (see Store.NewCursor).
+// minimal shard subset and recorded in the store's pruning ledger (see
+// Store.NewCursor).
 func (s *Snapshot) NewCursor(p Perm, pat Pattern) Cursor {
-	return s.RouteCursor(s.Placement().Route(p, pat), p, pat)
-}
-
-// RouteCursor opens a cursor merged over exactly the route's pinned shards,
-// recording the open in the store's pruning ledger.
-func (s *Snapshot) RouteCursor(r Route, p Perm, pat Pattern) Cursor {
+	r := s.Placement().Route(p, pat)
 	sns := s.routeSnaps(r)
 	s.st.prune.record(len(sns), r.K)
 	return cursorOverSnaps(sns, p, pat)
 }
 
-// RouteShardCursor opens a cursor over the route's k-th pinned shard only;
-// the open of shard 0 records the whole walk (see Store.RouteShardCursor).
-func (s *Snapshot) RouteShardCursor(r Route, k int, p Perm, pat Pattern) Cursor {
-	sns := s.routeSnaps(r)
-	if k == 0 {
-		s.st.prune.record(len(sns), r.K)
-	}
-	return cursorOverSnaps(sns[k:k+1], p, pat)
-}
-
 // Scan visits every snapshot triple matching the pattern in the order of the
 // chosen index, until fn returns false.
-func (s *Snapshot) Scan(pat Pattern, fn func(Triple) bool) {
-	pi, _ := indexFor(pat)
-	c := s.NewCursor(Perm(pi), pat)
-	for {
-		t, ok := c.Next()
-		if !ok {
-			return
-		}
-		if !fn(t) {
-			return
-		}
-	}
-}
+func (s *Snapshot) Scan(pat Pattern, fn func(Triple) bool) { scan(s, pat, fn) }
 
 // Match returns all snapshot triples matching the pattern.
-func (s *Snapshot) Match(pat Pattern) []Triple {
-	out := make([]Triple, 0, 16)
-	s.Scan(pat, func(t Triple) bool {
-		out = append(out, t)
-		return true
-	})
-	return out
-}
+func (s *Snapshot) Match(pat Pattern) []Triple { return match(s, pat) }

@@ -7,8 +7,7 @@
 //     at construction; K=1 is the degenerate single-table layout and the
 //     default). All triples sharing a subject land in the same shard, so
 //     subject-bound lookups touch exactly one shard while unbound scans
-//     read all of them, merged into one ordered stream or one shard after
-//     another (RouteShardCursor).
+//     read all of them, merged into one ordered stream (Cursor).
 //   - Optionally the layout is dual-partitioned: NewDual adds a second family
 //     of shards holding object-hash-partitioned replicas of every triple, so
 //     object-bound patterns (the dominant shape of reformulated union
@@ -175,8 +174,8 @@ type Reader interface {
 	// NumShards returns the number of subject-side hash partitions.
 	NumShards() int
 	// Placement returns the shard router describing the partition layout.
-	// The engine consults it for the minimal shard subset (Route) a scan
-	// walks and Explain annotates.
+	// The engine consults it for the minimal shard subset (Route) Explain
+	// annotates.
 	Placement() Placement
 	// Len returns the number of distinct live triples.
 	Len() int
@@ -184,13 +183,9 @@ type Reader interface {
 	Count(pat Pattern) int
 	// Contains reports whether the exact triple is present.
 	Contains(t Triple) bool
-	// NewCursor opens an ordered prefix-range cursor (see Store.NewCursor).
+	// NewCursor opens an ordered prefix-range cursor merged over the
+	// pattern's placement route (see Store.NewCursor).
 	NewCursor(p Perm, pat Pattern) Cursor
-	// RouteCursor opens a cursor merged over exactly the route's shards.
-	RouteCursor(r Route, p Perm, pat Pattern) Cursor
-	// RouteShardCursor opens a cursor over the route's k-th shard only — the
-	// per-shard stream a scan walking its route reads, k = 0 … r.Len()-1.
-	RouteShardCursor(r Route, k int, p Perm, pat Pattern) Cursor
 	// Scan visits every triple matching the pattern in index order until fn
 	// returns false (see Store.Scan).
 	Scan(pat Pattern, fn func(Triple) bool)
@@ -525,24 +520,34 @@ func (st *Store) routeShards(r Route) []*shard {
 
 // Scan visits every triple matching the pattern, in the global order of the
 // chosen index (shard streams are merged), until fn returns false.
-func (st *Store) Scan(pat Pattern, fn func(Triple) bool) {
+func (st *Store) Scan(pat Pattern, fn func(Triple) bool) { scan(st, pat, fn) }
+
+// Match returns all triples matching the pattern.
+func (st *Store) Match(pat Pattern) []Triple { return match(st, pat) }
+
+// scan is Scan over either Reader: it drains the cursor of the index
+// indexFor picks for the pattern, a batch at a time.
+func scan(r Reader, pat Pattern, fn func(Triple) bool) {
 	pi, _ := indexFor(pat)
-	c := st.NewCursor(Perm(pi), pat)
+	c := r.NewCursor(Perm(pi), pat)
+	var buf [64]Triple
 	for {
-		t, ok := c.Next()
-		if !ok {
+		n := c.NextBatch(buf[:])
+		if n == 0 {
 			return
 		}
-		if !fn(t) {
-			return
+		for _, t := range buf[:n] {
+			if !fn(t) {
+				return
+			}
 		}
 	}
 }
 
-// Match returns all triples matching the pattern.
-func (st *Store) Match(pat Pattern) []Triple {
+// match is Match over either Reader.
+func match(r Reader, pat Pattern) []Triple {
 	out := make([]Triple, 0, 16)
-	st.Scan(pat, func(t Triple) bool {
+	scan(r, pat, func(t Triple) bool {
 		out = append(out, t)
 		return true
 	})

@@ -33,9 +33,8 @@
 //     through a compatible permutation, hash joins otherwise, then
 //     projection and duplicate elimination — choosing the join order from
 //     the same cardinality statistics the cost model uses. Over a sharded
-//     store, a driving scan whose sort order no merge join reads walks its
-//     route's shards one after another; any other scan reads one cursor
-//     merged over them. A streaming executor then pulls dictionary-encoded
+//     store, every scan reads one cursor merged over its route's shards. A
+//     streaming executor then pulls dictionary-encoded
 //     tuples through slice-based variable registers (no per-row maps, no
 //     string keys). Rewriting plans over materialized views execute on the
 //     same operator set, whose hash joins choose their build side from the
