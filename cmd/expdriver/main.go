@@ -120,7 +120,7 @@ func runExp(args []string, stdout, stderr io.Writer) error {
 		budget  = fs.Duration("budget", 0, "search time budget per run (default: scale preset)")
 		states  = fs.Int("maxstates", 0, "state budget standing in for memory (default: preset)")
 		scale   = choice(fs, "scale", "small|medium", exp.SmallScale, exp.MediumScale)
-		atoms   = fs.Int("atoms", 0, "fig5 atoms per query (default 4) / fig6 atoms (default 10)")
+		atoms   = fs.Int("atoms", 0, "atoms per query: fig5 (default 3), fig6 (default 10), ablation (default 5)")
 		repeats = fs.Int("repeats", 3, "fig8 timing repetitions")
 		csv     = fs.Bool("csv", false, "fig7: also print CSV timelines")
 		sizes   []int

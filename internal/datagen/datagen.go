@@ -111,15 +111,21 @@ func GenerateSchema(cfg Config) *rdf.Schema {
 	return s
 }
 
-// Generate builds the dataset and its schema into a fresh store. Property
-// usage follows a Zipf-like rank distribution (rank r has weight 1/(r+1)),
-// ~20% of triples are rdf:type assertions, and ~15% of objects are literals,
-// approximating the profile of library-catalog data.
+// Generate builds the dataset and its schema into a fresh store.
 func Generate(cfg Config) (*store.Store, *rdf.Schema) {
+	st := store.New()
+	return st, GenerateInto(st, cfg)
+}
+
+// GenerateInto adds the dataset to st, until st holds cfg.Triples triples,
+// and returns its schema. Property usage follows a Zipf-like rank
+// distribution (rank r has weight 1/(r+1)), ~20% of triples are rdf:type
+// assertions, and ~15% of objects are literals, approximating the profile of
+// library-catalog data.
+func GenerateInto(st *store.Store, cfg Config) *rdf.Schema {
 	cfg = cfg.withDefaults()
 	schema := GenerateSchema(cfg)
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	st := store.New()
 	d := st.Dict()
 
 	typeID := d.EncodeIRI(rdf.RDFType)
@@ -179,7 +185,7 @@ func Generate(cfg Config) (*store.Store, *rdf.Schema) {
 			st.Add(store.Triple{sub, pickProp(), pickRes()})
 		}
 	}
-	return st, schema
+	return schema
 }
 
 func minInt(a, b int) int {

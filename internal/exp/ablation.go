@@ -1,9 +1,10 @@
 package exp
 
 import (
+	"strconv"
 	"time"
 
-	"rdfviews/internal/core"
+	"rdfviews"
 	"rdfviews/internal/workload"
 )
 
@@ -38,40 +39,21 @@ func Ablation(sc Scale, queries, atoms int) AblationResult {
 
 	strategies := []struct {
 		name  string
-		strat core.Strategy
+		strat rdfviews.Strategy
 	}{
-		{"EXNAIVE", core.ExNaive},
-		{"EXSTR", core.ExStr},
-		{"DFS", core.DFS},
-		{"GSTR", core.GSTR},
-	}
-	combos := []struct {
-		name     string
-		avf, stv bool
-	}{
-		{"NONE", false, false},
-		{"AVF", true, false},
-		{"STV", false, true},
-		{"AVF-STV", true, true},
+		{"EXNAIVE", rdfviews.StrategyExNaive},
+		{"EXSTR", rdfviews.StrategyExStr},
+		{"DFS", rdfviews.StrategyDFS},
+		{"GSTR", rdfviews.StrategyGSTR},
 	}
 	var out AblationResult
 	for _, s := range strategies {
-		for _, cb := range combos {
-			s0, ctx, err := core.InitialState(wl)
+		for _, cb := range heuristicCombos {
+			rec, err := tb.db.Recommend(wl, sc.plain(s.strat, cb.avf, cb.stv))
 			if err != nil {
 				continue
 			}
-			res, err := core.Search(s0, ctx, core.Options{
-				Strategy:  s.strat,
-				AVF:       cb.avf,
-				STV:       cb.stv,
-				Timeout:   sc.Budget,
-				MaxStates: sc.MaxStates,
-				Estimator: tb.estimator(),
-			})
-			if err != nil {
-				continue
-			}
+			res := rec.Result()
 			out.Rows = append(out.Rows, AblationRow{
 				Strategy:   s.name,
 				Heuristics: cb.name,
@@ -92,7 +74,7 @@ func (r AblationResult) String() string {
 	for _, row := range r.Rows {
 		rows = append(rows, []string{
 			row.Strategy, row.Heuristics, f3(row.RCR),
-			fmt_itoa(row.Created), fmt_itoa(row.StatesSeen),
+			strconv.Itoa(row.Created), strconv.Itoa(row.StatesSeen),
 			row.Duration.Round(time.Millisecond).String(),
 			boolStr(!row.TimedOut),
 		})

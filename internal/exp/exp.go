@@ -1,7 +1,9 @@
 // Package exp is the benchmark harness regenerating every table and figure
 // of the paper's experimental evaluation (Section 6). Each experiment
 // returns structured rows plus a text rendering; cmd/expdriver and the
-// root-level benchmarks drive them.
+// package's benchmarks drive them. Every figure selects views through the
+// library's public entry point, Database.Recommend, so it measures the
+// recommendation a user gets.
 //
 // Scales: the paper ran 30-minute to 3-hour searches on a 35M-triple Barton
 // dataset; the harness defaults to seconds-scale budgets over a synthetic
@@ -10,17 +12,15 @@
 package exp
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"time"
 
-	"rdfviews/internal/cost"
-	"rdfviews/internal/cq"
+	"rdfviews"
 	"rdfviews/internal/datagen"
 	"rdfviews/internal/rdf"
 	"rdfviews/internal/reason"
-	"rdfviews/internal/stats"
-	"rdfviews/internal/store"
 	"rdfviews/internal/workload"
 )
 
@@ -36,8 +36,10 @@ type Scale struct {
 	Seed int64
 }
 
-// SmallScale finishes the full suite in roughly a minute; the shape of every
-// result (who wins, by how much) already matches the paper at this scale.
+// SmallScale finishes the full suite in roughly a minute. Most findings
+// keep their shape at this scale (who wins, and roughly by how much), but
+// not all: Figure 6's DFS reaches neither the paper's ≈0.99 rcr nor its
+// ≈3.2 atoms per view.
 func SmallScale() Scale {
 	return Scale{Budget: 1500 * time.Millisecond, Triples: 20000, MaxStates: 150000, Seed: 2011}
 }
@@ -47,23 +49,48 @@ func MediumScale() Scale {
 	return Scale{Budget: 30 * time.Second, Triples: 200000, MaxStates: 2000000, Seed: 2011}
 }
 
-// testbed is the shared environment: the Barton-like dataset, its schema
-// (both string-level and encoded), the post-reformulation statistics of the
-// two — they never move, so every series reads one provider — and vocabulary
+// plain is the objective of Figures 4–6 and the ablation: explicit triples
+// only, and the paper's fixed cm = 0.5 instead of a calibrated one.
+func (sc Scale) plain(strategy rdfviews.Strategy, avf, stv bool) rdfviews.Options {
+	return rdfviews.Options{
+		Strategy:   strategy,
+		Reasoning:  rdfviews.ReasoningNone,
+		DisableAVF: !avf,
+		DisableSTV: !stv,
+		Timeout:    sc.Budget,
+		MaxStates:  sc.MaxStates,
+		Weights:    rdfviews.Weights{CM: 0.5},
+	}
+}
+
+// reasoned is the objective of Figures 7 and 8: DFS-AVF-STV under a
+// reasoning mode, with cm calibrated on the initial state.
+func (sc Scale) reasoned(mode rdfviews.Reasoning) rdfviews.Options {
+	return rdfviews.Options{Reasoning: mode, Timeout: sc.Budget, MaxStates: sc.MaxStates}
+}
+
+// testbed is the shared environment: a database holding the Barton-like
+// dataset and its schema, the schema encoded over the database's dictionary
+// (Table 3 reformulates with it, Figure 8 saturates with it), and vocabulary
 // slices for the workload generators.
 type testbed struct {
-	st        *store.Store
-	rschema   *rdf.Schema
-	schema    *reason.Schema
-	postStats *stats.ReformulatedStats
-	props     []string
-	consts    []string
+	db     *rdfviews.Database
+	schema *reason.Schema
+	props  []string
+	consts []string
 }
 
 func newTestbed(sc Scale) *testbed {
-	st, rschema := datagen.Generate(datagen.Config{Triples: sc.Triples, Seed: sc.Seed})
-	tb := &testbed{st: st, rschema: rschema, schema: reason.NewSchema(rschema, st.Dict())}
-	tb.postStats = stats.NewReformulatedStats(st, tb.schema)
+	db := rdfviews.NewDatabase()
+	var nt bytes.Buffer
+	rschema := datagen.GenerateInto(db.Store(), datagen.Config{Triples: sc.Triples, Seed: sc.Seed})
+	if err := rdf.Write(&nt, rschema.Graph()); err != nil {
+		panic(err)
+	}
+	if _, err := db.LoadSchema(&nt); err != nil {
+		panic(err) // the generator writes IRI-only RDFS statements
+	}
+	tb := &testbed{db: db, schema: reason.NewSchema(db.Schema(), db.Store().Dict())}
 	for i := 0; i < 16; i++ {
 		tb.props = append(tb.props, datagen.PropName(i))
 	}
@@ -77,20 +104,9 @@ func newTestbed(sc Scale) *testbed {
 	return tb
 }
 
-// estimator builds the plain-store estimator.
-func (tb *testbed) estimator() *cost.Estimator {
-	return cost.NewEstimator(stats.NewStoreStats(tb.st), cost.DefaultWeights())
-}
-
-// postEstimator builds a post-reformulation estimator: reformulated
-// statistics over the non-saturated store.
-func (tb *testbed) postEstimator() *cost.Estimator {
-	return cost.NewEstimator(tb.postStats, cost.DefaultWeights())
-}
-
 // genWorkload draws a free-standing workload over the testbed vocabulary.
-func (tb *testbed) genWorkload(n, atoms int, shape workload.Shape, comm workload.Commonality, seed int64) []*cq.Query {
-	return workload.Generate(tb.st.Dict(), workload.Spec{
+func (tb *testbed) genWorkload(n, atoms int, shape workload.Shape, comm workload.Commonality, seed int64) *rdfviews.Workload {
+	return &rdfviews.Workload{Queries: workload.Generate(tb.db.Store().Dict(), workload.Spec{
 		Queries:       n,
 		AtomsPerQuery: atoms,
 		Shape:         shape,
@@ -98,7 +114,7 @@ func (tb *testbed) genWorkload(n, atoms int, shape workload.Shape, comm workload
 		PropVocab:     tb.props,
 		ConstVocab:    tb.consts,
 		Seed:          seed,
-	})
+	})}
 }
 
 // renderTable aligns rows of columns into a text table.

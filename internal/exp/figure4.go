@@ -2,7 +2,9 @@ package exp
 
 import (
 	"errors"
+	"strconv"
 
+	"rdfviews"
 	"rdfviews/internal/core"
 	"rdfviews/internal/workload"
 )
@@ -40,15 +42,15 @@ type Fig4Result struct {
 
 var fig4Strategies = []struct {
 	name  string
-	strat core.Strategy
+	strat rdfviews.Strategy
 	avf   bool
 	stv   bool
 }{
-	{"Greedy", core.RelGreedy, false, false},
-	{"Heuristic", core.RelHeuristic, false, false},
-	{"Pruning", core.RelPruning, false, false},
-	{"DFS-AVF-STV", core.DFS, true, true},
-	{"GSTR-AVF-STV", core.GSTR, true, true},
+	{"Greedy", rdfviews.StrategyGreedy, false, false},
+	{"Heuristic", rdfviews.StrategyHeuristic, false, false},
+	{"Pruning", rdfviews.StrategyPruning, false, false},
+	{"DFS-AVF-STV", rdfviews.StrategyDFS, true, true},
+	{"GSTR-AVF-STV", rdfviews.StrategyGSTR, true, true},
 }
 
 // Figure4 runs the experiment at the given scale.
@@ -58,25 +60,15 @@ func Figure4(sc Scale) Fig4Result {
 	for _, atoms := range []int{5, 10} {
 		for _, shape := range []workload.Shape{workload.Star, workload.Chain} {
 			for _, comm := range []workload.Commonality{workload.High, workload.Low} {
-				queries := tb.genWorkload(5, atoms, shape, comm, sc.Seed+int64(atoms))
+				w := tb.genWorkload(5, atoms, shape, comm, sc.Seed+int64(atoms))
 				for _, s := range fig4Strategies {
 					cell := Fig4Cell{Atoms: atoms, Shape: shape, Commonality: comm, Strategy: s.name}
-					s0, ctx, err := core.InitialState(queries)
-					if err == nil {
-						res, serr := core.Search(s0, ctx, core.Options{
-							Strategy:  s.strat,
-							AVF:       s.avf,
-							STV:       s.stv,
-							Timeout:   sc.Budget,
-							MaxStates: sc.MaxStates,
-							Estimator: tb.estimator(),
-						})
-						if errors.Is(serr, core.ErrStateBudget) {
-							cell.OOM = true
-						} else if serr == nil {
-							cell.RCR = res.RCR()
-							cell.TimedOut = res.TimedOut
-						}
+					rec, err := tb.db.Recommend(w, sc.plain(s.strat, s.avf, s.stv))
+					if errors.Is(err, core.ErrStateBudget) {
+						cell.OOM = true
+					} else if err == nil {
+						cell.RCR = rec.RCR()
+						cell.TimedOut = rec.Result().TimedOut
 					}
 					out.Cells = append(out.Cells, cell)
 				}
@@ -97,11 +89,9 @@ func (r Fig4Result) String() string {
 			v += " (t/o)"
 		}
 		rows = append(rows, []string{
-			itoa(c.Atoms), c.Shape.String(), c.Commonality.String(), c.Strategy, v,
+			strconv.Itoa(c.Atoms), c.Shape.String(), c.Commonality.String(), c.Strategy, v,
 		})
 	}
 	return "Figure 4: strategy comparison on small workloads (5 queries)\n" +
 		renderTable([]string{"atoms", "shape", "commonality", "strategy", "rcr"}, rows)
 }
-
-func itoa(i int) string { return fmt_itoa(i) }

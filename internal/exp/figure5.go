@@ -3,11 +3,10 @@ package exp
 import (
 	"strconv"
 
+	"rdfviews"
 	"rdfviews/internal/core"
 	"rdfviews/internal/workload"
 )
-
-func fmt_itoa(i int) string { return strconv.Itoa(i) }
 
 // Figure 5 (Section 6.3): impact of the AVF and STV heuristics on the
 // search-space size, measured as created / duplicate / discarded / explored
@@ -44,34 +43,15 @@ func Figure5(sc Scale, atoms int) Fig5Result {
 	sc.Budget *= 20
 	sc.MaxStates *= 20
 	tb := newTestbed(sc)
-	queries := tb.genWorkload(2, atoms, workload.Star, workload.Low, sc.Seed+5)
+	w := tb.genWorkload(2, atoms, workload.Star, workload.Low, sc.Seed+5)
 
-	combos := []struct {
-		name     string
-		avf, stv bool
-	}{
-		{"NONE", false, false},
-		{"AVF", true, false},
-		{"STV", false, true},
-		{"AVF-STV", true, true},
-	}
 	var out Fig5Result
-	for _, cb := range combos {
-		s0, ctx, err := core.InitialState(queries)
+	for _, cb := range heuristicCombos {
+		rec, err := tb.db.Recommend(w, sc.plain(rdfviews.StrategyDFS, cb.avf, cb.stv))
 		if err != nil {
 			continue
 		}
-		res, serr := core.Search(s0, ctx, core.Options{
-			Strategy:  core.DFS,
-			AVF:       cb.avf,
-			STV:       cb.stv,
-			Timeout:   sc.Budget,
-			MaxStates: sc.MaxStates,
-			Estimator: tb.estimator(),
-		})
-		if serr != nil {
-			continue
-		}
+		res := rec.Result()
 		out.Rows = append(out.Rows, Fig5Row{
 			Heuristics: cb.name,
 			Counters:   res.Counters,
@@ -82,16 +62,28 @@ func Figure5(sc Scale, atoms int) Fig5Result {
 	return out
 }
 
+// heuristicCombos are the four AVF × STV settings of Figure 5 and the
+// ablation.
+var heuristicCombos = []struct {
+	name     string
+	avf, stv bool
+}{
+	{"NONE", false, false},
+	{"AVF", true, false},
+	{"STV", false, true},
+	{"AVF-STV", true, true},
+}
+
 // String renders the figure as a table.
 func (r Fig5Result) String() string {
 	rows := make([][]string, 0, len(r.Rows))
 	for _, row := range r.Rows {
 		rows = append(rows, []string{
 			row.Heuristics,
-			fmt_itoa(row.Counters.Created),
-			fmt_itoa(row.Counters.Duplicates),
-			fmt_itoa(row.Counters.Discarded),
-			fmt_itoa(row.Counters.Explored),
+			strconv.Itoa(row.Counters.Created),
+			strconv.Itoa(row.Counters.Duplicates),
+			strconv.Itoa(row.Counters.Discarded),
+			strconv.Itoa(row.Counters.Explored),
 			sci(row.BestCost),
 			boolStr(row.Completed),
 		})

@@ -1,7 +1,9 @@
 package exp
 
 import (
-	"rdfviews/internal/core"
+	"strconv"
+
+	"rdfviews"
 	"rdfviews/internal/workload"
 )
 
@@ -15,6 +17,10 @@ import (
 //     dense graphs;
 //   - high commonality yields higher rcr than low;
 //   - DFS ends with small views (≈3.2 atoms avg), GSTR with larger (≈6.5).
+//
+// The first and last do not reproduce at SmallScale: DFS stops improving
+// early, below the paper's rcr, on views of ≈9 atoms, while GSTR keeps
+// improving and leads in most low-commonality cells.
 
 // Fig6Cell is one bar of Figure 6.
 type Fig6Cell struct {
@@ -52,45 +58,35 @@ func Figure6(sc Scale, sizes []int, atoms int) Fig6Result {
 	tb := newTestbed(sc)
 	strategies := []struct {
 		name  string
-		strat core.Strategy
+		strat rdfviews.Strategy
 	}{
-		{"DFS-AVF-STV", core.DFS},
-		{"GSTR-AVF-STV", core.GSTR},
+		{"DFS-AVF-STV", rdfviews.StrategyDFS},
+		{"GSTR-AVF-STV", rdfviews.StrategyGSTR},
 	}
 	var out Fig6Result
 	var dfsAtoms, gstrAtoms []float64
 	for _, shape := range Fig6Shapes {
 		for _, comm := range []workload.Commonality{workload.High, workload.Low} {
 			for _, n := range sizes {
-				queries := tb.genWorkload(n, atoms, shape, comm, sc.Seed+int64(n)*31)
+				w := tb.genWorkload(n, atoms, shape, comm, sc.Seed+int64(n)*31)
 				for _, s := range strategies {
-					s0, ctx, err := core.InitialState(queries)
+					rec, err := tb.db.Recommend(w, sc.plain(s.strat, true, true))
 					if err != nil {
 						continue
 					}
-					res, serr := core.Search(s0, ctx, core.Options{
-						Strategy:  s.strat,
-						AVF:       true,
-						STV:       true,
-						Timeout:   sc.Budget,
-						MaxStates: sc.MaxStates,
-						Estimator: tb.estimator(),
-					})
-					if serr != nil {
-						continue
-					}
+					avg := rec.Result().AvgAtomsPerView
 					out.Cells = append(out.Cells, Fig6Cell{
 						Strategy:    s.name,
 						Shape:       shape,
 						Commonality: comm,
 						Queries:     n,
-						RCR:         res.RCR(),
-						AvgAtoms:    res.AvgAtomsPerView,
+						RCR:         rec.RCR(),
+						AvgAtoms:    avg,
 					})
-					if s.strat == core.DFS {
-						dfsAtoms = append(dfsAtoms, res.AvgAtomsPerView)
+					if s.strat == rdfviews.StrategyDFS {
+						dfsAtoms = append(dfsAtoms, avg)
 					} else {
-						gstrAtoms = append(gstrAtoms, res.AvgAtomsPerView)
+						gstrAtoms = append(gstrAtoms, avg)
 					}
 				}
 			}
@@ -118,7 +114,7 @@ func (r Fig6Result) String() string {
 	for _, c := range r.Cells {
 		rows = append(rows, []string{
 			c.Strategy, c.Shape.String(), c.Commonality.String(),
-			fmt_itoa(c.Queries), f3(c.RCR), f3(c.AvgAtoms),
+			strconv.Itoa(c.Queries), f3(c.RCR), f3(c.AvgAtoms),
 		})
 	}
 	return "Figure 6: relative cost reduction for large workloads (10 atoms/query)\n" +

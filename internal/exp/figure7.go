@@ -2,13 +2,13 @@ package exp
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
+	"rdfviews"
 	"rdfviews/internal/core"
-	"rdfviews/internal/cost"
 	"rdfviews/internal/cq"
 	"rdfviews/internal/reason"
-	"rdfviews/internal/stats"
 	"rdfviews/internal/workload"
 )
 
@@ -55,10 +55,19 @@ type ReformResult struct {
 	Ratio map[string]float64
 }
 
+// reformModes are Figure 7's two series and Figure 8's two view sets.
+// Post-reformulation searches the original workload on reformulated
+// statistics; pre-reformulation searches the reformulated workload on the
+// original statistics.
+var reformModes = []struct {
+	name string
+	mode rdfviews.Reasoning
+}{{"post-reform.", rdfviews.ReasoningPost}, {"pre-reform.", rdfviews.ReasoningPre}}
+
 // reformWorkloads builds Q1 ⊂ Q2 satisfiable on the testbed, biased toward
 // type atoms so that reformulation has schema statements to traverse.
 func reformWorkloads(tb *testbed, sc Scale) (q1, q2 []*cq.Query, err error) {
-	qs, err := workload.GenerateSatisfiable(tb.st, workload.Spec{
+	qs, err := workload.GenerateSatisfiable(tb.db.Store(), workload.Spec{
 		Queries:       10,
 		AtomsPerQuery: 5,
 		Commonality:   workload.High,
@@ -82,7 +91,6 @@ func ReformExperiment(sc Scale) (ReformResult, error) {
 		name    string
 		queries []*cq.Query
 	}{{"Q1", q1}, {"Q2", q2}} {
-		reforms := make([]*cq.UCQ, len(wl.queries))
 		row := Table3Row{Name: wl.name, Queries: len(wl.queries)}
 		for i, q := range wl.queries {
 			row.Atoms += len(q.Atoms)
@@ -91,67 +99,31 @@ func ReformExperiment(sc Scale) (ReformResult, error) {
 			if err != nil {
 				return ReformResult{}, fmt.Errorf("reformulating %s query %d: %w", wl.name, i+1, err)
 			}
-			reforms[i] = u
 			row.RefQueries += u.Len()
 			row.RefAtoms += u.TotalAtoms()
 			row.RefConstants += u.TotalConstants()
 		}
 		out.Table3 = append(out.Table3, row)
 
-		// Post-reformulation: original workload, reformulated statistics.
-		postEst := tb.postEstimator()
-		postRes, err := searchTimeline(wl.queries, nil, postEst, sc)
-		if err != nil {
-			return ReformResult{}, err
+		var final [2]float64
+		for i, m := range reformModes {
+			rec, err := tb.db.Recommend(&rdfviews.Workload{Queries: wl.queries}, sc.reasoned(m.mode))
+			if err != nil {
+				return ReformResult{}, err
+			}
+			final[i] = rec.Cost().Total
+			out.Series = append(out.Series, Fig7Series{
+				Workload: wl.name, Mode: m.name,
+				Timeline: rec.Result().Timeline,
+				Final:    final[i],
+				Initial:  rec.InitialCost().Total,
+			})
 		}
-		out.Series = append(out.Series, Fig7Series{
-			Workload: wl.name, Mode: "post-reform.",
-			Timeline: postRes.Timeline,
-			Final:    postRes.BestCost.Total,
-			Initial:  postRes.InitialCost.Total,
-		})
-
-		// Pre-reformulation: reformulated workload, original statistics.
-		preEst := cost.NewEstimator(stats.NewStoreStats(tb.st), cost.DefaultWeights())
-		preRes, err := searchTimeline(wl.queries, reforms, preEst, sc)
-		if err != nil {
-			return ReformResult{}, err
-		}
-		out.Series = append(out.Series, Fig7Series{
-			Workload: wl.name, Mode: "pre-reform.",
-			Timeline: preRes.Timeline,
-			Final:    preRes.BestCost.Total,
-			Initial:  preRes.InitialCost.Total,
-		})
-		if postRes.BestCost.Total > 0 {
-			out.Ratio[wl.name] = preRes.BestCost.Total / postRes.BestCost.Total
+		if final[0] > 0 {
+			out.Ratio[wl.name] = final[1] / final[0]
 		}
 	}
 	return out, nil
-}
-
-func searchTimeline(queries []*cq.Query, reforms []*cq.UCQ, est *cost.Estimator, sc Scale) (core.Result, error) {
-	var s0 *core.State
-	var ctx *core.Ctx
-	var err error
-	if reforms != nil {
-		s0, ctx, err = core.InitialStateUCQ(queries, reforms)
-	} else {
-		s0, ctx, err = core.InitialState(queries)
-	}
-	if err != nil {
-		return core.Result{}, err
-	}
-	est.W.CM = est.CalibrateCM(s0.ViewQueries(), s0.Plans)
-	return core.Search(s0, ctx, core.Options{
-		Strategy:  core.DFS,
-		AVF:       true,
-		STV:       true,
-		Timeout:   sc.Budget,
-		MaxStates: sc.MaxStates,
-		Estimator: est,
-		Timeline:  true,
-	})
 }
 
 // String renders Table 3 and the Figure 7 summaries.
@@ -159,8 +131,8 @@ func (r ReformResult) String() string {
 	rows := make([][]string, 0, len(r.Table3))
 	for _, t := range r.Table3 {
 		rows = append(rows, []string{
-			t.Name, fmt_itoa(t.Queries), fmt_itoa(t.Atoms), fmt_itoa(t.Constants),
-			fmt_itoa(t.RefQueries), fmt_itoa(t.RefAtoms), fmt_itoa(t.RefConstants),
+			t.Name, strconv.Itoa(t.Queries), strconv.Itoa(t.Atoms), strconv.Itoa(t.Constants),
+			strconv.Itoa(t.RefQueries), strconv.Itoa(t.RefAtoms), strconv.Itoa(t.RefConstants),
 		})
 	}
 	s := "Table 3: workloads used for reformulation experiments\n" +
@@ -170,7 +142,7 @@ func (r ReformResult) String() string {
 	for _, se := range r.Series {
 		srows = append(srows, []string{
 			se.Workload, se.Mode, sci(se.Initial), sci(se.Final),
-			fmt_itoa(len(se.Timeline)),
+			strconv.Itoa(len(se.Timeline)),
 		})
 	}
 	s += renderTable([]string{"workload", "mode", "initial cost", "final best", "timeline points"}, srows)

@@ -2,15 +2,14 @@ package exp
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
-	"rdfviews/internal/algebra"
-	"rdfviews/internal/cost"
+	"rdfviews"
 	"rdfviews/internal/cq"
 	"rdfviews/internal/engine"
 	"rdfviews/internal/rdf3x"
 	"rdfviews/internal/reason"
-	"rdfviews/internal/stats"
 	"rdfviews/internal/store"
 )
 
@@ -62,58 +61,30 @@ func Figure8(sc Scale, repeats int) (Fig8Result, error) {
 	if err != nil {
 		return Fig8Result{}, err
 	}
-	sat := reason.Saturate(tb.st, tb.schema)
+	sat := reason.Saturate(tb.db.Store(), tb.schema)
 	out := Fig8Result{DatabaseRows: sat.Len()}
 
-	// (2) post-reformulation recommendation: search with reformulated stats,
-	// materialize reformulated views on the original store.
-	postEst := tb.postEstimator()
-	postRes, err := searchTimeline(q1, nil, postEst, sc)
-	if err != nil {
-		return Fig8Result{}, err
-	}
-	t0 := time.Now()
-	postMats := make(map[algebra.ViewID]*engine.Relation)
-	for id, v := range postRes.Best.Views {
-		u, err := reason.Reformulate(v.Q, tb.schema, 0)
+	// (2) post-reformulation: views selected on reformulated statistics,
+	// materialized as their reformulations over the original store.
+	// (1) pre-reformulation: views selected from the reformulated workload,
+	// materialized as they are.
+	var mats [2]*rdfviews.Materialized
+	var took [2]time.Duration
+	w := &rdfviews.Workload{Queries: q1}
+	for i, m := range reformModes {
+		rec, err := tb.db.Recommend(w, sc.reasoned(m.mode))
 		if err != nil {
 			return Fig8Result{}, err
 		}
-		rel, err := engine.MaterializeUCQ(tb.st, u)
-		if err != nil {
+		t0 := time.Now()
+		if mats[i], err = rec.Materialize(); err != nil {
 			return Fig8Result{}, err
 		}
-		postMats[id] = rel
-		out.MatRowsPost += rel.Len()
+		took[i] = time.Since(t0)
 	}
-	out.MatTimePost = time.Since(t0)
-
-	// (1) pre-reformulation recommendation: reformulated workload views
-	// materialized directly.
-	reforms := make([]*cq.UCQ, len(q1))
-	for i, q := range q1 {
-		u, err := reason.Reformulate(q, tb.schema, 0)
-		if err != nil {
-			return Fig8Result{}, err
-		}
-		reforms[i] = u
-	}
-	preEst := cost.NewEstimator(stats.NewStoreStats(tb.st), cost.DefaultWeights())
-	preRes, err := searchTimeline(q1, reforms, preEst, sc)
-	if err != nil {
-		return Fig8Result{}, err
-	}
-	t0 = time.Now()
-	preMats := make(map[algebra.ViewID]*engine.Relation)
-	for id, v := range preRes.Best.Views {
-		rel, err := engine.Materialize(tb.st, v.Q)
-		if err != nil {
-			return Fig8Result{}, err
-		}
-		preMats[id] = rel
-		out.MatRowsPre += rel.Len()
-	}
-	out.MatTimePre = time.Since(t0)
+	post, pre := mats[0], mats[1]
+	out.MatTimePost, out.MatRowsPost = took[0], post.NumRows()
+	out.MatTimePre, out.MatRowsPre = took[1], pre.NumRows()
 
 	// (4) restricted triple table: only triples matching some atom of Q1
 	// (evaluated against the saturated store, as the queries are). Warm both
@@ -125,18 +96,13 @@ func Figure8(sc Scale, repeats int) (Fig8Result, error) {
 	// (5) RDF-3X over saturated data.
 	x3 := rdf3x.New(sat)
 
-	// (6) initial state: the queries themselves materialized.
-	initMats := make([]*engine.Relation, len(q1))
-	for i, q := range q1 {
-		u, err := reason.Reformulate(q, tb.schema, 0)
-		if err != nil {
+	// (6) initial state: each query is its own view, whose extent is the
+	// query's answer (taken once from (2)); answering reads it back.
+	initial := make([]*engine.Relation, len(q1))
+	for i := range q1 {
+		if initial[i], err = post.AnswerRelation(i); err != nil {
 			return Fig8Result{}, err
 		}
-		rel, err := engine.MaterializeUCQ(tb.st, u)
-		if err != nil {
-			return Fig8Result{}, err
-		}
-		initMats[i] = rel
 	}
 
 	timeIt := func(f func() (*engine.Relation, error)) (time.Duration, int, error) {
@@ -159,12 +125,12 @@ func Figure8(sc Scale, repeats int) (Fig8Result, error) {
 		var rows [6]int
 		var err error
 		if row.PreViews, rows[0], err = timeIt(func() (*engine.Relation, error) {
-			return answerFromViews(preRes.Best.Plans[i], preMats)
+			return pre.AnswerRelation(i)
 		}); err != nil {
 			return Fig8Result{}, fmt.Errorf("pre views q%d: %w", i+1, err)
 		}
 		if row.PostViews, rows[1], err = timeIt(func() (*engine.Relation, error) {
-			return answerFromViews(postRes.Best.Plans[i], postMats)
+			return post.AnswerRelation(i)
 		}); err != nil {
 			return Fig8Result{}, fmt.Errorf("post views q%d: %w", i+1, err)
 		}
@@ -184,7 +150,7 @@ func Figure8(sc Scale, repeats int) (Fig8Result, error) {
 			return Fig8Result{}, err
 		}
 		if row.Initial, rows[5], err = timeIt(func() (*engine.Relation, error) {
-			return initMats[i], nil
+			return initial[i], nil
 		}); err != nil {
 			return Fig8Result{}, err
 		}
@@ -207,7 +173,13 @@ func restrictStore(src *store.Store, queries []*cq.Query) *store.Store {
 	dst := store.NewWithDict(src.Dict())
 	for _, q := range queries {
 		for _, a := range q.Atoms {
-			src.Scan(stats.PatternOf(a), func(t store.Triple) bool {
+			var pat store.Pattern // variables match anything
+			for i, t := range a {
+				if t.IsConst() {
+					pat[i] = t.ConstID()
+				}
+			}
+			src.Scan(pat, func(t store.Triple) bool {
 				dst.Add(t)
 				return true
 			})
@@ -227,7 +199,7 @@ func (r Fig8Result) String() string {
 			fmt.Sprintf("Q1.%d", row.Query),
 			us(row.PreViews), us(row.PostViews), us(row.Saturated),
 			us(row.Restrict), us(row.RDF3X), us(row.Initial),
-			fmt_itoa(row.Rows),
+			strconv.Itoa(row.Rows),
 		})
 	}
 	s := "Figure 8: execution times for queries with RDFS (µs)\n" +
@@ -237,14 +209,4 @@ func (r Fig8Result) String() string {
 		float64(r.MatTimePost)/float64(time.Millisecond), r.MatRowsPost,
 		float64(r.MatTimePre)/float64(time.Millisecond), r.MatRowsPre, r.DatabaseRows)
 	return s
-}
-
-// answerFromViews runs a rewriting over materialized views, serially, and
-// collects its answers.
-func answerFromViews(p algebra.Plan, mats map[algebra.ViewID]*engine.Relation) (*engine.Relation, error) {
-	rs, err := engine.ExecuteStream(p, engine.MapResolver(mats), engine.ExecOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return rs.Collect()
 }

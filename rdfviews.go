@@ -298,7 +298,6 @@ func (db *Database) Schema() *rdf.Schema { return db.schema }
 // dictionary. Queries use disjoint variable namespaces.
 type Workload struct {
 	Queries []*cq.Query
-	source  []string
 }
 
 // Len returns the number of queries.
@@ -317,14 +316,7 @@ func (db *Database) ParseWorkload(text string) (*Workload, error) {
 	if len(qs) == 0 {
 		return nil, fmt.Errorf("rdfviews: empty workload")
 	}
-	w := &Workload{Queries: qs}
-	for _, line := range strings.Split(text, "\n") {
-		line = strings.TrimSpace(line)
-		if line != "" && !strings.HasPrefix(line, "#") {
-			w.source = append(w.source, line)
-		}
-	}
-	return w, nil
+	return &Workload{Queries: qs}, nil
 }
 
 // MustParseWorkload panics on error; for examples and tests.
