@@ -36,7 +36,7 @@ u2 hasPainted irises .
 	p.ResetNames()
 	views[2] = cq.NewUCQ(p.MustParseQuery("q(A, B) :- t(A, hasPainted, B)"))
 
-	m, err := maintain.New(st, views)
+	m, err := maintain.New(st, views, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -88,7 +88,7 @@ u2 hasPainted irises .
 	// change queue and return; a background refresher folds batches into
 	// copy-on-write extents. Lag reports the freshness gap, Flush is the
 	// barrier that closes it.
-	am, err := maintain.NewWithConfig(st, views, maintain.Config{QueueDepth: 128})
+	am, err := maintain.New(st, views, 128)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -187,11 +187,3 @@ func BodyIsomorphism(q1, q2 *Query) map[Term]Term {
 	}
 	return FindHomomorphism(q1, q2, nil, true)
 }
-
-// IsSelfJoinFree reports whether no two atoms of the query can be mapped to
-// the same triple pattern shape; the relational competitor strategies of [21]
-// assume self-join-free queries (no relation appears twice), which never
-// holds for RDF queries — kept for tests documenting that difference.
-func IsSelfJoinFree(q *Query) bool {
-	return len(q.Atoms) <= 1
-}

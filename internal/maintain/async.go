@@ -10,76 +10,31 @@ package maintain
 // mutex, the queue is an exact, gap-free journal of the store's mutation
 // history, and each delta's snapshot is the store state right after it.
 //
-// Refresher side: drain the queue in batches of at most BatchMax contiguous
-// deltas. For a batch with pre-state S_old (the snapshot of the delta
-// preceding the batch) and post-state S_new (the snapshot of its last
-// delta), fold the deltas into net insertion/deletion sets, then per view:
-//
-//   - deletions first (set-semantics DRed): candidate tuples are the delta
-//     rows of each net-deleted triple evaluated over S_old — the state that
-//     still contains every net-deleted triple — and a candidate is dropped
-//     only when the view no longer derives it over S_new;
-//   - then insertions: the delta rows of each net-inserted triple evaluated
-//     over S_new.
-//
-// This is classical batch maintenance: the result equals replaying the
-// deltas one at a time, at the cost of two aligned snapshots per batch
-// instead of one evaluation state per delta. Changed extents are cloned
-// (copy-on-write RowIndex), mutated, and published together as a fresh
-// extentSet through one atomic pointer swap — a reader pinning a generation
-// never observes a half-applied batch, and the generation's epoch tag is
-// exactly the store epoch it reflects.
+// Refresher side: drain the queue in batches of at most batchBound
+// contiguous deltas and hand each to the fold (apply) with its pre-state —
+// the snapshot of the delta preceding the batch; the batch's last snapshot
+// is its post-state. The fold clones each extent it changes and publishes
+// the generation through one atomic pointer swap, so a reader pinning a
+// generation never observes a half-applied batch, and the generation's
+// epoch tag is exactly the store epoch it reflects.
 
 import (
 	"fmt"
 	"sync"
 	"sync/atomic"
 
-	"rdfviews/internal/algebra"
-	"rdfviews/internal/engine"
 	"rdfviews/internal/store"
 )
 
-// Config selects the maintenance mode.
-type Config struct {
-	// QueueDepth is the bounded change-queue capacity. QueueDepth <= 0 keeps
-	// the maintainer synchronous (today's exact per-update semantics, the
-	// differential oracle). QueueDepth > 0 turns maintenance asynchronous;
-	// writers block when the queue is full (backpressure), so extents trail
-	// the store by at most QueueDepth + BatchMax deltas.
-	QueueDepth int
-	// BatchMax caps the deltas folded into one refresh batch, bounding how
-	// long a published generation can lag behind a full queue. 0 means the
-	// default (256).
-	BatchMax int
-}
-
-// defaultBatchMax is the refresh batch bound when Config.BatchMax is 0.
-const defaultBatchMax = 256
-
-// opKind is the delta operation.
-type opKind uint8
-
-const (
-	opInsert opKind = iota
-	opDelete
-)
-
-// delta is one change-queue entry: an applied store mutation plus the store
-// snapshot captured right after it, or a flush barrier (flush != nil, other
-// fields unused).
-type delta struct {
-	op    opKind
-	t     store.Triple
-	snap  *store.Snapshot
-	flush chan struct{}
-}
+// batchBound caps the deltas folded into one refresh batch, bounding how
+// long a published generation can lag behind a full queue.
+const batchBound = 256
 
 // refresher owns the change queue and the background goroutine.
 type refresher struct {
 	m        *Maintainer
 	queue    chan delta
-	batchMax int
+	batchMax int // batchBound; tests lower it before the first enqueue
 
 	wmu    sync.Mutex // serializes writers: store apply + snapshot + enqueue
 	closed bool
@@ -93,9 +48,6 @@ type refresher struct {
 	flightPending *flushGroup // joinable: barrier not yet enqueued
 	flightLast    *flushGroup // most recently enqueued barrier
 	barriers      atomic.Int64
-
-	pending atomic.Int64  // enqueued deltas not yet folded into extents
-	latest  atomic.Uint64 // newest store epoch assigned to a delta
 
 	errMu sync.Mutex
 	err   error // first refresher error; sticky
@@ -114,18 +66,13 @@ type refresher struct {
 	flushEntered func()
 }
 
-func newRefresher(m *Maintainer, cfg Config, snap *store.Snapshot) *refresher {
-	bm := cfg.BatchMax
-	if bm <= 0 {
-		bm = defaultBatchMax
-	}
+func newRefresher(m *Maintainer, queueDepth int, snap *store.Snapshot) *refresher {
 	rf := &refresher{
 		m:        m,
-		queue:    make(chan delta, cfg.QueueDepth),
-		batchMax: bm,
+		queue:    make(chan delta, queueDepth),
+		batchMax: batchBound,
 		done:     make(chan struct{}),
 	}
-	rf.latest.Store(snap.Epoch())
 	go rf.run(snap)
 	return rf
 }
@@ -144,19 +91,12 @@ func (rf *refresher) enqueue(op opKind, t store.Triple) error {
 	if err := rf.loadErr(); err != nil {
 		return err
 	}
-	var changed bool
-	if op == opInsert {
-		changed = rf.m.st.Add(t)
-	} else {
-		changed = rf.m.st.Remove(t)
-	}
-	if !changed {
+	d, ok := rf.m.mutate(op, t)
+	if !ok {
 		return nil
 	}
-	snap := rf.m.st.Snapshot()
-	rf.latest.Store(snap.Epoch())
-	rf.pending.Add(1)
-	rf.queue <- delta{op: op, t: t, snap: snap}
+	rf.m.pending.Add(1)
+	rf.queue <- d
 	return nil
 }
 
@@ -271,12 +211,12 @@ func (rf *refresher) run(snapOld *store.Snapshot) {
 			// After an error the extents are frozen at their last published
 			// generation; keep draining so writers and flushes never hang.
 			if rf.loadErr() == nil {
-				if err := rf.m.applyBatch(snapOld, batch); err != nil {
+				if _, err := rf.m.apply(snapOld, batch); err != nil {
 					rf.setErr(err)
 				}
 			}
 			snapOld = batch[len(batch)-1].snap
-			rf.pending.Add(-int64(len(batch)))
+			rf.m.pending.Add(-int64(len(batch)))
 		}
 		for _, ch := range flushes {
 			close(ch)
@@ -310,101 +250,4 @@ func (rf *refresher) collect(first delta) ([]delta, []chan struct{}) {
 		}
 	}
 	return batch, flushes
-}
-
-// applyBatch folds one batch of deltas into the extents and publishes the
-// next generation. snapOld is the store state before the batch's first
-// delta; the batch's last snapshot is the state after its last one.
-func (m *Maintainer) applyBatch(snapOld *store.Snapshot, batch []delta) error {
-	snapNew := batch[len(batch)-1].snap
-
-	// Net insertion/deletion sets. The store admits only state-changing
-	// mutations, so a triple's deltas alternate insert/delete within the
-	// batch and fold to at most one net operation.
-	netIns := make(map[store.Triple]struct{})
-	netDel := make(map[store.Triple]struct{})
-	for _, d := range batch {
-		if d.op == opInsert {
-			if _, ok := netDel[d.t]; ok {
-				delete(netDel, d.t)
-			} else {
-				netIns[d.t] = struct{}{}
-			}
-		} else {
-			if _, ok := netIns[d.t]; ok {
-				delete(netIns, d.t)
-			} else {
-				netDel[d.t] = struct{}{}
-			}
-		}
-	}
-
-	old := m.cur.Load()
-	next := &extentSet{
-		epoch:   snapNew.Epoch(),
-		extents: make(map[algebra.ViewID]*engine.RowIndex, len(old.extents)),
-	}
-	for id, x := range old.extents {
-		next.extents[id] = x // unchanged views share the old generation
-	}
-	for id, v := range m.views {
-		oldX := old.extents[id]
-
-		// Deletion phase (DRed): candidates are derivations through a
-		// net-deleted triple over S_old; drop those the view no longer
-		// derives over S_new. A row deriving through several net-deleted
-		// triples surfaces once per triple, so dedup before the (full query
-		// evaluation) rederivability check.
-		var removals []engine.Row
-		seen := engine.NewRowSet(8)
-		for t := range netDel {
-			rows, err := m.deltaRows(snapOld, v, t)
-			if err != nil {
-				return err
-			}
-			for _, row := range rows {
-				if !oldX.Has(row) || !seen.Add(row) {
-					continue
-				}
-				ok, err := m.rederivable(snapNew, v, row)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					removals = append(removals, row)
-				}
-			}
-		}
-
-		// Insertion phase: delta rows of each net-inserted triple over
-		// S_new. (Disjoint from removals: delta rows are derivable over
-		// S_new by construction, removals are not.)
-		var additions []engine.Row
-		for t := range netIns {
-			rows, err := m.deltaRows(snapNew, v, t)
-			if err != nil {
-				return err
-			}
-			for _, row := range rows {
-				if !oldX.Has(row) {
-					additions = append(additions, row)
-				}
-			}
-		}
-
-		if len(removals) == 0 && len(additions) == 0 {
-			continue
-		}
-		newX := oldX.Clone()
-		for _, row := range removals {
-			newX.Remove(row)
-		}
-		for _, row := range additions {
-			newX.Add(row) // dedups additions repeated across delta triples
-		}
-		next.extents[id] = newX
-	}
-	m.cur.Store(next)
-	m.pubGen.Add(1)
-	return nil
 }

@@ -1,16 +1,16 @@
 package maintain
 
-// Differential test harness for asynchronous maintenance: randomized
-// interleavings of inserts, deletes, queries and flushes run through an
-// async maintainer and through the synchronous oracle (queue depth 0, the
-// historical exact semantics). After every Flush the two worlds must hold
-// identical extents. Failures shrink to a minimal op log by greedy delta
-// debugging over the recorded operations.
+// Differential test harness for view maintenance: randomized interleavings
+// of inserts, deletes, queries and flushes run through a synchronous world
+// and an asynchronous one. The oracle is recomputation, independent of the
+// fold both worlds share: every extent must equal engine.MaterializeUCQ over
+// its world's own store — in the synchronous world after every op, in the
+// asynchronous world after every Flush. Failures shrink to a minimal op log
+// by greedy delta debugging over the recorded operations.
 
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -89,18 +89,26 @@ func diffViews(st *store.Store) map[algebra.ViewID]*cq.UCQ {
 	return views
 }
 
+// diffCfg is the asynchronous world's shape: change-queue capacity and the
+// refresher's batch bound.
+type diffCfg struct{ queueDepth, batchMax int }
+
 // newDiffWorld builds one independent world: a fresh store with the seed
-// data and a maintainer over diffViews in the mode cfg selects.
-func newDiffWorld(cfg Config) (*store.Store, *Maintainer, map[algebra.ViewID]*cq.UCQ, error) {
+// data and a maintainer over diffViews with the given queue depth (0 is
+// synchronous) and, when asynchronous, the given batch bound.
+func newDiffWorld(queueDepth, batchMax int) (*store.Store, *Maintainer, map[algebra.ViewID]*cq.UCQ, error) {
 	st := store.New()
 	st.MustAddGraph(rdf.MustParse(diffSeedData))
 	views := diffViews(st)
-	m, err := NewWithConfig(st, views, cfg)
+	m, err := New(st, views, queueDepth)
+	if err == nil && m.rf != nil {
+		m.rf.batchMax = batchMax // before the first enqueue, like holdDrain
+	}
 	return st, m, views, err
 }
 
-// decodedRows renders a relation as sorted decoded strings, so extents of
-// worlds with independent dictionaries compare by value.
+// decodedRows renders a relation as sorted decoded strings for failure
+// reports.
 func decodedRows(st *store.Store, rel *engine.Relation) []string {
 	out := make([]string, 0, rel.Len())
 	for _, row := range rel.Rows {
@@ -114,35 +122,47 @@ func decodedRows(st *store.Store, rel *engine.Relation) []string {
 	return out
 }
 
-// runDiff replays one op log through an async world and the sync oracle,
-// comparing extents after every flush (and once more at the end). A non-nil
-// error reports the first divergence.
-func runDiff(ops []dOp, cfg Config) error {
-	stS, mS, _, err := newDiffWorld(Config{})
+// matchesRecompute checks every extent of a world against a from-scratch
+// materialization over that world's store.
+func matchesRecompute(st *store.Store, m *Maintainer, views map[algebra.ViewID]*cq.UCQ) error {
+	for id, v := range views {
+		want, err := engine.MaterializeUCQ(st, v)
+		if err != nil {
+			return err
+		}
+		got, _ := m.Extent(id)
+		if !got.EqualAsSet(want) {
+			return fmt.Errorf("view v%d diverged: maintained %v, recomputed %v (view %s)",
+				int(id), decodedRows(st, got), decodedRows(st, want), v.Format(st.Dict()))
+		}
+	}
+	return nil
+}
+
+// runDiff replays one op log through a synchronous and an asynchronous
+// world, checking the synchronous one against recomputation after every op
+// and the asynchronous one after every flush (and once more at the end). A
+// non-nil error reports the first divergence.
+func runDiff(ops []dOp, cfg diffCfg) error {
+	stS, mS, views, err := newDiffWorld(0, 0)
 	if err != nil {
 		return err
 	}
-	stA, mA, views, err := newDiffWorld(cfg)
+	stA, mA, _, err := newDiffWorld(cfg.queueDepth, cfg.batchMax)
 	if err != nil {
 		return err
 	}
 	defer mA.Close()
 
-	compare := func(step int) error {
+	checkAsync := func(step int) error {
 		if lag := mA.Lag(); lag != 0 {
 			return fmt.Errorf("step %d: lag %d after flush", step, lag)
 		}
 		if a, b := mA.AppliedEpoch(), mA.LatestEpoch(); a != b {
 			return fmt.Errorf("step %d: applied epoch %d != latest %d after flush", step, a, b)
 		}
-		for id, v := range views {
-			got, _ := mA.Extent(id)
-			want, _ := mS.Extent(id)
-			g, w := decodedRows(stA, got), decodedRows(stS, want)
-			if !reflect.DeepEqual(g, w) {
-				return fmt.Errorf("step %d view v%d diverged: async %v, sync oracle %v (view %s)",
-					step, int(id), g, w, v.Format(stA.Dict()))
-			}
+		if err := matchesRecompute(stA, mA, views); err != nil {
+			return fmt.Errorf("step %d async: %w", step, err)
 		}
 		return nil
 	}
@@ -175,15 +195,18 @@ func runDiff(ops []dOp, cfg Config) error {
 			if err := mA.Flush(); err != nil {
 				return fmt.Errorf("step %d flush: %w", i, err)
 			}
-			if err := compare(i); err != nil {
+			if err := checkAsync(i); err != nil {
 				return err
 			}
+		}
+		if err := matchesRecompute(stS, mS, views); err != nil {
+			return fmt.Errorf("step %d sync: %w", i, err)
 		}
 	}
 	if err := mA.Flush(); err != nil {
 		return fmt.Errorf("final flush: %w", err)
 	}
-	return compare(len(ops))
+	return checkAsync(len(ops))
 }
 
 // genDiffOps draws a random interleaving over a small closed vocabulary, so
@@ -216,7 +239,7 @@ func genDiffOps(rng *rand.Rand, n int) []dOp {
 
 // shrinkOps greedily drops ops while the log still fails, yielding a minimal
 // (1-minimal) failing interleaving for the report.
-func shrinkOps(ops []dOp, cfg Config) []dOp {
+func shrinkOps(ops []dOp, cfg diffCfg) []dOp {
 	reduced := append([]dOp(nil), ops...)
 	for changed := true; changed; {
 		changed = false
@@ -235,8 +258,9 @@ func shrinkOps(ops []dOp, cfg Config) []dOp {
 }
 
 // TestDifferentialAsyncVsSync replays 1000+ seeded random interleavings of
-// inserts/deletes/queries/flushes through the async maintainer and the
-// synchronous oracle, requiring identical post-Flush extents every time.
+// inserts/deletes/queries/flushes through a synchronous and an asynchronous
+// maintainer, requiring every extent to equal recomputation over its own
+// store: after every op synchronously, after every flush asynchronously.
 // Queue depth and batch bound vary with the seed to cover single-delta
 // batches, split batches and full-queue backpressure.
 func TestDifferentialAsyncVsSync(t *testing.T) {
@@ -246,12 +270,12 @@ func TestDifferentialAsyncVsSync(t *testing.T) {
 	}
 	for seed := 0; seed < sequences; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
-		cfg := Config{QueueDepth: 1 + seed%7, BatchMax: 1 + seed%5}
+		cfg := diffCfg{queueDepth: 1 + seed%7, batchMax: 1 + seed%5}
 		ops := genDiffOps(rng, 12+rng.Intn(24))
 		if err := runDiff(ops, cfg); err != nil {
 			min := shrinkOps(ops, cfg)
 			t.Fatalf("seed %d (queue=%d batch=%d): %v\nminimal failing op log (%d of %d ops):\n  %s\nminimal error: %v",
-				seed, cfg.QueueDepth, cfg.BatchMax, err, len(min), len(ops), formatOps(min), runDiff(min, cfg))
+				seed, cfg.queueDepth, cfg.batchMax, err, len(min), len(ops), formatOps(min), runDiff(min, cfg))
 		}
 	}
 }

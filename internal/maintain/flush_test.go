@@ -22,11 +22,12 @@ import (
 // the window pinned the bound is exact (<= 2), not probabilistic.
 func TestAsyncFlushCoalescesConcurrent(t *testing.T) {
 	st, views, _ := setup(t)
-	m, err := NewWithConfig(st, views, Config{QueueDepth: 4096, BatchMax: 8})
+	m, err := New(st, views, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
+	m.rf.batchMax = 8
 
 	const flushers = 64
 	hold := make(chan struct{})
@@ -35,9 +36,9 @@ func TestAsyncFlushCoalescesConcurrent(t *testing.T) {
 
 	var entered atomic.Int64
 	allIn := make(chan struct{})
-	// Installed before the first enqueue: the refresher reads holdDrain only
-	// after receiving a delta, and the flusher goroutines start after close
-	// of start, so both writes are ordered before any read.
+	// Installed before the first enqueue: the refresher reads holdDrain and
+	// batchMax only after receiving a delta, and the flusher goroutines start
+	// after close of start, so these writes are ordered before any read.
 	m.rf.holdDrain = hold
 	m.rf.flushEntered = func() {
 		if entered.Add(1) == flushers {
@@ -94,7 +95,7 @@ func TestAsyncFlushCoalescesConcurrent(t *testing.T) {
 // coalesced flush: a flush racing Close must release joiners, not hang.
 func TestAsyncFlushAfterCloseStillReturns(t *testing.T) {
 	st, views, _ := setup(t)
-	m, err := NewWithConfig(st, views, Config{QueueDepth: 16})
+	m, err := New(st, views, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,48 +107,64 @@ func TestAsyncFlushAfterCloseStillReturns(t *testing.T) {
 	}
 }
 
+// TestPublishGenAdvances pins the accessors both modes share. After every
+// state-changing update — asynchronously, after a Flush — PublishGen has
+// moved by one, Lag and EpochsBehind are 0 and AppliedEpoch == LatestEpoch
+// == the store epoch. A duplicate insert moves none of them.
 func TestPublishGenAdvances(t *testing.T) {
-	st, views, _ := setup(t)
-	m, err := New(st, views) // synchronous
-	if err != nil {
-		t.Fatal(err)
+	type accessors struct {
+		lag                                    int
+		behind, applied, latest, epoch, pubGen uint64
 	}
-	d := st.Dict()
-	tr := store.Triple{d.Encode(rdf.NewIRI("x")), d.Encode(rdf.NewIRI("hasPainted")), d.Encode(rdf.NewIRI("y"))}
-	g0 := m.PublishGen()
-	if _, err := m.Insert(tr); err != nil {
-		t.Fatal(err)
-	}
-	if m.PublishGen() != g0+1 {
-		t.Fatalf("sync insert did not bump PublishGen")
-	}
-	if _, err := m.Insert(tr); err != nil { // duplicate: no state change
-		t.Fatal(err)
-	}
-	if m.PublishGen() != g0+1 {
-		t.Fatalf("duplicate insert bumped PublishGen")
-	}
-	if _, err := m.Delete(tr); err != nil {
-		t.Fatal(err)
-	}
-	if m.PublishGen() != g0+2 {
-		t.Fatalf("sync delete did not bump PublishGen")
-	}
+	for _, depth := range []int{0, 64} {
+		t.Run(fmt.Sprintf("queue=%d", depth), func(t *testing.T) {
+			st, views, _ := setup(t)
+			m, err := New(st, views, depth)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			read := func() accessors {
+				return accessors{m.Lag(), m.EpochsBehind(), m.AppliedEpoch(), m.LatestEpoch(), st.Epoch(), m.PublishGen()}
+			}
+			// settled flushes, then checks that the extents trail nothing.
+			settled := func(step string) accessors {
+				t.Helper()
+				if err := m.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				a := read()
+				if a.lag != 0 || a.behind != 0 || a.applied != a.latest || a.latest != a.epoch {
+					t.Fatalf("%s: %+v, want lag 0, 0 epochs behind, applied == latest == store epoch", step, a)
+				}
+				return a
+			}
+			d := st.Dict()
+			tr := store.Triple{d.Encode(rdf.NewIRI("x")), d.Encode(rdf.NewIRI("hasPainted")), d.Encode(rdf.NewIRI("y"))}
 
-	// Asynchronous: one bump per published batch, observable after Flush.
-	ma, err := NewWithConfig(st, views, Config{QueueDepth: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ma.Close()
-	g0 = ma.PublishGen()
-	if _, err := ma.Insert(tr); err != nil {
-		t.Fatal(err)
-	}
-	if err := ma.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if ma.PublishGen() <= g0 {
-		t.Fatalf("async publish did not bump PublishGen")
+			a0 := settled("initial")
+			if _, err := m.Insert(tr); err != nil {
+				t.Fatal(err)
+			}
+			a1 := settled("insert")
+			if a1.pubGen != a0.pubGen+1 || a1.epoch != a0.epoch+1 {
+				t.Fatalf("insert: %+v after %+v, want PublishGen and epoch +1", a1, a0)
+			}
+			if _, err := m.Insert(tr); err != nil { // duplicate: no state change
+				t.Fatal(err)
+			}
+			if a := read(); a != a1 {
+				t.Fatalf("duplicate insert moved the accessors: %+v, was %+v", a, a1)
+			}
+			if a := settled("duplicate insert"); a != a1 {
+				t.Fatalf("duplicate insert moved the accessors: %+v, was %+v", a, a1)
+			}
+			if _, err := m.Delete(tr); err != nil {
+				t.Fatal(err)
+			}
+			if a2 := settled("delete"); a2.pubGen != a1.pubGen+1 || a2.epoch != a1.epoch+1 {
+				t.Fatalf("delete: %+v after %+v, want PublishGen and epoch +1", a2, a1)
+			}
+		})
 	}
 }

@@ -13,23 +13,28 @@
 // against the updated store and removed only when no member re-derives them,
 // so a row with several derivations needs no support count.
 //
-// The maintainer runs in one of two modes, selected by Config.QueueDepth:
+// One fold does all the propagation (apply): it nets a batch of store
+// deltas into insertions and deletions, runs DRed over the store snapshots
+// before and after the batch, and publishes the next extent generation. The
+// two modes, chosen by New's queue depth, differ only in when the fold runs
+// and whether a changed extent is copied:
 //
-//   - Synchronous (QueueDepth <= 0, the historical behavior and the oracle
-//     of the differential tests): Insert/Delete apply the delta joins inline
-//     before returning, so extents are exact after every call.
-//   - Asynchronous (QueueDepth > 0): Insert/Delete update the base store,
-//     append an encoded delta to a bounded change queue and return. A
-//     background refresher drains the queue in batches, evaluates the delta
-//     queries against the store snapshot aligned with each batch boundary,
-//     and publishes updated extents atomically (copy-on-write RowIndex +
-//     pointer swap), so concurrent readers never observe a half-applied
-//     batch. Flush is the freshness barrier; Lag and the epoch accessors
-//     report how far extents trail the store.
+//   - Synchronous (queue depth <= 0): Insert/Delete fold their own
+//     one-delta batch before returning, so extents are exact after every
+//     call. With one caller there is no reader to protect, so a changed
+//     extent is mutated in place and an update costs O(delta).
+//   - Asynchronous (queue depth > 0): Insert/Delete update the base store,
+//     append the delta to a bounded change queue and return. A background
+//     refresher folds up to 256 queued deltas at a time, cloning each
+//     changed extent (copy-on-write RowIndex) and publishing the generation
+//     with one pointer swap, so concurrent readers never observe a
+//     half-applied batch. Flush is the freshness barrier; Lag and the epoch
+//     accessors report how far extents trail the store.
 package maintain
 
 import (
 	"fmt"
+	"maps"
 	"sync/atomic"
 
 	"rdfviews/internal/algebra"
@@ -44,18 +49,22 @@ type Maintainer struct {
 	st    *store.Store
 	views map[algebra.ViewID]*cq.UCQ
 
-	// cur is the published generation of every extent. The synchronous mode
-	// mutates the current generation in place (single-caller semantics, as
-	// ever); the asynchronous refresher replaces it wholesale, so readers
-	// pinning one load observe a consistent set across views.
+	// cur is the published generation of every extent. The fold replaces it
+	// on every batch, so readers pinning one load observe a consistent set
+	// across views; only the asynchronous fold also copies the extents it
+	// changes, which makes its published generations immutable.
 	cur atomic.Pointer[extentSet]
 
-	// pubGen counts extent publications (synchronous mutations and
-	// asynchronous batch publishes alike). The serving tier's plan cache
-	// reads it as a cheap change signal: an unchanged generation means no
-	// mutation reached the extents since an artifact was validated, so the
-	// hit path can skip its cardinality-drift check entirely.
+	// pubGen counts extent publications: one per folded batch, which under
+	// synchronous maintenance is one per state-changing Insert/Delete. The
+	// serving tier's plan cache reads it as a cheap change signal: an
+	// unchanged generation means no mutation reached the extents since an
+	// artifact was validated, so the hit path can skip its
+	// cardinality-drift check entirely.
 	pubGen atomic.Uint64
+
+	pending atomic.Int64  // deltas applied to the store, not yet folded
+	latest  atomic.Uint64 // store epoch after the newest maintained delta
 
 	rf *refresher // nil in synchronous mode
 }
@@ -68,18 +77,14 @@ type extentSet struct {
 	extents map[algebra.ViewID]*engine.RowIndex
 }
 
-// New materializes every view and returns a synchronous maintainer over
-// them — Insert/Delete propagate deltas inline. The store must be updated
-// only through the maintainer from then on, and the views must not change.
-func New(st *store.Store, views map[algebra.ViewID]*cq.UCQ) (*Maintainer, error) {
-	return NewWithConfig(st, views, Config{})
-}
-
-// NewWithConfig materializes every view and returns a maintainer in the mode
-// the config selects (synchronous when QueueDepth <= 0, asynchronous
-// otherwise). An asynchronous maintainer owns a background goroutine;
-// release it with Close.
-func NewWithConfig(st *store.Store, views map[algebra.ViewID]*cq.UCQ, cfg Config) (*Maintainer, error) {
+// New materializes every view and returns a maintainer over them. With
+// queueDepth <= 0 it is synchronous: Insert/Delete propagate deltas before
+// returning. With queueDepth > 0 it is asynchronous behind a change queue of
+// that capacity — writers block when the queue is full, so extents trail the
+// store by at most queueDepth + 256 deltas — and owns a background goroutine;
+// release it with Close. The store must be updated only through the
+// maintainer from then on, and the views must not change.
+func New(st *store.Store, views map[algebra.ViewID]*cq.UCQ, queueDepth int) (*Maintainer, error) {
 	m := &Maintainer{st: st, views: views}
 	snap := st.Snapshot()
 	exts := make(map[algebra.ViewID]*engine.RowIndex, len(views))
@@ -91,8 +96,9 @@ func NewWithConfig(st *store.Store, views map[algebra.ViewID]*cq.UCQ, cfg Config
 		exts[id] = engine.NewRowIndex(rel)
 	}
 	m.cur.Store(&extentSet{epoch: snap.Epoch(), extents: exts})
-	if cfg.QueueDepth > 0 {
-		m.rf = newRefresher(m, cfg, snap)
+	m.latest.Store(snap.Epoch())
+	if queueDepth > 0 {
+		m.rf = newRefresher(m, queueDepth, snap)
 	}
 	return m, nil
 }
@@ -133,69 +139,63 @@ func (m *Maintainer) Resolver() engine.ViewResolver {
 // "folded into extents": a later refresher failure freezes the extents at
 // their last published generation and surfaces through Flush, Close and
 // every subsequent update call.
-func (m *Maintainer) Insert(t store.Triple) (int, error) {
-	if m.rf != nil {
-		return 0, m.rf.enqueue(opInsert, t)
-	}
-	if !m.st.Add(t) {
-		return 0, nil // duplicate: no deltas under set semantics
-	}
-	defer m.pubGen.Add(1)
-	added := 0
-	es := m.cur.Load()
-	for id, v := range m.views {
-		ext := es.extents[id]
-		rows, err := m.deltaRows(m.st, v, t)
-		if err != nil {
-			return added, err
-		}
-		for _, row := range rows {
-			if ext.Add(row) {
-				added++
-			}
-		}
-	}
-	return added, nil
-}
+func (m *Maintainer) Insert(t store.Triple) (int, error) { return m.update(opInsert, t) }
 
 // Delete removes the triple from the store and propagates the deletion:
 // candidate tuples (those with a derivation through the deleted triple) are
 // kept only if they can be re-derived from the remaining triples. The return
 // count follows the same mode convention as Insert.
-func (m *Maintainer) Delete(t store.Triple) (int, error) {
+func (m *Maintainer) Delete(t store.Triple) (int, error) { return m.update(opDelete, t) }
+
+// update applies one mutation. Asynchronously the refresher queues it;
+// synchronously it is folded at once, as a one-delta batch between the store
+// snapshots before and after it.
+func (m *Maintainer) update(op opKind, t store.Triple) (int, error) {
 	if m.rf != nil {
-		return 0, m.rf.enqueue(opDelete, t)
+		return 0, m.rf.enqueue(op, t)
 	}
-	if !m.st.Contains(t) {
+	before := m.st.Snapshot()
+	d, ok := m.mutate(op, t)
+	if !ok {
 		return 0, nil
 	}
-	// Candidates are computed against the store still containing t.
-	candidates := make(map[algebra.ViewID][]engine.Row, len(m.views))
-	for id, v := range m.views {
-		rows, err := m.deltaRows(m.st, v, t)
-		if err != nil {
-			return 0, err
-		}
-		candidates[id] = rows
+	return m.apply(before, []delta{d})
+}
+
+// opKind is the delta operation.
+type opKind uint8
+
+const (
+	opInsert opKind = iota
+	opDelete
+)
+
+// delta is one applied store mutation plus the store snapshot captured right
+// after it. In the change queue it may instead be a flush barrier
+// (flush != nil, other fields unused).
+type delta struct {
+	op    opKind
+	t     store.Triple
+	snap  *store.Snapshot
+	flush chan struct{}
+}
+
+// mutate applies the mutation to the base store and returns its delta,
+// carrying the store snapshot right after it. A mutation that changes
+// nothing (duplicate insert, absent delete) has no delta under set
+// semantics: ok is false.
+func (m *Maintainer) mutate(op opKind, t store.Triple) (d delta, ok bool) {
+	if op == opInsert {
+		ok = m.st.Add(t)
+	} else {
+		ok = m.st.Remove(t)
 	}
-	m.st.Remove(t)
-	defer m.pubGen.Add(1)
-	removed := 0
-	es := m.cur.Load()
-	for id, rows := range candidates {
-		v := m.views[id]
-		ext := es.extents[id]
-		for _, row := range rows {
-			derivable, err := m.rederivable(m.st, v, row)
-			if err != nil {
-				return removed, err
-			}
-			if !derivable && ext.Remove(row) {
-				removed++
-			}
-		}
+	if !ok {
+		return delta{}, false
 	}
-	return removed, nil
+	d = delta{op: op, t: t, snap: m.st.Snapshot()}
+	m.latest.Store(d.snap.Epoch())
+	return d, true
 }
 
 // Flush blocks until every delta enqueued before the call has been folded
@@ -210,37 +210,19 @@ func (m *Maintainer) Flush() error {
 
 // Lag returns the number of queued deltas not yet folded into published
 // extents (0 in synchronous mode).
-func (m *Maintainer) Lag() int {
-	if m.rf == nil {
-		return 0
-	}
-	return int(m.rf.pending.Load())
-}
+func (m *Maintainer) Lag() int { return int(m.pending.Load()) }
 
 // AppliedEpoch returns the store epoch the published extents correspond to.
-func (m *Maintainer) AppliedEpoch() uint64 {
-	if m.rf == nil {
-		return m.st.Epoch()
-	}
-	return m.cur.Load().epoch
-}
+func (m *Maintainer) AppliedEpoch() uint64 { return m.cur.Load().epoch }
 
 // LatestEpoch returns the newest store epoch assigned to a maintained delta.
-func (m *Maintainer) LatestEpoch() uint64 {
-	if m.rf == nil {
-		return m.st.Epoch()
-	}
-	return m.rf.latest.Load()
-}
+func (m *Maintainer) LatestEpoch() uint64 { return m.latest.Load() }
 
 // EpochsBehind returns how many store epochs the published extents trail the
 // newest maintained delta (0 in synchronous mode).
 func (m *Maintainer) EpochsBehind() uint64 {
-	if m.rf == nil {
-		return 0
-	}
-	applied := m.cur.Load().epoch
-	if latest := m.rf.latest.Load(); latest > applied {
+	applied := m.AppliedEpoch()
+	if latest := m.LatestEpoch(); latest > applied {
 		return latest - applied
 	}
 	return 0
@@ -266,10 +248,119 @@ func (m *Maintainer) Close() error {
 	return m.rf.close()
 }
 
+// apply is the one fold: it folds a batch of deltas into the extents,
+// publishes the next generation and returns how many view tuples it added or
+// removed. snapOld is the store state before the batch's first delta; the
+// batch's last snapshot is the state after its last one. The deltas are
+// netted into insertion and deletion sets, then per view:
+//
+//   - deletions first (set-semantics DRed): candidate tuples are the delta
+//     rows of each net-deleted triple evaluated over snapOld — the state that
+//     still contains every net-deleted triple — and a candidate is dropped
+//     only when the view no longer derives it over snapNew;
+//   - then insertions: the delta rows of each net-inserted triple evaluated
+//     over snapNew.
+//
+// This is classical batch maintenance: the result equals replaying the
+// deltas one at a time, at the cost of two aligned snapshots per batch
+// instead of one evaluation state per delta.
+func (m *Maintainer) apply(snapOld *store.Snapshot, batch []delta) (int, error) {
+	snapNew := batch[len(batch)-1].snap
+
+	// Net insertion/deletion sets. The store admits only state-changing
+	// mutations, so a triple's deltas alternate insert/delete within the
+	// batch and fold to at most one net operation.
+	netIns := make(map[store.Triple]struct{})
+	netDel := make(map[store.Triple]struct{})
+	for _, d := range batch {
+		if d.op == opInsert {
+			if _, ok := netDel[d.t]; ok {
+				delete(netDel, d.t)
+			} else {
+				netIns[d.t] = struct{}{}
+			}
+		} else {
+			if _, ok := netIns[d.t]; ok {
+				delete(netIns, d.t)
+			} else {
+				netDel[d.t] = struct{}{}
+			}
+		}
+	}
+
+	old := m.cur.Load()
+	// Unchanged views share the old generation's extents.
+	next := &extentSet{epoch: snapNew.Epoch(), extents: maps.Clone(old.extents)}
+	changed := 0
+	for id, v := range m.views {
+		x := old.extents[id]
+
+		// Deletion phase (DRed). A row deriving through several net-deleted
+		// triples surfaces once per triple, so dedup before the
+		// rederivability check.
+		var removals []engine.Row
+		seen := engine.NewRowSet(8)
+		for t := range netDel {
+			rows, err := m.deltaRows(snapOld, v, t)
+			if err != nil {
+				return changed, err
+			}
+			for _, row := range rows {
+				if !x.Has(row) || !seen.Add(row) {
+					continue
+				}
+				ok, err := m.rederivable(snapNew, v, row)
+				if err != nil {
+					return changed, err
+				}
+				if !ok {
+					removals = append(removals, row)
+				}
+			}
+		}
+
+		// Insertion phase. (Disjoint from removals: delta rows are derivable
+		// over snapNew by construction, removals are not.)
+		var additions []engine.Row
+		for t := range netIns {
+			rows, err := m.deltaRows(snapNew, v, t)
+			if err != nil {
+				return changed, err
+			}
+			for _, row := range rows {
+				if !x.Has(row) {
+					additions = append(additions, row)
+				}
+			}
+		}
+
+		if len(removals) == 0 && len(additions) == 0 {
+			continue
+		}
+		if m.rf != nil {
+			x = x.Clone() // readers hold published generations: copy on write
+		}
+		for _, row := range removals {
+			if x.Remove(row) {
+				changed++
+			}
+		}
+		for _, row := range additions {
+			if x.Add(row) { // dedups additions repeated across delta triples
+				changed++
+			}
+		}
+		next.extents[id] = x
+	}
+	m.cur.Store(next)
+	m.pubGen.Add(1)
+	return changed, nil
+}
+
 // deltaRows evaluates the delta of view v for triple t against the reader:
 // the union over members of v and their atoms unifying with t of the member
-// with that atom's variables bound. The reader is the live store in
-// synchronous mode and a batch-aligned snapshot in asynchronous mode.
+// with that atom's variables bound. The reader is a store snapshot aligned
+// with a batch boundary.
 func (m *Maintainer) deltaRows(r store.Reader, v *cq.UCQ, t store.Triple) ([]engine.Row, error) {
 	seen := engine.NewRowSet(8)
 	var out []engine.Row
@@ -323,7 +414,8 @@ func bindAtom(v *cq.Query, i int, t store.Triple) (*cq.Query, bool) {
 }
 
 // rederivable reports whether the view still derives the tuple from the
-// reader's state: some member with its head bound to the tuple has an answer.
+// reader's state: some member with its head bound to the tuple has an
+// answer. Evaluation stops at the first answer.
 func (m *Maintainer) rederivable(r store.Reader, v *cq.UCQ, row engine.Row) (bool, error) {
 members:
 	for _, q := range v.Queries {
@@ -334,11 +426,17 @@ members:
 				continue members
 			}
 		}
-		rel, err := engine.Materialize(r, q)
+		p, err := engine.PlanQuery(r, q)
 		if err != nil {
 			return false, err
 		}
-		if rel.Len() > 0 {
+		rs := p.EvalStream(engine.ExecOptions{})
+		rows, err := rs.Next() // one slab settles it
+		rs.Close()
+		if err != nil {
+			return false, err
+		}
+		if rows != nil {
 			return true, nil
 		}
 	}

@@ -33,7 +33,7 @@ u2 hasPainted irises .
 
 func TestInsertPropagatesToViews(t *testing.T) {
 	st, views, _ := setup(t)
-	m, err := New(st, views)
+	m, err := New(st, views, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestInsertPropagatesToViews(t *testing.T) {
 
 func TestInsertJoiningBothSides(t *testing.T) {
 	st, views, _ := setup(t)
-	m, err := New(st, views)
+	m, err := New(st, views, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestInsertJoiningBothSides(t *testing.T) {
 
 func TestDeleteWithRederivation(t *testing.T) {
 	st, views, _ := setup(t)
-	m, err := New(st, views)
+	m, err := New(st, views, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestDeleteWithRederivation(t *testing.T) {
 
 func TestResolverExecutesPlans(t *testing.T) {
 	st, views, _ := setup(t)
-	m, err := New(st, views)
+	m, err := New(st, views, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestResolverExecutesPlans(t *testing.T) {
 func TestNewRejectsInvalidView(t *testing.T) {
 	st, _, _ := setup(t)
 	bad := map[algebra.ViewID]*cq.UCQ{1: union(&cq.Query{Head: []cq.Term{cq.Var(1)}})}
-	if _, err := New(st, bad); err == nil {
+	if _, err := New(st, bad, 0); err == nil {
 		t.Fatal("invalid view accepted")
 	}
 }
@@ -175,7 +175,7 @@ func incrementalMatchesRecompute(t *testing.T, st *store.Store) {
 			props[rng.Intn(len(props))],
 			subjects[rng.Intn(len(subjects))])))
 	}
-	m, err := New(st, views)
+	m, err := New(st, views, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,11 +38,12 @@ func TestAsyncMaintainConcurrentStress(t *testing.T) {
 	p.ResetNames()
 	views[2] = union(p.MustParseQuery("q(X, Y) :- t(X, p, Y)"))
 
-	m, err := NewWithConfig(st, views, Config{QueueDepth: queueDepth, BatchMax: batchMax})
+	m, err := New(st, views, queueDepth)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
+	m.rf.batchMax = batchMax // before the first enqueue
 
 	var wg sync.WaitGroup
 	var readerErr atomic.Value

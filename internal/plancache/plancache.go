@@ -95,9 +95,6 @@ func New(capacity int, ctr *stats.CacheCounters) *Cache {
 // Counters returns the cache's ledger.
 func (c *Cache) Counters() *stats.CacheCounters { return c.ctr }
 
-// Generation returns the current invalidation generation.
-func (c *Cache) Generation() uint64 { return c.gen.Load() }
-
 // Invalidate bumps the generation: every cached entry becomes stale and will
 // be recompiled on its next lookup. Entries are discarded lazily.
 func (c *Cache) Invalidate() {

@@ -41,8 +41,8 @@ type MaintainOptions struct {
 	// queue of that capacity: updates return once the base store is updated
 	// and the delta is queued, and a background refresher folds batches of
 	// up to 256 deltas into the extents. 0 (the default) keeps maintenance
-	// synchronous — every update propagates before returning, the exact
-	// historical semantics.
+	// synchronous — every update is folded before it returns, so extents are
+	// exact after every call. Both modes run the same fold.
 	QueueDepth int
 	// StaleReads is consulted by Answer when maintenance is asynchronous.
 	StaleReads StaleReadPolicy
@@ -91,7 +91,7 @@ func (r *Recommendation) MaintainWithOptions(opts MaintainOptions) (*LiveViews, 
 		}
 		views[id] = u
 	}
-	m, err := maintain.NewWithConfig(r.db.st, views, maintain.Config{QueueDepth: opts.QueueDepth})
+	m, err := maintain.New(r.db.st, views, opts.QueueDepth)
 	if err != nil {
 		return nil, err
 	}

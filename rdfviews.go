@@ -44,11 +44,14 @@
 //   - internal/maintain keeps view extents synchronized with the store under
 //     triple insertions and deletions (the delta propagation the paper's VMC
 //     cost charges for), each view as the union of its conjunctive members
-//     (its reformulation under RDFS), either inline or asynchronously behind
-//     a bounded change queue: a background refresher evaluates delta queries
-//     against epoch-tagged store snapshots and publishes copy-on-write
-//     extents atomically. See Recommendation.Maintain/MaintainWithOptions, the
-//     LiveViews Flush/Lag freshness surface and the StaleReadPolicy.
+//     (its reformulation under RDFS). One fold runs DRed over the
+//     epoch-tagged store snapshots before and after a batch of deltas and
+//     publishes the next extent generation: a synchronous update folds its
+//     own one-delta batch in place before returning; asynchronously a
+//     background refresher folds batches from a bounded change queue and
+//     publishes copy-on-write extents atomically. See
+//     Recommendation.Maintain/MaintainWithOptions, the LiveViews Flush/Lag
+//     freshness surface and the StaleReadPolicy.
 //   - internal/cq, internal/algebra, internal/cost, internal/stats and
 //     internal/core implement the paper proper: conjunctive query theory,
 //     the rewriting algebra, the cost model of Section 3.3, its statistics
