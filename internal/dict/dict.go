@@ -98,25 +98,6 @@ func (d *Dictionary) Len() int {
 	return len(d.terms)
 }
 
-// AvgValueLen returns the average length, in bytes, of the lexical forms of
-// the terms whose IDs are given. It is the statistic behind the paper's
-// "average size of a subject, property, respectively object" used in the view
-// space occupancy estimation. Returns def when ids is empty.
-func (d *Dictionary) AvgValueLen(ids []ID, def float64) float64 {
-	if len(ids) == 0 {
-		return def
-	}
-	var total int
-	for _, id := range ids {
-		t, err := d.Decode(id)
-		if err != nil {
-			continue
-		}
-		total += len(t.Value)
-	}
-	return float64(total) / float64(len(ids))
-}
-
 // SortedIDs returns all assigned IDs in increasing order. Mostly useful for
 // deterministic iteration in tests and statistics.
 func (d *Dictionary) SortedIDs() []ID {

@@ -84,20 +84,6 @@ func TestLookup(t *testing.T) {
 	}
 }
 
-func TestAvgValueLen(t *testing.T) {
-	d := New()
-	a := d.Encode(rdf.NewIRI("ab"))   // len 2
-	b := d.Encode(rdf.NewIRI("abcd")) // len 4
-	if got := d.AvgValueLen([]ID{a, b}, 9); got != 3 {
-		t.Errorf("AvgValueLen = %v, want 3", got)
-	}
-	if got := d.AvgValueLen(nil, 9); got != 9 {
-		t.Errorf("AvgValueLen(empty) = %v, want default 9", got)
-	}
-	// Unknown IDs are skipped but still divide; just assert no panic.
-	_ = d.AvgValueLen([]ID{a, 999}, 9)
-}
-
 func TestSortedIDs(t *testing.T) {
 	d := New()
 	for i := 0; i < 5; i++ {

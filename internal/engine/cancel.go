@@ -31,7 +31,8 @@ func CancelStops() int64 { return cancelStops.Load() }
 // *interrupt (context without cancellation) is valid and never fires.
 type interrupt struct {
 	done  <-chan struct{}
-	fired bool // memoized so later checkpoints skip the select
+	err   func() error // the context's Err
+	fired bool         // memoized so later checkpoints skip the select
 }
 
 // newInterrupt derives a token from ctx; nil when ctx carries no cancellation.
@@ -40,7 +41,7 @@ func newInterrupt(ctx context.Context) *interrupt {
 		return nil
 	}
 	if d := ctx.Done(); d != nil {
-		return &interrupt{done: d}
+		return &interrupt{done: d, err: ctx.Err}
 	}
 	return nil
 }
@@ -64,10 +65,29 @@ func (it *interrupt) stop() bool {
 	}
 }
 
-// ctxErr returns the options context's error, nil without a context.
-func (o ExecOptions) ctxErr() error {
-	if o.Ctx == nil {
-		return nil
+// interrupts are the tokens one operator tree polls: one per compiled
+// execution, and every member's under a union of streams, which stops at the
+// first member to fire so that a canceled union counts one stop.
+type interrupts []*interrupt
+
+// fired reports whether any of the tokens has observed its cancellation.
+func (its interrupts) fired() bool {
+	for _, it := range its {
+		if it != nil && it.fired {
+			return true
+		}
 	}
-	return o.Ctx.Err()
+	return false
+}
+
+// err is the first canceled context's error, nil when none is: a drain that
+// reached EOF under a canceled context surfaces it rather than a result the
+// cancellation may have truncated.
+func (its interrupts) err() error {
+	for _, it := range its {
+		if it != nil && it.err() != nil {
+			return it.err()
+		}
+	}
+	return nil
 }

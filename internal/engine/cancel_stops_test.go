@@ -173,6 +173,24 @@ func TestCancelStopsAccounting(t *testing.T) {
 			}
 			return drainStreamMidCancel(t, u, cancel)
 		}},
+		// Three members on separate tokens: the cancel lands while the second
+		// drains (the first is a handful of rows, inside the first slab), and
+		// the union stops there instead of letting the third member's token
+		// count the same cancellation again.
+		{"combinator/union-streams-three-members", func(t *testing.T) error {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			tiny := map[algebra.ViewID]*Relation{4: randomExtent(rand.New(rand.NewSource(12)), []cq.Term{x1, x2}, 8, 200)}
+			first, err := ExecuteStream(algebra.NewScan(4, []cq.Term{x1, x2}), MapResolver(tiny), ExecOptions{Ctx: ctx})
+			if err != nil {
+				t.Fatal(err)
+			}
+			u, err := UnionStreams([]*RowStream{first, execStream(t, s1(), ctx), execStream(t, s3(), ctx)}, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return drainStreamMidCancel(t, u, cancel)
+		}},
 		{"combinator/project-stream", func(t *testing.T) error {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()

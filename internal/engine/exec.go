@@ -107,28 +107,19 @@ func compileRel(p algebra.Plan, extent func(*algebra.Scan) ([]Row, float64, erro
 		est := joinOutEst(lest, rest, len(shape.keys))
 		return newHashJoinOp(left, right, shape, cost.HashJoinBuildLeft(lest, rest), lest, rest, est, intr), est, nil
 	case *algebra.Union:
-		if len(n.Branches) == 0 {
-			return nil, 0, fmt.Errorf("engine: empty union")
-		}
-		src := &concatOp{branches: make([]operator, len(n.Branches))}
+		branches := make([]operator, len(n.Branches))
 		for i, b := range n.Branches {
-			in, est, err := compileRel(b, extent, intr)
+			in, _, err := compileRel(b, extent, intr)
 			if err != nil {
 				return nil, 0, err
 			}
-			if i > 0 && len(in.cols()) != len(src.branches[0].cols()) {
-				return nil, 0, fmt.Errorf("engine: union arity mismatch: %d vs %d",
-					len(in.cols()), len(src.branches[0].cols()))
-			}
-			src.branches[i] = in
-			src.est += est
+			branches[i] = in
 		}
-		op := &projectOp{in: src, labels: src.cols(), idx: make([]int, len(src.cols())),
-			distinct: true, union: true, est: src.est}
-		for c := range op.idx {
-			op.idx[c] = c
+		op, err := newUnion(branches, 0, interrupts{intr})
+		if err != nil {
+			return nil, 0, err
 		}
-		return op, src.est, nil
+		return op, op.est, nil
 	default:
 		return nil, 0, fmt.Errorf("engine: unknown plan node %T", p)
 	}

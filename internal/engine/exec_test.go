@@ -313,8 +313,17 @@ func TestUnionDedupHintSizedFromExtents(t *testing.T) {
 // TestUnionStreamsHintSizedFromEstimates is the store-path twin: a union of
 // streams sizes its set from what its members' plans expect to produce, not
 // from the caller's literal, so a union of scans over a large store starts
-// with a table that holds them.
+// with a table that holds them. The estimate is read off the union operator
+// UnionStreams builds.
 func TestUnionStreamsHintSizedFromEstimates(t *testing.T) {
+	unionEst := func(streams []*RowStream, sizeHint int) float64 {
+		u, err := UnionStreams(streams, sizeHint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(u.Close)
+		return u.root.(*projectOp).est
+	}
 	members := func(triples int) []*RowStream {
 		st := store.New()
 		for i := 0; i < triples; i++ {

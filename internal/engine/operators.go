@@ -14,12 +14,13 @@ import (
 // the triple table t(s,p,o) and a rewriting over view extents are the same
 // algebra over two leaf kinds, scanOp (IndexScan, pipeline.go) and viewScanOp
 // (ViewScan). This file holds what every plan shares: the view-extent scan,
-// filters, the deduplicating projection, union sources and the hash join.
-// Filters narrow selection vectors in place without moving data; hash joins
-// hash whole key columns and fetch chain heads with one getBatch call per
-// probe batch. compileRel (exec.go) assembles them for rewriting plans,
-// QueryPlan.compile (pipeline.go) for store-side pipelines; the one drain
-// (stream.go) pulls either.
+// filters, the deduplicating projection, the one union (newUnion) and the
+// hash join. Filters narrow selection vectors in place without moving data;
+// hash joins hash whole key columns and fetch chain heads with one getBatch
+// call per probe batch. compileRel (exec.go) assembles them for rewriting
+// plans, QueryPlan.compile (pipeline.go) for store-side pipelines, and the
+// stream combinators (stream.go) join finished trees under a union or a
+// permutation; the one drain (stream.go) pulls the root of any of them.
 //
 // Columns are positional: a batch's column i carries cols()[i].
 //
@@ -187,11 +188,12 @@ func (f *filterOp) nextBatch() (*batch, bool) {
 // projectOp is π with set semantics — the one place operators eliminate
 // duplicates. It restricts/reorders its input's columns onto labels (constant
 // labels project as constant columns) and, when distinct, keeps only rows not
-// seen before, emitting dense batches. Every root is one: a rewriting's
-// Project and Union nodes (a union is the dedup of its concatenated
-// branches, columns unchanged) and a store-side plan's head, which
-// skips the dedup when the head exposes every body variable. Resume state (the
-// current input batch and position) lets a projection span output batches.
+// seen before, emitting dense batches. It is a rewriting's Project node,
+// every union (newUnion: the dedup of concatenated branches, columns
+// unchanged), a store-side plan's head, which skips the dedup when the head
+// exposes every body variable, and ProjectStream's permutation, which never
+// dedups. Resume state (the current input batch and position) lets a
+// projection span output batches.
 type projectOp struct {
 	in       operator
 	labels   []cq.Term
@@ -316,10 +318,55 @@ func (p *projectOp) nextBatch() (*batch, bool) {
 	}
 }
 
+// newUnion is the one union operator, whichever way a union is asked for — a
+// rewriting's Union node (compileRel) or a union of streams (UnionStreams):
+// the branches concatenated under a deduplicating projectOp that keeps their
+// columns, its set sized by the sum of the branch estimates with floor as the
+// minimum. The concatenation stops once any of intrs has fired.
+func newUnion(branches []operator, floor float64, intrs interrupts) (*projectOp, error) {
+	if len(branches) == 0 {
+		return nil, fmt.Errorf("engine: empty union")
+	}
+	src := &concatOp{branches: branches, intrs: intrs}
+	w := len(branches[0].cols())
+	for _, b := range branches {
+		if len(b.cols()) != w {
+			return nil, fmt.Errorf("engine: union arity mismatch: %d vs %d", len(b.cols()), w)
+		}
+		src.est += estOf(b)
+	}
+	op := &projectOp{in: src, labels: src.cols(), idx: make([]int, w), distinct: true, union: true,
+		est: max(floor, src.est)}
+	for c := range op.idx {
+		op.idx[c] = c
+	}
+	return op, nil
+}
+
+// estOf is a tree root's estimated output rows: the estimate compileRel
+// returns beside the operator, or a store plan's head projection's.
+func estOf(o operator) float64 {
+	switch o := o.(type) {
+	case *viewScanOp:
+		return o.est
+	case *filterOp:
+		return o.est
+	case *projectOp:
+		return o.est
+	case *hashJoinOp:
+		return o.est
+	}
+	return 0
+}
+
 // concatOp streams its branches one after another (∪ before its dedup);
-// columns are aligned positionally and labeled by the first branch.
+// columns are aligned positionally and labeled by the first branch. A branch
+// that stops at a fired cancellation token ends the concatenation: a union
+// of streams polls one token per member, and the next member's would count
+// the same cancellation again.
 type concatOp struct {
 	branches []operator
+	intrs    interrupts
 	bi       int
 	est      float64
 }
@@ -333,7 +380,7 @@ func (u *concatOp) close() {
 }
 
 func (u *concatOp) nextBatch() (*batch, bool) {
-	for ; u.bi < len(u.branches); u.bi++ {
+	for ; u.bi < len(u.branches) && !u.intrs.fired(); u.bi++ {
 		if b, ok := u.branches[u.bi].nextBatch(); ok {
 			return b, true
 		}

@@ -1,66 +1,95 @@
 package engine
 
 import (
-	"fmt"
+	"errors"
+	"slices"
 
 	"rdfviews/internal/algebra"
 	"rdfviews/internal/cq"
 	"rdfviews/internal/dict"
 )
 
-// The one drain of both tiers: the pipeline is pulled one batch at a time and
-// each batch is handed to the consumer as a row slab. This is the serving
-// tier's backpressure path — an HTTP response encodes each slab and blocks on
-// the client's socket before the next batch is pulled, so a slow reader holds
-// O(batch) engine state, not O(result) — and Collect over it is the one way a
-// result becomes a Relation. The streams honor ExecOptions.Ctx: a canceled
-// context stops the pipeline at its next checkpoint and Next surfaces
+// The one drain of both tiers: a stream pulls one root operator a batch at a
+// time and hands each batch to the consumer as a row slab. This is the
+// serving tier's backpressure path — an HTTP response encodes each slab and
+// blocks on the client's socket before the next batch is pulled, so a slow
+// reader holds O(batch) engine state, not O(result) — and Collect over it is
+// the one way a result becomes a Relation. Streams combine before they are
+// pulled, as operators: UnionStreams puts its members' trees under the one
+// union (newUnion, the constructor a rewriting's Union node compiles to) and
+// ProjectStream puts a non-deduplicating projectOp over its input's tree, so
+// every answer is one operator tree. The streams honor ExecOptions.Ctx: a
+// canceled context stops the tree at its next checkpoint and Next surfaces
 // ctx.Err().
 
+// ErrStreamClosed is what Next returns on a stream closed before it reached
+// its end.
+var ErrStreamClosed = errors.New("engine: stream closed")
+
 // RowStream is a pulled sequence of row slabs from a running pipeline.
-// Next returns slabs of at least one row; unless the stream says otherwise,
-// a slab (and its rows) is valid only until the next Next call. Close
-// releases the pipeline's operators and is required on every stream, drained
-// or not.
+// Next returns slabs of at least one row; a slab (and its rows) is valid only
+// until the next Next call. Close releases the pipeline's operators and is
+// required on every stream, drained or not.
 type RowStream struct {
-	streamCols []cq.Term
-	pull       func() ([]Row, error) // nil slab = EOF
-	stop       func()
-	est        float64 // the compiled root's estimated rows; 0 for a stream over streams
-	done       bool
-	err        error
+	cols   []cq.Term
+	root   operator   // nil once closed
+	intrs  interrupts // the cancellation tokens root's checkpoints poll
+	rows   []Row      // the slab, re-sliced from back per Next
+	back   []dict.ID
+	pulled bool
+	done   bool
+	err    error
+}
+
+// newStream streams root, whose checkpoints poll intrs.
+func newStream(root operator, intrs interrupts) *RowStream {
+	return &RowStream{cols: slices.Clone(root.cols()), root: root, intrs: intrs}
 }
 
 // Cols returns the stream's column labels.
-func (s *RowStream) Cols() []cq.Term { return s.streamCols }
+func (s *RowStream) Cols() []cq.Term { return s.cols }
 
 // Next returns the next slab of rows, nil at end of stream, or the error
 // that terminated the stream (a canceled ExecOptions.Ctx surfaces here as
-// ctx.Err()). After EOF or an error every further call returns the same.
+// ctx.Err()). After EOF or an error every further call returns the same;
+// after an early Close it returns ErrStreamClosed.
 func (s *RowStream) Next() ([]Row, error) {
 	if s.done {
 		return nil, s.err
 	}
-	rows, err := s.pull()
-	if err != nil {
-		s.done, s.err = true, err
+	s.pulled = true
+	b, ok := s.root.nextBatch()
+	if !ok {
+		s.done, s.err = true, s.intrs.err()
 		s.Close()
-		return nil, err
+		return nil, s.err
 	}
-	if rows == nil {
-		s.done = true
-		s.Close()
-		return nil, nil
+	// Transpose into the reused slab: one flat backing array sized by the
+	// largest batch seen, so a point lookup does not pay for a full batch.
+	sel, w := b.liveSel(), len(s.cols)
+	if cap(s.rows) < len(sel) {
+		s.rows, s.back = make([]Row, len(sel)), make([]dict.ID, len(sel)*w)
 	}
-	return rows, nil
+	s.rows = s.rows[:len(sel)]
+	for k, i := range sel {
+		row := s.back[k*w : (k+1)*w : (k+1)*w]
+		for c := range row {
+			row[c] = b.cols[c][i]
+		}
+		s.rows[k] = row
+	}
+	return s.rows, nil
 }
 
 // Close releases the stream's pipeline (its batch buffers). It is idempotent
 // and safe after EOF.
 func (s *RowStream) Close() {
-	if s.stop != nil {
-		s.stop()
-		s.stop = nil
+	if !s.done {
+		s.done, s.err = true, ErrStreamClosed
+	}
+	if s.root != nil {
+		closeOp(s.root)
+		s.root = nil
 	}
 }
 
@@ -69,7 +98,7 @@ func (s *RowStream) Close() {
 // surfaces as its error, never as a truncated relation.
 func (s *RowStream) Collect() (*Relation, error) {
 	defer s.Close()
-	out := NewRelation(s.streamCols)
+	out := NewRelation(s.cols)
 	var arena rowArena
 	for {
 		rows, err := s.Next()
@@ -85,65 +114,27 @@ func (s *RowStream) Collect() (*Relation, error) {
 	}
 }
 
-// slabBuf is the reusable row-slab buffer streaming drains transpose batches
-// into: one flat backing array, re-sliced into rows per fill and sized by the
-// largest slab seen, so a point lookup does not pay for a full batch.
-type slabBuf struct {
-	rows []Row
-	back []dict.ID
-	w    int
+// adopt hands the stream's operator tree to a stream built over it, which
+// closes the tree from then on; the stream itself is left closed. Only a
+// stream that has not been pulled has a whole tree to hand over.
+func (s *RowStream) adopt() {
+	s.root, s.done, s.err = nil, true, ErrStreamClosed
 }
 
-// reset readies the buffer for a new slab of up to n rows.
-func (sb *slabBuf) reset(n int) {
-	if cap(sb.rows) < n {
-		sb.rows = make([]Row, 0, n)
-		sb.back = make([]dict.ID, n*sb.w)
+// unpulled rejects a stream a combinator cannot adopt: one already pulled or
+// closed.
+func (s *RowStream) unpulled() error {
+	if s.pulled || s.done {
+		return errors.New("engine: cannot combine a stream that was already pulled")
 	}
-	sb.rows = sb.rows[:0]
-}
-
-// next returns the next uninitialized row of the slab.
-func (sb *slabBuf) next() Row {
-	i := len(sb.rows) * sb.w
-	row := sb.back[i : i+sb.w : i+sb.w]
-	sb.rows = append(sb.rows, row)
-	return row
-}
-
-// stream is the streaming drain of both tiers: each batch the root yields is
-// transposed into a reused slab, so the stream holds O(batch) beyond the
-// operators' own state (a dedup set holds each kept row once, which is
-// inherent to distinct). est is the planner's row estimate for the root,
-// carried for a union over this stream to size its set from. Closing the
-// stream closes the root.
-func stream(root operator, est float64, opts ExecOptions) *RowStream {
-	w := len(root.cols())
-	slab := slabBuf{w: w}
-	pull := func() ([]Row, error) {
-		b, ok := root.nextBatch()
-		if !ok {
-			return nil, opts.ctxErr()
-		}
-		sel := b.liveSel()
-		slab.reset(len(sel))
-		for _, i := range sel {
-			row := slab.next()
-			for c := range row {
-				row[c] = b.cols[c][i]
-			}
-		}
-		return slab.rows, nil
-	}
-	return &RowStream{streamCols: append([]cq.Term(nil), root.cols()...), pull: pull,
-		stop: func() { closeOp(root) }, est: est}
+	return nil
 }
 
 // EvalStream runs the store-side pipeline and streams its head tuples instead
 // of materializing them. The stream's rows are valid until the next Next.
 func (p *QueryPlan) EvalStream(opts ExecOptions) *RowStream {
-	root := p.compile(newInterrupt(opts.Ctx))
-	return stream(root, root.est, opts)
+	intr := newInterrupt(opts.Ctx)
+	return newStream(p.compile(intr), interrupts{intr})
 }
 
 // ExecuteStream evaluates a rewriting plan over materialized views and
@@ -155,115 +146,59 @@ func (p *QueryPlan) EvalStream(opts ExecOptions) *RowStream {
 // serially on the consumer's goroutine, and all structural validation happens
 // at compile time.
 func ExecuteStream(p algebra.Plan, resolve ViewResolver, opts ExecOptions) (*RowStream, error) {
-	root, est, err := compileRel(p, resolve.extent, newInterrupt(opts.Ctx))
+	intr := newInterrupt(opts.Ctx)
+	root, _, err := compileRel(p, resolve.extent, intr)
 	if err != nil {
 		return nil, err
 	}
-	return stream(root, est, opts), nil
+	return newStream(root, interrupts{intr}), nil
 }
 
 // UnionStreams streams the set union of its member streams, deduplicating
 // across members: a union of conjunctive queries on the store, or the
-// serving tier's multi-member template. Every member is a distinct stream,
-// so a union of one is that member, returned unchanged (its slabs valid
-// until the next Next, as any stream's). Otherwise kept rows are copied into
-// the dedup set's arena, so the union's slabs stay valid across Next calls;
-// the set is sized by unionEst, the rule a union inside a plan follows.
-// Closing the union closes every member.
+// serving tier's multi-member template. No member may have been pulled. A
+// union of one is that member, returned unchanged; otherwise the members'
+// trees become the branches of the one union operator (newUnion), its set
+// sized by the sum of their estimates with sizeHint as the floor, and the
+// union stops at the first member whose cancellation fires. Closing the
+// union closes every member.
 func UnionStreams(streams []*RowStream, sizeHint int) (*RowStream, error) {
-	switch len(streams) {
-	case 0:
-		return nil, fmt.Errorf("engine: empty stream union")
-	case 1:
-		return streams[0], nil
-	}
-	w := len(streams[0].Cols())
-	for _, s := range streams[1:] {
-		if len(s.Cols()) != w {
-			return nil, fmt.Errorf("engine: stream union arity mismatch: %d vs %d", len(s.Cols()), w)
-		}
-	}
-	seen := newRowSet(distinctSizeHint(unionEst(streams, sizeHint)))
-	si := 0
-	out := make([]Row, 0, BatchSize)
-	pull := func() ([]Row, error) {
-		for si < len(streams) {
-			rows, err := streams[si].Next()
-			if err != nil {
-				return nil, err
-			}
-			if rows == nil {
-				si++
-				continue
-			}
-			out = out[:0]
-			for _, row := range rows {
-				if kept, added := seen.addCopy(row); added {
-					out = append(out, kept)
-				}
-			}
-			if len(out) > 0 {
-				return out, nil
-			}
-		}
-		return nil, nil
-	}
-	stop := func() {
-		for _, s := range streams {
-			s.Close()
-		}
-	}
-	return &RowStream{streamCols: streams[0].Cols(), pull: pull, stop: stop}, nil
-}
-
-// unionEst is the row estimate a union of streams dedups under: the sum of
-// its members' estimates, as for a Union node of a rewriting plan
-// (compileRel), with sizeHint as the floor for members that carry none.
-func unionEst(streams []*RowStream, sizeHint int) float64 {
-	est := 0.0
-	for _, s := range streams {
-		est += s.est
-	}
-	return max(float64(sizeHint), est)
-}
-
-// ProjectStream reorders a stream's columns onto the given labels; constant
-// labels project as constant columns. Unlike Relation.Project it does not
-// re-deduplicate: it is meant for permutations of an already-distinct
-// stream's full column set (the serving tier's view-route case, where the
-// cached statement's head is a relabeling of the plan's head), which cannot
-// introduce duplicates.
-func ProjectStream(in *RowStream, cols []cq.Term) (*RowStream, error) {
-	inCols := in.Cols()
-	idx := make([]int, len(cols))
-	for i, c := range cols {
-		if c.IsConst() {
-			idx[i] = -1
-			continue
-		}
-		idx[i] = termIndex(inCols, c)
-		if idx[i] < 0 {
-			return nil, fmt.Errorf("engine: projection column %v not in %v", c, inCols)
-		}
-	}
-	slab := slabBuf{w: len(cols)}
-	pull := func() ([]Row, error) {
-		rows, err := in.Next()
-		if err != nil || rows == nil {
+	branches := make([]operator, len(streams))
+	var intrs interrupts
+	for i, s := range streams {
+		if err := s.unpulled(); err != nil {
 			return nil, err
 		}
-		slab.reset(len(rows))
-		for _, row := range rows {
-			nr := slab.next()
-			for i, j := range idx {
-				if j < 0 {
-					nr[i] = cols[i].ConstID()
-				} else {
-					nr[i] = row[j]
-				}
-			}
-		}
-		return slab.rows, nil
+		branches[i], intrs = s.root, append(intrs, s.intrs...)
 	}
-	return &RowStream{streamCols: append([]cq.Term(nil), cols...), pull: pull, stop: in.Close}, nil
+	if len(streams) == 1 {
+		return streams[0], nil
+	}
+	root, err := newUnion(branches, float64(sizeHint), intrs)
+	if err != nil {
+		return nil, err
+	}
+	for _, s := range streams {
+		s.adopt()
+	}
+	return newStream(root, intrs), nil
+}
+
+// ProjectStream reorders a stream that has not been pulled onto the given
+// labels; constant labels project as constant columns. Unlike
+// Relation.Project it does not re-deduplicate: it is meant for permutations
+// of an already-distinct stream's full column set (the serving tier's
+// view-route case, where the cached statement's head is a relabeling of the
+// plan's head), which cannot introduce duplicates.
+func ProjectStream(in *RowStream, cols []cq.Term) (*RowStream, error) {
+	if err := in.unpulled(); err != nil {
+		return nil, err
+	}
+	op, err := newProjectOp(in.root, cols, estOf(in.root))
+	if err != nil {
+		return nil, err
+	}
+	op.distinct = false
+	in.adopt()
+	return newStream(op, in.intrs), nil
 }

@@ -126,7 +126,7 @@ func TestUnionProjectStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	one.Close()
-	if only.stop != nil {
+	if only.root != nil {
 		t.Fatal("closing a one-member union left its member open")
 	}
 	wantOne, err := views[1].Project([]cq.Term{x1, x2})
@@ -206,4 +206,90 @@ func TestExecCancelContext(t *testing.T) {
 		}
 	}
 	s.Close()
+}
+
+// TestNextAfterCloseReturnsErrStreamClosed: a stream closed before its end
+// answers every later Next with ErrStreamClosed and no rows, without
+// re-entering the operators Close released — a rewriting's hash join and a
+// store plan's merge join. A drained stream keeps answering EOF.
+func TestNextAfterCloseReturnsErrStreamClosed(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	x1, x2, x3 := cq.Var(1), cq.Var(2), cq.Var(3)
+	views := map[algebra.ViewID]*Relation{
+		1: randomExtent(rng, []cq.Term{x1, x2}, 3000, 50),
+		2: randomExtent(rng, []cq.Term{x2, x3}, 3000, 50),
+	}
+	join := algebra.NewJoin(algebra.NewScan(1, []cq.Term{x1, x2}), algebra.NewScan(2, []cq.Term{x2, x3}))
+	hashJoin, err := ExecuteStream(join, MapResolver(views), ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := hashJoin.root.(*hashJoinOp); !ok {
+		t.Fatalf("rewriting join compiled to %T, want a hash join", hashJoin.root)
+	}
+	flat, _, _ := diffStores(t)
+	plan, err := PlanQuery(flat, cq.NewParser(flat.Dict()).MustParseQuery(joinShapes["Chain3"]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireExplain(t, plan, "MergeJoin")
+	for name, s := range map[string]*RowStream{"hash-join": hashJoin, "merge-join": plan.EvalStream(ExecOptions{})} {
+		if rows, err := s.Next(); err != nil || rows == nil {
+			t.Fatalf("%s: first slab: %v rows, %v", name, len(rows), err)
+		}
+		s.Close()
+		for i := 0; i < 2; i++ {
+			if rows, err := s.Next(); rows != nil || err != ErrStreamClosed {
+				t.Fatalf("%s: Next after Close = %d rows, %v; want none, ErrStreamClosed", name, len(rows), err)
+			}
+		}
+	}
+
+	drained, err := ExecuteStream(join, MapResolver(views), ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainStream(t, "drained", drained)
+	if rows, err := drained.Next(); rows != nil || err != nil {
+		t.Fatalf("Next after EOF and Close = %d rows, %v; want EOF", len(rows), err)
+	}
+}
+
+// TestCombinatorsRejectPulledStreams: UnionStreams and ProjectStream build one
+// operator tree over their inputs' trees, so an input that was already pulled
+// (or closed) has no whole tree to give and is refused, and left usable.
+func TestCombinatorsRejectPulledStreams(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	x1, x2 := cq.Var(1), cq.Var(2)
+	views := map[algebra.ViewID]*Relation{1: randomExtent(rng, []cq.Term{x1, x2}, 3000, 60)}
+	mk := func() *RowStream {
+		s, err := ExecuteStream(algebra.NewScan(1, []cq.Term{x1, x2}), MapResolver(views), ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		return s
+	}
+	pulled := mk()
+	if _, err := pulled.Next(); err != nil {
+		t.Fatal(err)
+	}
+	fresh := mk()
+	if _, err := UnionStreams([]*RowStream{fresh, pulled}, 64); err == nil {
+		t.Fatal("UnionStreams accepted a pulled member")
+	}
+	if _, err := UnionStreams([]*RowStream{pulled}, 64); err == nil {
+		t.Fatal("UnionStreams accepted a pulled one-member union")
+	}
+	if _, err := ProjectStream(pulled, []cq.Term{x2, x1}); err == nil {
+		t.Fatal("ProjectStream accepted a pulled stream")
+	}
+	closed := mk()
+	closed.Close()
+	if _, err := ProjectStream(closed, []cq.Term{x2, x1}); err == nil {
+		t.Fatal("ProjectStream accepted a closed stream")
+	}
+	if rows, err := fresh.Next(); err != nil || rows == nil {
+		t.Fatalf("a refused union consumed its unpulled member: %d rows, %v", len(rows), err)
+	}
 }

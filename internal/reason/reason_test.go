@@ -380,35 +380,6 @@ func hasDuplicateRows(r *engine.Relation) bool {
 	return false
 }
 
-func TestReformulateUCQMerges(t *testing.T) {
-	d := dict.New()
-	s := NewSchema(paperSchema(), d)
-	p := cq.NewParser(d)
-	q1 := p.MustParseQuery("q(X) :- t(X, rdf:type, masterpiece)")
-	p.ResetNames()
-	q2 := p.MustParseQuery("q(X) :- t(X, rdf:type, painting)")
-	u, err := ReformulateUCQ(cq.NewUCQ(q1, q2), s, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// q1 reformulates to {masterpiece, painting, ∃hasCreated, ∃hasPainted};
-	// actually: masterpiece ⇐ painting (rule 1), range(hasCreated)=masterpiece
-	// (rule 4), then painting ⇐ nothing more except range(hasPainted)=painting.
-	// q2 reformulates to {painting, ∃hasPainted}. The merged union must
-	// deduplicate the shared terms.
-	if !u.Contains(q2) {
-		t.Error("merged union should contain q2's base term")
-	}
-	sum := 0
-	for _, q := range []*cq.Query{q1, q2} {
-		r := MustReformulate(q, s)
-		sum += r.Len()
-	}
-	if u.Len() >= sum {
-		t.Errorf("no dedup across members: %d vs %d", u.Len(), sum)
-	}
-}
-
 func TestSchemaAccessorsEncoded(t *testing.T) {
 	d := dict.New()
 	s := NewSchema(paperSchema(), d)

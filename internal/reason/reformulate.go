@@ -246,22 +246,6 @@ func MustReformulate(q *cq.Query, s *Schema) *cq.UCQ {
 	return u
 }
 
-// ReformulateUCQ reformulates every member of a union and merges the results
-// (used when reformulating views that are already unions).
-func ReformulateUCQ(u *cq.UCQ, s *Schema, maxTerms int) (*cq.UCQ, error) {
-	out := cq.NewUCQ()
-	for _, q := range u.Queries {
-		r, err := Reformulate(q, s, maxTerms)
-		if err != nil {
-			return nil, err
-		}
-		for _, rq := range r.Queries {
-			out.Add(rq)
-		}
-	}
-	return out, nil
-}
-
 // TerminationBound returns the (2|S|²)^m bound of Theorem 4.1 on the number
 // of union terms, as a float64 to avoid overflow for large m.
 func TerminationBound(s *Schema, atoms int) float64 {

@@ -225,7 +225,6 @@ var _ Reader = (*Store)(nil)
 
 type columnStats struct {
 	distinct int
-	min, max dict.ID
 	avgLen   float64
 }
 
@@ -594,8 +593,8 @@ func (st *Store) DistinctInColumn(pat Pattern, col int) []dict.ID {
 	}
 }
 
-// colStatsNow returns the per-column statistics (distinct count, min, max,
-// average lexical width) the cost model consumes, recomputing under the
+// colStatsNow returns the per-column statistics (distinct count, average
+// lexical width) the cost model consumes, recomputing under the
 // stats lock when a mutation invalidated the cache. The copy is returned
 // while the lock is held, so concurrent recomputation never tears a reader.
 func (st *Store) colStatsNow() [3]columnStats {
@@ -611,7 +610,6 @@ func (st *Store) colStatsNow() [3]columnStats {
 	}
 	for c := 0; c < 3; c++ {
 		set := make(map[dict.ID]struct{})
-		var minID, maxID dict.ID
 		var totalLen int
 		for _, s := range snaps {
 			for pos, t := range s.triples {
@@ -624,15 +622,9 @@ func (st *Store) colStatsNow() [3]columnStats {
 					tm := st.dict.MustDecode(id)
 					totalLen += len(tm.Value)
 				}
-				if minID == 0 || id < minID {
-					minID = id
-				}
-				if id > maxID {
-					maxID = id
-				}
 			}
 		}
-		cs := columnStats{distinct: len(set), min: minID, max: maxID}
+		cs := columnStats{distinct: len(set)}
 		if len(set) > 0 {
 			cs.avgLen = float64(totalLen) / float64(len(set))
 		} else {
@@ -647,12 +639,6 @@ func (st *Store) colStatsNow() [3]columnStats {
 // DistinctCount returns the number of distinct values in the column.
 func (st *Store) DistinctCount(col int) int {
 	return st.colStatsNow()[col].distinct
-}
-
-// MinMax returns the smallest and largest ID in the column (0, 0 if empty).
-func (st *Store) MinMax(col int) (dict.ID, dict.ID) {
-	cs := st.colStatsNow()[col]
-	return cs.min, cs.max
 }
 
 // AvgWidth returns the average lexical width, in bytes, of the distinct

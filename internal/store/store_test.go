@@ -186,10 +186,6 @@ func TestColumnStats(t *testing.T) {
 	if got := st.DistinctCount(P); got != 3 { // hasPainted, isParentOf, rdf:type
 		t.Errorf("DistinctCount(P) = %d, want 3", got)
 	}
-	lo, hi := st.MinMax(S)
-	if lo < 1 || hi < lo {
-		t.Errorf("MinMax(S) = %d,%d", lo, hi)
-	}
 	if w := st.AvgWidth(P); w <= 0 {
 		t.Errorf("AvgWidth(P) = %v", w)
 	}

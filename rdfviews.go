@@ -388,9 +388,9 @@ func (db *Database) ExplainQuery(q *cq.Query) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	_, tmpl, err := db.plan(li, &v)
+	r, err := db.plan(li, &v)
 	if err != nil {
 		return "", err
 	}
-	return tmpl.members[0].Instantiate(v.reader, li.repr).Explain(), nil
+	return r.members[0].Instantiate(v.reader, nil).Explain(), nil
 }

@@ -72,7 +72,7 @@ import (
 // with a real term; parameter rank r is encoded as sentinelBase + r.
 const sentinelBase dict.ID = 1 << 56
 
-// maxRoutesPerArtifact bounds the per-binding route memos kept on one cached
+// maxRoutesPerArtifact bounds the per-binding route memo kept on one cached
 // artifact (whether a concrete binding hits an exact workload view match
 // depends on the constants, so it is resolved per binding).
 const maxRoutesPerArtifact = 128
@@ -197,30 +197,13 @@ func applyConstSubst(q *cq.Query, sub map[dict.ID]dict.ID) *cq.Query {
 	return out
 }
 
-// storeTemplate is the compiled store-path artifact: one physical plan per
-// member of the skeleton's closure under reformulation rules 5–6 — a single
-// plan unless the skeleton has a class or property variable — whose atoms are
-// union leaves of their rule 1–4 alternatives. Execution (execStream,
-// serve_stream.go) instantiates each member against the caller's snapshot and
-// binding and, over several members, takes their distinct union.
-type storeTemplate struct {
-	members []*engine.QueryPlan
-
-	// bound memoizes the constant-substituted member clones per binding key:
-	// substitution walks every compiled step spec, so repeated executions of
-	// one binding — the prepared-query hot path — reuse the walk and pay only
-	// a struct copy to pin the caller's reader. Bounded like the route memo;
-	// bindings past the cap fall back to substituting per call.
-	mu    sync.Mutex
-	bound map[string][]*engine.QueryPlan
-}
-
-// compileStoreTemplate reformulates the skeleton per atom under schema when
-// one is given (reason.ReformulateAtoms) and compiles a parameterized
-// physical plan per member, its atoms union leaves of their alternatives,
-// join-ordered by the cardinalities of the triggering query's constants
-// (repr).
-func compileStoreTemplate(reader store.Reader, skel *cq.Query, repr map[dict.ID]dict.ID, schema *reason.Schema, maxTerms int) (*storeTemplate, error) {
+// compileStoreTemplate compiles the store-path template: one physical plan
+// per member of the skeleton's closure under reformulation rules 5–6
+// (reason.ReformulateAtoms, when schema is given) — a single plan unless the
+// skeleton has a class or property variable — whose atoms are union leaves
+// of their rule 1–4 alternatives, join-ordered by the cardinalities of the
+// triggering query's constants (repr).
+func compileStoreTemplate(reader store.Reader, skel *cq.Query, repr map[dict.ID]dict.ID, schema *reason.Schema, maxTerms int) ([]*engine.QueryPlan, error) {
 	members := []*cq.Query{skel}
 	var alts [][][]cq.Atom
 	if schema != nil {
@@ -229,7 +212,7 @@ func compileStoreTemplate(reader store.Reader, skel *cq.Query, repr map[dict.ID]
 			return nil, err
 		}
 	}
-	t := &storeTemplate{members: make([]*engine.QueryPlan, len(members))}
+	plans := make([]*engine.QueryPlan, len(members))
 	for i, mq := range members {
 		var ma [][]cq.Atom
 		if alts != nil {
@@ -239,52 +222,27 @@ func compileStoreTemplate(reader store.Reader, skel *cq.Query, repr map[dict.ID]
 		if err != nil {
 			return nil, err
 		}
-		t.members[i] = p
+		plans[i] = p
 	}
-	return t, nil
+	return plans, nil
 }
 
-// boundMembers returns the member plans with the binding's constants
-// substituted but no reader pinned, memoized per binding key. A query without
-// parameters uses the compiled members directly.
-func (t *storeTemplate) boundMembers(li *liftInfo) []*engine.QueryPlan {
-	if len(li.repr) == 0 {
-		return t.members
-	}
-	t.mu.Lock()
-	ms, ok := t.bound[li.bkey]
-	if !ok {
-		ms = make([]*engine.QueryPlan, len(t.members))
-		for i, p := range t.members {
-			ms[i] = p.Instantiate(nil, li.repr)
-		}
-		if t.bound == nil {
-			t.bound = make(map[string][]*engine.QueryPlan)
-		}
-		if len(t.bound) < maxRoutesPerArtifact {
-			t.bound[li.bkey] = ms
-		}
-	}
-	t.mu.Unlock()
-	return ms
-}
-
-// viewRoute records whether a concrete binding of a skeleton matches a
-// workload query exactly (and can therefore be answered from the maintained
-// rewriting) and how to line the rewriting's columns up with the incoming
-// head.
-type viewRoute struct {
+// boundRoute is what one binding of a skeleton runs: the maintained
+// rewriting of the workload query it matches exactly (idx, with cols lining
+// the rewriting's columns up with the incoming head), or else the store
+// template's members with the binding's constants substituted but no reader
+// pinned. Substitution walks every compiled step spec, so repeated
+// executions of one binding — the prepared-query hot path — pay only a
+// struct copy per member to pin the caller's reader (execStream).
+type boundRoute struct {
 	matched bool
 	idx     int       // workload query / rewriting plan index
 	cols    []cq.Term // rewriting columns in incoming head order
+	members []*engine.QueryPlan
 }
 
-// unroutable is the shared no-view-route result for skeletons whose shape
-// rules out every workload match.
-var unroutable = &viewRoute{}
-
 // serveArtifact is one plan-cache entry: the skeleton it was compiled from,
-// the lazily compiled store template, per-binding view routes, and the
+// the lazily compiled store template, what each binding runs, and the
 // validity snapshot taken at compile time.
 type serveArtifact struct {
 	skeleton *cq.Query
@@ -296,14 +254,16 @@ type serveArtifact struct {
 	genSeen   atomic.Uint64
 	schemaLen int
 
-	mu   sync.Mutex
-	tmpl *storeTemplate
-	// routes memoizes each binding's route. It is nil when no workload query
-	// shares the skeleton's atom count and head arity — canonical-code
-	// equality needs both, so that rules out a view route for every binding
-	// at once and the per-binding match (a canonicalization per new binding)
-	// is skipped entirely. Always nil on a Database, which has no workload.
-	routes map[string]*viewRoute
+	// routable is false when no workload query shares the skeleton's atom
+	// count and head arity: canonical-code equality needs both, so that
+	// rules out a view route for every binding at once and the per-binding
+	// match (a canonicalization per new binding) is skipped entirely. Always
+	// false on a Database, which has no workload.
+	routable bool
+
+	mu    sync.Mutex
+	tmpl  []*engine.QueryPlan    // the store template, compiled on first need
+	bound map[string]*boundRoute // each binding's route, by binding key
 }
 
 // valid is the one validity rule of the plan cache, run on every hit under
@@ -411,13 +371,13 @@ func (f *front) lifted(d *dict.Dictionary, v *version, text string) (*liftInfo, 
 
 // plan is the plan-cache admission of every ad-hoc answer: it fetches li's
 // artifact — compiling it at v on a miss or when it fails validity at v —
-// and resolves how li's binding executes there.
-func (f *front) plan(li *liftInfo, v *version) (*viewRoute, *storeTemplate, error) {
+// and resolves what li's binding runs there.
+func (f *front) plan(li *liftInfo, v *version) (*boundRoute, error) {
 	x, err := f.do(li.key,
 		func(x any) bool { return x.(*serveArtifact).valid(v) },
 		func() (any, error) { return f.compile(li, v) })
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	return f.route(x.(*serveArtifact), li, v)
 }
@@ -427,44 +387,49 @@ func (f *front) plan(li *liftInfo, v *version) (*viewRoute, *storeTemplate, erro
 // template when no workload view matches — so the whole cost lands inside the
 // cache's compile accounting.
 func (f *front) compile(li *liftInfo, v *version) (*serveArtifact, error) {
-	a := &serveArtifact{skeleton: li.skeleton, schemaLen: v.schemaLen}
-	if f.shapeRoutable(li.skeleton) {
-		a.routes = make(map[string]*viewRoute)
-	}
+	a := &serveArtifact{skeleton: li.skeleton, schemaLen: v.schemaLen,
+		routable: f.shapeRoutable(li.skeleton), bound: make(map[string]*boundRoute)}
 	a.rows.Store(int64(v.reader.Len()))
 	a.genSeen.Store(v.gen)
-	if _, _, err := f.route(a, li, v); err != nil {
+	if _, err := f.route(a, li, v); err != nil {
 		return nil, err
 	}
 	return a, nil
 }
 
-// route resolves how this binding executes: an exact workload match runs
-// the maintained rewriting, everything else the store template (compiled on
-// first need). Routes are memoized per binding on the artifact, because the
-// same skeleton matches the workload only under the constants the workload
-// query carries.
-func (f *front) route(a *serveArtifact, li *liftInfo, v *version) (*viewRoute, *storeTemplate, error) {
+// route resolves what this binding runs: an exact workload match runs the
+// maintained rewriting, everything else the store template (compiled on
+// first need) under the binding's constants. Routes are memoized per binding
+// on the artifact, at most maxRoutesPerArtifact of them, because the same
+// skeleton matches the workload only under the constants the workload query
+// carries; bindings past the cap resolve per call.
+func (f *front) route(a *serveArtifact, li *liftInfo, v *version) (*boundRoute, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	r := unroutable
-	if a.routes != nil {
-		var ok bool
-		if r, ok = a.routes[li.bkey]; !ok {
-			r = f.matchRoute(applyConstSubst(a.skeleton, li.repr))
-			if len(a.routes) < maxRoutesPerArtifact {
-				a.routes[li.bkey] = r
+	if r, ok := a.bound[li.bkey]; ok {
+		return r, nil
+	}
+	r := &boundRoute{}
+	if a.routable {
+		r = f.matchRoute(applyConstSubst(a.skeleton, li.repr))
+	}
+	if !r.matched {
+		if a.tmpl == nil {
+			tmpl, err := compileStoreTemplate(v.reader, a.skeleton, li.repr, v.schema, v.maxTerms)
+			if err != nil {
+				return nil, err
 			}
+			a.tmpl = tmpl
+		}
+		r.members = make([]*engine.QueryPlan, len(a.tmpl))
+		for i, p := range a.tmpl {
+			r.members[i] = p.Instantiate(nil, li.repr)
 		}
 	}
-	if !r.matched && a.tmpl == nil {
-		tmpl, err := compileStoreTemplate(v.reader, a.skeleton, li.repr, v.schema, v.maxTerms)
-		if err != nil {
-			return nil, nil, err
-		}
-		a.tmpl = tmpl
+	if len(a.bound) < maxRoutesPerArtifact {
+		a.bound[li.bkey] = r
 	}
-	return r, a.tmpl, nil
+	return r, nil
 }
 
 // shapeRoutable reports whether some workload query could be isomorphic to an
@@ -485,12 +450,12 @@ func (f *front) shapeRoutable(skel *cq.Query) bool {
 // column order, and the two labelings' numberings line its columns up with
 // the rewriting's — a head variable numbered n is the workload head variable
 // numbered n, a head constant is itself.
-func (f *front) matchRoute(conc *cq.Query) *viewRoute {
+func (f *front) matchRoute(conc *cq.Query) *boundRoute {
 	f.widxOnce.Do(f.buildWorkloadIndex)
 	lab := conc.Label(cq.SetHead)
 	w, ok := f.widx[lab.Code]
 	if !ok {
-		return &viewRoute{}
+		return &boundRoute{}
 	}
 	cols := make([]cq.Term, len(conc.Head))
 	for j, h := range conc.Head {
@@ -500,11 +465,11 @@ func (f *front) matchRoute(conc *cq.Query) *viewRoute {
 		}
 		n := lab.Num(h)
 		if n == 0 || n >= len(w.cols) || w.cols[n] == 0 {
-			return &viewRoute{}
+			return &boundRoute{}
 		}
 		cols[j] = w.cols[n]
 	}
-	return &viewRoute{matched: true, idx: w.idx, cols: cols}
+	return &boundRoute{matched: true, idx: w.idx, cols: cols}
 }
 
 // workloadEntry is one workload query in the route index: its index, and its
@@ -655,7 +620,7 @@ func (lv *LiveViews) Prepare(text string) (*Prepared, error) {
 	}
 	// Warm the cache now so Prepare absorbs the compile and Answer is a hit.
 	v := lv.now()
-	if _, _, err := lv.plan(li, &v); err != nil {
+	if _, err := lv.plan(li, &v); err != nil {
 		return nil, err
 	}
 	return &Prepared{lv: lv, li: li}, nil
@@ -749,11 +714,11 @@ func (db *Database) lift(q *cq.Query, mode Reasoning) (*liftInfo, version, error
 // open is the one execution path of the Database surface: plan li at v and
 // stream its template over v's reader.
 func (db *Database) open(ctx context.Context, li *liftInfo, v *version) (*AnswerStream, error) {
-	_, tmpl, err := db.plan(li, v)
+	r, err := db.plan(li, v)
 	if err != nil {
 		return nil, err
 	}
-	rs, err := tmpl.execStream(v.reader, li, engine.ExecOptions{Ctx: ctx})
+	rs, err := r.execStream(v.reader, engine.ExecOptions{Ctx: ctx})
 	if err != nil {
 		return nil, err
 	}

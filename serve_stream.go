@@ -38,6 +38,10 @@ type memoEntry struct {
 	val string
 }
 
+// ErrStreamClosed is what AnswerStream.Next returns once the stream was
+// closed before its end.
+var ErrStreamClosed = engine.ErrStreamClosed
+
 // AnswerStream is a streaming query answer: decoded row slabs pulled on
 // demand. A slab (and its rows) is valid only until the next call to Next.
 // Close releases the underlying pipeline and is required on every stream,
@@ -71,7 +75,8 @@ func (s *AnswerStream) Columns() []string { return s.cols }
 // Next returns the next slab of decoded rows, nil at end of stream, or the
 // error that terminated the stream — a canceled or expired context surfaces
 // here as ctx.Err(). After EOF or an error every further call returns the
-// same. The slab is reused: rows are valid only until the next call.
+// same, and after an early Close ErrStreamClosed. The slab is reused: rows
+// are valid only until the next call.
 func (s *AnswerStream) Next() ([][]string, error) {
 	rows, err := s.rs.Next()
 	if err != nil || rows == nil {
@@ -157,18 +162,16 @@ func openRewriting(ctx context.Context, plans []algebra.Plan, i int, resolve eng
 	return engine.ExecuteStream(plans[i], resolve, engine.ExecOptions{Ctx: ctx})
 }
 
-// execStream runs the template against a reader under li's binding: each
-// cached member plan is instantiated (the memoized substituted clone, plus a
-// struct copy pinning the reader) and streamed — a member's union leaves keep
-// its stream a set — and several members are unioned positionally by
+// execStream runs the binding's store members against a reader: each is
+// pinned to the reader (a struct copy) and streamed — a member's union leaves
+// keep its stream a set — and several members are unioned positionally by
 // engine.UnionStreams.
-func (t *storeTemplate) execStream(reader store.Reader, li *liftInfo, opts engine.ExecOptions) (*engine.RowStream, error) {
-	ms := t.boundMembers(li)
-	if len(ms) == 1 {
-		return ms[0].Instantiate(reader, nil).EvalStream(opts), nil
+func (r *boundRoute) execStream(reader store.Reader, opts engine.ExecOptions) (*engine.RowStream, error) {
+	if len(r.members) == 1 {
+		return r.members[0].Instantiate(reader, nil).EvalStream(opts), nil
 	}
-	streams := make([]*engine.RowStream, len(ms))
-	for i, p := range ms {
+	streams := make([]*engine.RowStream, len(r.members))
+	for i, p := range r.members {
 		streams[i] = p.Instantiate(reader, nil).EvalStream(opts)
 	}
 	return engine.UnionStreams(streams, 64)
@@ -197,14 +200,14 @@ func (lv *LiveViews) AnswerQueryStream(ctx context.Context, text string) (*Answe
 // lined up with the incoming head.
 func (lv *LiveViews) openLifted(ctx context.Context, li *liftInfo) (*engine.RowStream, error) {
 	v := lv.now()
-	r, tmpl, err := lv.plan(li, &v)
+	r, err := lv.plan(li, &v)
 	if err != nil {
 		return nil, err
 	}
 	if !r.matched {
 		// Store path: the base store is updated synchronously even under
 		// asynchronous maintenance, so a snapshot needs no flush barrier.
-		return tmpl.execStream(lv.m.Store().Snapshot(), li, engine.ExecOptions{Ctx: ctx})
+		return r.execStream(lv.m.Store().Snapshot(), engine.ExecOptions{Ctx: ctx})
 	}
 	rs, err := lv.rewriting(ctx, r.idx)
 	if err != nil || sameCols(rs.Cols(), r.cols) {

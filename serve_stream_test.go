@@ -145,6 +145,26 @@ func TestAnswerStreamCancel(t *testing.T) {
 	}
 }
 
+// TestAnswerStreamNextAfterClose: an answer closed before its end answers
+// every later Next with ErrStreamClosed and no rows, and never re-enters the
+// pipeline Close released.
+func TestAnswerStreamNextAfterClose(t *testing.T) {
+	db := bulkDB(t, 5000)
+	s, err := db.AnswerQueryStream(context.Background(), `q(X, P, Y) :- t(X, P, Y)`, ReasoningNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows, err := s.Next(); err != nil || rows == nil {
+		t.Fatalf("first slab: %d rows, %v", len(rows), err)
+	}
+	s.Close()
+	for i := 0; i < 2; i++ {
+		if rows, err := s.Next(); rows != nil || err != ErrStreamClosed {
+			t.Fatalf("Next after Close = %d rows, %v; want none, ErrStreamClosed", len(rows), err)
+		}
+	}
+}
+
 // bulkDB loads n synthetic triples with values wide enough that a
 // materialized decode is unambiguously larger than a batch.
 func bulkDB(t testing.TB, n int) *Database {
