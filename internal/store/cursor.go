@@ -57,12 +57,12 @@ func (c *subCursor) advance(dst []Triple, bound Triple, last bool, order [3]int)
 		if last {
 			n = min(len(dst), len(base))
 			for i, pos := range base[:n] {
-				dst[i] = tris[pos]
+				dst[i] = tris[pos].wide()
 			}
 			base = base[n:]
 		}
 		for ; len(base) > 0; n++ {
-			t := tris[base[0]]
+			t := tris[base[0]].wide()
 			base = base[1:]
 			if n == len(dst) || !(last || permLess(t, bound, order)) {
 				c.base, c.head, c.live = base, t, true
@@ -91,7 +91,7 @@ func (c *subCursor) advance(dst []Triple, bound Triple, last bool, order [3]int)
 		if len(tomb) > 0 && tombHas(tomb, pos) {
 			continue
 		}
-		t := tris[pos]
+		t := tris[pos].wide()
 		if n == len(dst) || !(last || permLess(t, bound, order)) {
 			c.base, c.delta, c.head, c.live = base, delta, t, true
 			return n
@@ -254,8 +254,8 @@ func (c *Cursor) SeekGE(col int, key dict.ID) {
 // seekPositions drops the prefix of pos whose triples sort below key at col.
 // pos lists triple positions in permutation order with col the leading sort
 // key of the remainder, so t[col] is non-decreasing along it.
-func seekPositions(tris []Triple, pos []int32, col int, key dict.ID) []int32 {
-	lo := sort.Search(len(pos), func(i int) bool { return tris[pos[i]][col] >= key })
+func seekPositions(tris []packed, pos []int32, col int, key dict.ID) []int32 {
+	lo := sort.Search(len(pos), func(i int) bool { return dict.ID(tris[pos[i]][col]) >= key })
 	return pos[lo:]
 }
 

@@ -37,11 +37,11 @@ func heapAfterGC() uint64 {
 }
 
 // TestResidentBytesPerTriple is the memory tripwire: what a loaded store
-// keeps on the heap per triple. A subject shard costs the 24-byte triple and
-// six 4-byte positions, an object shard the triple and three; the bounds
-// leave room for allocator size classes and nothing else — a per-triple map
-// or a fourth object-side index would not fit (the parent of this test
-// measured 214 B on Dual(2,2) and 106 B on one shard).
+// keeps on the heap per triple. A subject shard costs the 12-byte stored
+// triple and six 4-byte positions (36 B), an object shard the triple and
+// three (24 B); the bounds leave room for allocator size classes and nothing
+// else. 64-bit stored columns would not fit (48 B on one shard, 85 B on
+// Dual(2,2)), nor would a per-triple map or a fourth object-side index.
 func TestResidentBytesPerTriple(t *testing.T) {
 	const n = 100_000
 	ts := seededTriples(n, 1)
@@ -50,8 +50,8 @@ func TestResidentBytesPerTriple(t *testing.T) {
 		subjectK, objectK int
 		maxBytes          float64
 	}{
-		{"one-shard", 1, 0, 56},
-		{"dual-2x2", 2, 2, 110},
+		{"one-shard", 1, 0, 42},
+		{"dual-2x2", 2, 2, 72},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := heapAfterGC()

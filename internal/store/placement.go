@@ -28,9 +28,9 @@ import (
 // object shard, instead of fanning out over all K subject partitions.
 // Object-bound patterns are the dominant shape of reformulated union members
 // (every ?s p o member of a relaxed query), which is why the replica is worth
-// its memory — about 36 B a triple (the triple and three positions) beside
-// the subject side's 48: it turns the serving tier's O(K) fan-outs into O(1)
-// lookups.
+// its memory — about 24 B a triple (the 12-byte stored triple and three
+// positions) beside the subject side's 36: it turns the serving tier's O(K)
+// fan-outs into O(1) lookups.
 type Placement struct {
 	// SubjectShards is the partition count of the subject-hash side (>= 1).
 	SubjectShards int

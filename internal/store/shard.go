@@ -2,6 +2,7 @@ package store
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -9,6 +10,23 @@ import (
 
 	"rdfviews/internal/dict"
 )
+
+// packed is a stored triple: its three IDs in 32-bit columns, 12 bytes where
+// a Triple takes 24. IDs are narrowed once, when a snapshot is built (the
+// dictionary hands them out densely from 1, and Add and AddBatch reject any
+// outside [0, math.MaxUint32]), and widened wherever a triple leaves the
+// shard. Narrowing keeps the order, so stored triples sort and merge in
+// packed form; a caller's key (a prefix, a seek key, a merge bound) is never
+// narrowed, the stored side is widened to meet it.
+type packed [3]uint32
+
+func pack(t Triple) packed { return packed{uint32(t[S]), uint32(t[P]), uint32(t[O])} }
+
+func (t packed) wide() Triple { return Triple{dict.ID(t[S]), dict.ID(t[P]), dict.ID(t[O])} }
+
+// storable reports whether every ID of t fits a 32-bit column: a negative
+// ID sets the sign bit, a wide one a bit above 31.
+func storable(t Triple) bool { return uint64(t[S]|t[P]|t[O]) <= math.MaxUint32 }
 
 // deltaMax bounds each permutation's sorted insert overlay and the tombstone
 // count before they are merged into the base indexes. The merge is a linear
@@ -27,7 +45,7 @@ const deltaMax = 512
 // length, which older snapshots never read. Densification starts a fresh
 // lineage.
 type snap struct {
-	triples []Triple
+	triples []packed
 	live    int // triples minus tombstones
 
 	// Tombstones live in two tiers, mirroring the insert overlays so a
@@ -109,9 +127,10 @@ func isDead(dead []uint64, pos int32) bool {
 	return w < len(dead) && dead[w]&(1<<(uint(pos)&63)) != 0
 }
 
-// permCmp three-way compares triples by the permutation's column order.
-// Distinct triples never compare equal (the three columns form a total key).
-func permCmp(a, b Triple, order [3]int) int {
+// permCmp three-way compares triples, stored or wide, by the permutation's
+// column order. Distinct triples never compare equal (the three columns form
+// a total key).
+func permCmp[E uint32 | dict.ID](a, b [3]E, order [3]int) int {
 	for _, c := range order {
 		if a[c] != b[c] {
 			return cmp.Compare(a[c], b[c])
@@ -122,7 +141,7 @@ func permCmp(a, b Triple, order [3]int) int {
 
 // permLess is permCmp < 0, spelled out: the merge loops and cursors call it
 // per entry and the three-way form does not inline into them.
-func permLess(a, b Triple, order [3]int) bool {
+func permLess[E uint32 | dict.ID](a, b [3]E, order [3]int) bool {
 	for _, c := range order {
 		if a[c] != b[c] {
 			return a[c] < b[c]
@@ -133,11 +152,11 @@ func permLess(a, b Triple, order [3]int) bool {
 
 // rangeIn returns the half-open [lo, hi) positions in idx whose triples match
 // the bound prefix under the permutation order.
-func rangeIn(triples []Triple, idx []int32, order [3]int, prefix []dict.ID) (int, int) {
+func rangeIn(triples []packed, idx []int32, order [3]int, prefix []dict.ID) (int, int) {
 	cmp := func(i int) int {
 		t := triples[idx[i]]
 		for k, want := range prefix {
-			got := t[order[k]]
+			got := dict.ID(t[order[k]])
 			if got < want {
 				return -1
 			}
@@ -159,8 +178,8 @@ func rangeIn(triples []Triple, idx []int32, order [3]int, prefix []dict.ID) (int
 func (s *snap) find(p Perm, t Triple) int32 {
 	order := perms[p]
 	for _, idx := range [2][]int32{s.base[p], s.delta[p]} {
-		i := sort.Search(len(idx), func(k int) bool { return !permLess(s.triples[idx[k]], t, order) })
-		for ; i < len(idx) && s.triples[idx[i]] == t; i++ {
+		i := sort.Search(len(idx), func(k int) bool { return !permLess(s.triples[idx[k]].wide(), t, order) })
+		for ; i < len(idx) && s.triples[idx[i]].wide() == t; i++ {
 			if !tombHas(s.tomb, idx[i]) {
 				return idx[i]
 			}
@@ -233,7 +252,7 @@ func (s *snap) novel(ts []Triple) ([]Triple, []int32) {
 	return fresh, spo
 }
 
-// with returns the successor snapshot: fresh appended to the triple slice (so
+// with returns the successor snapshot: fresh packed onto the triple slice (so
 // positions follow batch order) and indexed under every held permutation. spo
 // lists fresh's indexes in SPO order when the caller already sorted them. The
 // new positions join the overlays. Only a batch that takes an overlay to
@@ -242,8 +261,12 @@ func (s *snap) novel(ts []Triple) ([]Triple, []int32) {
 // stays in the overlays, even a bulk load into an empty shard.
 func (s *snap) with(fresh []Triple, spo []int32, held []Perm) *snap {
 	first := int32(len(s.triples))
+	tris := slices.Grow(s.triples, len(fresh))
+	for _, t := range fresh {
+		tris = append(tris, pack(t))
+	}
 	ns := &snap{
-		triples: append(s.triples, fresh...),
+		triples: tris,
 		live:    s.live + len(fresh),
 		tomb:    s.tomb,
 		dead:    s.dead,
@@ -265,7 +288,7 @@ func (s *snap) with(fresh []Triple, spo []int32, held []Perm) *snap {
 // and OSP. SOP and OPS differ from those only inside runs of equal leading
 // column, which are short and re-sorted in place; PSO and POS are a stable
 // distribution by P of SPO and OPS order.
-func sortedPositions(triples []Triple, first int32, n int, spo []int32, held []Perm) (out [6][]int32) {
+func sortedPositions(triples []packed, first int32, n int, spo []int32, held []Perm) (out [6][]int32) {
 	if n == 1 { // a single Add: every order is the same list, shared
 		one := []int32{first}
 		for _, p := range held {
@@ -301,7 +324,7 @@ func sortedPositions(triples []Triple, first int32, n int, spo []int32, held []P
 
 // resortedRuns copies src — sorted by some permutation with p's leading
 // column — and sorts each run of equal leading column by p's remaining two.
-func resortedRuns(triples []Triple, src []int32, p Perm) []int32 {
+func resortedRuns(triples []packed, src []int32, p Perm) []int32 {
 	lead, byP := perms[p][0], positionCmp(triples, p)
 	out := slices.Clone(src)
 	for lo := 0; lo < len(out); {
@@ -316,19 +339,19 @@ func resortedRuns(triples []Triple, src []int32, p Perm) []int32 {
 }
 
 // positionCmp orders positions by their triples under permutation p.
-func positionCmp(triples []Triple, p Perm) func(a, b int32) int {
+func positionCmp(triples []packed, p Perm) func(a, b int32) int {
 	order := perms[p]
 	return func(a, b int32) int { return permCmp(triples[a], triples[b], order) }
 }
 
 // distributedByP stably distributes src by predicate: buckets in ascending P,
 // each keeping src's order. Applied to SPO order that is PSO; to OPS, POS.
-func distributedByP(triples []Triple, src []int32) []int32 {
-	next := make(map[dict.ID]int32) // P -> bucket size, then next free slot
+func distributedByP(triples []packed, src []int32) []int32 {
+	next := make(map[uint32]int32) // P -> bucket size, then next free slot
 	for _, pos := range src {
 		next[triples[pos][P]]++
 	}
-	ps := make([]dict.ID, 0, len(next))
+	ps := make([]uint32, 0, len(next))
 	for p := range next {
 		ps = append(ps, p)
 	}
@@ -347,14 +370,25 @@ func distributedByP(triples []Triple, src []int32) []int32 {
 }
 
 // mergePositions linearly merges two position lists sorted by the same
-// permutation. Either input is returned as is when the other is empty: lists
-// are immutable once built, so snapshots may share them.
-func mergePositions(triples []Triple, a, b []int32, order [3]int) []int32 {
+// permutation; on ties a's entries come first. Either input is returned as is
+// when the other is empty: lists are immutable once built, so snapshots may
+// share them. A one-position b (every single Add) is spliced in at its
+// binary-searched place instead, after its equals as the merge would put it.
+func mergePositions(triples []packed, a, b []int32, order [3]int) []int32 {
 	if len(a) == 0 {
 		return b
 	}
 	if len(b) == 0 {
 		return a
+	}
+	if len(b) == 1 {
+		t := triples[b[0]]
+		i := sort.Search(len(a), func(k int) bool { return permLess(t, triples[a[k]], order) })
+		out := make([]int32, len(a)+1)
+		copy(out, a[:i])
+		out[i] = b[0]
+		copy(out[i+1:], a[i:])
+		return out
 	}
 	out := make([]int32, 0, len(a)+len(b))
 	ai, bi := 0, 0
@@ -407,7 +441,7 @@ func compacted(s *snap, force bool, held []Perm) *snap {
 	var remap []int32
 	if densify {
 		remap = make([]int32, len(s.triples))
-		nt := make([]Triple, 0, s.live)
+		nt := make([]packed, 0, s.live)
 		for pos := range s.triples {
 			if s.gone(int32(pos)) {
 				remap[pos] = -1
@@ -479,7 +513,7 @@ func (s *snap) count(pi int, prefix []dict.ID) int {
 tombs:
 	for _, pos := range s.tomb {
 		for k, want := range prefix {
-			if s.triples[pos][order[k]] != want {
+			if dict.ID(s.triples[pos][order[k]]) != want {
 				continue tombs
 			}
 		}
@@ -488,16 +522,13 @@ tombs:
 	return n
 }
 
-// liveTriples returns the snapshot's live triples in position (= insertion)
-// order; the backing slice itself when there are no holes.
+// liveTriples returns the snapshot's live triples, widened into a fresh
+// slice, in position (= insertion) order.
 func (s *snap) liveTriples() []Triple {
-	if len(s.triples) == s.live {
-		return s.triples
-	}
 	out := make([]Triple, 0, s.live)
 	for pos, t := range s.triples {
 		if !s.gone(int32(pos)) {
-			out = append(out, t)
+			out = append(out, t.wide())
 		}
 	}
 	return out

@@ -27,9 +27,11 @@
 //     three permutations such an access can ask for.
 //   - There is no membership structure beside the indexes: whether a triple
 //     is stored, and at which position, is a full-prefix binary search in the
-//     shard's leading permutation (SPO; OSP on the object side). Resident
-//     cost is therefore the 24-byte triple plus 4 bytes per kept permutation:
-//     48 B a triple on the subject side, 36 B on the object side.
+//     shard's leading permutation (SPO; OSP on the object side). A shard
+//     stores each triple's IDs in 32-bit columns and widens them as they are
+//     read, so resident cost is the 12-byte stored triple plus 4 bytes per
+//     kept permutation: 36 B a triple on the subject side, 24 B on the
+//     object side. An ID must therefore stay below 2^32 to be stored.
 //   - Index maintenance is incremental. Instead of marking the store dirty
 //     and re-sorting every permutation on the next read (O(N log N) per
 //     touched batch), an insert goes into a small sorted delta overlay per
@@ -256,8 +258,8 @@ func NewWithDictSharded(d *dict.Dictionary, k int) *Store {
 // shards plus objectK object-hash replica shards, so both subject-bound and
 // object-bound patterns prune to a single shard. objectK = 0 degenerates to
 // the subject-only layout. The replica side holds every triple again with
-// the three permutations it can be asked for (POS, OSP, OPS): about 36 B a
-// triple on top of the subject side's 48 B, which is the trade the serving
+// the three permutations it can be asked for (POS, OSP, OPS): about 24 B a
+// triple on top of the subject side's 36 B, which is the trade the serving
 // tier makes to turn O(K) fan-outs into O(1) lookups on both access sides.
 func NewDual(subjectK, objectK int) *Store {
 	return NewWithDictDual(dict.New(), subjectK, objectK)
@@ -319,8 +321,16 @@ func (st *Store) Len() int {
 	return n
 }
 
+// idRangePanic is what Add and AddBatch panic with when a triple holds an ID
+// outside [0, 2^32-1]: stored columns are 32 bits wide. The dictionary hands
+// IDs out densely from 1, so only a caller-made ID can get there, and the
+// store is left unchanged.
+const idRangePanic = "store: triple ID outside [0, 2^32-1] cannot be stored"
+
 // Add inserts an encoded triple, ignoring duplicates. It reports whether the
 // triple was new. The shard's permutation indexes are updated incrementally.
+// Every ID must lie in [0, 2^32-1]; otherwise Add panics with
+// "store: triple ID outside [0, 2^32-1] cannot be stored" and stores nothing.
 // On a dual layout the triple is written to its subject shard first, then to
 // its object replica shard: the sides publish independently, so a concurrent
 // reader routed to the object side may briefly miss a triple the subject
@@ -329,6 +339,9 @@ func (st *Store) Len() int {
 // same reason callers serialize writes of one triple (the maintainer's writer
 // mutex does): the object side applies what it is handed in arrival order.
 func (st *Store) Add(t Triple) bool {
+	if !storable(t) {
+		panic(idRangePanic)
+	}
 	one := []Triple{t}
 	if len(st.shards[st.shardOf(t[S])].insert(one)) == 0 {
 		return false
@@ -346,7 +359,14 @@ func (st *Store) Add(t Triple) bool {
 // amortizes the per-mutation index maintenance: each shard sorts the whole
 // batch once per leading column and merges it in one step. The object side is
 // handed the triples the subject side reported new, grouped by object shard.
+// The whole batch is checked before any shard is touched: one ID outside
+// [0, 2^32-1] panics as Add does and stores none of the batch.
 func (st *Store) AddBatch(ts []Triple) int {
+	for _, t := range ts {
+		if !storable(t) {
+			panic(idRangePanic)
+		}
+	}
 	if len(ts) == 0 {
 		return 0
 	}
@@ -441,10 +461,8 @@ func (st *Store) MustAddGraph(g rdf.Graph) int {
 	return n
 }
 
-// Triples returns the distinct triples. With one shard and no pending
-// deletions this is the backing slice in insertion order (the caller must not
-// modify it); otherwise it is a fresh slice, grouped by shard, each shard's
-// section in its insertion order.
+// Triples returns the distinct triples in a fresh slice the caller owns,
+// grouped by shard, each shard's section in its insertion order.
 func (st *Store) Triples() []Triple {
 	if len(st.shards) == 1 {
 		return st.shards[0].cur.Load().liveTriples()
@@ -616,7 +634,7 @@ func (st *Store) colStatsNow() [3]columnStats {
 				if s.gone(int32(pos)) {
 					continue
 				}
-				id := t[c]
+				id := dict.ID(t[c])
 				if _, ok := set[id]; !ok {
 					set[id] = struct{}{}
 					tm := st.dict.MustDecode(id)
@@ -677,9 +695,9 @@ func (st *Store) Graph() rdf.Graph {
 				continue
 			}
 			g = append(g, rdf.Triple{
-				S: st.dict.MustDecode(t[S]),
-				P: st.dict.MustDecode(t[P]),
-				O: st.dict.MustDecode(t[O]),
+				S: st.dict.MustDecode(dict.ID(t[S])),
+				P: st.dict.MustDecode(dict.ID(t[P])),
+				O: st.dict.MustDecode(dict.ID(t[O])),
 			})
 		}
 	}

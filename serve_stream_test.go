@@ -225,7 +225,7 @@ func streamHeldBounded(t *testing.T, db *Database, text string, mode Reasoning, 
 		t.Fatal(err)
 	}
 	defer s.Close()
-	rows, maxDelta := 0, uint64(0)
+	rows, maxDelta, measured := 0, int64(0), false
 	for {
 		slab, err := s.Next()
 		if err != nil {
@@ -235,26 +235,25 @@ func streamHeldBounded(t *testing.T, db *Database, text string, mode Reasoning, 
 			break
 		}
 		rows += len(slab)
-		if rows > n/4 && maxDelta == 0 { // one mid-drain measurement
-			if h := heap(); h > base {
-				maxDelta = h - base
-			} else {
-				maxDelta = 1
-			}
+		if rows > n/4 && !measured { // one mid-drain measurement
+			maxDelta, measured = int64(heap())-int64(base), true
 		}
 	}
 	if rows != n {
 		t.Fatalf("streamed %d rows, want %d", rows, n)
 	}
 
-	// Reference: the materialized decode of the same result.
+	// Reference: the materialized decode of the same result. The database
+	// stays reachable across the reading, or the collector frees the store
+	// under it and the delta reads "answer minus store".
 	q := db.MustParseWorkload(text).Queries[0]
 	before := heap()
 	mat, err := db.Answer(q, mode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	matHeap := heap() - before
+	matHeap := int64(heap()) - int64(before)
+	runtime.KeepAlive(db)
 	if len(mat) != n {
 		t.Fatalf("materialized %d rows, want %d", len(mat), n)
 	}
@@ -262,6 +261,9 @@ func streamHeldBounded(t *testing.T, db *Database, text string, mode Reasoning, 
 
 	t.Logf("mid-stream heap delta: %.1f MiB; materialized answer: %.1f MiB",
 		float64(maxDelta)/(1<<20), float64(matHeap)/(1<<20))
+	if matHeap <= 0 {
+		t.Fatalf("materialized answer measured %d B: the reference reading is broken", matHeap)
+	}
 	if maxDelta > matHeap/4 {
 		t.Fatalf("streaming held %.1f MiB mid-drain, more than 1/4 of the %.1f MiB materialized result — not O(batch)",
 			float64(maxDelta)/(1<<20), float64(matHeap)/(1<<20))
