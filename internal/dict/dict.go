@@ -25,28 +25,42 @@ type ID int64
 
 // Dictionary is a bidirectional mapping between RDF terms and IDs.
 // The zero value is not usable; call New.
+//
+// Each term's bytes are held once: a term is filed under its kind, keyed by
+// its value, so the map key and the terms slot share one string and a lookup
+// builds no key. (A map keyed by the whole rdf.Term would hold the same
+// bytes once too, but its slots are 8 B wider, more than the short terms of
+// a typical graph save.)
 type Dictionary struct {
-	mu    sync.RWMutex
-	byKey map[string]ID
-	terms []rdf.Term // terms[i] has ID i+1
+	mu     sync.RWMutex
+	byKind [rdf.Blank + 1]map[string]ID // value -> ID, per term kind
+	terms  []rdf.Term                   // terms[i] has ID i+1
 }
 
 // New returns an empty dictionary.
 func New() *Dictionary {
-	return &Dictionary{byKey: make(map[string]ID)}
+	d := &Dictionary{}
+	for k := range d.byKind {
+		d.byKind[k] = make(map[string]ID)
+	}
+	return d
 }
+
+// byValue is the map t is filed in. A kind past Blank files as a blank
+// node, as Term.Key renders it.
+func (d *Dictionary) byValue(t rdf.Term) map[string]ID { return d.byKind[min(t.Kind, rdf.Blank)] }
 
 // Encode returns the ID for the term, assigning a fresh one on first sight.
 func (d *Dictionary) Encode(t rdf.Term) ID {
-	k := t.Key()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if id, ok := d.byKey[k]; ok {
+	m := d.byValue(t)
+	if id, ok := m[t.Value]; ok {
 		return id
 	}
 	d.terms = append(d.terms, t)
 	id := ID(len(d.terms))
-	d.byKey[k] = id
+	m[t.Value] = id
 	return id
 }
 
@@ -58,9 +72,8 @@ func (d *Dictionary) EncodeIRI(iri string) ID {
 
 // Lookup returns the ID for the term if it is already in the dictionary.
 func (d *Dictionary) Lookup(t rdf.Term) (ID, bool) {
-	k := t.Key()
 	d.mu.RLock()
-	id, ok := d.byKey[k]
+	id, ok := d.byValue(t)[t.Value]
 	d.mu.RUnlock()
 	return id, ok
 }

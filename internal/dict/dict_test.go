@@ -2,6 +2,7 @@ package dict
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -127,5 +128,28 @@ func TestEncodeInjectiveProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestLookupAllocatesNothing: a term is filed under its kind by its value,
+// so a lookup of a present term builds no key string, and neither does
+// re-encoding one; the same value under another kind is another term.
+func TestLookupAllocatesNothing(t *testing.T) {
+	d := New()
+	terms := []rdf.Term{rdf.NewIRI("http://ex/painter"), rdf.NewLiteral("Starry Night"), rdf.NewBlank("b0")}
+	for _, tm := range terms {
+		d.Encode(tm)
+	}
+	probe := rdf.NewLiteral(strings.Clone(terms[1].Value)) // equal value, its own bytes
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, ok := d.Lookup(probe); !ok {
+			t.Fatal("present term not found")
+		}
+		d.Encode(terms[0])
+	}); allocs != 0 {
+		t.Errorf("Lookup of a present term allocates %.0f times, want 0", allocs)
+	}
+	if _, ok := d.Lookup(rdf.NewIRI(terms[1].Value)); ok {
+		t.Error("a literal's value found as an IRI")
 	}
 }

@@ -178,7 +178,7 @@ func TestVecRelScanSteadyStateZeroAlloc(t *testing.T) {
 	head := []cq.Term{cq.Var(1), cq.Var(2)}
 	rel := NewRelation(head)
 	for i := 0; i < 20000; i++ {
-		rel.Rows = append(rel.Rows, Row{dict.ID(i + 1), dict.ID(i%97 + 1)})
+		rel.Append(Row{dict.ID(i + 1), dict.ID(i%97 + 1)})
 	}
 	resolve := MapResolver(map[algebra.ViewID]*Relation{1: rel})
 	root, _, err := compileRel(algebra.NewScan(1, head), resolve.extent, nil)

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rdfviews/internal/algebra"
@@ -26,9 +27,27 @@ func randomExtent(rng *rand.Rand, cols []cq.Term, n, domain int) *Relation {
 		for j := range row {
 			row[j] = dict.ID(rng.Intn(domain) + 1)
 		}
-		r.Rows = append(r.Rows, row)
+		r.Append(row)
 	}
 	return r
+}
+
+// relOf builds a relation holding the rows, in order.
+func relOf(cols []cq.Term, rows ...Row) *Relation {
+	r := NewRelation(cols)
+	for _, row := range rows {
+		r.Append(row)
+	}
+	return r
+}
+
+// rowsOf widens every row of r, in order.
+func rowsOf(r *Relation) []Row {
+	out := make([]Row, r.Len())
+	for i := range out {
+		out[i] = r.Row(i, nil)
+	}
+	return out
 }
 
 // sameRows asserts two relations hold exactly the same rows with the same
@@ -40,13 +59,13 @@ func sameRows(t *testing.T, label string, want, got *Relation) {
 	if want.Len() != got.Len() {
 		t.Fatalf("%s: want %d rows, got %d rows", label, want.Len(), got.Len())
 	}
-	a := &Relation{Cols: want.Cols, Rows: append([]Row(nil), want.Rows...)}
-	b := &Relation{Cols: got.Cols, Rows: append([]Row(nil), got.Rows...)}
-	a.SortRows()
-	b.SortRows()
-	for i := range a.Rows {
-		if !rowsEqual(a.Rows[i], b.Rows[i]) {
-			t.Fatalf("%s: row %d differs: %v vs %v", label, i, a.Rows[i], b.Rows[i])
+	a, b := rowsOf(want), rowsOf(got)
+	for _, rows := range [][]Row{a, b} {
+		slices.SortFunc(rows, func(x, y Row) int { return slices.Compare(x, y) })
+	}
+	for i := range a {
+		if !rowsEqual(a[i], b[i]) {
+			t.Fatalf("%s: row %d differs: %v vs %v", label, i, a[i], b[i])
 		}
 	}
 }
@@ -173,7 +192,7 @@ func rewriteUnionFixture(t testing.TB) (map[algebra.ViewID]*Relation, *algebra.U
 // as the probe.
 func buildSideFixture(views map[algebra.ViewID]*Relation) (map[algebra.ViewID]*Relation, *algebra.Join) {
 	x, y := cq.Var(1), cq.Var(2)
-	small := &Relation{Cols: []cq.Term{x, y}, Rows: views[1].Rows[:min(100, views[1].Len())]}
+	small := relOf([]cq.Term{x, y}, rowsOf(views[1])[:min(100, views[1].Len())]...)
 	return map[algebra.ViewID]*Relation{1: small, 2: views[9]}, algebra.NewJoin(
 		algebra.NewScan(1, []cq.Term{x, y}),
 		algebra.NewScan(2, []cq.Term{y, cq.Var(3)}),
@@ -270,7 +289,7 @@ func rewriteMatrix(seed int64) (map[algebra.ViewID]*Relation, map[string]algebra
 	s2 := func() *algebra.Scan { return algebra.NewScan(2, []cq.Term{x2, x3}) }
 	s3 := func() *algebra.Scan { return algebra.NewScan(3, []cq.Term{x1, x2}) }
 	s4 := func() *algebra.Scan { return algebra.NewScan(4, []cq.Term{x3, x4}) }
-	c := views[1].Rows[0][0] // a constant that actually occurs
+	c := views[1].At(0, 0) // a constant that actually occurs
 	return views, map[string]algebra.Plan{
 		"join":          algebra.NewJoin(s1(), s2()),
 		"join-flipped":  algebra.NewJoin(s2(), s1()),

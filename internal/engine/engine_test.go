@@ -43,7 +43,7 @@ func TestEvalQueryPaperExample(t *testing.T) {
 		t.Fatalf("got %d rows, want 2", r.Len())
 	}
 	u1, _ := st.Dict().LookupIRI("u1")
-	for _, row := range r.Rows {
+	for _, row := range rowsOf(r) {
 		if row[0] != u1 {
 			t.Errorf("unexpected painter %d", row[0])
 		}
@@ -115,8 +115,7 @@ func naiveEval(st *store.Store, q *cq.Query) *Relation {
 		domain = append(domain, id)
 	}
 	vars := q.Vars()
-	out := NewRelation(q.Head)
-	seen := newRowSet(16)
+	out := NewRowIndex(NewRelation(q.Head))
 	assign := make(map[cq.Term]dict.ID)
 	var rec func(int)
 	rec = func(k int) {
@@ -142,9 +141,7 @@ func naiveEval(st *store.Store, q *cq.Query) *Relation {
 					row[i] = assign[h]
 				}
 			}
-			if seen.add(row) {
-				out.Rows = append(out.Rows, row)
-			}
+			out.Add(row)
 			return
 		}
 		for _, id := range domain {
@@ -154,7 +151,7 @@ func naiveEval(st *store.Store, q *cq.Query) *Relation {
 		delete(assign, vars[k])
 	}
 	rec(0)
-	return out
+	return out.Relation()
 }
 
 func TestEvalUCQDedup(t *testing.T) {
@@ -218,7 +215,7 @@ func TestRelationProjectWithConstants(t *testing.T) {
 	if pr.Arity() != 2 {
 		t.Fatal("arity")
 	}
-	for _, row := range pr.Rows {
+	for _, row := range rowsOf(pr) {
 		if row[1] != c.ConstID() {
 			t.Fatal("constant column wrong")
 		}
@@ -237,15 +234,13 @@ func TestRelationProjectWithConstants(t *testing.T) {
 }
 
 func TestRelationHelpers(t *testing.T) {
-	r := NewRelation([]cq.Term{cq.Var(1), cq.Var(2)})
-	r.Rows = append(r.Rows, Row{2, 1}, Row{1, 2}, Row{2, 1})
+	r := relOf([]cq.Term{cq.Var(1), cq.Var(2)}, Row{2, 1}, Row{1, 2}, Row{2, 1})
 	d := r.Dedup()
 	if d.Len() != 2 {
 		t.Errorf("Dedup len = %d", d.Len())
 	}
-	d.SortRows()
-	if d.Rows[0][0] != 1 {
-		t.Error("SortRows wrong")
+	if d.At(0, 0) != 2 || d.At(1, 0) != 1 {
+		t.Error("Dedup did not keep first occurrences in order")
 	}
 	if !d.EqualAsSet(r.Dedup()) {
 		t.Error("EqualAsSet reflexive-ish failed")
@@ -254,8 +249,8 @@ func TestRelationHelpers(t *testing.T) {
 	if d.EqualAsSet(other) {
 		t.Error("arity mismatch should not be equal")
 	}
-	if r.SizeBytes() != 8*3*2 {
-		t.Errorf("SizeBytes = %d", r.SizeBytes())
+	if got, want := r.SizeBytes(), 4*(cap(r.vals[0])+cap(r.vals[1])); got != want || got < 4*3*2 {
+		t.Errorf("SizeBytes = %d, want %d: 4 B per allocated value, at least 4 B per stored one", got, want)
 	}
 	if r.ColIndex(cq.Var(2)) != 1 || r.ColIndex(cq.Var(9)) != -1 {
 		t.Error("ColIndex wrong")
@@ -268,7 +263,7 @@ func TestRelationPropertiesQuick(t *testing.T) {
 	f := func(vals []uint16) bool {
 		r := NewRelation([]cq.Term{cq.Var(1), cq.Var(2)})
 		for i := 0; i+1 < len(vals); i += 2 {
-			r.Rows = append(r.Rows, Row{dict.ID(vals[i]%7 + 1), dict.ID(vals[i+1]%7 + 1)})
+			r.Append(Row{dict.ID(vals[i]%7 + 1), dict.ID(vals[i+1]%7 + 1)})
 		}
 		d1 := r.Dedup()
 		d2 := d1.Dedup()
@@ -277,8 +272,8 @@ func TestRelationPropertiesQuick(t *testing.T) {
 		}
 		// Reversing row order preserves set equality.
 		rev := NewRelation(r.Cols)
-		for i := len(r.Rows) - 1; i >= 0; i-- {
-			rev.Rows = append(rev.Rows, r.Rows[i])
+		for i := r.Len() - 1; i >= 0; i-- {
+			rev.Append(r.Row(i, nil))
 		}
 		return r.EqualAsSet(rev)
 	}

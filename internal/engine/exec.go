@@ -37,9 +37,9 @@ type ExecOptions struct {
 	Ctx context.Context
 }
 
-// extent is the leaf source of an executing plan: the resolved view's rows,
-// which are also its exact cardinality.
-func (resolve ViewResolver) extent(n *algebra.Scan) ([]Row, float64, error) {
+// extent is the leaf source of an executing plan: the resolved view, whose
+// row count is also its exact cardinality.
+func (resolve ViewResolver) extent(n *algebra.Scan) (*Relation, float64, error) {
 	base, err := resolve(n.View)
 	if err != nil {
 		return nil, 0, err
@@ -48,11 +48,11 @@ func (resolve ViewResolver) extent(n *algebra.Scan) ([]Row, float64, error) {
 		return nil, 0, fmt.Errorf("engine: scan of v%d relabels %d columns, view has %d",
 			int(n.View), len(n.Cols), base.Arity())
 	}
-	return base.Rows, float64(len(base.Rows)), nil
+	return base, float64(base.Len()), nil
 }
 
 // compileRel compiles a plan node to its batch operator and the node's
-// estimated output cardinality. extent supplies each leaf's rows and
+// estimated output cardinality. extent supplies each leaf's relation and
 // cardinality — exact when executing; Explain supplies cardinalities alone,
 // which costs nothing because operators touch their input only when pulled.
 // Inner estimates use the same containment-style arithmetic the store planner
@@ -60,16 +60,16 @@ func (resolve ViewResolver) extent(n *algebra.Scan) ([]Row, float64, error) {
 // dedup size hints. intr (nil for uncancellable executions) reaches the
 // operators that loop without returning control: view scans and hash-join
 // build drains.
-func compileRel(p algebra.Plan, extent func(*algebra.Scan) ([]Row, float64, error), intr *interrupt) (operator, float64, error) {
+func compileRel(p algebra.Plan, extent func(*algebra.Scan) (*Relation, float64, error), intr *interrupt) (operator, float64, error) {
 	switch n := p.(type) {
 	case *algebra.Scan:
-		rows, card, err := extent(n)
+		rel, card, err := extent(n)
 		if err != nil {
 			return nil, 0, err
 		}
 		eq := repeatedLabelPairs(n.Cols)
 		est := scanEst(card, len(eq))
-		return &viewScanOp{view: n.View, rows: rows, labels: n.Cols, eq: eq, est: est, intr: intr}, est, nil
+		return newViewScanOp(n.View, rel, n.Cols, eq, est, intr), est, nil
 	case *algebra.Select:
 		in, est, err := compileRel(n.Input, extent, intr)
 		if err != nil {
@@ -243,7 +243,7 @@ func joinShape(leftCols, rightCols []cq.Term, conds []algebra.Cond) (joinShapeIn
 // nil), and the compiled operators describe themselves. It is the explain
 // surface for rewritings, as QueryPlan.Describe is for store-level queries.
 func DescribePlan(p algebra.Plan, card func(algebra.ViewID) float64) (*algebra.PhysNode, error) {
-	root, _, err := compileRel(p, func(n *algebra.Scan) ([]Row, float64, error) {
+	root, _, err := compileRel(p, func(n *algebra.Scan) (*Relation, float64, error) {
 		if card == nil {
 			return nil, 0, nil
 		}

@@ -25,10 +25,8 @@ func execute(p algebra.Plan, resolve ViewResolver, opts ExecOptions) (*Relation,
 //	v2(X2, X3): painted relation
 func execFixture() (map[algebra.ViewID]*Relation, []cq.Term) {
 	x1, x2, x3 := cq.Var(1), cq.Var(2), cq.Var(3)
-	v1 := NewRelation([]cq.Term{x1, x2})
-	v1.Rows = []Row{{10, 20}, {11, 21}, {10, 22}}
-	v2 := NewRelation([]cq.Term{x2, x3})
-	v2.Rows = []Row{{20, 100}, {20, 101}, {22, 102}, {30, 103}}
+	v1 := relOf([]cq.Term{x1, x2}, Row{10, 20}, Row{11, 21}, Row{10, 22})
+	v2 := relOf([]cq.Term{x2, x3}, Row{20, 100}, Row{20, 101}, Row{22, 102}, Row{30, 103})
 	return map[algebra.ViewID]*Relation{1: v1, 2: v2}, []cq.Term{x1, x2, x3}
 }
 
@@ -89,7 +87,7 @@ func TestExecuteJoinExplicitCond(t *testing.T) {
 		t.Fatalf("arity = %d, want 4", r.Arity())
 	}
 	ix2, ix4 := r.ColIndex(x2), r.ColIndex(x4)
-	for _, row := range r.Rows {
+	for _, row := range rowsOf(r) {
 		if row[ix2] != row[ix4] {
 			t.Fatal("join condition violated")
 		}
@@ -98,8 +96,7 @@ func TestExecuteJoinExplicitCond(t *testing.T) {
 
 func TestExecuteSelectColEqCol(t *testing.T) {
 	x1, x2 := cq.Var(1), cq.Var(2)
-	v := NewRelation([]cq.Term{x1, x2})
-	v.Rows = []Row{{5, 5}, {5, 6}, {7, 7}}
+	v := relOf([]cq.Term{x1, x2}, Row{5, 5}, Row{5, 6}, Row{7, 7})
 	views := map[algebra.ViewID]*Relation{1: v}
 	sel := algebra.NewSelect(algebra.NewScan(1, []cq.Term{x1, x2}),
 		algebra.Cond{Left: x1, Right: x2})
@@ -130,8 +127,7 @@ func TestExecuteUnion(t *testing.T) {
 
 func TestExecuteScanRepeatedLabelFilters(t *testing.T) {
 	x1 := cq.Var(1)
-	v := NewRelation([]cq.Term{cq.Var(10), cq.Var(11)})
-	v.Rows = []Row{{5, 5}, {5, 6}}
+	v := relOf([]cq.Term{cq.Var(10), cq.Var(11)}, Row{5, 5}, Row{5, 6})
 	views := map[algebra.ViewID]*Relation{3: v}
 	// Scan relabels both columns to X1: implicit equality filter.
 	r, err := execute(algebra.NewScan(3, []cq.Term{x1, x1}), MapResolver(views), ExecOptions{})
@@ -180,7 +176,7 @@ func (c *countingRel) nextBatch() (*batch, bool) {
 func bigExtent(cols []cq.Term, n int) *Relation {
 	r := NewRelation(cols)
 	for i := 0; i < n; i++ {
-		r.Rows = append(r.Rows, Row{dict.ID(i), dict.ID(i % 97)})
+		r.Append(Row{dict.ID(i), dict.ID(i % 97)})
 	}
 	return r
 }
@@ -233,7 +229,7 @@ func TestExecuteJoinBuildSideChosen(t *testing.T) {
 func TestExecuteEmptyProbeSkipsBuild(t *testing.T) {
 	x1, x2, x3 := cq.Var(1), cq.Var(2), cq.Var(3)
 	empty := &viewScanOp{labels: []cq.Term{x1, x2}}
-	counted := &countingRel{in: &viewScanOp{rows: bigExtent([]cq.Term{x2, x3}, 1000).Rows, labels: []cq.Term{x2, x3}}}
+	counted := &countingRel{in: newViewScanOp(2, bigExtent([]cq.Term{x2, x3}, 1000), []cq.Term{x2, x3}, nil, 1000, nil)}
 	shape, err := joinShape(empty.cols(), counted.cols(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +247,7 @@ func TestExecuteEmptyProbeSkipsBuild(t *testing.T) {
 	}
 
 	// build=left: right probe is empty, the counted left build must not run.
-	counted2 := &countingRel{in: &viewScanOp{rows: bigExtent([]cq.Term{x1, x2}, 1000).Rows, labels: []cq.Term{x1, x2}}}
+	counted2 := &countingRel{in: newViewScanOp(1, bigExtent([]cq.Term{x1, x2}, 1000), []cq.Term{x1, x2}, nil, 1000, nil)}
 	emptyRight := &viewScanOp{labels: []cq.Term{x2, x3}}
 	shape2, err := joinShape(counted2.cols(), emptyRight.cols(), nil)
 	if err != nil {

@@ -1,9 +1,9 @@
 package engine
 
 // idTable is a flat open-addressing hash table from a 64-bit key hash to an
-// int32 chain head, used by the hash joins and RowIndex (the distinct sets
-// have a table of their own, rowSet). Callers pass hashes they already
-// computed (hashRow, hashValues, hashIDs) and resolve collisions by value
+// int32 chain head, used by the hash joins (the distinct sets have a table of
+// their own, rowSet, and RowIndex one of positions). Callers pass hashes they
+// already computed (hashColumns, hashExtent) and resolve collisions by value
 // comparison, so the table can probe linearly on raw uint64 keys with no
 // re-hashing — measurably faster than a Go map on the
 // executor's hot path, where the map's own hashing and bucket bookkeeping
@@ -35,16 +35,6 @@ func newIDTable(sizeHint int) *idTable {
 		keys: make([]uint64, size),
 		vals: make([]int32, size),
 		mask: uint64(size - 1),
-	}
-}
-
-// clone returns an independent copy of the table.
-func (t *idTable) clone() *idTable {
-	return &idTable{
-		keys: append([]uint64(nil), t.keys...),
-		vals: append([]int32(nil), t.vals...),
-		mask: t.mask,
-		used: t.used,
 	}
 }
 

@@ -21,14 +21,13 @@ func evalQueryINL(st store.Reader, q *cq.Query) (*Relation, error) {
 		return nil, err
 	}
 	order := orderAtoms(q, atomCounts(q, nil, storeCards{st}))
-	out := NewRelation(q.Head)
-	seen := newRowSet(16)
+	out := NewRowIndex(NewRelation(q.Head))
+	row := make(Row, len(q.Head))
 	bind := make(map[cq.Term]dict.ID)
 
 	var rec func(k int)
 	rec = func(k int) {
 		if k == len(order) {
-			row := make(Row, len(q.Head))
 			for i, h := range q.Head {
 				if h.IsConst() {
 					row[i] = h.ConstID()
@@ -36,9 +35,7 @@ func evalQueryINL(st store.Reader, q *cq.Query) (*Relation, error) {
 					row[i] = bind[h]
 				}
 			}
-			if seen.add(row) {
-				out.Rows = append(out.Rows, row)
-			}
+			out.Add(row)
 			return
 		}
 		a := q.Atoms[order[k]]
@@ -82,5 +79,5 @@ func evalQueryINL(st store.Reader, q *cq.Query) (*Relation, error) {
 		})
 	}
 	rec(0)
-	return out, nil
+	return out.Relation(), nil
 }

@@ -46,18 +46,29 @@ func closeOp(o operator) {
 }
 
 // viewScanOp (ViewScan) streams a materialized view's rows as column batches
-// under the scan's relabeling: each batch is one transpose of up to BatchSize
-// extent rows, with repeated-label equality filters compacted into the
-// selection.
+// under the scan's relabeling: each batch is one widening copy per column of
+// up to BatchSize extent rows, with repeated-label equality filters compacted
+// into the selection.
 type viewScanOp struct {
 	view   algebra.ViewID
-	rows   []Row
+	src    [][]uint32 // the extent's column slabs, as compiled
+	n      int        // the extent's rows, as compiled
 	labels []cq.Term
 	eq     [][2]int
 	est    float64 // the extent's cardinality, discounted per equality filter
 	intr   *interrupt
 	i      int
 	out    *batch
+}
+
+// newViewScanOp scans rel (nil for a scan that is only described) under
+// labels.
+func newViewScanOp(view algebra.ViewID, rel *Relation, labels []cq.Term, eq [][2]int, est float64, intr *interrupt) *viewScanOp {
+	s := &viewScanOp{view: view, labels: labels, eq: eq, est: est, intr: intr}
+	if rel != nil {
+		s.src, s.n = rel.vals, rel.n
+	}
+	return s
 }
 
 func (s *viewScanOp) cols() []cq.Term { return s.labels }
@@ -68,29 +79,24 @@ func (s *viewScanOp) close() {
 }
 
 func (s *viewScanOp) nextBatch() (*batch, bool) {
-	w := len(s.labels)
 	if s.out == nil {
-		s.out = newBatch(w)
+		s.out = newBatch(len(s.labels))
 	}
-	for s.i < len(s.rows) {
-		if s.intr.stop() { // cancellation checkpoint: once per transposed batch
+	for s.i < s.n {
+		if s.intr.stop() { // cancellation checkpoint: once per batch
 			return nil, false
 		}
-		n := len(s.rows) - s.i
-		if n > BatchSize {
-			n = BatchSize
-		}
-		rows := s.rows[s.i : s.i+n]
-		s.i += n
+		n := min(s.n-s.i, BatchSize)
 		out := s.out
 		out.reset()
 		out.n = n
-		for c := 0; c < w; c++ {
-			col := out.cols[c]
-			for r, row := range rows {
-				col[r] = row[c]
+		for c, src := range s.src {
+			col := out.cols[c][:n]
+			for r, v := range src[s.i : s.i+n] {
+				col[r] = dict.ID(v)
 			}
 		}
+		s.i += n
 		for _, pair := range s.eq {
 			compactEqCols(out, out.cols[pair[0]], out.cols[pair[1]])
 		}
@@ -442,23 +448,25 @@ func newHashJoinOp(left, right operator, shape joinShapeInfo, buildLeft bool, le
 
 func (j *hashJoinOp) cols() []cq.Term { return j.shape.outCols }
 
-// joinTable is a hash join's build side: its rows — borrowed from an extent,
-// or gathered flat (w values each, no per-row header for the collector to
-// trace) — chained by key hash through one table.
+// joinTable is a hash join's build side: its rows — borrowed from an
+// extent's 32-bit columns, or gathered flat (w values each, no per-row
+// header for the collector to trace) — chained by key hash through one
+// table.
 type joinTable struct {
-	rows   []Row     // borrowed extent rows, or nil when gathered into
-	flat   []dict.ID // ... w values per row
+	ext    [][]uint32 // borrowed extent columns, or nil when gathered into
+	flat   []dict.ID  // ... w values per row
 	w      int
 	hashes []uint64 // per row, until linked
 	table  *idTable // key hash -> chain head, as row index + 1
 	chains []int32  // collision chain, same encoding as the table
 }
 
-func (t *joinTable) row(r int32) Row {
-	if t.rows != nil {
-		return t.rows[r]
+// at returns build row r's value in column c.
+func (t *joinTable) at(r int32, c int) dict.ID {
+	if t.ext != nil {
+		return dict.ID(t.ext[c][r])
 	}
-	return t.flat[int(r)*t.w : int(r+1)*t.w]
+	return t.flat[int(r)*t.w+c]
 }
 
 // gatherBuild drains the build side into rows and their key hashes.
@@ -466,18 +474,19 @@ func (j *hashJoinOp) gatherBuild(in operator) *joinTable {
 	t := &joinTable{w: len(in.cols())}
 	if s, ok := in.(*viewScanOp); ok && len(s.eq) == 0 && s.i == 0 {
 		// Straight from the extent: the scan only relabels columns, so its
-		// rows hash and chain as-is — no batch transpose, no copies.
-		t.rows = s.rows
-		s.i = len(s.rows)
-		t.hashes = make([]uint64, len(t.rows))
-		for r, row := range t.rows {
+		// columns hash and chain as they are stored — no batch copies.
+		t.ext = s.src
+		n := s.n
+		s.i = n
+		t.hashes = make([]uint64, n)
+		for lo := 0; lo < n; lo += BatchSize {
 			// Cancellation checkpoint: this loop walks the whole extent with
 			// no batch boundary to poll at.
-			if r&(BatchSize-1) == 0 && j.intr.stop() {
-				t.rows, t.hashes = t.rows[:r], t.hashes[:r]
+			if j.intr.stop() {
+				t.hashes = t.hashes[:lo]
 				break
 			}
-			t.hashes[r] = hashValues(row, j.bIdx)
+			hashExtent(t.hashes[lo:min(lo+BatchSize, n)], t.ext, lo, j.bIdx)
 		}
 		return t
 	}
@@ -503,8 +512,21 @@ func (j *hashJoinOp) gatherBuild(in operator) *joinTable {
 	}
 }
 
+// hashExtent hashes the given columns of extent rows lo.. into hashes,
+// column by column, consistently with hashColumns.
+func hashExtent(hashes []uint64, ext [][]uint32, lo int, idx []int) {
+	for k := range hashes {
+		hashes[k] = hashSeed
+	}
+	for _, c := range idx {
+		for k, v := range ext[c][lo : lo+len(hashes)] {
+			hashes[k] = hashMix(hashes[k], uint64(v))
+		}
+	}
+}
+
 // hashColumns hashes the given columns of the batch's selected rows, column by
-// column, consistently with hashValues so build and probe sides agree.
+// column, consistently with hashExtent so build and probe sides agree.
 func hashColumns(hashes []uint64, b *batch, sel []int32, idx []int) {
 	for k := range hashes {
 		hashes[k] = hashSeed
@@ -577,11 +599,10 @@ func (j *hashJoinOp) emitChain(out *batch) {
 	run := j.matchBuf[:0]
 	for j.chain != 0 && len(run) < free {
 		c := j.chain - 1
-		brow := t.row(c)
 		j.chain = t.chains[c]
 		match := true
 		for x, pc := range j.pIdx {
-			if cols[pc][prow] != brow[j.bIdx[x]] {
+			if cols[pc][prow] != t.at(c, j.bIdx[x]) {
 				match = false
 				break
 			}
@@ -597,7 +618,7 @@ func (j *hashJoinOp) emitChain(out *batch) {
 			dst := out.cols[c][k : k+g]
 			if j.buildLeft {
 				for x, r := range run {
-					dst[x] = t.row(r)[c]
+					dst[x] = t.at(r, c)
 				}
 				continue
 			}
@@ -616,7 +637,7 @@ func (j *hashJoinOp) emitChain(out *batch) {
 				continue
 			}
 			for x, r := range run {
-				dst[x] = t.row(r)[ri]
+				dst[x] = t.at(r, ri)
 			}
 		}
 		out.n = k + g

@@ -42,8 +42,8 @@ func TestPlanConstantOnlyHead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Len() != 1 || r.Rows[0][0] != tag.ConstID() {
-		t.Fatalf("constant head: got %d rows %v", r.Len(), r.Rows)
+	if r.Len() != 1 || r.At(0, 0) != tag.ConstID() {
+		t.Fatalf("constant head: got %d rows %v", r.Len(), rowsOf(r))
 	}
 	assertSameAnswers(t, st, q)
 
@@ -153,8 +153,8 @@ func TestPlanTriangleSortBreakUsesSortMerge(t *testing.T) {
 	if r.Len() != 1 {
 		t.Fatalf("triangle matches = %d, want 1", r.Len())
 	}
-	if r.Rows[0][0] != a.ConstID() || r.Rows[0][1] != b.ConstID() || r.Rows[0][2] != c.ConstID() {
-		t.Fatalf("wrong triangle: %v", r.Rows[0])
+	if row := r.Row(0, nil); row[0] != a.ConstID() || row[1] != b.ConstID() || row[2] != c.ConstID() {
+		t.Fatalf("wrong triangle: %v", row)
 	}
 	assertSameAnswers(t, st, q)
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rdfviews/internal/algebra"
@@ -22,20 +23,20 @@ func refExecute(t testing.TB, p algebra.Plan, views map[algebra.ViewID]*Relation
 	case *algebra.Scan:
 		base := views[n.View]
 		out := NewRelation(n.Cols)
-		for _, row := range base.Rows {
+		for _, row := range rowsOf(base) {
 			keep := true
 			for i, c := range n.Cols { // a repeated label is an equality filter
 				keep = keep && row[i] == row[out.ColIndex(c)]
 			}
 			if keep {
-				out.Rows = append(out.Rows, row)
+				out.Append(row)
 			}
 		}
 		return out
 	case *algebra.Select:
 		in := refExecute(t, n.Input, views)
 		out := NewRelation(in.Cols)
-		for _, row := range in.Rows {
+		for _, row := range rowsOf(in) {
 			keep := true
 			for _, c := range n.Conds {
 				if c.Right.IsConst() {
@@ -45,7 +46,7 @@ func refExecute(t testing.TB, p algebra.Plan, views map[algebra.ViewID]*Relation
 				}
 			}
 			if keep {
-				out.Rows = append(out.Rows, row)
+				out.Append(row)
 			}
 		}
 		return out
@@ -59,16 +60,17 @@ func refExecute(t testing.TB, p algebra.Plan, views map[algebra.ViewID]*Relation
 		l, r := refExecute(t, n.Left, views), refExecute(t, n.Right, views)
 		// Output: the left columns, then the right columns the left side does
 		// not already expose under the same variable.
-		out := NewRelation(l.Cols)
+		cols := slices.Clone(l.Cols)
 		var keepRight []int
 		for i, c := range r.Cols {
 			if c.IsConst() || l.ColIndex(c) < 0 {
-				out.Cols = append(out.Cols, c)
+				cols = append(cols, c)
 				keepRight = append(keepRight, i)
 			}
 		}
-		for _, lr := range l.Rows {
-			for _, rr := range r.Rows {
+		out := NewRelation(cols)
+		for _, lr := range rowsOf(l) {
+			for _, rr := range rowsOf(r) {
 				match := true
 				for i, c := range l.Cols { // natural join on first occurrences
 					if j := r.ColIndex(c); c.IsVar() && j >= 0 && l.ColIndex(c) == i {
@@ -83,7 +85,7 @@ func refExecute(t testing.TB, p algebra.Plan, views map[algebra.ViewID]*Relation
 					for _, i := range keepRight {
 						row = append(row, rr[i])
 					}
-					out.Rows = append(out.Rows, row)
+					out.Append(row)
 				}
 			}
 		}
@@ -91,7 +93,9 @@ func refExecute(t testing.TB, p algebra.Plan, views map[algebra.ViewID]*Relation
 	case *algebra.Union:
 		out := refExecute(t, n.Branches[0], views)
 		for _, b := range n.Branches[1:] {
-			out.Rows = append(out.Rows, refExecute(t, b, views).Rows...)
+			for _, row := range rowsOf(refExecute(t, b, views)) {
+				out.Append(row)
+			}
 		}
 		return out.Dedup()
 	}

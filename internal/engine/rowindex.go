@@ -1,122 +1,156 @@
 package engine
 
-// Exported row-hashing containers for callers that maintain relations
-// incrementally (internal/maintain): the executor's distinct set, and an
-// index over the idTable + chain machinery its hash joins use, so membership
-// tests, inserts and deletes hash raw ID words instead of allocating an
-// 8·arity-byte string key per row.
-
-// RowSet is a set of rows for set-semantics deduplication. Rows are keyed by
-// a 64-bit hash with collisions resolved by value comparison; membership
-// tests allocate nothing.
-type RowSet struct{ s rowSet }
-
-// NewRowSet returns an empty set sized for the hint.
-func NewRowSet(sizeHint int) *RowSet { return &RowSet{s: *newRowSet(sizeHint)} }
-
-// Add inserts the row unless present, reporting whether it was new. The set
-// keeps a reference: the caller must not mutate the row afterwards.
-func (s *RowSet) Add(row Row) bool { return s.s.add(row) }
-
-// Has reports membership.
-func (s *RowSet) Has(row Row) bool { return s.s.has(row) }
-
-// Len returns the number of rows in the set.
-func (s *RowSet) Len() int { return s.s.len() }
+import "fmt"
 
 // RowIndex keeps a relation's rows indexed by value, supporting O(1)
 // membership, append-if-absent and swap-delete — the extent maintenance
-// primitives of incremental view maintenance. The index and the relation
-// move together: mutate the relation only through the index.
+// primitives of incremental view maintenance, and the set internal/maintain
+// deduplicates delta rows with. The index and the relation move together:
+// mutate the relation only through the index.
+//
+// The index is one open-addressed table of row positions, probed linearly:
+// 4 bytes a slot and nothing per row. It stores no hashes — a probe
+// recomputes a row's hash from the columns and compares values — and no
+// collision chains: a delete shifts the probe run back over the freed slot.
 type RowIndex struct {
 	rel   *Relation
-	table *idTable // row hash -> chain head, as row position + 1
-	next  []int32  // collision chain, same encoding as table
+	slots []int32 // row position + 1, 0 = empty; power-of-two length, load at most 3/4
 }
 
 // NewRowIndex indexes the relation's current rows (assumed distinct).
 func NewRowIndex(rel *Relation) *RowIndex {
-	x := &RowIndex{rel: rel, table: newIDTable(len(rel.Rows))}
-	for pos := range rel.Rows {
-		x.link(int32(pos))
+	x := &RowIndex{rel: rel, slots: make([]int32, tableSlots(rel.Len()))}
+	for pos := 0; pos < rel.Len(); pos++ {
+		x.place(pos)
 	}
 	return x
 }
 
-// link adds position pos (== len(next)) to its hash chain.
-func (x *RowIndex) link(pos int32) {
-	h := hashRow(x.rel.Rows[pos])
-	x.next = append(x.next, x.table.get(h))
-	x.table.put(h, pos+1)
+func (x *RowIndex) mask() uint64 { return uint64(len(x.slots) - 1) }
+
+// place puts position pos in the first empty slot of its probe run; the
+// row must not be in the table.
+func (x *RowIndex) place(pos int) {
+	mask := x.mask()
+	i := x.rel.hashAt(pos) & mask
+	for x.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	x.slots[i] = int32(pos + 1)
 }
 
-// find returns the row's position + 1, or 0 when absent.
-func (x *RowIndex) find(row Row) int32 {
-	for j := x.table.get(hashRow(row)); j != 0; j = x.next[j-1] {
-		if rowsEqual(x.rel.Rows[j-1], row) {
-			return j
+// find probes for key. When the row is present it returns its slot and
+// true; otherwise the empty slot the row belongs in. A key as wide as the
+// relation but holding a value of 2^32 or above hashes and compares as
+// itself, so it is found nowhere.
+func (x *RowIndex) find(key Row) (uint64, bool) {
+	mask := x.mask()
+	for i := hashRow(key) & mask; ; i = (i + 1) & mask {
+		p := x.slots[i]
+		if p == 0 {
+			return i, false
+		}
+		if x.rel.equalAt(int(p-1), key) {
+			return i, true
 		}
 	}
-	return 0
 }
 
-// unlink removes position pos from its hash chain.
-func (x *RowIndex) unlink(pos int32) {
-	h := hashRow(x.rel.Rows[pos])
-	head := x.table.get(h)
-	if head == pos+1 {
-		x.table.put(h, x.next[pos])
-		return
+// slotOf returns the slot holding position pos.
+func (x *RowIndex) slotOf(pos int) uint64 {
+	mask := x.mask()
+	i := x.rel.hashAt(pos) & mask
+	for x.slots[i] != int32(pos+1) {
+		i = (i + 1) & mask
 	}
-	for j := head; j != 0; j = x.next[j-1] {
-		if x.next[j-1] == pos+1 {
-			x.next[j-1] = x.next[pos]
-			return
-		}
-	}
+	return i
 }
 
 // Has reports whether the relation contains the row.
-func (x *RowIndex) Has(row Row) bool { return x.find(row) != 0 }
-
-// Add appends the row to the relation unless present, reporting whether it
-// was added. The relation keeps a reference to the row.
-func (x *RowIndex) Add(row Row) bool {
-	if x.find(row) != 0 {
+func (x *RowIndex) Has(row Row) bool {
+	if len(row) != x.rel.Arity() {
 		return false
 	}
-	x.rel.Rows = append(x.rel.Rows, row)
-	x.link(int32(len(x.rel.Rows) - 1))
+	_, found := x.find(row)
+	return found
+}
+
+// Add appends the row to the relation unless present, reporting whether it
+// was added. The row's values are copied. Like Relation.Append it panics on
+// a row of the wrong width or with an ID outside [0, 2^32-1], leaving the
+// relation and the index unchanged.
+func (x *RowIndex) Add(row Row) bool {
+	if len(row) != x.rel.Arity() {
+		panic(fmt.Sprintf(widthPanic, len(row), x.rel.Arity()))
+	}
+	slot, found := x.find(row)
+	if found {
+		return false
+	}
+	x.rel.Append(row)
+	x.slots[slot] = int32(x.rel.Len())
+	if x.rel.Len()*4 > len(x.slots)*3 {
+		x.grow()
+	}
 	return true
 }
 
-// Remove deletes the row from the relation (swapping the last row into its
+// grow doubles the table and re-places every position by its recomputed
+// hash.
+func (x *RowIndex) grow() {
+	x.slots = make([]int32, 2*len(x.slots))
+	for pos := 0; pos < x.rel.Len(); pos++ {
+		x.place(pos)
+	}
+}
+
+// Remove deletes the row from the relation (moving the last row into its
 // place), reporting whether it was present.
 func (x *RowIndex) Remove(row Row) bool {
-	j := x.find(row)
-	if j == 0 {
+	if len(row) != x.rel.Arity() {
 		return false
 	}
-	pos := j - 1
-	last := int32(len(x.rel.Rows) - 1)
-	x.unlink(pos)
-	if pos != last {
-		x.unlink(last)
-		x.rel.Rows[pos] = x.rel.Rows[last]
+	slot, found := x.find(row)
+	if !found {
+		return false
 	}
-	x.rel.Rows = x.rel.Rows[:last]
-	x.next = x.next[:last]
+	pos, last := int(x.slots[slot]-1), x.rel.Len()-1
+	x.vacate(slot)
 	if pos != last {
-		// Re-link the moved row under its new position.
-		h := hashRow(x.rel.Rows[pos])
-		x.next[pos] = x.table.get(h)
-		x.table.put(h, pos+1)
+		// Swap-delete: the last row moves into pos, and its slot follows.
+		x.slots[x.slotOf(last)] = int32(pos + 1)
+		for _, col := range x.rel.vals {
+			col[pos] = col[last]
+		}
 	}
+	for c, col := range x.rel.vals {
+		x.rel.vals[c] = col[:last]
+	}
+	x.rel.n = last
 	return true
+}
+
+// vacate empties slot i by backward-shift deletion: every later entry of
+// the probe run that may sit at i (its home slot is not cyclically after
+// i) moves back into it, and the slot it left is vacated in turn, so no
+// probe ever stops short of its row.
+func (x *RowIndex) vacate(i uint64) {
+	mask := x.mask()
+	for j := (i + 1) & mask; ; j = (j + 1) & mask {
+		p := x.slots[j]
+		if p == 0 {
+			break
+		}
+		if home := x.rel.hashAt(int(p-1)) & mask; (j-home)&mask >= (j-i)&mask {
+			x.slots[i] = p
+			i = j
+		}
+	}
+	x.slots[i] = 0
 }
 
 // Len returns the relation's row count.
-func (x *RowIndex) Len() int { return len(x.rel.Rows) }
+func (x *RowIndex) Len() int { return x.rel.Len() }
 
 // Relation returns the indexed relation. Mutate it only through the index.
 func (x *RowIndex) Relation() *Relation { return x.rel }
@@ -125,12 +159,8 @@ func (x *RowIndex) Relation() *Relation { return x.rel }
 // the relation — the copy-on-write step of atomic extent publication: the
 // async maintainer clones an extent, applies a batch of deltas to the clone,
 // and publishes it with a pointer swap while readers keep draining the
-// original. Row values are shared (rows are never mutated in place), so the
-// copy costs one slice per structure, not one per row.
+// original. A clone copies one slab per column plus one table, and nothing
+// per row.
 func (x *RowIndex) Clone() *RowIndex {
-	rel := &Relation{
-		Cols: x.rel.Cols,
-		Rows: append([]Row(nil), x.rel.Rows...),
-	}
-	return &RowIndex{rel: rel, table: x.table.clone(), next: append([]int32(nil), x.next...)}
+	return &RowIndex{rel: x.rel.clone(), slots: append([]int32(nil), x.slots...)}
 }

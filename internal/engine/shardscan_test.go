@@ -145,12 +145,13 @@ func TestDrivingScanMergesShards(t *testing.T) {
 		t.Fatalf("merged full scan returned %d and %d rows, store has %d", first.Len(), second.Len(), st.Len())
 	}
 	perm := drivingScan(t, fullScan.plan).spec.perm
-	for i := range first.Rows {
-		if !rowsEqual(first.Rows[i], second.Rows[i]) {
-			t.Fatalf("merged scan row %d differs between runs: %v vs %v", i, first.Rows[i], second.Rows[i])
+	a, b := rowsOf(first), rowsOf(second)
+	for i := range a {
+		if !rowsEqual(a[i], b[i]) {
+			t.Fatalf("merged scan row %d differs between runs: %v vs %v", i, a[i], b[i])
 		}
-		if i > 0 && !permOrdered(first.Rows[i-1], first.Rows[i], perm) {
-			t.Fatalf("merged scan row %d out of %v order: %v after %v", i, perm, first.Rows[i], first.Rows[i-1])
+		if i > 0 && !permOrdered(a[i-1], a[i], perm) {
+			t.Fatalf("merged scan row %d out of %v order: %v after %v", i, perm, a[i], a[i-1])
 		}
 	}
 }

@@ -54,19 +54,13 @@ func (s *RowStream) Cols() []cq.Term { return s.cols }
 // ctx.Err()). After EOF or an error every further call returns the same;
 // after an early Close it returns ErrStreamClosed.
 func (s *RowStream) Next() ([]Row, error) {
-	if s.done {
-		return nil, s.err
-	}
-	s.pulled = true
-	b, ok := s.root.nextBatch()
-	if !ok {
-		s.done, s.err = true, s.intrs.err()
-		s.Close()
-		return nil, s.err
+	b, sel, err := s.pull()
+	if b == nil {
+		return nil, err
 	}
 	// Transpose into the reused slab: one flat backing array sized by the
 	// largest batch seen, so a point lookup does not pay for a full batch.
-	sel, w := b.liveSel(), len(s.cols)
+	w := len(s.cols)
 	if cap(s.rows) < len(sel) {
 		s.rows, s.back = make([]Row, len(sel)), make([]dict.ID, len(sel)*w)
 	}
@@ -79,6 +73,22 @@ func (s *RowStream) Next() ([]Row, error) {
 		s.rows[k] = row
 	}
 	return s.rows, nil
+}
+
+// pull returns the root's next batch and its live rows, or a nil batch with
+// the stream's terminal error (nil at EOF).
+func (s *RowStream) pull() (*batch, []int32, error) {
+	if s.done {
+		return nil, nil, s.err
+	}
+	s.pulled = true
+	b, ok := s.root.nextBatch()
+	if !ok {
+		s.done, s.err = true, s.intrs.err()
+		s.Close()
+		return nil, nil, s.err
+	}
+	return b, b.liveSel(), nil
 }
 
 // Close releases the stream's pipeline (its batch buffers). It is idempotent
@@ -94,23 +104,22 @@ func (s *RowStream) Close() {
 }
 
 // Collect is the one materializing drain: it pulls the stream dry into a
-// relation and closes it on every exit path. A canceled ExecOptions.Ctx
+// relation, narrowing each batch straight into its 32-bit columns, and
+// closes it on every exit path. A canceled ExecOptions.Ctx
 // surfaces as its error, never as a truncated relation.
 func (s *RowStream) Collect() (*Relation, error) {
 	defer s.Close()
 	out := NewRelation(s.cols)
-	var arena rowArena
 	for {
-		rows, err := s.Next()
+		b, sel, err := s.pull()
 		if err != nil {
 			return nil, err
 		}
-		if rows == nil {
+		if b == nil {
+			out.trim()
 			return out, nil
 		}
-		for _, row := range rows {
-			out.Rows = append(out.Rows, arena.copyRow(row))
-		}
+		out.appendBatch(b, sel)
 	}
 }
 

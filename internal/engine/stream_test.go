@@ -29,7 +29,7 @@ func drainStream(t *testing.T, label string, s *RowStream) *Relation {
 			t.Fatalf("%s: stream delivered an empty slab", label)
 		}
 		for _, r := range rows {
-			out.Rows = append(out.Rows, append(Row(nil), r...))
+			out.Append(r)
 		}
 	}
 }

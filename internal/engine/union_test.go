@@ -363,7 +363,7 @@ func TestUnionLeafMatchesExpandedUnion(t *testing.T) {
 						checkWindowSpan(t, got)
 					}
 					seen := newRowSet(got.Len())
-					for _, row := range got.Rows {
+					for _, row := range rowsOf(got) {
 						if !seen.add(row) {
 							t.Fatalf("row %v emitted twice:\n%s", row, plan.Explain())
 						}
@@ -380,8 +380,8 @@ func TestUnionLeafMatchesExpandedUnion(t *testing.T) {
 func checkWindowSpan(t *testing.T, got *Relation) {
 	t.Helper()
 	keys := make([]dict.ID, 0, got.Len())
-	for _, row := range got.Rows {
-		keys = append(keys, row[0])
+	for i := 0; i < got.Len(); i++ {
+		keys = append(keys, got.At(i, 0))
 	}
 	slices.Sort(keys)
 	gap := dict.ID(0)

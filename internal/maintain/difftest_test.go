@@ -111,7 +111,8 @@ func newDiffWorld(queueDepth, batchMax int) (*store.Store, *Maintainer, map[alge
 // reports.
 func decodedRows(st *store.Store, rel *engine.Relation) []string {
 	out := make([]string, 0, rel.Len())
-	for _, row := range rel.Rows {
+	for i := 0; i < rel.Len(); i++ {
+		row := rel.Row(i, nil)
 		parts := make([]string, len(row))
 		for i, id := range row {
 			parts[i] = st.Dict().MustDecode(id).Value

@@ -294,19 +294,21 @@ func (m *Maintainer) apply(snapOld *store.Snapshot, batch []delta) (int, error) 
 	changed := 0
 	for id, v := range m.views {
 		x := old.extents[id]
+		cols := x.Relation().Cols
+		var row engine.Row
 
 		// Deletion phase (DRed). A row deriving through several net-deleted
 		// triples surfaces once per triple, so dedup before the
 		// rederivability check.
-		var removals []engine.Row
-		seen := engine.NewRowSet(8)
+		seen := engine.NewRowIndex(engine.NewRelation(cols))
+		removals := engine.NewRelation(cols)
 		for t := range netDel {
 			rows, err := m.deltaRows(snapOld, v, t)
 			if err != nil {
 				return changed, err
 			}
-			for _, row := range rows {
-				if !x.Has(row) || !seen.Add(row) {
+			for i := 0; i < rows.Len(); i++ {
+				if row = rows.Row(i, row); !x.Has(row) || !seen.Add(row) {
 					continue
 				}
 				ok, err := m.rederivable(snapNew, v, row)
@@ -314,39 +316,39 @@ func (m *Maintainer) apply(snapOld *store.Snapshot, batch []delta) (int, error) 
 					return changed, err
 				}
 				if !ok {
-					removals = append(removals, row)
+					removals.Append(row)
 				}
 			}
 		}
 
 		// Insertion phase. (Disjoint from removals: delta rows are derivable
 		// over snapNew by construction, removals are not.)
-		var additions []engine.Row
+		additions := engine.NewRelation(cols)
 		for t := range netIns {
 			rows, err := m.deltaRows(snapNew, v, t)
 			if err != nil {
 				return changed, err
 			}
-			for _, row := range rows {
-				if !x.Has(row) {
-					additions = append(additions, row)
+			for i := 0; i < rows.Len(); i++ {
+				if row = rows.Row(i, row); !x.Has(row) {
+					additions.Append(row)
 				}
 			}
 		}
 
-		if len(removals) == 0 && len(additions) == 0 {
+		if removals.Len() == 0 && additions.Len() == 0 {
 			continue
 		}
 		if m.rf != nil {
 			x = x.Clone() // readers hold published generations: copy on write
 		}
-		for _, row := range removals {
-			if x.Remove(row) {
+		for i := 0; i < removals.Len(); i++ {
+			if x.Remove(removals.Row(i, row)) {
 				changed++
 			}
 		}
-		for _, row := range additions {
-			if x.Add(row) { // dedups additions repeated across delta triples
+		for i := 0; i < additions.Len(); i++ {
+			if x.Add(additions.Row(i, row)) { // dedups additions repeated across delta triples
 				changed++
 			}
 		}
@@ -358,12 +360,12 @@ func (m *Maintainer) apply(snapOld *store.Snapshot, batch []delta) (int, error) 
 }
 
 // deltaRows evaluates the delta of view v for triple t against the reader:
-// the union over members of v and their atoms unifying with t of the member
-// with that atom's variables bound. The reader is a store snapshot aligned
-// with a batch boundary.
-func (m *Maintainer) deltaRows(r store.Reader, v *cq.UCQ, t store.Triple) ([]engine.Row, error) {
-	seen := engine.NewRowSet(8)
-	var out []engine.Row
+// the distinct union over members of v and their atoms unifying with t of
+// the member with that atom's variables bound. The reader is a store
+// snapshot aligned with a batch boundary.
+func (m *Maintainer) deltaRows(r store.Reader, v *cq.UCQ, t store.Triple) (*engine.Relation, error) {
+	out := engine.NewRowIndex(engine.NewRelation(v.Queries[0].Head))
+	var row engine.Row
 	for _, q := range v.Queries {
 		for i := range q.Atoms {
 			qb, ok := bindAtom(q, i, t)
@@ -374,14 +376,13 @@ func (m *Maintainer) deltaRows(r store.Reader, v *cq.UCQ, t store.Triple) ([]eng
 			if err != nil {
 				return nil, err
 			}
-			for _, row := range rel.Rows {
-				if seen.Add(row) {
-					out = append(out, row)
-				}
+			for i := 0; i < rel.Len(); i++ {
+				row = rel.Row(i, row)
+				out.Add(row)
 			}
 		}
 	}
-	return out, nil
+	return out.Relation(), nil
 }
 
 // bindAtom unifies atom i of v with the triple; on success it returns v with

@@ -130,8 +130,8 @@ func TestAsyncMaintainConcurrentStress(t *testing.T) {
 							r, int(id), before, rel.Len(), out.Len()))
 						return
 					}
-					for _, row := range out.Rows {
-						if len(row) != len(head) {
+					for i := 0; i < out.Len(); i++ {
+						if row := out.Row(i, nil); len(row) != len(head) {
 							fail(fmt.Errorf("reader %d: v%d row arity %d, want %d", r, int(id), len(row), len(head)))
 							return
 						}

@@ -148,7 +148,10 @@ func LoadDatabase(r io.Reader) (*store.Store, *rdf.Schema, error) {
 	return st, schema, nil
 }
 
-// BundleView is one view of a bundle: its definition and extent.
+// BundleView is one view of a bundle: its definition and extent. Rows is
+// the extent's image form: NewBundle fills it for Save, and LoadBundle
+// empties it once the rows are validated and narrowed into the bundle's
+// relations.
 type BundleView struct {
 	ID    algebra.ViewID
 	Head  []cq.Term
@@ -170,13 +173,15 @@ type Bundle struct {
 	// Views holds definitions and extents.
 	Views []BundleView
 
-	dict *dict.Dictionary // built and checked by LoadBundle; not serialized
+	dict    *dict.Dictionary                    // built and checked by LoadBundle; not serialized
+	extents map[algebra.ViewID]*engine.Relation // the views' extents in memory; not serialized
 }
 
 // NewBundle assembles a bundle from a recommendation's parts.
 func NewBundle(d *dict.Dictionary, queries []*cq.Query, plans []algebra.Plan,
 	views map[algebra.ViewID]*cq.Query, extents map[algebra.ViewID]*engine.Relation) (*Bundle, error) {
-	b := &Bundle{Version: FormatVersion, Terms: d.Terms(), Plans: plans}
+	b := &Bundle{Version: FormatVersion, Terms: d.Terms(), Plans: plans,
+		extents: make(map[algebra.ViewID]*engine.Relation, len(views))}
 	for _, q := range queries {
 		b.QueryTexts = append(b.QueryTexts, q.Format(d))
 	}
@@ -185,15 +190,28 @@ func NewBundle(d *dict.Dictionary, queries []*cq.Query, plans []algebra.Plan,
 		if !ok {
 			return nil, fmt.Errorf("persist: view v%d has no extent", int(id))
 		}
+		b.extents[id] = ext
 		b.Views = append(b.Views, BundleView{
 			ID:    id,
 			Head:  v.Head,
 			Atoms: v.Atoms,
 			Cols:  ext.Cols,
-			Rows:  ext.Rows,
+			Rows:  wideRows(ext),
 		})
 	}
 	return b, nil
+}
+
+// wideRows widens an extent into the image's rows, all over one backing
+// array.
+func wideRows(ext *engine.Relation) []engine.Row {
+	w := ext.Arity()
+	flat := make([]dict.ID, ext.Len()*w)
+	rows := make([]engine.Row, ext.Len())
+	for i := range rows {
+		rows[i] = ext.Row(i, flat[i*w:i*w:(i+1)*w])
+	}
+	return rows
 }
 
 // Save writes the bundle.
@@ -216,7 +234,22 @@ func LoadBundle(r io.Reader) (*Bundle, error) {
 	if err := b.validate(); err != nil {
 		return nil, err
 	}
+	b.narrow()
 	return &b, nil
+}
+
+// narrow moves the validated extents into 32-bit relations and drops the
+// decoded wide rows.
+func (b *Bundle) narrow() {
+	b.extents = make(map[algebra.ViewID]*engine.Relation, len(b.Views))
+	for i := range b.Views {
+		v := &b.Views[i]
+		rel := engine.NewRelation(v.Cols)
+		for _, row := range v.Rows {
+			rel.Append(row)
+		}
+		b.extents[v.ID], v.Rows = rel, nil
+	}
 }
 
 // validate checks everything answering from the bundle relies on: the terms
@@ -270,13 +303,7 @@ func (b *Bundle) Dict() *dict.Dictionary {
 }
 
 // Resolver exposes the bundled extents to plan execution.
-func (b *Bundle) Resolver() engine.ViewResolver {
-	byID := make(map[algebra.ViewID]*engine.Relation, len(b.Views))
-	for _, v := range b.Views {
-		byID[v.ID] = &engine.Relation{Cols: v.Cols, Rows: v.Rows}
-	}
-	return engine.MapResolver(byID)
-}
+func (b *Bundle) Resolver() engine.ViewResolver { return engine.MapResolver(b.extents) }
 
 // NumQueries returns the workload size.
 func (b *Bundle) NumQueries() int { return len(b.Plans) }
@@ -284,8 +311,8 @@ func (b *Bundle) NumQueries() int { return len(b.Plans) }
 // NumRows returns the total bundled tuples.
 func (b *Bundle) NumRows() int {
 	n := 0
-	for _, v := range b.Views {
-		n += len(v.Rows)
+	for _, ext := range b.extents {
+		n += ext.Len()
 	}
 	return n
 }

@@ -143,8 +143,8 @@ func (e *Engine) Evaluate(q *cq.Query) (*engine.Relation, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	out := engine.NewRelation(q.Head)
-	seen := make(map[string]struct{})
+	out := engine.NewRowIndex(engine.NewRelation(q.Head))
+	row := make(engine.Row, len(q.Head))
 	bind := make(map[cq.Term]dict.ID)
 	resolved := make([]bool, len(q.Atoms))
 
@@ -163,7 +163,6 @@ func (e *Engine) Evaluate(q *cq.Query) (*engine.Relation, error) {
 	var rec func(done int)
 	rec = func(done int) {
 		if done == len(q.Atoms) {
-			row := make(engine.Row, len(q.Head))
 			for i, h := range q.Head {
 				if h.IsConst() {
 					row[i] = h.ConstID()
@@ -171,11 +170,7 @@ func (e *Engine) Evaluate(q *cq.Query) (*engine.Relation, error) {
 					row[i] = bind[h]
 				}
 			}
-			key := rowKey(row)
-			if _, ok := seen[key]; !ok {
-				seen[key] = struct{}{}
-				out.Rows = append(out.Rows, row)
-			}
+			out.Add(row)
 			return
 		}
 		// Most selective unresolved atom first.
@@ -219,17 +214,5 @@ func (e *Engine) Evaluate(q *cq.Query) (*engine.Relation, error) {
 		resolved[best] = false
 	}
 	rec(0)
-	return out, nil
-}
-
-// rowKey mirrors engine's dedup key.
-func rowKey(row engine.Row) string {
-	buf := make([]byte, 8*len(row))
-	for i, v := range row {
-		u := uint64(v)
-		for b := 0; b < 8; b++ {
-			buf[i*8+b] = byte(u >> (8 * b))
-		}
-	}
-	return string(buf)
+	return out.Relation(), nil
 }

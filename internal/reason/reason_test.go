@@ -369,9 +369,9 @@ func evalFactored(t *testing.T, st *store.Store, q *cq.Query, s *Schema) *engine
 
 // hasDuplicateRows reports whether a relation holds some row twice.
 func hasDuplicateRows(r *engine.Relation) bool {
-	seen := make(map[string]bool, len(r.Rows))
-	for _, row := range r.Rows {
-		k := fmt.Sprint(row)
+	seen := make(map[string]bool, r.Len())
+	for i := 0; i < r.Len(); i++ {
+		k := fmt.Sprint(r.Row(i, nil))
 		if seen[k] {
 			return true
 		}

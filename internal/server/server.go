@@ -32,7 +32,10 @@
 // (encode.go). A failure before the first slab answers 504 (deadline, cancel)
 // or 500; mid-stream failures cannot change the status line, so a truncated
 // result closes the JSON with a nonstandard "error" member the client can
-// detect.
+// detect. A panic while serving one request is contained at the handler
+// boundary the same way: a 500 while the status line is still free, the
+// error member once rows have gone out, and the panics counter on /stats;
+// the server goes on serving.
 package server
 
 import (
@@ -259,6 +262,12 @@ func (s *Server) admit(ctx context.Context) (release func(), status int) {
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.counters.Requests.Add(1)
+	var rep reply
+	defer func() {
+		if p := recover(); p != nil {
+			s.contain(w, &rep, p)
+		}
+	}()
 	if r.Method != http.MethodGet && r.Method != http.MethodPost {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
@@ -307,7 +316,39 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer st.Close()
-	s.writeResults(ctx, w, st)
+	s.writeResults(ctx, w, st, &rep)
+}
+
+// reply is what a request has put on the wire so far, for the handler's
+// recover to answer a panic from.
+type reply struct {
+	enc     *encoder // the document's encoder while it is being written
+	sent    bool     // the status line is gone
+	settled int      // len(enc.buf) after its last whole slab
+}
+
+// contain answers a panic raised while serving one request: a 500 while the
+// status line is still free, otherwise the document closed with the error
+// member, its rows cut back to the last whole slab. It counts the panic and
+// lets the server go on; http.ErrAbortHandler, net/http's own way to abort
+// a response, is re-raised. The encoder is not kept for a later request.
+func (s *Server) contain(w http.ResponseWriter, rep *reply, p any) {
+	if p == http.ErrAbortHandler {
+		panic(p)
+	}
+	s.counters.Panics.Add(1)
+	err := fmt.Errorf("internal error: %v", p)
+	if !rep.sent {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	e := rep.enc
+	if e == nil { // the response was finished before the panic
+		return
+	}
+	e.buf = e.buf[:rep.settled]
+	e.end(err)
+	(&countingWriter{w: w, c: &s.counters}).Write(e.buf)
 }
 
 // countingWriter counts response body bytes into the ledger.
@@ -356,7 +397,7 @@ func (s *Server) release(e *encoder) {
 // pipeline produces the next. Backpressure is the write itself: no slab is
 // pulled while an earlier one waits for the socket, so server-side result
 // state stays O(batch).
-func (s *Server) writeResults(ctx context.Context, w http.ResponseWriter, st Stream) {
+func (s *Server) writeResults(ctx context.Context, w http.ResponseWriter, st Stream, rep *reply) {
 	rows, err := st.Next()
 	if err != nil {
 		// Nothing is on the wire yet, so the failure gets a status line.
@@ -365,6 +406,7 @@ func (s *Server) writeResults(ctx context.Context, w http.ResponseWriter, st Str
 			s.counters.Canceled.Add(1)
 			status = http.StatusGatewayTimeout
 		}
+		rep.sent = true
 		http.Error(w, err.Error(), status)
 		return
 	}
@@ -375,14 +417,16 @@ func (s *Server) writeResults(ctx context.Context, w http.ResponseWriter, st Str
 	flusher, _ := w.(http.Flusher)
 
 	e := s.acquire()
-	defer s.release(e)
+	rep.enc = e
 	e.begin(st.Columns())
 	for rows != nil {
 		e.rows(rows)
+		rep.settled = len(e.buf)
 		s.counters.Rows.Add(int64(len(rows)))
 		if rows, err = st.Next(); err != nil || rows == nil {
 			break
 		}
+		rep.sent = true
 		if _, werr := cw.Write(e.buf); werr != nil {
 			// The client went away mid-write. Its disconnect cancels ctx
 			// (bounded by the request deadline in any case); wait for that,
@@ -391,18 +435,23 @@ func (s *Server) writeResults(ctx context.Context, w http.ResponseWriter, st Str
 			s.counters.Canceled.Add(1)
 			<-ctx.Done()
 			st.Next()
+			rep.enc = nil
+			s.release(e)
 			return
 		}
 		if flusher != nil {
 			flusher.Flush()
 		}
-		e.buf = e.buf[:0]
+		e.buf, rep.settled = e.buf[:0], 0
 	}
 	canceled := isCancel(err)
 	e.end(err)
+	rep.sent = true
 	if _, werr := cw.Write(e.buf); werr != nil {
 		canceled = true // the client left before the last (or only) write
 	}
+	rep.enc = nil
+	s.release(e)
 	if canceled {
 		s.counters.Canceled.Add(1)
 	}

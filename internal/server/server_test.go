@@ -623,6 +623,103 @@ func TestServerDisconnectCancelsQuery(t *testing.T) {
 	t.Fatal("client disconnect never reached an engine cancellation checkpoint")
 }
 
+// TestServerPanicContained: a panic inside one request's stream is that
+// request's failure, not the connection's or the server's. A panic before
+// any row has gone out answers 500; one after closes the document with the
+// error member, keeping the whole slabs encoded before it; both are counted
+// on /stats, and the next request is served. net/http's own
+// http.ErrAbortHandler still aborts the response and is not counted.
+func TestServerPanicContained(t *testing.T) {
+	slab := [][]string{{"v"}}
+	// panicAt streams whole slabs and panics with p on pull number n.
+	panicAt := func(n int, p any) server.Backend {
+		return server.BackendFunc(func(ctx context.Context, q string) (server.Stream, error) {
+			if q == "fine" {
+				return &sliceStream{cols: []string{"x"}, slabs: [][][]string{slab}}, nil
+			}
+			pulls := 0
+			return streamFunc{cols: []string{"x"}, next: func() ([][]string, error) {
+				if pulls++; pulls == n {
+					panic(p)
+				}
+				return slab, nil
+			}}, nil
+		})
+	}
+	panics := func(srv *server.Server, hs *httptest.Server) int64 {
+		t.Helper()
+		resp, err := http.Get(hs.URL + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var doc struct {
+			Server struct {
+				Panics int64 `json:"panics"`
+			} `json:"server"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+			t.Fatal(err)
+		}
+		if doc.Server.Panics != srv.Counters().Panics.Load() {
+			t.Fatalf("/stats panics = %d, ledger %d", doc.Server.Panics, srv.Counters().Panics.Load())
+		}
+		return doc.Server.Panics
+	}
+	fine := func(hs *httptest.Server) {
+		t.Helper()
+		if status, _, rows, errMember := fetch(t, hs.URL, "fine"); status != http.StatusOK || len(rows) != 1 || errMember != "" {
+			t.Fatalf("request after a panic: status %d, %d rows, error %q", status, len(rows), errMember)
+		}
+	}
+
+	// Panics on the first and on the second pull: no row is on the wire yet
+	// (the first slab is written only once the second is pulled), so 500.
+	for _, n := range []int{1, 2} {
+		srv, hs := newTestServer(t, server.Config{Backend: panicAt(n, "extent torn")})
+		resp, err := http.Get(hs.URL + "/sparql?query=q")
+		if err != nil {
+			t.Fatalf("panic on pull %d dropped the connection: %v", n, err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(msg), "extent torn") {
+			t.Fatalf("panic on pull %d: status %d, body %q; want 500 with the panic", n, resp.StatusCode, msg)
+		}
+		if got := panics(srv, hs); got != 1 {
+			t.Fatalf("panic on pull %d: panics = %d, want 1", n, got)
+		}
+		fine(hs)
+	}
+
+	// Panic on the fifth pull: three slabs have gone out and the fourth was
+	// encoded whole, so the document keeps four rows and ends in the error
+	// member.
+	srv, hs := newTestServer(t, server.Config{Backend: panicAt(5, "extent torn")})
+	status, _, rows, errMember := fetch(t, hs.URL, "q")
+	if status != http.StatusOK || len(rows) != 4 || !strings.Contains(errMember, "extent torn") {
+		t.Fatalf("mid-stream panic: status %d, %d rows, error member %q; want 200, 4 rows, the panic", status, len(rows), errMember)
+	}
+	if got := panics(srv, hs); got != 1 {
+		t.Fatalf("mid-stream panic: panics = %d, want 1", got)
+	}
+	fine(hs)
+
+	// http.ErrAbortHandler is net/http's abort: re-raised, not answered.
+	srv, hs = newTestServer(t, server.Config{Backend: panicAt(5, http.ErrAbortHandler)})
+	if resp, err := http.Get(hs.URL + "/sparql?query=q"); err == nil {
+		_, err = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err == nil {
+			t.Fatal("http.ErrAbortHandler did not abort the response")
+		}
+	}
+	if got := panics(srv, hs); got != 0 {
+		t.Fatalf("http.ErrAbortHandler counted as a panic: %d", got)
+	}
+	fine(hs)
+}
+
 // ---------------------------------------------------------------------------
 // Stats and shutdown
 

@@ -70,6 +70,7 @@ type ServeCounters struct {
 	ShedWait atomic.Int64 // rejected: queue wait exceeded its timeout (HTTP 429)
 	BadQuery atomic.Int64 // rejected: parse/validation failure (HTTP 400)
 	Canceled atomic.Int64 // executions cut short by disconnect or deadline
+	Panics   atomic.Int64 // requests whose handler panicked (HTTP 500 or an error member)
 	Rows     atomic.Int64 // result rows streamed to clients
 	Bytes    atomic.Int64 // response body bytes written
 	InFlight atomic.Int64 // currently executing requests (gauge)
@@ -85,6 +86,7 @@ type ServeSnapshot struct {
 	ShedWait int64 `json:"shed_queue_timeout"`
 	BadQuery int64 `json:"bad_query"`
 	Canceled int64 `json:"canceled"`
+	Panics   int64 `json:"panics"`
 	Rows     int64 `json:"rows_streamed"`
 	Bytes    int64 `json:"bytes_written"`
 	InFlight int64 `json:"in_flight"`
@@ -100,6 +102,7 @@ func (c *ServeCounters) Snapshot() ServeSnapshot {
 		ShedWait: c.ShedWait.Load(),
 		BadQuery: c.BadQuery.Load(),
 		Canceled: c.Canceled.Load(),
+		Panics:   c.Panics.Load(),
 		Rows:     c.Rows.Load(),
 		Bytes:    c.Bytes.Load(),
 		InFlight: c.InFlight.Load(),
@@ -107,7 +110,7 @@ func (c *ServeCounters) Snapshot() ServeSnapshot {
 }
 
 func (s ServeSnapshot) String() string {
-	return fmt.Sprintf("requests=%d admitted=%d queued=%d shed_full=%d shed_wait=%d bad=%d canceled=%d rows=%d bytes=%d in_flight=%d",
+	return fmt.Sprintf("requests=%d admitted=%d queued=%d shed_full=%d shed_wait=%d bad=%d canceled=%d panics=%d rows=%d bytes=%d in_flight=%d",
 		s.Requests, s.Admitted, s.Queued, s.ShedFull, s.ShedWait, s.BadQuery,
-		s.Canceled, s.Rows, s.Bytes, s.InFlight)
+		s.Canceled, s.Panics, s.Rows, s.Bytes, s.InFlight)
 }

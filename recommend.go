@@ -232,7 +232,7 @@ func (m *Materialized) NumRows() int {
 	return n
 }
 
-// SizeBytes estimates the total materialized size.
+// SizeBytes returns the bytes the extents' 32-bit column slabs hold.
 func (m *Materialized) SizeBytes() int {
 	n := 0
 	for _, rel := range m.extents {

@@ -107,8 +107,9 @@ func oracle(t *testing.T, db *Database, q string, mode Reasoning) [][]string {
 // decoded renders an oracle relation through the facade's one decoder.
 func decoded(db *Database, rel *engine.Relation) [][]string {
 	s := &AnswerStream{d: db.st.Dict(), memo: make([]memoEntry, 1)}
-	out := make([][]string, len(rel.Rows))
-	for i, row := range rel.Rows {
+	out := make([][]string, rel.Len())
+	for i := range out {
+		row := rel.Row(i, nil)
 		out[i] = make([]string, len(row))
 		for k, id := range row {
 			out[i][k] = s.decode(id)
