@@ -34,12 +34,12 @@
 // (serve-stale) or flushes first (wait-fresh).
 //
 // -cache-stats answers the workload ad hoc through the serving-tier plan
-// cache (LiveViews.AnswerQuery) instead of the pre-compiled rewritings, then
+// cache (Views.AnswerQuery) instead of the pre-compiled rewritings, then
 // prints the cache ledger: hits, misses, evictions, invalidations and the
 // compile time paid versus amortized away. Workload queries sharing a lifted
 // constant shape hit the same cached artifact, so the ledger shows what plan
 // caching would buy the workload as a query stream. Implies the live
-// maintenance path (the cache serves maintained views).
+// maintenance path, so the ledger is the one -serve reports.
 //
 // -serve ADDR starts the SPARQL-over-HTTP serving tier on ADDR (e.g. :8080)
 // over the maintained views: GET/POST /sparql streams SPARQL JSON results
@@ -208,11 +208,13 @@ func main() {
 		fmt.Print(rec.ExplainPhysical())
 	}
 
+	// The views -answer runs over: maintained on the live path, where
+	// updates stream through the maintainer and answers read the maintained
+	// (possibly lagging) extents; materialized once otherwise.
+	var views *rdfviews.Views
 	switch {
 	case c.updates != "" || c.asyncQueue > 0 || c.cacheStats || c.serveAddr != "":
-		// Live maintenance path: updates stream through the maintainer and
-		// -answer runs over the maintained (possibly lagging) extents.
-		lv, err := rec.MaintainWithOptions(rdfviews.MaintainOptions{
+		views, err = rec.MaintainWithOptions(rdfviews.MaintainOptions{
 			QueueDepth: c.asyncQueue,
 			StaleReads: c.staleReads,
 		})
@@ -220,48 +222,48 @@ func main() {
 			fatal(err)
 		}
 		mode := "synchronously"
-		if lv.Async() {
+		if views.Async() {
 			mode = fmt.Sprintf("asynchronously (queue depth %d, %s reads)", c.asyncQueue, c.staleReads)
 		}
-		fmt.Printf("\nmaintaining %d views %s: %d rows\n", rec.NumViews(), mode, lv.NumRows())
+		fmt.Printf("\nmaintaining %d views %s: %d rows\n", rec.NumViews(), mode, views.NumRows())
 		if c.updates != "" {
-			if err := streamUpdates(lv, c.updates); err != nil {
+			if err := streamUpdates(views, c.updates); err != nil {
 				fatal(err)
 			}
-		}
-		if c.answer {
-			if c.cacheStats {
-				texts := workloadLines(string(queryText))
-				printAnswers(len(texts), c.maxRows, func(i int) ([][]string, error) { return lv.AnswerQuery(texts[i]) })
-			} else {
-				printAnswers(w.Len(), c.maxRows, lv.Answer)
-			}
-		}
-		if c.cacheStats {
-			fmt.Printf("\nplan cache: %s\n", lv.CacheStats())
-			fmt.Printf("shard pruning: %s\n", lv.PruneStats())
-		}
-		if c.serveAddr != "" {
-			if err := serveHTTP(lv, c.serveAddr); err != nil {
-				fatal(err)
-			}
-		}
-		if err := lv.Close(); err != nil {
-			fatal(err)
 		}
 	case c.answer:
-		mat, err := rec.Materialize()
-		if err != nil {
+		if views, err = rec.Materialize(); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("\nmaterialized %d rows (%d bytes)\n", mat.NumRows(), mat.SizeBytes())
-		printAnswers(w.Len(), c.maxRows, mat.Answer)
+		fmt.Printf("\nmaterialized %d rows (%d bytes)\n", views.NumRows(), views.SizeBytes())
+	default:
+		return
+	}
+	if c.answer {
+		if c.cacheStats {
+			texts := workloadLines(string(queryText))
+			printAnswers(len(texts), c.maxRows, func(i int) ([][]string, error) { return views.AnswerQuery(texts[i]) })
+		} else {
+			printAnswers(w.Len(), c.maxRows, views.Answer)
+		}
+	}
+	if c.cacheStats {
+		fmt.Printf("\nplan cache: %s\n", views.CacheStats())
+		fmt.Printf("shard pruning: %s\n", views.PruneStats())
+	}
+	if c.serveAddr != "" {
+		if err := serveHTTP(views, c.serveAddr); err != nil {
+			fatal(err)
+		}
+	}
+	if err := views.Close(); err != nil {
+		fatal(err)
 	}
 }
 
 // serveHTTP runs the SPARQL-over-HTTP front end over the maintained views
 // until SIGINT/SIGTERM, then drains in-flight requests and returns.
-func serveHTTP(lv *rdfviews.LiveViews, addr string) error {
+func serveHTTP(lv *rdfviews.Views, addr string) error {
 	srv, err := server.New(server.Config{
 		Backend: server.BackendFunc(func(ctx context.Context, q string) (server.Stream, error) {
 			s, err := lv.AnswerQueryStream(ctx, q)
@@ -303,7 +305,7 @@ func serveHTTP(lv *rdfviews.LiveViews, addr string) error {
 
 // streamUpdates pushes the file's updates through the live views and prints
 // the freshness lifecycle: stream time, lag at end-of-stream, flush time.
-func streamUpdates(lv *rdfviews.LiveViews, path string) error {
+func streamUpdates(lv *rdfviews.Views, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err

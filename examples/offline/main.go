@@ -3,15 +3,16 @@
 //
 // A synthetic Barton-like dataset plays the server-side database. The client
 // registers its query workload once; the server recommends and materializes
-// a view set; the client then answers every query from the shipped views,
-// with no connection to the database. The example verifies the answers match
-// direct evaluation and reports the bandwidth saved (view rows vs database
-// rows).
+// a view set and saves it as a bundle; the client loads the bundle and
+// answers every query from the shipped views, with no connection to the
+// database. The example verifies the answers match direct evaluation and
+// reports the bandwidth saved (view rows vs database rows).
 //
 // Run: go run ./examples/offline
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 	"strings"
@@ -47,11 +48,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var text strings.Builder
-	for _, q := range qs {
-		text.WriteString(q.Format(db.Store().Dict()) + "\n")
-	}
-	w := db.MustParseWorkload(text.String())
+	w := &rdfviews.Workload{Queries: qs}
 	fmt.Printf("client workload: %d queries\n\n", w.Len())
 
 	// The server recommends views (post-reformulation: the database is
@@ -67,14 +64,24 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("shipped views: %d views, %d rows (%.1f%% of the %d-triple database)\n\n",
-		rec.NumViews(), mat.NumRows(),
-		100*float64(mat.NumRows())/float64(db.NumTriples()), db.NumTriples())
+	var bundle bytes.Buffer
+	if err := mat.SaveBundle(&bundle); err != nil {
+		log.Fatal(err)
+	}
 
-	// Disconnected: every query answered from the views; verify against the
-	// server's direct (reasoning-aware) evaluation.
-	for i := 0; i < w.Len(); i++ {
-		fromViews, err := mat.Answer(i)
+	// Client side: only the bundle's bytes.
+	views, err := rdfviews.LoadBundle(&bundle)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("shipped views: %d views, %d rows (%.1f%% of the %d-triple database)\n\n",
+		rec.NumViews(), views.NumRows(),
+		100*float64(views.NumRows())/float64(db.NumTriples()), db.NumTriples())
+
+	// Disconnected: every query answered from the shipped views; verify
+	// against the server's direct (reasoning-aware) evaluation.
+	for i := 0; i < views.NumQueries(); i++ {
+		fromViews, err := views.Answer(i)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -80,7 +80,7 @@ SELECT ?w WHERE { ?w a artwork . }
 
 	// The same database behind the network serving tier: internal/server's
 	// streaming /sparql endpoint over the post-reformulation answering
-	// surface (a maintained LiveViews deployment plugs in the same way via
+	// surface (a maintained Views deployment plugs in the same way via
 	// AnswerQueryStream).
 	srv, err := server.New(server.Config{
 		Backend: server.BackendFunc(func(ctx context.Context, q string) (server.Stream, error) {

@@ -394,7 +394,7 @@ func (r *Relation) Project(cols []cq.Term) (*Relation, error) {
 
 // SizeBytes is the in-memory footprint of the relation's data: the bytes its
 // column slabs hold, 4 per allocated value. It is what the CLI and
-// Materialized.SizeBytes report as view storage.
+// Views.SizeBytes report as view storage.
 func (r *Relation) SizeBytes() int {
 	n := 0
 	for _, col := range r.vals {

@@ -68,7 +68,7 @@ func Figure8(sc Scale, repeats int) (Fig8Result, error) {
 	// materialized as their reformulations over the original store.
 	// (1) pre-reformulation: views selected from the reformulated workload,
 	// materialized as they are.
-	var mats [2]*rdfviews.Materialized
+	var mats [2]*rdfviews.Views
 	var took [2]time.Duration
 	w := &rdfviews.Workload{Queries: q1}
 	for i, m := range reformModes {

@@ -103,8 +103,9 @@ func New(st *store.Store, views map[algebra.ViewID]*cq.UCQ, queueDepth int) (*Ma
 	return m, nil
 }
 
-// Async reports whether the maintainer refreshes extents in the background.
-func (m *Maintainer) Async() bool { return m.rf != nil }
+// Async reports whether the maintainer refreshes extents in the background
+// (false for a nil Maintainer).
+func (m *Maintainer) Async() bool { return m != nil && m.rf != nil }
 
 // Extent returns the current materialization of a view. The caller must not
 // modify it; in asynchronous mode it is an immutable published generation
@@ -200,9 +201,10 @@ func (m *Maintainer) mutate(op opKind, t store.Triple) (d delta, ok bool) {
 
 // Flush blocks until every delta enqueued before the call has been folded
 // into published extents, then reports any refresher error. In synchronous
-// mode extents are always exact and Flush returns immediately.
+// mode extents are always exact and Flush returns immediately, as it does
+// on a nil Maintainer, which maintains nothing.
 func (m *Maintainer) Flush() error {
-	if m.rf == nil {
+	if m == nil || m.rf == nil {
 		return nil
 	}
 	return m.rf.flush()
@@ -240,9 +242,10 @@ func (m *Maintainer) Store() *store.Store { return m.st }
 
 // Close flushes the change queue, stops the background refresher and reports
 // any refresher error. Further Insert/Delete calls fail. Synchronous
-// maintainers have nothing to release; Close is a no-op for them.
+// maintainers, and a nil one, have nothing to release; Close is a no-op for
+// them.
 func (m *Maintainer) Close() error {
-	if m.rf == nil {
+	if m == nil || m.rf == nil {
 		return nil
 	}
 	return m.rf.close()

@@ -1,14 +1,15 @@
 // Package persist serializes the library's artifacts: database snapshots
 // (dictionary + triples + schema) and view bundles — the self-contained
 // client shipment of the paper's three-tier scenario: recommended view
-// definitions, their materialized extents, one rewriting plan per workload
-// query, and the dictionary needed to decode answers. A client loading a
-// bundle answers every workload query with no database connection.
+// definitions, their materialized extents, the workload queries with one
+// rewriting plan each, and the dictionary needed to decode answers. A client
+// loading a bundle answers every workload query with no database connection.
 //
 // The format is stdlib encoding/gob with the plan node types registered.
 package persist
 
 import (
+	"cmp"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -83,8 +84,9 @@ func SaveDatabase(w io.Writer, st *store.Store, schema *rdf.Schema) error {
 // cannot be used: a triple or extent row naming a term the dictionary lacks,
 // a term listed twice, a section count that disagrees with the shard count or
 // a shard count no store is built with; in a bundle, a row narrower or wider
-// than its view's columns, a view shipped twice or a plan scanning a view
-// that is not shipped. Test for it with errors.Is.
+// than its view's columns, a view shipped twice, a plan scanning a view that
+// is not shipped, or a workload query that is malformed, names a term the
+// dictionary lacks or has no rewriting. Test for it with errors.Is.
 var ErrCorruptImage = errors.New("persist: corrupt database image")
 
 // validate checks everything LoadDatabase relies on before it builds a store
@@ -168,29 +170,31 @@ type Bundle struct {
 	Terms []rdf.Term
 	// QueryTexts renders each workload query (documentation only).
 	QueryTexts []string
+	// Queries holds the workload queries, which route an ad-hoc query that
+	// matches one to its rewriting. A bundle written before they shipped
+	// has none and answers by query index only.
+	Queries []*cq.Query
 	// Plans holds one rewriting per workload query, over the bundle views.
 	Plans []algebra.Plan
-	// Views holds definitions and extents.
+	// Views holds definitions and extents, in view ID order.
 	Views []BundleView
 
 	dict    *dict.Dictionary                    // built and checked by LoadBundle; not serialized
-	extents map[algebra.ViewID]*engine.Relation // the views' extents in memory; not serialized
+	extents map[algebra.ViewID]*engine.Relation // the extents LoadBundle narrowed; not serialized
 }
 
-// NewBundle assembles a bundle from a recommendation's parts.
-func NewBundle(d *dict.Dictionary, queries []*cq.Query, plans []algebra.Plan,
-	views map[algebra.ViewID]*cq.Query, extents map[algebra.ViewID]*engine.Relation) (*Bundle, error) {
-	b := &Bundle{Version: FormatVersion, Terms: d.Terms(), Plans: plans,
-		extents: make(map[algebra.ViewID]*engine.Relation, len(views))}
-	for _, q := range queries {
-		b.QueryTexts = append(b.QueryTexts, q.Format(d))
-	}
+// NewBundle assembles a bundle from a deployed view set: the workload's
+// texts and queries, one rewriting per query, and every view's definition
+// with the extent resolve gives it. Views are written in ID order, so one
+// view set always saves to the same bytes.
+func NewBundle(d *dict.Dictionary, texts []string, queries []*cq.Query, plans []algebra.Plan,
+	views map[algebra.ViewID]*cq.Query, resolve engine.ViewResolver) (*Bundle, error) {
+	b := &Bundle{Version: FormatVersion, Terms: d.Terms(), QueryTexts: texts, Queries: queries, Plans: plans}
 	for id, v := range views {
-		ext, ok := extents[id]
-		if !ok {
-			return nil, fmt.Errorf("persist: view v%d has no extent", int(id))
+		ext, err := resolve(id)
+		if err != nil {
+			return nil, fmt.Errorf("persist: view v%d has no extent: %w", int(id), err)
 		}
-		b.extents[id] = ext
 		b.Views = append(b.Views, BundleView{
 			ID:    id,
 			Head:  v.Head,
@@ -199,6 +203,7 @@ func NewBundle(d *dict.Dictionary, queries []*cq.Query, plans []algebra.Plan,
 			Rows:  wideRows(ext),
 		})
 	}
+	slices.SortFunc(b.Views, func(x, y BundleView) int { return cmp.Compare(x.ID, y.ID) })
 	return b, nil
 }
 
@@ -254,8 +259,10 @@ func (b *Bundle) narrow() {
 
 // validate checks everything answering from the bundle relies on: the terms
 // are distinct, no view is shipped twice, every extent row is as wide as its
-// view's columns and names only terms of the dictionary, and every view a
-// plan scans is shipped. It keeps the dictionary it built.
+// view's columns and names only terms of the dictionary, the workload
+// queries, when shipped, are one per rewriting and name only terms of the
+// dictionary, and every view a plan scans is shipped. It keeps the
+// dictionary it built.
 func (b *Bundle) validate() error {
 	d := dict.FromTerms(b.Terms)
 	if d.Len() != len(b.Terms) {
@@ -279,6 +286,23 @@ func (b *Bundle) validate() error {
 			}
 		}
 	}
+	if len(b.Queries) != 0 && len(b.Queries) != len(b.Plans) {
+		return fmt.Errorf("%w: %d workload queries for %d rewritings", ErrCorruptImage, len(b.Queries), len(b.Plans))
+	}
+	for i, q := range b.Queries {
+		if err := q.Validate(); err != nil {
+			return fmt.Errorf("%w: query %d: %v", ErrCorruptImage, i+1, err)
+		}
+		ts := slices.Clone(q.Head)
+		for _, a := range q.Atoms {
+			ts = append(ts, a[:]...)
+		}
+		for _, t := range ts {
+			if t.IsConst() && t.ConstID() > terms {
+				return fmt.Errorf("%w: query %d names term %d of %d", ErrCorruptImage, i+1, t.ConstID(), terms)
+			}
+		}
+	}
 	for i, p := range b.Plans {
 		if p == nil {
 			return fmt.Errorf("%w: query %d has no rewriting", ErrCorruptImage, i+1)
@@ -293,26 +317,8 @@ func (b *Bundle) validate() error {
 	return nil
 }
 
-// Dict returns the bundle's dictionary: the one LoadBundle built, or a
-// rebuild for a bundle assembled in memory.
-func (b *Bundle) Dict() *dict.Dictionary {
-	if b.dict != nil {
-		return b.dict
-	}
-	return dict.FromTerms(b.Terms)
-}
+// Dict returns the dictionary LoadBundle built and checked.
+func (b *Bundle) Dict() *dict.Dictionary { return b.dict }
 
-// Resolver exposes the bundled extents to plan execution.
+// Resolver exposes the extents LoadBundle narrowed to plan execution.
 func (b *Bundle) Resolver() engine.ViewResolver { return engine.MapResolver(b.extents) }
-
-// NumQueries returns the workload size.
-func (b *Bundle) NumQueries() int { return len(b.Plans) }
-
-// NumRows returns the total bundled tuples.
-func (b *Bundle) NumRows() int {
-	n := 0
-	for _, ext := range b.extents {
-		n += ext.Len()
-	}
-	return n
-}

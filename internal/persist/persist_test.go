@@ -107,7 +107,7 @@ u2 hasPainted irises .
 		[]cq.Term{x, y},
 	)
 	queries := []*cq.Query{{Head: []cq.Term{x, y}, Atoms: v1.Atoms}}
-	b, err := NewBundle(st.Dict(), queries, []algebra.Plan{plan}, views, extents)
+	b, err := NewBundle(st.Dict(), []string{queries[0].Format(st.Dict())}, queries, []algebra.Plan{plan}, views, engine.MapResolver(extents))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ u2 hasPainted irises .
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := execute(b.Plans[0], b.Resolver())
+	want, err := execute(b.Plans[0], engine.MapResolver(extents))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ u2 hasPainted irises .
 	if !got.EqualAsSet(want) {
 		t.Fatalf("bundle answers changed across roundtrip: %d vs %d rows", got.Len(), want.Len())
 	}
-	if back.NumQueries() != 1 || back.NumRows() != b.NumRows() {
+	if len(back.Plans) != 1 || len(back.Queries) != 1 || len(back.QueryTexts) != 1 || len(back.Views) != 2 {
 		t.Error("bundle metadata wrong")
 	}
 }
@@ -139,8 +139,8 @@ func TestNewBundleMissingExtent(t *testing.T) {
 	st := store.New()
 	p := cq.NewParser(st.Dict())
 	v := p.MustParseQuery("q(X) :- t(X, p, o)")
-	_, err := NewBundle(st.Dict(), nil, nil,
-		map[algebra.ViewID]*cq.Query{1: v}, map[algebra.ViewID]*engine.Relation{})
+	_, err := NewBundle(st.Dict(), nil, nil, nil,
+		map[algebra.ViewID]*cq.Query{1: v}, engine.MapResolver(map[algebra.ViewID]*engine.Relation{}))
 	if err == nil {
 		t.Fatal("missing extent accepted")
 	}
@@ -391,6 +391,13 @@ func TestLoadBundleRejectsCorruptBundles(t *testing.T) {
 		{"duplicate view", bundle(scan1, view(1, engine.Row{1, 3}), view(1, engine.Row{3, 1}))},
 		{"a term listed twice", &Bundle{Version: FormatVersion, Terms: append(terms[:3:3], terms[0]),
 			Plans: []algebra.Plan{scan1}, Views: []BundleView{view(1, engine.Row{1, 3})}}},
+		{"query term past the dictionary", withQueries(bundle(scan1, view(1, engine.Row{1, 3})),
+			&cq.Query{Head: []cq.Term{x}, Atoms: []cq.Atom{{x, cq.Const(4), y}}})},
+		{"query head variable not in the body", withQueries(bundle(scan1, view(1, engine.Row{1, 3})),
+			&cq.Query{Head: []cq.Term{cq.Var(3)}, Atoms: []cq.Atom{{x, cq.Const(2), y}}})},
+		{"more queries than rewritings", withQueries(bundle(scan1, view(1, engine.Row{1, 3})),
+			&cq.Query{Head: []cq.Term{x}, Atoms: []cq.Atom{{x, cq.Const(2), y}}},
+			&cq.Query{Head: []cq.Term{y}, Atoms: []cq.Atom{{x, cq.Const(2), y}}})},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -406,12 +413,20 @@ func TestLoadBundleRejectsCorruptBundles(t *testing.T) {
 	}
 	// The same shapes, well formed, load.
 	var buf bytes.Buffer
-	if err := bundle(join, view(1, engine.Row{1, 3}), view(2, engine.Row{3, 1})).Save(&buf); err != nil {
+	ok := withQueries(bundle(join, view(1, engine.Row{1, 3}), view(2, engine.Row{3, 1})),
+		&cq.Query{Head: []cq.Term{x, y}, Atoms: []cq.Atom{{x, cq.Const(2), y}}})
+	if err := ok.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadBundle(&buf); err != nil {
 		t.Fatalf("well-formed bundle rejected: %v", err)
 	}
+}
+
+// withQueries ships the workload queries qs in b.
+func withQueries(b *Bundle, qs ...*cq.Query) *Bundle {
+	b.Queries = qs
+	return b
 }
 
 // TestLoadDatabaseRoutesByHash loads an image whose sections hold the right

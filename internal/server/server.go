@@ -64,7 +64,7 @@ type Stream interface {
 }
 
 // Backend answers query text with a result stream, honoring ctx cancellation
-// mid-query. rdfviews.LiveViews.AnswerQueryStream and
+// mid-query. rdfviews.Views.AnswerQueryStream and
 // rdfviews.Database.AnswerQueryStream both fit through BackendFunc.
 type Backend interface {
 	AnswerStream(ctx context.Context, query string) (Stream, error)

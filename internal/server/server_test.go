@@ -24,7 +24,7 @@ import (
 // Fixtures
 
 // liveBackend adapts a maintained deployment to the server's Backend.
-func liveBackend(lv *rdfviews.LiveViews) server.Backend {
+func liveBackend(lv *rdfviews.Views) server.Backend {
 	return server.BackendFunc(func(ctx context.Context, q string) (server.Stream, error) {
 		s, err := lv.AnswerQueryStream(ctx, q)
 		if err != nil {
@@ -48,7 +48,7 @@ func dbBackend(db *rdfviews.Database) server.Backend {
 // serveWorld builds a maintained deployment over a synthetic graph: entity
 // stars (hasPainted / livesIn / isParentOf / rdf:type) sized so every query
 // shape below returns rows, on a flat or sharded store.
-func serveWorld(t testing.TB, shards int, opts rdfviews.MaintainOptions) *rdfviews.LiveViews {
+func serveWorld(t testing.TB, shards int, opts rdfviews.MaintainOptions) *rdfviews.Views {
 	t.Helper()
 	db := rdfviews.NewDatabaseSharded(shards)
 	var data strings.Builder
@@ -173,7 +173,7 @@ var httpShapes = []string{
 }
 
 // TestServerHTTPDifferential checks, for every shape in the matrix, that the
-// HTTP endpoint returns exactly what LiveViews.AnswerQuery returns — cold
+// HTTP endpoint returns exactly what Views.AnswerQuery returns — cold
 // (first request compiles) and warm (second request hits the plan cache) —
 // over both flat and 4-shard stores.
 func TestServerHTTPDifferential(t *testing.T) {

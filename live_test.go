@@ -208,7 +208,7 @@ func TestMaintainUnderSaturation(t *testing.T) {
 	}
 }
 
-// TestConcurrentAnswerPinsOneGeneration drives LiveViews.Answer against
+// TestConcurrentAnswerPinsOneGeneration drives Views.Answer against
 // concurrent writers under both staleness policies. The view extents hold
 // thousands of rows, and writers insert complete (locatedIn, hasPainted)
 // pairs, so every answer must reflect one pinned extent generation:
@@ -325,7 +325,7 @@ q(X, Z) :- t(X, hasPainted, Y), t(Y, locatedIn, Z)`)
 }
 
 // TestConcurrentQueriesDuringMaintenance runs store-level queries in
-// parallel with LiveViews.Insert/Delete churn on a sharded database. The
+// parallel with Views.Insert/Delete churn on a sharded database. The
 // churn touches only its own predicate, so every concurrent answer over the
 // stable part of the data must be exact — the per-shard snapshot isolation
 // the sharded store guarantees. Run with -race to check the handoff.

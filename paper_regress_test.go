@@ -59,7 +59,7 @@ func TestFusedViewRewritingsAnswer(t *testing.T) {
 	for i, text := range texts {
 		got, err := mat.Answer(i)
 		if err != nil {
-			t.Fatalf("Materialized.Answer(%d): %v", i, err)
+			t.Fatalf("Views.Answer(%d): %v", i, err)
 		}
 		if want := oracle(t, db, text, ReasoningNone); !sameAnswers(got, want) {
 			t.Fatalf("query %d: got %v, want %v", i, canon(got), canon(want))
@@ -95,10 +95,10 @@ func TestHeadSymmetricUnionKeepsMirrorTerms(t *testing.T) {
 		}
 		got, err := mat.Answer(0)
 		if err != nil {
-			t.Fatalf("%s: Materialized.Answer: %v", mode, err)
+			t.Fatalf("%s: Views.Answer: %v", mode, err)
 		}
 		if !sameAnswers(got, want) {
-			t.Fatalf("%s: Materialized.Answer: %d rows, want %d", mode, len(got), len(want))
+			t.Fatalf("%s: Views.Answer: %d rows, want %d", mode, len(got), len(want))
 		}
 		got, err = db.Answer(w.Queries[0], mode)
 		if err != nil || !sameAnswers(got, want) {

@@ -1,12 +1,12 @@
 package rdfviews
 
 import (
-	"context"
 	"io"
 
-	"rdfviews/internal/dict"
-	"rdfviews/internal/engine"
+	"rdfviews/internal/algebra"
+	"rdfviews/internal/cq"
 	"rdfviews/internal/persist"
+	"rdfviews/internal/plancache"
 )
 
 // Save writes a binary snapshot of the database (dictionary, triples,
@@ -24,63 +24,42 @@ func OpenDatabase(r io.Reader) (*Database, error) {
 	return newDatabase(st, schema), nil
 }
 
-// SaveBundle writes the materialized view set as a self-contained client
-// bundle: view definitions and extents, one rewriting per workload query,
-// and the dictionary — everything the paper's off-line client needs to
-// answer the workload with no database connection (Section 1).
-func (m *Materialized) SaveBundle(w io.Writer) error {
-	b, err := persist.NewBundle(
-		m.rec.db.st.Dict(),
-		m.rec.workload.Queries,
-		m.rec.state.Plans,
-		m.rec.state.ViewQueries(),
-		m.extents,
-	)
+// SaveBundle writes the views as a self-contained client bundle: view
+// definitions and extents (one generation of them), one rewriting and the
+// query per workload query, and the dictionary — everything the paper's
+// off-line client needs to answer the workload with no database connection
+// (Section 1). One view set saves to the same bytes every time.
+func (v *Views) SaveBundle(w io.Writer) error {
+	b, err := persist.NewBundle(v.dict, v.texts, v.workload, v.plans, v.defs, v.extents())
 	if err != nil {
 		return err
 	}
 	return b.Save(w)
 }
 
-// OfflineViews is a loaded client bundle: it answers the workload queries it
-// was built for, entirely from the shipped views.
-type OfflineViews struct {
-	bundle  *persist.Bundle
-	dict    *dict.Dictionary
-	resolve engine.ViewResolver
-}
-
-// LoadBundle reads a bundle written by Materialized.SaveBundle. A bundle that
-// decodes but cannot be answered from fails here with
-// persist.ErrCorruptImage; its dictionary and extents are indexed once.
-func LoadBundle(r io.Reader) (*OfflineViews, error) {
+// LoadBundle reads a bundle written by Views.SaveBundle into a Views with no
+// store and no maintainer. A bundle that decodes but cannot be answered from
+// fails here with persist.ErrCorruptImage; its dictionary and extents are
+// indexed once. A bundle written before bundles shipped the workload
+// queries answers Answer(i) but routes no ad-hoc query.
+func LoadBundle(r io.Reader) (*Views, error) {
 	b, err := persist.LoadBundle(r)
 	if err != nil {
 		return nil, err
 	}
-	return &OfflineViews{bundle: b, dict: b.Dict(), resolve: b.Resolver()}, nil
-}
-
-// NumQueries returns the number of workload queries the bundle can answer.
-func (o *OfflineViews) NumQueries() int { return o.bundle.NumQueries() }
-
-// NumRows returns the total shipped view tuples.
-func (o *OfflineViews) NumRows() int { return o.bundle.NumRows() }
-
-// QueryText renders workload query i (for display).
-func (o *OfflineViews) QueryText(i int) string {
-	if i < 0 || i >= len(o.bundle.QueryTexts) {
-		return ""
+	defs := make(map[algebra.ViewID]*cq.Query, len(b.Views))
+	for _, bv := range b.Views {
+		defs[bv.ID] = &cq.Query{Head: bv.Head, Atoms: bv.Atoms}
 	}
-	return o.bundle.QueryTexts[i]
-}
-
-// Answer executes the rewriting of workload query i over the shipped views
-// and returns decoded rows.
-func (o *OfflineViews) Answer(i int) ([][]string, error) {
-	rs, err := openRewriting(context.Background(), o.bundle.Plans, i, o.resolve)
-	if err != nil {
-		return nil, err
-	}
-	return newAnswerStream(rs, nil, o.dict).collect()
+	// No reader: a query that needs the store fails with ErrNoStore. Nothing
+	// is reformulated, so lifting need not spare rdf:type's objects.
+	return &Views{
+		front:   front{cache: plancache.New(plancache.DefaultCapacity, nil), workload: b.Queries},
+		plans:   b.Plans,
+		defs:    defs,
+		texts:   b.QueryTexts,
+		dict:    b.Dict(),
+		extents: fixed(b.Resolver()),
+		at:      version{tag: "lv:bundle", stmt: "txt|"},
+	}, nil
 }

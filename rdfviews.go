@@ -50,7 +50,7 @@
 //     own one-delta batch in place before returning; asynchronously a
 //     background refresher folds batches from a bounded change queue and
 //     publishes copy-on-write extents atomically. See
-//     Recommendation.Maintain/MaintainWithOptions, the LiveViews Flush/Lag
+//     Recommendation.Maintain/MaintainWithOptions, the Views Flush/Lag
 //     freshness surface and the StaleReadPolicy.
 //   - internal/cq, internal/algebra, internal/cost, internal/stats and
 //     internal/core implement the paper proper: conjunctive query theory,
@@ -68,7 +68,8 @@
 //	    q(X, Z) :- t(X, hasPainted, starryNight), t(X, isParentOf, Y), t(Y, hasPainted, Z)`)
 //	rec, err := db.Recommend(wl, rdfviews.Options{})
 //	// rec.ViewDefinitions() — the views to materialize
-//	// rec.Materialize()    — their extents + query answering over them
+//	// rec.Materialize()    — their extents as Views, answering over them
+//	// views.SaveBundle(w)  — ship them; LoadBundle(r) answers on the client
 package rdfviews
 
 import (
@@ -93,7 +94,6 @@ type Database struct {
 	// ExplainQuery cache statements and compiled artifacts keyed by
 	// canonicalized, constant-lifted query shape.
 	front
-	st     *store.Store
 	schema *rdf.Schema
 
 	pin pinned
@@ -101,7 +101,7 @@ type Database struct {
 
 // newDatabase wraps a store and schema with an empty plan cache.
 func newDatabase(st *store.Store, schema *rdf.Schema) *Database {
-	return &Database{front: front{cache: plancache.New(plancache.DefaultCapacity, nil)}, st: st, schema: schema}
+	return &Database{front: front{cache: plancache.New(plancache.DefaultCapacity, nil), st: st}, schema: schema}
 }
 
 // pinned holds what the database derives from (data, schema) alone and keeps
@@ -110,12 +110,12 @@ func newDatabase(st *store.Store, schema *rdf.Schema) *Database {
 // Each is made by the first caller that needs it at a database version —
 // (store epoch, schema size), compared in lockAt, the one place that does —
 // and both are dropped together when the next caller finds the version
-// moved: a load, a schema statement, a LiveViews insert or delete. Nothing on
-// a write path touches the pin.
+// moved: a load, a schema statement, an insert or delete through maintained
+// Views. Nothing on a write path touches the pin.
 //
 // Dropping replaces; it never empties an object in place. A search in
-// flight, a Recommendation and its estimator, a LiveViews keep the objects
-// they were handed, which stay consistent with one another and never reach a
+// flight, a Recommendation and its estimator, a Views keep the objects they
+// were handed, which stay consistent with one another and never reach a
 // later version's callers.
 //
 // What it costs to keep: the schema is its closure maps; the provider is one
@@ -197,12 +197,6 @@ func NewDatabaseSharded(k int) *Database {
 // [0, 256] respectively; objectK=0 is exactly NewDatabaseSharded(subjectK).
 func NewDatabaseDual(subjectK, objectK int) *Database {
 	return newDatabase(store.NewDual(subjectK, objectK), rdf.NewSchema())
-}
-
-// PruneStats reports the store's shard-pruning ledger: cursor opens, shards
-// those opens touched, and the unpruned fan-outs they were routed against.
-func (db *Database) PruneStats() store.PruneSnapshot {
-	return db.st.PruneStats().Snapshot()
 }
 
 // LoadGraph parses N-Triples-style input (see internal syntax notes: full

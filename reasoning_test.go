@@ -59,8 +59,8 @@ func TestMaintainDerivesEntailments(t *testing.T) {
 	}
 }
 
-// TestSchemaUpdateFails: in every reasoning mode, a LiveViews update whose
-// predicate is one of the four RDFS schema properties fails with
+// TestSchemaUpdateFails: in every reasoning mode, an update of a maintained
+// Views whose predicate is one of the four RDFS schema properties fails with
 // ErrSchemaUpdate and changes nothing — the views were recommended under the
 // schema as it was.
 func TestSchemaUpdateFails(t *testing.T) {
@@ -103,7 +103,7 @@ func TestSchemaUpdateFails(t *testing.T) {
 // unionLimitLive is a deep sub-property hierarchy p0 ⊒ p1 ⊒ p2 ⊒ p3 over a
 // ring of edges spread across the four levels, with a recommendation under
 // post-reformulation whose union-term limit is 8.
-func unionLimitLive(t *testing.T) (*Database, *LiveViews) {
+func unionLimitLive(t *testing.T) (*Database, *Views) {
 	t.Helper()
 	db := NewDatabase()
 	var data strings.Builder

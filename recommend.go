@@ -1,15 +1,12 @@
 package rdfviews
 
 import (
-	"context"
 	"fmt"
 	"time"
 
-	"rdfviews/internal/algebra"
 	"rdfviews/internal/core"
 	"rdfviews/internal/cost"
 	"rdfviews/internal/cq"
-	"rdfviews/internal/engine"
 	"rdfviews/internal/reason"
 	"rdfviews/internal/stats"
 )
@@ -181,19 +178,11 @@ func (r *Recommendation) Cost() cost.Breakdown { return r.result.BestCost }
 // InitialCost returns the estimated cost of the initial state S0.
 func (r *Recommendation) InitialCost() cost.Breakdown { return r.result.InitialCost }
 
-// Materialized is a set of materialized views able to answer the workload
-// without the database — the client-side artifact of the paper's off-line
-// scenario.
-type Materialized struct {
-	rec     *Recommendation
-	extents map[algebra.ViewID]*engine.Relation
-}
-
 // members is what view v's extent is over the database's explicit store: the
 // union of its reformulation under post-reformulation (Theorem 4.2 makes
 // its answers there the view's answers on the saturated database), the view
-// alone otherwise. Materialize, MaintainWithOptions and ExplainPhysical all
-// read it.
+// alone otherwise. Materialize, MaintainWithOptions (both through deploy)
+// and ExplainPhysical all read it.
 func (r *Recommendation) members(v *core.View) (*cq.UCQ, error) {
 	if r.mode != ReasoningPost {
 		return &cq.UCQ{Queries: []*cq.Query{v.Q}}, nil
@@ -203,66 +192,6 @@ func (r *Recommendation) members(v *core.View) (*cq.UCQ, error) {
 		return nil, fmt.Errorf("rdfviews: reformulating view v%d: %w", int(v.ID), err)
 	}
 	return u, nil
-}
-
-// Materialize computes the extent of every recommended view: the distinct
-// union of its members' answers on the database's store.
-func (r *Recommendation) Materialize() (*Materialized, error) {
-	extents := make(map[algebra.ViewID]*engine.Relation, r.state.NumViews())
-	for id, v := range r.state.Views {
-		u, err := r.members(v)
-		if err != nil {
-			return nil, err
-		}
-		rel, err := engine.MaterializeUCQ(r.db.st, u)
-		if err != nil {
-			return nil, fmt.Errorf("rdfviews: materializing view v%d: %w", int(id), err)
-		}
-		extents[id] = rel
-	}
-	return &Materialized{rec: r, extents: extents}, nil
-}
-
-// NumRows returns the total number of materialized tuples.
-func (m *Materialized) NumRows() int {
-	n := 0
-	for _, rel := range m.extents {
-		n += rel.Len()
-	}
-	return n
-}
-
-// SizeBytes returns the bytes the extents' 32-bit column slabs hold.
-func (m *Materialized) SizeBytes() int {
-	n := 0
-	for _, rel := range m.extents {
-		n += rel.SizeBytes()
-	}
-	return n
-}
-
-// Answer executes the rewriting of workload query i over the materialized
-// views only and returns decoded rows.
-func (m *Materialized) Answer(i int) ([][]string, error) {
-	rs, err := m.open(i)
-	if err != nil {
-		return nil, err
-	}
-	return newAnswerStream(rs, nil, m.rec.db.st.Dict()).collect()
-}
-
-// AnswerRelation is Answer without decoding.
-func (m *Materialized) AnswerRelation(i int) (*engine.Relation, error) {
-	rs, err := m.open(i)
-	if err != nil {
-		return nil, err
-	}
-	return rs.Collect()
-}
-
-// open runs rewriting i over the extents.
-func (m *Materialized) open(i int) (*engine.RowStream, error) {
-	return openRewriting(context.Background(), m.rec.state.Plans, i, engine.MapResolver(m.extents))
 }
 
 // Recommend runs view selection for the workload (Definition 2.4: find the

@@ -295,7 +295,7 @@ func TestRecommendPinnedStatisticsInvalidate(t *testing.T) {
 	}
 	afterInsert, fresh := postStatisticsUsed(t, db, w)
 	if afterInsert != fresh || afterInsert.globals == afterSchema.globals || afterInsert.atoms == afterSchema.atoms {
-		t.Errorf("after LiveViews.Insert: costed with %+v, a fresh provider derives %+v (before the insert: %+v)",
+		t.Errorf("after Views.Insert: costed with %+v, a fresh provider derives %+v (before the insert: %+v)",
 			afterInsert, fresh, afterSchema)
 	}
 	if _, err := lv.Delete(line); err != nil {
@@ -433,7 +433,7 @@ func TestRecommendPinnedSaturateRepeat(t *testing.T) {
 }
 
 // TestRecommendPinnedSaturateMaintainsDatabaseStore: one store per
-// deployment. A LiveViews over a saturate recommendation maintains the
+// deployment. A maintained Views of a saturate recommendation keeps the
 // database's own store, so Database.Answer and a fresh Materialize see its
 // insert — of a painting, which a view over pictures entails.
 func TestRecommendPinnedSaturateMaintainsDatabaseStore(t *testing.T) {
@@ -477,7 +477,7 @@ func TestRecommendPinnedSaturateMaintainsDatabaseStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for what, rows := range map[string][][]string{"LiveViews.Answer": live, "Database.Answer": direct,
+	for what, rows := range map[string][][]string{"Views.Answer": live, "Database.Answer": direct,
 		"Materialize": again, "the saturated oracle": decoded(db, rel)} {
 		if got := fmt.Sprint(canon(rows)); got != want {
 			t.Errorf("%s after the insert: %v, want %v", what, got, want)

@@ -21,11 +21,11 @@ package rdfviews
 //	              view route (exact workload match)
 //	              or store template (one plan per rule-5/6 member, union leaves)
 //
-// Database and LiveViews share this path: both embed a front — the cache, and
-// on a LiveViews the workload its maintained rewritings answer — and differ
-// only in the version they hand it per call (version): the Database its store
-// epoch, schema size and the reader of the reasoning mode, a LiveViews its
-// maintained store and publish generation.
+// Database and Views share this path: both embed a front — the cache, and
+// on a Views the workload its rewritings answer — and differ only in the
+// version they hand it per call (version): the Database its store epoch,
+// schema size and the reader of the reasoning mode, a Views its store (none
+// in a bundle) and extent generation.
 //
 // Constant lifting is what turns the cache into a prepared-query engine:
 // liftable constants (cq.LiftConstants — sound with respect to the RDFS
@@ -307,14 +307,15 @@ func (a *serveArtifact) driftedFar(rows int64) bool {
 type version struct {
 	// tag starts every artifact key: the surface and the mode's execution
 	// strategy ("lv:pre", "db:reform"). stmt starts every statement key:
-	// "txt|" on a LiveViews, whose cache serves one mode, "txt|<tag>|" on a
+	// "txt|" on a Views, whose cache serves one mode, "txt|<tag>|" on a
 	// Database, whose cache serves them all.
 	tag, stmt string
 	// reader is what templates are planned against; its Len is the drift
-	// baseline.
+	// baseline. It is nil on a Views loaded from a bundle, where a query
+	// that needs a template fails with ErrNoStore.
 	reader store.Reader
-	// gen is the change generation: the store epoch, or a LiveViews' publish
-	// generation.
+	// gen is the change generation: the store epoch, or a maintained Views'
+	// publish generation.
 	gen uint64
 	// schemaLen is the size of the schema the mode reasons with; 0 when it
 	// reasons with none, or with one fixed for the surface's lifetime.
@@ -327,13 +328,14 @@ type version struct {
 	typeID dict.ID
 }
 
-// front is the serving tier both Database and LiveViews embed: one plan
-// cache holding statements and compiled artifacts under one ledger, and the
-// workload whose maintained rewritings answer exact matches (none on a
-// Database).
+// front is the serving tier both Database and Views embed: one plan
+// cache holding statements and compiled artifacts under one ledger, the
+// workload whose rewritings answer exact matches (none on a Database), and
+// the store behind the surface (none in a bundle).
 type front struct {
 	cache    *plancache.Cache // nil only when a test clears it: compile every call
 	workload []*cq.Query
+	st       *store.Store
 	widxOnce sync.Once
 	widx     map[string]workloadEntry // canonical code -> first workload query with it
 }
@@ -389,7 +391,9 @@ func (f *front) plan(li *liftInfo, v *version) (*boundRoute, error) {
 func (f *front) compile(li *liftInfo, v *version) (*serveArtifact, error) {
 	a := &serveArtifact{skeleton: li.skeleton, schemaLen: v.schemaLen,
 		routable: f.shapeRoutable(li.skeleton), bound: make(map[string]*boundRoute)}
-	a.rows.Store(int64(v.reader.Len()))
+	if v.reader != nil {
+		a.rows.Store(int64(v.reader.Len()))
+	}
 	a.genSeen.Store(v.gen)
 	if _, err := f.route(a, li, v); err != nil {
 		return nil, err
@@ -414,6 +418,9 @@ func (f *front) route(a *serveArtifact, li *liftInfo, v *version) (*boundRoute, 
 		r = f.matchRoute(applyConstSubst(a.skeleton, li.repr))
 	}
 	if !r.matched {
+		if v.reader == nil {
+			return nil, ErrNoStore
+		}
 		if a.tmpl == nil {
 			tmpl, err := compileStoreTemplate(v.reader, a.skeleton, li.repr, v.schema, v.maxTerms)
 			if err != nil {
@@ -504,23 +511,21 @@ func (f *front) buildWorkloadIndex() {
 // lookups, evictions, invalidations, compile time paid and saved.
 func (f *front) CacheStats() stats.CacheSnapshot { return f.cache.Counters().Snapshot() }
 
+// PruneStats reports the store's shard-pruning ledger: cursor opens, shards
+// those opens touched, and the unpruned fan-outs they were routed against —
+// how much work placement routing saved on the serving and maintenance
+// paths. It is zero in a bundle, which has no store.
+func (f *front) PruneStats() store.PruneSnapshot {
+	if f.st == nil {
+		return store.PruneSnapshot{}
+	}
+	return f.st.PruneStats().Snapshot()
+}
+
 // InvalidatePlans drops every cached plan artifact (lazily: entries
 // recompile on their next lookup). Useful after bulk statistics shifts the
 // drift heuristic is too slow to notice.
 func (f *front) InvalidatePlans() { f.cache.Invalidate() }
-
-// sameCols reports positional equality of column label slices.
-func sameCols(a, b []cq.Term) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
 
 // parseServeQuery parses ad-hoc query text in either supported syntax:
 // SPARQL when its first token is SELECT or PREFIX (case-insensitive), the
@@ -570,60 +575,60 @@ func isSPARQL(t string) bool {
 }
 
 // ---------------------------------------------------------------------------
-// LiveViews serving surface
+// Views serving surface
 
 // Prepared is a parameterized query handle: the parse/lift/key work is done,
 // the compiled artifact is warm, and each Answer or AnswerBound call costs a
 // cache hit plus execution.
 type Prepared struct {
-	lv *LiveViews
+	v  *Views
 	li *liftInfo
 }
 
-// now is the maintained deployment at the publish generation this call
-// reads.
-func (lv *LiveViews) now() version {
-	v := lv.at
-	v.gen = lv.m.PublishGen()
-	return v
-}
-
-// liftedFor resolves query text through the statement cache.
-func (lv *LiveViews) liftedFor(text string) (*liftInfo, error) {
-	return lv.lifted(lv.m.Store().Dict(), &lv.at, text)
+// now is the deployment at the generation this call reads: the publish
+// generation of maintained extents, else the store epoch (fixed extents
+// never move).
+func (v *Views) now() version {
+	at := v.at
+	if v.m != nil {
+		at.gen = v.m.PublishGen()
+	} else if v.st != nil {
+		at.gen = v.st.Epoch()
+	}
+	return at
 }
 
 // AnswerQuery answers one ad-hoc query (SPARQL or Datalog-like text) over
-// the maintained deployment: queries matching a workload shape execute their
-// maintained rewriting over the view extents (honoring the StaleReadPolicy),
-// anything else runs on the base store under the recommendation's reasoning
-// mode. Two cache layers amortize the serving path: a statement cache maps
-// repeated query text straight to its lifted form (skipping parse and
+// the deployment: queries matching a workload shape execute their rewriting
+// over the view extents (honoring the StaleReadPolicy), anything else runs
+// on the base store under the recommendation's reasoning mode (ErrNoStore in
+// a bundle). Two cache layers amortize the serving path: a statement cache
+// maps repeated query text straight to its lifted form (skipping parse and
 // canonicalization), and the plan cache maps canonicalized shapes — same
 // query, or same query modulo liftable constants — to compiled artifacts,
 // skipping reformulation and planning.
-func (lv *LiveViews) AnswerQuery(text string) ([][]string, error) {
-	li, err := lv.liftedFor(text)
+func (v *Views) AnswerQuery(text string) ([][]string, error) {
+	li, err := v.lifted(v.dict, &v.at, text)
 	if err != nil {
 		return nil, err
 	}
-	return lv.answerLifted(li)
+	return v.answerLifted(li)
 }
 
 // Prepare parses and compiles an ad-hoc query once, returning a handle that
 // answers it repeatedly — with the original constants (Answer) or with fresh
 // parameter bindings (AnswerBound) — without re-parsing or re-planning.
-func (lv *LiveViews) Prepare(text string) (*Prepared, error) {
-	li, err := lv.liftedFor(text)
+func (v *Views) Prepare(text string) (*Prepared, error) {
+	li, err := v.lifted(v.dict, &v.at, text)
 	if err != nil {
 		return nil, err
 	}
 	// Warm the cache now so Prepare absorbs the compile and Answer is a hit.
-	v := lv.now()
-	if _, err := lv.plan(li, &v); err != nil {
+	at := v.now()
+	if _, err := v.plan(li, &at); err != nil {
 		return nil, err
 	}
-	return &Prepared{lv: lv, li: li}, nil
+	return &Prepared{v: v, li: li}, nil
 }
 
 // NumParams returns the number of lifted parameters (bindable positions).
@@ -631,7 +636,7 @@ func (p *Prepared) NumParams() int { return len(p.li.occRank) }
 
 // Answer executes the prepared query with its original constants.
 func (p *Prepared) Answer() ([][]string, error) {
-	return p.lv.answerLifted(p.li)
+	return p.v.answerLifted(p.li)
 }
 
 // AnswerBound executes the prepared query with fresh constants substituted
@@ -645,7 +650,7 @@ func (p *Prepared) AnswerBound(args ...string) ([][]string, error) {
 	if len(args) == 0 {
 		return p.Answer()
 	}
-	parser := cq.NewParser(p.lv.m.Store().Dict())
+	parser := cq.NewParser(p.v.dict)
 	binding := make([]dict.ID, len(p.li.occRank))
 	for i, arg := range args {
 		t, err := parser.ParseTerm(arg)
@@ -657,25 +662,17 @@ func (p *Prepared) AnswerBound(args ...string) ([][]string, error) {
 		}
 		binding[p.li.occRank[i]] = t.ConstID()
 	}
-	return p.lv.answerLifted(p.li.withBinding(binding))
+	return p.v.answerLifted(p.li.withBinding(binding))
 }
 
 // answerLifted is the common execution path behind AnswerQuery, Answer and
 // AnswerBound: the streaming path (openLifted), collected.
-func (lv *LiveViews) answerLifted(li *liftInfo) ([][]string, error) {
-	rs, err := lv.openLifted(context.Background(), li)
+func (v *Views) answerLifted(li *liftInfo) ([][]string, error) {
+	rs, err := v.openLifted(context.Background(), li)
 	if err != nil {
 		return nil, err
 	}
-	return newAnswerStream(rs, li.headNames, lv.m.Store().Dict()).collect()
-}
-
-// PruneStats reports the maintained store's shard-pruning ledger: cursor
-// opens, shards those opens touched, and the unpruned fan-outs they were
-// routed against — how much work placement routing saved on the serving and
-// maintenance paths.
-func (lv *LiveViews) PruneStats() store.PruneSnapshot {
-	return lv.m.Store().PruneStats().Snapshot()
+	return newAnswerStream(rs, li.headNames, v.dict).collect()
 }
 
 // ---------------------------------------------------------------------------

@@ -9,15 +9,17 @@ package rdfviews
 // (client disconnects and deadlines propagate into the engine).
 //
 // Every materialized answer of the facade — AnswerQuery, Prepared.Answer,
-// Database.Answer, and the per-query Answer of LiveViews, Materialized and
-// OfflineViews — collects one of these streams, so routing, caching and
-// freshness — statement cache, plan cache, view-route match, StaleReadPolicy
-// flush barrier — exist once, every rewriting runs through openRewriting,
-// and AnswerStream.decode is the only decoder.
+// Database.Answer and Views.Answer, whether the Views was materialized,
+// maintained or loaded from a bundle — collects one of these streams, so
+// routing, caching and freshness — statement cache, plan cache, view-route
+// match, StaleReadPolicy flush barrier — exist once, every rewriting runs
+// through openRewriting (called from Views.rewriting alone), and
+// AnswerStream.decode is the only decoder.
 
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"rdfviews/internal/algebra"
 	"rdfviews/internal/dict"
@@ -178,39 +180,39 @@ func (r *boundRoute) execStream(reader store.Reader, opts engine.ExecOptions) (*
 }
 
 // AnswerQueryStream answers one ad-hoc query (SPARQL or Datalog-like text)
-// over the maintained deployment as a stream: the routing, caching and
-// freshness semantics of AnswerQuery, but the result is pulled slab by slab
-// and ctx cancels the running pipeline (the serving tier's deadline and
-// disconnect propagation). The caller must Close the stream.
-func (lv *LiveViews) AnswerQueryStream(ctx context.Context, text string) (*AnswerStream, error) {
-	li, err := lv.liftedFor(text)
+// over the deployment as a stream: the routing, caching and freshness
+// semantics of AnswerQuery, but the result is pulled slab by slab and ctx
+// cancels the running pipeline (the serving tier's deadline and disconnect
+// propagation). The caller must Close the stream.
+func (v *Views) AnswerQueryStream(ctx context.Context, text string) (*AnswerStream, error) {
+	li, err := v.lifted(v.dict, &v.at, text)
 	if err != nil {
 		return nil, err
 	}
-	rs, err := lv.openLifted(ctx, li)
+	rs, err := v.openLifted(ctx, li)
 	if err != nil {
 		return nil, err
 	}
-	return newAnswerStream(rs, li.headNames, lv.m.Store().Dict()), nil
+	return newAnswerStream(rs, li.headNames, v.dict), nil
 }
 
-// openLifted is the one execution path of the LiveViews serving surface:
-// plan li at the current publish generation, then run the store template or
-// — for an exact workload match — the maintained rewriting, its columns
-// lined up with the incoming head.
-func (lv *LiveViews) openLifted(ctx context.Context, li *liftInfo) (*engine.RowStream, error) {
-	v := lv.now()
-	r, err := lv.plan(li, &v)
+// openLifted is the one execution path of the Views serving surface: plan li
+// at the current generation, then run the store template or — for an exact
+// workload match — the rewriting, its columns lined up with the incoming
+// head.
+func (v *Views) openLifted(ctx context.Context, li *liftInfo) (*engine.RowStream, error) {
+	at := v.now()
+	r, err := v.plan(li, &at)
 	if err != nil {
 		return nil, err
 	}
 	if !r.matched {
 		// Store path: the base store is updated synchronously even under
 		// asynchronous maintenance, so a snapshot needs no flush barrier.
-		return r.execStream(lv.m.Store().Snapshot(), engine.ExecOptions{Ctx: ctx})
+		return r.execStream(v.st.Snapshot(), engine.ExecOptions{Ctx: ctx})
 	}
-	rs, err := lv.rewriting(ctx, r.idx)
-	if err != nil || sameCols(rs.Cols(), r.cols) {
+	rs, err := v.rewriting(ctx, r.idx)
+	if err != nil || slices.Equal(rs.Cols(), r.cols) {
 		return rs, err
 	}
 	proj, err := engine.ProjectStream(rs, r.cols)
@@ -220,15 +222,15 @@ func (lv *LiveViews) openLifted(ctx context.Context, li *liftInfo) (*engine.RowS
 	return proj, err
 }
 
-// rewriting opens workload query i's rewriting over the published extents,
-// behind the flush barrier when the StaleReadPolicy is WaitFresh.
-func (lv *LiveViews) rewriting(ctx context.Context, i int) (*engine.RowStream, error) {
-	if lv.stale == WaitFresh {
-		if err := lv.m.Flush(); err != nil {
+// rewriting opens workload query i's rewriting over one generation of the
+// extents, behind the flush barrier when the StaleReadPolicy is WaitFresh.
+func (v *Views) rewriting(ctx context.Context, i int) (*engine.RowStream, error) {
+	if v.stale == WaitFresh {
+		if err := v.m.Flush(); err != nil {
 			return nil, err
 		}
 	}
-	return openRewriting(ctx, lv.rec.state.Plans, i, lv.m.Resolver())
+	return openRewriting(ctx, v.plans, i, v.extents())
 }
 
 // AnswerQueryStream answers ad-hoc query text directly on the database as a
@@ -246,9 +248,3 @@ func (db *Database) AnswerQueryStream(ctx context.Context, text string, mode Rea
 	}
 	return db.open(ctx, li, &v)
 }
-
-// PublishGen returns the maintainer's monotone publish generation — it
-// advances exactly when a new extent generation is published. Serving-tier
-// monitors (and the HTTP stress tests) use it to observe maintenance
-// progress without touching extents.
-func (lv *LiveViews) PublishGen() uint64 { return lv.m.PublishGen() }

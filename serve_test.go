@@ -218,7 +218,7 @@ func TestServeInvalidatePlansForcesRecompile(t *testing.T) {
 }
 
 // serveLive builds a maintained deployment over a two-query workload.
-func serveLive(t *testing.T, mode Reasoning, opts MaintainOptions) (*Database, *LiveViews) {
+func serveLive(t *testing.T, mode Reasoning, opts MaintainOptions) (*Database, *Views) {
 	t.Helper()
 	db := serveDB(t)
 	w := db.MustParseWorkload(
@@ -368,7 +368,7 @@ func TestServePlanCacheDisabledOracle(t *testing.T) {
 	}
 }
 
-// TestServeCacheChurnConcurrent hammers one LiveViews with concurrent ad-hoc
+// TestServeCacheChurnConcurrent hammers one Views with concurrent ad-hoc
 // queries, prepared bindings and updates; run under -race in CI. Every
 // answer must be error-free, and the final state must match the oracle.
 func TestServeCacheChurnConcurrent(t *testing.T) {

@@ -3,6 +3,7 @@ package rdfviews
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -14,13 +15,14 @@ import (
 // of the facade: for each fixture × reasoning mode × store layout, every
 // workload query answered through each surface returns the uncached oracle's
 // rows (answerRelation), sorted, at the head's width. The surfaces are
-// Database.Answer, a drained Database.AnswerQueryStream, Materialized.Answer,
-// OfflineViews.Answer after a bundle round trip, LiveViews.Answer,
-// LiveViews.AnswerQuery, Prepared.Answer and a drained
-// LiveViews.AnswerQueryStream. A workload text with its head permuted takes
-// the view route with its columns reordered on the text surfaces. Then the
-// fixture's update stream runs through a LiveViews, synchronous and behind a
-// change queue (maintainedAgree).
+// Database.Answer and a drained Database.AnswerQueryStream, then Views.Answer,
+// Views.AnswerQuery, Prepared.Answer and a drained Views.AnswerQueryStream on
+// a Views in each of its three states: materialized, loaded from a bundle the
+// materialized one saved, and maintained. A workload text with its head
+// permuted takes the view route with its columns reordered on the text
+// surfaces, in a bundle too; a text that only the store answers fails there
+// with ErrNoStore. Then the fixture's update stream runs through a maintained
+// Views, synchronous and behind a change queue (maintainedAgree).
 func TestAnswerSurfacesAgree(t *testing.T) {
 	fixtures := []struct {
 		name, data, schema string
@@ -98,6 +100,10 @@ func TestAnswerSurfacesAgree(t *testing.T) {
 						t.Fatal(err)
 					}
 					defer lv.Close()
+					states := []struct {
+						name string
+						v    *Views
+					}{{"Materialize", mat}, {"LoadBundle", off}, {"Maintain", lv}}
 
 					check := func(surface, text string, got [][]string, err error) {
 						t.Helper()
@@ -116,6 +122,7 @@ func TestAnswerSurfacesAgree(t *testing.T) {
 						}
 					}
 					texts := append(append([]string(nil), fx.workload...), adhoc[fx.name]...)
+					storeOnly := len(texts) - 1 // the ad-hoc text of no workload shape
 					for i, text := range texts {
 						q := db.MustParseWorkload(text).Queries[0]
 						got, err := db.Answer(q, mode)
@@ -125,28 +132,28 @@ func TestAnswerSurfacesAgree(t *testing.T) {
 							got = drainAnswers(t, s)
 						}
 						check("Database.AnswerQueryStream", text, got, err)
-						if i < len(fx.workload) {
-							got, err = mat.Answer(i)
-							check("Materialized.Answer", text, got, err)
-							got, err = off.Answer(i)
-							check("OfflineViews.Answer", text, got, err)
+						for _, st := range states {
+							if i < len(fx.workload) {
+								got, err = st.v.Answer(i)
+								check(st.name+"/Answer", text, got, err)
+							}
+							if st.v == off && i == storeOnly {
+								noStore(t, off, text)
+								continue
+							}
+							got, err = st.v.AnswerQuery(text)
+							check(st.name+"/AnswerQuery", text, got, err)
+							p, err := st.v.Prepare(text)
+							if err == nil {
+								got, err = p.Answer()
+							}
+							check(st.name+"/Prepared.Answer", text, got, err)
+							s, err = st.v.AnswerQueryStream(ctx, text)
+							if err == nil {
+								got = drainAnswers(t, s)
+							}
+							check(st.name+"/AnswerQueryStream", text, got, err)
 						}
-						if i < len(fx.workload) {
-							got, err = lv.Answer(i)
-							check("LiveViews.Answer", text, got, err)
-						}
-						got, err = lv.AnswerQuery(text)
-						check("LiveViews.AnswerQuery", text, got, err)
-						p, err := lv.Prepare(text)
-						if err == nil {
-							got, err = p.Answer()
-						}
-						check("Prepared.Answer", text, got, err)
-						s, err = lv.AnswerQueryStream(ctx, text)
-						if err == nil {
-							got = drainAnswers(t, s)
-						}
-						check("LiveViews.AnswerQueryStream", text, got, err)
 					}
 
 					for _, depth := range []int{0, 8} {
@@ -163,13 +170,33 @@ func TestAnswerSurfacesAgree(t *testing.T) {
 	}
 }
 
-// maintainedAgree runs the update stream through a LiveViews of db — queue
+// noStore checks that every text surface of a Views loaded from a bundle
+// refuses a query that needs the store with ErrNoStore.
+func noStore(t *testing.T, off *Views, text string) {
+	t.Helper()
+	_, err := off.AnswerQuery(text)
+	if !errors.Is(err, ErrNoStore) {
+		t.Fatalf("LoadBundle/AnswerQuery(%q) = %v, want ErrNoStore", text, err)
+	}
+	if _, err = off.Prepare(text); !errors.Is(err, ErrNoStore) {
+		t.Fatalf("LoadBundle/Prepare(%q) = %v, want ErrNoStore", text, err)
+	}
+	s, err := off.AnswerQueryStream(context.Background(), text)
+	if !errors.Is(err, ErrNoStore) {
+		if s != nil {
+			s.Close()
+		}
+		t.Fatalf("LoadBundle/AnswerQueryStream(%q) = %v, want ErrNoStore", text, err)
+	}
+}
+
+// maintainedAgree runs the update stream through a maintained Views of db — queue
 // depth 0 maintains synchronously, more behind a change queue — and then,
 // after a Flush, checks that every maintained extent equals Materialize on
 // the updated store and what the uncached oracle answers for the view on
 // fresh, a database loaded with the data the stream leaves, and that
-// LiveViews.Answer of every workload query and AnswerQuery of every workload
-// and ad-hoc text answer what the oracle answers on fresh.
+// Views.Answer of every workload query and AnswerQuery of every workload and
+// ad-hoc text answer what the oracle answers on fresh.
 func maintainedAgree(t *testing.T, db, fresh *Database, workload, adhoc, updates []string, mode Reasoning, depth int) {
 	t.Helper()
 	rec, err := db.Recommend(db.MustParseWorkload(strings.Join(workload, "\n")),
@@ -207,7 +234,7 @@ func maintainedAgree(t *testing.T, db, fresh *Database, workload, adhoc, updates
 	}
 	for _, v := range rec.state.SortedViews() {
 		got, _ := lv.m.Extent(v.ID)
-		if want := mat.extents[v.ID]; !got.EqualAsSet(want) {
+		if want, _ := mat.extents()(v.ID); !got.EqualAsSet(want) {
 			t.Errorf("queue=%d: maintained v%d holds %d rows, Materialize %d", depth, int(v.ID), got.Len(), want.Len())
 		}
 		def := v.Q.Format(db.st.Dict())
@@ -220,12 +247,12 @@ func maintainedAgree(t *testing.T, db, fresh *Database, workload, adhoc, updates
 		if i < len(workload) {
 			got, err := lv.Answer(i)
 			if err != nil || !sameAnswers(got, want) {
-				t.Errorf("queue=%d: LiveViews.Answer(%q) after the updates = %v (%v), oracle %v", depth, text, canon(got), err, canon(want))
+				t.Errorf("queue=%d: Views.Answer(%q) after the updates = %v (%v), oracle %v", depth, text, canon(got), err, canon(want))
 			}
 		}
 		got, err := lv.AnswerQuery(text)
 		if err != nil || !sameAnswers(got, want) {
-			t.Errorf("queue=%d: LiveViews.AnswerQuery(%q) after the updates = %v (%v), oracle %v", depth, text, canon(got), err, canon(want))
+			t.Errorf("queue=%d: Views.AnswerQuery(%q) after the updates = %v (%v), oracle %v", depth, text, canon(got), err, canon(want))
 		}
 	}
 }
