@@ -64,7 +64,7 @@ func sameRows(t *testing.T, label string, want, got *Relation) {
 		slices.SortFunc(rows, func(x, y Row) int { return slices.Compare(x, y) })
 	}
 	for i := range a {
-		if !rowsEqual(a[i], b[i]) {
+		if !slices.Equal(a[i], b[i]) {
 			t.Fatalf("%s: row %d differs: %v vs %v", label, i, a[i], b[i])
 		}
 	}

@@ -208,7 +208,7 @@ func TestRelationProjectWithConstants(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := cq.Const(st.Dict().EncodeIRI("tag"))
-	pr, err := r.Project([]cq.Term{q.Head[0], c})
+	pr, err := refProject(r, []cq.Term{q.Head[0], c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,28 +221,28 @@ func TestRelationProjectWithConstants(t *testing.T) {
 		}
 	}
 	// Projection to painter only: dedup to 5 painters.
-	pd, err := r.Project([]cq.Term{q.Head[0]})
+	pd, err := refProject(r, []cq.Term{q.Head[0]})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pd.Len() != 5 {
 		t.Errorf("distinct painters = %d, want 5", pd.Len())
 	}
-	if _, err := r.Project([]cq.Term{cq.Var(9999)}); err == nil {
+	if _, err := refProject(r, []cq.Term{cq.Var(9999)}); err == nil {
 		t.Error("unknown column should fail")
 	}
 }
 
 func TestRelationHelpers(t *testing.T) {
 	r := relOf([]cq.Term{cq.Var(1), cq.Var(2)}, Row{2, 1}, Row{1, 2}, Row{2, 1})
-	d := r.Dedup()
+	d := refDistinct(r)
 	if d.Len() != 2 {
-		t.Errorf("Dedup len = %d", d.Len())
+		t.Errorf("refDistinct len = %d", d.Len())
 	}
 	if d.At(0, 0) != 2 || d.At(1, 0) != 1 {
-		t.Error("Dedup did not keep first occurrences in order")
+		t.Error("refDistinct did not keep first occurrences in order")
 	}
-	if !d.EqualAsSet(r.Dedup()) {
+	if !d.EqualAsSet(refDistinct(r)) {
 		t.Error("EqualAsSet reflexive-ish failed")
 	}
 	other := NewRelation([]cq.Term{cq.Var(1)})
@@ -258,15 +258,15 @@ func TestRelationHelpers(t *testing.T) {
 }
 
 func TestRelationPropertiesQuick(t *testing.T) {
-	// Dedup is idempotent and EqualAsSet is order-insensitive, for arbitrary
-	// row contents.
+	// refDistinct is idempotent and EqualAsSet is order-insensitive, for
+	// arbitrary row contents.
 	f := func(vals []uint16) bool {
 		r := NewRelation([]cq.Term{cq.Var(1), cq.Var(2)})
 		for i := 0; i+1 < len(vals); i += 2 {
 			r.Append(Row{dict.ID(vals[i]%7 + 1), dict.ID(vals[i+1]%7 + 1)})
 		}
-		d1 := r.Dedup()
-		d2 := d1.Dedup()
+		d1 := refDistinct(r)
+		d2 := refDistinct(d1)
 		if d1.Len() != d2.Len() || !d1.EqualAsSet(d2) {
 			return false
 		}

@@ -278,9 +278,10 @@ func TestExecuteEmptyProbeSkipsBuild(t *testing.T) {
 	}
 }
 
-// TestUnionDedupHintSizedFromExtents pins the union dedup sizing: the rowSet
-// is seeded from the resolved branch cardinalities (clamped by
-// distinctSizeHint) instead of the historical fixed 64 slots.
+// TestUnionDedupHintSizedFromExtents pins the union dedup sizing: the
+// RowIndex table of the union's seen rows is seeded from the resolved branch
+// cardinalities (clamped by distinctSizeHint) instead of the historical fixed
+// 64 slots.
 func TestUnionDedupHintSizedFromExtents(t *testing.T) {
 	x1, x2 := cq.Var(1), cq.Var(2)
 	smallViews := map[algebra.ViewID]*Relation{1: bigExtent([]cq.Term{x1, x2}, 3)}

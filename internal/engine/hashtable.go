@@ -1,8 +1,8 @@
 package engine
 
 // idTable is a flat open-addressing hash table from a 64-bit key hash to an
-// int32 chain head, used by the hash joins (the distinct sets have a table of
-// their own, rowSet, and RowIndex one of positions). Callers pass hashes they
+// int32 chain head, used by the hash joins (sets of rows, the distinct ones
+// included, are RowIndex's table of positions). Callers pass hashes they
 // already computed (hashColumns, hashExtent) and resolve collisions by value
 // comparison, so the table can probe linearly on raw uint64 keys with no
 // re-hashing — measurably faster than a Go map on the

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"encoding/binary"
+
 	"rdfviews/internal/cq"
 	"rdfviews/internal/dict"
 	"rdfviews/internal/store"
@@ -15,13 +17,17 @@ import (
 // but kept as the correctness oracle of the store-side differential tests: it
 // shares the atom ordering with the planner and nothing with the operators.
 // Like the planned paths it reads through store.Reader, so the oracle can replay
-// against a pinned snapshot as well as a quiesced live store.
+// against a pinned snapshot as well as a quiesced live store. It deduplicates
+// head rows through a Go map keyed on their values, not the operators'
+// RowIndex, so a fault in that set cannot hide in both readings.
 func evalQueryINL(st store.Reader, q *cq.Query) (*Relation, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
 	order := orderAtoms(q, atomCounts(q, nil, storeCards{st}))
-	out := NewRowIndex(NewRelation(q.Head))
+	out := NewRelation(q.Head)
+	seen := make(map[string]bool)
+	var key []byte
 	row := make(Row, len(q.Head))
 	bind := make(map[cq.Term]dict.ID)
 
@@ -35,7 +41,10 @@ func evalQueryINL(st store.Reader, q *cq.Query) (*Relation, error) {
 					row[i] = bind[h]
 				}
 			}
-			out.Add(row)
+			if key = appendRowKey(key[:0], row); !seen[string(key)] {
+				seen[string(key)] = true
+				out.Append(row)
+			}
 			return
 		}
 		a := q.Atoms[order[k]]
@@ -79,5 +88,14 @@ func evalQueryINL(st store.Reader, q *cq.Query) (*Relation, error) {
 		})
 	}
 	rec(0)
-	return out.Relation(), nil
+	return out, nil
+}
+
+// appendRowKey appends the row's values to key, eight bytes each: the map key
+// the references deduplicate rows by.
+func appendRowKey(key []byte, row Row) []byte {
+	for _, v := range row {
+		key = binary.LittleEndian.AppendUint64(key, uint64(v))
+	}
+	return key
 }

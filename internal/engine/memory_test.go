@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"rdfviews/internal/algebra"
 	"rdfviews/internal/cq"
 	"rdfviews/internal/dict"
 	"rdfviews/internal/store"
@@ -54,5 +55,47 @@ func TestExtentBytesPerRow(t *testing.T) {
 			t.Errorf("arity %d: an indexed extent holds %.1f B/row, want <= %.0f", len(head), perRow, bound)
 		}
 		runtime.KeepAlive(x)
+	}
+}
+
+// TestUnionBytesPerRow is the dedup set's memory tripwire: what draining a
+// union of two scans over one arity-2 extent allocates per distinct row. The
+// set is a RowIndex over a 32-bit Relation of the union's columns: 8 B of
+// column slab a row, about as much again in append's growth, and a position
+// table sized from the branches' estimates; the bound of 96 B leaves room for
+// that and the batches. A set that copies each kept row into a []dict.ID
+// with a 24-byte header and a 16-byte hashed slot read about 200.
+func TestUnionBytesPerRow(t *testing.T) {
+	x1, x2 := cq.Var(1), cq.Var(2)
+	u := algebra.NewUnion(algebra.NewScan(1, []cq.Term{x1, x2}), algebra.NewScan(1, []cq.Term{x1, x2}))
+	for _, n := range []int{5_000, 50_000} {
+		resolve := MapResolver(map[algebra.ViewID]*Relation{1: bigExtent([]cq.Term{x1, x2}, n)})
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		s, err := ExecuteStream(u, resolve, ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := 0
+		for {
+			slab, err := s.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if slab == nil {
+				break
+			}
+			rows += len(slab)
+		}
+		runtime.ReadMemStats(&after)
+		if rows != n {
+			t.Fatalf("%d-row extent: the union emitted %d rows, want %d", n, rows, n)
+		}
+		perRow := float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+		t.Logf("%d rows: %.1f B allocated per distinct row (bound 96)", n, perRow)
+		if perRow > 96 {
+			t.Errorf("%d rows: draining the union allocated %.1f B per distinct row, want <= 96", n, perRow)
+		}
 	}
 }

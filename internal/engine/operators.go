@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"slices"
 
 	"rdfviews/internal/algebra"
 	"rdfviews/internal/cq"
@@ -194,7 +193,8 @@ func (f *filterOp) nextBatch() (*batch, bool) {
 // projectOp is π with set semantics — the one place operators eliminate
 // duplicates. It restricts/reorders its input's columns onto labels (constant
 // labels project as constant columns) and, when distinct, keeps only rows not
-// seen before, emitting dense batches. It is a rewriting's Project node,
+// seen before, emitting dense batches; the seen rows are a RowIndex over a
+// 32-bit Relation of its output columns. It is a rewriting's Project node,
 // every union (newUnion: the dedup of concatenated branches, columns
 // unchanged), a store-side plan's head, which skips the dedup when the head
 // exposes every body variable, and ProjectStream's permutation, which never
@@ -209,7 +209,7 @@ type projectOp struct {
 	est      float64 // estimated input rows: sizes the dedup set on first use
 
 	scratch Row
-	seen    *rowSet
+	seen    *RowIndex
 	b       *batch
 	sel     []int32
 	si      int
@@ -246,7 +246,7 @@ func (p *projectOp) close() {
 func (p *projectOp) open() {
 	p.out = newBatch(len(p.idx))
 	if p.distinct {
-		p.seen = newRowSet(distinctSizeHint(p.est))
+		p.seen = newRowIndexSized(NewRelation(p.labels), distinctSizeHint(p.est))
 		p.scratch = make(Row, len(p.idx))
 	}
 	for c, j := range p.idx {
@@ -313,7 +313,7 @@ func (p *projectOp) nextBatch() (*batch, bool) {
 					p.scratch[c] = p.b.cols[j][i]
 				}
 			}
-			if _, added := p.seen.addCopy(p.scratch); added {
+			if p.seen.Add(p.scratch) {
 				k := out.n
 				for c, v := range p.scratch {
 					out.cols[c][k] = v
@@ -407,7 +407,7 @@ type hashJoinOp struct {
 	shape       joinShapeInfo
 	buildLeft   bool
 	bIdx, pIdx  []int   // key columns, build side and probe side, pairwise
-	buildEst    float64 // estimated build-side rows: pre-sizes the gathered build
+	buildEst    float64 // estimated build-side rows: pre-sizes a drained build
 	est         float64 // estimated output rows
 	intr        *interrupt
 
@@ -448,68 +448,49 @@ func newHashJoinOp(left, right operator, shape joinShapeInfo, buildLeft bool, le
 
 func (j *hashJoinOp) cols() []cq.Term { return j.shape.outCols }
 
-// joinTable is a hash join's build side: its rows — borrowed from an
-// extent's 32-bit columns, or gathered flat (w values each, no per-row
-// header for the collector to trace) — chained by key hash through one
-// table.
+// joinTable is a hash join's build side: its rows' 32-bit column slabs —
+// borrowed from an extent, or drained into a Relation — chained by key hash
+// through one table.
 type joinTable struct {
-	ext    [][]uint32 // borrowed extent columns, or nil when gathered into
-	flat   []dict.ID  // ... w values per row
-	w      int
-	hashes []uint64 // per row, until linked
-	table  *idTable // key hash -> chain head, as row index + 1
-	chains []int32  // collision chain, same encoding as the table
+	cols   [][]uint32 // cols[c][r] is build row r's value in column c
+	hashes []uint64   // per row, until linked
+	table  *idTable   // key hash -> chain head, as row index + 1
+	chains []int32    // collision chain, same encoding as the table
 }
 
 // at returns build row r's value in column c.
-func (t *joinTable) at(r int32, c int) dict.ID {
-	if t.ext != nil {
-		return dict.ID(t.ext[c][r])
-	}
-	return t.flat[int(r)*t.w+c]
-}
+func (t *joinTable) at(r int32, c int) dict.ID { return dict.ID(t.cols[c][r]) }
 
-// gatherBuild drains the build side into rows and their key hashes.
+// gatherBuild drains the build side into column slabs and hashes their keys.
 func (j *hashJoinOp) gatherBuild(in operator) *joinTable {
-	t := &joinTable{w: len(in.cols())}
+	t := &joinTable{}
+	var n int
 	if s, ok := in.(*viewScanOp); ok && len(s.eq) == 0 && s.i == 0 {
 		// Straight from the extent: the scan only relabels columns, so its
 		// columns hash and chain as they are stored — no batch copies.
-		t.ext = s.src
-		n := s.n
+		t.cols, n = s.src, s.n
 		s.i = n
-		t.hashes = make([]uint64, n)
-		for lo := 0; lo < n; lo += BatchSize {
-			// Cancellation checkpoint: this loop walks the whole extent with
-			// no batch boundary to poll at.
-			if j.intr.stop() {
-				t.hashes = t.hashes[:lo]
-				break
-			}
-			hashExtent(t.hashes[lo:min(lo+BatchSize, n)], t.ext, lo, j.bIdx)
+	} else {
+		rel, hint := NewRelation(in.cols()), distinctSizeHint(j.buildEst)
+		for c := range rel.vals {
+			rel.vals[c] = make([]uint32, 0, hint)
 		}
-		return t
+		for b, ok := in.nextBatch(); ok; b, ok = in.nextBatch() {
+			rel.appendBatch(b, b.liveSel())
+		}
+		t.cols, n = rel.vals, rel.n
 	}
-	hint := distinctSizeHint(j.buildEst)
-	t.flat, t.hashes = make([]dict.ID, 0, hint*t.w), make([]uint64, 0, hint)
-	for {
-		b, ok := in.nextBatch()
-		if !ok {
-			return t
+	t.hashes = make([]uint64, n)
+	for lo := 0; lo < n; lo += BatchSize {
+		// Cancellation checkpoint: this loop walks the whole build side with
+		// no batch boundary to poll at.
+		if j.intr.stop() {
+			t.hashes = t.hashes[:lo]
+			break
 		}
-		sel := b.liveSel()
-		n := len(t.hashes)
-		t.hashes = slices.Grow(t.hashes, len(sel))[:n+len(sel)]
-		t.flat = slices.Grow(t.flat, len(sel)*t.w)[:(n+len(sel))*t.w]
-		hashColumns(t.hashes[n:], b, sel, j.bIdx)
-		dst := t.flat[n*t.w:]
-		for c := 0; c < t.w; c++ {
-			col := b.cols[c]
-			for k, i := range sel {
-				dst[k*t.w+c] = col[i]
-			}
-		}
+		hashExtent(t.hashes[lo:min(lo+BatchSize, n)], t.cols, lo, j.bIdx)
 	}
+	return t
 }
 
 // hashExtent hashes the given columns of extent rows lo.. into hashes,

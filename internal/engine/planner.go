@@ -573,7 +573,7 @@ func distinctSizeHint(est float64) int {
 	const def = 64
 	if est <= def {
 		// Trust small estimates: a point lookup dedups a handful of rows, and
-		// an undersized table just doubles on the way up. newIDTable's floor
+		// an undersized table just doubles on the way up. tableSlots' floor
 		// (16 slots) bounds the low end.
 		if est < 1 {
 			est = 1

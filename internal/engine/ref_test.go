@@ -16,7 +16,8 @@ import (
 // with the operators it checks — no compiled shapes, hash tables or batches —
 // so the rewriting differentials compare two independent readings of the
 // algebra. Scans and selections keep duplicates, joins pair them, projections
-// and unions deduplicate, exactly the executor's contract.
+// and unions deduplicate (refDistinct: a Go map, not the operators' RowIndex),
+// exactly the executor's contract.
 func refExecute(t testing.TB, p algebra.Plan, views map[algebra.ViewID]*Relation) *Relation {
 	t.Helper()
 	switch n := p.(type) {
@@ -51,7 +52,7 @@ func refExecute(t testing.TB, p algebra.Plan, views map[algebra.ViewID]*Relation
 		}
 		return out
 	case *algebra.Project:
-		out, err := refExecute(t, n.Input, views).Project(n.Cols)
+		out, err := refProject(refExecute(t, n.Input, views), n.Cols)
 		if err != nil {
 			t.Fatalf("ref: %s: %v", p, err)
 		}
@@ -97,10 +98,51 @@ func refExecute(t testing.TB, p algebra.Plan, views map[algebra.ViewID]*Relation
 				out.Append(row)
 			}
 		}
-		return out.Dedup()
+		return refDistinct(out)
 	}
 	t.Fatalf("ref: unknown plan node %T", p)
 	return nil
+}
+
+// refDistinct returns r's rows without duplicates, first occurrences in
+// order, told apart by a Go map keyed on their values.
+func refDistinct(r *Relation) *Relation {
+	out := NewRelation(r.Cols)
+	seen := make(map[string]bool, r.Len())
+	var key []byte
+	row := make(Row, 0, r.Arity())
+	for i := 0; i < r.Len(); i++ {
+		row = r.Row(i, row)
+		if key = appendRowKey(key[:0], row); !seen[string(key)] {
+			seen[string(key)] = true
+			out.Append(row)
+		}
+	}
+	return out
+}
+
+// refProject is the reference projection of r onto cols: constant labels
+// project as constant columns, and the output is deduplicated.
+func refProject(r *Relation, cols []cq.Term) (*Relation, error) {
+	idx := make([]int, len(cols))
+	for k, c := range cols {
+		if idx[k] = r.ColIndex(c); idx[k] < 0 && !c.IsConst() {
+			return nil, fmt.Errorf("ref: projection column %v not in %v", c, r.Cols)
+		}
+	}
+	out := NewRelation(cols)
+	row := make(Row, len(cols))
+	for i := 0; i < r.Len(); i++ {
+		for k, c := range cols {
+			if c.IsConst() {
+				row[k] = c.ConstID()
+			} else {
+				row[k] = r.At(i, idx[k])
+			}
+		}
+		out.Append(row)
+	}
+	return refDistinct(out), nil
 }
 
 // planGen draws random rewriting plans over four extents. Labels come from a

@@ -161,68 +161,6 @@ func (r *Relation) equalAt(i int, key Row) bool {
 	return true
 }
 
-// rowSet is a set of rows for set-semantics deduplication: one open-addressing
-// table of (64-bit row hash, row index) slots, probed linearly. A candidate is
-// probed once — find returns either the slot holding its equal or the empty
-// slot it belongs in, and insert fills that slot — so a kept row costs one
-// walk of the table, not a lookup and then a store. Equal hashes are told
-// apart by comparing rows and probing on. Membership tests allocate nothing;
-// insertion costs one slot plus one amortized append.
-type rowSet struct {
-	slots []rowSlot // power-of-two length, load factor at most 3/4
-	mask  uint64
-	rows  []Row // stored rows, insertion order
-	rowArena
-}
-
-// rowSlot is one table entry; ref == 0 marks it empty.
-type rowSlot struct {
-	hash uint64
-	ref  int32 // index into rows, plus one
-}
-
-func newRowSet(sizeHint int) *rowSet {
-	size := tableSlots(sizeHint)
-	return &rowSet{slots: make([]rowSlot, size), mask: uint64(size - 1)}
-}
-
-// rowArena chunk-allocates row copies for bulk output materialization: one
-// allocation per ~4k values instead of one per row.
-type rowArena struct {
-	chunk []dict.ID
-}
-
-func (a *rowArena) copyRow(row Row) Row {
-	out := a.alloc(len(row))
-	copy(out, row)
-	return out
-}
-
-// alloc returns an uninitialized arena row of n values; the caller fills it.
-// Used by operators that assemble output rows from two inputs (joins), where
-// a copyRow of a scratch buffer would cost an extra pass.
-func (a *rowArena) alloc(n int) Row {
-	if len(a.chunk)+n > cap(a.chunk) {
-		// Chunks grow geometrically from small: point lookups with a handful
-		// of output rows pay for a cacheline or two, bulk materialization
-		// converges on 4k-value chunks within a few doublings.
-		size := cap(a.chunk) * 2
-		if size < 64 {
-			size = 64
-		}
-		if size > 4096 {
-			size = 4096
-		}
-		if n > size {
-			size = n
-		}
-		a.chunk = make([]dict.ID, 0, size)
-	}
-	off := len(a.chunk)
-	a.chunk = a.chunk[:off+n]
-	return a.chunk[off : off+n : off+n]
-}
-
 // hashSeed and hashMix define the one hash used by every dedup set and join
 // table in the engine: FNV-style word mixing with an extra avalanche shift,
 // order-sensitive, collisions resolved by value comparison at the call sites.
@@ -244,152 +182,22 @@ func hashRow(row Row) uint64 {
 	return h
 }
 
-func rowsEqual(a, b Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func (s *rowSet) len() int { return len(s.rows) }
-
-// find probes for row under hash h. When the row is present it returns its
-// slot and true; otherwise the empty slot insert(slot, h, row) must fill.
-func (s *rowSet) find(h uint64, row Row) (slot uint64, found bool) {
-	for i := h & s.mask; ; i = (i + 1) & s.mask {
-		e := s.slots[i]
-		if e.ref == 0 {
-			return i, false
-		}
-		if e.hash == h && rowsEqual(s.rows[e.ref-1], row) {
-			return i, true
-		}
-	}
-}
-
-// insert stores row in the empty slot find just returned for (h, row). The
-// set keeps a reference to the row.
-func (s *rowSet) insert(slot, h uint64, row Row) {
-	s.rows = append(s.rows, row)
-	s.slots[slot] = rowSlot{hash: h, ref: int32(len(s.rows))}
-	if len(s.rows)*4 > len(s.slots)*3 {
-		s.grow()
-	}
-}
-
-// grow doubles the table. Stored rows are distinct, so re-placing a slot
-// needs its hash and the next empty slot, never a row comparison.
-func (s *rowSet) grow() {
-	old := s.slots
-	s.slots = make([]rowSlot, 2*len(old))
-	s.mask = uint64(len(s.slots) - 1)
-	for _, e := range old {
-		if e.ref == 0 {
-			continue
-		}
-		i := e.hash & s.mask
-		for s.slots[i].ref != 0 {
-			i = (i + 1) & s.mask
-		}
-		s.slots[i] = e
-	}
-}
-
-func (s *rowSet) has(row Row) bool {
-	_, found := s.find(hashRow(row), row)
-	return found
-}
-
-// add inserts the row unless present, reporting whether it was new. The set
-// keeps a reference: the caller must not mutate the row afterwards.
-func (s *rowSet) add(row Row) bool {
-	h := hashRow(row)
-	slot, found := s.find(h, row)
-	if !found {
-		s.insert(slot, h, row)
-	}
-	return !found
-}
-
-// addCopy is add for a reused scratch row: on insertion it stores (and
-// returns) a private copy, so the caller may keep overwriting the scratch.
-func (s *rowSet) addCopy(row Row) (Row, bool) {
-	h := hashRow(row)
-	slot, found := s.find(h, row)
-	if found {
-		return s.rows[s.slots[slot].ref-1], false
-	}
-	cp := s.copyRow(row)
-	s.insert(slot, h, cp)
-	return cp, true
-}
-
-// Dedup returns a relation with duplicate rows removed (first kept).
-func (r *Relation) Dedup() *Relation { return r.distinct().rel }
-
-// distinct indexes a deduplicated copy of r.
-func (r *Relation) distinct() *RowIndex {
-	x := NewRowIndex(NewRelation(r.Cols))
-	row := make(Row, 0, r.Arity())
-	for i := 0; i < r.n; i++ {
-		row = r.Row(i, row)
-		x.Add(row)
-	}
-	return x
-}
-
 // EqualAsSet reports whether two relations hold the same set of rows
-// (column labels are ignored; arity must match).
+// (column labels are ignored; arity must match). It sorts and compacts
+// widened copies of both, so it shares no set with the operators whose
+// answers it compares.
 func (r *Relation) EqualAsSet(other *Relation) bool {
-	if r.Arity() != other.Arity() {
-		return false
-	}
-	a, b := r.distinct(), other.distinct()
-	if a.Len() != b.Len() {
-		return false
-	}
-	row := make(Row, 0, r.Arity())
-	for i := 0; i < b.Len(); i++ {
-		if row = b.rel.Row(i, row); !a.Has(row) {
-			return false
-		}
-	}
-	return true
+	return r.Arity() == other.Arity() && slices.EqualFunc(sortedDistinct(r), sortedDistinct(other), slices.Equal[Row])
 }
 
-// Project returns the projection of r onto the given labels; constant labels
-// project as constant columns. Output is deduplicated.
-func (r *Relation) Project(cols []cq.Term) (*Relation, error) {
-	idx := make([]int, len(cols))
-	for i, c := range cols {
-		if c.IsConst() {
-			idx[i] = -1
-			continue
-		}
-		j := r.ColIndex(c)
-		if j < 0 {
-			return nil, fmt.Errorf("engine: projection column %v not in %v", c, r.Cols)
-		}
-		idx[i] = j
+// sortedDistinct widens r's rows, sorted and without duplicates.
+func sortedDistinct(r *Relation) []Row {
+	rows := make([]Row, r.n)
+	for i := range rows {
+		rows[i] = r.Row(i, nil)
 	}
-	out := NewRowIndex(NewRelation(cols))
-	nr := make(Row, len(cols))
-	for i := 0; i < r.n; i++ {
-		for k, j := range idx {
-			if j < 0 {
-				nr[k] = cols[k].ConstID()
-			} else {
-				nr[k] = r.At(i, j)
-			}
-		}
-		out.Add(nr)
-	}
-	return out.rel, nil
+	slices.SortFunc(rows, slices.Compare[Row])
+	return slices.CompactFunc(rows, slices.Equal[Row])
 }
 
 // SizeBytes is the in-memory footprint of the relation's data: the bytes its

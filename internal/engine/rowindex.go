@@ -4,9 +4,10 @@ import "fmt"
 
 // RowIndex keeps a relation's rows indexed by value, supporting O(1)
 // membership, append-if-absent and swap-delete — the extent maintenance
-// primitives of incremental view maintenance, and the set internal/maintain
-// deduplicates delta rows with. The index and the relation move together:
-// mutate the relation only through the index.
+// primitives of incremental view maintenance, the set internal/maintain
+// deduplicates delta rows with, and the set a deduplicating projectOp keeps
+// the rows it emitted in: the engine's one set of rows. The index and the
+// relation move together: mutate the relation only through the index.
 //
 // The index is one open-addressed table of row positions, probed linearly:
 // 4 bytes a slot and nothing per row. It stores no hashes — a probe
@@ -18,8 +19,13 @@ type RowIndex struct {
 }
 
 // NewRowIndex indexes the relation's current rows (assumed distinct).
-func NewRowIndex(rel *Relation) *RowIndex {
-	x := &RowIndex{rel: rel, slots: make([]int32, tableSlots(rel.Len()))}
+func NewRowIndex(rel *Relation) *RowIndex { return newRowIndexSized(rel, 0) }
+
+// newRowIndexSized is NewRowIndex with a table sized for at least sizeHint
+// rows, so a set expected to grow to that size skips the doublings on the
+// way: a deduplicating projection sizes its set from the plan's estimate.
+func newRowIndexSized(rel *Relation, sizeHint int) *RowIndex {
+	x := &RowIndex{rel: rel, slots: make([]int32, tableSlots(max(sizeHint, rel.Len())))}
 	for pos := 0; pos < rel.Len(); pos++ {
 		x.place(pos)
 	}

@@ -12,31 +12,30 @@ import (
 	"rdfviews/internal/dict"
 )
 
-// TestRowIndexChurn drives RowIndex through random add/remove churn against
-// a map model over arities 1–3 and small domains, so probe runs collide and
-// swap-deletes re-point moved rows all the time. Every few hundred steps the
-// relation must hold exactly the model's rows, each once, and every row in
-// the domain must answer Has as the model does; a clone taken midway must not
-// move with the original.
+// TestRowIndexChurn drives RowIndex, the engine's one set of rows, over
+// arities 1–5 against a map model with random add/remove churn over small
+// domains, so probe runs collide and swap-deletes re-point moved rows all the
+// time. Every few hundred steps the relation must hold exactly the model's
+// rows, each once, and every row in the domain must answer Has as the model
+// does; a clone taken midway must not move with the original.
 func TestRowIndexChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	for arity := 1; arity <= 3; arity++ {
-		domain := []int{0, 400, 20, 8}[arity]
-		cols := []cq.Term{cq.Var(1), cq.Var(2), cq.Var(3)}[:arity]
-		rel := NewRelation(cols)
-		x := NewRowIndex(rel)
-		model := make(map[[3]dict.ID]bool)
-		key := func(r Row) (k [3]dict.ID) {
+	for arity := 1; arity <= 5; arity++ {
+		domain := []int{0, 400, 20, 8, 5, 4}[arity]
+		cols := []cq.Term{cq.Var(1), cq.Var(2), cq.Var(3), cq.Var(4), cq.Var(5)}[:arity]
+		key := func(r Row) (k [5]dict.ID) {
 			copy(k[:], r)
 			return k
 		}
+		x := NewRowIndex(NewRelation(cols))
+		model := make(map[[5]dict.ID]bool)
 		row := make(Row, arity)
-		check := func(step int, x *RowIndex, model map[[3]dict.ID]bool) {
+		check := func(step int, x *RowIndex, model map[[5]dict.ID]bool) {
 			t.Helper()
 			if x.Len() != len(model) {
 				t.Fatalf("arity %d step %d: Len = %d, model %d", arity, step, x.Len(), len(model))
 			}
-			seen := make(map[[3]dict.ID]bool, x.Len())
+			seen := make(map[[5]dict.ID]bool, x.Len())
 			for _, r := range rowsOf(x.Relation()) {
 				if !model[key(r)] || seen[key(r)] {
 					t.Fatalf("arity %d step %d: relation holds %v (in model %v, seen before %v)",
@@ -60,7 +59,7 @@ func TestRowIndexChurn(t *testing.T) {
 			all(0)
 		}
 		var clone *RowIndex
-		var cloneModel map[[3]dict.ID]bool
+		var cloneModel map[[5]dict.ID]bool
 		for i := 0; i < 20000; i++ {
 			r := make(Row, arity)
 			for c := range r {
@@ -115,7 +114,7 @@ func TestRelationRejectsWideIDs(t *testing.T) {
 	x := NewRowIndex(rel)
 	unchanged := func(what string) {
 		t.Helper()
-		if got := rowsOf(rel); !slices.EqualFunc(got, stored, rowsEqual) {
+		if got := rowsOf(rel); !slices.EqualFunc(got, stored, slices.Equal[Row]) {
 			t.Fatalf("%s: relation holds %v, want %v", what, got, stored)
 		}
 		for _, r := range stored {
@@ -152,115 +151,68 @@ func TestRelationRejectsWideIDs(t *testing.T) {
 	}
 }
 
+// TestRowSetDedup adds 100 rows that repeat 10 distinct ones to a RowIndex
+// started at the smallest table, as a projection's dedup does: only the first
+// of each is fresh, each is found after its Add, and 10 are kept.
 func TestRowSetDedup(t *testing.T) {
-	s := newRowSet(4)
+	s := newRowIndexSized(NewRelation([]cq.Term{cq.Var(1), cq.Var(2)}), 4)
 	for i := 0; i < 100; i++ {
 		row := Row{dict.ID(i%10 + 1), dict.ID(i%5 + 1)}
 		want := i < 10 // first 10 combinations are fresh
-		if got := s.add(append(Row(nil), row...)); got != want {
-			t.Fatalf("i=%d: add(%v) = %v, want %v", i, row, got, want)
+		if got := s.Add(row); got != want {
+			t.Fatalf("i=%d: Add(%v) = %v, want %v", i, row, got, want)
 		}
-		if !s.has(row) {
-			t.Fatalf("i=%d: has(%v) = false after add", i, row)
+		if !s.Has(row) {
+			t.Fatalf("i=%d: Has(%v) = false after Add", i, row)
 		}
 	}
-	if s.len() != 10 {
-		t.Fatalf("len = %d, want 10", s.len())
+	if s.Len() != 10 {
+		t.Fatalf("Len = %d, want 10", s.Len())
 	}
 }
 
-// TestRowSetForcedHashCollisions inserts 1,000 distinct rows under one hash:
-// the table degenerates into a single probe run in which only the row
-// comparison tells entries apart. Every row must be kept, found again and
-// never mistaken for another, across the growths that re-place the run.
-func TestRowSetForcedHashCollisions(t *testing.T) {
-	const h = 0xdecafbad
-	s := newRowSet(16)
-	start := len(s.slots)
-	row := func(i int) Row { return Row{dict.ID(i + 1), dict.ID(i%7 + 1)} }
-	for i := 0; i < 1000; i++ {
-		slot, found := s.find(h, row(i))
-		if found {
-			t.Fatalf("row %d reported present before its insertion", i)
-		}
-		s.insert(slot, h, row(i))
-	}
-	if s.len() != 1000 {
-		t.Fatalf("len = %d, want 1000", s.len())
-	}
-	if len(s.slots) < 4*start {
-		t.Fatalf("table went from %d to %d slots: fewer than two growths", start, len(s.slots))
-	}
-	for i := 0; i < 1000; i++ {
-		slot, found := s.find(h, row(i))
-		if !found {
-			t.Fatalf("row %d lost", i)
-		}
-		if got := s.rows[s.slots[slot].ref-1]; !rowsEqual(got, row(i)) {
-			t.Fatalf("row %d found as %v", i, got)
-		}
-	}
-	if _, found := s.find(h, Row{dict.ID(1001), 1}); found {
-		t.Fatal("a row never inserted was found under the shared hash")
-	}
-}
-
-// TestRowSetMatchesMapModel is the seeded differential of the set against a
-// Go map over widths 1–5 with about 30 % duplicates: add, addCopy, has, len
-// and the insertion order of rows.
+// TestRowSetMatchesMapModel is the seeded differential of a projection's
+// dedup set, a RowIndex, against a Go map over widths 1–5: an add-only run
+// over a wide domain with about 30 % duplicates, in which Has, Add and Len
+// must answer as the model does and the relation must hold the kept rows in
+// insertion order.
 func TestRowSetMatchesMapModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
-	key := func(r Row) string {
-		b := make([]byte, 0, 8*len(r))
-		for _, v := range r {
-			for s := 0; s < 64; s += 8 {
-				b = append(b, byte(v>>s))
-			}
+	for arity := 1; arity <= 5; arity++ {
+		cols := []cq.Term{cq.Var(1), cq.Var(2), cq.Var(3), cq.Var(4), cq.Var(5)}[:arity]
+		key := func(r Row) (k [5]dict.ID) {
+			copy(k[:], r)
+			return k
 		}
-		return string(b)
-	}
-	for width := 1; width <= 5; width++ {
-		s := newRowSet(4)
-		model := map[string]struct{}{}
+
+		dedup := newRowIndexSized(NewRelation(cols), 4)
+		kept := make(map[[5]dict.ID]bool)
 		var order []Row
-		scratch := make(Row, width)
 		for i := 0; i < 5000; i++ {
+			r := make(Row, arity)
 			if len(order) > 0 && rng.Intn(10) < 3 {
-				copy(scratch, order[rng.Intn(len(order))])
+				copy(r, order[rng.Intn(len(order))])
 			} else {
-				for c := range scratch {
-					scratch[c] = dict.ID(rng.Intn(1 << 20))
+				for c := range r {
+					r[c] = dict.ID(rng.Intn(1 << 20))
 				}
 			}
-			_, dup := model[key(scratch)]
-			if s.has(scratch) != dup {
-				t.Fatalf("width %d step %d: has(%v) = %v, model %v", width, i, scratch, !dup, dup)
+			if got, want := dedup.Has(r), kept[key(r)]; got != want {
+				t.Fatalf("arity %d dedup step %d: Has(%v) = %v, model %v", arity, i, r, got, want)
 			}
-			var added bool
-			if i%2 == 0 {
-				var kept Row
-				kept, added = s.addCopy(scratch)
-				if !rowsEqual(kept, scratch) || (added && &kept[0] == &scratch[0]) {
-					t.Fatalf("width %d step %d: addCopy(%v) kept %v (added %v)", width, i, scratch, kept, added)
-				}
-			} else {
-				added = s.add(append(Row(nil), scratch...))
+			if got, want := dedup.Add(r), !kept[key(r)]; got != want {
+				t.Fatalf("arity %d dedup step %d: Add(%v) = %v, want %v", arity, i, r, got, want)
 			}
-			if added == dup {
-				t.Fatalf("width %d step %d: added = %v for a row the model has = %v", width, i, added, dup)
+			if !kept[key(r)] {
+				kept[key(r)] = true
+				order = append(order, r)
 			}
-			if added {
-				model[key(scratch)] = struct{}{}
-				order = append(order, append(Row(nil), scratch...))
-			}
-			if s.len() != len(model) {
-				t.Fatalf("width %d step %d: len = %d, model %d", width, i, s.len(), len(model))
+			if dedup.Len() != len(kept) {
+				t.Fatalf("arity %d dedup step %d: Len = %d, model %d", arity, i, dedup.Len(), len(kept))
 			}
 		}
-		for i, r := range order {
-			if !rowsEqual(s.rows[i], r) {
-				t.Fatalf("width %d: rows[%d] = %v, inserted %v", width, i, s.rows[i], r)
-			}
+		if got := rowsOf(dedup.Relation()); !slices.EqualFunc(got, order, slices.Equal[Row]) {
+			t.Fatalf("arity %d: the deduplicated rows are not the kept rows in insertion order", arity)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rdfviews/internal/cq"
@@ -147,7 +148,7 @@ func TestDrivingScanMergesShards(t *testing.T) {
 	perm := drivingScan(t, fullScan.plan).spec.perm
 	a, b := rowsOf(first), rowsOf(second)
 	for i := range a {
-		if !rowsEqual(a[i], b[i]) {
+		if !slices.Equal(a[i], b[i]) {
 			t.Fatalf("merged scan row %d differs between runs: %v vs %v", i, a[i], b[i])
 		}
 		if i > 0 && !permOrdered(a[i-1], a[i], perm) {

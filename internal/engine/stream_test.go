@@ -129,7 +129,7 @@ func TestUnionProjectStreams(t *testing.T) {
 	if only.root != nil {
 		t.Fatal("closing a one-member union left its member open")
 	}
-	wantOne, err := views[1].Project([]cq.Term{x1, x2})
+	wantOne, err := refProject(views[1], []cq.Term{x1, x2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestUnionProjectStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := drainStream(t, "project", p)
-	wantPerm, err := views[1].Project([]cq.Term{x2, x1})
+	wantPerm, err := refProject(views[1], []cq.Term{x2, x1})
 	if err != nil {
 		t.Fatal(err)
 	}
