@@ -73,7 +73,7 @@ u2 hasPainted irises .
 
 	// Consistency check against recomputation.
 	for id, v := range views {
-		want, err := engine.MaterializeUCQ(st, v)
+		want, err := engine.MaterializeUCQ(st.Snapshot(), v)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -105,7 +105,7 @@ u2 hasPainted irises .
 	fmt.Printf("async: after Flush, lag %d; extents hold %d rows (epoch %d)\n",
 		am.Lag(), am.NumRows(), am.AppliedEpoch())
 	for id, v := range views {
-		want, err := engine.MaterializeUCQ(st, v)
+		want, err := engine.MaterializeUCQ(st.Snapshot(), v)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -112,6 +112,7 @@ func (r *Recommendation) ExplainPhysical() string {
 	var sb strings.Builder
 	sb.WriteString("physical plans:\n")
 	sb.WriteString("  view materialization (over the store):\n")
+	snap := r.db.st.Snapshot()
 	for _, v := range r.state.SortedViews() {
 		fmt.Fprintf(&sb, "    v%d:\n", int(v.ID))
 		u, err := r.members(v)
@@ -125,7 +126,7 @@ func (r *Recommendation) ExplainPhysical() string {
 				fmt.Fprintf(&sb, "      member %d of %d: %s\n", i+1, u.Len(), m.Format(r.db.st.Dict()))
 				indent = "        "
 			}
-			qp, err := engine.PlanQuery(r.db.st, m)
+			qp, err := engine.PlanQuery(snap, m)
 			if err != nil {
 				fmt.Fprintf(&sb, "%s(unplannable: %v)\n", indent, err)
 				continue

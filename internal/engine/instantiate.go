@@ -135,3 +135,13 @@ func PlanQueryAlts(st store.Reader, q *cq.Query, alts [][]cq.Atom, repr map[dict
 	}
 	return planQuery(st, q, alts, cards)
 }
+
+// Detach returns a copy of the plan bound to no reader. A cached template is
+// kept detached so that it does not hold the snapshot it was planned against,
+// and with it every shard state of that snapshot, alive after the store has
+// moved on. Bind a reader with Instantiate before running or explaining it.
+func (p *QueryPlan) Detach() *QueryPlan {
+	q := *p
+	q.st = nil
+	return &q
+}

@@ -8,13 +8,14 @@
 //     with |Reformulate(vi, S)| ... results in having the same statistics as
 //     if the database was saturated").
 //
-// Both remember what they counted, so a provider describes the store as it
-// was when each count was first asked for. Whoever creates a provider owns
-// that: a StoreStats is an index lookup per count and is made per search; a
-// ReformulatedStats evaluates a union per count and is kept for as long as
-// its store and schema stay put — Database pins one to the database version
-// (rdfviews.go) — and is replaced by a new provider, not emptied, when they
-// move. Either may be read from any number of goroutines.
+// Each pins a store snapshot when it is made and answers every count from it,
+// so a provider describes the store as it was when the provider was made,
+// however the store moves while it is read. A StoreStats is an index lookup
+// per count and is made per search; a ReformulatedStats evaluates a union per
+// count and is kept for as long as its store and schema stay put — Database
+// pins one to the database version (rdfviews.go) — and is replaced by a new
+// provider, not emptied, when they move. Either may be read from any number
+// of goroutines.
 package stats
 
 import (
@@ -26,31 +27,29 @@ import (
 	"rdfviews/internal/store"
 )
 
-// StoreStats serves statistics straight from a store. It caches pattern
-// counts, so it is made for one search over a store that holds still for
-// that long (Database.Recommend makes one per call) and dropped with it.
+// StoreStats serves statistics straight from a snapshot of a store, made for
+// one search (Database.Recommend makes one per call) and dropped with it.
 type StoreStats struct {
-	st *store.Store
+	st   *store.Store
+	snap *store.Snapshot
 
 	mu    sync.Mutex
 	cache map[store.Pattern]float64
 }
 
-// NewStoreStats returns a provider over the store. The store's indexes and
-// column statistics are built eagerly, so that subsequent reads — possibly
-// from several search goroutines — never mutate the store.
+// NewStoreStats returns a provider over the store as it is now: it pins a
+// snapshot and computes its column statistics.
 func NewStoreStats(st *store.Store) *StoreStats {
-	warmStore(st)
-	return &StoreStats{st: st, cache: make(map[store.Pattern]float64)}
+	return &StoreStats{st: st, snap: pin(st), cache: make(map[store.Pattern]float64)}
 }
 
-// warmStore forces index construction and column statistics so the store is
-// read-only afterwards.
-func warmStore(st *store.Store) {
-	st.Count(store.Pattern{})
-	for col := 0; col < 3; col++ {
-		st.DistinctCount(col)
-	}
+// pin snapshots the store and computes the snapshot's column statistics (one
+// DistinctCount computes all three columns), so that a search's first
+// DistinctCount or AvgWidth does not pay for them.
+func pin(st *store.Store) *store.Snapshot {
+	snap := st.Snapshot()
+	snap.DistinctCount(store.S)
+	return snap
 }
 
 // Store exposes the underlying store.
@@ -64,21 +63,21 @@ func (s *StoreStats) AtomCount(a cq.Atom) float64 {
 	if c, ok := s.cache[pat]; ok {
 		return c
 	}
-	c := float64(s.st.Count(pat))
+	c := float64(s.snap.Count(pat))
 	s.cache[pat] = c
 	return c
 }
 
 // TotalTriples implements cost.Stats.
-func (s *StoreStats) TotalTriples() float64 { return float64(s.st.Len()) }
+func (s *StoreStats) TotalTriples() float64 { return float64(s.snap.Len()) }
 
 // DistinctCount implements cost.Stats.
 func (s *StoreStats) DistinctCount(col int) float64 {
-	return float64(s.st.DistinctCount(col))
+	return float64(s.snap.DistinctCount(col))
 }
 
 // AvgWidth implements cost.Stats.
-func (s *StoreStats) AvgWidth(col int) float64 { return s.st.AvgWidth(col) }
+func (s *StoreStats) AvgWidth(col int) float64 { return s.snap.AvgWidth(col) }
 
 // PatternOf converts an atom into a store pattern: constants stay, variables
 // become wildcards.
@@ -121,15 +120,16 @@ type cell struct {
 // provider is equivalent to StoreStats over the saturated store without ever
 // materializing the saturation (property-tested in stats_test.go).
 //
-// Every count is a function of (store contents, schema) and is evaluated at
+// Every count is a function of (store snapshot, schema) and is evaluated at
 // most once per provider, on first request, however many goroutines ask. A
-// provider is therefore good for as long as neither moves, and its owner
-// replaces it — never resets it — when one does: searches and
-// recommendations still holding the old provider keep statistics consistent
-// with each other. Database.Recommend shares one provider per database
-// version.
+// provider is therefore good for as long as neither the store nor the
+// schema moves, and its owner replaces it — never resets it — when one does:
+// searches and recommendations still holding the old provider keep
+// statistics consistent with each other. Database.Recommend shares one
+// provider per database version.
 type ReformulatedStats struct {
 	st     *store.Store
+	snap   *store.Snapshot
 	schema *reason.Schema
 
 	// mu guards the cells map only, never an evaluation. limit is maxCells;
@@ -140,11 +140,11 @@ type ReformulatedStats struct {
 	distinct [3]cell
 }
 
-// NewReformulatedStats returns a provider over the non-saturated store.
-// Nothing is evaluated until it is asked for.
+// NewReformulatedStats returns a provider over the non-saturated store as it
+// is now: it pins a snapshot and computes its column statistics. No count is
+// evaluated until it is asked for.
 func NewReformulatedStats(st *store.Store, schema *reason.Schema) *ReformulatedStats {
-	warmStore(st)
-	return &ReformulatedStats{st: st, schema: schema, cells: make(map[store.Pattern]*cell), limit: maxCells}
+	return &ReformulatedStats{st: st, snap: pin(st), schema: schema, cells: make(map[store.Pattern]*cell), limit: maxCells}
 }
 
 // Store exposes the underlying (non-saturated) store.
@@ -172,15 +172,15 @@ func atomQuery(pat store.Pattern) *cq.Query {
 	return &cq.Query{Head: head, Atoms: []cq.Atom{a}}
 }
 
-// count is |Reformulate(q, S)| evaluated with set semantics on the original
-// store. When the reformulation trips its size limit the plain count stands
-// in; that only happens on adversarial schemas, and an under-estimate is
-// preferable to failing the search.
+// count is |Reformulate(q, S)| evaluated with set semantics on the pinned
+// snapshot of the original store. When the reformulation trips its size
+// limit the plain count stands in; that only happens on adversarial schemas,
+// and an under-estimate is preferable to failing the search.
 func (s *ReformulatedStats) count(q *cq.Query, plain func() int) float64 {
 	u, err := reason.Reformulate(q, s.schema, 0)
 	if err == nil {
 		var n int
-		if n, err = engine.CountUCQ(s.st, u); err == nil {
+		if n, err = engine.CountUCQ(s.snap, u); err == nil {
 			return float64(n)
 		}
 	}
@@ -203,7 +203,7 @@ func (s *ReformulatedStats) AtomCount(a cq.Atom) float64 {
 	}
 	s.mu.Unlock()
 	c.once.Do(func() {
-		c.n = s.count(atomQuery(pat), func() int { return s.st.Count(pat) })
+		c.n = s.count(atomQuery(pat), func() int { return s.snap.Count(pat) })
 	})
 	return c.n
 }
@@ -219,7 +219,7 @@ func (s *ReformulatedStats) DistinctCount(col int) float64 {
 	c := &s.distinct[col]
 	c.once.Do(func() {
 		q := &cq.Query{Head: []cq.Term{relaxed[col]}, Atoms: []cq.Atom{relaxed}}
-		c.n = s.count(q, func() int { return s.st.DistinctCount(col) })
+		c.n = s.count(q, func() int { return s.snap.DistinctCount(col) })
 	})
 	return c.n
 }
@@ -233,6 +233,6 @@ func (s *ReformulatedStats) Globals() Globals {
 	return g
 }
 
-// AvgWidth implements cost.Stats; widths are taken from the base store
-// (saturation adds no new lexical values beyond schema terms).
-func (s *ReformulatedStats) AvgWidth(col int) float64 { return s.st.AvgWidth(col) }
+// AvgWidth implements cost.Stats; widths are taken from the base store's
+// snapshot (saturation adds no new lexical values beyond schema terms).
+func (s *ReformulatedStats) AvgWidth(col int) float64 { return s.snap.AvgWidth(col) }

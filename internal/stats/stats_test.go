@@ -339,3 +339,66 @@ func TestReformulatedStatsCacheAndWidth(t *testing.T) {
 		t.Error("Store accessor")
 	}
 }
+
+// TestProvidersDescribeTheStoreWhenMade checks that both providers answer
+// from the store as it was when they were made: counts of patterns first
+// asked for after an insert, and distinct counts, are the pre-insert ones.
+func TestProvidersDescribeTheStoreWhenMade(t *testing.T) {
+	st, schema := museumStore(t)
+	d := st.Dict()
+	plain := NewStoreStats(st)
+	reform := NewReformulatedStats(st, schema)
+	before := NewStoreStats(st.Clone())
+
+	st.MustAddGraph(rdf.MustParse(`
+m5 isExpIn uffizi .
+m5 rdf:type painting .
+`))
+	after := NewStoreStats(st)
+
+	atoms := []cq.Atom{
+		{cq.Var(1), cq.Const(d.EncodeIRI("isExpIn")), cq.Var(2)},
+		{cq.Var(1), cq.Const(d.EncodeIRI(rdf.RDFType)), cq.Const(d.EncodeIRI("painting"))},
+		{cq.Var(1), cq.Var(2), cq.Var(3)},
+	}
+	for _, a := range atoms {
+		want := before.AtomCount(a)
+		if got := plain.AtomCount(a); got != want {
+			t.Errorf("StoreStats.AtomCount(%v) = %v after the insert, want the pre-insert %v", a, got, want)
+		}
+		if after.AtomCount(a) == want {
+			t.Fatalf("the insert does not change AtomCount(%v): the check shows nothing", a)
+		}
+	}
+	for col := 0; col < 3; col++ {
+		if got, want := plain.DistinctCount(col), before.DistinctCount(col); got != want {
+			t.Errorf("StoreStats.DistinctCount(%d) = %v after the insert, want the pre-insert %v", col, got, want)
+		}
+	}
+	if before.DistinctCount(store.S) == after.DistinctCount(store.S) {
+		t.Fatal("the insert does not change DistinctCount(S): the check shows nothing")
+	}
+	if plain.TotalTriples() != 6 {
+		t.Errorf("StoreStats.TotalTriples() = %v after the insert, want the pre-insert 6", plain.TotalTriples())
+	}
+
+	// The reformulated provider against one made on a copy of the store as
+	// it was: isLocatIn's union takes isExpIn in, picture's takes painting.
+	reformBefore := NewReformulatedStats(before.Store(), schema)
+	for _, a := range []cq.Atom{
+		{cq.Var(1), cq.Const(d.EncodeIRI("isLocatIn")), cq.Var(2)},
+		{cq.Var(1), cq.Const(d.EncodeIRI(rdf.RDFType)), cq.Const(d.EncodeIRI("picture"))},
+	} {
+		if got, want := reform.AtomCount(a), reformBefore.AtomCount(a); got != want {
+			t.Errorf("ReformulatedStats.AtomCount(%v) = %v after the insert, want the pre-insert %v", a, got, want)
+		}
+	}
+	for col := 0; col < 3; col++ {
+		if got, want := reform.DistinctCount(col), reformBefore.DistinctCount(col); got != want {
+			t.Errorf("ReformulatedStats.DistinctCount(%d) = %v after the insert, want the pre-insert %v", col, got, want)
+		}
+	}
+	if got, want := reform.TotalTriples(), reformBefore.TotalTriples(); got != want {
+		t.Errorf("ReformulatedStats.TotalTriples() = %v after the insert, want the pre-insert %v", got, want)
+	}
+}

@@ -101,21 +101,6 @@ func (c *subCursor) advance(dst []Triple, bound Triple, last bool, order [3]int)
 	}
 }
 
-// NewCursor opens a cursor over permutation p for the pattern. The bound
-// pattern positions that form a prefix of p's order are resolved by range
-// lookup; any bound position after a wildcard (in permutation order) is
-// filtered row-by-row. The triples stream in p's global sort order. The
-// pattern is routed through the store's Placement, so a subject-bound
-// pattern opens only its owning subject shard and — on a dual layout — an
-// object-bound pattern opens only its owning object shard; the open is
-// recorded in the pruning ledger.
-func (st *Store) NewCursor(p Perm, pat Pattern) Cursor {
-	r := st.Placement().Route(p, pat)
-	shs := st.routeShards(r)
-	st.prune.record(len(shs), r.K)
-	return cursorOverSnaps(st.loadSnaps(shs), p, pat)
-}
-
 // loadSnaps pins the current snapshot of each shard.
 func (st *Store) loadSnaps(shards []*shard) []*snap {
 	snaps := make([]*snap, len(shards))
@@ -125,8 +110,8 @@ func (st *Store) loadSnaps(shards []*shard) []*snap {
 	return snaps
 }
 
-// cursorOverSnaps opens a cursor over a fixed set of pinned shard snapshots —
-// the shared implementation behind the live store's cursors and a Snapshot's.
+// cursorOverSnaps opens a cursor over a fixed set of pinned shard snapshots
+// (Snapshot.NewCursor).
 func cursorOverSnaps(snaps []*snap, p Perm, pat Pattern) Cursor {
 	order := perms[p]
 	var prefix []dict.ID

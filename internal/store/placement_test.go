@@ -131,7 +131,7 @@ func TestDualMatchesModelUnderChurn(t *testing.T) {
 // shard out of eight, observed through the pruning ledger.
 func TestObjectBoundLookupOpensOneShard(t *testing.T) {
 	st := randomDualStore(t, 8, 8, 2000, 17)
-	o := st.DistinctInColumn(Pattern{}, O)[0]
+	o := st.Triples()[0][O]
 	pat := Pattern{Wildcard, Wildcard, o}
 	pi, _ := indexFor(pat)
 
@@ -188,9 +188,9 @@ func TestCountRoutesThroughPlacement(t *testing.T) {
 		}
 		return n
 	}
-	objs := st.DistinctInColumn(Pattern{}, O)
-	for _, o := range objs[:5] {
-		pat := Pattern{Wildcard, Wildcard, o}
+	objs := st.Triples()[:5]
+	for _, tr := range objs {
+		pat := Pattern{Wildcard, Wildcard, tr[O]}
 		pi, _ := indexFor(pat)
 		r := st.Placement().Route(Perm(pi), pat)
 		if r.Side != ObjectSide || r.Len() != 1 {
@@ -202,8 +202,8 @@ func TestCountRoutesThroughPlacement(t *testing.T) {
 	}
 	// Snapshot counts route identically.
 	snap := st.Snapshot()
-	for _, o := range objs[:5] {
-		pat := Pattern{Wildcard, Wildcard, o}
+	for _, tr := range objs {
+		pat := Pattern{Wildcard, Wildcard, tr[O]}
 		if got, want := snap.Count(pat), st.Count(pat); got != want {
 			t.Fatalf("snapshot Count(%v) = %d, store %d", pat, got, want)
 		}
@@ -219,7 +219,7 @@ func TestSnapshotRoutesLikeStore(t *testing.T) {
 	if pl := snap.Placement(); pl != st.Placement() {
 		t.Fatalf("snapshot placement %+v != store %+v", pl, st.Placement())
 	}
-	o := st.DistinctInColumn(Pattern{}, O)[0]
+	o := st.Triples()[0][O]
 	pat := Pattern{Wildcard, Wildcard, o}
 	pi, _ := indexFor(pat)
 

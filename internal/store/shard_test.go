@@ -254,30 +254,6 @@ func churnAgainstModel(t *testing.T, st *Store, seed int64) (*naiveModel, []Patt
 	add(victim)
 	checkAgainstModel(t, st, m, pats, "re-add across a densify")
 
-	// DistinctInColumn agrees with a set-based recomputation.
-	for _, pat := range pats {
-		for c := 0; c < 3; c++ {
-			got := st.DistinctInColumn(pat, c)
-			wantSet := make(map[dict.ID]struct{})
-			for tr := range m.match(pat) {
-				wantSet[tr[c]] = struct{}{}
-			}
-			if len(got) != len(wantSet) {
-				t.Fatalf("DistinctInColumn(%v, %d) = %d values, model %d",
-					pat, c, len(got), len(wantSet))
-			}
-			for i := 1; i < len(got); i++ {
-				if got[i-1] >= got[i] {
-					t.Fatalf("DistinctInColumn(%v, %d) not strictly sorted: %v", pat, c, got)
-				}
-			}
-			for _, v := range got {
-				if _, ok := wantSet[v]; !ok {
-					t.Fatalf("DistinctInColumn(%v, %d): %d not in model", pat, c, v)
-				}
-			}
-		}
-	}
 	return m, pats
 }
 
@@ -450,7 +426,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 					// Column statistics recompute under churn; concurrent
 					// reads must never tear (regression: stats were read
 					// outside the stats lock).
-					if st.DistinctCount(P) < 1 || st.AvgWidth(P) <= 0 {
+					if snap := st.Snapshot(); snap.DistinctCount(P) < 1 || snap.AvgWidth(P) <= 0 {
 						errs <- fmt.Errorf("reader: degenerate column stats under churn")
 						return
 					}

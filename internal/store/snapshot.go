@@ -1,5 +1,7 @@
 package store
 
+import "rdfviews/internal/dict"
+
 // Snapshot is an immutable point-in-time view of the whole store: every
 // shard's published snapshot — both partition sides of a dual layout —
 // pinned together and tagged with the store epoch they were captured at.
@@ -8,12 +10,12 @@ package store
 // and the pinned state stays readable forever, regardless of later
 // mutations, compactions or densifications.
 //
-// A Snapshot satisfies Reader, so queries planned and evaluated against it
-// see exactly the store state of its epoch, with the same placement-routed
-// shard pruning the live store has. This is the primitive the async view
-// maintainer batches on: delta queries for a batch of updates run against
-// the snapshot aligned with the batch boundary, never against a store that
-// has raced ahead.
+// A Snapshot is the store's one Reader implementation, so queries planned
+// and evaluated against it see exactly the store state of its epoch, with
+// placement-routed shard pruning. Every read pins one: the async view
+// maintainer's delta queries run against the snapshot aligned with the batch
+// boundary, never against a store that has raced ahead, and an answer, a
+// materialization or a statistics provider reads one snapshot throughout.
 //
 // Consistency across shards is the caller's concern: a Snapshot captured
 // while writers are mid-flight pins each shard independently (the same
@@ -74,9 +76,13 @@ func (s *Snapshot) Len() int {
 	return n
 }
 
-// Count returns the exact number of snapshot triples matching the pattern,
-// answered from the pinned permutation indexes of the routed shard subset
-// exactly like Store.Count.
+// Count returns the exact number of snapshot triples matching the pattern.
+// This is the primitive behind the paper's statistics: exact counts for atoms
+// with 0, 1, or 2 constants (and 3, although 3-constant atoms are disallowed
+// in views). The pattern is routed through the Placement: a subject-bound
+// pattern is answered by one pinned subject shard, an object-bound pattern
+// (on a dual layout) by one object shard; otherwise one side's per-shard
+// counts are added up.
 func (s *Snapshot) Count(pat Pattern) int {
 	pi, prefix := indexFor(pat)
 	if prefix == nil {
@@ -89,15 +95,20 @@ func (s *Snapshot) Count(pat Pattern) int {
 	return n
 }
 
-// Contains reports whether the exact triple is present in the snapshot: the
-// lookup Store.Contains does, in the pinned SPO index of the owning shard.
+// Contains reports whether the exact triple is present in the snapshot: a
+// full-prefix binary search in the pinned SPO index of the owning shard.
 func (s *Snapshot) Contains(t Triple) bool {
 	return s.snaps[shardOfID(t[S], len(s.snaps))].find(SPO, t) >= 0
 }
 
-// NewCursor opens a cursor over the pinned snapshot, placement-routed to the
-// minimal shard subset and recorded in the store's pruning ledger (see
-// Store.NewCursor).
+// NewCursor opens a cursor over permutation p for the pattern on the pinned
+// snapshot. The bound pattern positions that form a prefix of p's order are
+// resolved by range lookup; any bound position after a wildcard (in
+// permutation order) is filtered row-by-row. The triples stream in p's global
+// sort order. The pattern is routed through the Placement, so a
+// subject-bound pattern opens only its owning subject shard and — on a dual
+// layout — an object-bound pattern opens only its owning object shard; the
+// open is recorded in the store's pruning ledger.
 func (s *Snapshot) NewCursor(p Perm, pat Pattern) Cursor {
 	r := s.Placement().Route(p, pat)
 	sns := s.routeSnaps(r)
@@ -106,8 +117,77 @@ func (s *Snapshot) NewCursor(p Perm, pat Pattern) Cursor {
 }
 
 // Scan visits every snapshot triple matching the pattern in the order of the
-// chosen index, until fn returns false.
-func (s *Snapshot) Scan(pat Pattern, fn func(Triple) bool) { scan(s, pat, fn) }
+// index indexFor picks for it, until fn returns false. It drains that index's
+// cursor a batch at a time.
+func (s *Snapshot) Scan(pat Pattern, fn func(Triple) bool) {
+	pi, _ := indexFor(pat)
+	c := s.NewCursor(Perm(pi), pat)
+	var buf [64]Triple
+	for {
+		n := c.NextBatch(buf[:])
+		if n == 0 {
+			return
+		}
+		for _, t := range buf[:n] {
+			if !fn(t) {
+				return
+			}
+		}
+	}
+}
 
 // Match returns all snapshot triples matching the pattern.
-func (s *Snapshot) Match(pat Pattern) []Triple { return match(s, pat) }
+func (s *Snapshot) Match(pat Pattern) []Triple {
+	out := make([]Triple, 0, 16)
+	s.Scan(pat, func(t Triple) bool {
+		out = append(out, t)
+		return true
+	})
+	return out
+}
+
+// columnStats returns the per-column statistics (distinct count, average
+// lexical width) of the snapshot's triples. They are computed over the pinned
+// subject-side shards and cached on the store by epoch, so every snapshot of
+// one epoch shares one computation; a snapshot of another epoch recomputes
+// and replaces them. The copy is returned while the lock is held, so a
+// concurrent recomputation never tears a reader.
+func (s *Snapshot) columnStats() [3]columnStats {
+	st := s.st
+	st.statsMu.Lock()
+	defer st.statsMu.Unlock()
+	if st.statsAt == s.epoch+1 {
+		return st.colStats
+	}
+	for c := 0; c < 3; c++ {
+		set := make(map[dict.ID]struct{})
+		var totalLen int
+		for _, sn := range s.snaps {
+			for pos, t := range sn.triples {
+				if sn.gone(int32(pos)) {
+					continue
+				}
+				id := dict.ID(t[c])
+				if _, ok := set[id]; !ok {
+					set[id] = struct{}{}
+					totalLen += len(st.dict.MustDecode(id).Value)
+				}
+			}
+		}
+		cs := columnStats{distinct: len(set), avgLen: 8}
+		if len(set) > 0 {
+			cs.avgLen = float64(totalLen) / float64(len(set))
+		}
+		st.colStats[c] = cs
+	}
+	st.statsAt = s.epoch + 1
+	return st.colStats
+}
+
+// DistinctCount returns the number of distinct values in the column.
+func (s *Snapshot) DistinctCount(col int) int { return s.columnStats()[col].distinct }
+
+// AvgWidth returns the average lexical width, in bytes, of the distinct
+// values in the column — the "average size of a subject, property,
+// respectively object" of Section 3.3.
+func (s *Snapshot) AvgWidth(col int) float64 { return s.columnStats()[col].avgLen }

@@ -167,11 +167,11 @@ func PermFor(bound []int, then int) (Perm, bool) {
 // per-shard maintenance save.
 const MaxShards = 256
 
-// Reader is the read-only query surface shared by the live *Store and an
-// immutable *Snapshot: the primitives the query engine scans and counts
-// through. Code that only reads (planning, evaluation, delta propagation)
-// should accept a Reader, so it runs identically against the live store and
-// against a pinned point-in-time snapshot.
+// Reader is the read-only query surface the query engine scans and counts
+// through. Its one implementation is the immutable *Snapshot: code that reads
+// (planning, evaluation, delta propagation, statistics) pins one with
+// Store.Snapshot and reads one store state however long it runs. *Store
+// satisfies Reader only by pinning a snapshot per call (see Store.Count).
 type Reader interface {
 	// NumShards returns the number of subject-side hash partitions.
 	NumShards() int
@@ -186,10 +186,10 @@ type Reader interface {
 	// Contains reports whether the exact triple is present.
 	Contains(t Triple) bool
 	// NewCursor opens an ordered prefix-range cursor merged over the
-	// pattern's placement route (see Store.NewCursor).
+	// pattern's placement route (see Snapshot.NewCursor).
 	NewCursor(p Perm, pat Pattern) Cursor
 	// Scan visits every triple matching the pattern in index order until fn
-	// returns false (see Store.Scan).
+	// returns false (see Snapshot.Scan).
 	Scan(pat Pattern, fn func(Triple) bool)
 }
 
@@ -216,10 +216,10 @@ type Store struct {
 	// async view maintainer its freshness ordering.
 	epoch atomic.Uint64
 
-	// statsGen counts mutations; colStats are recomputed when stale.
-	statsGen atomic.Uint64
+	// colStats are the per-column statistics a Snapshot last computed,
+	// cached for every snapshot of the same epoch (Snapshot.columnStats).
 	statsMu  sync.Mutex
-	statsAt  uint64 // statsGen+1 at last computation; 0 = never computed
+	statsAt  uint64 // epoch+1 of the snapshot that computed them; 0 = never
 	colStats [3]columnStats
 }
 
@@ -350,7 +350,6 @@ func (st *Store) Add(t Triple) bool {
 		st.oshards[shardOfID(t[O], k)].add(one)
 	}
 	st.epoch.Add(1)
-	st.statsGen.Add(1)
 	return true
 }
 
@@ -391,7 +390,6 @@ func (st *Store) AddBatch(ts []Triple) int {
 		}
 	}
 	st.epoch.Add(uint64(len(added)))
-	st.statsGen.Add(1)
 	return len(added)
 }
 
@@ -406,12 +404,6 @@ func groupByShard(ts []Triple, col, k int) [][]Triple {
 	return groups
 }
 
-// Contains reports whether the exact triple is present: a lock-free lookup in
-// the owning subject shard's published SPO index.
-func (st *Store) Contains(t Triple) bool {
-	return st.shards[st.shardOf(t[S])].cur.Load().find(SPO, t) >= 0
-}
-
 // Remove deletes a triple, reporting whether it was present. The triple is
 // tombstoned in its shard's snapshot and physically dropped from the indexes
 // at the next threshold merge.
@@ -423,7 +415,6 @@ func (st *Store) Remove(t Triple) bool {
 		st.oshards[shardOfID(t[O], k)].remove(t)
 	}
 	st.epoch.Add(1)
-	st.statsGen.Add(1)
 	return true
 }
 
@@ -504,167 +495,25 @@ func indexFor(pat Pattern) (int, []dict.ID) {
 	}
 }
 
-// Count returns the exact number of triples matching the pattern. This is the
-// primitive behind the paper's statistics: exact counts for atoms with 0, 1,
-// or 2 constants (and 3, although 3-constant atoms are disallowed in views).
-// The pattern is routed through the Placement: a subject-bound pattern is
-// answered by one subject shard, an object-bound pattern (on a dual layout)
-// by one object shard; otherwise one side's per-shard counts are aggregated.
-func (st *Store) Count(pat Pattern) int {
-	pi, prefix := indexFor(pat)
-	if prefix == nil {
-		return st.Len()
-	}
-	r := st.Placement().Route(Perm(pi), pat)
-	n := 0
-	for _, sh := range st.routeShards(r) {
-		n += sh.cur.Load().count(pi, prefix)
-	}
-	return n
-}
+// The live store has no read code of its own: Count, Contains, NewCursor,
+// Scan and Match each pin a Snapshot for the one call and read that. They
+// remain because benchmark code reads a *Store as a Reader; new code pins a
+// Snapshot once and reads one store state through it.
 
-// routeShards resolves a route to the backing shard slice it opens.
-func (st *Store) routeShards(r Route) []*shard {
-	side := st.shards
-	if r.Side == ObjectSide {
-		side = st.oshards
-	}
-	if r.Shard >= 0 {
-		return side[r.Shard : r.Shard+1]
-	}
-	return side
-}
+// Count is Snapshot().Count, on a snapshot pinned for this call.
+func (st *Store) Count(pat Pattern) int { return st.Snapshot().Count(pat) }
 
-// Scan visits every triple matching the pattern, in the global order of the
-// chosen index (shard streams are merged), until fn returns false.
-func (st *Store) Scan(pat Pattern, fn func(Triple) bool) { scan(st, pat, fn) }
+// Contains is Snapshot().Contains, on a snapshot pinned for this call.
+func (st *Store) Contains(t Triple) bool { return st.Snapshot().Contains(t) }
 
-// Match returns all triples matching the pattern.
-func (st *Store) Match(pat Pattern) []Triple { return match(st, pat) }
+// NewCursor is Snapshot().NewCursor, on a snapshot pinned for this call.
+func (st *Store) NewCursor(p Perm, pat Pattern) Cursor { return st.Snapshot().NewCursor(p, pat) }
 
-// scan is Scan over either Reader: it drains the cursor of the index
-// indexFor picks for the pattern, a batch at a time.
-func scan(r Reader, pat Pattern, fn func(Triple) bool) {
-	pi, _ := indexFor(pat)
-	c := r.NewCursor(Perm(pi), pat)
-	var buf [64]Triple
-	for {
-		n := c.NextBatch(buf[:])
-		if n == 0 {
-			return
-		}
-		for _, t := range buf[:n] {
-			if !fn(t) {
-				return
-			}
-		}
-	}
-}
+// Scan is Snapshot().Scan, on a snapshot pinned for this call.
+func (st *Store) Scan(pat Pattern, fn func(Triple) bool) { st.Snapshot().Scan(pat, fn) }
 
-// match is Match over either Reader.
-func match(r Reader, pat Pattern) []Triple {
-	out := make([]Triple, 0, 16)
-	scan(r, pat, func(t Triple) bool {
-		out = append(out, t)
-		return true
-	})
-	return out
-}
-
-// boundCols returns the bound positions of the pattern.
-func boundCols(pat Pattern) []int {
-	var out []int
-	for c := 0; c < 3; c++ {
-		if pat[c] != Wildcard {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// DistinctInColumn returns the sorted distinct IDs appearing in the column
-// within the triples matching the pattern. With an all-wildcard pattern this
-// is the distinct-value statistic of Section 3.3. It walks the permutation
-// whose sort order lists the pattern's bound columns and then col, so values
-// stream out sorted and deduplicate by adjacency — no set, no re-sort.
-func (st *Store) DistinctInColumn(pat Pattern, col int) []dict.ID {
-	if pat[col] != Wildcard {
-		if st.Count(pat) > 0 {
-			return []dict.ID{pat[col]}
-		}
-		return nil
-	}
-	p, ok := PermFor(boundCols(pat), col)
-	if !ok {
-		return nil
-	}
-	c := st.NewCursor(p, pat)
-	var out []dict.ID
-	for {
-		t, ok := c.Next()
-		if !ok {
-			return out
-		}
-		if v := t[col]; len(out) == 0 || out[len(out)-1] != v {
-			out = append(out, v)
-		}
-	}
-}
-
-// colStatsNow returns the per-column statistics (distinct count, average
-// lexical width) the cost model consumes, recomputing under the
-// stats lock when a mutation invalidated the cache. The copy is returned
-// while the lock is held, so concurrent recomputation never tears a reader.
-func (st *Store) colStatsNow() [3]columnStats {
-	st.statsMu.Lock()
-	defer st.statsMu.Unlock()
-	gen := st.statsGen.Load() + 1
-	if st.statsAt == gen {
-		return st.colStats
-	}
-	snaps := make([]*snap, len(st.shards))
-	for i, sh := range st.shards {
-		snaps[i] = sh.cur.Load()
-	}
-	for c := 0; c < 3; c++ {
-		set := make(map[dict.ID]struct{})
-		var totalLen int
-		for _, s := range snaps {
-			for pos, t := range s.triples {
-				if s.gone(int32(pos)) {
-					continue
-				}
-				id := dict.ID(t[c])
-				if _, ok := set[id]; !ok {
-					set[id] = struct{}{}
-					tm := st.dict.MustDecode(id)
-					totalLen += len(tm.Value)
-				}
-			}
-		}
-		cs := columnStats{distinct: len(set)}
-		if len(set) > 0 {
-			cs.avgLen = float64(totalLen) / float64(len(set))
-		} else {
-			cs.avgLen = 8
-		}
-		st.colStats[c] = cs
-	}
-	st.statsAt = gen
-	return st.colStats
-}
-
-// DistinctCount returns the number of distinct values in the column.
-func (st *Store) DistinctCount(col int) int {
-	return st.colStatsNow()[col].distinct
-}
-
-// AvgWidth returns the average lexical width, in bytes, of the distinct
-// values in the column — the "average size of a subject, property,
-// respectively object" of Section 3.3.
-func (st *Store) AvgWidth(col int) float64 {
-	return st.colStatsNow()[col].avgLen
-}
+// Match is Snapshot().Match, on a snapshot pinned for this call.
+func (st *Store) Match(pat Pattern) []Triple { return st.Snapshot().Match(pat) }
 
 // Clone returns a deep copy of the store sharing the dictionary and shard
 // layout (both sides of a dual partitioning). It is used to saturate a

@@ -312,6 +312,7 @@ func GenerateSatisfiable(st *store.Store, spec Spec) ([]*cq.Query, error) {
 	}
 	g := NewGenerator(st.Dict(), spec.Seed)
 	triples := st.Triples()
+	snap := st.Snapshot()
 	out := make([]*cq.Query, 0, spec.Queries)
 
 	// High commonality: reuse seed triples across queries.
@@ -328,7 +329,7 @@ func GenerateSatisfiable(st *store.Store, spec Spec) ([]*cq.Query, error) {
 		} else {
 			seed = triples[g.rng.Intn(len(triples))]
 		}
-		q, err := g.satisfiableQuery(st, seed, spec.AtomsPerQuery)
+		q, err := g.satisfiableQuery(snap, seed, spec.AtomsPerQuery)
 		if err != nil {
 			return nil, err
 		}
@@ -339,7 +340,7 @@ func GenerateSatisfiable(st *store.Store, spec Spec) ([]*cq.Query, error) {
 
 // satisfiableQuery grows a connected triple set from the seed by random
 // walks, then abstracts subjects/objects into variables.
-func (g *Generator) satisfiableQuery(st *store.Store, seed store.Triple, atoms int) (*cq.Query, error) {
+func (g *Generator) satisfiableQuery(st *store.Snapshot, seed store.Triple, atoms int) (*cq.Query, error) {
 	chosen := []store.Triple{seed}
 	nodes := []dict.ID{seed[store.S], seed[store.O]}
 	for len(chosen) < atoms {

@@ -118,10 +118,12 @@ func newDatabase(st *store.Store, schema *rdf.Schema) *Database {
 // were handed, which stay consistent with one another and never reach a
 // later version's callers.
 //
-// What it costs to keep: the schema is its closure maps; the provider is one
-// map entry and one cell per pattern a search has asked for — tens per
-// workload, at most stats' maxCells. Together they are about 0.5 B per triple
-// on the benchmark's select-reform.
+// What it costs to keep: the schema is its closure maps; the provider is the
+// store snapshot it counts on — the version's shard states, kept alive until
+// the pin is dropped — and one map entry and one cell per pattern a search
+// has asked for — tens per workload, at most stats' maxCells. While the store
+// holds still they are about 0.5 B per triple on the benchmark's
+// select-reform.
 type pinned struct {
 	mu        sync.Mutex
 	epoch     uint64

@@ -23,9 +23,11 @@ package rdfviews
 //
 // Database and Views share this path: both embed a front — the cache, and
 // on a Views the workload its rewritings answer — and differ only in the
-// version they hand it per call (version): the Database its store epoch,
-// schema size and the reader of the reasoning mode, a Views its store (none
-// in a bundle) and extent generation.
+// version they hand it per call (version): the Database a store snapshot, its
+// epoch and the schema size of the reasoning mode, a Views a store snapshot
+// (none in a bundle) and its extent generation. One call reads one snapshot:
+// a template is compiled against it, its drift is checked on it and the
+// store path executes over it.
 //
 // Constant lifting is what turns the cache into a prepared-query engine:
 // liftable constants (cq.LiftConstants — sound with respect to the RDFS
@@ -202,7 +204,8 @@ func applyConstSubst(q *cq.Query, sub map[dict.ID]dict.ID) *cq.Query {
 // (reason.ReformulateAtoms, when schema is given) — a single plan unless the
 // skeleton has a class or property variable — whose atoms are union leaves
 // of their rule 1–4 alternatives, join-ordered by the cardinalities of the
-// triggering query's constants (repr).
+// triggering query's constants (repr) on the call's snapshot. The plans are
+// detached from that snapshot: every run binds its own (execStream).
 func compileStoreTemplate(reader store.Reader, skel *cq.Query, repr map[dict.ID]dict.ID, schema *reason.Schema, maxTerms int) ([]*engine.QueryPlan, error) {
 	members := []*cq.Query{skel}
 	var alts [][][]cq.Atom
@@ -222,7 +225,7 @@ func compileStoreTemplate(reader store.Reader, skel *cq.Query, repr map[dict.ID]
 		if err != nil {
 			return nil, err
 		}
-		plans[i] = p
+		plans[i] = p.Detach()
 	}
 	return plans, nil
 }
@@ -310,9 +313,10 @@ type version struct {
 	// "txt|" on a Views, whose cache serves one mode, "txt|<tag>|" on a
 	// Database, whose cache serves them all.
 	tag, stmt string
-	// reader is what templates are planned against; its Len is the drift
-	// baseline. It is nil on a Views loaded from a bundle, where a query
-	// that needs a template fails with ErrNoStore.
+	// reader is the store snapshot the call pinned: templates are planned
+	// against it, its Len is the drift baseline and the store path runs over
+	// it. It is a nil interface on a Views loaded from a bundle, where a
+	// query that needs a template fails with ErrNoStore.
 	reader store.Reader
 	// gen is the change generation: the store epoch, or a maintained Views'
 	// publish generation.
@@ -585,15 +589,17 @@ type Prepared struct {
 	li *liftInfo
 }
 
-// now is the deployment at the generation this call reads: the publish
-// generation of maintained extents, else the store epoch (fixed extents
-// never move).
+// now is the deployment at the generation this call reads: a snapshot of the
+// store (none in a bundle) and the publish generation of maintained extents,
+// else the snapshot's epoch (fixed extents never move).
 func (v *Views) now() version {
 	at := v.at
+	if v.st != nil {
+		snap := v.st.Snapshot()
+		at.reader, at.gen = snap, snap.Epoch()
+	}
 	if v.m != nil {
 		at.gen = v.m.PublishGen()
-	} else if v.st != nil {
-		at.gen = v.st.Epoch()
 	}
 	return at
 }
@@ -679,13 +685,14 @@ func (v *Views) answerLifted(li *liftInfo) ([][]string, error) {
 // Database serving surface
 
 // at is the database under the reasoning mode at the version this call
-// reads. Saturation, post- and pre-reformulation answer ad-hoc queries
-// identically (reformulate with the pinned schema, evaluate the union on the
-// explicit store: Theorem 4.2), so they share cache entries. rdf:type is
-// looked up last: deriving the schema encodes it, and only the modes that
-// derive one need it.
+// reads: a snapshot of the store, pinned here. Saturation, post- and
+// pre-reformulation answer ad-hoc queries identically (reformulate with the
+// pinned schema, evaluate the union on the explicit store: Theorem 4.2), so
+// they share cache entries. rdf:type is looked up last: deriving the schema
+// encodes it, and only the modes that derive one need it.
 func (db *Database) at(mode Reasoning) (version, error) {
-	v := version{reader: db.st, gen: db.st.Epoch()}
+	snap := db.st.Snapshot()
+	v := version{reader: snap, gen: snap.Epoch()}
 	switch mode {
 	case ReasoningNone, "":
 		v.tag, v.stmt = "db:none", "txt|db:none|"

@@ -207,9 +207,10 @@ func (v *Views) openLifted(ctx context.Context, li *liftInfo) (*engine.RowStream
 		return nil, err
 	}
 	if !r.matched {
-		// Store path: the base store is updated synchronously even under
-		// asynchronous maintenance, so a snapshot needs no flush barrier.
-		return r.execStream(v.st.Snapshot(), engine.ExecOptions{Ctx: ctx})
+		// Store path, over the snapshot the call pinned: the base store is
+		// updated synchronously even under asynchronous maintenance, so it
+		// needs no flush barrier.
+		return r.execStream(at.reader, engine.ExecOptions{Ctx: ctx})
 	}
 	rs, err := v.rewriting(ctx, r.idx)
 	if err != nil || slices.Equal(rs.Cols(), r.cols) {

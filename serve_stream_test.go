@@ -1,6 +1,7 @@
 package rdfviews
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"runtime"
@@ -289,4 +290,98 @@ func bulkTypeDB(t testing.TB, n int) *Database {
 	db.MustLoadGraphString(data.String())
 	db.MustLoadSchemaString(schema.String())
 	return db
+}
+
+// TestStreamReadsTheStoreAtOpen checks that a stream answers from the store
+// as it was when the stream was opened: one opened before a maintained
+// Insert and drained after it returns the rows it had at open, on the
+// Database surface under none and post (one atom and a two-atom join, each)
+// and on the Views surface (the store path and a view route). A stream
+// opened after the Insert sees it. A Views loaded from a bundle, which has
+// no store to pin, still refuses the store path.
+func TestStreamReadsTheStoreAtOpen(t *testing.T) {
+	const insert = `u6 hasPainted monaLisa .`
+	ctx := context.Background()
+	type opener func(text string) (*AnswerStream, error)
+	check := func(t *testing.T, lv *Views, open opener, texts []string) {
+		t.Helper()
+		held := make([]*AnswerStream, len(texts))
+		atOpen := make([][][]string, len(texts))
+		for i, text := range texts {
+			s, err := open(text)
+			if err != nil {
+				t.Fatalf("open %q: %v", text, err)
+			}
+			if atOpen[i], err = collectText(open, text); err != nil {
+				t.Fatalf("answer %q: %v", text, err)
+			}
+			held[i] = s
+		}
+		if _, err := lv.Insert(insert); err != nil {
+			t.Fatal(err)
+		}
+		for i, text := range texts {
+			got := drainAnswers(t, held[i])
+			if !sameAnswers(got, atOpen[i]) {
+				t.Errorf("%q opened before the insert, drained after it:\n got: %v\nwant: %v", text, got, atOpen[i])
+			}
+			now, err := collectText(open, text)
+			if err != nil {
+				t.Fatalf("answer %q: %v", text, err)
+			}
+			if len(now) != len(atOpen[i])+1 {
+				t.Errorf("%q opened after the insert: %d rows, want %d", text, len(now), len(atOpen[i])+1)
+			}
+		}
+	}
+
+	for _, tc := range []struct {
+		mode  Reasoning
+		texts []string
+	}{
+		{ReasoningNone, []string{
+			`q(A, B) :- t(A, hasPainted, B)`,
+			`q(X, Z) :- t(X, isParentOf, Y), t(Y, hasPainted, Z)`,
+		}},
+		{ReasoningPost, []string{
+			`q(A, B) :- t(A, hasCreated, B)`,
+			`q(X, Z) :- t(X, isParentOf, Y), t(Y, hasCreated, Z)`,
+		}},
+	} {
+		t.Run("Database/"+string(tc.mode), func(t *testing.T) {
+			db, lv := serveLive(t, tc.mode, MaintainOptions{})
+			check(t, lv, func(text string) (*AnswerStream, error) {
+				return db.AnswerQueryStream(ctx, text, tc.mode)
+			}, tc.texts)
+		})
+	}
+
+	t.Run("Views", func(t *testing.T) {
+		_, lv := serveLive(t, ReasoningNone, MaintainOptions{})
+		check(t, lv, func(text string) (*AnswerStream, error) {
+			return lv.AnswerQueryStream(ctx, text)
+		}, []string{
+			`q(X, Z) :- t(X, isParentOf, Y), t(Y, hasPainted, Z)`, // store path
+			`q(A, B) :- t(A, hasPainted, B)`,                      // view route
+		})
+
+		var buf bytes.Buffer
+		if err := lv.SaveBundle(&buf); err != nil {
+			t.Fatal(err)
+		}
+		off, err := LoadBundle(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		noStore(t, off, `q(X, Z) :- t(X, isParentOf, Y), t(Y, hasPainted, Z)`)
+	})
+}
+
+// collectText opens one more stream of the text and drains it.
+func collectText(open func(string) (*AnswerStream, error), text string) ([][]string, error) {
+	s, err := open(text)
+	if err != nil {
+		return nil, err
+	}
+	return s.collect()
 }

@@ -3,6 +3,7 @@ package rdfviews
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -11,6 +12,7 @@ import (
 
 	"rdfviews/internal/cq"
 	"rdfviews/internal/engine"
+	"rdfviews/internal/plancache"
 	"rdfviews/internal/reason"
 )
 
@@ -507,4 +509,59 @@ func TestParseServeQueryRoutesBySyntax(t *testing.T) {
 			t.Errorf("parseServeQuery(%q) was not routed to the SPARQL parser: %v", text, err)
 		}
 	}
+}
+
+// TestCachedTemplatesHoldNoSnapshot checks that a cached store template does
+// not keep the snapshot it was compiled against alive: templates compiled
+// between bulk inserts, each of which merges the store's overlays into new
+// base indexes, would otherwise hold one generation of the indexes apiece.
+// The heap the plan cache holds on to is measured by swapping in an empty
+// cache.
+func TestCachedTemplatesHoldNoSnapshot(t *testing.T) {
+	db := NewDatabase()
+	const n = 60000
+	load := func(from, to int) {
+		var sb strings.Builder
+		for i := from; i < to; i++ {
+			fmt.Fprintf(&sb, "s%d p%d o%d .\n", i, i%40, i%5000)
+		}
+		db.MustLoadGraphString(sb.String())
+	}
+	load(0, n)
+	next := n
+	shapes := 0
+	for k := 1; k <= 4; k++ {
+		atoms := make([]string, k)
+		for j := range atoms {
+			atoms[j] = fmt.Sprintf("t(X%d, p%d, X%d)", j, j, j+1)
+		}
+		for h := 0; h <= k; h++ {
+			q := fmt.Sprintf("q(X%d) :- %s", h, strings.Join(atoms, ", "))
+			s, err := db.AnswerQueryStream(context.Background(), q, ReasoningNone)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+			shapes++
+			load(next, next+600) // past the overlay bound: a merge
+			next += 600
+		}
+	}
+	if got := db.cache.Len(); got < 2*shapes { // a statement and an artifact each
+		t.Fatalf("plan cache holds %d entries, want the %d statements and templates", got, 2*shapes)
+	}
+	held := heapAfterGC()
+	db.cache = plancache.New(plancache.DefaultCapacity, nil)
+	base := heapAfterGC()
+	runtime.KeepAlive(db)
+	if retained := held - base; retained > base/4 {
+		t.Fatalf("%d cached templates hold %d KB beyond the %d KB of the database", shapes, retained>>10, base>>10)
+	}
+}
+
+func heapAfterGC() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }

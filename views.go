@@ -87,8 +87,8 @@ type Views struct {
 	// m maintains the extents; nil when they are fixed.
 	m     *maintain.Maintainer
 	stale StaleReadPolicy
-	// at is the deployment as the plan cache sees it; each call reads the
-	// generation into a copy (now).
+	// at is the deployment as the plan cache sees it; each call pins a
+	// store snapshot and reads the generation into a copy (now).
 	at version
 }
 
@@ -135,7 +135,8 @@ func (r *Recommendation) MaintainWithOptions(opts MaintainOptions) (*Views, erro
 }
 
 // deploy puts the recommended views over the database's store, each as its
-// members: maintained under opts, or — with opts nil — materialized once.
+// members: maintained under opts, or — with opts nil — materialized once,
+// every view over one snapshot of the store.
 func (r *Recommendation) deploy(opts *MaintainOptions) (*Views, error) {
 	members := make(map[algebra.ViewID]*cq.UCQ, r.state.NumViews())
 	for id, v := range r.state.Views {
@@ -152,7 +153,7 @@ func (r *Recommendation) deploy(opts *MaintainOptions) (*Views, error) {
 		defs:  r.state.ViewQueries(),
 		texts: make([]string, len(r.workload.Queries)),
 		dict:  d,
-		at:    version{tag: "lv:" + string(r.mode), stmt: "txt|", reader: r.db.st, maxTerms: r.maxUnionTerms, typeID: r.schema.TypeID},
+		at:    version{tag: "lv:" + string(r.mode), stmt: "txt|", maxTerms: r.maxUnionTerms, typeID: r.schema.TypeID},
 	}
 	for i, q := range r.workload.Queries {
 		v.texts[i] = q.Format(d)
@@ -168,9 +169,10 @@ func (r *Recommendation) deploy(opts *MaintainOptions) (*Views, error) {
 		v.m, v.extents, v.stale = m, m.Resolver, opts.StaleReads
 		return v, nil
 	}
+	snap := r.db.st.Snapshot()
 	extents := make(map[algebra.ViewID]*engine.Relation, len(members))
 	for id, u := range members {
-		rel, err := engine.MaterializeUCQ(r.db.st, u)
+		rel, err := engine.MaterializeUCQ(snap, u)
 		if err != nil {
 			return nil, fmt.Errorf("rdfviews: materializing view v%d: %w", int(id), err)
 		}
