@@ -10,12 +10,17 @@
 // decoders and lookups a read lock, matching the sharded store's
 // readers-alongside-writers contract (a query decoding answers must not race
 // an update encoding fresh terms).
+//
+// A dictionary that is served also keeps each term's SPARQL-JSON string
+// literal, rendered and escaped once, in an append-only table (Literals,
+// json.go); Render is the one rule every answer decodes an ID by.
 package dict
 
 import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"rdfviews/internal/rdf"
 )
@@ -35,6 +40,9 @@ type Dictionary struct {
 	mu     sync.RWMutex
 	byKind [rdf.Blank + 1]map[string]ID // value -> ID, per term kind
 	terms  []rdf.Term                   // terms[i] has ID i+1
+
+	litMu sync.Mutex               // serializes extending the rendered table
+	lits  atomic.Pointer[Literals] // the rendered table; nil until first asked for
 }
 
 // New returns an empty dictionary.
@@ -123,8 +131,10 @@ func (d *Dictionary) SortedIDs() []ID {
 }
 
 // Terms returns the terms in ID order (Terms()[i] has ID i+1) — the
-// serialization form used by the persistence layer. The returned slice must
-// not be modified, and concurrent encoders may append past its length.
+// serialization form used by the persistence layer, and the view answers
+// are decoded against (Render). The returned slice must not be modified;
+// concurrent encoders may append past its length, so it holds every ID
+// assigned before the call.
 func (d *Dictionary) Terms() []rdf.Term {
 	d.mu.RLock()
 	defer d.mu.RUnlock()

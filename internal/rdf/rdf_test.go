@@ -217,6 +217,22 @@ func TestExpandShortenIRI(t *testing.T) {
 	}
 }
 
+// TestShortenIRIGate: the length and prefix gate in front of the map drops
+// no vocabulary term and shortens nothing else — every vocabulary IRI and its
+// one-byte-shorter, one-byte-longer and one-byte-changed neighbours.
+func TestShortenIRIGate(t *testing.T) {
+	for long, short := range longToShort {
+		if got := ShortenIRI(long); got != short {
+			t.Errorf("ShortenIRI(%q) = %q, want %q", long, got, short)
+		}
+		for _, near := range []string{long[:len(long)-1], long + "x", "X" + long[1:], "http://www.w3.org/"} {
+			if got := ShortenIRI(near); got != near {
+				t.Errorf("ShortenIRI(%q) = %q, want it unchanged", near, got)
+			}
+		}
+	}
+}
+
 func TestSchemaAccessors(t *testing.T) {
 	s := NewSchema()
 	s.AddSubClass("painting", "masterpiece")

@@ -1,5 +1,7 @@
 package rdf
 
+import "strings"
+
 // Well-known vocabulary IRIs. The library accepts both the full form and the
 // short prefixed form; ShortenIRI / ExpandIRI convert between them. All
 // internal comparisons are made on the expanded form.
@@ -49,8 +51,14 @@ func ExpandIRI(s string) string {
 	return s
 }
 
-// ShortenIRI is the inverse of ExpandIRI for the well-known vocabulary.
+// ShortenIRI is the inverse of ExpandIRI for the well-known vocabulary. An
+// IRI outside the W3C's namespace, or shorter than rdfs:range or longer than
+// rdfs:subPropertyOf, is none of it and is returned without hashing
+// (TestShortenIRIGate holds every vocabulary IRI inside the gate).
 func ShortenIRI(s string) string {
+	if len(s) < len(RDFSRange) || len(s) > len(RDFSSubPropertyOf) || !strings.HasPrefix(s, "http://www.w3.org/") {
+		return s
+	}
 	if sh, ok := longToShort[s]; ok {
 		return sh
 	}

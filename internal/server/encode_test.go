@@ -3,27 +3,42 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"unicode/utf8"
 )
 
-// sameAsMarshal fails unless appendJSONString writes json.Marshal's bytes.
+// sameAsMarshal fails unless every string the server escapes comes out as
+// json.Marshal writes it: a document whose column name and only value are s
+// is the reference document (the name through dict.AppendJSONString, the
+// value from the dictionary's rendered table), and a stream failing with s
+// closes it with s as the error member.
 func sameAsMarshal(t *testing.T, s string) {
 	t.Helper()
-	want, err := json.Marshal(s)
+	st := newStringStream([]string{s}, [][]string{{s}})
+	var e encoder
+	e.begin(st.Columns())
+	if n, err := e.slab(st, &e.buf); n != 1 || err != nil {
+		t.Fatalf("slab of %q: %d rows, %v", s, n, err)
+	}
+	doc := slices.Clone(e.buf)
+	e.end(nil)
+	if want := marshalDocument(st); !bytes.Equal(e.buf, want) {
+		t.Fatalf("document of %q\n got %s\nwant %s", s, e.buf, want)
+	}
+	msg, err := json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := appendJSONString(nil, s); !bytes.Equal(got, want) {
-		t.Fatalf("appendJSONString(%q)\n got %s\nwant %s", s, got, want)
-	}
-	// Appending must leave what is already there alone.
-	if got := appendJSONString([]byte("x:"), s); !bytes.Equal(got[2:], want) || string(got[:2]) != "x:" {
-		t.Fatalf("appendJSONString onto a prefix: %s", got)
+	e.buf = doc
+	e.end(errors.New(s))
+	if want := append(append(doc, `]},"error":`...), append(msg, '}')...); !bytes.Equal(e.buf, want) {
+		t.Fatalf("error member of %q\n got %s\nwant %s", s, e.buf, want)
 	}
 }
 
@@ -42,6 +57,11 @@ func FuzzAppendJSONString(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, s string) { sameAsMarshal(t, s) })
 }
+
+// FuzzAppendJSONString and TestAppendJSONStringMatchesMarshal hold the
+// escaper in every use the server makes of it — column names, values and
+// the error member — to json.Marshal; internal/dict fuzzes the escaper and
+// the rendered table themselves.
 
 // TestAppendJSONStringMatchesMarshal is the seeded property: 20 000 strings
 // drawn from an alphabet dense in everything the encoder treats specially.

@@ -10,6 +10,9 @@ import (
 	"net/http/httptest"
 	"os"
 	"testing"
+
+	"rdfviews/internal/dict"
+	"rdfviews/internal/rdf"
 )
 
 // fixtureSlab is the slab size of the canned streams below; the engine's
@@ -35,9 +38,14 @@ var awkward = []string{
 var fixtureCols = []string{"s", "o\"<&>\u2028\n"}
 
 // fixtureStream is a canned Stream of n rows in slabs of fixtureSlab, built
-// once and rewound with reset; Next allocates nothing.
+// once and rewound with reset; it serves its rows from IDs, as the library's
+// streams do, every value a literal of a dictionary of its own. Next and
+// AppendRows allocate nothing once the dictionary's table is rendered.
 type fixtureStream struct {
+	cols []string
 	rows [][]string
+	ids  [][]dict.ID // rows, as IDs of d
+	d    *dict.Dictionary
 	at   int
 }
 
@@ -46,11 +54,22 @@ func newFixtureStream(n int) *fixtureStream {
 	for i := range rows {
 		rows[i] = []string{fmt.Sprintf("e%d", i), fmt.Sprintf("%s%d", awkward[i%len(awkward)], i)}
 	}
-	return &fixtureStream{rows: rows}
+	return newStringStream(fixtureCols, rows)
+}
+
+// newStringStream is a fixtureStream of the given columns and rows.
+func newStringStream(cols []string, rows [][]string) *fixtureStream {
+	st := &fixtureStream{cols: cols, rows: rows, ids: make([][]dict.ID, len(rows)), d: dict.New()}
+	for i, row := range rows {
+		for _, v := range row {
+			st.ids[i] = append(st.ids[i], st.d.Encode(rdf.NewLiteral(v)))
+		}
+	}
+	return st
 }
 
 func (s *fixtureStream) reset()            { s.at = 0 }
-func (s *fixtureStream) Columns() []string { return fixtureCols }
+func (s *fixtureStream) Columns() []string { return s.cols }
 func (s *fixtureStream) Close()            {}
 func (s *fixtureStream) Next() ([][]string, error) {
 	if s.at == len(s.rows) {
@@ -60,6 +79,11 @@ func (s *fixtureStream) Next() ([][]string, error) {
 	slab := s.rows[s.at:end]
 	s.at = end
 	return slab, nil
+}
+func (s *fixtureStream) AppendRows(dst []byte, comma bool, seps [][]byte, end []byte) ([]byte, int, error) {
+	from := s.at
+	slab, _ := s.Next()
+	return dict.AppendRows(s.d.Literals(), dst, comma, s.ids[from:from+len(slab)], seps, end), len(slab), nil
 }
 
 // fixtureServer serves the one stream to every query, rewound per request.

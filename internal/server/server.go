@@ -8,12 +8,12 @@
 // not:
 //
 //   - Streamed result writing with backpressure: the response encodes one
-//     row slab at a time, pulls the next, and only then writes and flushes
-//     the encoded one, so a slow client holds O(batch) server memory — one
-//     encoded slab — never O(result). An answer that fits one slab therefore
-//     leaves in a single write (head, rows and tail together; small ones
-//     with Content-Length and no chunk framing), and a stream that fails on
-//     its first pull still gets a status line of its own.
+//     row slab at a time, pulls and encodes the next, and only then writes
+//     and flushes the first, so a slow client holds O(batch) server memory —
+//     at most two encoded slabs — never O(result). An answer that fits one
+//     slab therefore leaves in a single write (head, rows and tail together;
+//     small ones with Content-Length and no chunk framing), and a stream
+//     that fails on its first pull still gets a status line of its own.
 //   - Deadlines as cancellation: every request runs under a context that
 //     expires at its (client-chosen, server-capped) timeout and is canceled
 //     when the client disconnects; the engine's cancellation checkpoints
@@ -27,15 +27,21 @@
 //     requests (net/http's lame-duck semantics).
 //
 // Results are SPARQL JSON (application/sparql-results+json): head.vars from
-// the query's own variable names, one binding object per row, appended into a
-// reused buffer by an encoder whose bytes are those of encoding/json
-// (encode.go). A failure before the first slab answers 504 (deadline, cancel)
-// or 500; mid-stream failures cannot change the status line, so a truncated
-// result closes the JSON with a nonstandard "error" member the client can
-// detect. A panic while serving one request is contained at the handler
-// boundary the same way: a 500 while the status line is still free, the
-// error member once rows have gone out, and the panics counter on /stats;
-// the server goes on serving.
+// the query's own variable names, one binding object per row, appended into
+// reused buffers with the bytes encoding/json would write (encode.go). Rows
+// are appended from IDs (Stream.AppendRows): each value is copied from its
+// dictionary's table of pre-rendered literals (dict.Literals), rendered and
+// escaped once a term. The table costs a 4-byte end offset a term, plus
+// len+2 bytes for each term whose literal escaping or shortening changes
+// (the rest are quoted from the dictionary's own bytes); it is built
+// lazily, the first time a stream of that dictionary is served, then
+// extended only by the terms added since. A failure before the first slab
+// answers 504 (deadline, cancel) or 500; mid-stream failures cannot change
+// the status line, so a truncated result closes the JSON with a nonstandard
+// "error" member the client can detect. A panic while serving one request is
+// contained at the handler boundary the same way: a 500 while the status
+// line is still free, the error member once rows have gone out, and the
+// panics counter on /stats; the server goes on serving.
 package server
 
 import (
@@ -55,10 +61,21 @@ import (
 )
 
 // Stream is one query's result stream, the shape of rdfviews.AnswerStream:
-// column names, decoded row slabs (valid until the next Next; nil = EOF),
-// and a mandatory Close.
+// column names, row slabs pulled on demand, and a mandatory Close.
 type Stream interface {
 	Columns() []string
+	// AppendRows pulls the next slab and appends its rows to dst as SPARQL
+	// JSON bindings, each value copied from the dictionary's rendered table:
+	// a comma before each row (before the first too when comma is set), then
+	// seps[i] before column i's literal, and end after the row. It returns
+	// the extended dst and the number of rows appended, 0 at the end of the
+	// stream; on an error, dst unchanged. The server pulls only through it.
+	AppendRows(dst []byte, comma bool, seps [][]byte, end []byte) ([]byte, int, error)
+	// Next returns the next slab of decoded rows (valid until the next pull;
+	// nil = EOF). The server does not call it: it is kept for the
+	// benchmark's traced wrapper (tracedStream, bench/trace.go), which embeds
+	// Stream and overrides Next, until that wrapper's span moves to
+	// AppendRows (ROADMAP B0).
 	Next() ([][]string, error)
 	Close()
 }
@@ -322,16 +339,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // reply is what a request has put on the wire so far, for the handler's
 // recover to answer a panic from.
 type reply struct {
-	enc     *encoder // the document's encoder while it is being written
-	sent    bool     // the status line is gone
-	settled int      // len(enc.buf) after its last whole slab
+	enc  *encoder // the document's encoder while it is being written
+	sent bool     // the status line is gone
 }
 
 // contain answers a panic raised while serving one request: a 500 while the
 // status line is still free, otherwise the document closed with the error
-// member, its rows cut back to the last whole slab. It counts the panic and
-// lets the server go on; http.ErrAbortHandler, net/http's own way to abort
-// a response, is re-raised. The encoder is not kept for a later request.
+// member after its last whole slab (enc.buf takes a slab only once it is
+// appended whole). It counts the panic and lets the server go on;
+// http.ErrAbortHandler, net/http's own way to abort a response, is
+// re-raised. The encoder is not kept for a later request.
 func (s *Server) contain(w http.ResponseWriter, rep *reply, p any) {
 	if p == http.ErrAbortHandler {
 		panic(p)
@@ -346,7 +363,6 @@ func (s *Server) contain(w http.ResponseWriter, rep *reply, p any) {
 	if e == nil { // the response was finished before the panic
 		return
 	}
-	e.buf = e.buf[:rep.settled]
 	e.end(err)
 	(&countingWriter{w: w, c: &s.counters}).Write(e.buf)
 }
@@ -378,10 +394,10 @@ func (s *Server) acquire() *encoder {
 	}
 }
 
-// release keeps the encoder for a later request unless its buffer outgrew
+// release keeps the encoder for a later request unless a buffer outgrew
 // what is worth keeping or every slot already has one.
 func (s *Server) release(e *encoder) {
-	if cap(e.buf) > maxKeptEncoderBytes {
+	if cap(e.buf) > maxKeptEncoderBytes || cap(e.next) > maxKeptEncoderBytes {
 		return
 	}
 	select {
@@ -391,16 +407,21 @@ func (s *Server) release(e *encoder) {
 }
 
 // writeResults streams the SPARQL JSON result document: head, one binding
-// object per row, tail. Each slab is encoded, then the next one is pulled,
-// and only then is the encoded one written and flushed — so an answer of one
-// slab is one write, and a longer one holds one encoded slab while the
-// pipeline produces the next. Backpressure is the write itself: no slab is
-// pulled while an earlier one waits for the socket, so server-side result
-// state stays O(batch).
+// object per row, tail. Each slab is encoded, then the next one is pulled
+// and encoded beside it, and only then is the first written and flushed —
+// so an answer of one slab is one write, and a longer one holds at most two
+// encoded slabs while the pipeline produces the next. Backpressure is the
+// write itself: no slab is pulled while an earlier one waits for the socket,
+// so server-side result state stays O(batch).
 func (s *Server) writeResults(ctx context.Context, w http.ResponseWriter, st Stream, rep *reply) {
-	rows, err := st.Next()
+	e := s.acquire()
+	rep.enc = e
+	e.begin(st.Columns())
+	n, err := e.slab(st, &e.buf)
 	if err != nil {
 		// Nothing is on the wire yet, so the failure gets a status line.
+		rep.enc = nil
+		s.release(e)
 		status := http.StatusInternalServerError
 		if isCancel(err) {
 			s.counters.Canceled.Add(1)
@@ -416,14 +437,9 @@ func (s *Server) writeResults(ctx context.Context, w http.ResponseWriter, st Str
 	cw := &countingWriter{w: w, c: &s.counters}
 	flusher, _ := w.(http.Flusher)
 
-	e := s.acquire()
-	rep.enc = e
-	e.begin(st.Columns())
-	for rows != nil {
-		e.rows(rows)
-		rep.settled = len(e.buf)
-		s.counters.Rows.Add(int64(len(rows)))
-		if rows, err = st.Next(); err != nil || rows == nil {
+	for n > 0 {
+		s.counters.Rows.Add(int64(n))
+		if n, err = e.slab(st, &e.next); err != nil || n == 0 {
 			break
 		}
 		rep.sent = true
@@ -434,7 +450,7 @@ func (s *Server) writeResults(ctx context.Context, w http.ResponseWriter, st Str
 			// cancellation checkpoint instead of being abandoned mid-flight.
 			s.counters.Canceled.Add(1)
 			<-ctx.Done()
-			st.Next()
+			e.slab(st, &e.next)
 			rep.enc = nil
 			s.release(e)
 			return
@@ -442,7 +458,7 @@ func (s *Server) writeResults(ctx context.Context, w http.ResponseWriter, st Str
 		if flusher != nil {
 			flusher.Flush()
 		}
-		e.buf, rep.settled = e.buf[:0], 0
+		e.buf, e.next = e.next, e.buf[:0]
 	}
 	canceled := isCancel(err)
 	e.end(err)

@@ -16,7 +16,9 @@ import (
 	"time"
 
 	"rdfviews"
+	"rdfviews/internal/dict"
 	"rdfviews/internal/engine"
+	"rdfviews/internal/rdf"
 	"rdfviews/internal/server"
 )
 
@@ -338,7 +340,28 @@ func (s *sliceStream) Next() ([][]string, error) {
 	}
 	return nil, s.err
 }
+func (s *sliceStream) AppendRows(dst []byte, comma bool, seps [][]byte, end []byte) ([]byte, int, error) {
+	return appendSlab(s.Next, dst, comma, seps, end)
+}
 func (s *sliceStream) Close() {}
+
+// appendSlab pulls a canned slab and appends it from IDs, the way the
+// library's streams do: every value a literal of a dictionary of the slab's
+// own, copied from its rendered table.
+func appendSlab(next func() ([][]string, error), dst []byte, comma bool, seps [][]byte, end []byte) ([]byte, int, error) {
+	slab, err := next()
+	if err != nil || slab == nil {
+		return dst, 0, err
+	}
+	d := dict.New()
+	rows := make([][]dict.ID, len(slab))
+	for i, row := range slab {
+		for _, v := range row {
+			rows[i] = append(rows[i], d.Encode(rdf.NewLiteral(v)))
+		}
+	}
+	return dict.AppendRows(d.Literals(), dst, comma, rows, seps, end), len(slab), nil
+}
 
 // TestServerAdmissionControl walks the full admission state machine with a
 // deterministic backend: slot held -> second request queues -> third sheds
@@ -583,7 +606,10 @@ type streamFunc struct {
 
 func (s streamFunc) Columns() []string         { return s.cols }
 func (s streamFunc) Next() ([][]string, error) { return s.next() }
-func (s streamFunc) Close()                    {}
+func (s streamFunc) AppendRows(dst []byte, comma bool, seps [][]byte, end []byte) ([]byte, int, error) {
+	return appendSlab(s.next, dst, comma, seps, end)
+}
+func (s streamFunc) Close() {}
 
 // TestServerDisconnectCancelsQuery is the acceptance test for disconnect
 // propagation: a client that walks away mid-stream must stop the running

@@ -13,8 +13,10 @@ package rdfviews
 // maintained or loaded from a bundle — collects one of these streams, so
 // routing, caching and freshness — statement cache, plan cache, view-route
 // match, StaleReadPolicy flush barrier — exist once, every rewriting runs
-// through openRewriting (called from Views.rewriting alone), and
-// AnswerStream.decode is the only decoder.
+// through openRewriting (called from Views.rewriting alone), and every
+// value is rendered by dict.Render: through AnswerStream.decode for the
+// library's rows, through the dictionary's rendered table for the server's
+// (AnswerStream.AppendRows).
 
 import (
 	"context"
@@ -28,31 +30,18 @@ import (
 	"rdfviews/internal/store"
 )
 
-// maxStreamMemo caps the per-stream decode memo. A stream must stay
-// O(batch), so the memo is a direct-mapped table of at most this many
-// entries in which an ID simply takes the place of whichever one shared its
-// slot.
-const maxStreamMemo = 4096
-
-// memoEntry is one slot of the decode memo: the last ID decoded into it.
-type memoEntry struct {
-	id  dict.ID
-	val string
-}
-
 // ErrStreamClosed is what AnswerStream.Next returns once the stream was
 // closed before its end.
 var ErrStreamClosed = engine.ErrStreamClosed
 
 // AnswerStream is a streaming query answer: decoded row slabs pulled on
-// demand. A slab (and its rows) is valid only until the next call to Next.
-// Close releases the underlying pipeline and is required on every stream,
-// drained or not.
+// demand (Next), or the same slabs appended as SPARQL JSON (AppendRows). A
+// slab (and its rows) is valid only until the next pull. Close releases the
+// underlying pipeline and is required on every stream, drained or not.
 type AnswerStream struct {
 	cols []string
 	rs   *engine.RowStream
 	d    *dict.Dictionary
-	memo []memoEntry // direct-mapped by id & (len-1); sized by the first slab
 	out  [][]string
 	flat []string
 }
@@ -89,20 +78,14 @@ func (s *AnswerStream) Next() ([][]string, error) {
 	if cap(s.flat) < need {
 		s.flat = make([]string, need)
 	}
-	if s.memo == nil {
-		// Sized by what the first slab could hold distinct: a point answer
-		// pays for a handful of entries, a scan for the cap.
-		size := 1
-		for size < need && size < maxStreamMemo {
-			size <<= 1
-		}
-		s.memo = make([]memoEntry, size)
-	}
+	// One view per slab: the dictionary only grows, so a view taken after
+	// the slab was pulled holds every ID in it.
+	terms := s.d.Terms()
 	s.out = s.out[:0]
 	for ri, row := range rows {
 		r := s.flat[ri*w : (ri+1)*w : (ri+1)*w]
 		for i, id := range row {
-			r[i] = s.decode(id)
+			r[i] = s.decode(terms, id)
 		}
 		s.out = append(s.out, r)
 	}
@@ -132,27 +115,32 @@ func (s *AnswerStream) collect() ([][]string, error) {
 	}
 }
 
-// decode renders one dictionary ID — the one rule every answer follows: IRIs
-// shortened, literal values raw, undecodable IDs as ?id. The memo is bounded
-// (maxStreamMemo) so an adversarially wide result cannot grow it past O(1).
-// Valid IDs start at 1, so the zero entry of a fresh slot matches none.
-func (s *AnswerStream) decode(id dict.ID) string {
-	e := &s.memo[uint64(id)&uint64(len(s.memo)-1)]
-	if e.id == id && id != 0 {
-		return e.val
+// AppendRows pulls the next slab and appends its rows to dst as SPARQL JSON
+// bindings — the server's one encoder (server.Stream.AppendRows): a comma
+// before each row (before the first too when comma is set), then seps[i]
+// before column i's value and end after the row. Each value is copied from
+// the dictionary's table of rendered literals (dict.Literals), so it is
+// rendered by the rule decode follows and escaped once per dictionary, not
+// once per binding. It returns the extended dst and the number of rows
+// appended, 0 at the end of the stream; on an error, dst unchanged. It pulls
+// the same stream as Next.
+func (s *AnswerStream) AppendRows(dst []byte, comma bool, seps [][]byte, end []byte) ([]byte, int, error) {
+	rows, err := s.rs.Next()
+	if err != nil || rows == nil {
+		return dst, 0, err
 	}
-	t, err := s.d.Decode(id)
-	var v string
-	switch {
-	case err != nil:
-		v = fmt.Sprintf("?%d", id)
-	case t.Kind == rdf.IRI:
-		v = rdf.ShortenIRI(t.Value)
-	default:
-		v = t.Value
+	return dict.AppendRows(s.d.Literals(), dst, comma, rows, seps, end), len(rows), nil
+}
+
+// decode renders one dictionary ID against a Terms() view by the one rule
+// every answer follows (dict.Render: IRIs shortened, literal values raw,
+// undecodable IDs as ?id), re-reading the view once before an ID past it
+// renders as ?id.
+func (s *AnswerStream) decode(terms []rdf.Term, id dict.ID) string {
+	if id > dict.ID(len(terms)) {
+		terms = s.d.Terms()
 	}
-	e.id, e.val = id, v
-	return v
+	return dict.Render(terms, id)
 }
 
 // openRewriting is the one way a rewriting runs, whichever surface asks:

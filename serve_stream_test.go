@@ -182,8 +182,8 @@ func bulkDB(t testing.TB, n int) *Database {
 // TestAnswerStreamMemoryBounded is the O(batch) acceptance test: draining a
 // ~120k-row result through the stream must hold batch-sized state, not the
 // whole decoded result — mid-drain live heap must stay far below the
-// materialized answer. The decode memo is capped and the slab is reused in
-// both cases. The full scan is non-distinct (full-width head), so the engine
+// materialized answer. Decoding keeps no per-stream state and the slab is
+// reused in both cases. The full scan is non-distinct (full-width head), so the engine
 // keeps no dedup set. The type union is serve-scan's shape, ?x a <top> over a
 // bulk class hierarchy under post-reformulation: one plan whose union leaf
 // merges the subclass scans and drops their duplicates side by side, where

@@ -3,12 +3,18 @@ package rdfviews
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"rdfviews/internal/server"
 )
 
 // TestAnswerSurfacesAgree is the differential over every answering surface
@@ -21,8 +27,11 @@ import (
 // materialized one saved, and maintained. A workload text with its head
 // permuted takes the view route with its columns reordered on the text
 // surfaces, in a bundle too; a text that only the store answers fails there
-// with ErrNoStore. Then the fixture's update stream runs through a maintained
-// Views, synchronous and behind a change queue (maintainedAgree).
+// with ErrNoStore. Every text is also served over HTTP (server.Handler) from
+// the Database and from the maintained Views, its SPARQL JSON document
+// decoded back into rows. Then the fixture's update stream runs through a
+// maintained Views, synchronous and behind a change queue, served before and
+// after it (maintainedAgree).
 func TestAnswerSurfacesAgree(t *testing.T) {
 	fixtures := []struct {
 		name, data, schema string
@@ -121,6 +130,10 @@ func TestAnswerSurfacesAgree(t *testing.T) {
 							t.Fatalf("%s(%q) diverged from the oracle\n got: %v\nwant: %v", surface, text, canon(got), canon(want))
 						}
 					}
+					dbHTTP := handlerFor(t, func(ctx context.Context, text string) (*AnswerStream, error) {
+						return db.AnswerQueryStream(ctx, text, mode)
+					})
+					lvHTTP := handlerFor(t, lv.AnswerQueryStream)
 					texts := append(append([]string(nil), fx.workload...), adhoc[fx.name]...)
 					storeOnly := len(texts) - 1 // the ad-hoc text of no workload shape
 					for i, text := range texts {
@@ -154,6 +167,10 @@ func TestAnswerSurfacesAgree(t *testing.T) {
 							}
 							check(st.name+"/AnswerQueryStream", text, got, err)
 						}
+						got, err = served(dbHTTP, text)
+						check("HTTP/Database", text, got, err)
+						got, err = served(lvHTTP, text)
+						check("HTTP/Maintain", text, got, err)
 					}
 
 					for _, depth := range []int{0, 8} {
@@ -209,6 +226,12 @@ func maintainedAgree(t *testing.T, db, fresh *Database, workload, adhoc, updates
 		t.Fatal(err)
 	}
 	defer lv.Close()
+	// Served once before the updates, so the dictionary's rendered table
+	// exists and has to take in the terms they add.
+	lvHTTP := handlerFor(t, lv.AnswerQueryStream)
+	if _, err := served(lvHTTP, workload[0]); err != nil {
+		t.Fatal(err)
+	}
 	for _, u := range updates {
 		if u[0] == '+' {
 			_, err = lv.Insert(u[1:])
@@ -254,7 +277,66 @@ func maintainedAgree(t *testing.T, db, fresh *Database, workload, adhoc, updates
 		if err != nil || !sameAnswers(got, want) {
 			t.Errorf("queue=%d: Views.AnswerQuery(%q) after the updates = %v (%v), oracle %v", depth, text, canon(got), err, canon(want))
 		}
+		got, err = served(lvHTTP, text)
+		if err != nil || !sameAnswers(got, want) {
+			t.Errorf("queue=%d: HTTP %q after the updates = %v (%v), oracle %v", depth, text, canon(got), err, canon(want))
+		}
 	}
+}
+
+// handlerFor is the HTTP tier over one answering surface, wired as
+// cmd/rdfviews -serve wires it.
+func handlerFor(t *testing.T, open func(ctx context.Context, text string) (*AnswerStream, error)) http.Handler {
+	t.Helper()
+	srv, err := server.New(server.Config{Backend: server.BackendFunc(func(ctx context.Context, q string) (server.Stream, error) {
+		s, err := open(ctx, q)
+		if err != nil {
+			return nil, err
+		}
+		return s, nil
+	})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv.Handler()
+}
+
+// served answers text through h and decodes the SPARQL JSON document into
+// rows in head.vars order.
+func served(h http.Handler, text string) ([][]string, error) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/sparql?query="+url.QueryEscape(text), nil))
+	if rec.Code != http.StatusOK {
+		return nil, fmt.Errorf("status %d: %s", rec.Code, rec.Body)
+	}
+	var doc struct {
+		Head struct {
+			Vars []string `json:"vars"`
+		} `json:"head"`
+		Results struct {
+			Bindings []map[string]struct{ Type, Value string } `json:"bindings"`
+		} `json:"results"`
+		Error *string `json:"error"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+		return nil, err
+	}
+	if doc.Error != nil {
+		return nil, errors.New(*doc.Error)
+	}
+	rows := [][]string{}
+	for _, b := range doc.Results.Bindings {
+		row := make([]string, len(doc.Head.Vars))
+		for i, v := range doc.Head.Vars {
+			lit, ok := b[v]
+			if !ok || lit.Type != "literal" {
+				return nil, fmt.Errorf("binding %v: %q is not a literal", b, v)
+			}
+			row[i] = lit.Value
+		}
+		rows = append(rows, row)
+	}
+	return rows, nil
 }
 
 // afterUpdates is the data, one triple a line, that the update stream leaves.
