@@ -1,5 +1,5 @@
 // rdfviews-lint is the multichecker for the repo's invariant analyzers
-// (internal/analysis): cancelcheck, batchlease, snappin and ctxflow.
+// (internal/analysis): cancelcheck, batchlease, snappin, ctxflow and retired.
 //
 // It runs two ways:
 //

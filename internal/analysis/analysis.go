@@ -41,6 +41,9 @@ type Analyzer struct {
 	Doc string
 	// Run applies the analyzer to one package.
 	Run func(*Pass) error
+	// Tests keeps the analyzer's findings in _test.go files, which Reportf
+	// otherwise drops: the analyzer decides itself which test files it reads.
+	Tests bool
 }
 
 // Pass carries one analyzed package to an Analyzer's Run function.
@@ -54,11 +57,18 @@ type Pass struct {
 	diags *[]Diagnostic
 }
 
-// Reportf records a diagnostic at pos.
+// Reportf records a diagnostic at pos. One in a _test.go file is dropped
+// unless the analyzer reads tests (Analyzer.Tests): tests exercise operators
+// in deliberately degenerate ways (draining a cursor with no interrupt to
+// prove a point) and are covered by the race detector instead.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+	at := p.Fset.Position(pos)
+	if strings.HasSuffix(at.Filename, "_test.go") && !p.Analyzer.Tests {
+		return
+	}
 	*p.diags = append(*p.diags, Diagnostic{
 		Analyzer: p.Analyzer.Name,
-		Pos:      p.Fset.Position(pos),
+		Pos:      at,
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
@@ -83,11 +93,8 @@ type Package struct {
 }
 
 // Run applies every analyzer to every package and returns the surviving
-// diagnostics sorted by position. Findings in _test.go files are dropped —
-// tests exercise operators in deliberately degenerate ways (draining a
-// cursor with no interrupt to prove a point) and are covered by the race
-// detector instead. Findings suppressed by a //lint:ignore directive with a
-// reason are dropped too.
+// diagnostics sorted by position. Findings suppressed by a //lint:ignore
+// directive with a reason are dropped.
 func Run(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
@@ -107,9 +114,6 @@ func Run(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) {
 			}
 		}
 		for _, d := range pkgDiags {
-			if strings.HasSuffix(d.Pos.Filename, "_test.go") {
-				continue
-			}
 			if ignores.covers(d) {
 				continue
 			}

@@ -23,8 +23,8 @@ type want struct {
 }
 
 // runFixture loads testdata/src/<rel>/... and checks analyzer a against the
-// fixture's want annotations.
-func runFixture(t *testing.T, a *Analyzer, rel string) {
+// fixture's want annotations. It returns the diagnostics.
+func runFixture(t *testing.T, a *Analyzer, rel string) []Diagnostic {
 	t.Helper()
 	dir := filepath.Join("testdata", "src")
 	pkgs, err := Load(dir, "./"+rel+"/...")
@@ -49,6 +49,7 @@ func runFixture(t *testing.T, a *Analyzer, rel string) {
 			t.Errorf("%s:%d: no diagnostic matched want %q", w.file, w.line, w.re)
 		}
 	}
+	return diags
 }
 
 func collectWants(t *testing.T, pkgs []*Package) []*want {

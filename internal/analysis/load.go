@@ -12,32 +12,38 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 )
 
 // Offline package loader for the standalone path (rdfviews-lint run directly,
-// and the fixture tests). It resolves patterns with `go list -deps -json`,
-// parses the non-standard packages' sources, and typechecks them in
-// dependency order. Standard-library imports are typechecked lazily from
-// $GOROOT/src by the stdlib "source" importer, so loading needs neither a
-// module cache nor the network. The vettool path in cmd/rdfviews-lint does
-// not use this loader: there the go command hands us export data instead.
+// and the fixture tests). It resolves patterns with `go list -deps -test
+// -json`, parses the non-standard packages' sources, and typechecks them in
+// dependency order, test variants too, as go vet sees them: a package with
+// tests is analyzed as its test variant (its files plus its _test.go
+// files), and an external test package as its own package. Standard-library
+// imports are typechecked lazily from $GOROOT/src by the stdlib "source"
+// importer, so loading needs neither a module cache nor the network. The
+// vettool path in cmd/rdfviews-lint does not use this loader: there the go
+// command hands us export data instead.
 
 type listPkg struct {
-	ImportPath string
-	Name       string
-	Dir        string
-	GoFiles    []string
-	Imports    []string
-	Standard   bool
-	DepOnly    bool
+	ImportPath  string
+	Name        string
+	Dir         string
+	GoFiles     []string
+	ImportMap   map[string]string
+	TestGoFiles []string
+	Standard    bool
+	DepOnly     bool
 }
 
 // Load type-checks the packages matching patterns, resolved relative to dir.
-// It returns only the root (pattern-matched) packages; dependencies are
-// loaded as needed but not analyzed.
+// It returns only the root (pattern-matched) packages, each in its test
+// variant where it has one; dependencies are loaded as needed but not
+// analyzed.
 func Load(dir string, patterns ...string) ([]*Package, error) {
-	args := append([]string{"list", "-e", "-deps",
-		"-json=ImportPath,Name,Dir,GoFiles,Imports,Standard,DepOnly"}, patterns...)
+	args := append([]string{"list", "-e", "-deps", "-test",
+		"-json=ImportPath,Name,Dir,GoFiles,ImportMap,TestGoFiles,Standard,DepOnly"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
@@ -60,22 +66,11 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	fset := token.NewFileSet()
 	std := importer.ForCompiler(fset, "source", nil)
 	typed := map[string]*types.Package{}
-	imp := importerFunc(func(path string) (*types.Package, error) {
-		if path == "unsafe" {
-			return types.Unsafe, nil
-		}
-		if tp := typed[path]; tp != nil {
-			return tp, nil
-		}
-		return std.Import(path)
-	})
-
 	var roots []*Package
 	for _, lp := range pkgs {
-		if lp.Standard {
-			continue // imported lazily from $GOROOT/src
-		}
-		if len(lp.GoFiles) == 0 {
+		// Standard packages are imported lazily from $GOROOT/src; a test
+		// binary's generated main has nothing to analyze.
+		if lp.Standard || len(lp.GoFiles) == 0 || strings.HasSuffix(lp.ImportPath, ".test") {
 			continue
 		}
 		var files []*ast.File
@@ -86,16 +81,33 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			}
 			files = append(files, f)
 		}
+		imp := importerFunc(func(path string) (*types.Package, error) {
+			if id, ok := lp.ImportMap[path]; ok {
+				path = id
+			}
+			if path == "unsafe" {
+				return types.Unsafe, nil
+			}
+			if tp := typed[path]; tp != nil {
+				return tp, nil
+			}
+			return std.Import(path)
+		})
 		info := newTypesInfo()
 		conf := types.Config{Importer: imp}
-		tp, err := conf.Check(lp.ImportPath, fset, files, info)
+		// A variant's ID is "path [p.test]"; its package path is path.
+		path, _, _ := strings.Cut(lp.ImportPath, " ")
+		tp, err := conf.Check(path, fset, files, info)
 		if err != nil {
 			return nil, fmt.Errorf("typecheck %s: %w", lp.ImportPath, err)
 		}
 		typed[lp.ImportPath] = tp
-		if !lp.DepOnly {
-			roots = append(roots, &Package{Fset: fset, Files: files, Pkg: tp, TypesInfo: info})
+		// A package with tests is analyzed as its test variant, which holds
+		// its files and more.
+		if lp.DepOnly || path == lp.ImportPath && len(lp.TestGoFiles) > 0 {
+			continue
 		}
+		roots = append(roots, &Package{Fset: fset, Files: files, Pkg: tp, TypesInfo: info})
 	}
 	return roots, nil
 }

@@ -57,6 +57,16 @@ func methodCall(call *ast.CallExpr, name string) (ast.Expr, bool) {
 	return sel.X, true
 }
 
+// callee returns the object a call names — a function, or a method through a
+// selector — or nil.
+func callee(info *types.Info, call *ast.CallExpr) types.Object {
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+		return info.Uses[sel.Sel]
+	}
+	id, _ := ast.Unparen(call.Fun).(*ast.Ident)
+	return info.Uses[id]
+}
+
 // isContextType reports whether t is context.Context.
 func isContextType(t types.Type) bool { return isNamed(t, "context", "Context") }
 

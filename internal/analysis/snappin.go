@@ -23,19 +23,31 @@ import (
 //     into lock convoys (and can deadlock against a consumer that needs the
 //     same lock). Locks released by defer are considered held to the end of
 //     the function.
+//  3. in the root package (named rdfviews), an expression of type
+//     *store.Store passed to a function or method of package engine, or
+//     given as a composite literal's reader field, is flagged: every product
+//     read pins one Snapshot per call, so a query, a materialization or a
+//     statistics provider reads one store state however the store moves
+//     under it. This is the root-package half of "one read path"; the
+//     retired analyzer's row of that name keeps the live Store's own read
+//     code out.
 var Snappin = &Analyzer{
 	Name: "snappin",
 	Doc: "compiled-plan execution must use the pinned store.Reader snapshot, " +
-		"not the live *store.Store, and must not send on channels while " +
-		"holding shard or dictionary locks",
+		"not the live *store.Store, nor may the root package hand it the live " +
+		"store, and must not send on channels while holding shard or " +
+		"dictionary locks",
 	Run: runSnappin,
 }
 
 func runSnappin(pass *Pass) error {
 	pkg := pass.Pkg.Name()
-	if pkg == "engine" {
-		for _, f := range pass.Files {
+	for _, f := range pass.Files {
+		switch pkg {
+		case "engine":
 			checkLiveStoreUse(pass, f)
+		case "rdfviews":
+			checkRootReads(pass, f)
 		}
 	}
 	if pkg == "engine" || pkg == "store" || pkg == "dict" {
@@ -63,6 +75,25 @@ func checkLiveStoreUse(pass *Pass, f *ast.File) {
 			pass.Reportf(sel.Pos(), "execution code must hold the pinned "+
 				"store.Reader snapshot, not the live *store.Store "+
 				"(pin once at plan build, read through the Reader)")
+		}
+		return true
+	})
+}
+
+// checkRootReads flags the live store handed to the engine or kept as a
+// reader.
+func checkRootReads(pass *Pass, f *ast.File) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		var held []ast.Expr
+		if call, ok := n.(*ast.CallExpr); ok && strings.HasPrefix(objKey(callee(pass.TypesInfo, call)), "engine.") {
+			held = call.Args
+		} else if kv, ok := n.(*ast.KeyValueExpr); ok && exprString(pass.Fset, kv.Key) == "reader" {
+			held = []ast.Expr{kv.Value}
+		}
+		for _, e := range held {
+			if isNamed(pass.TypesInfo.TypeOf(e), "store", "Store") {
+				pass.Reportf(e.Pos(), "a root-package read hands the engine the live store; pin one Snapshot per call")
+			}
 		}
 		return true
 	})

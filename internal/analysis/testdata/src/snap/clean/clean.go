@@ -41,3 +41,6 @@ func (s *shard) drain() {
 		s.out <- v
 	}
 }
+
+// Count reads through whatever Reader it is handed.
+func Count(rd store.Reader) int { return countPinned(rd) }

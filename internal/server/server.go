@@ -229,8 +229,17 @@ func (s *Server) timeoutFor(r *http.Request) (time.Duration, error) {
 	d, err := time.ParseDuration(raw)
 	if err != nil {
 		secs, serr := strconv.ParseFloat(raw, 64)
-		if serr != nil {
+		if serr != nil && !errors.Is(serr, strconv.ErrRange) {
 			return 0, fmt.Errorf("bad timeout %q (want a duration like 500ms or seconds)", raw)
+		}
+		// Cap in seconds, before converting: past about 292 years the
+		// conversion overflows to a negative Duration. !(secs > 0) is
+		// also true of NaN.
+		switch {
+		case !(secs > 0):
+			return 0, fmt.Errorf("bad timeout %q (must be positive)", raw)
+		case secs >= s.cfg.MaxTimeout.Seconds():
+			return s.cfg.MaxTimeout, nil
 		}
 		d = time.Duration(secs * float64(time.Second))
 	}
