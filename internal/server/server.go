@@ -52,6 +52,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"regexp"
 	"runtime"
 	"strconv"
 	"strings"
@@ -218,6 +219,10 @@ func queryText(w http.ResponseWriter, r *http.Request) (string, error) {
 	return q, nil
 }
 
+// durationSyntax is time.ParseDuration's syntax: an optional sign, then one
+// or more decimal numbers each with a unit.
+var durationSyntax = regexp.MustCompile(`^[-+]?((\d+\.?\d*|\.\d+)(ns|us|µs|μs|ms|s|m|h))+$`)
+
 // timeoutFor resolves the request's execution deadline: the timeout
 // parameter (a Go duration like 500ms, or a bare number of seconds), capped
 // at MaxTimeout, defaulting to DefaultTimeout.
@@ -227,6 +232,11 @@ func (s *Server) timeoutFor(r *http.Request) (time.Duration, error) {
 		return s.cfg.DefaultTimeout, nil
 	}
 	d, err := time.ParseDuration(raw)
+	if err != nil && raw[0] != '-' && durationSyntax.MatchString(raw) {
+		// Well-formed with known units, so past the Duration range
+		// (about 292 years), which ParseDuration calls invalid.
+		return s.cfg.MaxTimeout, nil
+	}
 	if err != nil {
 		secs, serr := strconv.ParseFloat(raw, 64)
 		if serr != nil && !errors.Is(serr, strconv.ErrRange) {

@@ -8,8 +8,8 @@ import (
 )
 
 // TestTimeoutFor checks the timeout parameter: a Go duration or a bare
-// number of seconds, capped at MaxTimeout however large (a number of
-// seconds past about 292 years overflows a Duration), defaulting to
+// number of seconds, capped at MaxTimeout however large (past about 292
+// years either overflows a Duration), defaulting to
 // DefaultTimeout, and rejected when not positive or not a number.
 func TestTimeoutFor(t *testing.T) {
 	s := &Server{cfg: Config{DefaultTimeout: 30 * time.Second, MaxTimeout: 2 * time.Minute}}
@@ -28,6 +28,14 @@ func TestTimeoutFor(t *testing.T) {
 		{"Inf", 2 * time.Minute},
 		{"1e400", 2 * time.Minute}, // past float64: ParseFloat returns +Inf with ErrRange
 		{"NaN", 0},
+		{"2562047h", 2 * time.Minute},      // the largest whole hours a Duration holds
+		{"3000000h", 2 * time.Minute},      // past the Duration range: ParseDuration calls it invalid
+		{"300000000000s", 2 * time.Minute}, // the same in seconds
+		{"1h3000000h", 2 * time.Minute},
+		{"-3000000h", 0},
+		{"+-3000000h", 0},
+		{"3000000hx", 0},
+		{"3000000", 2 * time.Minute},
 	} {
 		r := httptest.NewRequest("GET", "/sparql?timeout="+url.QueryEscape(c.raw), nil)
 		got, err := s.timeoutFor(r)

@@ -33,13 +33,17 @@ type ID2 struct {
 
 // subCursor streams one shard's snapshot: a buffered head (the stream's
 // smallest unread triple, when live) followed by the remaining base range
-// merged with the remaining overlay range, skipping tombstones.
+// merged with the remaining overlay range, skipping tombstones. The base range
+// is a run of positions from the permutation's index (base), or, for a base
+// kept in place (the object side's POS), the positions lo..hi-1 themselves;
+// the other of the two is empty.
 type subCursor struct {
-	sn    *snap
-	base  []int32
-	delta []int32
-	head  Triple
-	live  bool
+	sn     *snap
+	base   []int32
+	lo, hi int32
+	delta  []int32
+	head   Triple
+	live   bool
 }
 
 // advance is the one per-shard step: it copies the stream's triples, in
@@ -47,44 +51,60 @@ type subCursor struct {
 // last), stops when dst is full, and pops the following triple as the new
 // head (live is false when none is left). A shard with no overlay positions
 // left and no tombstones streams its base range as it lies — on the last
-// live stream a flat gather; only a dirty shard merges base and overlay and
-// skips tombstones.
+// live stream a flat gather (a flat copy from a base in place); only a dirty
+// shard merges base and overlay and skips tombstones.
 func (c *subCursor) advance(dst []Triple, bound Triple, last bool, order [3]int) int {
 	tris := c.sn.triples
-	base, delta, tomb := c.base, c.delta, c.sn.tomb
+	base, lo, hi, delta, tomb := c.base, c.lo, c.hi, c.delta, c.sn.tomb
 	n := 0
 	if len(delta) == 0 && len(tomb) == 0 {
-		if last {
+		if last && lo < hi {
+			n = min(len(dst), int(hi-lo))
+			for i, t := range tris[lo : lo+int32(n)] {
+				dst[i] = t.wide()
+			}
+			lo += int32(n)
+		} else if last {
 			n = min(len(dst), len(base))
 			for i, pos := range base[:n] {
 				dst[i] = tris[pos].wide()
 			}
 			base = base[n:]
 		}
-		for ; len(base) > 0; n++ {
-			t := tris[base[0]].wide()
-			base = base[1:]
+		for ; lo < hi || len(base) > 0; n++ {
+			var t Triple
+			if lo < hi {
+				t = tris[lo].wide()
+				lo++
+			} else {
+				t = tris[base[0]].wide()
+				base = base[1:]
+			}
 			if n == len(dst) || !(last || permLess(t, bound, order)) {
-				c.base, c.head, c.live = base, t, true
+				c.base, c.lo, c.head, c.live = base, lo, t, true
 				return n
 			}
 			dst[n] = t
 		}
-		c.base, c.live = base, false
+		c.base, c.lo, c.live = base, lo, false
 		return n
 	}
 	for {
+		// The base's next position: the run's in place, or the list's.
+		next, more := lo, lo < hi
+		if !more && len(base) > 0 {
+			next, more = base[0], true
+		}
 		var pos int32
 		switch {
-		case len(base) == 0 && len(delta) == 0:
-			c.base, c.delta, c.live = base, delta, false
+		case !more && len(delta) == 0:
+			c.base, c.lo, c.delta, c.live = base, lo, delta, false
 			return n
-		case len(delta) == 0:
-			pos, base = base[0], base[1:]
-		case len(base) == 0:
+		case !more || (len(delta) > 0 && permLess(tris[delta[0]], tris[next], order)):
 			pos, delta = delta[0], delta[1:]
-		case permLess(tris[delta[0]], tris[base[0]], order):
-			pos, delta = delta[0], delta[1:]
+		case lo < hi:
+			pos = lo
+			lo++
 		default:
 			pos, base = base[0], base[1:]
 		}
@@ -93,7 +113,7 @@ func (c *subCursor) advance(dst []Triple, bound Triple, last bool, order [3]int)
 		}
 		t := tris[pos].wide()
 		if n == len(dst) || !(last || permLess(t, bound, order)) {
-			c.base, c.delta, c.head, c.live = base, delta, t, true
+			c.base, c.lo, c.delta, c.head, c.live = base, lo, delta, t, true
 			return n
 		}
 		dst[n] = t
@@ -135,6 +155,8 @@ func cursorOverSnaps(snaps []*snap, p Perm, pat Pattern) Cursor {
 		sub.sn = s
 		lo, hi := rangeIn(s.triples, s.base[p], order, prefix)
 		sub.base = s.base[p][lo:hi]
+		lo, hi = rangeRun(s.inPlace(p), order, prefix)
+		sub.lo, sub.hi = int32(lo), int32(hi)
 		lo, hi = rangeIn(s.triples, s.delta[p], order, prefix)
 		sub.delta = s.delta[p][lo:hi]
 		sub.advance(nil, Triple{}, true, order)
@@ -230,6 +252,7 @@ func (c *Cursor) SeekGE(col int, key dict.ID) {
 			continue // exhausted, or nothing to skip
 		}
 		tris := sub.sn.triples
+		sub.lo += int32(sort.Search(int(sub.hi-sub.lo), func(i int) bool { return dict.ID(tris[sub.lo+int32(i)][col]) >= key }))
 		sub.base = seekPositions(tris, sub.base, col, key)
 		sub.delta = seekPositions(tris, sub.delta, col, key)
 		sub.advance(nil, Triple{}, true, c.order)
@@ -249,7 +272,7 @@ func seekPositions(tris []packed, pos []int32, col int, key dict.ID) []int32 {
 func (c *Cursor) Remaining() int {
 	n := 0
 	for i := range c.subs {
-		n += len(c.subs[i].base) + len(c.subs[i].delta)
+		n += len(c.subs[i].base) + int(c.subs[i].hi-c.subs[i].lo) + len(c.subs[i].delta)
 		if c.subs[i].live {
 			n++
 		}

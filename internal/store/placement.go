@@ -19,18 +19,19 @@ import (
 // (the historical side) and, when ObjectShards > 0, in an object-hash replica
 // shard as well. Both sides are the same shard machinery — sorted
 // permutations, insert/tombstone overlays, atomic snapshot publication — over
-// different permutation sets: the subject side keeps all six and decides
-// membership; the object side keeps POS, OSP and OPS, the three an access
-// with the subject unbound can ask for, and is never asked whether a triple
-// exists. Route therefore names the object side only under those three. What
-// the dual side buys is access-side pruning: a subject-bound pattern touches
-// exactly one subject shard, and an object-bound pattern touches exactly one
-// object shard, instead of fanning out over all K subject partitions.
-// Object-bound patterns are the dominant shape of reformulated union members
-// (every ?s p o member of a relaxed query), which is why the replica is worth
-// its memory — about 24 B a triple (the 12-byte stored triple and three
-// positions) beside the subject side's 36: it turns the serving tier's O(K)
-// fan-outs into O(1) lookups.
+// different permutation sets, so that each order lives on exactly one side:
+// the subject side keeps SPO, SOP and PSO and decides membership; the object
+// side keeps POS, OSP and OPS and is never asked whether a triple exists. A
+// flat layout's one side keeps all six. Route names the side that keeps the
+// access's permutation. What the dual side buys is access-side pruning: a
+// subject-bound pattern touches exactly one subject shard, and an
+// object-bound pattern touches exactly one object shard, instead of fanning
+// out over all K subject partitions. Object-bound patterns are the dominant
+// shape of reformulated union members (every ?s p o member of a relaxed
+// query), which is why the replica is worth its memory — about 20 B a triple
+// (the 12-byte stored triple, kept in POS order so that it is the POS index
+// itself, and two positions) beside the subject side's 24: it turns the
+// serving tier's O(K) fan-outs into O(1) lookups.
 type Placement struct {
 	// SubjectShards is the partition count of the subject-hash side (>= 1).
 	SubjectShards int
@@ -97,21 +98,14 @@ func shardOfID(id dict.ID, k int) int {
 }
 
 // Route maps a pattern, under the permutation chosen for its access path, to
-// the minimal shard subset that serves it — always on a side that keeps that
-// permutation:
-//
-//   - subject bound: the one owning subject shard (both sides hold the
-//     triple, but the subject side needs no residual routing and is always
-//     present);
-//   - object bound, subject unbound, dual layout, and a permutation the object
-//     side keeps (POS, OSP, OPS — what PermFor gives every such pattern): the
-//     one owning object shard, the pruning the replica side exists for. Under
-//     SPO, SOP or PSO the object stays a residual filter over the subject
-//     fan-out, exactly as on a subject-only layout;
-//   - neither bound: the full fan-out of one side. Object-leading
-//     permutations (OSP, OPS) scan the object side when it exists, spreading
-//     unbound load across both partition families; everything else keeps the
-//     historical subject-side fan-out.
+// the minimal shard subset that serves it. Each permutation lives on one side
+// (SPO, SOP and PSO on the subject side, POS, OSP and OPS on the object side
+// of a dual layout; all six on a flat layout's one side), so the route goes
+// to that side, and opens the one shard that owns the pattern when the side's
+// partition column (S on the subject side, O on the object side) is bound,
+// and all of the side's shards otherwise. The permutation PermFor or indexFor
+// picks leads with the bound columns, so a bound S reaches its one subject
+// shard, and a bound O with S free its one object shard.
 //
 // Routing depends only on the permutation and on which positions are bound,
 // never on the constant values' hashes beyond picking the single shard — so a
@@ -120,22 +114,14 @@ func shardOfID(id dict.ID, k int) int {
 // substituted (the plan cache instantiates routes per binding for exactly
 // this reason).
 func (pl Placement) Route(p Perm, pat Pattern) Route {
-	subjK := pl.SubjectShards
-	if subjK < 1 {
-		subjK = 1
-	}
-	if pat[S] != Wildcard {
-		return Route{Side: SubjectSide, Shard: shardOfID(pat[S], subjK), K: subjK}
-	}
+	side, k, col := SubjectSide, max(pl.SubjectShards, 1), S
 	if pl.Dual() && slices.Contains(objectPerms, p) {
-		if pat[O] != Wildcard {
-			return Route{Side: ObjectSide, Shard: shardOfID(pat[O], pl.ObjectShards), K: pl.ObjectShards}
-		}
-		if perms[p][0] == O {
-			return Route{Side: ObjectSide, Shard: -1, K: pl.ObjectShards}
-		}
+		side, k, col = ObjectSide, pl.ObjectShards, O
 	}
-	return Route{Side: SubjectSide, Shard: -1, K: subjK}
+	if pat[col] == Wildcard {
+		return Route{Side: side, Shard: -1, K: k}
+	}
+	return Route{Side: side, Shard: shardOfID(pat[col], k), K: k}
 }
 
 // PruneStats is the shard-pruning ledger: for every routed cursor open it

@@ -9,10 +9,10 @@ import (
 	"rdfviews/internal/dict"
 )
 
-// TestPlacementRouteBoundness checks the routing policy over every boundness
-// shape: subject-bound patterns route to one subject shard, object-bound
-// patterns to one object shard (dual layouts only), and unbound patterns fan
-// out over the side matching the permutation's leading column.
+// TestPlacementRouteBoundness checks the routing rule over every boundness
+// shape: a route goes to the one side that keeps the permutation, and opens
+// the one shard owning the pattern when that side's partition column (S on
+// the subject side, O on the object side) is bound, all of them otherwise.
 func TestPlacementRouteBoundness(t *testing.T) {
 	const s, p, o = dict.ID(7), dict.ID(8), dict.ID(9)
 	flat := Placement{SubjectShards: 4}
@@ -27,24 +27,37 @@ func TestPlacementRouteBoundness(t *testing.T) {
 	}{
 		{"flat/subject-bound", flat, SPO, Pattern{s, Wildcard, Wildcard},
 			Route{Side: SubjectSide, Shard: shardOfID(s, 4), K: 4}},
+		{"flat/subject-bound-any-perm", flat, POS, Pattern{s, p, Wildcard},
+			Route{Side: SubjectSide, Shard: shardOfID(s, 4), K: 4}},
 		{"flat/object-bound-fans-out", flat, OPS, Pattern{Wildcard, Wildcard, o},
 			Route{Side: SubjectSide, Shard: -1, K: 4}},
 		{"flat/unbound", flat, PSO, Pattern{Wildcard, p, Wildcard},
 			Route{Side: SubjectSide, Shard: -1, K: 4}},
 		{"dual/subject-bound", dual, SPO, Pattern{s, Wildcard, Wildcard},
 			Route{Side: SubjectSide, Shard: shardOfID(s, 4), K: 4}},
+		// Under a subject-side permutation a bound S pins the subject shard
+		// even with O bound too.
 		{"dual/subject-wins-over-object", dual, SPO, Pattern{s, p, o},
 			Route{Side: SubjectSide, Shard: shardOfID(s, 4), K: 4}},
+		{"dual/object-perm-all-bound", dual, POS, Pattern{s, p, o},
+			Route{Side: ObjectSide, Shard: shardOfID(o, 8), K: 8}},
 		{"dual/object-bound", dual, OPS, Pattern{Wildcard, Wildcard, o},
 			Route{Side: ObjectSide, Shard: shardOfID(o, 8), K: 8}},
+		// Any object-side permutation routes a bound O to its one shard.
 		{"dual/object-bound-any-perm", dual, POS, Pattern{Wildcard, p, o},
 			Route{Side: ObjectSide, Shard: shardOfID(o, 8), K: 8}},
+		{"dual/object-bound-subject-perm", dual, PSO, Pattern{Wildcard, p, o},
+			Route{Side: SubjectSide, Shard: -1, K: 4}},
+		{"dual/subject-bound-object-perm", dual, POS, Pattern{s, p, Wildcard},
+			Route{Side: ObjectSide, Shard: -1, K: 8}},
 		{"dual/unbound-subject-perm", dual, SPO, Pattern{},
 			Route{Side: SubjectSide, Shard: -1, K: 4}},
 		{"dual/unbound-object-perm", dual, OSP, Pattern{},
 			Route{Side: ObjectSide, Shard: -1, K: 8}},
 		{"dual/predicate-only", dual, PSO, Pattern{Wildcard, p, Wildcard},
 			Route{Side: SubjectSide, Shard: -1, K: 4}},
+		{"dual/predicate-only-pos", dual, POS, Pattern{Wildcard, p, Wildcard},
+			Route{Side: ObjectSide, Shard: -1, K: 8}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -57,24 +70,19 @@ func TestPlacementRouteBoundness(t *testing.T) {
 		t.Fatal("Dual() wrong")
 	}
 
-	// Route is total: for every permutation and boundness shape it names a
-	// side that keeps the permutation, a shard inside that side, and the one
-	// owning shard whenever the side's partition column is bound.
+	// Route is total: for every permutation and boundness shape it names the
+	// one side that keeps the permutation, a shard inside that side, and the
+	// one owning shard whenever the side's partition column is bound.
 	for _, pl := range []Placement{flat, {SubjectShards: 2, ObjectShards: 2}, {SubjectShards: 3, ObjectShards: 5}} {
+		st := NewDual(pl.SubjectShards, pl.ObjectShards)
 		for perm := SPO; perm <= OPS; perm++ {
-			for shape := 0; shape < 8; shape++ {
-				var pat Pattern
-				for c, id := range []dict.ID{s, p, o} {
-					if shape&(1<<c) != 0 {
-						pat[c] = id
-					}
-				}
+			for _, pat := range boundnessShapes(s, p, o) {
 				r := pl.Route(perm, pat)
-				held, k, col := subjectPerms, pl.SubjectShards, S
+				side, k, col := st.shards, pl.SubjectShards, S
 				if r.Side == ObjectSide {
-					held, k, col = objectPerms, pl.ObjectShards, O
+					side, k, col = st.oshards, pl.ObjectShards, O
 				}
-				if !slices.Contains(held, perm) || k == 0 {
+				if k == 0 || !slices.Contains(side[0].perms, perm) {
 					t.Fatalf("%+v: Route(%v, %v) = %+v names a side without that permutation", pl, perm, pat, r)
 				}
 				want := -1
@@ -84,8 +92,39 @@ func TestPlacementRouteBoundness(t *testing.T) {
 				if r.K != k || r.Shard != want {
 					t.Fatalf("%+v: Route(%v, %v) = %+v, want shard %d of %d", pl, perm, pat, r, want, k)
 				}
-				if pat[S] != Wildcard && r.Side != SubjectSide {
-					t.Fatalf("%+v: Route(%v, %v) = %+v leaves the subject side with S bound", pl, perm, pat, r)
+			}
+		}
+	}
+
+	// The permutations the planner asks for keep their pruning: under what
+	// indexFor or PermFor picks for a shape, a bound S pins one subject shard,
+	// and on a dual layout a bound O with S free pins one object shard.
+	for _, pl := range []Placement{flat, dual} {
+		for _, pat := range boundnessShapes(s, p, o) {
+			var bound []int
+			for c := range pat {
+				if pat[c] != Wildcard {
+					bound = append(bound, c)
+				}
+			}
+			pi, _ := indexFor(pat)
+			picked := []Perm{Perm(pi)}
+			for then := -1; then < 3; then++ {
+				if perm, ok := PermFor(bound, then); ok {
+					picked = append(picked, perm)
+				}
+			}
+			for _, perm := range picked {
+				r := pl.Route(perm, pat)
+				switch {
+				case pat[S] != Wildcard:
+					if r != (Route{Side: SubjectSide, Shard: shardOfID(s, 4), K: 4}) {
+						t.Fatalf("%+v: Route(%v, %v) = %+v, want its one subject shard", pl, perm, pat, r)
+					}
+				case pat[O] != Wildcard && pl.Dual():
+					if r != (Route{Side: ObjectSide, Shard: shardOfID(o, 8), K: 8}) {
+						t.Fatalf("%+v: Route(%v, %v) = %+v, want its one object shard", pl, perm, pat, r)
+					}
 				}
 			}
 		}
@@ -95,6 +134,57 @@ func TestPlacementRouteBoundness(t *testing.T) {
 	}
 	if r := dual.Route(OSP, Pattern{}); r.Len() != 8 || r.String() != "object 8/8" {
 		t.Fatalf("fan-out route = %+v (%s)", r, r)
+	}
+}
+
+// boundnessShapes returns the eight patterns binding each subset of the
+// columns to s, p and o.
+func boundnessShapes(s, p, o dict.ID) []Pattern {
+	var out []Pattern
+	for shape := 0; shape < 8; shape++ {
+		var pat Pattern
+		for c, id := range []dict.ID{s, p, o} {
+			if shape&(1<<c) != 0 {
+				pat[c] = id
+			}
+		}
+		out = append(out, pat)
+	}
+	return out
+}
+
+// TestEachPermutationOnOneSide checks that a layout keeps every order once:
+// on a dual layout each of the six permutations is held by exactly one side,
+// a flat layout's one side holds all six, and a loaded store builds an index
+// for no order its side does not keep.
+func TestEachPermutationOnOneSide(t *testing.T) {
+	for _, k := range [][2]int{{1, 0}, {4, 0}, {2, 2}, {3, 5}} {
+		st := NewDual(k[0], k[1])
+		st.AddBatch(seededTriples(4*deltaMax, 3))
+		for perm := SPO; perm <= OPS; perm++ {
+			holders := 0
+			for _, side := range [][]*shard{st.shards, st.oshards} {
+				if len(side) > 0 && slices.Contains(side[0].perms, perm) {
+					holders++
+				}
+			}
+			if holders != 1 {
+				t.Errorf("Dual(%d,%d): %v is held by %d sides, want 1", k[0], k[1], perm, holders)
+			}
+		}
+		for _, side := range [][]*shard{st.shards, st.oshards} {
+			for _, sh := range side {
+				if !slices.Equal(sh.perms, side[0].perms) {
+					t.Fatalf("Dual(%d,%d): shards of one side keep %v and %v", k[0], k[1], sh.perms, side[0].perms)
+				}
+				s := sh.cur.Load()
+				for perm := SPO; perm <= OPS; perm++ {
+					if !slices.Contains(sh.perms, perm) && (s.base[perm] != nil || s.delta[perm] != nil || len(s.inPlace(perm)) > 0) {
+						t.Fatalf("Dual(%d,%d): a shard keeping %v holds an index for %v", k[0], k[1], sh.perms, perm)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -44,8 +44,14 @@ const deltaMax = 512
 // snapshot lineage: a writer appends past the end of the newest snapshot's
 // length, which older snapshots never read. Densification starts a fresh
 // lineage.
+//
+// On the object side of a dual layout every merge rewrites the slice in POS
+// order (posOrdered), and its first sorted triples are the POS base index
+// themselves: base[POS] stays nil, and the base's k-th triple is at position
+// k. Everywhere else sorted is 0 and the slice stays in insertion order.
 type snap struct {
 	triples []packed
+	sorted  int // leading triples that are the POS base in place (object side)
 	live    int // triples minus tombstones
 
 	// Tombstones live in two tiers, mirroring the insert overlays so a
@@ -98,15 +104,17 @@ func foldTomb(dead []uint64, tomb []int32, n int) []uint64 {
 	return nd
 }
 
-// subjectPerms and objectPerms are the permutations each side of the layout
-// keeps. A side's first permutation is its membership index: a triple's
-// liveness and position are a full-prefix binary search in it. The object
-// side is only ever routed accesses that leave the subject unbound (see
-// Placement.Route), which arrive as POS, OSP or OPS, so those three are all it
-// builds.
+// allPerms, subjectPerms and objectPerms are the permutations each side of a
+// layout keeps, so that each order lives on exactly one side: a flat layout's
+// one side keeps all six; a dual layout's subject side the three that order S
+// before O, its object side the three that order O before S (see
+// Placement.Route). A side's first permutation is its membership index: a
+// triple's liveness and position are a full-prefix binary search in it. The
+// object side's first, POS, is its triple slice itself (snap.sorted).
 var (
-	subjectPerms = []Perm{SPO, SOP, PSO, POS, OSP, OPS}
-	objectPerms  = []Perm{OSP, OPS, POS}
+	allPerms     = []Perm{SPO, SOP, PSO, POS, OSP, OPS}
+	subjectPerms = []Perm{SPO, SOP, PSO}
+	objectPerms  = []Perm{POS, OSP, OPS}
 )
 
 // shard is one hash partition of the store.
@@ -150,33 +158,56 @@ func permLess[E uint32 | dict.ID](a, b [3]E, order [3]int) bool {
 	return false
 }
 
+// prefixCmp three-way compares t's leading columns under the permutation
+// order with the bound prefix.
+func prefixCmp(t packed, order [3]int, prefix []dict.ID) int {
+	for k, want := range prefix {
+		if got := dict.ID(t[order[k]]); got != want {
+			return cmp.Compare(got, want)
+		}
+	}
+	return 0
+}
+
 // rangeIn returns the half-open [lo, hi) positions in idx whose triples match
 // the bound prefix under the permutation order.
 func rangeIn(triples []packed, idx []int32, order [3]int, prefix []dict.ID) (int, int) {
-	cmp := func(i int) int {
-		t := triples[idx[i]]
-		for k, want := range prefix {
-			got := dict.ID(t[order[k]])
-			if got < want {
-				return -1
-			}
-			if got > want {
-				return 1
-			}
-		}
-		return 0
-	}
-	lo := sort.Search(len(idx), func(i int) bool { return cmp(i) >= 0 })
-	hi := sort.Search(len(idx), func(i int) bool { return cmp(i) > 0 })
+	lo := sort.Search(len(idx), func(i int) bool { return prefixCmp(triples[idx[i]], order, prefix) >= 0 })
+	hi := sort.Search(len(idx), func(i int) bool { return prefixCmp(triples[idx[i]], order, prefix) > 0 })
 	return lo, hi
 }
 
+// rangeRun is rangeIn over a run of triples sorted in place.
+func rangeRun(run []packed, order [3]int, prefix []dict.ID) (int, int) {
+	lo := sort.Search(len(run), func(i int) bool { return prefixCmp(run[i], order, prefix) >= 0 })
+	hi := sort.Search(len(run), func(i int) bool { return prefixCmp(run[i], order, prefix) > 0 })
+	return lo, hi
+}
+
+// inPlace returns the triples that are permutation p's base index in place:
+// the object side's sorted prefix for POS, and nothing for any other
+// permutation or side (whose base is the position list base[p]).
+func (s *snap) inPlace(p Perm) []packed {
+	if p != POS {
+		return nil
+	}
+	return s.triples[:s.sorted]
+}
+
 // find returns the position of the live copy of t, or -1: a lower-bound
-// search in permutation p's base index, then in its overlay. A triple removed
-// and re-added since the last merge has tombstoned copies next to the live
-// one, so equal entries are walked until one is not in tomb.
+// search in permutation p's base index (a position list or a run in place),
+// then in its overlay. A triple removed and re-added since the last merge has
+// tombstoned copies next to the live one, so equal entries are walked until
+// one is not in tomb.
 func (s *snap) find(p Perm, t Triple) int32 {
 	order := perms[p]
+	// An in-place run holds each triple once: its merge dropped the
+	// tombstoned copies.
+	run := s.inPlace(p)
+	k := sort.Search(len(run), func(k int) bool { return !permLess(run[k].wide(), t, order) })
+	if k < len(run) && run[k].wide() == t && !tombHas(s.tomb, int32(k)) {
+		return int32(k)
+	}
 	for _, idx := range [2][]int32{s.base[p], s.delta[p]} {
 		i := sort.Search(len(idx), func(k int) bool { return !permLess(s.triples[idx[k]].wide(), t, order) })
 		for ; i < len(idx) && s.triples[idx[i]].wide() == t; i++ {
@@ -267,6 +298,7 @@ func (s *snap) with(fresh []Triple, spo []int32, held []Perm) *snap {
 	}
 	ns := &snap{
 		triples: tris,
+		sorted:  s.sorted,
 		live:    s.live + len(fresh),
 		tomb:    s.tomb,
 		dead:    s.dead,
@@ -304,7 +336,7 @@ func sortedPositions(triples []packed, first int32, n int, spo []int32, held []P
 		slices.SortFunc(idx, positionCmp(triples, p))
 		return idx
 	}
-	if held[0] == SPO { // the subject side; the object side keeps no S-leading order
+	if slices.Contains(held, SPO) {
 		if spo == nil {
 			spo = full(SPO)
 		} else {
@@ -316,9 +348,11 @@ func sortedPositions(triples []packed, first int32, n int, spo []int32, held []P
 		out[SOP] = resortedRuns(triples, spo, SOP)
 		out[PSO] = distributedByP(triples, spo)
 	}
-	out[OSP] = full(OSP)
-	out[OPS] = resortedRuns(triples, out[OSP], OPS)
-	out[POS] = distributedByP(triples, out[OPS])
+	if slices.Contains(held, OSP) {
+		out[OSP] = full(OSP)
+		out[OPS] = resortedRuns(triples, out[OSP], OPS)
+		out[POS] = distributedByP(triples, out[OPS])
+	}
 	return out
 }
 
@@ -417,6 +451,7 @@ func (sh *shard) remove(t Triple) bool {
 	}
 	ns := &snap{
 		triples: s.triples,
+		sorted:  s.sorted,
 		live:    s.live - 1,
 		tomb:    tombWith(s.tomb, pos),
 		dead:    s.dead,
@@ -433,8 +468,12 @@ func (sh *shard) remove(t Triple) bool {
 // compacted merges each held permutation's overlay into its base index with a
 // linear two-way merge, dropping tombstoned positions. When the holes outweigh
 // the live triples (or force is set) it also densifies: the triple slice is
-// rewritten without holes and positions are remapped.
+// rewritten without holes and positions are remapped. The object side
+// rewrites its slice at every merge (posOrdered).
 func compacted(s *snap, force bool, held []Perm) *snap {
+	if held[0] == POS {
+		return posOrdered(s, held)
+	}
 	holes := len(s.triples) - s.live
 	densify := force || (holes > 0 && holes >= s.live)
 	ns := &snap{live: s.live}
@@ -459,6 +498,38 @@ func compacted(s *snap, force bool, held []Perm) *snap {
 		ns.dead = foldTomb(s.dead, s.tomb, len(s.triples))
 	}
 	for _, p := range held {
+		ns.base[p] = mergedBase(s, p, remap)
+	}
+	return ns
+}
+
+// posOrdered is compacted for the object side, whose triple slice is its POS
+// base: the slice is rewritten as the linear merge of its sorted prefix and
+// the POS overlay, dropping tombstoned positions, so the result is dense and
+// in POS order, and the other held permutations are merged onto the new
+// positions. The fresh slice has room for deltaMax appends, the most that
+// arrive one at a time before the next merge rewrites it again.
+func posOrdered(s *snap, held []Perm) *snap {
+	order := perms[POS]
+	run, delta := s.inPlace(POS), s.delta[POS]
+	remap := make([]int32, len(s.triples))
+	nt := make([]packed, 0, s.live+deltaMax)
+	for k := 0; k < len(run) || len(delta) > 0; {
+		var pos int32
+		if len(delta) == 0 || (k < len(run) && !permLess(s.triples[delta[0]], run[k], order)) {
+			pos = int32(k)
+			k++
+		} else {
+			pos, delta = delta[0], delta[1:]
+		}
+		if tombHas(s.tomb, pos) {
+			continue
+		}
+		remap[pos] = int32(len(nt))
+		nt = append(nt, s.triples[pos])
+	}
+	ns := &snap{triples: nt, sorted: len(nt), live: s.live}
+	for _, p := range held[1:] {
 		ns.base[p] = mergedBase(s, p, remap)
 	}
 	return ns
@@ -498,14 +569,16 @@ func mergedBase(s *snap, p Perm, remap []int32) []int32 {
 }
 
 // count returns the exact number of triples in the snapshot matching the
-// bound prefix under permutation pi: the two matching ranges, less the
-// tombstoned positions that fall in them. A tombstoned position stays in
-// exactly one of base and overlay until the next merge clears tomb, so
-// testing the at most deltaMax tombstones against the prefix is exact —
-// O(log N + |tomb|) however long the range.
+// bound prefix under permutation pi: the matching ranges of its base (a
+// position list or a run in place) and overlay, less the tombstoned
+// positions that fall in them. A tombstoned position stays in exactly one of
+// base and overlay until the next merge clears tomb, so testing the at most
+// deltaMax tombstones against the prefix is exact — O(log N + |tomb|) however
+// long the range.
 func (s *snap) count(pi int, prefix []dict.ID) int {
 	order := perms[pi]
-	n := 0
+	lo, hi := rangeRun(s.inPlace(Perm(pi)), order, prefix)
+	n := hi - lo
 	for _, idx := range [2][]int32{s.base[pi], s.delta[pi]} {
 		lo, hi := rangeIn(s.triples, idx, order, prefix)
 		n += hi - lo

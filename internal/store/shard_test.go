@@ -372,10 +372,20 @@ func TestCursorSnapshotIsolation(t *testing.T) {
 // TestConcurrentReadersAndWriters runs lock-free readers (counts, matches,
 // membership probes, full cursor drains) against a writer mutating all shards. The reader-side
 // invariant: triples under the immutable predicate are never touched by the
-// writer, so every read over it sees exactly the initial extent. Run with
+// writer, so every read over it sees exactly the initial extent. On the dual
+// layout the POS and object-bound reads go to the object side, whose shards
+// the writes take across threshold merges: readers hold object-side
+// snapshots while a merge swaps in a slice rewritten in POS order. Run with
 // -race to check the snapshot handoff.
 func TestConcurrentReadersAndWriters(t *testing.T) {
-	st := NewSharded(4)
+	for _, k := range [][2]int{{4, 0}, {4, 4}} {
+		t.Run(fmt.Sprintf("dual=%d,%d", k[0], k[1]), func(t *testing.T) {
+			concurrentReadersAndWriters(t, NewDual(k[0], k[1]))
+		})
+	}
+}
+
+func concurrentReadersAndWriters(t *testing.T, st *Store) {
 	d := st.Dict()
 	stable := d.EncodeIRI("stablePred")
 	churn := d.EncodeIRI("churnPred")
@@ -402,7 +412,21 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 					return
 				default:
 				}
-				switch rng.Intn(4) {
+				switch rng.Intn(6) {
+				case 5:
+					// An object-bound count: one object shard on the dual
+					// layout.
+					i := rng.Intn(300)
+					if got := st.Count(Pattern{Wildcard, stable, d.EncodeIRI(fmt.Sprintf("o%d", i))}); got != 1 {
+						errs <- fmt.Errorf("reader: Count(stable, o%d) = %d, want 1", i, got)
+						return
+					}
+				case 4:
+					// A POS drain: every object shard on the dual layout.
+					if got := len(drain(st.NewCursor(POS, stablePat))); got != wantCount {
+						errs <- fmt.Errorf("reader: POS cursor drained %d, want %d", got, wantCount)
+						return
+					}
 				case 3:
 					// Contains reads the published SPO index without the
 					// shard lock: a stable triple is always there, and probing
@@ -477,6 +501,13 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 	if got := st.Count(stablePat); got != wantCount {
 		t.Fatalf("after churn: Count(stable) = %d, want %d", got, wantCount)
 	}
+	// The 300 stable triples arrived one at a time, below deltaMax per
+	// shard: a sorted prefix means a threshold merge rewrote the slice.
+	for i, sh := range st.oshards {
+		if sh.cur.Load().sorted == 0 {
+			t.Fatalf("object shard %d never crossed a threshold merge", i)
+		}
+	}
 }
 
 // TestCloneIsIndependent ensures a clone shares no mutable state: both sides
@@ -548,4 +579,78 @@ func TestAddBatchMatchesAddLoop(t *testing.T) {
 	if a.AddBatch(ts) != 0 {
 		t.Fatal("re-adding the batch should add nothing")
 	}
+}
+
+// TestSubjectSideKeepsInsertionOrder pins what Triples and ShardTriples hand
+// out on a dual layout — each subject shard's live triples in insertion order
+// — across a threshold merge, removals and a re-add, and Clone's densify;
+// GenerateSatisfiable samples from that order by index. The object side's
+// slice is rewritten in POS order at the same merges, and must not leak into
+// either.
+func TestSubjectSideKeepsInsertionOrder(t *testing.T) {
+	st := NewDual(2, 2)
+	model := make([][]Triple, st.NumShards())
+	add := func(tr Triple) {
+		if st.Add(tr) {
+			i := st.shardOf(tr[S])
+			model[i] = append(model[i], tr)
+		}
+	}
+	check := func(st *Store, ctx string) {
+		t.Helper()
+		var all []Triple
+		for i := range model {
+			if got := st.ShardTriples(i); !slices.Equal(got, model[i]) {
+				t.Fatalf("%s: ShardTriples(%d) is not shard %d's insertion order", ctx, i, i)
+			}
+			all = append(all, model[i]...)
+		}
+		if !slices.Equal(st.Triples(), all) {
+			t.Fatalf("%s: Triples() is not the shards' insertion order", ctx)
+		}
+		for i, sh := range st.oshards {
+			s := sh.cur.Load()
+			if !slices.IsSortedFunc(s.inPlace(POS), func(a, b packed) int { return permCmp(a, b, perms[POS]) }) {
+				t.Fatalf("%s: object shard %d's sorted prefix is out of POS order", ctx, i)
+			}
+		}
+	}
+
+	// Seeded triples are in no column's order, so insertion order differs
+	// from every permutation's.
+	ts := seededTriples(6*deltaMax, 9)
+	for _, tr := range ts[:3*deltaMax] {
+		add(tr)
+	}
+	st.AddBatch(ts[3*deltaMax:])
+	for _, tr := range ts[3*deltaMax:] {
+		model[st.shardOf(tr[S])] = append(model[st.shardOf(tr[S])], tr)
+	}
+	for _, side := range [][]*shard{st.shards, st.oshards} {
+		for i, sh := range side {
+			if s := sh.cur.Load(); len(s.delta[sh.perms[0]]) == len(s.triples) {
+				t.Fatalf("shard %d of a side keeping %v never merged", i, sh.perms)
+			}
+		}
+	}
+	check(st, "after a threshold merge")
+
+	for i := 0; i < len(ts); i += 5 {
+		st.Remove(ts[i])
+	}
+	for i := range model {
+		model[i] = slices.DeleteFunc(model[i], func(tr Triple) bool { return !st.Contains(tr) })
+	}
+	add(ts[0]) // a re-add goes to the end of its shard's order
+	check(st, "after removals")
+
+	cl := st.Clone()
+	for _, side := range [][]*shard{cl.shards, cl.oshards} {
+		for _, sh := range side {
+			if s := sh.cur.Load(); len(s.triples) != s.live || len(s.tomb) > 0 {
+				t.Fatal("Clone did not densify")
+			}
+		}
+	}
+	check(cl, "after Clone's densify")
 }

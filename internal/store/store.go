@@ -18,28 +18,33 @@
 //     opened versus the fan-out avoided. The subject side decides what a
 //     write changes; the object side is handed exactly those triples and
 //     never tests membership itself.
-//   - Each subject shard owns the six sorted permutations of its triples
-//     (SPO, SOP, PSO, POS, OSP, OPS — the Hexastore scheme of [23]). Together
-//     they provide exact counts for any triple pattern with 0–3 constants
-//     (the statistics primitive of Section 3.3) and ordered prefix range
-//     scans. An object shard keeps POS, OSP and OPS only: it is routed
-//     nothing but accesses that leave the subject unbound, and those are the
-//     three permutations such an access can ask for.
+//   - The store keeps the six sorted permutations of its triples (SPO, SOP,
+//     PSO, POS, OSP, OPS — the Hexastore scheme of [23]), each on exactly
+//     one side. Together they provide exact counts for any triple pattern
+//     with 0–3 constants (the statistics primitive of Section 3.3) and
+//     ordered prefix range scans. A flat layout's shards keep all six; on a
+//     dual layout a subject shard keeps SPO, SOP and PSO and an object shard
+//     POS, OSP and OPS, and Placement.Route sends each access to the side
+//     that keeps its permutation.
 //   - There is no membership structure beside the indexes: whether a triple
 //     is stored, and at which position, is a full-prefix binary search in the
-//     shard's leading permutation (SPO; OSP on the object side). A shard
+//     shard's leading permutation (SPO; POS on the object side). A shard
 //     stores each triple's IDs in 32-bit columns and widens them as they are
 //     read, so resident cost is the 12-byte stored triple plus 4 bytes per
-//     kept permutation: 36 B a triple on the subject side, 24 B on the
-//     object side. An ID must therefore stay below 2^32 to be stored.
+//     position list: 36 B a triple on a flat layout, 24 B on a dual layout's
+//     subject side. The object side rewrites its triple slice in POS order at
+//     every threshold merge, so its POS index is the slice itself and a
+//     triple costs it 20 B. The subject side keeps its slice in insertion
+//     order, the order Triples, ShardTriples and Graph hand out. An ID must
+//     stay below 2^32 to be stored.
 //   - Index maintenance is incremental. Instead of marking the store dirty
 //     and re-sorting every permutation on the next read (O(N log N) per
 //     touched batch), an insert goes into a small sorted delta overlay per
 //     permutation and a delete sets a tombstone bit; overlays and tombstones
 //     are merged into the base indexes once they pass a threshold, by a
 //     linear merge that never re-sorts. A batch — one triple or a whole
-//     load — is sorted in full once per leading column (SPO and OSP); the
-//     other permutations are derived from those two orders.
+//     load — is sorted in full once per leading column its side keeps (SPO,
+//     OSP or both); the other permutations are derived from those orders.
 //   - Readers are lock-free: every shard publishes an immutable snapshot
 //     (triples, base indexes, delta overlays, tombstones) through an atomic
 //     pointer. Counts, scans and cursors operate on the snapshot they were
@@ -257,10 +262,12 @@ func NewWithDictSharded(d *dict.Dictionary, k int) *Store {
 // NewDual returns an empty dual-partitioned store: subjectK subject-hash
 // shards plus objectK object-hash replica shards, so both subject-bound and
 // object-bound patterns prune to a single shard. objectK = 0 degenerates to
-// the subject-only layout. The replica side holds every triple again with
-// the three permutations it can be asked for (POS, OSP, OPS): about 24 B a
-// triple on top of the subject side's 36 B, which is the trade the serving
-// tier makes to turn O(K) fan-outs into O(1) lookups on both access sides.
+// the subject-only layout, whose shards keep all six permutations (36 B a
+// triple). On a dual layout each permutation lives on one side: the subject
+// side keeps SPO, SOP and PSO (24 B a triple), the object side holds every
+// triple again with POS, OSP and OPS, its POS index being its triple slice
+// (20 B). The second copy of the triple is the trade the serving tier makes
+// to turn O(K) fan-outs into O(1) lookups on both access sides.
 func NewDual(subjectK, objectK int) *Store {
 	return NewWithDictDual(dict.New(), subjectK, objectK)
 }
@@ -281,8 +288,12 @@ func NewWithDictDual(d *dict.Dictionary, subjectK, objectK int) *Store {
 		objectK = MaxShards
 	}
 	st := &Store{dict: d, shards: make([]*shard, subjectK)}
+	held := allPerms
+	if objectK > 0 {
+		held = subjectPerms
+	}
 	for i := range st.shards {
-		st.shards[i] = newShard(subjectPerms)
+		st.shards[i] = newShard(held)
 	}
 	if objectK > 0 {
 		st.oshards = make([]*shard, objectK)
