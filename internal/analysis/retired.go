@@ -91,6 +91,9 @@ var retiredRows = []row{
 	{name: "one reasoning rule", out: re(`^(reason|exp)/`), bench: true, uses: re(`^reason\.Saturate$`), msg: "a saturated store is built outside internal/reason and internal/exp"},
 	// Retired by 546964b, the paper harness through Database.Recommend.
 	{name: "one objective", out: re(`^rdfviews/recommend\.go$`), uses: re(`^(core\.(Search|InitialState(UCQ)?)|cost\.(NewEstimator|Estimator\.CalibrateCM))$`), msg: "view selection runs outside Database.Recommend"},
+	// Retired by the change to four kept orders: no side stores SOP or OPS,
+	// a read sorts the run it needs from SPO or OSP.
+	{name: "four kept orders", in: re(`^store/`), site: "store.resortedRuns", msg: "snap.derived is the one resortedRuns call; SOP and OPS are read from SPO and OSP, not built"},
 	// Retired by a238aa1, reformulation per atom on the serving path.
 	{name: "one plan per member", in: re(`^rdfviews/serve(_stream)?\.go$`), uses: re(`^reason\.Reformulate$`), msg: "the serving path reformulates member-wise again; use reason.ReformulateAtoms"},
 }

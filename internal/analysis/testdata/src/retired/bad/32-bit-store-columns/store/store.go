@@ -7,3 +7,7 @@ type snap struct {
 	triples []Triple // want `32-bit store columns: .*snap\.triples\)`
 	live    int
 }
+
+func resortedRuns(src []int32) []int32 { return src }
+
+func derived(src []int32) []int32 { return resortedRuns(src) }

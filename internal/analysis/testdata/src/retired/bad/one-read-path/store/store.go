@@ -4,3 +4,7 @@ package store
 type Store struct{}
 
 func (s *Store) routeShards() []int { return nil } // want `one read path: .*\(routeShards\)`
+
+func resortedRuns(src []int32) []int32 { return src }
+
+func derived(src []int32) []int32 { return resortedRuns(src) }

@@ -133,9 +133,10 @@ const buildLeftMargin = 16.0
 
 // QueryPlan is a compiled physical plan for one conjunctive query: a
 // left-deep pipeline of index scans, joins and sorts over the store's six
-// sorted permutations, followed by projection onto the head and — when the
-// head drops body variables — duplicate elimination. Build with PlanQuery,
-// run with EvalStream, render with Explain.
+// readable sorted permutations (four kept, SOP and OPS sorted at read time),
+// followed by projection onto the head and — when the head drops body
+// variables — duplicate elimination. Build with PlanQuery, run with
+// EvalStream, render with Explain.
 type QueryPlan struct {
 	st        store.Reader
 	steps     []planStep

@@ -96,7 +96,8 @@ func makeAltSpecs(a cq.Atom, alts []cq.Atom) ([]altSpec, error) {
 // setAltPerms gives every alternative of the spec the permutation that lists
 // its constants, then the positions feeding the frame's variables in the
 // frame permutation's order, then its existential position. All six orders
-// exist, so the permutation always does.
+// are readable (the store keeps four and sorts SOP and OPS from SPO and OSP
+// at read time), so the permutation always does.
 func (spec *atomSpec) setAltPerms() {
 	for k := range spec.alts {
 		as := &spec.alts[k]

@@ -36,7 +36,8 @@ type ID2 struct {
 // merged with the remaining overlay range, skipping tombstones. The base range
 // is a run of positions from the permutation's index (base), or, for a base
 // kept in place (the object side's POS), the positions lo..hi-1 themselves;
-// the other of the two is empty.
+// the other of the two is empty. An order no side keeps (SOP, OPS) streams
+// its derived run (snap.derived) as base, with no overlay.
 type subCursor struct {
 	sn     *snap
 	base   []int32
@@ -153,6 +154,11 @@ func cursorOverSnaps(snaps []*snap, p Perm, pat Pattern) Cursor {
 	for i, s := range snaps {
 		sub := &c.subs[i]
 		sub.sn = s
+		if sourceOf[p] != p {
+			sub.base = s.derived(p, prefix)
+			sub.advance(nil, Triple{}, true, order)
+			continue
+		}
 		lo, hi := rangeIn(s.triples, s.base[p], order, prefix)
 		sub.base = s.base[p][lo:hi]
 		lo, hi = rangeRun(s.inPlace(p), order, prefix)

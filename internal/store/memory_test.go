@@ -37,14 +37,16 @@ func heapAfterGC() uint64 {
 }
 
 // TestResidentBytesPerTriple is the memory tripwire: what a loaded store
-// keeps on the heap per triple. A flat layout's one shard costs the 12-byte
-// stored triple and six 4-byte positions (36 B). A dual layout keeps each
-// order once: a subject shard holds the triple and three positions (24 B),
-// an object shard the triple and two (20 B), its POS index being the triple
-// slice itself. The bounds leave room for allocator size classes and nothing
-// else. 64-bit stored columns would not fit (48 B on one shard, 85 B on
+// keeps on the heap per triple. A layout keeps four orders and reads SOP and
+// OPS from SPO and OSP. A flat layout's one shard costs the 12-byte stored
+// triple and four 4-byte positions (28 B). A dual layout keeps each order
+// once: a subject shard holds the triple and two positions (20 B), an object
+// shard the triple and one (16 B), its POS index being the triple slice
+// itself. The bounds leave room for allocator size classes and nothing else.
+// 64-bit stored columns would not fit (48 B on one shard, 85 B on
 // Dual(2,2)), nor would a per-triple map, an order kept on both sides of a
-// dual layout (56 B) or a position list for the object side's POS (48 B).
+// dual layout, a position list for the object side's POS, or stored SOP and
+// OPS lists (36 B on one shard, 44.7 B on Dual(2,2)).
 func TestResidentBytesPerTriple(t *testing.T) {
 	const n = 100_000
 	ts := seededTriples(n, 1)
@@ -53,8 +55,8 @@ func TestResidentBytesPerTriple(t *testing.T) {
 		subjectK, objectK int
 		maxBytes          float64
 	}{
-		{"one-shard", 1, 0, 42},
-		{"dual-2x2", 2, 2, 50},
+		{"one-shard", 1, 0, 31},
+		{"dual-2x2", 2, 2, 40},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := heapAfterGC()

@@ -19,18 +19,19 @@ import (
 // (the historical side) and, when ObjectShards > 0, in an object-hash replica
 // shard as well. Both sides are the same shard machinery — sorted
 // permutations, insert/tombstone overlays, atomic snapshot publication — over
-// different permutation sets, so that each order lives on exactly one side:
-// the subject side keeps SPO, SOP and PSO and decides membership; the object
-// side keeps POS, OSP and OPS and is never asked whether a triple exists. A
-// flat layout's one side keeps all six. Route names the side that keeps the
-// access's permutation. What the dual side buys is access-side pruning: a
+// different permutation sets, so that each kept order lives on exactly one
+// side: the subject side keeps SPO and PSO and decides membership; the
+// object side keeps POS and OSP and is never asked whether a triple exists.
+// A flat layout's one side keeps all four. SOP and OPS stay readable: a read
+// sorts the run it needs from SPO or OSP. Route names the side that keeps
+// the access's permutation, or the order it is read from. What the dual side buys is access-side pruning: a
 // subject-bound pattern touches exactly one subject shard, and an
 // object-bound pattern touches exactly one object shard, instead of fanning
 // out over all K subject partitions. Object-bound patterns are the dominant
 // shape of reformulated union members (every ?s p o member of a relaxed
-// query), which is why the replica is worth its memory — about 20 B a triple
+// query), which is why the replica is worth its memory — about 16 B a triple
 // (the 12-byte stored triple, kept in POS order so that it is the POS index
-// itself, and two positions) beside the subject side's 24: it turns the
+// itself, and the OSP position) beside the subject side's 20: it turns the
 // serving tier's O(K) fan-outs into O(1) lookups.
 type Placement struct {
 	// SubjectShards is the partition count of the subject-hash side (>= 1).
@@ -98,10 +99,12 @@ func shardOfID(id dict.ID, k int) int {
 }
 
 // Route maps a pattern, under the permutation chosen for its access path, to
-// the minimal shard subset that serves it. Each permutation lives on one side
-// (SPO, SOP and PSO on the subject side, POS, OSP and OPS on the object side
-// of a dual layout; all six on a flat layout's one side), so the route goes
-// to that side, and opens the one shard that owns the pattern when the side's
+// the minimal shard subset that serves it. Each kept order lives on one side
+// (SPO and PSO on the subject side, POS and OSP on the object side of a dual
+// layout; all four on a flat layout's one side), and SOP and OPS are read
+// from SPO and OSP, so the route goes to the side that keeps the
+// permutation or its source — SPO, SOP and PSO to the subject side, POS,
+// OSP and OPS to the object side — and opens the one shard that owns the pattern when the side's
 // partition column (S on the subject side, O on the object side) is bound,
 // and all of the side's shards otherwise. The permutation PermFor or indexFor
 // picks leads with the bound columns, so a bound S reaches its one subject
@@ -115,7 +118,7 @@ func shardOfID(id dict.ID, k int) int {
 // this reason).
 func (pl Placement) Route(p Perm, pat Pattern) Route {
 	side, k, col := SubjectSide, max(pl.SubjectShards, 1), S
-	if pl.Dual() && slices.Contains(objectPerms, p) {
+	if pl.Dual() && slices.Contains(objectPerms, sourceOf[p]) {
 		side, k, col = ObjectSide, pl.ObjectShards, O
 	}
 	if pat[col] == Wildcard {

@@ -104,18 +104,24 @@ func foldTomb(dead []uint64, tomb []int32, n int) []uint64 {
 	return nd
 }
 
-// allPerms, subjectPerms and objectPerms are the permutations each side of a
-// layout keeps, so that each order lives on exactly one side: a flat layout's
-// one side keeps all six; a dual layout's subject side the three that order S
-// before O, its object side the three that order O before S (see
-// Placement.Route). A side's first permutation is its membership index: a
-// triple's liveness and position are a full-prefix binary search in it. The
-// object side's first, POS, is its triple slice itself (snap.sorted).
+// allPerms, subjectPerms and objectPerms are the orders each side of a
+// layout keeps, so that each kept order lives on exactly one side: a flat
+// layout's one side keeps four; a dual layout's subject side SPO and PSO,
+// its object side POS and OSP (see Placement.Route). No side keeps SOP or
+// OPS: they differ from SPO and OSP only inside a run of equal leading
+// column, so a read sorts the run it needs (snap.derived). A side's first
+// order is its membership index: a triple's liveness and position are a
+// full-prefix binary search in it. The object side's first, POS, is its
+// triple slice itself (snap.sorted).
 var (
-	allPerms     = []Perm{SPO, SOP, PSO, POS, OSP, OPS}
-	subjectPerms = []Perm{SPO, SOP, PSO}
-	objectPerms  = []Perm{POS, OSP, OPS}
+	allPerms     = []Perm{SPO, PSO, POS, OSP}
+	subjectPerms = []Perm{SPO, PSO}
+	objectPerms  = []Perm{POS, OSP}
 )
+
+// sourceOf maps each permutation to the kept order it is read from: itself
+// when kept, SPO for SOP and OSP for OPS.
+var sourceOf = [6]Perm{SPO, SPO, PSO, POS, OSP, OSP}
 
 // shard is one hash partition of the store.
 type shard struct {
@@ -317,9 +323,7 @@ func (s *snap) with(fresh []Triple, spo []int32, held []Perm) *snap {
 // sortedPositions returns the n positions from first on, sorted under each
 // held permutation, with one full comparison sort per leading column the side
 // keeps: SPO (skipped when the caller's de-duplication already produced it)
-// and OSP. SOP and OPS differ from those only inside runs of equal leading
-// column, which are short and re-sorted in place; PSO and POS are a stable
-// distribution by P of SPO and OPS order.
+// and OSP. PSO and POS are a stable distribution by P of SPO and OSP order.
 func sortedPositions(triples []packed, first int32, n int, spo []int32, held []Perm) (out [6][]int32) {
 	if n == 1 { // a single Add: every order is the same list, shared
 		one := []int32{first}
@@ -345,15 +349,28 @@ func sortedPositions(triples []packed, first int32, n int, spo []int32, held []P
 			}
 		}
 		out[SPO] = spo
-		out[SOP] = resortedRuns(triples, spo, SOP)
 		out[PSO] = distributedByP(triples, spo)
 	}
 	if slices.Contains(held, OSP) {
 		out[OSP] = full(OSP)
-		out[OPS] = resortedRuns(triples, out[OSP], OPS)
-		out[POS] = distributedByP(triples, out[OPS])
+		out[POS] = distributedByP(triples, out[OSP])
 	}
 	return out
+}
+
+// derived returns the positions of the snapshot's live triples that match
+// the bound prefix under p, an order no side keeps (SOP or OPS), in p's
+// order: its source's run for the bound leading column (every run when the
+// column is free), base and overlay merged and tombstones dropped, each run
+// of equal leading column re-sorted by p's other two columns.
+func (s *snap) derived(p Perm, prefix []dict.ID) []int32 {
+	src := sourceOf[p]
+	order, lead := perms[src], prefix[:min(len(prefix), 1)]
+	blo, bhi := rangeIn(s.triples, s.base[src], order, lead)
+	dlo, dhi := rangeIn(s.triples, s.delta[src], order, lead)
+	run := resortedRuns(s.triples, s.merged(s.base[src][blo:bhi], s.delta[src][dlo:dhi], order, nil), p)
+	lo, hi := rangeIn(s.triples, run, perms[p], prefix)
+	return run[lo:hi]
 }
 
 // resortedRuns copies src — sorted by some permutation with p's leading
@@ -379,7 +396,7 @@ func positionCmp(triples []packed, p Perm) func(a, b int32) int {
 }
 
 // distributedByP stably distributes src by predicate: buckets in ascending P,
-// each keeping src's order. Applied to SPO order that is PSO; to OPS, POS.
+// each keeping src's order. Applied to SPO order that is PSO; to OSP, POS.
 func distributedByP(triples []packed, src []int32) []int32 {
 	next := make(map[uint32]int32) // P -> bucket size, then next free slot
 	for _, pos := range src {
@@ -498,7 +515,7 @@ func compacted(s *snap, force bool, held []Perm) *snap {
 		ns.dead = foldTomb(s.dead, s.tomb, len(s.triples))
 	}
 	for _, p := range held {
-		ns.base[p] = mergedBase(s, p, remap)
+		ns.base[p] = s.merged(s.base[p], s.delta[p], perms[p], remap)
 	}
 	return ns
 }
@@ -530,22 +547,22 @@ func posOrdered(s *snap, held []Perm) *snap {
 	}
 	ns := &snap{triples: nt, sorted: len(nt), live: s.live}
 	for _, p := range held[1:] {
-		ns.base[p] = mergedBase(s, p, remap)
+		ns.base[p] = s.merged(s.base[p], s.delta[p], perms[p], remap)
 	}
 	return ns
 }
 
-// mergedBase linearly merges one permutation's base and overlay, dropping
-// tombstoned positions and applying the densification remap when present.
-// Base and delta entries can only be deadened by the tomb overlay (bitmap
-// holes were dropped when that bitmap was folded), so that is the one check.
-func mergedBase(s *snap, p Perm, remap []int32) []int32 {
+// merged linearly merges a run of one permutation's base with the run of its
+// overlay (whole, when compacting), dropping tombstoned positions and
+// applying the densification remap when present. Base and delta entries can
+// only be deadened by the tomb overlay (bitmap holes were dropped when that
+// bitmap was folded), so that is the one check. With neither tombstones nor
+// a remap it may return base or delta itself.
+func (s *snap) merged(base, delta []int32, order [3]int, remap []int32) []int32 {
 	if len(s.tomb) == 0 && remap == nil {
-		return mergePositions(s.triples, s.base[p], s.delta[p], perms[p])
+		return mergePositions(s.triples, base, delta, order)
 	}
-	order := perms[p]
-	base, delta := s.base[p], s.delta[p]
-	out := make([]int32, 0, s.live)
+	out := make([]int32, 0, min(s.live, len(base)+len(delta)))
 	bi, di := 0, 0
 	for bi < len(base) || di < len(delta) {
 		var pos int32
@@ -574,14 +591,25 @@ func mergedBase(s *snap, p Perm, remap []int32) []int32 {
 // positions that fall in them. A tombstoned position stays in exactly one of
 // base and overlay until the next merge clears tomb, so testing the at most
 // deltaMax tombstones against the prefix is exact — O(log N + |tomb|) however
-// long the range.
+// long the range. An order no side keeps counts its source's run for the
+// leading column, entry by entry against the rest of the prefix: SOP's
+// S,O-bound count walks the subject's SPO run, without sorting it.
 func (s *snap) count(pi int, prefix []dict.ID) int {
-	order := perms[pi]
+	order, src := perms[pi], sourceOf[pi]
 	lo, hi := rangeRun(s.inPlace(Perm(pi)), order, prefix)
 	n := hi - lo
-	for _, idx := range [2][]int32{s.base[pi], s.delta[pi]} {
-		lo, hi := rangeIn(s.triples, idx, order, prefix)
-		n += hi - lo
+	for _, idx := range [2][]int32{s.base[src], s.delta[src]} {
+		if src == Perm(pi) {
+			lo, hi := rangeIn(s.triples, idx, order, prefix)
+			n += hi - lo
+			continue
+		}
+		lo, hi := rangeIn(s.triples, idx, perms[src], prefix[:min(len(prefix), 1)])
+		for _, pos := range idx[lo:hi] {
+			if prefixCmp(s.triples[pos], order, prefix) == 0 {
+				n++
+			}
+		}
 	}
 tombs:
 	for _, pos := range s.tomb {

@@ -82,11 +82,17 @@ func (s *Snapshot) Len() int {
 // in views). The pattern is routed through the Placement: a subject-bound
 // pattern is answered by one pinned subject shard, an object-bound pattern
 // (on a dual layout) by one object shard; otherwise one side's per-shard
-// counts are added up.
+// counts are added up. It allocates nothing: an S,O-bound count walks the
+// subject's SPO run (snap.count).
 func (s *Snapshot) Count(pat Pattern) int {
-	pi, prefix := indexFor(pat)
-	if prefix == nil {
+	pi, bound := indexFor(pat)
+	if bound == 0 {
 		return s.Len()
+	}
+	var key [3]dict.ID
+	prefix := key[:bound]
+	for k := range prefix {
+		prefix[k] = pat[perms[pi][k]]
 	}
 	n := 0
 	for _, sn := range s.routeSnaps(s.Placement().Route(Perm(pi), pat)) {

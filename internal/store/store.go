@@ -18,23 +18,28 @@
 //     opened versus the fan-out avoided. The subject side decides what a
 //     write changes; the object side is handed exactly those triples and
 //     never tests membership itself.
-//   - The store keeps the six sorted permutations of its triples (SPO, SOP,
-//     PSO, POS, OSP, OPS — the Hexastore scheme of [23]), each on exactly
-//     one side. Together they provide exact counts for any triple pattern
-//     with 0–3 constants (the statistics primitive of Section 3.3) and
-//     ordered prefix range scans. A flat layout's shards keep all six; on a
-//     dual layout a subject shard keeps SPO, SOP and PSO and an object shard
-//     POS, OSP and OPS, and Placement.Route sends each access to the side
-//     that keeps its permutation.
+//   - All six sorted permutations of the triples (SPO, SOP, PSO, POS, OSP,
+//     OPS — the Hexastore scheme of [23]) are readable, and four of them are
+//     kept, each on exactly one side. Together they provide exact counts for
+//     any triple pattern with 0–3 constants (the statistics primitive of
+//     Section 3.3) and ordered prefix range scans. A flat layout's shards
+//     keep SPO, PSO, POS and OSP; on a dual layout a subject shard keeps SPO
+//     and PSO and an object shard POS and OSP. SOP and OPS differ from SPO
+//     and OSP only inside a run of equal leading column, so no side stores
+//     them: a read takes the bound subject's SPO run (or object's OSP run),
+//     sorts it by the other two columns and streams it, and an S,O-bound
+//     count walks the subject's run without sorting. Placement.Route sends
+//     each access to the side that keeps its permutation or that
+//     permutation's source.
 //   - There is no membership structure beside the indexes: whether a triple
 //     is stored, and at which position, is a full-prefix binary search in the
 //     shard's leading permutation (SPO; POS on the object side). A shard
 //     stores each triple's IDs in 32-bit columns and widens them as they are
 //     read, so resident cost is the 12-byte stored triple plus 4 bytes per
-//     position list: 36 B a triple on a flat layout, 24 B on a dual layout's
+//     position list: 28 B a triple on a flat layout, 20 B on a dual layout's
 //     subject side. The object side rewrites its triple slice in POS order at
 //     every threshold merge, so its POS index is the slice itself and a
-//     triple costs it 20 B. The subject side keeps its slice in insertion
+//     triple costs it 16 B. The subject side keeps its slice in insertion
 //     order, the order Triples, ShardTriples and Graph hand out. An ID must
 //     stay below 2^32 to be stored.
 //   - Index maintenance is incremental. Instead of marking the store dirty
@@ -44,7 +49,7 @@
 //     are merged into the base indexes once they pass a threshold, by a
 //     linear merge that never re-sorts. A batch — one triple or a whole
 //     load — is sorted in full once per leading column its side keeps (SPO,
-//     OSP or both); the other permutations are derived from those orders.
+//     OSP or both); PSO and POS are distributed by P from those orders.
 //   - Readers are lock-free: every shard publishes an immutable snapshot
 //     (triples, base indexes, delta overlays, tombstones) through an atomic
 //     pointer. Counts, scans and cursors operate on the snapshot they were
@@ -95,8 +100,10 @@ func ColumnName(c int) string {
 	return fmt.Sprintf("col%d", c)
 }
 
-// Perm identifies one of the six sorted permutation indexes (the Hexastore
-// scheme): the order in which a triple's columns are compared.
+// Perm identifies one of the six sorted permutations (the Hexastore scheme):
+// the order in which a triple's columns are compared. Every permutation is
+// readable; SPO, PSO, POS and OSP are kept as indexes, and SOP and OPS are
+// sorted at read time from the SPO and OSP runs of their leading column.
 type Perm int
 
 // The six permutations, in the fixed index order.
@@ -133,8 +140,10 @@ func (p Perm) String() string {
 
 // PermFor returns a permutation whose leading columns are exactly the bound
 // columns of the set (in some order) and whose next column is then (when then
-// is a column not in bound). Because all six orders exist, such a permutation
-// always exists; pass then < 0 to accept any column after the bound prefix.
+// is a column not in bound). Because all six orders are readable, such a
+// permutation always exists; pass then < 0 to accept any column after the
+// bound prefix. It returns SOP only with S bound and OPS only with O bound,
+// so their read sorts one subject's or one object's run.
 // The second result reports success; it is false only when the arguments are
 // inconsistent (then listed as bound, or more than three columns).
 func PermFor(bound []int, then int) (Perm, bool) {
@@ -262,11 +271,11 @@ func NewWithDictSharded(d *dict.Dictionary, k int) *Store {
 // NewDual returns an empty dual-partitioned store: subjectK subject-hash
 // shards plus objectK object-hash replica shards, so both subject-bound and
 // object-bound patterns prune to a single shard. objectK = 0 degenerates to
-// the subject-only layout, whose shards keep all six permutations (36 B a
-// triple). On a dual layout each permutation lives on one side: the subject
-// side keeps SPO, SOP and PSO (24 B a triple), the object side holds every
-// triple again with POS, OSP and OPS, its POS index being its triple slice
-// (20 B). The second copy of the triple is the trade the serving tier makes
+// the subject-only layout, whose shards keep four permutations (28 B a
+// triple). On a dual layout each kept permutation lives on one side: the
+// subject side keeps SPO and PSO (20 B a triple), the object side holds
+// every triple again with POS and OSP, its POS index being its triple slice
+// (16 B). SOP and OPS are read from SPO and OSP on either layout. The second copy of the triple is the trade the serving tier makes
 // to turn O(K) fan-outs into O(1) lookups on both access sides.
 func NewDual(subjectK, objectK int) *Store {
 	return NewWithDictDual(dict.New(), subjectK, objectK)
@@ -483,26 +492,28 @@ func (st *Store) ShardTriples(i int) []Triple {
 }
 
 // indexFor picks the permutation whose prefix covers the bound positions of
-// the pattern, and returns (index number, bound prefix in permutation order).
-func indexFor(pat Pattern) (int, []dict.ID) {
+// the pattern, and returns its index and the number of bound positions: the
+// bound prefix is the pattern's values at that permutation's first n
+// columns.
+func indexFor(pat Pattern) (pi, n int) {
 	bs, bp, bo := pat[S] != Wildcard, pat[P] != Wildcard, pat[O] != Wildcard
 	switch {
 	case bs && bp && bo:
-		return 0, []dict.ID{pat[S], pat[P], pat[O]}
+		return 0, 3
 	case bs && bp:
-		return 0, []dict.ID{pat[S], pat[P]}
+		return 0, 2
 	case bs && bo:
-		return 1, []dict.ID{pat[S], pat[O]}
+		return 1, 2
 	case bp && bo:
-		return 3, []dict.ID{pat[P], pat[O]}
+		return 3, 2
 	case bs:
-		return 0, []dict.ID{pat[S]}
+		return 0, 1
 	case bp:
-		return 2, []dict.ID{pat[P]}
+		return 2, 1
 	case bo:
-		return 4, []dict.ID{pat[O]}
+		return 4, 1
 	default:
-		return 0, nil
+		return 0, 0
 	}
 }
 

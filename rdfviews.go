@@ -23,10 +23,12 @@
 //
 //   - internal/store holds the dictionary-encoded triple table, hash-
 //     partitioned by subject into shards (one by default; see
-//     NewDatabaseSharded), each with its six sorted permutation indexes (the
-//     Hexastore scheme the paper's platform section assumes). Indexes are
-//     maintained incrementally under insert/delete, and ordered prefix
-//     cursors merge the shard streams under per-shard snapshot isolation.
+//     NewDatabaseSharded), each reading all six sorted permutations (the
+//     Hexastore scheme the paper's platform section assumes) from four kept
+//     indexes: SOP and OPS are sorted at read time from the SPO and OSP runs
+//     of their leading column. Indexes are maintained incrementally under
+//     insert/delete, and ordered prefix cursors merge the shard streams under
+//     per-shard snapshot isolation.
 //   - internal/engine evaluates queries in two stages. A planner compiles
 //     each conjunctive query into a physical plan — permutation-aware index
 //     scans, merge joins when both inputs arrive sorted on the join variable
