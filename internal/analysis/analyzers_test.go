@@ -25,7 +25,7 @@ var retiredSteps = []string{
 	"one union", "one leg rewrite", "one maintenance fold", "one view deployment",
 	"32-bit store columns", "32-bit extents", "one row set", "one read path",
 	"one row encoder", "one reasoning rule", "one objective", "one plan per member",
-	"four kept orders",
+	"four kept orders", "arena dictionary",
 }
 
 // TestRetiredBad runs each step's fixture, testdata/src/retired/bad/<name

@@ -94,6 +94,9 @@ var retiredRows = []row{
 	// Retired by the change to four kept orders: no side stores SOP or OPS,
 	// a read sorts the run it needs from SPO or OSP.
 	{name: "four kept orders", in: re(`^store/`), site: "store.resortedRuns", msg: "snap.derived is the one resortedRuns call; SOP and OPS are read from SPO and OSP, not built"},
+	// Retired by the change to one arena dictionary: term bytes in an
+	// append-only arena, IDs in an open-addressed table over it.
+	{name: "arena dictionary", in: re(`^dict/`), decls: re(`^dict\.Dictionary\.\w+ (\[\]rdf\.Term|(\[\d+\])?map\[string\]dict\.ID)$`), msg: "the dictionary keeps an rdf.Term slice or value-keyed maps again; keep term bytes in its arena and IDs in its table"},
 	// Retired by a238aa1, reformulation per atom on the serving path.
 	{name: "one plan per member", in: re(`^rdfviews/serve(_stream)?\.go$`), uses: re(`^reason\.Reformulate$`), msg: "the serving path reformulates member-wise again; use reason.ReformulateAtoms"},
 }

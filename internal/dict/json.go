@@ -16,13 +16,13 @@ import (
 
 // Render is the one decode rule every answer follows: an IRI shortened by
 // rdf.ShortenIRI, a literal's or blank node's value raw, and an ID that the
-// Terms() view does not hold as ?id.
-func Render(terms []rdf.Term, id ID) string {
-	if id < 1 || id > ID(len(terms)) {
+// view does not hold as ?id.
+func Render(v *View, id ID) string {
+	t, ok := v.Term(id)
+	switch {
+	case !ok:
 		return "?" + strconv.FormatInt(int64(id), 10)
-	}
-	t := terms[id-1]
-	if t.Kind == rdf.IRI {
+	case t.Kind == rdf.IRI:
 		return rdf.ShortenIRI(t.Value)
 	}
 	return t.Value
@@ -86,9 +86,34 @@ func AppendJSONString(dst []byte, s string) []byte {
 // The table is stored in fixed-size chunks, so it grows without copying and
 // holds no doubling slack: at most one partly filled chunk of each kind.
 const (
-	litChunk = 4 << 10 // bytes of rendered literals per chunk
-	endChunk = 1 << 10 // end offsets per chunk
+	litChunk = 4 << 10   // bytes of rendered literals per chunk
+	endChunk = 1<<10 - 1 // offsets per chunk, which holds one more (4 KiB)
 )
+
+// chunked is an append-only list of 32-bit end offsets, entry 0 being 0:
+// the table's, and the dictionary's arena's. Chunk k holds entries
+// k*endChunk to (k+1)*endChunk, its last repeating the next chunk's first,
+// so the two bounds of every item are read from one chunk.
+type chunked [][]uint32
+
+// bounds returns entries i-1 and i, where item i starts and ends; i >= 1.
+func (c chunked) bounds(i uint) (uint32, uint32) {
+	p := c[(i-1)/endChunk][(i-1)%endChunk:][:2]
+	return p[0], p[1]
+}
+
+// put sets entry i, the list's length, and returns the extended list.
+func (c chunked) put(i uint, v uint32) chunked {
+	k, j := i/endChunk, i%endChunk
+	if j == 0 {
+		if k > 0 {
+			c[k-1][endChunk] = v
+		}
+		c = append(c, make([]uint32, endChunk+1))
+	}
+	c[k][j] = v
+	return c
+}
 
 // Literals is one published state of a dictionary's rendered table: the
 // SPARQL-JSON string literal of Render(id), quotes included, for each of IDs
@@ -98,15 +123,16 @@ const (
 // table costs 4 bytes a term, plus len+2 for each term that escaping or
 // shortening changes. A state never changes once published; the next one
 // shares its chunks and writes only past its end, so readers take no lock.
-// A state keeps alive the Terms() view it was built from.
+// A state keeps the dictionary View it was built from, and copies a quoted
+// value from that view's arena bytes.
 type Literals struct {
 	d     *Dictionary
-	terms []rdf.Term // the Terms() view IDs 1..n were rendered from
-	n     int        // IDs 1..n are rendered
-	size  uint32     // bytes held, where ID n's entry ends
-	full  bool       // the next literal would pass 4 GiB: the table stops at n
-	ends  [][]uint32 // ID i's entry ends at offset ends[(i-1)/endChunk][(i-1)%endChunk]
-	bytes [][]byte   // table offset o is bytes[o/litChunk][o%litChunk]
+	view  View     // the view IDs 1..n were rendered from
+	n     int      // IDs 1..n are rendered
+	size  uint32   // bytes held, where ID n's entry ends
+	full  bool     // the next literal would pass 4 GiB: the table stops at n
+	ends  chunked  // ID i's entry ends at offset entry i; entry 0 is 0
+	bytes [][]byte // table offset o is bytes[o/litChunk][o%litChunk]
 }
 
 // Literals returns the rendered table, first rendering whatever terms were
@@ -121,24 +147,24 @@ func (d *Dictionary) Literals() *Literals {
 	defer d.litMu.Unlock()
 	l := d.lits.Load()
 	if l == nil {
-		l = &Literals{d: d}
+		l = &Literals{d: d, ends: chunked(nil).put(0, 0)}
 	}
-	if terms := d.Terms(); l.n < len(terms) && !l.full {
-		l = l.extend(terms)
+	if v := d.View(); l.n < v.n && !l.full {
+		l = l.extend(v)
 	}
 	d.lits.Store(l)
 	return l
 }
 
-// extend returns the state that also renders terms past l.n.
-func (l *Literals) extend(terms []rdf.Term) *Literals {
+// extend returns the state that also renders the terms of view past l.n.
+func (l *Literals) extend(view *View) *Literals {
 	nl := *l
-	nl.terms = terms
+	nl.view = *view
 	var lit []byte
-	for ; nl.n < len(terms); nl.n++ {
-		v := Render(terms, ID(nl.n+1))
+	for ; nl.n < view.n; nl.n++ {
+		v := Render(view, ID(nl.n+1))
 		lit = AppendJSONString(lit[:0], v)
-		if v != terms[nl.n].Value || len(lit) != len(v)+2 {
+		if _, raw := view.record(uint(nl.n + 1)); v != raw || len(lit) != len(v)+2 {
 			if uint64(nl.size)+uint64(len(lit)) > math.MaxUint32 {
 				nl.full = true
 				break
@@ -152,17 +178,10 @@ func (l *Literals) extend(terms []rdf.Term) *Literals {
 				rest, nl.size = rest[k:], nl.size+uint32(k)
 			}
 		}
-		i := uint(nl.n)
-		if i%endChunk == 0 {
-			nl.ends = append(nl.ends, make([]uint32, endChunk))
-		}
-		nl.ends[i/endChunk][i%endChunk] = nl.size
+		nl.ends = nl.ends.put(uint(nl.n+1), nl.size)
 	}
 	return &nl
 }
-
-// end is where ID i+1's entry ends.
-func (l *Literals) end(i uint) uint32 { return l.ends[i/endChunk][i%endChunk] }
 
 // literal appends id's literal to dst. An ID past this state is looked up in
 // the dictionary's current table, and one that is not there either (an ID
@@ -172,17 +191,12 @@ func (l *Literals) literal(dst []byte, id ID) []byte {
 		if cur := l.d.Literals(); id >= 1 && id <= ID(cur.n) {
 			return cur.literal(dst, id)
 		}
-		return AppendJSONString(dst, Render(l.d.Terms(), id))
+		return AppendJSONString(dst, Render(l.d.View(), id))
 	}
-	i := uint(id - 1)
-	var start uint32
-	if i > 0 {
-		start = l.end(i - 1)
-	}
-	end := l.end(i)
+	start, end := l.ends.bounds(uint(id))
 	if start == end {
 		dst = append(dst, '"')
-		dst = append(dst, l.terms[i].Value...)
+		dst = append(dst, l.view.value(uint(id))...)
 		return append(dst, '"')
 	}
 	for start < end {

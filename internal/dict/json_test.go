@@ -104,12 +104,12 @@ func seededDictionary() *Dictionary {
 // that view (never assigned, unless a writer is running).
 func checkLiterals(t *testing.T, d *Dictionary, l *Literals, past int) {
 	t.Helper()
-	terms := d.Terms()
-	if l.n > len(terms) {
-		t.Fatalf("table renders %d IDs, dictionary holds %d", l.n, len(terms))
+	view := d.View()
+	if l.n > view.Len() {
+		t.Fatalf("table renders %d IDs, dictionary holds %d", l.n, view.Len())
 	}
-	for id := ID(-1); id <= ID(len(terms)+past); id++ {
-		want, err := json.Marshal(Render(terms, id))
+	for id := ID(-1); id <= ID(view.Len()+past); id++ {
+		want, err := json.Marshal(Render(view, id))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,10 +129,10 @@ func TestLiteralsMatchMarshal(t *testing.T) {
 	if l.n != d.Len() || len(l.bytes) < 4 {
 		t.Fatalf("table covers %d of %d IDs in %d chunks; want all, in at least 4", l.n, d.Len(), len(l.bytes))
 	}
-	terms := d.Terms()
+	view := d.View()
 	for short, long := range map[string]string{"rdf:type": rdf.RDFType, "rdfs:Class": rdf.RDFSClass} {
 		id, _ := d.Lookup(rdf.NewIRI(long))
-		if got := Render(terms, id); got != short {
+		if got := Render(view, id); got != short {
 			t.Errorf("Render(%s) = %q, want %q", long, got, short)
 		}
 	}
@@ -210,7 +210,7 @@ func TestLiteralsBytesPerTerm(t *testing.T) {
 		d.Decode(id)
 	}
 	d.Lookup(rdf.NewIRI("http://example.org/entity/7"))
-	Render(d.Terms(), 3)
+	Render(d.View(), 3)
 	if d.lits.Load() != nil {
 		t.Fatal("a dictionary never served holds a rendered table")
 	}

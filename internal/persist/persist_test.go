@@ -10,6 +10,7 @@ import (
 
 	"rdfviews/internal/algebra"
 	"rdfviews/internal/cq"
+	"rdfviews/internal/dict"
 	"rdfviews/internal/engine"
 	"rdfviews/internal/rdf"
 	"rdfviews/internal/store"
@@ -46,7 +47,7 @@ _:b knows u1 .
 		t.Fatalf("schema %d != %d", schema2.Len(), schema.Len())
 	}
 	// Dictionary IDs are preserved: same terms decode identically.
-	for _, id := range st.Dict().SortedIDs() {
+	for id := dict.ID(1); id <= dict.ID(st.Dict().Len()); id++ {
 		a := st.Dict().MustDecode(id)
 		b := st2.Dict().MustDecode(id)
 		if a != b {

@@ -26,7 +26,6 @@ import (
 	"rdfviews/internal/algebra"
 	"rdfviews/internal/dict"
 	"rdfviews/internal/engine"
-	"rdfviews/internal/rdf"
 	"rdfviews/internal/store"
 )
 
@@ -78,14 +77,16 @@ func (s *AnswerStream) Next() ([][]string, error) {
 	if cap(s.flat) < need {
 		s.flat = make([]string, need)
 	}
-	// One view per slab: the dictionary only grows, so a view taken after
-	// the slab was pulled holds every ID in it.
-	terms := s.d.Terms()
+	// One dictionary view per slab: the dictionary only grows, so a view
+	// taken after the slab was pulled holds every ID in it, and decoding
+	// against it takes no lock. A decoded value aliases the dictionary's
+	// arena, whose bytes never change.
+	view := s.d.View()
 	s.out = s.out[:0]
 	for ri, row := range rows {
 		r := s.flat[ri*w : (ri+1)*w : (ri+1)*w]
 		for i, id := range row {
-			r[i] = s.decode(terms, id)
+			r[i] = s.decode(view, id)
 		}
 		s.out = append(s.out, r)
 	}
@@ -132,15 +133,15 @@ func (s *AnswerStream) AppendRows(dst []byte, comma bool, seps [][]byte, end []b
 	return dict.AppendRows(s.d.Literals(), dst, comma, rows, seps, end), len(rows), nil
 }
 
-// decode renders one dictionary ID against a Terms() view by the one rule
-// every answer follows (dict.Render: IRIs shortened, literal values raw,
-// undecodable IDs as ?id), re-reading the view once before an ID past it
-// renders as ?id.
-func (s *AnswerStream) decode(terms []rdf.Term, id dict.ID) string {
-	if id > dict.ID(len(terms)) {
-		terms = s.d.Terms()
+// decode renders one dictionary ID against a dictionary view by the one
+// rule every answer follows (dict.Render: IRIs shortened, literal values
+// raw, undecodable IDs as ?id), taking a fresh view once before an ID past
+// it renders as ?id.
+func (s *AnswerStream) decode(view *dict.View, id dict.ID) string {
+	if id > dict.ID(view.Len()) {
+		view = s.d.View()
 	}
-	return dict.Render(terms, id)
+	return dict.Render(view, id)
 }
 
 // openRewriting is the one way a rewriting runs, whichever surface asks:

@@ -109,13 +109,13 @@ func oracle(t *testing.T, db *Database, q string, mode Reasoning) [][]string {
 // decoded renders an oracle relation through the facade's one decoder.
 func decoded(db *Database, rel *engine.Relation) [][]string {
 	s := &AnswerStream{d: db.st.Dict()}
-	terms := s.d.Terms()
+	view := s.d.View()
 	out := make([][]string, rel.Len())
 	for i := range out {
 		row := rel.Row(i, nil)
 		out[i] = make([]string, len(row))
 		for k, id := range row {
-			out[i][k] = s.decode(terms, id)
+			out[i][k] = s.decode(view, id)
 		}
 	}
 	return out
