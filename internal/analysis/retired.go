@@ -97,6 +97,9 @@ var retiredRows = []row{
 	// Retired by the change to one arena dictionary: term bytes in an
 	// append-only arena, IDs in an open-addressed table over it.
 	{name: "arena dictionary", in: re(`^dict/`), decls: re(`^dict\.Dictionary\.\w+ (\[\]rdf\.Term|(\[\d+\])?map\[string\]dict\.ID)$`), msg: "the dictionary keeps an rdf.Term slice or value-keyed maps again; keep term bytes in its arena and IDs in its table"},
+	// Retired by the change to sorted extents: a maintained extent is a
+	// Relation kept sorted on its columns, its order its index.
+	{name: "sorted extents", in: re(`^maintain/`), decls: re(`^maintain\.\w+\.\w+ .*\bengine\.RowIndex\b`), msg: "a maintained extent carries a RowIndex again; keep it an engine.Relation in Sorted order and change it with engine.Merged"},
 	// Retired by a238aa1, reformulation per atom on the serving path.
 	{name: "one plan per member", in: re(`^rdfviews/serve(_stream)?\.go$`), uses: re(`^reason\.Reformulate$`), msg: "the serving path reformulates member-wise again; use reason.ReformulateAtoms"},
 }

@@ -18,13 +18,13 @@ func heapAfterGC() uint64 {
 	return ms.HeapAlloc
 }
 
-// TestExtentBytesPerRow is the extent memory tripwire: what a materialized
-// view extent, indexed for maintenance, keeps on the heap per row. A row
-// costs 4 B per column in the 32-bit slabs plus 5.3–10.7 B of position table
-// (4-byte slots at a load between 3/8 and 3/4); the bound of 4·arity + 12
-// leaves room for allocator size classes and nothing else. Rows of []dict.ID
-// with a 24-byte header each, a table of stored hashes or a collision chain
-// would not fit (about 80 B a row of arity 2).
+// TestExtentBytesPerRow is the extent memory tripwire: what a view extent,
+// as the maintainer keeps it (Sorted, its order its index), holds on the
+// heap per row: 4 B per column in the 32-bit slabs and nothing else, so the
+// bound of 4·arity + 2 leaves room for allocator size classes only. A
+// position table beside the rows (the RowIndex an extent used to carry:
+// 18.5 B a row at arity 2, 22.5 at arity 3), rows of []dict.ID with a
+// 24-byte header each, or a table of stored hashes would not fit.
 func TestExtentBytesPerRow(t *testing.T) {
 	const n = 100_000
 	st := store.New()
@@ -44,15 +44,15 @@ func TestExtentBytesPerRow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		x := NewRowIndex(rel)
+		x := Sorted(rel)
 		perRow := (float64(heapAfterGC()) - float64(before)) / n
 		if x.Len() != n {
 			t.Fatalf("arity %d: %d rows, want %d", len(head), x.Len(), n)
 		}
-		bound := float64(4*len(head) + 12)
+		bound := float64(4*len(head) + 2)
 		t.Logf("arity %d: %.1f B/row (bound %.0f)", len(head), perRow, bound)
 		if perRow > bound {
-			t.Errorf("arity %d: an indexed extent holds %.1f B/row, want <= %.0f", len(head), perRow, bound)
+			t.Errorf("arity %d: a maintained extent holds %.1f B/row, want <= %.0f", len(head), perRow, bound)
 		}
 		runtime.KeepAlive(x)
 	}

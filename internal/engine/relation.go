@@ -130,15 +130,6 @@ func (r *Relation) trim() {
 	}
 }
 
-// clone returns an independent copy: one slab per column.
-func (r *Relation) clone() *Relation {
-	out := &Relation{Cols: r.Cols, vals: make([][]uint32, len(r.vals)), n: r.n}
-	for c, col := range r.vals {
-		out.vals[c] = slices.Clone(col)
-	}
-	return out
-}
-
 // hashAt hashes row i's values, in column order; for a row within the
 // 32-bit range it equals hashRow of the widened row.
 func (r *Relation) hashAt(i int) uint64 {

@@ -13,10 +13,10 @@ package maintain
 // Refresher side: drain the queue in batches of at most batchBound
 // contiguous deltas and hand each to the fold (apply) with its pre-state —
 // the snapshot of the delta preceding the batch; the batch's last snapshot
-// is its post-state. The fold clones each extent it changes and publishes
-// the generation through one atomic pointer swap, so a reader pinning a
-// generation never observes a half-applied batch, and the generation's
-// epoch tag is exactly the store epoch it reflects.
+// is its post-state. The fold merges each extent it changes into a new one
+// and publishes the generation through one atomic pointer swap, so a reader
+// pinning a generation never observes a half-applied batch, and the
+// generation's epoch tag is exactly the store epoch it reflects.
 
 import (
 	"fmt"

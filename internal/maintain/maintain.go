@@ -15,21 +15,25 @@
 //
 // One fold does all the propagation (apply): it nets a batch of store
 // deltas into insertions and deletions, runs DRed over the store snapshots
-// before and after the batch, and publishes the next extent generation. The
-// two modes, chosen by New's queue depth, differ only in when the fold runs
-// and whether a changed extent is copied:
+// before and after the batch, and publishes the next extent generation. Each
+// extent is a relation sorted on its columns (engine.Sorted), so membership
+// is a binary search and nothing but the rows is kept; a changed extent is
+// published as one linear merge of the old one with its sorted removals and
+// additions (engine.Merged), and the old one is never written, so a reader
+// draining it is never disturbed. The two modes, chosen by New's queue
+// depth, differ only in when the fold runs:
 //
 //   - Synchronous (queue depth <= 0): Insert/Delete fold their own
 //     one-delta batch before returning, so extents are exact after every
-//     call. With one caller there is no reader to protect, so a changed
-//     extent is mutated in place and an update costs O(delta).
+//     call; an update costs its delta queries plus a copy of each extent it
+//     changes.
 //   - Asynchronous (queue depth > 0): Insert/Delete update the base store,
 //     append the delta to a bounded change queue and return. A background
-//     refresher folds up to 256 queued deltas at a time, cloning each
-//     changed extent (copy-on-write RowIndex) and publishing the generation
-//     with one pointer swap, so concurrent readers never observe a
-//     half-applied batch. Flush is the freshness barrier; Lag and the epoch
-//     accessors report how far extents trail the store.
+//     refresher folds up to 256 queued deltas at a time, merging each
+//     changed extent once per batch, and publishes the generation with one
+//     pointer swap, so concurrent readers never observe a half-applied
+//     batch. Flush is the freshness barrier; Lag and the epoch accessors
+//     report how far extents trail the store.
 package maintain
 
 import (
@@ -50,9 +54,9 @@ type Maintainer struct {
 	views map[algebra.ViewID]*cq.UCQ
 
 	// cur is the published generation of every extent. The fold replaces it
-	// on every batch, so readers pinning one load observe a consistent set
-	// across views; only the asynchronous fold also copies the extents it
-	// changes, which makes its published generations immutable.
+	// on every batch with a set whose changed extents are new relations, so
+	// readers pinning one load observe a consistent, immutable set across
+	// views.
 	cur atomic.Pointer[extentSet]
 
 	// pubGen counts extent publications: one per folded batch, which under
@@ -69,12 +73,12 @@ type Maintainer struct {
 	rf *refresher // nil in synchronous mode
 }
 
-// extentSet is one generation of extents: the extent of every view plus the
-// store epoch the generation corresponds to. Asynchronously published sets
-// are immutable.
+// extentSet is one generation of extents: the extent of every view, each in
+// engine.Sorted order, plus the store epoch the generation corresponds to.
+// Published sets are immutable.
 type extentSet struct {
 	epoch   uint64
-	extents map[algebra.ViewID]*engine.RowIndex
+	extents map[algebra.ViewID]*engine.Relation
 }
 
 // New materializes every view and returns a maintainer over them. With
@@ -87,13 +91,13 @@ type extentSet struct {
 func New(st *store.Store, views map[algebra.ViewID]*cq.UCQ, queueDepth int) (*Maintainer, error) {
 	m := &Maintainer{st: st, views: views}
 	snap := st.Snapshot()
-	exts := make(map[algebra.ViewID]*engine.RowIndex, len(views))
+	exts := make(map[algebra.ViewID]*engine.Relation, len(views))
 	for id, v := range views {
 		rel, err := engine.MaterializeUCQ(snap, v)
 		if err != nil {
 			return nil, fmt.Errorf("maintain: view v%d: %w", int(id), err)
 		}
-		exts[id] = engine.NewRowIndex(rel)
+		exts[id] = engine.Sorted(rel)
 	}
 	m.cur.Store(&extentSet{epoch: snap.Epoch(), extents: exts})
 	m.latest.Store(snap.Epoch())
@@ -107,15 +111,13 @@ func New(st *store.Store, views map[algebra.ViewID]*cq.UCQ, queueDepth int) (*Ma
 // (false for a nil Maintainer).
 func (m *Maintainer) Async() bool { return m != nil && m.rf != nil }
 
-// Extent returns the current materialization of a view. The caller must not
-// modify it; in asynchronous mode it is an immutable published generation
-// that may trail the store until the next Flush.
+// Extent returns the current materialization of a view, its rows sorted on
+// its columns. The caller must not modify it; it is an immutable published
+// generation, which in asynchronous mode may trail the store until the next
+// Flush.
 func (m *Maintainer) Extent(id algebra.ViewID) (*engine.Relation, bool) {
 	x, ok := m.cur.Load().extents[id]
-	if !ok {
-		return nil, false
-	}
-	return x.Relation(), true
+	return x, ok
 }
 
 // Resolver adapts the maintainer to plan execution. The generation of
@@ -128,7 +130,7 @@ func (m *Maintainer) Resolver() engine.ViewResolver {
 		if !ok {
 			return nil, fmt.Errorf("maintain: unknown view v%d", int(id))
 		}
-		return x.Relation(), nil
+		return x, nil
 	}
 }
 
@@ -297,7 +299,7 @@ func (m *Maintainer) apply(snapOld *store.Snapshot, batch []delta) (int, error) 
 	changed := 0
 	for id, v := range m.views {
 		x := old.extents[id]
-		cols := x.Relation().Cols
+		cols := x.Cols
 		var row engine.Row
 
 		// Deletion phase (DRed). A row deriving through several net-deleted
@@ -311,7 +313,7 @@ func (m *Maintainer) apply(snapOld *store.Snapshot, batch []delta) (int, error) 
 				return changed, err
 			}
 			for i := 0; i < rows.Len(); i++ {
-				if row = rows.Row(i, row); !x.Has(row) || !seen.Add(row) {
+				if row = rows.Row(i, row); !x.Contains(row) || !seen.Add(row) {
 					continue
 				}
 				ok, err := m.rederivable(snapNew, v, row)
@@ -333,8 +335,8 @@ func (m *Maintainer) apply(snapOld *store.Snapshot, batch []delta) (int, error) 
 				return changed, err
 			}
 			for i := 0; i < rows.Len(); i++ {
-				if row = rows.Row(i, row); !x.Has(row) {
-					additions.Append(row)
+				if row = rows.Row(i, row); !x.Contains(row) {
+					additions.Append(row) // repeats across delta triples go in Sorted
 				}
 			}
 		}
@@ -342,20 +344,9 @@ func (m *Maintainer) apply(snapOld *store.Snapshot, batch []delta) (int, error) 
 		if removals.Len() == 0 && additions.Len() == 0 {
 			continue
 		}
-		if m.rf != nil {
-			x = x.Clone() // readers hold published generations: copy on write
-		}
-		for i := 0; i < removals.Len(); i++ {
-			if x.Remove(removals.Row(i, row)) {
-				changed++
-			}
-		}
-		for i := 0; i < additions.Len(); i++ {
-			if x.Add(additions.Row(i, row)) { // dedups additions repeated across delta triples
-				changed++
-			}
-		}
-		next.extents[id] = x
+		del, add := engine.Sorted(removals), engine.Sorted(additions)
+		next.extents[id] = engine.Merged(x, del, add)
+		changed += del.Len() + add.Len()
 	}
 	m.cur.Store(next)
 	m.pubGen.Add(1)

@@ -35,9 +35,10 @@ type ID2 struct {
 // smallest unread triple, when live) followed by the remaining base range
 // merged with the remaining overlay range, skipping tombstones. The base range
 // is a run of positions from the permutation's index (base), or, for a base
-// kept in place (the object side's POS), the positions lo..hi-1 themselves;
-// the other of the two is empty. An order no side keeps (SOP, OPS) streams
-// its derived run (snap.derived) as base, with no overlay.
+// kept in place (a dual side's first order, SPO or POS), the positions
+// lo..hi-1 themselves; the other of the two is empty. An order no side keeps
+// (SOP, OPS) streams its derived run (snap.derived) as base, with no
+// overlay.
 type subCursor struct {
 	sn     *snap
 	base   []int32

@@ -31,8 +31,9 @@ import (
 // shape of reformulated union members (every ?s p o member of a relaxed
 // query), which is why the replica is worth its memory — about 16 B a triple
 // (the 12-byte stored triple, kept in POS order so that it is the POS index
-// itself, and the OSP position) beside the subject side's 20: it turns the
-// serving tier's O(K) fan-outs into O(1) lookups.
+// itself, and the OSP position) beside the subject side's 16 (the triple in
+// SPO order, and the PSO position): it turns the serving tier's O(K)
+// fan-outs into O(1) lookups.
 type Placement struct {
 	// SubjectShards is the partition count of the subject-hash side (>= 1).
 	SubjectShards int

@@ -45,14 +45,17 @@ const deltaMax = 512
 // length, which older snapshots never read. Densification starts a fresh
 // lineage.
 //
-// On the object side of a dual layout every merge rewrites the slice in POS
-// order (posOrdered), and its first sorted triples are the POS base index
-// themselves: base[POS] stays nil, and the base's k-th triple is at position
-// k. Everywhere else sorted is 0 and the slice stays in insertion order.
+// On either side of a dual layout every merge rewrites the slice in the
+// side's first order (firstOrdered) — SPO on the subject side, POS on the
+// object side — and its first sorted triples are that order's base index
+// themselves: base[first] stays nil, and the base's k-th triple is at
+// position k. On a flat layout sorted stays 0 and the slice stays in
+// insertion order.
 type snap struct {
 	triples []packed
-	sorted  int // leading triples that are the POS base in place (object side)
-	live    int // triples minus tombstones
+	sorted  int  // leading triples that are base[first] in place (dual layouts)
+	first   Perm // the side's first order (membership; in place on a dual side)
+	live    int  // triples minus tombstones
 
 	// Tombstones live in two tiers, mirroring the insert overlays so a
 	// delete costs O(overlay), not O(N). tomb is the small sorted list of
@@ -111,13 +114,19 @@ func foldTomb(dead []uint64, tomb []int32, n int) []uint64 {
 // OPS: they differ from SPO and OSP only inside a run of equal leading
 // column, so a read sorts the run it needs (snap.derived). A side's first
 // order is its membership index: a triple's liveness and position are a
-// full-prefix binary search in it. The object side's first, POS, is its
-// triple slice itself (snap.sorted).
+// full-prefix binary search in it. On a dual layout each side's first order,
+// SPO or POS, is its triple slice itself (snap.sorted, keptInPlace).
 var (
 	allPerms     = []Perm{SPO, PSO, POS, OSP}
 	subjectPerms = []Perm{SPO, PSO}
 	objectPerms  = []Perm{POS, OSP}
 )
+
+// keptInPlace reports whether a side keeping held rewrites its triple slice
+// in its first order at every merge: each side of a dual layout does; a flat
+// layout's one side keeps insertion order, which datagen and the benchmark's
+// inputs read back by index (Store.Triples).
+func keptInPlace(held []Perm) bool { return len(held) < len(allPerms) }
 
 // sourceOf maps each permutation to the kept order it is read from: itself
 // when kept, SPO for SOP and OSP for OPS.
@@ -132,7 +141,7 @@ type shard struct {
 
 func newShard(held []Perm) *shard {
 	sh := &shard{perms: held}
-	sh.cur.Store(&snap{})
+	sh.cur.Store(&snap{first: held[0]})
 	return sh
 }
 
@@ -191,10 +200,10 @@ func rangeRun(run []packed, order [3]int, prefix []dict.ID) (int, int) {
 }
 
 // inPlace returns the triples that are permutation p's base index in place:
-// the object side's sorted prefix for POS, and nothing for any other
-// permutation or side (whose base is the position list base[p]).
+// a dual side's sorted prefix for its first order, and nothing for any other
+// permutation or on a flat layout (whose base is the position list base[p]).
 func (s *snap) inPlace(p Perm) []packed {
-	if p != POS {
+	if p != s.first {
 		return nil
 	}
 	return s.triples[:s.sorted]
@@ -302,22 +311,16 @@ func (s *snap) with(fresh []Triple, spo []int32, held []Perm) *snap {
 	for _, t := range fresh {
 		tris = append(tris, pack(t))
 	}
-	ns := &snap{
-		triples: tris,
-		sorted:  s.sorted,
-		live:    s.live + len(fresh),
-		tomb:    s.tomb,
-		dead:    s.dead,
-		base:    s.base,
-	}
+	ns := *s
+	ns.triples, ns.live = tris, s.live+len(fresh)
 	sorted := sortedPositions(ns.triples, first, len(fresh), spo, held)
 	for _, p := range held {
 		ns.delta[p] = mergePositions(ns.triples, s.delta[p], sorted[p], perms[p])
 	}
 	if len(ns.delta[held[0]]) >= deltaMax {
-		ns = compacted(ns, false, held)
+		return compacted(&ns, false, held)
 	}
-	return ns
+	return &ns
 }
 
 // sortedPositions returns the n positions from first on, sorted under each
@@ -361,14 +364,22 @@ func sortedPositions(triples []packed, first int32, n int, spo []int32, held []P
 // derived returns the positions of the snapshot's live triples that match
 // the bound prefix under p, an order no side keeps (SOP or OPS), in p's
 // order: its source's run for the bound leading column (every run when the
-// column is free), base and overlay merged and tombstones dropped, each run
-// of equal leading column re-sorted by p's other two columns.
+// column is free), base — a position list or a run in place — and overlay
+// merged and tombstones dropped, each run of equal leading column re-sorted
+// by p's other two columns.
 func (s *snap) derived(p Perm, prefix []dict.ID) []int32 {
 	src := sourceOf[p]
 	order, lead := perms[src], prefix[:min(len(prefix), 1)]
 	blo, bhi := rangeIn(s.triples, s.base[src], order, lead)
+	base := s.base[src][blo:bhi]
+	if rlo, rhi := rangeRun(s.inPlace(src), order, lead); rlo < rhi {
+		base = make([]int32, rhi-rlo) // a side keeps src in place or as a list, not both
+		for k := range base {
+			base[k] = int32(rlo + k)
+		}
+	}
 	dlo, dhi := rangeIn(s.triples, s.delta[src], order, lead)
-	run := resortedRuns(s.triples, s.merged(s.base[src][blo:bhi], s.delta[src][dlo:dhi], order, nil), p)
+	run := resortedRuns(s.triples, s.merged(base, s.delta[src][dlo:dhi], order, nil), p)
 	lo, hi := rangeIn(s.triples, run, perms[p], prefix)
 	return run[lo:hi]
 }
@@ -466,34 +477,28 @@ func (sh *shard) remove(t Triple) bool {
 	if pos < 0 {
 		return false
 	}
-	ns := &snap{
-		triples: s.triples,
-		sorted:  s.sorted,
-		live:    s.live - 1,
-		tomb:    tombWith(s.tomb, pos),
-		dead:    s.dead,
-		base:    s.base,
-		delta:   s.delta,
-	}
+	ns := *s
+	ns.live, ns.tomb = s.live-1, tombWith(s.tomb, pos)
 	if len(ns.tomb) >= deltaMax {
-		ns = compacted(ns, false, sh.perms)
+		sh.cur.Store(compacted(&ns, false, sh.perms))
+	} else {
+		sh.cur.Store(&ns)
 	}
-	sh.cur.Store(ns)
 	return true
 }
 
 // compacted merges each held permutation's overlay into its base index with a
 // linear two-way merge, dropping tombstoned positions. When the holes outweigh
 // the live triples (or force is set) it also densifies: the triple slice is
-// rewritten without holes and positions are remapped. The object side
-// rewrites its slice at every merge (posOrdered).
+// rewritten without holes and positions are remapped. Each side of a dual
+// layout rewrites its slice at every merge (firstOrdered).
 func compacted(s *snap, force bool, held []Perm) *snap {
-	if held[0] == POS {
-		return posOrdered(s, held)
+	if keptInPlace(held) {
+		return firstOrdered(s, held)
 	}
 	holes := len(s.triples) - s.live
 	densify := force || (holes > 0 && holes >= s.live)
-	ns := &snap{live: s.live}
+	ns := &snap{first: s.first, live: s.live}
 	var remap []int32
 	if densify {
 		remap = make([]int32, len(s.triples))
@@ -520,15 +525,17 @@ func compacted(s *snap, force bool, held []Perm) *snap {
 	return ns
 }
 
-// posOrdered is compacted for the object side, whose triple slice is its POS
-// base: the slice is rewritten as the linear merge of its sorted prefix and
-// the POS overlay, dropping tombstoned positions, so the result is dense and
-// in POS order, and the other held permutations are merged onto the new
-// positions. The fresh slice has room for deltaMax appends, the most that
+// firstOrdered is compacted for a side of a dual layout, whose triple slice
+// is the base of its first order (SPO on the subject side, POS on the object
+// side): the slice is rewritten as the linear merge of its sorted prefix and
+// that order's overlay, dropping tombstoned positions, so the result is dense
+// and in the first order, and the other held permutation is merged onto the
+// new positions. The fresh slice has room for deltaMax appends, the most that
 // arrive one at a time before the next merge rewrites it again.
-func posOrdered(s *snap, held []Perm) *snap {
-	order := perms[POS]
-	run, delta := s.inPlace(POS), s.delta[POS]
+func firstOrdered(s *snap, held []Perm) *snap {
+	first := held[0]
+	order := perms[first]
+	run, delta := s.inPlace(first), s.delta[first]
 	remap := make([]int32, len(s.triples))
 	nt := make([]packed, 0, s.live+deltaMax)
 	for k := 0; k < len(run) || len(delta) > 0; {
@@ -545,7 +552,7 @@ func posOrdered(s *snap, held []Perm) *snap {
 		remap[pos] = int32(len(nt))
 		nt = append(nt, s.triples[pos])
 	}
-	ns := &snap{triples: nt, sorted: len(nt), live: s.live}
+	ns := &snap{triples: nt, sorted: len(nt), first: first, live: s.live}
 	for _, p := range held[1:] {
 		ns.base[p] = s.merged(s.base[p], s.delta[p], perms[p], remap)
 	}
@@ -592,19 +599,32 @@ func (s *snap) merged(base, delta []int32, order [3]int, remap []int32) []int32 
 // base and overlay until the next merge clears tomb, so testing the at most
 // deltaMax tombstones against the prefix is exact — O(log N + |tomb|) however
 // long the range. An order no side keeps counts its source's run for the
-// leading column, entry by entry against the rest of the prefix: SOP's
-// S,O-bound count walks the subject's SPO run, without sorting it.
+// leading column (in place or in a list), entry by entry against the rest of
+// the prefix: SOP's S,O-bound count walks the subject's SPO run, without
+// sorting it.
 func (s *snap) count(pi int, prefix []dict.ID) int {
 	order, src := perms[pi], sourceOf[pi]
-	lo, hi := rangeRun(s.inPlace(Perm(pi)), order, prefix)
+	lead := prefix // the source's bound prefix: all of it, or its leading column
+	if src != Perm(pi) {
+		lead = prefix[:min(len(prefix), 1)]
+	}
+	run := s.inPlace(src)
+	lo, hi := rangeRun(run, perms[src], lead)
 	n := hi - lo
+	if src != Perm(pi) {
+		n = 0
+		for _, t := range run[lo:hi] {
+			if prefixCmp(t, order, prefix) == 0 {
+				n++
+			}
+		}
+	}
 	for _, idx := range [2][]int32{s.base[src], s.delta[src]} {
+		lo, hi := rangeIn(s.triples, idx, perms[src], lead)
 		if src == Perm(pi) {
-			lo, hi := rangeIn(s.triples, idx, order, prefix)
 			n += hi - lo
 			continue
 		}
-		lo, hi := rangeIn(s.triples, idx, perms[src], prefix[:min(len(prefix), 1)])
 		for _, pos := range idx[lo:hi] {
 			if prefixCmp(s.triples[pos], order, prefix) == 0 {
 				n++
@@ -624,7 +644,7 @@ tombs:
 }
 
 // liveTriples returns the snapshot's live triples, widened into a fresh
-// slice, in position (= insertion) order.
+// slice, in position order: insertion order on a flat layout.
 func (s *snap) liveTriples() []Triple {
 	out := make([]Triple, 0, s.live)
 	for pos, t := range s.triples {

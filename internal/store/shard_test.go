@@ -581,76 +581,90 @@ func TestAddBatchMatchesAddLoop(t *testing.T) {
 	}
 }
 
-// TestSubjectSideKeepsInsertionOrder pins what Triples and ShardTriples hand
-// out on a dual layout — each subject shard's live triples in insertion order
-// — across a threshold merge, removals and a re-add, and Clone's densify;
-// GenerateSatisfiable samples from that order by index. The object side's
-// slice is rewritten in POS order at the same merges, and must not leak into
-// either.
-func TestSubjectSideKeepsInsertionOrder(t *testing.T) {
-	st := NewDual(2, 2)
-	model := make([][]Triple, st.NumShards())
-	add := func(tr Triple) {
-		if st.Add(tr) {
-			i := st.shardOf(tr[S])
-			model[i] = append(model[i], tr)
-		}
-	}
-	check := func(st *Store, ctx string) {
-		t.Helper()
-		var all []Triple
-		for i := range model {
-			if got := st.ShardTriples(i); !slices.Equal(got, model[i]) {
-				t.Fatalf("%s: ShardTriples(%d) is not shard %d's insertion order", ctx, i, i)
+// TestShardTriplesOrder pins what Triples and ShardTriples hand out, across
+// a threshold merge, removals and a re-add, and Clone's densify: on a dual
+// layout each subject shard's live triples in SPO order, the order its
+// slice is rewritten in at every merge, with the object side's sorted
+// prefix in POS order beside it; on a flat layout each shard's live triples
+// in insertion order, which GenerateSatisfiable and datagen sample from by
+// index. Triples is the shards' sections concatenated.
+func TestShardTriplesOrder(t *testing.T) {
+	for _, objectK := range []int{2, 0} {
+		t.Run(fmt.Sprintf("Dual(2,%d)", objectK), func(t *testing.T) {
+			st := NewDual(2, objectK)
+			dual := objectK > 0
+			model := make([][]Triple, st.NumShards()) // each shard's insertion order
+			add := func(tr Triple) {
+				if st.Add(tr) {
+					i := st.shardOf(tr[S])
+					model[i] = append(model[i], tr)
+				}
 			}
-			all = append(all, model[i]...)
-		}
-		if !slices.Equal(st.Triples(), all) {
-			t.Fatalf("%s: Triples() is not the shards' insertion order", ctx)
-		}
-		for i, sh := range st.oshards {
-			s := sh.cur.Load()
-			if !slices.IsSortedFunc(s.inPlace(POS), func(a, b packed) int { return permCmp(a, b, perms[POS]) }) {
-				t.Fatalf("%s: object shard %d's sorted prefix is out of POS order", ctx, i)
+			check := func(st *Store, ctx string) {
+				t.Helper()
+				var all []Triple
+				for i := range model {
+					want := slices.Clone(model[i])
+					if dual {
+						slices.SortFunc(want, func(a, b Triple) int { return permCmp(a, b, perms[SPO]) })
+					}
+					if got := st.ShardTriples(i); !slices.Equal(got, want) {
+						t.Fatalf("%s: ShardTriples(%d) is not shard %d's triples in the layout's order", ctx, i, i)
+					}
+					all = append(all, want...)
+				}
+				if !slices.Equal(st.Triples(), all) {
+					t.Fatalf("%s: Triples() is not the shards' sections concatenated", ctx)
+				}
+				for i, sh := range st.oshards {
+					s := sh.cur.Load()
+					if !slices.IsSortedFunc(s.inPlace(POS), func(a, b packed) int { return permCmp(a, b, perms[POS]) }) {
+						t.Fatalf("%s: object shard %d's sorted prefix is out of POS order", ctx, i)
+					}
+				}
 			}
-		}
-	}
 
-	// Seeded triples are in no column's order, so insertion order differs
-	// from every permutation's.
-	ts := seededTriples(6*deltaMax, 9)
-	for _, tr := range ts[:3*deltaMax] {
-		add(tr)
-	}
-	st.AddBatch(ts[3*deltaMax:])
-	for _, tr := range ts[3*deltaMax:] {
-		model[st.shardOf(tr[S])] = append(model[st.shardOf(tr[S])], tr)
-	}
-	for _, side := range [][]*shard{st.shards, st.oshards} {
-		for i, sh := range side {
-			if s := sh.cur.Load(); len(s.delta[sh.perms[0]]) == len(s.triples) {
-				t.Fatalf("shard %d of a side keeping %v never merged", i, sh.perms)
+			// Seeded triples are in no column's order, so insertion order
+			// differs from every permutation's.
+			ts := seededTriples(6*deltaMax, 9)
+			for _, tr := range ts[:3*deltaMax] {
+				add(tr)
 			}
-		}
-	}
-	check(st, "after a threshold merge")
-
-	for i := 0; i < len(ts); i += 5 {
-		st.Remove(ts[i])
-	}
-	for i := range model {
-		model[i] = slices.DeleteFunc(model[i], func(tr Triple) bool { return !st.Contains(tr) })
-	}
-	add(ts[0]) // a re-add goes to the end of its shard's order
-	check(st, "after removals")
-
-	cl := st.Clone()
-	for _, side := range [][]*shard{cl.shards, cl.oshards} {
-		for _, sh := range side {
-			if s := sh.cur.Load(); len(s.triples) != s.live || len(s.tomb) > 0 {
-				t.Fatal("Clone did not densify")
+			st.AddBatch(ts[3*deltaMax:])
+			for _, tr := range ts[3*deltaMax:] {
+				model[st.shardOf(tr[S])] = append(model[st.shardOf(tr[S])], tr)
 			}
-		}
+			for _, side := range [][]*shard{st.shards, st.oshards} {
+				for i, sh := range side {
+					s := sh.cur.Load()
+					if len(s.delta[sh.perms[0]]) == len(s.triples) {
+						t.Fatalf("shard %d of a side keeping %v never merged", i, sh.perms)
+					}
+					if dual != (s.sorted > 0) {
+						t.Fatalf("shard %d of a side keeping %v has %d triples in place after a merge", i, sh.perms, s.sorted)
+					}
+				}
+			}
+			check(st, "after a threshold merge")
+
+			for i := 0; i < len(ts); i += 5 {
+				st.Remove(ts[i])
+			}
+			for i := range model {
+				model[i] = slices.DeleteFunc(model[i], func(tr Triple) bool { return !st.Contains(tr) })
+			}
+			add(ts[0]) // a re-add goes to the end of a flat shard's order
+			check(st, "after removals")
+
+			cl := st.Clone()
+			for _, side := range [][]*shard{cl.shards, cl.oshards} {
+				for _, sh := range side {
+					if s := sh.cur.Load(); len(s.triples) != s.live || len(s.tomb) > 0 {
+						t.Fatal("Clone did not densify")
+					}
+				}
+			}
+			check(cl, "after Clone's densify")
+		})
 	}
-	check(cl, "after Clone's densify")
 }

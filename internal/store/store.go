@@ -36,12 +36,13 @@
 //     shard's leading permutation (SPO; POS on the object side). A shard
 //     stores each triple's IDs in 32-bit columns and widens them as they are
 //     read, so resident cost is the 12-byte stored triple plus 4 bytes per
-//     position list: 28 B a triple on a flat layout, 20 B on a dual layout's
-//     subject side. The object side rewrites its triple slice in POS order at
-//     every threshold merge, so its POS index is the slice itself and a
-//     triple costs it 16 B. The subject side keeps its slice in insertion
-//     order, the order Triples, ShardTriples and Graph hand out. An ID must
-//     stay below 2^32 to be stored.
+//     position list: 28 B a triple on a flat layout. Each side of a dual
+//     layout rewrites its triple slice in its first order at every threshold
+//     merge — SPO on the subject side, POS on the object side — so that
+//     order's index is the slice itself and a triple costs each side 16 B.
+//     Triples, ShardTriples and Graph hand out a dual layout's subject
+//     shards in SPO order and a flat layout's shards in insertion order. An
+//     ID must stay below 2^32 to be stored.
 //   - Index maintenance is incremental. Instead of marking the store dirty
 //     and re-sorting every permutation on the next read (O(N log N) per
 //     touched batch), an insert goes into a small sorted delta overlay per
@@ -273,10 +274,12 @@ func NewWithDictSharded(d *dict.Dictionary, k int) *Store {
 // object-bound patterns prune to a single shard. objectK = 0 degenerates to
 // the subject-only layout, whose shards keep four permutations (28 B a
 // triple). On a dual layout each kept permutation lives on one side: the
-// subject side keeps SPO and PSO (20 B a triple), the object side holds
-// every triple again with POS and OSP, its POS index being its triple slice
-// (16 B). SOP and OPS are read from SPO and OSP on either layout. The second copy of the triple is the trade the serving tier makes
-// to turn O(K) fan-outs into O(1) lookups on both access sides.
+// subject side keeps SPO and PSO, its SPO index being its triple slice
+// (16 B a triple), the object side holds every triple again with POS and
+// OSP, its POS index being its triple slice (16 B). SOP and OPS are read
+// from SPO and OSP on either layout. The second copy of the triple is the
+// trade the serving tier makes to turn O(K) fan-outs into O(1) lookups on
+// both access sides.
 func NewDual(subjectK, objectK int) *Store {
 	return NewWithDictDual(dict.New(), subjectK, objectK)
 }
@@ -473,22 +476,40 @@ func (st *Store) MustAddGraph(g rdf.Graph) int {
 }
 
 // Triples returns the distinct triples in a fresh slice the caller owns,
-// grouped by shard, each shard's section in its insertion order.
+// grouped by subject shard, each shard's section in the order ShardTriples
+// hands it out.
 func (st *Store) Triples() []Triple {
 	if len(st.shards) == 1 {
-		return st.shards[0].cur.Load().liveTriples()
+		return st.ShardTriples(0)
 	}
 	out := make([]Triple, 0, st.Len())
-	for _, sh := range st.shards {
-		out = append(out, sh.cur.Load().liveTriples()...)
+	for i := range st.shards {
+		out = append(out, st.ShardTriples(i)...)
 	}
 	return out
 }
 
-// ShardTriples returns shard i's distinct triples in its insertion order; the
-// per-shard counterpart of Triples, used by the snapshot writer.
+// ShardTriples returns subject shard i's distinct triples: in SPO order on a
+// dual layout, whose subject side keeps its slice in that order, and in
+// insertion order on a flat layout, which datagen and the benchmark's inputs
+// read back by index. It is the per-shard counterpart of Triples, used by
+// the snapshot writer.
 func (st *Store) ShardTriples(i int) []Triple {
-	return st.shards[i].cur.Load().liveTriples()
+	sn := st.shards[i].cur.Load()
+	if len(st.oshards) == 0 {
+		return sn.liveTriples()
+	}
+	out := make([]Triple, sn.live)
+	c := cursorOverSnaps([]*snap{sn}, SPO, Pattern{})
+	n := 0
+	for n < len(out) {
+		k := c.NextBatch(out[n:])
+		if k == 0 {
+			break
+		}
+		n += k
+	}
+	return out[:n]
 }
 
 // indexFor picks the permutation whose prefix covers the bound positions of
@@ -556,19 +577,15 @@ func (st *Store) Clone() *Store {
 	return c
 }
 
-// Graph decodes the whole store back to an rdf.Graph (shard-section order).
+// Graph decodes the whole store back to an rdf.Graph, in Triples order.
 func (st *Store) Graph() rdf.Graph {
 	g := make(rdf.Graph, 0, st.Len())
-	for _, sh := range st.shards {
-		s := sh.cur.Load()
-		for pos, t := range s.triples {
-			if s.gone(int32(pos)) {
-				continue
-			}
+	for i := range st.shards {
+		for _, t := range st.ShardTriples(i) {
 			g = append(g, rdf.Triple{
-				S: st.dict.MustDecode(dict.ID(t[S])),
-				P: st.dict.MustDecode(dict.ID(t[P])),
-				O: st.dict.MustDecode(dict.ID(t[O])),
+				S: st.dict.MustDecode(t[S]),
+				P: st.dict.MustDecode(t[P]),
+				O: st.dict.MustDecode(t[O]),
 			})
 		}
 	}

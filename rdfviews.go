@@ -390,5 +390,5 @@ func (db *Database) ExplainQuery(q *cq.Query) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return r.members[0].Instantiate(v.reader, nil).Explain(), nil
+	return r.members[0].Instantiate(v.reader, r.repr).Explain(), nil
 }

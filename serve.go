@@ -74,9 +74,10 @@ import (
 // with a real term; parameter rank r is encoded as sentinelBase + r.
 const sentinelBase dict.ID = 1 << 56
 
-// maxRoutesPerArtifact bounds the per-binding route memo kept on one cached
-// artifact (whether a concrete binding hits an exact workload view match
-// depends on the constants, so it is resolved per binding).
+// maxRoutesPerArtifact bounds the per-binding view-match memo kept on one
+// routable cached artifact (whether a concrete binding hits an exact
+// workload view match depends on the constants, so it is resolved per
+// binding).
 const maxRoutesPerArtifact = 128
 
 // liftInfo is one query's admission ticket to the plan cache: the cache key,
@@ -232,17 +233,21 @@ func compileStoreTemplate(reader store.Reader, skel *cq.Query, repr map[dict.ID]
 
 // boundRoute is what one binding of a skeleton runs: the maintained
 // rewriting of the workload query it matches exactly (idx, with cols lining
-// the rewriting's columns up with the incoming head), or else the store
-// template's members with the binding's constants substituted but no reader
-// pinned. Substitution walks every compiled step spec, so repeated
-// executions of one binding — the prepared-query hot path — pay only a
-// struct copy per member to pin the caller's reader (execStream).
+// the rewriting's columns up with the incoming head), or else the artifact's
+// store template (members, shared by every binding) under the binding's
+// constants (repr), substituted into each member when a run pins its reader
+// (execStream).
 type boundRoute struct {
 	matched bool
 	idx     int       // workload query / rewriting plan index
 	cols    []cq.Term // rewriting columns in incoming head order
 	members []*engine.QueryPlan
+	repr    map[dict.ID]dict.ID
 }
+
+// unmatched is the view-match memo's one entry for every binding that
+// matches no workload query.
+var unmatched = &boundRoute{}
 
 // serveArtifact is one plan-cache entry: the skeleton it was compiled from,
 // the lazily compiled store template, what each binding runs, and the
@@ -266,7 +271,7 @@ type serveArtifact struct {
 
 	mu    sync.Mutex
 	tmpl  []*engine.QueryPlan    // the store template, compiled on first need
-	bound map[string]*boundRoute // each binding's route, by binding key
+	bound map[string]*boundRoute // routable: each binding's view match, by binding key
 }
 
 // valid is the one validity rule of the plan cache, run on every hit under
@@ -407,40 +412,38 @@ func (f *front) compile(li *liftInfo, v *version) (*serveArtifact, error) {
 
 // route resolves what this binding runs: an exact workload match runs the
 // maintained rewriting, everything else the store template (compiled on
-// first need) under the binding's constants. Routes are memoized per binding
-// on the artifact, at most maxRoutesPerArtifact of them, because the same
-// skeleton matches the workload only under the constants the workload query
-// carries; bindings past the cap resolve per call.
+// first need) under the binding's constants. A routable artifact memoizes
+// each binding's view match, at most maxRoutesPerArtifact of them, because
+// the same skeleton matches the workload only under the constants the
+// workload query carries; bindings past the cap match per call. The memo
+// keeps decisions only: a store route is the template plus the binding's
+// constants, built per call.
 func (f *front) route(a *serveArtifact, li *liftInfo, v *version) (*boundRoute, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if r, ok := a.bound[li.bkey]; ok {
-		return r, nil
-	}
-	r := &boundRoute{}
 	if a.routable {
-		r = f.matchRoute(applyConstSubst(a.skeleton, li.repr))
-	}
-	if !r.matched {
-		if v.reader == nil {
-			return nil, ErrNoStore
-		}
-		if a.tmpl == nil {
-			tmpl, err := compileStoreTemplate(v.reader, a.skeleton, li.repr, v.schema, v.maxTerms)
-			if err != nil {
-				return nil, err
+		r, ok := a.bound[li.bkey]
+		if !ok {
+			r = f.matchRoute(applyConstSubst(a.skeleton, li.repr))
+			if len(a.bound) < maxRoutesPerArtifact {
+				a.bound[li.bkey] = r
 			}
-			a.tmpl = tmpl
 		}
-		r.members = make([]*engine.QueryPlan, len(a.tmpl))
-		for i, p := range a.tmpl {
-			r.members[i] = p.Instantiate(nil, li.repr)
+		if r.matched {
+			return r, nil
 		}
 	}
-	if len(a.bound) < maxRoutesPerArtifact {
-		a.bound[li.bkey] = r
+	if v.reader == nil {
+		return nil, ErrNoStore
 	}
-	return r, nil
+	if a.tmpl == nil {
+		tmpl, err := compileStoreTemplate(v.reader, a.skeleton, li.repr, v.schema, v.maxTerms)
+		if err != nil {
+			return nil, err
+		}
+		a.tmpl = tmpl
+	}
+	return &boundRoute{members: a.tmpl, repr: li.repr}, nil
 }
 
 // shapeRoutable reports whether some workload query could be isomorphic to an
@@ -466,7 +469,7 @@ func (f *front) matchRoute(conc *cq.Query) *boundRoute {
 	lab := conc.Label(cq.SetHead)
 	w, ok := f.widx[lab.Code]
 	if !ok {
-		return &boundRoute{}
+		return unmatched
 	}
 	cols := make([]cq.Term, len(conc.Head))
 	for j, h := range conc.Head {
@@ -476,7 +479,7 @@ func (f *front) matchRoute(conc *cq.Query) *boundRoute {
 		}
 		n := lab.Num(h)
 		if n == 0 || n >= len(w.cols) || w.cols[n] == 0 {
-			return &boundRoute{}
+			return unmatched
 		}
 		cols[j] = w.cols[n]
 	}

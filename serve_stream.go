@@ -154,16 +154,17 @@ func openRewriting(ctx context.Context, plans []algebra.Plan, i int, resolve eng
 }
 
 // execStream runs the binding's store members against a reader: each is
-// pinned to the reader (a struct copy) and streamed — a member's union leaves
-// keep its stream a set — and several members are unioned positionally by
+// instantiated with the reader and the binding's constants (one copy of the
+// member's step specs) and streamed — a member's union leaves keep its
+// stream a set — and several members are unioned positionally by
 // engine.UnionStreams.
 func (r *boundRoute) execStream(reader store.Reader, opts engine.ExecOptions) (*engine.RowStream, error) {
 	if len(r.members) == 1 {
-		return r.members[0].Instantiate(reader, nil).EvalStream(opts), nil
+		return r.members[0].Instantiate(reader, r.repr).EvalStream(opts), nil
 	}
 	streams := make([]*engine.RowStream, len(r.members))
 	for i, p := range r.members {
-		streams[i] = p.Instantiate(reader, nil).EvalStream(opts)
+		streams[i] = p.Instantiate(reader, r.repr).EvalStream(opts)
 	}
 	return engine.UnionStreams(streams, 64)
 }
