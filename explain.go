@@ -101,13 +101,14 @@ func (r *Recommendation) Explain() string {
 
 // ExplainPhysical renders the physical execution plans behind the
 // recommendation: for each view, the scan-permutation/join pipeline the
-// engine compiles to materialize it against the store (index scans, merge
-// joins with residual equalities, explicit Sorts at sort breaks, hash joins
-// with their chosen build side — all annotated with estimated row counts),
-// one per member when the view is a union of several, and for each
-// rewriting, the streaming operator tree it executes over the materialized
-// views. This is the physical counterpart of the logical rewritings shown by
-// Explain, and exactly what Materialize runs.
+// engine compiles to materialize it against the store (index scans, union
+// leaves with their alternatives, merge joins with residual equalities,
+// explicit Sorts at sort breaks, hash joins with their chosen build side —
+// all annotated with estimated row counts), one per member when a class or
+// property variable gives the view several, and for each rewriting, the
+// streaming operator tree it executes over the materialized views. This is
+// the physical counterpart of the logical rewritings shown by Explain, and
+// exactly what Materialize and Maintain run.
 func (r *Recommendation) ExplainPhysical() string {
 	var sb strings.Builder
 	sb.WriteString("physical plans:\n")
@@ -126,7 +127,7 @@ func (r *Recommendation) ExplainPhysical() string {
 				fmt.Fprintf(&sb, "      member %d of %d: %s\n", i+1, u.Len(), m.Format(r.db.st.Dict()))
 				indent = "        "
 			}
-			qp, err := engine.PlanQuery(snap, m)
+			qp, err := engine.PlanQueryAlts(snap, m, u.AltsOf(i), nil)
 			if err != nil {
 				fmt.Fprintf(&sb, "%s(unplannable: %v)\n", indent, err)
 				continue

@@ -80,11 +80,12 @@ func TestExplainQueryDirect(t *testing.T) {
 	}
 }
 
-// TestExplainPhysicalGoldenPostMembers: under post-reformulation a view is
-// materialized as the union of its reformulation, so ExplainPhysical renders
-// one store plan per member — the plans Materialize runs — and not a plan of
+// TestExplainPhysicalGoldenPostUnionLeaf: under post-reformulation a view is
+// materialized as its reformulation factored per atom, so ExplainPhysical
+// renders one store plan whose reformulated atom is a union leaf of its
+// alternatives — the plan Materialize and Maintain run — and not a plan of
 // the view itself.
-func TestExplainPhysicalGoldenPostMembers(t *testing.T) {
+func TestExplainPhysicalGoldenPostUnionLeaf(t *testing.T) {
 	db := NewDatabase()
 	db.MustLoadGraphString(museumData)
 	db.MustLoadSchemaString(museumSchema)
@@ -96,12 +97,8 @@ func TestExplainPhysicalGoldenPostMembers(t *testing.T) {
 	const want = `physical plans:
   view materialization (over the store):
     v1:
-      member 1 of 2: q(X1) :- t(X1, rdf:type, picture)
-        Project [X1]
-          IndexScan t(X1, #2, #6) perm=pos prefix=2 batch=1024  (≈1 rows)
-      member 2 of 2: q(X1) :- t(X1, rdf:type, painting)
-        Project [X1]
-          IndexScan t(X1, #2, #3) perm=pos prefix=2 batch=1024  (≈2 rows)
+      Project [X1]
+        IndexScan t(X1, #2, #6) perm=pos prefix=2 ∪{t(X1, #2, #6) perm=pos, t(X1, #2, #3) perm=pos} batch=1024  (≈3 rows)
   rewriting execution (over the views):
     q1:
       ViewScan v1[X1] batch=1024  (≈3 rows)

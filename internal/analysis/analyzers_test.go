@@ -24,7 +24,7 @@ var retiredSteps = []string{
 	"one canonical labeling", "one state identity", "one way into the engine",
 	"one union", "one leg rewrite", "one maintenance fold", "one view deployment",
 	"32-bit store columns", "32-bit extents", "one row set", "one read path",
-	"one row encoder", "one reasoning rule", "one objective", "one plan per member",
+	"one row encoder", "one reasoning rule", "one objective", "one store form",
 	"four kept orders", "arena dictionary", "sorted extents",
 }
 

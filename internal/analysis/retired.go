@@ -100,8 +100,11 @@ var retiredRows = []row{
 	// Retired by the change to sorted extents: a maintained extent is a
 	// Relation kept sorted on its columns, its order its index.
 	{name: "sorted extents", in: re(`^maintain/`), decls: re(`^maintain\.\w+\.\w+ .*\bengine\.RowIndex\b`), msg: "a maintained extent carries a RowIndex again; keep it an engine.Relation in Sorted order and change it with engine.Merged"},
-	// Retired by a238aa1, reformulation per atom on the serving path.
-	{name: "one plan per member", in: re(`^rdfviews/serve(_stream)?\.go$`), uses: re(`^reason\.Reformulate$`), msg: "the serving path reformulates member-wise again; use reason.ReformulateAtoms"},
+	// Retired by a238aa1, reformulation per atom on the serving path, and by
+	// the change to one store form: views are materialized, maintained and
+	// explained per atom too, and the product form is pre's initial state only.
+	{name: "one store form", in: re(`^rdfviews/`), site: "reason.Reformulate", msg: "the root package runs reformulation's product form again; Recommend's pre-reformulation initial state is its one reason.Reformulate call"},
+	{name: "one store form", in: re(`^rdfviews/`), site: "reason.ReformulateAtoms", msg: "storeForm is the one reason.ReformulateAtoms call; views and queries take their store form from it"},
 }
 
 func runRetired(pass *Pass) error {

@@ -2,4 +2,8 @@ package rdfviews
 
 import "lintfixtures/retired/stub/reason"
 
-func reformulate() int { return reason.ReformulateAtoms() }
+func storeForm() int { return reason.ReformulateAtoms() }
+
+func members() int { return storeForm() }
+
+func compileStoreTemplate() int { return storeForm() }

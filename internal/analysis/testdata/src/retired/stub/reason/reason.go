@@ -1,5 +1,5 @@
 // Package reason (fixture stub) declares what the retired rows look up by
-// key: reason.Saturate and reason.Reformulate.
+// key: reason.Saturate, reason.Reformulate and reason.ReformulateAtoms.
 package reason
 
 func Saturate() int { return 0 }

@@ -9,9 +9,25 @@ import (
 // UCQ is a union of conjunctive queries — the output form of Algorithm 1
 // (Reformulate) and the view language of pre- and post-reformulation
 // (Section 4.3). All members are expected to share head arity.
+//
+// Alts, when non-nil, factors the union per atom (ReformulateAtoms): member
+// m stands for the queries obtained by replacing each of its atoms i by one
+// of Alts[m][i], whose first element is the atom itself; a list of one atom,
+// or a nil one, leaves the atom alone. nil Alts means every member stands
+// for itself.
 type UCQ struct {
 	Queries []*Query
+	Alts    [][][]Atom
 	codes   map[string]struct{}
+}
+
+// AltsOf returns member m's alternatives per atom, nil when it stands for
+// itself.
+func (u *UCQ) AltsOf(m int) [][]Atom {
+	if u.Alts == nil {
+		return nil
+	}
+	return u.Alts[m]
 }
 
 // NewUCQ returns a UCQ containing the given queries, deduplicated up to

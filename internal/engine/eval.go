@@ -9,13 +9,15 @@ import (
 
 // streamUCQ streams a union of conjunctive queries with set semantics: the
 // distinct union of the members' answers, aligned positionally on the head.
+// Each member is one plan, its atoms union leaves when the union is factored
+// per atom (cq.UCQ.Alts).
 func streamUCQ(st store.Reader, u *cq.UCQ) (*RowStream, error) {
 	if u.Len() == 0 {
 		return nil, fmt.Errorf("engine: empty union")
 	}
 	streams := make([]*RowStream, len(u.Queries))
 	for i, q := range u.Queries {
-		p, err := PlanQuery(st, q)
+		p, err := PlanQueryAlts(st, q, u.AltsOf(i), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -56,7 +58,8 @@ func Materialize(st store.Reader, view *cq.Query) (*Relation, error) {
 // MaterializeUCQ materializes a union view: the reformulated views v′ of
 // post-reformulation (Section 4.3) are unions of conjunctive queries whose
 // distinct answers on the non-saturated store equal the original view's
-// answers on the saturated one (Theorem 4.2).
+// answers on the saturated one (Theorem 4.2), in either form: the product
+// union or its per-atom factoring.
 func MaterializeUCQ(st store.Reader, view *cq.UCQ) (*Relation, error) {
 	rs, err := streamUCQ(st, view)
 	if err != nil {

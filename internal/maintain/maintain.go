@@ -4,14 +4,18 @@
 // per update for exactly the delta propagation performed here.
 //
 // A view is a union of conjunctive members over the explicit store: one
-// member for a plain view, its reformulation under RDFS (Theorem 4.2 makes
-// that union's answers on the explicit store the view's answers on the
-// saturated one). Inserting a triple t+ into the store adds to each view the
-// tuples of the delta queries obtained by binding one atom of one member to
-// t+ (the f1·f2·…·f_len(v) joins the paper's model counts). Deleting t− is
-// set-semantics DRed: candidate tuples derived through t− are re-checked
-// against the updated store and removed only when no member re-derives them,
-// so a row with several derivations needs no support count.
+// member for a plain view, its reformulation under RDFS factored per atom
+// (cq.UCQ.Alts: one member per binding of a class or property variable, each
+// atom a union of its alternatives) for a reformulated one. Theorem 4.2
+// makes that union's answers on the explicit store the view's answers on the
+// saturated one. Every member runs as one plan whose reformulated atoms are
+// union leaves. Inserting a triple t+ into the store adds to each view the
+// tuples of the delta queries obtained by binding one alternative of one
+// atom of one member to t+ (the f1·f2·…·f_len(v) joins the paper's model
+// counts); an atom none of whose alternatives unifies with t+ costs nothing.
+// Deleting t− is set-semantics DRed: candidate tuples derived through t− are
+// re-checked against the updated store and removed only when no member
+// re-derives them, so a row with several derivations needs no support count.
 //
 // One fold does all the propagation (apply): it nets a batch of store
 // deltas into insertions and deletions, runs DRed over the store snapshots
@@ -39,11 +43,11 @@ package maintain
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sync/atomic"
 
 	"rdfviews/internal/algebra"
 	"rdfviews/internal/cq"
-	"rdfviews/internal/dict"
 	"rdfviews/internal/engine"
 	"rdfviews/internal/store"
 )
@@ -81,7 +85,8 @@ type extentSet struct {
 	extents map[algebra.ViewID]*engine.Relation
 }
 
-// New materializes every view and returns a maintainer over them. With
+// New materializes every view over one snapshot of the store, each extent
+// in engine.Sorted order, and returns a maintainer over them. With
 // queueDepth <= 0 it is synchronous: Insert/Delete propagate deltas before
 // returning. With queueDepth > 0 it is asynchronous behind a change queue of
 // that capacity — writers block when the queue is full, so extents trail the
@@ -294,134 +299,171 @@ func (m *Maintainer) apply(snapOld *store.Snapshot, batch []delta) (int, error) 
 	}
 
 	old := m.cur.Load()
-	// Unchanged views share the old generation's extents.
-	next := &extentSet{epoch: snapNew.Epoch(), extents: maps.Clone(old.extents)}
+	// Unchanged views share the old generation's extents, and the map itself
+	// is shared until a view changes: a view no delta touches allocates
+	// nothing.
+	exts := old.extents
 	changed := 0
 	for id, v := range m.views {
 		x := old.extents[id]
-		cols := x.Cols
-		var row engine.Row
+		// Made on the view's first delta row.
+		var seen *engine.RowIndex
+		var removals, additions *engine.Relation
+		touched := func() {
+			if seen == nil {
+				seen = engine.NewRowIndex(engine.NewRelation(x.Cols))
+				removals, additions = engine.NewRelation(x.Cols), engine.NewRelation(x.Cols)
+			}
+		}
 
 		// Deletion phase (DRed). A row deriving through several net-deleted
-		// triples surfaces once per triple, so dedup before the
-		// rederivability check.
-		seen := engine.NewRowIndex(engine.NewRelation(cols))
-		removals := engine.NewRelation(cols)
+		// triples, members or atoms surfaces once per derivation, so dedup
+		// before the rederivability check.
 		for t := range netDel {
-			rows, err := m.deltaRows(snapOld, v, t)
-			if err != nil {
-				return changed, err
-			}
-			for i := 0; i < rows.Len(); i++ {
-				if row = rows.Row(i, row); !x.Contains(row) || !seen.Add(row) {
-					continue
+			if err := deltaRows(snapOld, v, t, func(row engine.Row) error {
+				if touched(); !x.Contains(row) || !seen.Add(row) {
+					return nil
 				}
 				ok, err := m.rederivable(snapNew, v, row)
-				if err != nil {
-					return changed, err
-				}
-				if !ok {
+				if !ok && err == nil {
 					removals.Append(row)
 				}
+				return err
+			}); err != nil {
+				return changed, err
 			}
 		}
 
 		// Insertion phase. (Disjoint from removals: delta rows are derivable
 		// over snapNew by construction, removals are not.)
-		additions := engine.NewRelation(cols)
 		for t := range netIns {
-			rows, err := m.deltaRows(snapNew, v, t)
-			if err != nil {
-				return changed, err
-			}
-			for i := 0; i < rows.Len(); i++ {
-				if row = rows.Row(i, row); !x.Contains(row) {
-					additions.Append(row) // repeats across delta triples go in Sorted
+			if err := deltaRows(snapNew, v, t, func(row engine.Row) error {
+				if touched(); !x.Contains(row) {
+					additions.Append(row) // repeats go in Sorted
 				}
+				return nil
+			}); err != nil {
+				return changed, err
 			}
 		}
 
-		if removals.Len() == 0 && additions.Len() == 0 {
+		if seen == nil || removals.Len() == 0 && additions.Len() == 0 {
 			continue
 		}
+		if changed == 0 { // the first view to change
+			exts = maps.Clone(old.extents)
+		}
 		del, add := engine.Sorted(removals), engine.Sorted(additions)
-		next.extents[id] = engine.Merged(x, del, add)
+		exts[id] = engine.Merged(x, del, add)
 		changed += del.Len() + add.Len()
 	}
-	m.cur.Store(next)
+	m.cur.Store(&extentSet{epoch: snapNew.Epoch(), extents: exts})
 	m.pubGen.Add(1)
 	return changed, nil
 }
 
-// deltaRows evaluates the delta of view v for triple t against the reader:
-// the distinct union over members of v and their atoms unifying with t of
-// the member with that atom's variables bound. The reader is a store
-// snapshot aligned with a batch boundary.
-func (m *Maintainer) deltaRows(r store.Reader, v *cq.UCQ, t store.Triple) (*engine.Relation, error) {
-	out := engine.NewRowIndex(engine.NewRelation(v.Queries[0].Head))
+// deltaRows calls emit with each row of view v's delta for triple t over the
+// reader, a row once per derivation. Triple t touches atom i of member m
+// when one of the atom's alternatives unifies with it; each such alternative
+// contributes m with the alternative's variables bound to t's values, atom i
+// fixed to t and the other atoms union leaves of their bound alternatives.
+// The reader is a store snapshot aligned with a batch boundary.
+func deltaRows(r store.Reader, v *cq.UCQ, t store.Triple, emit func(engine.Row) error) error {
 	var row engine.Row
-	for _, q := range v.Queries {
+	for mi, q := range v.Queries {
+		alts := v.AltsOf(mi)
 		for i := range q.Atoms {
-			qb, ok := bindAtom(q, i, t)
-			if !ok {
-				continue
+			as := q.Atoms[i : i+1]
+			if alts != nil && len(alts[i]) > 0 {
+				as = alts[i]
 			}
-			rel, err := engine.Materialize(r, qb)
-			if err != nil {
-				return nil, err
-			}
-			for i := 0; i < rel.Len(); i++ {
-				row = rel.Row(i, row)
-				out.Add(row)
+			for _, a := range as {
+				if !unifies(a, t) {
+					continue
+				}
+				qb, ab := bound(q, alts, func(x cq.Term) cq.Term {
+					if p := slices.Index(a[:], x); x.IsVar() && p >= 0 {
+						return cq.Const(t[p])
+					}
+					return x
+				})
+				qb.Atoms[i] = cq.Atom{cq.Const(t[0]), cq.Const(t[1]), cq.Const(t[2])}
+				if ab != nil {
+					ab[i] = nil
+				}
+				p, err := engine.PlanQueryAlts(r, qb, ab, nil)
+				if err != nil {
+					return err
+				}
+				rel, err := p.EvalStream(engine.ExecOptions{}).Collect()
+				for k := 0; err == nil && k < rel.Len(); k++ {
+					row = rel.Row(k, row)
+					err = emit(row)
+				}
+				if err != nil {
+					return err
+				}
 			}
 		}
 	}
-	return out.Relation(), nil
+	return nil
 }
 
-// bindAtom unifies atom i of v with the triple; on success it returns v with
-// the atom's variables substituted by the triple's values (so the head may
-// gain constants, which evaluation supports).
-func bindAtom(v *cq.Query, i int, t store.Triple) (*cq.Query, bool) {
-	bind := make(map[cq.Term]dict.ID, 3)
-	a := v.Atoms[i]
+// unifies reports whether atom a matches triple t. Its constants are checked
+// first, so a mismatch costs no binding; then a variable repeated in a must
+// meet one value.
+func unifies(a cq.Atom, t store.Triple) bool {
 	for p := 0; p < 3; p++ {
-		term := a[p]
-		if term.IsConst() {
-			if term.ConstID() != t[p] {
-				return nil, false
-			}
-			continue
+		if a[p].IsConst() && a[p].ConstID() != t[p] {
+			return false
 		}
-		if prev, ok := bind[term]; ok {
-			if prev != t[p] {
-				return nil, false
-			}
-			continue
+	}
+	return (a[0] != a[1] || t[0] == t[1]) && (a[0] != a[2] || t[0] == t[2]) && (a[1] != a[2] || t[1] == t[2])
+}
+
+// bound returns member q and its alternatives (nil: none) with every term
+// passed through to, which turns the variables it binds into constants. The
+// head may gain constants, which evaluation supports.
+func bound(q *cq.Query, alts [][]cq.Atom, to func(cq.Term) cq.Term) (*cq.Query, [][]cq.Atom) {
+	toAtom := func(a cq.Atom) cq.Atom { return cq.Atom{to(a[0]), to(a[1]), to(a[2])} }
+	out := q.Clone()
+	for i, h := range out.Head {
+		out.Head[i] = to(h)
+	}
+	for i, a := range out.Atoms {
+		out.Atoms[i] = toAtom(a)
+	}
+	if alts == nil {
+		return out, nil
+	}
+	outAlts := make([][]cq.Atom, len(alts))
+	for i, as := range alts {
+		for _, a := range as {
+			outAlts[i] = append(outAlts[i], toAtom(a))
 		}
-		bind[term] = t[p]
 	}
-	out := v
-	for term, val := range bind {
-		out = out.Substitute(term, cq.Const(val))
-	}
-	return out, true
+	return out, outAlts
 }
 
 // rederivable reports whether the view still derives the tuple from the
-// reader's state: some member with its head bound to the tuple has an
-// answer. Evaluation stops at the first answer.
+// reader's state: some member with its head bound to the tuple, its atoms
+// union leaves of their bound alternatives, has an answer. Evaluation stops
+// at the first slab.
 func (m *Maintainer) rederivable(r store.Reader, v *cq.UCQ, row engine.Row) (bool, error) {
 members:
-	for _, q := range v.Queries {
+	for mi, q := range v.Queries {
 		for i, h := range q.Head {
-			if h.IsVar() {
-				q = q.Substitute(h, cq.Const(row[i]))
-			} else if h.ConstID() != row[i] {
+			if h.IsConst() && h.ConstID() != row[i] {
 				continue members
 			}
 		}
-		p, err := engine.PlanQuery(r, q)
+		qb, ab := bound(q, v.AltsOf(mi), func(x cq.Term) cq.Term {
+			if i := slices.Index(q.Head, x); x.IsVar() && i >= 0 {
+				return cq.Const(row[i])
+			}
+			return x
+		})
+		p, err := engine.PlanQueryAlts(r, qb, ab, nil)
 		if err != nil {
 			return false, err
 		}

@@ -29,10 +29,11 @@ func TestReformulateAtomsFactorsReformulate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		members, alts, err := ReformulateAtoms(q, s, 0)
+		f, err := ReformulateAtoms(q, s, 0)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
+		members, alts := f.Queries, f.Alts
 		if len(alts) != len(members) {
 			t.Fatalf("trial %d: %d alternative lists for %d members", trial, len(alts), len(members))
 		}
@@ -146,14 +147,14 @@ func TestReformulateAtomsLimit(t *testing.T) {
 	if _, err := Reformulate(chain, s, 8); !errors.Is(err, ErrTooManyUnionTerms) {
 		t.Fatalf("Reformulate under 8 terms: %v, want ErrTooManyUnionTerms", err)
 	}
-	members, alts, err := ReformulateAtoms(chain, s, 8)
+	f, err := ReformulateAtoms(chain, s, 8)
 	if err != nil {
 		t.Fatalf("ReformulateAtoms under 8 terms: %v", err)
 	}
-	if len(members) != 1 || len(alts[0][0]) != 4 {
-		t.Fatalf("got %d members, %d alternatives of the first atom; want 1 and 4", len(members), len(alts[0][0]))
+	if f.Len() != 1 || len(f.Alts[0][0]) != 4 {
+		t.Fatalf("got %d members, %d alternatives of the first atom; want 1 and 4", f.Len(), len(f.Alts[0][0]))
 	}
-	if _, _, err := ReformulateAtoms(chain, s, 3); !errors.Is(err, ErrTooManyUnionTerms) {
+	if _, err := ReformulateAtoms(chain, s, 3); !errors.Is(err, ErrTooManyUnionTerms) {
 		t.Fatalf("ReformulateAtoms under 3 terms: %v, want ErrTooManyUnionTerms", err)
 	}
 
@@ -161,7 +162,7 @@ func TestReformulateAtomsLimit(t *testing.T) {
 	// 1 + 5 + 5 + 25 members up to renaming, more than 8.
 	p.ResetNames()
 	vars := p.MustParseQuery("q(X) :- t(X, P1, Y), t(Y, P2, Z)")
-	if _, _, err := ReformulateAtoms(vars, s, 8); !errors.Is(err, ErrTooManyUnionTerms) {
+	if _, err := ReformulateAtoms(vars, s, 8); !errors.Is(err, ErrTooManyUnionTerms) {
 		t.Fatalf("rule-6 members under 8 terms: %v, want ErrTooManyUnionTerms", err)
 	}
 }

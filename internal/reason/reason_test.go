@@ -344,13 +344,13 @@ func TestReformulateEquivalentToSaturation(t *testing.T) {
 // its rows must already be a set.
 func evalFactored(t *testing.T, st *store.Store, q *cq.Query, s *Schema) *engine.Relation {
 	t.Helper()
-	members, alts, err := ReformulateAtoms(q, s, 0)
+	f, err := ReformulateAtoms(q, s, 0)
 	if err != nil {
 		t.Fatalf("ReformulateAtoms: %v", err)
 	}
-	streams := make([]*engine.RowStream, len(members))
-	for i, m := range members {
-		p, err := engine.PlanQueryAlts(st, m, alts[i], nil)
+	streams := make([]*engine.RowStream, f.Len())
+	for i, m := range f.Queries {
+		p, err := engine.PlanQueryAlts(st, m, f.AltsOf(i), nil)
 		if err != nil {
 			t.Fatalf("PlanQueryAlts(%s): %v", m.Format(st.Dict()), err)
 		}

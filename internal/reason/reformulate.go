@@ -28,8 +28,12 @@ var ErrTooManyUnionTerms = fmt.Errorf("reason: reformulation exceeds the union-t
 // which also guarantees termination (Theorem 4.1).
 //
 // maxTerms ≤ 0 selects DefaultMaxUnionTerms; it bounds the whole union.
-// ReformulateAtoms, which the serving tier answers with, bounds the members
-// and each atom's alternatives instead.
+//
+// Nothing runs this product form over the store: queries and views run
+// ReformulateAtoms' per-atom form, which has the same answers. It is kept for
+// pre-reformulation's initial state (one view per union term), for the
+// one-atom counts of reformulated statistics, and for the paper's
+// experiments and the benchmark harness.
 func Reformulate(q *cq.Query, s *Schema, maxTerms int) (*cq.UCQ, error) {
 	if maxTerms <= 0 {
 		maxTerms = DefaultMaxUnionTerms
@@ -142,24 +146,27 @@ func (s *Schema) binds(g cq.Atom) bool {
 	return g[1].IsVar() || (g[1].ConstID() == s.TypeID && g[2].IsVar())
 }
 
-// ReformulateAtoms is Algorithm 1 factored per atom, the form the serving
-// tier answers: Reformulate's union equals, up to variable renaming, the set
-// of queries obtained by replacing every atom of a member by one of its
-// alternatives.
+// ReformulateAtoms is Algorithm 1 factored per atom, the form every query
+// and view runs in over the explicit store: Reformulate's union equals, up to
+// variable renaming, the set of queries obtained by replacing every atom of
+// a member by one of its alternatives (cq.UCQ.Alts).
 //
 // The members are q's closure under rules 5–6 alone, deduplicated up to
 // renaming; a query with no class or property variable is its own single
-// member. alts[m][i] lists the alternatives of atom i of member m: its
-// closure under rules 1–4, alts[m][i][0] being the atom itself. Rules 1–4
-// rewrite one atom into one atom, so an alternative keeps every variable of
-// its atom and adds at most one existential variable, numbered above q's
-// variables and distinct per atom index; alternatives are deduplicated up to
-// renaming of that variable.
+// member, and a nil schema gives q alone, with no alternatives. Alts[m][i]
+// lists the alternatives of atom i of member m: its closure under rules 1–4,
+// Alts[m][i][0] being the atom itself. Rules 1–4 rewrite one atom into one
+// atom, so an alternative keeps every variable of its atom and adds at most
+// one existential variable, numbered above q's variables and distinct per
+// atom index; alternatives are deduplicated up to renaming of that variable.
 //
 // maxTerms (≤ 0: DefaultMaxUnionTerms) bounds the number of members and the
 // alternatives of any one atom, not their product, which is what Reformulate
 // bounds.
-func ReformulateAtoms(q *cq.Query, s *Schema, maxTerms int) ([]*cq.Query, [][][]cq.Atom, error) {
+func ReformulateAtoms(q *cq.Query, s *Schema, maxTerms int) (*cq.UCQ, error) {
+	if s == nil {
+		return &cq.UCQ{Queries: []*cq.Query{q}}, nil
+	}
 	if maxTerms <= 0 {
 		maxTerms = DefaultMaxUnionTerms
 	}
@@ -167,23 +174,22 @@ func ReformulateAtoms(q *cq.Query, s *Schema, maxTerms int) ([]*cq.Query, [][][]
 		return fmt.Errorf("%w: more than %d terms for query with %d atoms and |S|=%d",
 			ErrTooManyUnionTerms, maxTerms, len(q.Atoms), s.Len())
 	}
-	members := []*cq.Query{q}
+	u := &cq.UCQ{Queries: []*cq.Query{q}}
 	if slices.ContainsFunc(q.Atoms, s.binds) {
-		ucq := cq.NewUCQ(q)
-		for next := 0; next < len(ucq.Queries); next++ {
-			cur := ucq.Queries[next]
+		u = cq.NewUCQ(q)
+		for next := 0; next < len(u.Queries); next++ {
+			cur := u.Queries[next]
 			for _, g := range cur.Atoms {
 				if err := s.bindVariable(cur, g, func(nq *cq.Query) error {
-					if ucq.Add(nq) && ucq.Len() > maxTerms {
+					if u.Add(nq) && u.Len() > maxTerms {
 						return tooMany()
 					}
 					return nil
 				}); err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 			}
 		}
-		members = ucq.Queries
 	}
 
 	// Substitution only binds variables, so every member's variables are q's.
@@ -193,23 +199,23 @@ func ReformulateAtoms(q *cq.Query, s *Schema, maxTerms int) ([]*cq.Query, [][][]
 		i int
 	}
 	memo := make(map[atomAt][]cq.Atom)
-	alts := make([][][]cq.Atom, len(members))
-	for m, mq := range members {
-		alts[m] = make([][]cq.Atom, len(mq.Atoms))
+	u.Alts = make([][][]cq.Atom, u.Len())
+	for m, mq := range u.Queries {
+		u.Alts[m] = make([][]cq.Atom, len(mq.Atoms))
 		for i, g := range mq.Atoms {
 			k := atomAt{g, i}
 			as, ok := memo[k]
 			if !ok {
 				var err error
 				if as, err = s.alternatives(g, cq.Var(base+1+i), maxTerms); err != nil {
-					return nil, nil, tooMany()
+					return nil, tooMany()
 				}
 				memo[k] = as
 			}
-			alts[m][i] = as
+			u.Alts[m][i] = as
 		}
 	}
-	return members, alts, nil
+	return u, nil
 }
 
 // alternatives closes the atom g under rules 1–4, with fresh as the

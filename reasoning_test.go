@@ -101,10 +101,26 @@ func TestSchemaUpdateFails(t *testing.T) {
 }
 
 // unionLimitLive is a deep sub-property hierarchy p0 ⊒ p1 ⊒ p2 ⊒ p3 over a
-// ring of edges spread across the four levels, with a recommendation under
-// post-reformulation whose union-term limit is 8.
+// ring of edges spread across the four levels (unionLimitDB), with a
+// recommendation under post-reformulation whose union-term limit is 8.
 func unionLimitLive(t *testing.T) (*Database, *Views) {
 	t.Helper()
+	db := unionLimitDB()
+	rec, err := db.Recommend(db.MustParseWorkload(`q(X, Y) :- t(X, p3, Y)`), Options{
+		Reasoning: ReasoningPost, MaxUnionTerms: 8, MaxStates: 50, Timeout: time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lv, err := rec.Maintain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db, lv
+}
+
+// unionLimitDB is the database of unionLimitLive.
+func unionLimitDB() *Database {
 	db := NewDatabase()
 	var data strings.Builder
 	for i := 0; i < 40; i++ {
@@ -117,17 +133,7 @@ p1 rdfs:subPropertyOf p0 .
 p2 rdfs:subPropertyOf p1 .
 p3 rdfs:subPropertyOf p2 .
 `)
-	rec, err := db.Recommend(db.MustParseWorkload(`q(X, Y) :- t(X, p3, Y)`), Options{
-		Reasoning: ReasoningPost, MaxUnionTerms: 8, MaxStates: 50, Timeout: time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lv, err := rec.Maintain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return db, lv
+	return db
 }
 
 // TestServingUnionLimitBoundsAtoms: on the serving path the union-term limit
@@ -149,6 +155,67 @@ func TestServingUnionLimitBoundsAtoms(t *testing.T) {
 	want := oracle(t, db, chain, ReasoningSaturate)
 	if len(want) == 0 || !sameAnswers(got, want) {
 		t.Fatalf("chain answered %d rows, saturate oracle %d", len(got), len(want))
+	}
+}
+
+// TestMaintainUnionLimitBoundsAtoms: a view runs over the store in the same
+// per-atom form, so the union-term limit bounds its atoms' alternatives too.
+// S0 keeps the 3-atom chain as its view, whose product form has 4^3 = 64
+// members — over the limit of 8 — but 4 alternatives per atom, so it
+// materializes and is maintained, and its answers are the saturated
+// database's before and after an update.
+func TestMaintainUnionLimitBoundsAtoms(t *testing.T) {
+	db := unionLimitDB()
+	chain := `q(A, D) :- t(A, p0, B), t(B, p0, C), t(C, p0, D)`
+	w := db.MustParseWorkload(chain)
+	if _, err := reason.Reformulate(w.Queries[0], db.reasonSchema(), 8); !errors.Is(err, reason.ErrTooManyUnionTerms) {
+		t.Fatalf("Reformulate under the limit: %v, want ErrTooManyUnionTerms", err)
+	}
+	rec, err := db.Recommend(w, Options{
+		Reasoning: ReasoningPost, MaxUnionTerms: 8, MaxStates: 1, Timeout: time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if defs := rec.ViewDefinitions(); len(defs) != 1 || strings.Count(defs[0], "t(") != 3 {
+		t.Fatalf("recommended %v, want S0's one 3-atom view", defs)
+	}
+	mat, err := rec.Materialize()
+	if err != nil {
+		t.Fatalf("Materialize: %v", err)
+	}
+	lv, err := rec.Maintain()
+	if err != nil {
+		t.Fatalf("Maintain: %v", err)
+	}
+	prev := -1
+	for _, step := range []struct {
+		views  *Views
+		update func(string) (int, error)
+		line   string
+	}{
+		{views: mat},
+		{views: lv},
+		{views: lv, update: lv.Delete, line: "n1 p1 n2 ."},
+		{views: lv, update: lv.Insert, line: "n2 p3 n30 ."},
+	} {
+		if step.update != nil {
+			if _, err := step.update(step.line); err != nil {
+				t.Fatalf("update %q: %v", step.line, err)
+			}
+		}
+		got, err := step.views.Answer(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := oracle(t, db, chain, ReasoningSaturate)
+		if len(want) == 0 || !sameAnswers(got, want) {
+			t.Fatalf("after %q the view answers %d rows, the saturate oracle %d", step.line, len(got), len(want))
+		}
+		if step.update != nil && len(got) == prev {
+			t.Fatalf("update %q left the answer at %d rows", step.line, prev)
+		}
+		prev = len(got)
 	}
 }
 

@@ -99,12 +99,13 @@ type Options struct {
 	// is zero it is auto-calibrated so that cm·VMC(S0) sits two orders of
 	// magnitude below the other cost components (Section 6).
 	Weights Weights
-	// MaxUnionTerms bounds reformulation size (0 = library default): the
-	// union of each reformulated workload query and view the search and
-	// maintenance read. An ad-hoc answer of the recommendation's LiveViews is
-	// reformulated per atom instead, so there it bounds the members the query
-	// has under reformulation rules 5–6 (bindings of class and property
-	// variables) and the alternatives of any one atom, not their product.
+	// MaxUnionTerms bounds reformulation size (0 = library default). Views
+	// and queries run over the store in per-atom form, so it bounds the
+	// members a view or query has under reformulation rules 5–6 (bindings of
+	// class and property variables) and the alternatives of any one atom,
+	// not their product. Only pre-reformulation, whose initial state holds
+	// one view per union term, bounds the product: the whole union of each
+	// reformulated workload query.
 	MaxUnionTerms int
 }
 
@@ -178,16 +179,17 @@ func (r *Recommendation) Cost() cost.Breakdown { return r.result.BestCost }
 // InitialCost returns the estimated cost of the initial state S0.
 func (r *Recommendation) InitialCost() cost.Breakdown { return r.result.InitialCost }
 
-// members is what view v's extent is over the database's explicit store: the
-// union of its reformulation under post-reformulation (Theorem 4.2 makes
-// its answers there the view's answers on the saturated database), the view
-// alone otherwise. Materialize, MaintainWithOptions (both through deploy)
-// and ExplainPhysical all read it.
+// members is what view v's extent is over the database's explicit store:
+// its store form, which under post-reformulation is its reformulation
+// factored per atom (Theorem 4.2 makes its answers there the view's answers
+// on the saturated database), and the view alone otherwise. Materialize,
+// MaintainWithOptions (both through deploy) and ExplainPhysical all read it.
 func (r *Recommendation) members(v *core.View) (*cq.UCQ, error) {
-	if r.mode != ReasoningPost {
-		return &cq.UCQ{Queries: []*cq.Query{v.Q}}, nil
+	var schema *reason.Schema
+	if r.mode == ReasoningPost {
+		schema = r.schema
 	}
-	u, err := reason.Reformulate(v.Q, r.schema, r.maxUnionTerms)
+	u, err := storeForm(v.Q, schema, r.maxUnionTerms)
 	if err != nil {
 		return nil, fmt.Errorf("rdfviews: reformulating view v%d: %w", int(v.ID), err)
 	}

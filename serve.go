@@ -200,29 +200,29 @@ func applyConstSubst(q *cq.Query, sub map[dict.ID]dict.ID) *cq.Query {
 	return out
 }
 
+// storeForm is the one form a query or a view runs in over the explicit
+// store: its per-atom reformulation under schema (reason.ReformulateAtoms),
+// the query alone when schema is nil. A view's extent (Recommendation.members)
+// and an ad-hoc query's store template (compileStoreTemplate) both come from
+// it.
+func storeForm(q *cq.Query, schema *reason.Schema, maxTerms int) (*cq.UCQ, error) {
+	return reason.ReformulateAtoms(q, schema, maxTerms)
+}
+
 // compileStoreTemplate compiles the store-path template: one physical plan
-// per member of the skeleton's closure under reformulation rules 5–6
-// (reason.ReformulateAtoms, when schema is given) — a single plan unless the
+// per member of the skeleton's store form — a single plan unless the
 // skeleton has a class or property variable — whose atoms are union leaves
 // of their rule 1–4 alternatives, join-ordered by the cardinalities of the
 // triggering query's constants (repr) on the call's snapshot. The plans are
 // detached from that snapshot: every run binds its own (execStream).
 func compileStoreTemplate(reader store.Reader, skel *cq.Query, repr map[dict.ID]dict.ID, schema *reason.Schema, maxTerms int) ([]*engine.QueryPlan, error) {
-	members := []*cq.Query{skel}
-	var alts [][][]cq.Atom
-	if schema != nil {
-		var err error
-		if members, alts, err = reason.ReformulateAtoms(skel, schema, maxTerms); err != nil {
-			return nil, err
-		}
+	u, err := storeForm(skel, schema, maxTerms)
+	if err != nil {
+		return nil, err
 	}
-	plans := make([]*engine.QueryPlan, len(members))
-	for i, mq := range members {
-		var ma [][]cq.Atom
-		if alts != nil {
-			ma = alts[i]
-		}
-		p, err := engine.PlanQueryAlts(reader, mq, ma, repr)
+	plans := make([]*engine.QueryPlan, u.Len())
+	for i, mq := range u.Queries {
+		p, err := engine.PlanQueryAlts(reader, mq, u.AltsOf(i), repr)
 		if err != nil {
 			return nil, err
 		}

@@ -114,17 +114,21 @@ var ErrNotMaintained = errors.New("rdfviews: views are not maintained; use Recom
 var ErrSchemaUpdate = errors.New("rdfviews: schema triples cannot be maintained; load them and recommend again")
 
 // Materialize computes the extent of every recommended view — the distinct
-// union of its members' answers on the database's store — and returns them
-// unmaintained: later updates to the database do not reach them.
+// union of its members' answers on the database's store, each member one
+// plan whose reformulated atoms are union leaves — and returns them
+// unmaintained: later updates to the database do not reach them. It builds
+// the extents Maintain starts from, in the same order.
 func (r *Recommendation) Materialize() (*Views, error) { return r.deploy(nil) }
 
 // Maintain materializes the recommended views under synchronous incremental
 // maintenance, in every reasoning mode. The maintained store is the
 // database's own: updates reach Database.Answer and later Recommend calls.
-// A view is maintained as its members (the union of its reformulation under
-// post-reformulation, and so under saturation; the view itself otherwise),
-// each a conjunctive query over the explicit triples, so an update to an
-// explicit triple reaches every view it entails a row of (Theorem 4.2).
+// A view is maintained as its members (its reformulation factored per atom
+// under post-reformulation, and so under saturation; the view itself
+// otherwise), each a conjunctive query over the explicit triples whose atoms
+// stand for their rule 1–4 alternatives, so an update to an explicit triple
+// reaches every view it entails a row of (Theorem 4.2): its delta is each
+// member with one alternative of one atom bound to the triple.
 func (r *Recommendation) Maintain() (*Views, error) { return r.deploy(&MaintainOptions{}) }
 
 // MaintainWithOptions is Maintain with explicit maintenance options; the
@@ -135,8 +139,10 @@ func (r *Recommendation) MaintainWithOptions(opts MaintainOptions) (*Views, erro
 }
 
 // deploy puts the recommended views over the database's store, each as its
-// members: maintained under opts, or — with opts nil — materialized once,
-// every view over one snapshot of the store.
+// members. The maintainer materializes every view over one snapshot of the
+// store, each extent sorted on its columns (engine.Sorted); under opts it
+// keeps them up to date, and with opts nil its first generation is the
+// deployment's fixed extents.
 func (r *Recommendation) deploy(opts *MaintainOptions) (*Views, error) {
 	members := make(map[algebra.ViewID]*cq.UCQ, r.state.NumViews())
 	for id, v := range r.state.Views {
@@ -161,24 +167,21 @@ func (r *Recommendation) deploy(opts *MaintainOptions) (*Views, error) {
 	if r.mode != ReasoningNone {
 		v.at.schema = r.schema
 	}
+	depth := 0
 	if opts != nil {
-		m, err := maintain.New(r.db.st, members, opts.QueueDepth)
-		if err != nil {
-			return nil, err
-		}
-		v.m, v.extents, v.stale = m, m.Resolver, opts.StaleReads
+		depth = opts.QueueDepth
+	}
+	m, err := maintain.New(r.db.st, members, depth)
+	if err != nil {
+		return nil, err
+	}
+	if opts == nil {
+		// Unmaintained: the maintainer's first generation, which nothing
+		// updates from then on.
+		v.extents = fixed(m.Resolver())
 		return v, nil
 	}
-	snap := r.db.st.Snapshot()
-	extents := make(map[algebra.ViewID]*engine.Relation, len(members))
-	for id, u := range members {
-		rel, err := engine.MaterializeUCQ(snap, u)
-		if err != nil {
-			return nil, fmt.Errorf("rdfviews: materializing view v%d: %w", int(id), err)
-		}
-		extents[id] = rel
-	}
-	v.extents = fixed(engine.MapResolver(extents))
+	v.m, v.extents, v.stale = m, m.Resolver, opts.StaleReads
 	return v, nil
 }
 
